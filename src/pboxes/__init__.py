@@ -19,7 +19,7 @@ from .choquet import (
     threshold_solve,
     upper_expectation,
 )
-from .errors import ToleranceError, ValidationError
+from .errors import ParseError, ToleranceError, ValidationError
 from .multivariate import (
     FRECHET,
     INDEPENDENT,

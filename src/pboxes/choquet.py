@@ -8,6 +8,12 @@ non-increasing in t, so lower and upper Darboux sums on a uniform t-grid
 bracket the integral with a rigorous two-sided error; the grid is doubled
 until the bracket is narrower than the requested tolerance.
 
+Cut sets are exact wherever the oscillation's structure allows it: from the
+segment crossings of a piecewise-linear oscillation's knots, for a whole
+batch of levels at once, or from a registered inverse.  Only black-box
+oscillations fall back to bisection, and non-monotone black boxes to a grid
+scan, which can miss components narrower than the grid spacing.
+
 Gambles over finite quotient spaces bypass quadrature entirely: the
 expectation is an exact finite weighted sum over the sorted distinct gamble
 values.
@@ -53,6 +59,8 @@ _VALIDATION_POINTS = 129
 _INVERSE_ROUNDTRIP_TOL = 1e-10
 # hard cap on grid size so a hopeless tolerance flags instead of exhausting memory
 _MAX_GRID = 1 << 21
+# levels x knots handled in one vectorized pass, to bound its memory
+_KNOT_BATCH_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,11 @@ class Oscillation:
     ``sup_value`` may be ``math.inf`` for upper oscillations that blow up at
     the top of the coordinate range; expectations then require a tail
     tolerance (see :class:`QuadratureConfig`).
+
+    ``knots``, when given, are sorted ``(z, value)`` pairs of which ``f`` is
+    the linear interpolation, held flat beyond the end knots (as
+    ``np.interp`` does).  Cut sets then come exactly from the segment
+    crossings, whatever the monotonicity.
     """
 
     f: Callable
@@ -76,13 +89,14 @@ class Oscillation:
     monotonicity: str = GENERAL
     inverse: Callable | None = None
     name: str = ""
+    knots: tuple | None = None
 
     def __post_init__(self):
         if self.monotonicity not in (INCREASING, DECREASING, GENERAL):
             raise ValidationError(f"unknown monotonicity {self.monotonicity!r}")
-        if self.inf_value > self.sup_value:
+        if math.isnan(self.sup_value) or self.inf_value > self.sup_value:
             raise ValidationError("inf_value exceeds sup_value")
-        if math.isinf(self.inf_value):
+        if not math.isfinite(self.inf_value):
             raise ValidationError("the infimum of a bounded gamble is finite")
         zs = np.linspace(0.0, 1.0, _VALIDATION_POINTS)
         vals = _eval_array(self.f, zs)
@@ -96,6 +110,10 @@ class Oscillation:
             raise ValidationError("oscillation is not decreasing on the validation grid")
         if self.inverse is not None:
             self._check_inverse(zs, vals)
+        if self.knots is not None:
+            knot_zs, knot_vs = np.asarray(self.knots, dtype=float).T
+            if not np.allclose(vals, np.interp(zs, knot_zs, knot_vs), rtol=0.0, atol=1e-9):
+                raise ValidationError("oscillation disagrees with its knots")
 
     def _check_inverse(self, zs, vals):
         if self.monotonicity == GENERAL:
@@ -138,7 +156,13 @@ class Oscillation:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the bracketed cut-level quadrature."""
+    """Tolerances for the bracketed cut-level quadrature.
+
+    Knot oscillations and registered inverses give exact cut sets, so
+    ``cut_grid`` (the scan of non-monotone oscillations) and the cut-set use
+    of ``bisect_tol`` only affect black-box oscillations; ``bisect_tol`` is
+    also the tolerance of :func:`threshold_solve`.
+    """
 
     abs_tol: float = 1e-4
     max_refinements: int = 24
@@ -147,12 +171,16 @@ class QuadratureConfig:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.abs_tol, self.bisect_tol, self.tail_tol))):
+            raise ValidationError("tolerances must be finite")
         if self.abs_tol < 1e-12:
             raise ValidationError("abs_tol below 1e-12 is not honoured")
         if min(self.abs_tol, self.bisect_tol, self.tail_tol) <= 0:
             raise ValidationError("tolerances must be positive")
         if self.max_refinements <= 0 or self.cut_grid <= 0:
             raise ValidationError("refinement and grid counts must be positive")
+        if self.cut_grid > _MAX_GRID:
+            raise ValidationError(f"cut_grid above {_MAX_GRID} is not supported")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -215,32 +243,94 @@ def _cut_bound(osc: Oscillation, t: float, cfg: QuadratureConfig) -> float:
     return _bisect_scalar(osc.f, t, osc.monotonicity == DECREASING, cfg.bisect_tol)
 
 
+def _knot_components(knots, ts: np.ndarray):
+    """Maximal components ``[a, b]`` of ``{f >= t}`` for every level in ``ts``.
+
+    ``f`` is the linear interpolation of ``knots``, flat beyond the end
+    knots.  A run of knots at or above a level is one component; its
+    endpoints are the crossings of the segments leaving the run, measured
+    from the inside knot so that a level equal to a knot value lands on that
+    knot exactly.  A run that reaches an end knot extends to that end of
+    [0, 1].  Returns level indices and endpoints as flat arrays, sorted by
+    level and then by coordinate; components outside [0, 1] are dropped and
+    the rest clipped to it.
+    """
+    zs, vs = np.asarray(knots, dtype=float).T
+    last = len(zs) - 1
+    inside = vs >= ts[:, None]
+    edges = np.diff(np.pad(inside, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    level, first = np.nonzero(edges > 0)    # first knot of each run
+    _, stop = np.nonzero(edges < 0)         # one past the last knot of each run
+    t = ts[level]
+
+    a = np.zeros(len(level))
+    rise = first > 0
+    k, t_in = first[rise], t[rise]
+    a[rise] = zs[k] - (vs[k] - t_in) / (vs[k] - vs[k - 1]) * (zs[k] - zs[k - 1])
+
+    b = np.ones(len(level))
+    j = stop - 1
+    fall = j < last
+    j, t_in = j[fall], t[fall]
+    b[fall] = zs[j] + (vs[j] - t_in) / (vs[j] - vs[j + 1]) * (zs[j + 1] - zs[j])
+
+    keep = (b >= 0.0) & (a <= 1.0)
+    return level[keep], np.clip(a[keep], 0.0, 1.0), np.clip(b[keep], 0.0, 1.0)
+
+
+def _knot_cut_probs(pbox: PBox, knots, ts: np.ndarray, upper: bool) -> np.ndarray:
+    """Lower (upper) probabilities of the knot cut sets at every level in ``ts``.
+
+    The lower probability of a union of closed components is the sum of
+    ``max(0, F_lower(b) - F_upper(a))``, with bottom 0 at a = 0.  The upper
+    one is 1 minus the lower probability of the complement, whose pieces are
+    ``[0, a_1)``, the open gaps ``(b_k, a_{k+1})`` and ``(b_n, 1]``.
+    """
+    n = len(ts)
+    step = max(1, _KNOT_BATCH_CELLS // len(knots))
+    if n > step:
+        return np.concatenate([_knot_cut_probs(pbox, knots, ts[i:i + step], upper)
+                               for i in range(0, n, step)])
+    level, a, b = _knot_components(knots, ts)
+    if not upper:
+        bottom = np.where(a > 0.0, _eval_array(pbox.upper, a), 0.0)
+        gains = np.maximum(0.0, _eval_array(pbox.lower, b) - bottom)
+        return np.clip(np.bincount(level, weights=gains, minlength=n), 0.0, 1.0)
+
+    first = np.ones(len(level), dtype=bool)
+    first[1:] = level[1:] != level[:-1]
+    is_last = np.ones(len(level), dtype=bool)
+    is_last[:-1] = first[1:]
+    upper_b = _eval_array(pbox.upper, b)
+    # the gap below each component: [0, a) for the first, (b_prev, a) after
+    bottom = np.where(first, 0.0, np.roll(upper_b, 1))
+    gains = np.maximum(0.0, _left_limit_array(pbox.lower, a) - bottom)
+    total = np.bincount(level, weights=gains, minlength=n)
+    # the gap above the last component, (b_n, 1]; all of [0, 1] for an empty cut
+    lower_one = float(_eval_array(pbox.lower, np.ones(1))[0])
+    top_gap = np.full(n, max(0.0, lower_one))
+    top_gap[level[is_last]] = np.where(
+        b[is_last] < 1.0, np.maximum(0.0, lower_one - upper_b[is_last]), 0.0)
+    return 1.0 - np.clip(total + top_gap, 0.0, 1.0)
+
+
 def _cut_general(osc: Oscillation, t: float, cfg: QuadratureConfig) -> ZEventSet:
+    """Grid scan of a black-box oscillation, each sign change bisected."""
     zs = np.linspace(0.0, 1.0, cfg.cut_grid + 1)
     inside = _eval_array(osc.f, zs) >= t
-    if not inside.any():
-        return EMPTY_EVENT
+    # padded with outside points, the changes alternate run start, run end
+    changes = np.flatnonzero(np.diff(np.r_[False, inside, False]))
     intervals = []
-    idx = 0
-    n = len(zs)
-    while idx < n:
-        if not inside[idx]:
-            idx += 1
-            continue
-        start_idx = idx
-        while idx + 1 < n and inside[idx + 1]:
-            idx += 1
-        end_idx = idx
+    for start_idx, end_idx in zip(changes[0::2], changes[1::2] - 1):
         lo = zs[start_idx]
         if start_idx > 0:
             lo = _refine_boundary(osc.f, t, zs[start_idx - 1], zs[start_idx],
                                   rising=True, tol=cfg.bisect_tol)
         hi = zs[end_idx]
-        if end_idx + 1 < n:
+        if end_idx + 1 < len(zs):
             hi = _refine_boundary(osc.f, t, zs[end_idx + 1], zs[end_idx],
                                   rising=False, tol=cfg.bisect_tol)
         intervals.append(ZInterval.closed(lo, hi))
-        idx += 1
     return normalize(intervals)
 
 
@@ -260,11 +350,17 @@ def _refine_boundary(f, t, outside, inside, rising: bool, tol: float) -> float:
 def cut_event(osc: Oscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ZEventSet:
     """Normalized coordinate set ``{z : osc(z) >= t}``.
 
-    Declared-monotone oscillations yield a single interval anchored at 0 or
-    1, with the moving endpoint taken from the registered inverse or located
-    by bisection; general oscillations are scanned on ``cfg.cut_grid`` points
-    with each sign change refined by bisection.
+    Oscillations with knots yield the exact components between segment
+    crossings (the same computation the quadrature batches over levels).
+    Otherwise, declared-monotone oscillations yield a single interval
+    anchored at 0 or 1, with the moving endpoint taken from the registered
+    inverse or located by bisection, and black-box general oscillations are
+    scanned on ``cfg.cut_grid`` points with each sign change refined by
+    bisection.
     """
+    if osc.knots is not None:
+        _, lo, hi = _knot_components(osc.knots, np.array([float(t)]))
+        return normalize([ZInterval.closed(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
     if osc.monotonicity == DECREASING:
         if t <= float(osc.f(1.0)):
             return FULL_EVENT
@@ -292,10 +388,14 @@ def _batch_cut_probs(pbox: PBox, osc: Oscillation, ts: np.ndarray, upper: bool,
                      cfg: QuadratureConfig) -> np.ndarray:
     """Cut probabilities for many levels at once.
 
-    For declared-monotone oscillations the cut is a single anchored interval
-    and its probability reduces to one CDF evaluation, which vectorizes; the
-    general case goes through the per-level event machinery.
+    Oscillations with knots take their exact components from one vectorized
+    pass over all levels.  For other declared-monotone oscillations the cut
+    is a single anchored interval and its probability reduces to one CDF
+    evaluation, which vectorizes; black-box general oscillations go through
+    the per-level event machinery.
     """
+    if osc.knots is not None:
+        return _knot_cut_probs(pbox, osc.knots, ts, upper)
     if osc.monotonicity == GENERAL:
         fn = _upper_cut_prob if upper else _lower_cut_prob
         return np.array([fn(pbox, osc, float(t), cfg) for t in ts])

@@ -23,6 +23,7 @@ import json
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from . import choquet as _choquet
 from . import pbox as _pbox
 from .choquet import DEFAULT_CONFIG, QuadratureConfig, cut_event
-from .errors import ToleranceError, ValidationError
+from .errors import ParseError, ToleranceError, ValidationError
 from .multivariate import FRECHET, INDEPENDENT, MarginalSpec, RealLinePBox, combine
 from .oracle import (
     FiniteCredalInstance,
@@ -73,6 +74,46 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # scenario files
+
+_REQUIRED = object()
+_NUMBER = (int, float)
+# in matching order: a boolean is an int to Python, and any int is a number
+_JSON_TYPES = {bool: "a boolean", dict: "an object", list: "an array",
+               str: "a string", _NUMBER: "a number", int: "an integer"}
+_CONFIG_FIELDS = {"abs_tol": _NUMBER, "max_refinements": int, "cut_grid": int,
+                  "bisect_tol": _NUMBER, "tail_tol": _NUMBER}
+
+
+def _expect(value, types, path: str):
+    """``value`` if it is of ``types`` (a boolean is never a number); else a ParseError."""
+    if isinstance(value, types) and not isinstance(value, bool):
+        return value
+    got = next((name for kind, name in _JSON_TYPES.items() if isinstance(value, kind)),
+               "null")
+    raise ParseError(f"{path}: expected {_JSON_TYPES[types]}, got {got}")
+
+
+def _field(obj: dict, key: str, path: str, types, default=_REQUIRED):
+    """``obj[key]`` checked by :func:`_expect`, or ``default`` when absent."""
+    where = f"{path}.{key}" if path else key
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ParseError(f"{where}: missing")
+        return default
+    return _expect(obj[key], types, where)
+
+
+@contextmanager
+def _malformed(path: str):
+    """Report a specification the builders cannot read as a ParseError at ``path``."""
+    try:
+        yield
+    except (ParseError, ValidationError):
+        raise
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing field {exc.args[0]!r}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed specification: {exc}") from exc
 
 
 def _cdf_from_spec(spec) -> object:
@@ -139,51 +180,65 @@ def _pbox_from_spec(spec, space) -> PBox | None:
 def _queries_from_spec(raw_queries, space) -> tuple:
     queries = []
     for idx, raw in enumerate(raw_queries):
-        kind = raw.get("kind")
+        path = f"queries[{idx}]"
+        raw = _expect(raw, dict, path)
+        kind = _field(raw, "kind", path, str)
         qid = str(raw.get("id", f"q{idx}"))
-        if kind in ("event_lower", "event_upper"):
-            queries.append(Query(qid, kind, event=_event_from_spec(raw, space)))
-        elif kind in ("expectation_lower", "expectation_upper"):
-            queries.append(Query(qid, kind,
-                                 oscillation=_oscillation_from_spec(raw["oscillation"])))
-        elif kind == "threshold":
-            queries.append(Query(qid, kind,
-                                 oscillation=_oscillation_from_spec(raw["oscillation"]),
-                                 target=float(raw["target"])))
-        elif kind in ("arith_add", "arith_op"):
-            x1 = _real_line_pbox(raw["x1"])
-            x2 = _real_line_pbox(raw["x2"])
-            op = raw.get("op", "add") if kind == "arith_op" else "add"
-            side = raw.get("side", "lower")
-            ys = raw["y_grid"] if "y_grid" in raw else [raw["y"]]
-            for k, y in enumerate(ys):
-                suffix = f"_{k}" if "y_grid" in raw else ""
-                queries.append(Query(qid + suffix, kind, x1=x1, x2=x2, op=op,
-                                     y=float(y), side=side))
-        else:
-            raise ValidationError(f"unknown query kind {kind!r}")
+        with _malformed(path):
+            if kind in ("event_lower", "event_upper"):
+                queries.append(Query(qid, kind, event=_event_from_spec(raw, space)))
+            elif kind in ("expectation_lower", "expectation_upper", "threshold"):
+                osc = _oscillation_from_spec(_field(raw, "oscillation", path, dict))
+                target = (float(_field(raw, "target", path, _NUMBER))
+                          if kind == "threshold" else None)
+                queries.append(Query(qid, kind, oscillation=osc, target=target))
+            elif kind in ("arith_add", "arith_op"):
+                x1 = _real_line_pbox(_field(raw, "x1", path, dict))
+                x2 = _real_line_pbox(_field(raw, "x2", path, dict))
+                op = raw.get("op", "add") if kind == "arith_op" else "add"
+                side = raw.get("side", "lower")
+                if "y_grid" in raw:
+                    ys = [_expect(y, _NUMBER, f"{path}.y_grid[{k}]")
+                          for k, y in enumerate(_field(raw, "y_grid", path, list))]
+                else:
+                    ys = [_field(raw, "y", path, _NUMBER)]
+                for k, y in enumerate(ys):
+                    suffix = f"_{k}" if "y_grid" in raw else ""
+                    queries.append(Query(qid + suffix, kind, x1=x1, x2=x2, op=op,
+                                         y=float(y), side=side))
+            else:
+                raise ValidationError(f"unknown query kind {kind!r}")
     return tuple(queries)
 
 
 def load_scenario(path: str):
-    """Parse a scenario file into a runnable scenario and its config."""
+    """Parse a scenario file into a runnable scenario and its config.
+
+    A document without the documented shape raises :class:`ParseError`
+    naming the offending field, such as ``queries[2].target``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    space_spec = doc.get("space", {"type": "continuum"})
-    if space_spec.get("type") == "finite":
-        space = FiniteQuotientSpace(tuple(space_spec["classes"]))
-    elif space_spec.get("type") in ("continuum", "z_induced"):
+        doc = _expect(json.load(handle), dict, "document")
+    space_spec = _field(doc, "space", "", dict, {"type": "continuum"})
+    space_type = space_spec.get("type")
+    if space_type == "finite":
+        classes = _field(space_spec, "classes", "space", list)
+        with _malformed("space.classes"):
+            space = FiniteQuotientSpace(tuple(classes))
+    elif space_type in ("continuum", "z_induced"):
         space = UNIT_INTERVAL
     else:
-        raise ValidationError(f"unknown space type {space_spec.get('type')!r}")
-    pbox = _pbox_from_spec(doc.get("pbox"), space)
-    queries = _queries_from_spec(doc.get("queries", []), space)
-    cfg = DEFAULT_CONFIG
-    raw_cfg = doc.get("config", {})
-    known = {k: v for k, v in raw_cfg.items()
-             if k in ("abs_tol", "max_refinements", "cut_grid", "bisect_tol", "tail_tol")}
-    if known:
-        cfg = replace(cfg, **known)
+        raise ValidationError(f"unknown space type {space_type!r}")
+    pbox_spec = doc.get("pbox")
+    if pbox_spec is not None:
+        _expect(pbox_spec, dict, "pbox")
+    with _malformed("pbox"):
+        pbox = _pbox_from_spec(pbox_spec, space)
+    queries = _queries_from_spec(_field(doc, "queries", "", list, []), space)
+    raw_cfg = _field(doc, "config", "", dict, {})
+    known = {key: _field(raw_cfg, key, "config", types)
+             for key, types in _CONFIG_FIELDS.items() if key in raw_cfg}
+    cfg = replace(DEFAULT_CONFIG, **known) if known else DEFAULT_CONFIG
     name = doc.get("name", path)
     return Scenario(str(name), pbox, queries), cfg
 
@@ -390,8 +445,6 @@ def _add_quadrature_flags(sub) -> None:
                      help="tail truncation tolerance (default 1e-8)")
     sub.add_argument("--max-refine", type=int, default=None,
                      help="maximum grid doublings (default 24)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for any randomized queries")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,7 +489,7 @@ def main(argv=None) -> int:
         print(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, ToleranceError) as exc:

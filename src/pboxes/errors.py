@@ -1,6 +1,10 @@
 """Shared exception types."""
 
 
+class ParseError(ValueError):
+    """Raised when a scenario document does not have the documented shape."""
+
+
 class ValidationError(ValueError):
     """Raised when an input violates a documented invariant."""
 

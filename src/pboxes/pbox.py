@@ -13,6 +13,7 @@ guesses interiors for raw events on the underlying space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,6 +62,8 @@ class StepCdf:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValidationError("a step CDF needs at least one value")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValidationError("CDF values must be finite")
         if any(v < -_MONOTONE_SLACK or v > 1.0 + _MONOTONE_SLACK for v in vals):
             raise ValidationError("CDF values must lie in [0, 1]")
         if any(b < a - _MONOTONE_SLACK for a, b in zip(vals, vals[1:])):
@@ -103,6 +106,8 @@ class PiecewiseLinearCdf:
             raise ValidationError("a piecewise-linear CDF needs at least one knot")
         xs = [x for x, _ in knots]
         fs = [fx for _, fx in knots]
+        if not all(math.isfinite(v) for v in xs + fs):
+            raise ValidationError("knots must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValidationError("knot coordinates must be strictly increasing")
         if any(b < a for a, b in zip(fs, fs[1:])):

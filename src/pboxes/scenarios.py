@@ -536,10 +536,16 @@ def named_oscillation(name: str) -> Oscillation:
 
 
 def piecewise_linear_oscillation(knots) -> Oscillation:
-    """Oscillation from sorted (z, value) knots, with monotonicity detected."""
+    """Oscillation from sorted (z, value) knots, with monotonicity detected.
+
+    The knots are kept on the oscillation, so its cut sets are computed
+    exactly from the segment crossings.
+    """
     knots = [(float(z), float(v)) for z, v in knots]
     if len(knots) < 2:
         raise ValidationError("an oscillation needs at least two knots")
+    if not np.isfinite(knots).all():
+        raise ValidationError("oscillation knots must be finite")
     zs = np.array([z for z, _ in knots])
     vs = np.array([v for _, v in knots])
     if np.any(np.diff(zs) <= 0):
@@ -556,4 +562,4 @@ def piecewise_linear_oscillation(knots) -> Oscillation:
         return np.interp(z, zs, vs)
 
     return Oscillation(f, inf_value=float(vs.min()), sup_value=float(vs.max()),
-                       monotonicity=mono, name="piecewise-linear")
+                       monotonicity=mono, name="piecewise-linear", knots=tuple(knots))

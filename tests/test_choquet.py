@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pboxes.choquet import (
+    DEFAULT_CONFIG,
     DECREASING,
     GENERAL,
     INCREASING,
@@ -15,12 +16,13 @@ from pboxes.choquet import (
     threshold_solve,
     upper_expectation,
 )
-from pboxes.choquet import _batch_cut_probs
+from pboxes.choquet import _MAX_GRID, _batch_cut_probs
 from pboxes.errors import ValidationError
 from pboxes.oracle import lp_lower_expectation, random_credal_instance
 from pboxes.pbox import (
     AnalyticCdf,
     PBox,
+    PiecewiseLinearCdf,
     StepCdf,
     lower_prob_event,
     upper_prob_event,
@@ -31,6 +33,7 @@ from pboxes.preorder import (
     UNIT_INTERVAL,
     ClassSubset,
     FiniteQuotientSpace,
+    ZInterval,
     complement_z,
 )
 from pboxes.scenarios import (
@@ -93,6 +96,104 @@ class TestCutEvent:
         with pytest.raises(ValidationError):
             Oscillation(lambda z: np.asarray(z, float), 0.0, 1.0, INCREASING,
                         inverse=lambda t: 1.0 - np.asarray(t, float))
+
+
+KNOT_CASES = {
+    "tent": [(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)],
+    "double_hump": [(0.0, 1.0), (0.25, 0.0), (0.5, 1.0), (0.75, 0.0), (1.0, 1.0)],
+    "inside_unit": [(0.2, 0.3), (0.4, 1.0), (0.7, -0.5), (0.9, 0.6)],
+    "beyond_unit": [(-0.5, 1.0), (0.3, 0.0), (0.6, 0.7), (1.5, -1.0)],
+    "plateau": [(0.0, 0.0), (0.3, 0.8), (0.6, 0.8), (1.0, 0.0)],
+    "increasing": [(0.0, 0.0), (0.4, 0.2), (1.0, 1.0)],
+    "decreasing": [(0.0, 2.0), (0.5, 1.5), (0.8, 0.0), (1.0, 0.0)],
+}
+
+
+def _knot_test_boxes():
+    def jump_lower(z):
+        z = np.asarray(z, float)
+        return np.where(z >= 0.5, 0.5 + 0.5 * z, 0.4 * z)
+
+    def jump_lower_left(z):
+        z = np.asarray(z, float)
+        return np.where(z > 0.5, 0.5 + 0.5 * z, 0.4 * z)
+
+    return (
+        PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
+             AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0), UNIT_INTERVAL),
+        PBox(PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.2), (1.0, 1.0))),
+             PiecewiseLinearCdf(((0.0, 0.1), (0.4, 0.7), (1.0, 1.0))), UNIT_INTERVAL),
+        PBox(AnalyticCdf(jump_lower, jump_lower_left, continuous=False),
+             AnalyticCdf(lambda z: np.minimum(1.0, 2.0 * np.asarray(z, float))),
+             UNIT_INTERVAL),
+    )
+
+
+class TestKnotCutSets:
+    @pytest.mark.parametrize("name", sorted(KNOT_CASES))
+    def test_batch_path_matches_event_path(self, name):
+        knots = KNOT_CASES[name]
+        osc = piecewise_linear_oscillation(knots)
+        assert osc.knots is not None
+        values = [v for _, v in knots]
+        # every knot value is one of the levels, plus levels outside the range
+        ts = np.union1d(np.linspace(osc.inf_value, osc.sup_value, 37),
+                        values + [osc.inf_value - 0.1, osc.sup_value + 0.1])
+        for box in _knot_test_boxes():
+            for upper in (False, True):
+                fast = _batch_cut_probs(box, osc, ts, upper, DEFAULT_CONFIG)
+                for t, val in zip(ts, fast):
+                    cut = cut_event(osc, float(t))
+                    if upper:
+                        slow = upper_prob_event(box, complement_z(cut))
+                    else:
+                        slow = lower_prob_event(box, cut)
+                    assert abs(val - slow) <= 1e-12, (name, upper, t)
+
+    @pytest.mark.parametrize("name", sorted(KNOT_CASES))
+    def test_cut_event_is_the_exact_superlevel_set(self, name):
+        osc = piecewise_linear_oscillation(KNOT_CASES[name])
+        zs = (np.arange(20_000) + 0.5) / 20_000
+        fz = osc.f(zs)
+        for t in np.linspace(osc.inf_value, osc.sup_value, 13):
+            cut = cut_event(osc, float(t))
+            members = np.array([z in cut for z in zs])
+            np.testing.assert_array_equal(members, fz >= t)
+
+    def test_knot_level_lands_on_the_knot(self):
+        osc = piecewise_linear_oscillation(KNOT_CASES["plateau"])
+        assert cut_event(osc, 0.8).intervals == (ZInterval.closed(0.3, 0.6),)
+        tent = piecewise_linear_oscillation(KNOT_CASES["tent"])
+        assert cut_event(tent, 1.0).intervals == (ZInterval.point(0.5),)
+
+    def test_black_box_scan_matches_knots(self):
+        for name in ("tent", "double_hump", "inside_unit", "plateau"):
+            exact = piecewise_linear_oscillation(KNOT_CASES[name])
+            black_box = Oscillation(exact.f, exact.inf_value, exact.sup_value, GENERAL)
+            for t in (0.05, 0.45, 0.9):
+                want = cut_event(exact, t).intervals
+                got = cut_event(black_box, t).intervals
+                assert len(got) == len(want), (name, t)
+                for g, w in zip(got, want):
+                    assert (g.lo, g.hi) == pytest.approx((w.lo, w.hi), abs=1e-9)
+
+    def test_narrow_spike_between_grid_points(self):
+        spike = piecewise_linear_oscillation(
+            [(0.0, 0.0), (0.50001, 0.0), (0.500015, 1.0), (0.50002, 0.0), (1.0, 0.0)])
+        box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
+                   AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0), UNIT_INTERVAL)
+        res = upper_expectation(box, spike)
+        lo, hi = res.bracket
+        assert res.converged
+        assert lo <= 0.75 <= hi
+        # 1 - integral of a(t)^2 over the rising edge a(t) = 0.50001 + 5e-6 t
+        exact = 1.0 - (0.500015 ** 3 - 0.50001 ** 3) / (3 * 5e-6)
+        assert lo <= exact <= hi
+
+    def test_knots_must_match_the_function(self):
+        with pytest.raises(ValidationError):
+            Oscillation(lambda z: np.asarray(z, float), 0.0, 1.0, INCREASING,
+                        knots=((0.0, 0.0), (1.0, 0.5)))
 
 
 class TestOscillationValidation:
@@ -327,3 +428,13 @@ class TestQuadratureConfig:
     def test_positive_counts(self):
         with pytest.raises(ValidationError):
             QuadratureConfig(max_refinements=0)
+
+    def test_cut_grid_capped(self):
+        QuadratureConfig(cut_grid=_MAX_GRID)
+        with pytest.raises(ValidationError):
+            QuadratureConfig(cut_grid=_MAX_GRID + 1)
+
+    def test_non_finite_tolerance_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                QuadratureConfig(abs_tol=bad)

@@ -173,6 +173,53 @@ class TestInfer:
         code, _, _ = run_cli(capsys, ["infer", str(path)])
         assert code == 3
 
+    def test_missing_target_exit_2(self, tmp_path, capsys):
+        doc = {"space": {"type": "continuum"},
+               "pbox": {"analytic": {"lower": "square", "upper": "one"}},
+               "queries": [{"id": "t", "kind": "threshold",
+                            "oscillation": {"builtin": "dike_upper"}}]}
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 2
+        assert "queries[0].target" in err
+
+    def test_string_abs_tol_exit_2(self, tmp_path, capsys):
+        doc = dict(SCENARIO_DOC, config={"abs_tol": "1e-3"})
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 2
+        assert "config.abs_tol" in err
+
+    def test_top_level_array_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([SCENARIO_DOC]))
+        code, _, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 2
+        assert "document" in err
+
+    def test_nan_knot_exit_3(self, tmp_path, capsys):
+        doc = {"space": {"type": "continuum"},
+               "pbox": {"analytic": {"lower": "square", "upper": "one"}},
+               "queries": [{"id": "e", "kind": "expectation_lower",
+                            "oscillation": {"knots": [[0.0, 0.0], [0.5, float("nan")],
+                                                      [1.0, 0.0]]}}]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3
+        assert "validation error" in err and out == ""
+
+    def test_oversized_cut_grid_exit_3(self, tmp_path, capsys):
+        doc = dict(SCENARIO_DOC, config={"cut_grid": 10**12})
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3
+        assert "cut_grid" in err
+
     def test_empty_query_list_header_only(self, tmp_path, capsys):
         doc = {"space": {"type": "continuum"},
                "pbox": {"analytic": {"lower": "uniform", "upper": "uniform"}},

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,20 @@ class TestStepCdfValidation:
     def test_pbox_ordering_required(self):
         with pytest.raises(ValidationError):
             finite_pbox([0.5, 1.0], [0.3, 1.0])
+
+    def test_non_finite_values_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                StepCdf((bad, 1.0))
+
+
+class TestPiecewiseLinearCdfValidation:
+    def test_non_finite_knots_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                PiecewiseLinearCdf(((0.0, 0.0), (bad, 0.5), (1.0, 1.0)))
+            with pytest.raises(ValidationError):
+                PiecewiseLinearCdf(((0.0, 0.0), (0.5, bad), (1.0, 1.0)))
 
 
 class TestLowerProbField:

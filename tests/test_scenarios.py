@@ -138,3 +138,10 @@ class TestRegistries:
     def test_piecewise_oscillation_needs_two_knots(self):
         with pytest.raises(ValidationError):
             piecewise_linear_oscillation([(0.0, 1.0)])
+
+    def test_piecewise_oscillation_rejects_non_finite_knots(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                piecewise_linear_oscillation([(0.0, 0.0), (0.5, bad), (1.0, 0.0)])
+            with pytest.raises(ValidationError):
+                piecewise_linear_oscillation([(0.0, 0.0), (bad, 1.0), (1.0, 0.0)])
