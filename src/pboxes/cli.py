@@ -296,11 +296,13 @@ def _integrand_probe(pbox, osc, side, cfg):
 
 
 def _cmd_table(args) -> int:
-    scenario, cfg = _scenario_from_source(args.source)
-    cfg = _merge_config(cfg, args)
     grid = args.grid
     if grid < 2:
         raise ValidationError("table grids need at least two points")
+    if grid > _choquet._MAX_GRID:
+        raise ValidationError(f"table grids above {_choquet._MAX_GRID} points are not supported")
+    scenario, cfg = _scenario_from_source(args.source)
+    cfg = _merge_config(cfg, args)
     if scenario.pbox is None:
         raise ValidationError(f"scenario {scenario.name!r} carries no p-box to tabulate")
     if args.what == "cdf":

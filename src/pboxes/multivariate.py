@@ -10,8 +10,11 @@ by combining the marginal CDFs pointwise.
 
 Arithmetic on real-line p-boxes (dependency-bounds convolution for sums,
 differences, products, and quotients) is the special case where the
-per-dimension coordinate rescalings are optimised out; it is computed here
-by direct optimisation over the constraint segment ``x1 + x2 = y``.
+per-dimension coordinate rescalings are optimised out.  Along the line
+``x1 op x2 = y`` both piecewise-linear CDFs are linear between corners, so
+each bound is an exact maximum or minimum over those corners, their
+one-sided limits and, for the upper bound of a product, one stationary
+point per corner cell.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as _opt
 
 from .errors import ValidationError
-from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, _eval_array
+from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf
 from .preorder import UNIT_INTERVAL
 
 __all__ = [
@@ -190,12 +192,11 @@ class RealLinePBox:
         if not (math.isfinite(a) and math.isfinite(b) and a <= b):
             raise ValidationError(f"support must be a bounded interval, got {self.support}")
         object.__setattr__(self, "support", (float(a), float(b)))
-        xs = np.unique(np.concatenate([
-            np.linspace(a, b, 257),
-            np.asarray(self.lower.knot_xs), np.asarray(self.upper.knot_xs)]))
-        flo = _eval_array(self.lower, xs)
-        fhi = _eval_array(self.upper, xs)
-        if np.any(flo > fhi + 1e-12):
+        # both CDFs are linear between consecutive knots of either one, so
+        # values and left limits at those knots decide the ordering exactly
+        xs = np.unique(np.concatenate([self.lower.knot_xs, self.upper.knot_xs]))
+        if (np.any(self.lower(xs) > self.upper(xs) + 1e-12)
+                or np.any(self.lower.left_limit(xs) > self.upper.left_limit(xs) + 1e-12)):
             raise ValidationError("lower CDF exceeds upper CDF on the support")
 
     @classmethod
@@ -212,223 +213,99 @@ class RealLinePBox:
         return cls((c, c), cdf, cdf)
 
 
-class _WarpedCdf:
-    """A CDF pushed through a strictly increasing coordinate change.
+# For each operation on the line ``x1 op x2 = y``: the partner x2 of x1 = x,
+# the x1 whose partner is a given x2, and whether x2 falls as x1 rises
+# (then X2's order runs against X1's and the other side of its p-box enters).
+_PARTNERS = {
+    "add": (lambda x, y: y - x, lambda k, y: y - k, False),
+    "subtract": (lambda x, y: x - y, lambda k, y: k + y, True),
+    "multiply": (lambda x, y: y / x, lambda k, y: y / k, False),
+    "divide": (lambda x, y: x / y, lambda k, y: k * y, True),
+}
 
-    Mapping a coordinate back through the warp can land a few ulps away
-    from a knot of the base CDF, which would silently misread a jump there;
-    backward-mapped coordinates are therefore snapped onto base knots within
-    a tight relative tolerance before evaluation.
+
+def _arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y: float) -> float:
+    """One side of the CDF of ``X1 op X2`` at y under unknown dependence.
+
+    With ``p`` the partner map and ``T(x)`` the second variable's term
+    (``F2(p(x))``, or ``1 - G2(p(x)-)`` when the order reverses), the lower
+    bound is ``sup max(0, F1 + T - 1)`` and the upper ``inf min(1, F1 + T)``
+    along the line.  Between consecutive corners (the ends of the feasible
+    segment, X1's knots and the preimages of X2's knots, each paired with
+    its exact partner) both CDFs are linear in their own argument, so the
+    objective is linear in x, or ``a + s1 x + s2 y / x`` for a product.
+    The extrema therefore sit at corners, in one-sided limits there, or at
+    the product's stationary point ``sqrt(s2 y / s1)``.
     """
-
-    _SNAP = 1e-13
-
-    def __init__(self, base, forward, backward):
-        self.base = base
-        self.forward = forward
-        self.backward = backward
-        self._knots = np.asarray(base.knot_xs, dtype=float)
-
-    def _back(self, v):
-        x = np.asarray(self.backward(v), dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        if self._knots.size:
-            idx = np.searchsorted(self._knots, x)
-            for cand in (np.clip(idx - 1, 0, self._knots.size - 1),
-                         np.clip(idx, 0, self._knots.size - 1)):
-                knot = self._knots[cand]
-                close = np.abs(x - knot) <= self._SNAP * np.maximum(1.0, np.abs(knot))
-                x = np.where(close, knot, x)
-        return float(x[0]) if scalar else x
-
-    def __call__(self, v):
-        return self.base(self._back(v))
-
-    def left_limit(self, v):
-        return self.base.left_limit(self._back(v))
-
-    @property
-    def knot_xs(self):
-        return tuple(self.forward(x) for x in self.base.knot_xs)
-
-
-class _ReflectedCdf:
-    """The CDF of the negated variable; swaps the roles of value and left limit."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def __call__(self, v):
-        return 1.0 - self.base.left_limit(np.negative(v))
-
-    def left_limit(self, v):
-        return 1.0 - self.base(np.negative(v))
-
-    @property
-    def knot_xs(self):
-        return tuple(sorted(-x for x in self.base.knot_xs))
-
-
-_SEGMENT_GRID = 1024
-
-
-def _segment_candidates(lo: float, hi: float, corners) -> np.ndarray:
-    pts = [np.linspace(lo, hi, _SEGMENT_GRID + 1)]
-    inside = [c for c in corners if lo <= c <= hi]
-    if inside:
-        width = max(hi - lo, 1e-30)
-        arr = np.asarray(inside, dtype=float)
-        pts.append(arr)
-        # nudge around corners: guards against evaluating exactly on a kink
-        pts.append(np.clip(arr - 1e-12 * width, lo, hi))
-        pts.append(np.clip(arr + 1e-12 * width, lo, hi))
-    return np.unique(np.concatenate(pts))
-
-
-def _refine(fun, lo: float, hi: float, maximize: bool) -> float:
-    if hi - lo <= 0:
-        return fun(lo)
-    sign = -1.0 if maximize else 1.0
-    res = _opt.minimize_scalar(lambda x: sign * float(fun(x)), bounds=(lo, hi),
-                               method="bounded", options={"xatol": 1e-12})
-    return sign * res.fun
-
-
-def _optimize_segment(fun, lo: float, hi: float, corners, maximize: bool) -> float:
-    """Optimize a piecewise-monotone objective over [lo, hi].
-
-    Evaluates a dense grid plus all corner candidates, then polishes with a
-    bounded golden-style search inside the best cell and inside every
-    corner-delimited cell (the objective is smooth between corners).
-    """
+    if op not in _PARTNERS:
+        raise ValidationError(f"unknown arithmetic operation {op!r}")
+    if not math.isfinite(y):
+        raise ValidationError(f"arithmetic points must be finite, got {y}")
+    if op in ("multiply", "divide") and min(x1.support[0], x2.support[0]) <= 0.0:
+        raise ValidationError("multiplication and division need strictly positive supports")
+    partner, preimage, reverses = _PARTNERS[op]
+    (a1, b1), (a2, b2) = x1.support, x2.support
+    ends = sorted((preimage(a2, y), preimage(b2, y)))
+    lo, hi = max(a1, ends[0]), min(b1, ends[1])
     if hi < lo:
-        raise ValidationError("empty optimisation segment")
-    pts = _segment_candidates(lo, hi, corners)
-    vals = np.asarray(fun(pts), dtype=float)
-    best = float(vals.max() if maximize else vals.min())
-    i = int(vals.argmax() if maximize else vals.argmin())
-    cell_lo = pts[max(i - 1, 0)]
-    cell_hi = pts[min(i + 1, len(pts) - 1)]
-    refined = [_refine(fun, float(cell_lo), float(cell_hi), maximize)]
-    cell_edges = np.unique(np.concatenate(
-        [[lo, hi], [c for c in corners if lo <= c <= hi]]))
-    if len(cell_edges) <= 129:
-        for a, b in zip(cell_edges, cell_edges[1:]):
-            refined.append(_refine(fun, float(a), float(b), maximize))
-    cand = max(refined) if maximize else min(refined)
-    return max(best, cand) if maximize else min(best, cand)
+        # y lies below or above the whole support of X1 op X2
+        return 0.0 if ends[1] < a1 else 1.0
+    other = "upper" if side == "lower" else "lower"
+    f1, f2 = getattr(x1, side), getattr(x2, other if reverses else side)
+    xs1 = np.array((a1, b1) + f1.knot_xs)
+    ks = np.array((a2, b2) + f2.knot_xs)
+    xs = np.concatenate([xs1, preimage(ks, y)])
+    ps = np.concatenate([partner(xs1, y), ks])
+    keep = (xs >= lo) & (xs <= hi)
+    xs, ps = xs[keep], ps[keep]
+    # T at x and its limit from the right of x, both non-increasing in x
+    if reverses:
+        term, term_right = 1.0 - f2.left_limit(ps), 1.0 - f2(ps)
+    else:
+        term, term_right = f2(ps), f2.left_limit(ps)
+    if side == "lower":
+        value = np.max(f1(xs) + term - 1.0)
+    else:
+        value = np.min(np.minimum(f1.left_limit(xs) + term, f1(xs) + term_right))
+        if op == "multiply":
+            mid = _stationary_points(f1, f2, xs, ps, y)
+            value = min(value, np.min(f1(mid) + f2(y / mid), initial=1.0))
+    return min(max(float(value), 0.0), 1.0)
 
 
-def _sum_segment(s1, s2, y):
-    lo = max(s1[0], y - s2[1])
-    hi = min(s1[1], y - s2[0])
-    return lo, hi
-
-
-def _clamped(y, support_bottom):
-    # an empty segment means y fell off one end of the sum support
-    return 0.0 if y < support_bottom else 1.0
-
-
-def _add_lower(l1, l2, s1, s2, y: float) -> float:
-    lo, hi = _sum_segment(s1, s2, y)
-    if hi < lo:
-        return _clamped(y, s1[0] + s2[0])
-
-    def objective(x):
-        return np.maximum(0.0, np.asarray(l1(x), dtype=float)
-                          + np.asarray(l2(y - np.asarray(x)), dtype=float) - 1.0)
-
-    corners = list(l1.knot_xs) + [y - k for k in l2.knot_xs]
-    value = _optimize_segment(objective, lo, hi, corners, maximize=True)
-    return min(max(value, 0.0), 1.0)
-
-
-def _add_upper(u1, u2, s1, s2, y: float) -> float:
-    lo, hi = _sum_segment(s1, s2, y)
-    if hi < lo:
-        return _clamped(y, s1[0] + s2[0])
-
-    def objective(x):
-        return np.minimum(1.0, np.asarray(u1(x), dtype=float)
-                          + np.asarray(u2(y - np.asarray(x)), dtype=float))
-
-    corners = [c for c in list(u1.knot_xs) + [y - k for k in u2.knot_xs]
-               if lo <= c <= hi] + [lo, hi]
-    value = _optimize_segment(objective, lo, hi, corners, maximize=False)
-    # an infimum can live in a one-sided limit at a discontinuity, so also
-    # evaluate the limit combinations at every corner
-    for c in corners:
-        from_left = float(u1.left_limit(c)) + float(u2(y - c))
-        from_right = float(u1(c)) + float(u2.left_limit(y - c))
-        value = min(value, min(1.0, from_left), min(1.0, from_right))
-    return min(max(value, 0.0), 1.0)
+def _stationary_points(f1, f2, xs, ps, y) -> np.ndarray:
+    """Minimisers of ``F1(x) + F2(y / x)`` strictly inside corner cells."""
+    order = np.argsort(xs)
+    xs, ps = xs[order], ps[order]
+    left, right, p_hi, p_lo = xs[:-1], xs[1:], ps[:-1], ps[1:]
+    cell = (right > left) & (p_hi > p_lo)
+    left, right, p_hi, p_lo = left[cell], right[cell], p_hi[cell], p_lo[cell]
+    s1 = (f1.left_limit(right) - f1(left)) / (right - left)
+    s2 = (f2.left_limit(p_hi) - f2(p_lo)) / (p_hi - p_lo)
+    curved = (s1 > 0.0) & (s2 > 0.0)
+    mid = np.sqrt(s2[curved] * y / s1[curved])
+    return mid[(mid > left[curved]) & (mid < right[curved])]
 
 
 def prob_arith_add_lower(x1: RealLinePBox, x2: RealLinePBox, y: float) -> float:
     """Lower CDF of ``X1 + X2`` at y under unknown dependence.
 
-    Maximizes ``max(0, F1(x) + F2(y - x) - 1)`` over the feasible segment of
-    the constraint ``x1 + x2 = y``; values of y outside the sum support clamp
-    to 0 or 1.
+    The maximum of ``max(0, F1(x) + F2(y - x) - 1)`` along ``x1 + x2 = y``;
+    values of y outside the sum support clamp to 0 or 1.
     """
-    return _add_lower(x1.lower, x2.lower, x1.support, x2.support, y)
+    return _arith_bound("add", "lower", x1, x2, y)
 
 
 def prob_arith_add_upper(x1: RealLinePBox, x2: RealLinePBox, y: float) -> float:
-    """Upper CDF of ``X1 + X2`` at y, by minimizing ``min(1, F1 + F2)``.
-
-    The formula is the conjugate segment optimisation; it is validated
-    against an independent fine-grid evaluation in the test suite rather
-    than quoted from a closed form.
-    """
-    return _add_upper(x1.upper, x2.upper, x1.support, x2.support, y)
-
-
-def _ln_parts(x: RealLinePBox):
-    if x.support[0] <= 0.0:
-        raise ValidationError("multiplication and division need strictly positive supports")
-    warp = lambda cdf: _WarpedCdf(cdf, math.log, np.exp)
-    support = (math.log(x.support[0]), math.log(x.support[1]))
-    return warp(x.lower), warp(x.upper), support
-
-
-def _negated_parts(x: RealLinePBox):
-    support = (-x.support[1], -x.support[0])
-    return _ReflectedCdf(x.upper), _ReflectedCdf(x.lower), support
+    """Upper CDF of ``X1 + X2`` at y: the infimum of ``min(1, F1(x) + F2(y - x))``."""
+    return _arith_bound("add", "upper", x1, x2, y)
 
 
 def prob_arith_transform(op: str, x1: RealLinePBox, x2: RealLinePBox, y: float) -> tuple:
-    """CDF bounds at y for ``X1 - X2``, ``X1 * X2``, or ``X1 / X2``.
+    """CDF bounds at y for ``X1 + X2``, ``X1 - X2``, ``X1 * X2`` or ``X1 / X2``.
 
-    Each case reduces to the addition machinery through a monotone transform
-    of the second variable (negation, logarithms, or both), with the
-    transformed CDF pair swapped and left-limited as the transform requires.
-    Returns the ``(lower, upper)`` pair.
+    ``op`` is ``add``, ``subtract``, ``multiply`` or ``divide``; products
+    and quotients need strictly positive supports.  Returns the
+    ``(lower, upper)`` pair, exact up to rounding.
     """
-    if op == "add":
-        return (prob_arith_add_lower(x1, x2, y), prob_arith_add_upper(x1, x2, y))
-    if op == "subtract":
-        l2, u2, s2 = _negated_parts(x2)
-        return (_add_lower(x1.lower, l2, x1.support, s2, y),
-                _add_upper(x1.upper, u2, x1.support, s2, y))
-    if op == "multiply":
-        l1, u1, s1 = _ln_parts(x1)
-        l2, u2, s2 = _ln_parts(x2)
-        if y <= 0.0:
-            return (0.0, 0.0 if y < x1.support[0] * x2.support[0] else 1.0)
-        target = math.log(y)
-        return (_add_lower(l1, l2, s1, s2, target),
-                _add_upper(u1, u2, s1, s2, target))
-    if op == "divide":
-        l1, u1, s1 = _ln_parts(x1)
-        wl2, wu2, ws2 = _ln_parts(x2)
-        l2, u2 = _ReflectedCdf(wu2), _ReflectedCdf(wl2)
-        s2 = (-ws2[1], -ws2[0])
-        if y <= 0.0:
-            return (0.0, 0.0 if y < x1.support[0] / x2.support[1] else 1.0)
-        target = math.log(y)
-        return (_add_lower(l1, l2, s1, s2, target),
-                _add_upper(u1, u2, s1, s2, target))
-    raise ValidationError(f"unknown arithmetic operation {op!r}")
+    return (_arith_bound(op, "lower", x1, x2, y), _arith_bound(op, "upper", x1, x2, y))

@@ -35,8 +35,6 @@ from .multivariate import (
     MarginalSpec,
     RealLinePBox,
     combine,
-    prob_arith_add_lower,
-    prob_arith_add_upper,
     prob_arith_transform,
 )
 from .pbox import (
@@ -140,10 +138,6 @@ def run_query(scenario: Scenario, query: Query,
     if query.kind == "threshold":
         value = threshold_solve(pbox, query.oscillation, query.target, cfg)
         return QueryResult(query.id, query.kind, value, cfg.bisect_tol)
-    if query.kind == "arith_add":
-        value = (prob_arith_add_lower if query.side == "lower"
-                 else prob_arith_add_upper)(query.x1, query.x2, query.y)
-        return QueryResult(query.id, query.kind, value, 0.0)
     lower, upper = prob_arith_transform(query.op, query.x1, query.x2, query.y)
     return QueryResult(query.id, query.kind,
                        lower if query.side == "lower" else upper, 0.0)

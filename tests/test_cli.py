@@ -220,6 +220,18 @@ class TestInfer:
         assert code == 3
         assert "cut_grid" in err
 
+    def test_nan_arithmetic_point_exit_3(self, tmp_path, capsys):
+        doc = {"queries": [{"id": "a", "kind": "arith_op", "op": "add",
+                            "x1": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
+                            "x2": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
+                            "y": float("nan")}]}
+        path = tmp_path / "nan_y.json"
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        code, _, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3
+        assert "validation error" in err
+
     def test_empty_query_list_header_only(self, tmp_path, capsys):
         doc = {"space": {"type": "continuum"},
                "pbox": {"analytic": {"lower": "uniform", "upper": "uniform"}},
@@ -280,6 +292,12 @@ class TestTable:
         code, _, err = run_cli(capsys, ["table", "dike", "--what", "integrand",
                                         "--query", "nope"])
         assert code == 3
+
+    def test_oversized_grid_exit_3(self, capsys):
+        # rejected before the grid is allocated
+        code, out, err = run_cli(capsys, ["table", "oscillator", "--grid", str(10**12)])
+        assert code == 3
+        assert "grid" in err and out == ""
 
     def test_table_needs_pbox(self, capsys):
         code, _, err = run_cli(capsys, ["table", "example_frechet_62"])

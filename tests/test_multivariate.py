@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from arith_oracle import ORACLES, random_real_line_pbox
@@ -184,6 +188,46 @@ class TestTransforms:
     def test_unknown_operation(self):
         with pytest.raises(ValidationError):
             prob_arith_transform("modulo", UNIFORM01, UNIFORM01, 0.5)
+
+
+class TestExactCorners:
+    def test_subtract_lower_pairs_knot_with_its_preimage(self):
+        # the lower bound sits at x = 0.3, exactly where X2 = 0.1 jumps to 0.5
+        x2 = RealLinePBox.from_knots([(0.1, 0.0), (1.0, 1.0)], [(0.1, 0.5), (1.0, 1.0)])
+        low, _ = prob_arith_transform("subtract", UNIFORM01, x2, 0.2)
+        assert low == pytest.approx(0.3, abs=1e-12)
+
+    def test_product_upper_at_stationary_point(self):
+        # inf over x of (x - 1) + (y / x - 1) sits at x = sqrt(y), inside a cell
+        uniform12 = RealLinePBox.from_knots([(1.0, 0.0), (2.0, 1.0)])
+        for y in (1.2, 1.69, 2.0):
+            _, up = prob_arith_transform("multiply", uniform12, uniform12, y)
+            assert up == pytest.approx(min(1.0, 2.0 * np.sqrt(y) - 2.0), abs=1e-12)
+
+    def test_non_finite_point_rejected(self):
+        for y in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                prob_arith_transform("add", UNIFORM01, UNIFORM01, y)
+
+
+class TestRealLinePBoxValidation:
+    def test_crossing_between_grid_points_rejected(self):
+        # lower is 0.25 and upper 0 at 0.4995, between the points of a uniform grid
+        with pytest.raises(ValidationError):
+            RealLinePBox.from_knots([(0.0, 0.0), (0.499, 0.0), (0.5, 0.5), (1.0, 1.0)],
+                                    [(0.5, 0.6), (1.0, 1.0)])
+
+
+def test_import_leaves_scipy_out():
+    import pboxes
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pboxes.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, pboxes; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestAgainstFineGridOracle:
