@@ -70,7 +70,6 @@ from .preorder import (
     ZInterval,
     complement_z,
     full_components_finite,
-    full_components_z,
     normalize,
     sublevel_event,
 )

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .pbox import PBox, cdf_left_limit, lower_prob_event, upper_prob_event, _eval_array
+from .pbox import PBox, lower_prob_event, upper_prob_event, vectorized
 from .preorder import (
     EMPTY_EVENT,
     FULL_EVENT,
@@ -81,6 +81,9 @@ class Oscillation:
     the linear interpolation, held flat beyond the end knots (as
     ``np.interp`` does).  Cut sets then come exactly from the segment
     crossings, whatever the monotonicity.
+
+    ``f`` and ``inverse`` may be scalar-only: each is probed once here and,
+    if it rejects arrays, looped over elements (see :func:`vectorized`).
     """
 
     f: Callable
@@ -98,8 +101,9 @@ class Oscillation:
             raise ValidationError("inf_value exceeds sup_value")
         if not math.isfinite(self.inf_value):
             raise ValidationError("the infimum of a bounded gamble is finite")
+        object.__setattr__(self, "f", vectorized(self.f))
         zs = np.linspace(0.0, 1.0, _VALIDATION_POINTS)
-        vals = _eval_array(self.f, zs)
+        vals = self.f(zs)
         if np.any(vals < self.inf_value - 1e-9):
             raise ValidationError("oscillation drops below its declared infimum")
         if not math.isinf(self.sup_value) and np.any(vals > self.sup_value + 1e-9):
@@ -124,14 +128,9 @@ class Oscillation:
         interior = slice(_VALIDATION_POINTS // 32, -_VALIDATION_POINTS // 32)
         ts = np.unique(vals[interior])
         ts = ts[np.isfinite(ts)]
-        try:
-            back_zs = np.asarray(self.inverse(ts), dtype=float)
-            if back_zs.shape != ts.shape:
-                raise TypeError
-        except Exception:
-            back_zs = np.array([float(self.inverse(t)) for t in ts])
-        back_zs = np.clip(back_zs, 0.0, 1.0)
-        back = _eval_array(self.f, back_zs)
+        object.__setattr__(self, "inverse", vectorized(self.inverse, probe=ts))
+        back_zs = np.clip(self.inverse(ts), 0.0, 1.0)
+        back = self.f(back_zs)
         for t, z, b in zip(ts, back_zs, back):
             if abs(b - t) <= _INVERSE_ROUNDTRIP_TOL:
                 continue
@@ -203,28 +202,8 @@ class QuadratureResult:
         return self.value
 
 
-def _bisect_scalar(f, t: float, decreasing: bool, tol: float) -> float:
-    """Boundary of {f >= t} for monotone f on [0, 1] with the cut non-trivial."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        inside = f(mid) >= t
-        if decreasing == inside:
-            lo = mid
-        else:
-            hi = mid
-    return lo if decreasing else hi
-
-
 def _bisect_batch(f, ts: np.ndarray, decreasing: bool, tol: float) -> np.ndarray:
-    """Vectorized monotone bisection; falls back to scalars if f rejects arrays."""
-    try:
-        probe = np.asarray(f(np.array([0.25, 0.75])), dtype=float)
-        vectorized = probe.shape == (2,)
-    except Exception:
-        vectorized = False
-    if not vectorized:
-        return np.array([_bisect_scalar(f, t, decreasing, tol) for t in ts])
+    """Boundaries of {f >= t} for monotone f on [0, 1], every cut non-trivial."""
     lo = np.zeros_like(ts)
     hi = np.ones_like(ts)
     for _ in range(max(1, math.ceil(math.log2(1.0 / tol)))):
@@ -236,11 +215,17 @@ def _bisect_batch(f, ts: np.ndarray, decreasing: bool, tol: float) -> np.ndarray
     return lo if decreasing else hi
 
 
-def _cut_bound(osc: Oscillation, t: float, cfg: QuadratureConfig) -> float:
-    """Cut-set boundary coordinate for a declared-monotone oscillation."""
+def _cut_endpoints(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    """Moving cut-set endpoints of a declared-monotone oscillation.
+
+    The levels must lie strictly inside the oscillation's range; the
+    endpoints come from the registered inverse, or else by bisection.
+    """
     if osc.inverse is not None:
-        return min(max(float(osc.inverse(t)), 0.0), 1.0)
-    return _bisect_scalar(osc.f, t, osc.monotonicity == DECREASING, cfg.bisect_tol)
+        zb = osc.inverse(ts)
+    else:
+        zb = _bisect_batch(osc.f, ts, osc.monotonicity == DECREASING, cfg.bisect_tol)
+    return np.clip(zb, 0.0, 1.0)
 
 
 def _knot_components(knots, ts: np.ndarray):
@@ -293,21 +278,21 @@ def _knot_cut_probs(pbox: PBox, knots, ts: np.ndarray, upper: bool) -> np.ndarra
                                for i in range(0, n, step)])
     level, a, b = _knot_components(knots, ts)
     if not upper:
-        bottom = np.where(a > 0.0, _eval_array(pbox.upper, a), 0.0)
-        gains = np.maximum(0.0, _eval_array(pbox.lower, b) - bottom)
+        bottom = np.where(a > 0.0, pbox.upper(a), 0.0)
+        gains = np.maximum(0.0, pbox.lower(b) - bottom)
         return np.clip(np.bincount(level, weights=gains, minlength=n), 0.0, 1.0)
 
     first = np.ones(len(level), dtype=bool)
     first[1:] = level[1:] != level[:-1]
     is_last = np.ones(len(level), dtype=bool)
     is_last[:-1] = first[1:]
-    upper_b = _eval_array(pbox.upper, b)
+    upper_b = pbox.upper(b)
     # the gap below each component: [0, a) for the first, (b_prev, a) after
     bottom = np.where(first, 0.0, np.roll(upper_b, 1))
-    gains = np.maximum(0.0, _left_limit_array(pbox.lower, a) - bottom)
+    gains = np.maximum(0.0, pbox.lower.left_limit(a) - bottom)
     total = np.bincount(level, weights=gains, minlength=n)
     # the gap above the last component, (b_n, 1]; all of [0, 1] for an empty cut
-    lower_one = float(_eval_array(pbox.lower, np.ones(1))[0])
+    lower_one = float(pbox.lower(np.ones(1))[0])
     top_gap = np.full(n, max(0.0, lower_one))
     top_gap[level[is_last]] = np.where(
         b[is_last] < 1.0, np.maximum(0.0, lower_one - upper_b[is_last]), 0.0)
@@ -317,7 +302,7 @@ def _knot_cut_probs(pbox: PBox, knots, ts: np.ndarray, upper: bool) -> np.ndarra
 def _cut_general(osc: Oscillation, t: float, cfg: QuadratureConfig) -> ZEventSet:
     """Grid scan of a black-box oscillation, each sign change bisected."""
     zs = np.linspace(0.0, 1.0, cfg.cut_grid + 1)
-    inside = _eval_array(osc.f, zs) >= t
+    inside = osc.f(zs) >= t
     # padded with outside points, the changes alternate run start, run end
     changes = np.flatnonzero(np.diff(np.r_[False, inside, False]))
     intervals = []
@@ -361,19 +346,15 @@ def cut_event(osc: Oscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
     if osc.knots is not None:
         _, lo, hi = _knot_components(osc.knots, np.array([float(t)]))
         return normalize([ZInterval.closed(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
-    if osc.monotonicity == DECREASING:
-        if t <= float(osc.f(1.0)):
-            return FULL_EVENT
-        if t > float(osc.f(0.0)):
-            return EMPTY_EVENT
-        return normalize([ZInterval.closed(0.0, _cut_bound(osc, t, cfg))])
-    if osc.monotonicity == INCREASING:
-        if t <= float(osc.f(0.0)):
-            return FULL_EVENT
-        if t > float(osc.f(1.0)):
-            return EMPTY_EVENT
-        return normalize([ZInterval.closed(_cut_bound(osc, t, cfg), 1.0)])
-    return _cut_general(osc, t, cfg)
+    if osc.monotonicity == GENERAL:
+        return _cut_general(osc, t, cfg)
+    decreasing = osc.monotonicity == DECREASING
+    if t <= float(osc.f(1.0 if decreasing else 0.0)):
+        return FULL_EVENT
+    if t > float(osc.f(0.0 if decreasing else 1.0)):
+        return EMPTY_EVENT
+    z = float(_cut_endpoints(osc, np.array([float(t)]), cfg)[0])
+    return normalize([ZInterval.closed(0.0, z) if decreasing else ZInterval.closed(z, 1.0)])
 
 
 def _lower_cut_prob(pbox: PBox, osc: Oscillation, t: float, cfg: QuadratureConfig) -> float:
@@ -411,41 +392,21 @@ def _batch_cut_probs(pbox: PBox, osc: Oscillation, ts: np.ndarray, upper: bool,
     out[full] = 1.0
     out[empty] = 0.0
     if interior.any():
-        t_in = ts[interior]
-        if osc.inverse is not None:
-            try:
-                zb = np.asarray(osc.inverse(t_in), dtype=float)
-                if zb.shape != t_in.shape:
-                    raise TypeError
-            except Exception:
-                zb = np.array([float(osc.inverse(t)) for t in t_in])
-        else:
-            zb = _bisect_batch(osc.f, t_in, decreasing, cfg.bisect_tol)
-        zb = np.clip(zb, 0.0, 1.0)
+        zb = _cut_endpoints(osc, ts[interior], cfg)
         if decreasing:
             if upper:
                 # cut [0, b]: complement (b, 1], so 1 - max(0, 1 - F_upper(b))
-                vals = np.minimum(1.0, _eval_array(pbox.upper, zb))
+                vals = np.minimum(1.0, pbox.upper(zb))
             else:
-                vals = _eval_array(pbox.lower, zb)
+                vals = pbox.lower(zb)
         else:
             if upper:
                 # cut [b, 1]: complement [0, b), so 1 - F_lower(b-)
-                vals = 1.0 - _left_limit_array(pbox.lower, zb)
+                vals = 1.0 - pbox.lower.left_limit(zb)
             else:
-                vals = np.maximum(0.0, 1.0 - _eval_array(pbox.upper, zb))
+                vals = np.maximum(0.0, 1.0 - pbox.upper(zb))
         out[interior] = np.clip(vals, 0.0, 1.0)
     return out
-
-
-def _left_limit_array(cdf, zs: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(cdf.left_limit(zs), dtype=float)
-        if out.shape == zs.shape:
-            return np.where(zs <= 0.0, 0.0, out)
-    except Exception:
-        pass
-    return np.array([cdf_left_limit(cdf, z) for z in zs])
 
 
 def _assert_monotone_integrand(g: np.ndarray):

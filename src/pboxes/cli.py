@@ -29,8 +29,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import choquet as _choquet
+from . import multivariate as _multivariate
 from . import pbox as _pbox
-from .choquet import DEFAULT_CONFIG, QuadratureConfig, cut_event
+from .choquet import DEFAULT_CONFIG, QuadratureConfig
 from .errors import ParseError, ToleranceError, ValidationError
 from .multivariate import FRECHET, INDEPENDENT, MarginalSpec, RealLinePBox, combine
 from .oracle import (
@@ -43,13 +44,12 @@ from .oracle import (
     pbox_representability_check,
     random_credal_instance,
 )
-from .pbox import PBox, PiecewiseLinearCdf, StepCdf, upper_prob_event
+from .pbox import PBox, PiecewiseLinearCdf, StepCdf
 from .preorder import (
     UNIT_INTERVAL,
     ClassSubset,
     FiniteQuotientSpace,
     ZInterval,
-    complement_z,
     normalize,
 )
 from .scenarios import (
@@ -195,11 +195,20 @@ def _queries_from_spec(raw_queries, space) -> tuple:
             elif kind in ("arith_add", "arith_op"):
                 x1 = _real_line_pbox(_field(raw, "x1", path, dict))
                 x2 = _real_line_pbox(_field(raw, "x2", path, dict))
-                op = raw.get("op", "add") if kind == "arith_op" else "add"
-                side = raw.get("side", "lower")
+                op = _field(raw, "op", path, str, "add") if kind == "arith_op" else "add"
+                if op not in _multivariate._PARTNERS:
+                    raise ValidationError(f"{path}.op: unknown arithmetic operation {op!r}")
+                side = _field(raw, "side", path, str, "lower")
+                if side not in ("lower", "upper"):
+                    raise ValidationError(
+                        f"{path}.side: expected 'lower' or 'upper', got {side!r}")
                 if "y_grid" in raw:
+                    y_grid = _field(raw, "y_grid", path, list)
+                    if len(y_grid) > _choquet._MAX_GRID:
+                        raise ValidationError(
+                            f"{path}.y_grid: more than {_choquet._MAX_GRID} points")
                     ys = [_expect(y, _NUMBER, f"{path}.y_grid[{k}]")
-                          for k, y in enumerate(_field(raw, "y_grid", path, list))]
+                          for k, y in enumerate(y_grid)]
                 else:
                     ys = [_field(raw, "y", path, _NUMBER)]
                 for k, y in enumerate(ys):
@@ -286,15 +295,6 @@ def _scenario_from_source(source: str):
     return load_scenario(source)
 
 
-def _integrand_probe(pbox, osc, side, cfg):
-    def value(t: float) -> float:
-        cut = cut_event(osc, t, cfg)
-        if side == "upper":
-            return upper_prob_event(pbox, complement_z(cut))
-        return _pbox.lower_prob_event(pbox, cut)
-    return value
-
-
 def _cmd_table(args) -> int:
     grid = args.grid
     if grid < 2:
@@ -322,20 +322,18 @@ def _cmd_table(args) -> int:
         query = next((q for q in scenario.queries if q.kind in integrand_kinds), None)
         if query is None:
             raise ValidationError("no expectation query to take an integrand from")
-    side = "lower" if query.kind == "expectation_lower" else "upper"
+    cut_prob = (_choquet._lower_cut_prob if query.kind == "expectation_lower"
+                else _choquet._upper_cut_prob)
     pbox = query.pbox_override or scenario.pbox
-    probe = _integrand_probe(pbox, query.oscillation, side, cfg)
+
+    def probe(t: float) -> float:
+        return cut_prob(pbox, query.oscillation, t, cfg)
+
     lo = query.oscillation.inf_value
     hi = query.oscillation.sup_value
     if not np.isfinite(hi):
-        span = 1.0
-        for _ in range(64):
-            hi = lo + span
-            if probe(hi) < cfg.tail_tol:
-                break
-            span *= 2.0
-        else:
-            raise ToleranceError("integrand never fell below the tail tolerance")
+        hi, _ = _choquet._truncation_point(
+            lambda ts: np.array([probe(float(t)) for t in ts]), lo, cfg)
     print("t,integrand")
     for t in np.linspace(lo, hi, grid):
         print(f"{_fmt(float(t))},{_fmt(probe(float(t)))}")

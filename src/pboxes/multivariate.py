@@ -178,20 +178,16 @@ def sublevel_box_lower(joint: PBox, levels: Sequence[float]) -> float:
 class RealLinePBox:
     """A p-box for a real variable with bounded support.
 
-    The CDFs are functions of the real coordinate; outside the support they
-    evaluate to 0 below and 1 above.  Supports must be bounded; point
-    supports (degenerate variables) are allowed.
+    The CDFs are functions of the real coordinate, 0 below and 1 above their
+    knots.  The support is the hull of both CDFs' knot domains, so every
+    change of either CDF lies inside it; a single knot gives a point
+    support (a degenerate variable).
     """
 
-    support: tuple
     lower: PiecewiseLinearCdf
     upper: PiecewiseLinearCdf
 
     def __post_init__(self):
-        a, b = self.support
-        if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-            raise ValidationError(f"support must be a bounded interval, got {self.support}")
-        object.__setattr__(self, "support", (float(a), float(b)))
         # both CDFs are linear between consecutive knots of either one, so
         # values and left limits at those knots decide the ordering exactly
         xs = np.unique(np.concatenate([self.lower.knot_xs, self.upper.knot_xs]))
@@ -199,18 +195,21 @@ class RealLinePBox:
                 or np.any(self.lower.left_limit(xs) > self.upper.left_limit(xs) + 1e-12)):
             raise ValidationError("lower CDF exceeds upper CDF on the support")
 
+    @property
+    def support(self) -> tuple:
+        return (min(self.lower.domain[0], self.upper.domain[0]),
+                max(self.lower.domain[1], self.upper.domain[1]))
+
     @classmethod
     def from_knots(cls, lower_knots, upper_knots=None) -> "RealLinePBox":
         lower = PiecewiseLinearCdf(tuple(lower_knots))
         upper = PiecewiseLinearCdf(tuple(upper_knots)) if upper_knots else lower
-        a = min(lower.domain[0], upper.domain[0])
-        b = max(lower.domain[1], upper.domain[1])
-        return cls((a, b), lower, upper)
+        return cls(lower, upper)
 
     @classmethod
     def point_mass(cls, c: float) -> "RealLinePBox":
         cdf = PiecewiseLinearCdf(((c, 1.0),))
-        return cls((c, c), cdf, cdf)
+        return cls(cdf, cdf)
 
 
 # For each operation on the line ``x1 op x2 = y``: the partner x2 of x1 = x,

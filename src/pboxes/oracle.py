@@ -6,12 +6,12 @@ credal polytope ``{p >= 0, sum p = 1, lower_cum <= cumsum(p) <= upper_cum}``,
 and the structural checkers (complete monotonicity, additivity on components,
 p-box representability) enumerate their defining conditions directly.
 
-For up to 8 classes the polytope is optimised in exact rational arithmetic
-by sweeping every candidate vertex: each vertex of the cumulative-chain
-polytope takes its coordinates from the finite grid of cumulative bounds, so
-a monotone dynamic sweep over that grid visits every vertex.  Larger
-instances (up to 20 classes) fall back to a small self-contained simplex
-with Bland's rule on dense rational tableaus; no external solver is used.
+The polytope is optimised in exact rational arithmetic by sweeping every
+candidate vertex: the chain constraints are totally unimodular, so each
+vertex of the cumulative-chain polytope takes its coordinates from the
+finite grid of cumulative bounds, and a monotone dynamic sweep over that
+grid visits every vertex in ``O(n * grid)`` steps, for any number of
+classes.  No external solver is used.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ __all__ = [
     "additivity_check",
     "random_credal_instance",
 ]
-
-_EXACT_LIMIT = 8
-_SIMPLEX_LIMIT = 20
-
 
 def _fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -77,7 +73,7 @@ class FiniteCredalInstance:
 
 
 def _chain_vertex_min(instance: FiniteCredalInstance, gamble: Sequence[Fraction]) -> Fraction:
-    """Exact minimum of the expectation over the credal polytope, n <= 8.
+    """Exact minimum of the expectation over the credal polytope.
 
     Rewrites ``sum p_i g_i`` as ``g_{n-1} + sum_i (g_i - g_{i+1}) s_i`` in the
     cumulative coordinates ``s`` and sweeps all monotone assignments of the
@@ -110,127 +106,15 @@ def _chain_vertex_min(instance: FiniteCredalInstance, gamble: Sequence[Fraction]
     return gamble[n - 1] + min(feasible)
 
 
-def _simplex_min(c: Sequence[Fraction], a_ub, b_ub, a_eq, b_eq) -> Fraction:
-    """Minimal two-phase dense simplex in exact rationals with Bland's rule."""
-    n = len(c)
-    rows = []
-    rhs = []
-    kinds = []  # "ub" or "eq" after sign normalisation
-    for row, b in zip(a_ub, b_ub):
-        if b < 0:
-            rows.append([-x for x in row]); rhs.append(-b); kinds.append("lb")
-        else:
-            rows.append(list(row)); rhs.append(b); kinds.append("ub")
-    for row, b in zip(a_eq, b_eq):
-        if b < 0:
-            rows.append([-x for x in row]); rhs.append(-b); kinds.append("eq")
-        else:
-            rows.append(list(row)); rhs.append(b); kinds.append("eq")
-    m = len(rows)
-    slack_cols = sum(1 for k in kinds if k in ("ub", "lb"))
-    art_cols = sum(1 for k in kinds if k in ("lb", "eq"))
-    total = n + slack_cols + art_cols
-    tableau = [[Fraction(0)] * (total + 1) for _ in range(m)]
-    basis = [0] * m
-    s_at = n
-    a_at = n + slack_cols
-    art_idx = []
-    for i, (row, b, kind) in enumerate(zip(rows, rhs, kinds)):
-        for j, v in enumerate(row):
-            tableau[i][j] = Fraction(v)
-        tableau[i][total] = Fraction(b)
-        if kind == "ub":
-            tableau[i][s_at] = Fraction(1); basis[i] = s_at; s_at += 1
-        elif kind == "lb":
-            tableau[i][s_at] = Fraction(-1); s_at += 1
-            tableau[i][a_at] = Fraction(1); basis[i] = a_at
-            art_idx.append(a_at); a_at += 1
-        else:
-            tableau[i][a_at] = Fraction(1); basis[i] = a_at
-            art_idx.append(a_at); a_at += 1
-
-    def pivot(row_i, col_j):
-        piv = tableau[row_i][col_j]
-        tableau[row_i] = [v / piv for v in tableau[row_i]]
-        for r in range(m):
-            if r != row_i and tableau[r][col_j] != 0:
-                factor = tableau[r][col_j]
-                tableau[r] = [v - factor * w for v, w in zip(tableau[r], tableau[row_i])]
-        basis[row_i] = col_j
-
-    def solve_phase(costs):
-        while True:
-            reduced = list(costs)
-            for r, bcol in enumerate(basis):
-                if costs[bcol] != 0:
-                    cb = costs[bcol]
-                    reduced = [rc - cb * tv for rc, tv in zip(reduced, tableau[r])]
-            entering = next((j for j in range(total) if reduced[j] < 0), None)
-            if entering is None:
-                return
-            ratio, leave = None, None
-            for r in range(m):
-                if tableau[r][entering] > 0:
-                    cand = tableau[r][total] / tableau[r][entering]
-                    if ratio is None or cand < ratio or (cand == ratio and basis[r] < basis[leave]):
-                        ratio, leave = cand, r
-            if leave is None:
-                raise ValidationError("unbounded linear program")
-            pivot(leave, entering)
-
-    if art_idx:
-        phase1 = [Fraction(0)] * (total + 1)
-        for j in art_idx:
-            phase1[j] = Fraction(1)
-        solve_phase(phase1)
-        obj = sum(tableau[r][total] for r in range(m) if basis[r] in art_idx)
-        if obj != 0:
-            raise ValidationError("internal consistency error: infeasible credal polytope")
-        # drive any residual artificial out of the basis
-        for r in range(m):
-            if basis[r] in art_idx:
-                col = next((j for j in range(n + slack_cols) if tableau[r][j] != 0), None)
-                if col is not None:
-                    pivot(r, col)
-    phase2 = [Fraction(0)] * (total + 1)
-    for j in range(n):
-        phase2[j] = Fraction(c[j])
-    for j in art_idx:
-        phase2[j] = Fraction(10**9)  # keep artificials parked at zero
-    solve_phase(phase2)
-    value = Fraction(0)
-    for r, bcol in enumerate(basis):
-        if bcol < n:
-            value += c[bcol] * tableau[r][total]
-    return value
-
-
-def _credal_lp(instance: FiniteCredalInstance, gamble: Sequence[Fraction]) -> Fraction:
-    n = instance.n
-    a_ub, b_ub = [], []
-    for k in range(n - 1):
-        prefix = [Fraction(1)] * (k + 1) + [Fraction(0)] * (n - k - 1)
-        a_ub.append(prefix); b_ub.append(instance.upper_cum[k])
-        a_ub.append([-v for v in prefix]); b_ub.append(-instance.lower_cum[k])
-    a_eq = [[Fraction(1)] * n]
-    b_eq = [Fraction(1)]
-    return _simplex_min(gamble, a_ub, b_ub, a_eq, b_eq)
-
-
 def lp_lower_expectation(instance: FiniteCredalInstance, gamble: Sequence) -> float:
     """Exact minimum expectation of a gamble over the credal polytope.
 
-    Uses the rational vertex sweep for up to 8 classes and the rational
-    simplex beyond that, up to 20 classes.
+    Computed by the rational vertex sweep, exact for any number of classes,
+    and rounded to a float once at the end.
     """
     if len(gamble) != instance.n:
         raise ValidationError("gamble length must match the number of classes")
-    exact = [_fraction(g) for g in gamble]
-    if instance.n <= _EXACT_LIMIT:
-        return float(_chain_vertex_min(instance, exact))
-    if instance.n <= _SIMPLEX_LIMIT:
-        return float(_credal_lp(instance, exact))
-    raise ValidationError(f"oracle limited to {_SIMPLEX_LIMIT} classes")
+    return float(_chain_vertex_min(instance, [_fraction(g) for g in gamble]))
 
 
 def envelope_sample_bound(instance: FiniteCredalInstance, gamble: Sequence,

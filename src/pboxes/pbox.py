@@ -144,6 +144,7 @@ class AnalyticCdf:
 
     Discontinuous forms must register an explicit left-limit companion;
     continuous forms default their left limit to the function itself.
+    Either function may be scalar-only (see :func:`vectorized`).
     """
 
     fn: Callable
@@ -155,6 +156,9 @@ class AnalyticCdf:
         if not self.continuous and self.left_limit_fn is None:
             raise ValidationError(
                 "a discontinuous analytic CDF needs an explicit left-limit function")
+        object.__setattr__(self, "fn", vectorized(self.fn))
+        if self.left_limit_fn is not None:
+            object.__setattr__(self, "left_limit_fn", vectorized(self.left_limit_fn))
 
     @property
     def domain(self) -> tuple:
@@ -164,23 +168,38 @@ class AnalyticCdf:
         return self.fn(z)
 
     def left_limit(self, z):
-        if self.continuous:
-            return self.fn(z)
-        return self.left_limit_fn(z)
+        # 0 is the bottom of [0, 1]: its artificial predecessor carries no mass
+        value = self.fn(z) if self.continuous else self.left_limit_fn(z)
+        out = np.where(np.asarray(z) <= 0.0, 0.0, value)
+        return float(out) if out.ndim == 0 else out
 
 
 Cdf = StepCdf | PiecewiseLinearCdf | AnalyticCdf
 
+_PROBE = np.array([0.25, 0.75])
 
-def _eval_array(cdf, zs: np.ndarray) -> np.ndarray:
-    """Evaluate a continuum CDF on an array, falling back to a scalar loop."""
+
+def vectorized(fn: Callable, probe: np.ndarray = _PROBE) -> Callable:
+    """``fn`` if it maps arrays elementwise, else ``fn`` looped over elements.
+
+    User callables are probed once, when the object holding them is built:
+    one that raises on ``probe`` or does not return an array of its shape is
+    wrapped, so every later caller can pass arrays.  Scalars go straight to
+    ``fn`` either way.
+    """
     try:
-        out = np.asarray(cdf(zs), dtype=float)
-        if out.shape == zs.shape:
-            return out
-    except Exception:
+        out = fn(probe)
+        if isinstance(out, np.ndarray) and out.shape == probe.shape:
+            return fn
+    except Exception:  # a scalar-only callable can fail on an array in any way
         pass
-    return np.array([float(cdf(z)) for z in zs])
+
+    def elementwise(x):
+        if np.ndim(x) == 0:
+            return fn(x)
+        return np.array([float(fn(v)) for v in np.ravel(x)]).reshape(np.shape(x))
+
+    return elementwise
 
 
 def cdf_eval(cdf, z):
@@ -200,8 +219,6 @@ def cdf_left_limit(cdf, z):
     lo, hi = cdf.domain
     if z < lo or z > hi:
         raise ValidationError(f"coordinate {z} outside CDF domain [{lo}, {hi}]")
-    if z == lo:
-        return 0.0
     return float(cdf.left_limit(z))
 
 
@@ -245,8 +262,8 @@ class PBox:
                 if cdf.domain != (0.0, 1.0):
                     raise ValidationError("continuum CDFs live on [0, 1]")
                 zs = np.union1d(zs, cdf._xs)
-        flo = _eval_array(self.lower, zs)
-        fhi = _eval_array(self.upper, zs)
+        flo = self.lower(zs)
+        fhi = self.upper(zs)
         for name, f in (("lower", flo), ("upper", fhi)):
             if np.any(f < -_MONOTONE_SLACK) or np.any(f > 1.0 + _MONOTONE_SLACK):
                 raise ValidationError(f"{name} CDF leaves [0, 1] on the grid")

@@ -31,7 +31,6 @@ __all__ = [
     "FULL_EVENT",
     "normalize",
     "complement_z",
-    "full_components_z",
     "full_components_finite",
     "sublevel_event",
 ]
@@ -244,15 +243,6 @@ def complement_z(event: ZEventSet) -> ZEventSet:
         cursor, cursor_open = iv.hi, not iv.hi_open
     emit(cursor, 1.0, cursor_open, False)
     return ZEventSet(tuple(pieces))
-
-
-def full_components_z(event: ZEventSet) -> tuple:
-    """The maximal full components of a normalized z-event.
-
-    Normalization already guarantees maximality, so the components are the
-    member intervals themselves.
-    """
-    return event.intervals
 
 
 def full_components_finite(space: FiniteQuotientSpace, subset: ClassSubset) -> tuple:

@@ -125,6 +125,5 @@ def random_real_line_pbox(rng, positive=False, max_knots=6):
     one, two = ladder(), ladder()
     lower = [min(p, q) for p, q in zip(one, two)]
     upper = [max(p, q) for p, q in zip(one, two)]
-    return RealLinePBox((xs[0], xs[-1]),
-                        PiecewiseLinearCdf(tuple(zip(xs, lower))),
+    return RealLinePBox(PiecewiseLinearCdf(tuple(zip(xs, lower))),
                         PiecewiseLinearCdf(tuple(zip(xs, upper))))

@@ -232,6 +232,39 @@ class TestInfer:
         assert code == 3
         assert "validation error" in err
 
+    @pytest.mark.parametrize("field, value", [("side", "lowr"), ("op", "modulo")])
+    def test_bad_arithmetic_field_exit_3(self, tmp_path, capsys, field, value):
+        doc = {"queries": [{"id": "ok", "kind": "event_lower", "intervals": []},
+                           dict({"id": "a", "kind": "arith_op",
+                                 "x1": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
+                                 "x2": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
+                                 "y": 0.5}, **{field: value})],
+               "pbox": {"analytic": {"lower": "uniform", "upper": "uniform"}}}
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3
+        assert f"queries[1].{field}" in err and out == ""
+
+    def test_oversized_y_grid_exit_3(self, tmp_path, capsys, monkeypatch):
+        import pboxes.choquet as choquet_mod
+
+        monkeypatch.setattr(choquet_mod, "_MAX_GRID", 4)
+        doc = {"queries": [{"id": "a", "kind": "arith_op", "side": "upper",
+                            "x1": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
+                            "x2": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
+                            "y_grid": [0.0, 0.5, 1.0, 1.5, 2.0]}]}
+        path = tmp_path / "long_grid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3
+        assert "queries[0].y_grid" in err and out == ""
+        doc["queries"][0]["y_grid"].pop()
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, ["infer", str(path)])
+        assert code == 0
+        assert len(csv_rows(out)) == 4
+
     def test_empty_query_list_header_only(self, tmp_path, capsys):
         doc = {"space": {"type": "continuum"},
                "pbox": {"analytic": {"lower": "uniform", "upper": "uniform"}},
@@ -313,6 +346,11 @@ class TestVerify:
     def test_small_campaign_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--trials", "5", "--seed", "7"])
         assert code == 0
+
+    def test_large_classes_pass(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--trials", "5", "--n-max", "50"])
+        assert code == 0
+        assert "RESULT: PASS" in out
 
     def test_corrupted_formula_flagged(self, capsys, monkeypatch):
         import pboxes.pbox as pbox_mod

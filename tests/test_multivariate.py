@@ -218,6 +218,14 @@ class TestRealLinePBoxValidation:
                                     [(0.5, 0.6), (1.0, 1.0)])
 
 
+    def test_support_is_hull_of_the_knots(self):
+        uniform02 = PiecewiseLinearCdf(((0.0, 0.0), (2.0, 1.0)))
+        box = RealLinePBox(uniform02, uniform02)
+        assert box.support == (0.0, 2.0)
+        lower, _ = prob_arith_transform("add", box, box, 2.5)
+        assert lower == pytest.approx(0.25, abs=1e-12)
+
+
 def test_import_leaves_scipy_out():
     import pboxes
 

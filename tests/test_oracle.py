@@ -15,7 +15,12 @@ from pboxes.oracle import (
     pbox_representability_check,
     random_credal_instance,
 )
-from pboxes.oracle import _chain_vertex_min, _credal_lp, _fraction, _simplex_min
+from pboxes.choquet import lower_expectation_finite
+from pboxes.oracle import _chain_vertex_min, _fraction
+from pboxes.pbox import PBox, StepCdf
+from pboxes.preorder import FiniteQuotientSpace
+
+from lp_reference import credal_lp, simplex_min
 
 
 def coupling_lower_probability(p1_band, p2_band):
@@ -37,7 +42,7 @@ def coupling_lower_probability(p1_band, p2_band):
     values = {}
     for mask in range(16):
         cost = [Fraction(1 if mask & (1 << i) else 0) for i in range(4)]
-        values[mask] = float(_simplex_min(cost, a_ub, b_ub, a_eq, b_eq))
+        values[mask] = float(simplex_min(cost, a_ub, b_ub, a_eq, b_eq))
     return FiniteLowerProbability(4, values)
 
 
@@ -57,10 +62,10 @@ class TestLpLowerExpectation:
 
     def test_sweep_equals_simplex(self, rng):
         for _ in range(60):
-            n = rng.randint(2, 7)
+            n = rng.randint(2, 12)
             instance = random_credal_instance(rng, n, denominator=rng.choice([4, 20, 997]))
             gamble = [_fraction(rng.randrange(-300, 301)) / 100 for _ in range(n)]
-            assert _chain_vertex_min(instance, gamble) == _credal_lp(instance, gamble)
+            assert _chain_vertex_min(instance, gamble) == credal_lp(instance, gamble)
 
     def test_large_instances_use_simplex(self, rng):
         instance = random_credal_instance(rng, 12, denominator=50)
@@ -68,10 +73,16 @@ class TestLpLowerExpectation:
         value = lp_lower_expectation(instance, gamble)
         assert min(gamble) <= value <= max(gamble)
 
-    def test_size_limits(self, rng):
-        instance = random_credal_instance(rng, 25)
-        with pytest.raises(ValidationError):
-            lp_lower_expectation(instance, [0.0] * 25)
+    def test_matches_finite_formula_at_large_n(self, rng):
+        for n in (25, 50):
+            instance = random_credal_instance(rng, n)
+            box = PBox(StepCdf(tuple(float(v) for v in instance.lower_cum)),
+                       StepCdf(tuple(float(v) for v in instance.upper_cum)),
+                       FiniteQuotientSpace(tuple(range(n))))
+            for _ in range(5):
+                gamble = [rng.randrange(-500, 501) / 100 for _ in range(n)]
+                assert lp_lower_expectation(instance, gamble) == pytest.approx(
+                    lower_expectation_finite(box, gamble), abs=1e-9)
 
     def test_length_mismatch(self):
         instance = FiniteCredalInstance((1,), (1,))

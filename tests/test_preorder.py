@@ -12,7 +12,6 @@ from pboxes.preorder import (
     ZInterval,
     complement_z,
     full_components_finite,
-    full_components_z,
     normalize,
     sublevel_event,
 )
@@ -163,20 +162,13 @@ class TestFullComponentsFinite:
 
 
 class TestFullComponentsZ:
-    def test_normalized_form_is_decomposition(self):
-        event = normalize([ZInterval.closed(0.0, 0.3), ZInterval.left_open(0.6, 1.0)])
-        assert full_components_z(event) == event.intervals
-
-    def test_empty(self):
-        assert full_components_z(EMPTY_EVENT) == ()
-
     def test_random_union_matches_grid_scan(self, rng):
         raw = []
         for _ in range(50):
             a = rng.randrange(0, 200) / 200
             b = min(1.0, a + rng.randrange(0, 20) / 200)
             raw.append(ZInterval(a, b, rng.random() < 0.5, rng.random() < 0.5))
-        components = full_components_z(normalize(raw))
+        components = normalize(raw).intervals
         # oracle: connected runs of membership sampled between lattice points
         probes = grid_membership(normalize(raw), step=10_000)
         runs = 0
