@@ -4,9 +4,10 @@ A gamble on the underlying space enters as its lower (or upper) oscillation,
 a bounded function of the quotient coordinate z.  The expectation is the
 oscillation's infimum plus the integral over cut levels t of the lower
 (upper) probability of the cut set ``{z : osc(z) >= t}``.  That integrand is
-non-increasing in t, so lower and upper Darboux sums on a uniform t-grid
-bracket the integral with a rigorous two-sided error; the grid is doubled
-until the bracket is narrower than the requested tolerance.
+non-increasing in t, so lower and upper Darboux sums on any t-grid bracket
+the integral with a rigorous two-sided error.  The grid is refined
+adaptively: each round halves only the cells that carry a large share of the
+bracket width, until the bracket is narrower than the requested tolerance.
 
 Cut sets are exact wherever the oscillation's structure allows it: from the
 segment crossings of a piecewise-linear oscillation's knots, for a whole
@@ -61,6 +62,8 @@ _INVERSE_ROUNDTRIP_TOL = 1e-10
 _MAX_GRID = 1 << 21
 # levels x knots handled in one vectorized pass, to bound its memory
 _KNOT_BATCH_CELLS = 1 << 22
+# sections per round of the threshold search: 31 interior levels per batch
+_SECTIONS = 32
 
 
 @dataclass(frozen=True)
@@ -157,10 +160,12 @@ class Oscillation:
 class QuadratureConfig:
     """Tolerances for the bracketed cut-level quadrature.
 
-    Knot oscillations and registered inverses give exact cut sets, so
-    ``cut_grid`` (the scan of non-monotone oscillations) and the cut-set use
-    of ``bisect_tol`` only affect black-box oscillations; ``bisect_tol`` is
-    also the tolerance of :func:`threshold_solve`.
+    ``max_refinements`` caps the rounds of adaptive refinement; a round
+    halves every cell whose share of the bracket width is large, not the
+    whole grid.  Knot oscillations and registered inverses give exact cut
+    sets, so ``cut_grid`` (the scan of non-monotone oscillations) and the
+    cut-set use of ``bisect_tol`` only affect black-box oscillations;
+    ``bisect_tol`` is also the tolerance of :func:`threshold_solve`.
     """
 
     abs_tol: float = 1e-4
@@ -187,7 +192,11 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Bracket midpoint plus the half-width of the enclosing Darboux bracket."""
+    """Bracket midpoint plus the half-width of the enclosing Darboux bracket.
+
+    ``refinements`` counts the rounds of adaptive refinement; each round
+    split some cells of the level grid at their midpoints.
+    """
 
     value: float
     error_bound: float
@@ -409,8 +418,9 @@ def _batch_cut_probs(pbox: PBox, osc: Oscillation, ts: np.ndarray, upper: bool,
     return out
 
 
-def _assert_monotone_integrand(g: np.ndarray):
-    if np.any(np.diff(g) > 1e-7):
+def _assert_monotone_integrand(rises: np.ndarray):
+    """Reject an integrand that rises by more than float dust between levels."""
+    if np.any(rises > 1e-7):
         raise ValidationError(
             "cut probability increased with the level; "
             "oscillation metadata or p-box inputs are inconsistent")
@@ -419,31 +429,52 @@ def _assert_monotone_integrand(g: np.ndarray):
 def _darboux(batch, a: float, b: float, cfg: QuadratureConfig):
     """Bracket the integral of a non-increasing integrand on [a, b].
 
-    Returns midpoint, half-width, convergence flag, and the number of grid
-    doublings performed.  The bracket is [lower sum, upper sum]; for a
-    non-increasing integrand these are the right- and left-endpoint rules.
+    Returns midpoint, half-width, convergence flag, and the number of
+    refinement rounds performed.  On every cell the integrand lies between
+    its right and left endpoint values, so the bracket [lower sum, upper sum]
+    (the right- and left-endpoint rules on the current, possibly non-uniform
+    grid) contains the integral whatever the cell widths.
+
+    Each round splits, at its midpoint, only the cells whose contribution
+    ``c = width * (g_left - g_right)`` to the bracket width satisfies
+    ``c * n >= abs_tol / 2`` for ``n`` cells: the cells left alone add up to
+    less than ``abs_tol / 2``, and a split halves a cell's contribution.
+    Flat stretches of the integrand thus stay coarse.  Cells only ever split
+    at midpoints, so the grid for a tighter tolerance refines the grid for a
+    looser one and the brackets nest.
     """
     ts = np.linspace(a, b, 17)
     g = np.clip(batch(ts), 0.0, 1.0)
-    _assert_monotone_integrand(g)
+    _assert_monotone_integrand(np.diff(g))
     g = np.minimum.accumulate(g)  # remove float dust only; checked just above
     rounds = 0
     while True:
-        delta = (b - a) / (len(ts) - 1)
-        upper = delta * float(np.sum(g[:-1]))
-        lower = delta * float(np.sum(g[1:]))
-        if upper - lower < cfg.abs_tol:
-            return 0.5 * (upper + lower), 0.5 * (upper - lower), True, rounds
-        if rounds >= cfg.max_refinements or (len(ts) - 1) * 2 > _MAX_GRID:
-            return 0.5 * (upper + lower), 0.5 * (upper - lower), False, rounds
-        mids = 0.5 * (ts[:-1] + ts[1:])
+        delta = ts[1:] - ts[:-1]
+        gaps = delta * (g[:-1] - g[1:])
+        width = float(gaps.sum())
+        split = gaps >= 0.5 * cfg.abs_tol / len(gaps)
+        cells = np.flatnonzero(split)
+        converged = width < cfg.abs_tol
+        if (converged or rounds >= cfg.max_refinements
+                or len(gaps) + len(cells) > _MAX_GRID):
+            lower = float(delta @ g[1:])
+            return lower + 0.5 * width, 0.5 * width, converged, rounds
+        right = cells + 1
+        mids = 0.5 * (ts[cells] + ts[right])
+        g_left, g_right = g[cells], g[right]
         gm = np.clip(batch(mids), 0.0, 1.0)
-        ts_new = np.empty(2 * len(ts) - 1)
+        # the rest of the grid is already monotone; clip float dust only
+        _assert_monotone_integrand(np.maximum(gm - g_left, g_right - gm))
+        gm = np.minimum(np.maximum(gm, g_right), g_left)
+        # scatter: every level moves up by the number of midpoints below it
+        at = np.arange(len(ts))
+        at[1:] += np.cumsum(split)
+        ts_new = np.empty(len(ts) + len(cells))
         g_new = np.empty_like(ts_new)
-        ts_new[0::2], ts_new[1::2] = ts, mids
-        g_new[0::2], g_new[1::2] = g, gm
-        _assert_monotone_integrand(g_new)
-        ts, g = ts_new, np.minimum.accumulate(g_new)
+        at_mid = at[cells] + 1
+        ts_new[at], g_new[at] = ts, g
+        ts_new[at_mid], g_new[at_mid] = mids, gm
+        ts, g = ts_new, g_new
         rounds += 1
 
 
@@ -490,24 +521,28 @@ def upper_expectation(pbox: PBox, uosc: Oscillation,
         mid, hw, ok, rounds = _darboux(batch, a, b, cfg)
         return QuadratureResult(a + mid, hw, ok, rounds)
 
-    t_stop, t_last_above = _truncation_point(batch, a, cfg)
+    t_stop, t_last_above = _span_doubling(batch, a, cfg.tail_tol)
     mid, hw, ok, rounds = _darboux(batch, a, t_stop, cfg)
     tail = cfg.tail_tol * max(t_stop - t_last_above, 0.0)
     return QuadratureResult(a + mid + 0.5 * tail, hw + 0.5 * tail, ok, rounds)
 
 
-def _truncation_point(batch, a: float, cfg: QuadratureConfig):
-    """First probed level with integrand below tail_tol, by span doubling."""
-    span = 1.0
-    t_last_above = a
-    for _ in range(64):
-        t = a + span
-        value = float(batch(np.array([t]))[0])
-        if value < cfg.tail_tol:
-            return t, t_last_above
-        t_last_above = t
-        span *= 2.0
-    raise ToleranceError("integrand never fell below the tail tolerance")
+def _span_doubling(batch, a: float, value: float):
+    """First level ``a + 2**k`` (k = 0 .. 63) where the integrand is below
+    ``value``, and the last probed level where it is not (``a`` if none).
+
+    The levels are probed in blocks of eight per ``batch`` call; the answer
+    is that of probing them one at a time.
+    """
+    t_above = a
+    for k in range(0, 64, 8):
+        ts = a + np.ldexp(1.0, np.arange(k, k + 8))
+        below = np.flatnonzero(batch(ts) < value)
+        if below.size:
+            i = int(below[0])
+            return float(ts[i]), (float(ts[i - 1]) if i else t_above)
+        t_above = float(ts[-1])
+    raise ToleranceError(f"integrand never fell below {value:g}")
 
 
 def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
@@ -538,36 +573,36 @@ def threshold_solve(pbox: PBox, uosc: Oscillation, target: float,
 
     Requires the upper cut probability to be non-increasing and continuous
     over the search range, which holds for continuous lower CDFs and
-    strictly monotone oscillations.  The answer is located by bisection to
-    ``cfg.bisect_tol``.
+    strictly monotone oscillations.  The answer ``hi`` satisfies
+    ``prob(hi) <= target < prob(lo)`` for some ``lo`` with
+    ``hi - lo <= cfg.bisect_tol``: each round of the search evaluates
+    ``_SECTIONS - 1`` interior levels of the bracket in one batch and keeps
+    the section where the target is first met.
     """
     if not 0.0 < target <= 1.0:
         raise ValidationError("threshold target must lie in (0, 1]")
 
-    def prob(t: float) -> float:
-        return float(_batch_cut_probs(pbox, uosc, np.array([t]), True, cfg)[0])
+    def prob(ts: np.ndarray) -> np.ndarray:
+        return _batch_cut_probs(pbox, uosc, ts, True, cfg)
 
     lo = uosc.inf_value
-    if prob(lo) <= target:
+    if prob(np.array([lo]))[0] <= target:
         return lo
     if math.isinf(uosc.sup_value):
-        span, hi = 1.0, None
-        for _ in range(64):
-            t = lo + span
-            if prob(t) <= target:
-                hi = t
-                break
-            span *= 2.0
-        if hi is None:
-            raise ToleranceError("threshold target unreachable on the search range")
+        try:
+            # prob <= target is prob < the next float above target
+            hi, lo = _span_doubling(prob, lo, np.nextafter(target, np.inf))
+        except ToleranceError:
+            raise ToleranceError("threshold target unreachable on the search range") from None
     else:
         hi = uosc.sup_value
-        if prob(hi) > target:
+        if prob(np.array([hi]))[0] > target:
             raise ToleranceError("threshold target unreachable on the search range")
     while hi - lo > cfg.bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if prob(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
+        ts = np.linspace(lo, hi, _SECTIONS + 1)
+        met = np.flatnonzero(prob(ts[1:-1]) <= target)
+        k = int(met[0]) + 1 if met.size else _SECTIONS
+        if ts[k - 1] == lo and ts[k] == hi:
+            raise ToleranceError("bisect_tol is below the float spacing of the threshold")
+        lo, hi = float(ts[k - 1]), float(ts[k])
     return hi

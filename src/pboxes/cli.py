@@ -322,8 +322,8 @@ def _cmd_table(args) -> int:
         query = next((q for q in scenario.queries if q.kind in integrand_kinds), None)
         if query is None:
             raise ValidationError("no expectation query to take an integrand from")
-    cut_prob = (_choquet._lower_cut_prob if query.kind == "expectation_lower"
-                else _choquet._upper_cut_prob)
+    upper = query.kind != "expectation_lower"
+    cut_prob = _choquet._upper_cut_prob if upper else _choquet._lower_cut_prob
     pbox = query.pbox_override or scenario.pbox
 
     def probe(t: float) -> float:
@@ -332,8 +332,10 @@ def _cmd_table(args) -> int:
     lo = query.oscillation.inf_value
     hi = query.oscillation.sup_value
     if not np.isfinite(hi):
-        hi, _ = _choquet._truncation_point(
-            lambda ts: np.array([probe(float(t)) for t in ts]), lo, cfg)
+        # truncate where the quadrature does, from the same batched integrand
+        hi, _ = _choquet._span_doubling(
+            lambda ts: _choquet._batch_cut_probs(pbox, query.oscillation, ts, upper, cfg),
+            lo, cfg.tail_tol)
     print("t,integrand")
     for t in np.linspace(lo, hi, grid):
         print(f"{_fmt(float(t))},{_fmt(probe(float(t)))}")

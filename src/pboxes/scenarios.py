@@ -138,6 +138,8 @@ def run_query(scenario: Scenario, query: Query,
     if query.kind == "threshold":
         value = threshold_solve(pbox, query.oscillation, query.target, cfg)
         return QueryResult(query.id, query.kind, value, cfg.bisect_tol)
+    if query.side not in ("lower", "upper"):
+        raise ValidationError(f"side must be 'lower' or 'upper', got {query.side!r}")
     lower, upper = prob_arith_transform(query.op, query.x1, query.x2, query.y)
     return QueryResult(query.id, query.kind,
                        lower if query.side == "lower" else upper, 0.0)

@@ -16,8 +16,8 @@ from pboxes.choquet import (
     threshold_solve,
     upper_expectation,
 )
-from pboxes.choquet import _MAX_GRID, _batch_cut_probs
-from pboxes.errors import ValidationError
+from pboxes.choquet import _MAX_GRID, _batch_cut_probs, _darboux, _span_doubling
+from pboxes.errors import ToleranceError, ValidationError
 from pboxes.oracle import lp_lower_expectation, random_credal_instance
 from pboxes.pbox import (
     AnalyticCdf,
@@ -37,6 +37,9 @@ from pboxes.preorder import (
     complement_z,
 )
 from pboxes.scenarios import (
+    builtin_scenario,
+    dike_lower_oscillation,
+    dike_upper_oscillation,
     oscillator_lower_oscillation,
     oscillator_upper_oscillation,
     piecewise_linear_oscillation,
@@ -395,6 +398,115 @@ class TestStaircaseAgreement:
             assert approx.value == pytest.approx(exact, abs=1e-5 + 1e-12)
 
 
+class CountingBatch:
+    """A vectorised integrand that counts its batches and levels."""
+
+    def __init__(self, g):
+        self.g, self.calls, self.levels = g, 0, 0
+
+    def __call__(self, ts):
+        self.calls += 1
+        self.levels += len(ts)
+        return self.g(ts)
+
+
+def doubling_cost(width, drop, abs_tol):
+    """Rounds and evaluations of uniform grid doubling from 16 cells.
+
+    On a uniform grid the bracket of a non-increasing integrand is exactly
+    ``cell width * (g(a) - g(b))``, so the cost follows in closed form.
+    """
+    rounds, cells = 0, 16
+    while width / cells * drop >= abs_tol:
+        rounds, cells = rounds + 1, 2 * cells
+    return rounds, cells + 1
+
+
+def long_tail(ts):
+    return np.exp(-ts)
+
+
+def step_with_flat_tail(ts):
+    return 0.2 + 0.5 * (ts < 1.0) + 0.3 * (ts < 2.5)
+
+
+class TestAdaptiveDarboux:
+    @pytest.mark.parametrize("g, exact", [
+        (long_tail, 1.0 - math.exp(-40.0)),
+        (step_with_flat_tail, 0.2 * 40.0 + 0.5 * 1.0 + 0.3 * 2.5),
+    ])
+    def test_bracket_contains_closed_form(self, g, exact):
+        cfg = QuadratureConfig(abs_tol=1e-4)
+        mid, half, converged, _ = _darboux(g, 0.0, 40.0, cfg)
+        assert converged
+        assert half < 0.5 * cfg.abs_tol
+        assert mid - half <= exact <= mid + half
+
+    def test_linear_integrand_refines_like_doubling(self):
+        cfg = QuadratureConfig(abs_tol=1e-4)
+        batch = CountingBatch(lambda ts: 1.0 - ts)
+        _, _, converged, rounds = _darboux(batch, 0.0, 1.0, cfg)
+        assert converged
+        # every cell carries the same share of the bracket, so all split
+        assert (rounds, batch.levels) == doubling_cost(1.0, 1.0, cfg.abs_tol)
+        assert batch.calls == rounds + 1
+
+    def test_long_tail_needs_a_quarter_of_doubling(self):
+        cfg = QuadratureConfig(abs_tol=1e-4)
+        batch = CountingBatch(long_tail)
+        _, _, converged, rounds = _darboux(batch, 0.0, 40.0, cfg)
+        doubling_rounds, doubling_levels = doubling_cost(40.0, 1.0 - math.exp(-40.0),
+                                                         cfg.abs_tol)
+        assert converged
+        assert rounds == doubling_rounds
+        assert batch.levels <= doubling_levels / 4
+
+    @pytest.mark.parametrize("case", ["oscillator_lower", "oscillator_upper", "dike_lower"])
+    def test_brackets_nest(self, case):
+        if case == "dike_lower":
+            # 1e-5 rather than 1e-6: the dike's inverse bisects every level,
+            # and 1e-6 takes seconds
+            box, osc, fine_tol = builtin_scenario("dike").pbox, dike_lower_oscillation(), 1e-5
+        else:
+            box, fine_tol = builtin_scenario("oscillator").pbox, 1e-6
+            osc = (oscillator_lower_oscillation() if case.endswith("lower")
+                   else oscillator_upper_oscillation())
+        compute = upper_expectation if case.endswith("upper") else lower_expectation
+        coarse = compute(box, osc, QuadratureConfig(abs_tol=1e-3))
+        fine = compute(box, osc, QuadratureConfig(abs_tol=fine_tol))
+        assert coarse.converged and fine.converged
+        assert fine.error_bound < 0.5 * fine_tol
+        assert coarse.bracket[0] - 1e-12 <= fine.bracket[0]
+        assert fine.bracket[1] <= coarse.bracket[1] + 1e-12
+
+
+class TestSpanDoubling:
+    @staticmethod
+    def one_at_a_time(batch, a, value):
+        span, t_above = 1.0, a
+        for _ in range(64):
+            t = a + span
+            if float(batch(np.array([t]))[0]) < value:
+                return t, t_above
+            t_above = t
+            span *= 2.0
+        raise ToleranceError("never below")
+
+    @pytest.mark.parametrize("value", [1.0, 0.5, 1e-3, 1e-8, 1e-30])
+    def test_matches_sequential_probing(self, value):
+        box, osc = builtin_scenario("dike").pbox, dike_upper_oscillation()
+
+        def batch(ts):
+            return _batch_cut_probs(box, osc, ts, True, DEFAULT_CONFIG)
+
+        assert (_span_doubling(batch, osc.inf_value, value)
+                == self.one_at_a_time(batch, osc.inf_value, value))
+
+    def test_never_below_raises(self):
+        with pytest.raises(ToleranceError):
+            _span_doubling(lambda ts: np.ones_like(ts), 0.0, 0.5)
+
+
 class TestThresholdSolve:
     def test_trivial_target_one(self):
         osc = oscillator_upper_oscillation()
@@ -438,3 +550,47 @@ class TestQuadratureConfig:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError):
                 QuadratureConfig(abs_tol=bad)
+
+
+class TestThresholdSearch:
+    CASES = {
+        # unbounded upper oscillation: the search range comes from span doubling
+        "dike": (lambda: builtin_scenario("dike").pbox, dike_upper_oscillation, 0.01),
+        "oscillator": (lambda: builtin_scenario("oscillator").pbox,
+                       oscillator_upper_oscillation, 0.3),
+    }
+
+    @staticmethod
+    def scalar_bisection(prob, osc, target, tol):
+        lo = osc.inf_value
+        if math.isinf(osc.sup_value):
+            span = 1.0
+            while prob(lo + span) > target:
+                span *= 2.0
+            hi = lo + span
+        else:
+            hi = osc.sup_value
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if prob(mid) <= target:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_answer_brackets_the_target(self, name):
+        make_box, make_osc, target = self.CASES[name]
+        box, osc, tol = make_box(), make_osc(), DEFAULT_CONFIG.bisect_tol
+
+        def prob(t):
+            return float(_batch_cut_probs(box, osc, np.array([t]), True, DEFAULT_CONFIG)[0])
+
+        t_star = threshold_solve(box, osc, target)
+        assert prob(t_star) <= target < prob(t_star - tol)
+        assert abs(t_star - self.scalar_bisection(prob, osc, target, tol)) <= tol
+
+    def test_tolerance_below_float_spacing_raises(self):
+        box, osc = builtin_scenario("oscillator").pbox, oscillator_upper_oscillation()
+        with pytest.raises(ToleranceError):
+            threshold_solve(box, osc, 0.3, QuadratureConfig(bisect_tol=1e-20))

@@ -6,10 +6,12 @@ from scipy import optimize
 
 from pboxes.choquet import QuadratureConfig, threshold_solve
 from pboxes.errors import ValidationError
-from pboxes.multivariate import INDEPENDENT, MarginalSpec, combine
+from pboxes.multivariate import INDEPENDENT, MarginalSpec, RealLinePBox, combine
 from pboxes.pbox import best_pbox_approximation, cdf_eval
 from pboxes.scenarios import (
     BUILTIN_NAMES,
+    Query,
+    Scenario,
     builtin_scenario,
     dike_lower_oscillation,
     dike_overflow_curve,
@@ -19,6 +21,7 @@ from pboxes.scenarios import (
     oscillator_lower_oscillation,
     oscillator_upper_oscillation,
     piecewise_linear_oscillation,
+    run_query,
     run_scenario,
 )
 
@@ -145,3 +148,20 @@ class TestRegistries:
                 piecewise_linear_oscillation([(0.0, 0.0), (0.5, bad), (1.0, 0.0)])
             with pytest.raises(ValidationError):
                 piecewise_linear_oscillation([(0.0, 0.0), (bad, 1.0), (1.0, 0.0)])
+
+
+class TestArithmeticQuery:
+    UNIFORM = RealLinePBox.from_knots(((0.0, 0.0), (1.0, 1.0)))
+
+    def query(self, side):
+        return Query("a", "arith_op", x1=self.UNIFORM, x2=self.UNIFORM, y=0.5, side=side)
+
+    def test_sides(self):
+        scenario = Scenario("s", None, ())
+        assert run_query(scenario, self.query("lower")).value == pytest.approx(0.0, abs=1e-12)
+        assert run_query(scenario, self.query("upper")).value == pytest.approx(0.5, abs=1e-12)
+
+    def test_unknown_side_rejected(self):
+        # the file parser checks side, but a library caller builds the Query itself
+        with pytest.raises(ValidationError, match="side"):
+            run_query(Scenario("s", None, ()), self.query("lowr"))
