@@ -9,11 +9,15 @@ the integral with a rigorous two-sided error.  The grid is refined
 adaptively: each round halves only the cells that carry a large share of the
 bracket width, until the bracket is narrower than the requested tolerance.
 
-Cut sets are exact wherever the oscillation's structure allows it: from the
-segment crossings of a piecewise-linear oscillation's knots, for a whole
-batch of levels at once, or from a registered inverse.  Only black-box
-oscillations fall back to bisection, and non-monotone black boxes to a grid
-scan, which can miss components narrower than the grid spacing.
+Every cut set is represented the same way: the closed components ``[a, b]``
+of ``{osc >= t}`` for a whole batch of levels, as flat arrays.  One formula
+turns components into lower and upper probabilities.  The components are
+exact wherever the oscillation's structure allows it: from the segment
+crossings of a piecewise-linear oscillation's knots, or from a registered
+inverse.  Other declared-monotone oscillations bisect their one moving
+endpoint; black-box non-monotone ones are scanned on a grid once per batch
+and every boundary is bisected, which can miss components narrower than the
+grid spacing.
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
 expectation is an exact finite weighted sum over the sorted distinct gamble
@@ -29,16 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .pbox import PBox, lower_prob_event, upper_prob_event, vectorized
-from .preorder import (
-    EMPTY_EVENT,
-    FULL_EVENT,
-    ClassSubset,
-    ZEventSet,
-    ZInterval,
-    complement_z,
-    normalize,
-)
+from .pbox import PBox, lower_prob_event, vectorized
+from .preorder import ClassSubset, ZEventSet, ZInterval, normalize
 
 __all__ = [
     "Oscillation",
@@ -60,8 +56,8 @@ _VALIDATION_POINTS = 129
 _INVERSE_ROUNDTRIP_TOL = 1e-10
 # hard cap on grid size so a hopeless tolerance flags instead of exhausting memory
 _MAX_GRID = 1 << 21
-# levels x knots handled in one vectorized pass, to bound its memory
-_KNOT_BATCH_CELLS = 1 << 22
+# levels x cells per level handled in one vectorized pass, to bound its memory
+_CUT_BATCH_CELLS = 1 << 22
 # sections per round of the threshold search: 31 interior levels per batch
 _SECTIONS = 32
 
@@ -163,9 +159,12 @@ class QuadratureConfig:
     ``max_refinements`` caps the rounds of adaptive refinement; a round
     halves every cell whose share of the bracket width is large, not the
     whole grid.  Knot oscillations and registered inverses give exact cut
-    sets, so ``cut_grid`` (the scan of non-monotone oscillations) and the
-    cut-set use of ``bisect_tol`` only affect black-box oscillations;
-    ``bisect_tol`` is also the tolerance of :func:`threshold_solve`.
+    sets, so ``cut_grid`` and the cut-set use of ``bisect_tol`` only affect
+    black-box oscillations: a non-monotone one is scanned once per batch of
+    levels on ``cut_grid`` cells, and every cut-set boundary, of a scan or
+    of a monotone oscillation without an inverse, is bisected to
+    ``bisect_tol``.  ``bisect_tol`` is also the tolerance of
+    :func:`threshold_solve`.
     """
 
     abs_tol: float = 1e-4
@@ -211,30 +210,31 @@ class QuadratureResult:
         return self.value
 
 
-def _bisect_batch(f, ts: np.ndarray, decreasing: bool, tol: float) -> np.ndarray:
-    """Boundaries of {f >= t} for monotone f on [0, 1], every cut non-trivial."""
-    lo = np.zeros_like(ts)
-    hi = np.ones_like(ts)
-    for _ in range(max(1, math.ceil(math.log2(1.0 / tol)))):
-        mid = 0.5 * (lo + hi)
-        inside = np.asarray(f(mid), dtype=float) >= ts
-        take_lo = inside if decreasing else ~inside
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    return lo if decreasing else hi
+def _bisect(f, ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, rising,
+            tol: float) -> np.ndarray:
+    """Boundaries of ``{f >= t}``, one per level, each in its bracket ``[lo, hi]``.
 
-
-def _cut_endpoints(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
-    """Moving cut-set endpoints of a declared-monotone oscillation.
-
-    The levels must lie strictly inside the oscillation's range; the
-    endpoints come from the registered inverse, or else by bisection.
+    A rising boundary has ``f(lo) < t <= f(hi)``, a falling one (``rising``
+    false, per level or for all) ``f(lo) >= t > f(hi)``.  Every bracket is
+    halved while it is wider than ``tol`` and its midpoint still splits it,
+    and its inside end is returned: ``hi`` if rising, else ``lo``.
     """
-    if osc.inverse is not None:
-        zb = osc.inverse(ts)
-    else:
-        zb = _bisect_batch(osc.f, ts, osc.monotonicity == DECREASING, cfg.bisect_tol)
-    return np.clip(zb, 0.0, 1.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not live.any():
+            return np.where(rising, hi, lo)
+        to_hi = (f(mid) >= ts) == rising
+        lo = np.where(live & ~to_hi, mid, lo)
+        hi = np.where(live & to_hi, mid, hi)
+
+
+def _runs(inside: np.ndarray):
+    """Row, first column and one-past-last column of every run of true cells."""
+    edges = np.diff(np.pad(inside, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    row, first = np.nonzero(edges > 0)
+    _, stop = np.nonzero(edges < 0)
+    return row, first, stop
 
 
 def _knot_components(knots, ts: np.ndarray):
@@ -245,16 +245,11 @@ def _knot_components(knots, ts: np.ndarray):
     endpoints are the crossings of the segments leaving the run, measured
     from the inside knot so that a level equal to a knot value lands on that
     knot exactly.  A run that reaches an end knot extends to that end of
-    [0, 1].  Returns level indices and endpoints as flat arrays, sorted by
-    level and then by coordinate; components outside [0, 1] are dropped and
-    the rest clipped to it.
+    [0, 1].  Components outside [0, 1] are dropped and the rest clipped to it.
     """
     zs, vs = np.asarray(knots, dtype=float).T
     last = len(zs) - 1
-    inside = vs >= ts[:, None]
-    edges = np.diff(np.pad(inside, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    level, first = np.nonzero(edges > 0)    # first knot of each run
-    _, stop = np.nonzero(edges < 0)         # one past the last knot of each run
+    level, first, stop = _runs(vs >= ts[:, None])
     t = ts[level]
 
     a = np.zeros(len(level))
@@ -272,150 +267,145 @@ def _knot_components(knots, ts: np.ndarray):
     return level[keep], np.clip(a[keep], 0.0, 1.0), np.clip(b[keep], 0.0, 1.0)
 
 
-def _knot_cut_probs(pbox: PBox, knots, ts: np.ndarray, upper: bool) -> np.ndarray:
-    """Lower (upper) probabilities of the knot cut sets at every level in ``ts``.
+def _monotone_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig):
+    """The one component of a declared-monotone cut: ``[0, z]`` if decreasing,
+    ``[z, 1]`` if increasing, with ``z`` from the inverse or by bisection.
+
+    Levels at or below the value at the anchored end cut all of [0, 1];
+    levels above the value at the free end cut nothing.
+    """
+    decreasing = osc.monotonicity == DECREASING
+    f_anchor = float(osc.f(1.0 if decreasing else 0.0))
+    f_free = float(osc.f(0.0 if decreasing else 1.0))
+    # the whole space until the level passes the value at the anchor
+    moving = np.full(len(ts), 1.0 if decreasing else 0.0)
+    inner = (ts > f_anchor) & (ts <= f_free)
+    if inner.any():
+        t = ts[inner]
+        z = osc.inverse(t) if osc.inverse is not None else _bisect(
+            osc.f, t, np.zeros(len(t)), np.ones(len(t)), not decreasing, cfg.bisect_tol)
+        moving[inner] = np.clip(z, 0.0, 1.0)
+    level = np.flatnonzero(ts <= f_free)
+    # a read-only view of one value: the anchored ends take no memory
+    anchor = np.broadcast_to(0.0 if decreasing else 1.0, level.shape)
+    if decreasing:
+        return level, anchor, moving[level]
+    return level, moving[level], anchor
+
+
+def _scan_components(f, ts: np.ndarray, cfg: QuadratureConfig):
+    """Components of black-box cuts from one scan on ``cfg.cut_grid`` cells.
+
+    ``f`` is evaluated on the grid once for the whole batch of levels; each
+    run of grid points at or above a level is one component, and the
+    boundaries between grid points, of all levels at once, are bisected in
+    one pass.  A component narrower than the grid spacing can be missed.
+    """
+    zs = np.linspace(0.0, 1.0, cfg.cut_grid + 1)
+    level, first, stop = _runs(f(zs) >= ts[:, None])
+    a, b = zs[first], zs[stop - 1]
+    rise = np.flatnonzero(first > 0)
+    fall = np.flatnonzero(stop < len(zs))
+    # the left grid point of the cell holding each boundary
+    cell = np.concatenate([first[rise] - 1, stop[fall] - 1])
+    rising = np.arange(len(cell)) < len(rise)
+    ends = _bisect(f, ts[level[np.concatenate([rise, fall])]], zs[cell], zs[cell + 1],
+                   rising, cfg.bisect_tol)
+    a[rise], b[fall] = ends[:len(rise)], ends[len(rise):]
+    return level, a, b
+
+
+def _cut_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig):
+    """Closed components ``[a, b]`` of ``{osc >= t}`` for every level in ``ts``.
+
+    Returns level indices and endpoints as flat arrays, sorted by level and
+    then by coordinate, disjoint and within [0, 1]; a level with an empty
+    cut has no entry.
+    """
+    if osc.knots is not None:
+        return _knot_components(osc.knots, ts)
+    if osc.monotonicity == GENERAL:
+        return _scan_components(osc.f, ts, cfg)
+    return _monotone_components(osc, ts, cfg)
+
+
+def _cdf_inside(cdf, z: np.ndarray, inside: np.ndarray, fill: float) -> np.ndarray:
+    """``cdf`` where ``inside`` holds (not called if nowhere), ``fill`` elsewhere."""
+    out = np.full(len(z), fill)
+    if inside.any():
+        out[inside] = cdf(z[inside])
+    return out
+
+
+def _component_probs(pbox: PBox, n: int, level: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     upper: bool) -> np.ndarray:
+    """Lower (upper) probabilities of ``n`` cut sets given by their components.
 
     The lower probability of a union of closed components is the sum of
     ``max(0, F_lower(b) - F_upper(a))``, with bottom 0 at a = 0.  The upper
     one is 1 minus the lower probability of the complement, whose pieces are
-    ``[0, a_1)``, the open gaps ``(b_k, a_{k+1})`` and ``(b_n, 1]``.
+    ``[0, a_1)``, the open gaps ``(b_k, a_{k+1})`` and ``(b_n, 1]``.  The
+    CDFs are evaluated only at ends inside (0, 1); ``F_lower(1)`` is read
+    once.
     """
-    n = len(ts)
-    step = max(1, _KNOT_BATCH_CELLS // len(knots))
-    if n > step:
-        return np.concatenate([_knot_cut_probs(pbox, knots, ts[i:i + step], upper)
-                               for i in range(0, n, step)])
-    level, a, b = _knot_components(knots, ts)
+    lower_one = float(pbox.lower(np.ones(1))[0])
     if not upper:
-        bottom = np.where(a > 0.0, pbox.upper(a), 0.0)
-        gains = np.maximum(0.0, pbox.lower(b) - bottom)
+        top = _cdf_inside(pbox.lower, b, b < 1.0, lower_one)
+        gains = np.maximum(0.0, top - _cdf_inside(pbox.upper, a, a > 0.0, 0.0))
         return np.clip(np.bincount(level, weights=gains, minlength=n), 0.0, 1.0)
 
-    first = np.ones(len(level), dtype=bool)
-    first[1:] = level[1:] != level[:-1]
-    is_last = np.ones(len(level), dtype=bool)
-    is_last[:-1] = first[1:]
-    upper_b = pbox.upper(b)
+    below_a = _cdf_inside(pbox.lower.left_limit, a, a > 0.0, 0.0)
+    # at b = 1 the gap above is empty: F_lower(1) - F_upper(1) reads 0 there
+    upper_b = _cdf_inside(pbox.upper, b, b < 1.0, lower_one)
+    new_level = level[1:] != level[:-1]
     # the gap below each component: [0, a) for the first, (b_prev, a) after
-    bottom = np.where(first, 0.0, np.roll(upper_b, 1))
-    gains = np.maximum(0.0, pbox.lower.left_limit(a) - bottom)
+    bottom = np.zeros(len(a))
+    bottom[1:] = np.where(new_level, 0.0, upper_b[:-1])
+    gains = np.maximum(0.0, below_a - bottom)
     total = np.bincount(level, weights=gains, minlength=n)
     # the gap above the last component, (b_n, 1]; all of [0, 1] for an empty cut
-    lower_one = float(pbox.lower(np.ones(1))[0])
+    last = np.ones(len(level), dtype=bool)
+    last[:-1] = new_level
     top_gap = np.full(n, max(0.0, lower_one))
-    top_gap[level[is_last]] = np.where(
-        b[is_last] < 1.0, np.maximum(0.0, lower_one - upper_b[is_last]), 0.0)
+    top_gap[level[last]] = np.maximum(0.0, lower_one - upper_b[last])
     return 1.0 - np.clip(total + top_gap, 0.0, 1.0)
-
-
-def _cut_general(osc: Oscillation, t: float, cfg: QuadratureConfig) -> ZEventSet:
-    """Grid scan of a black-box oscillation, each sign change bisected."""
-    zs = np.linspace(0.0, 1.0, cfg.cut_grid + 1)
-    inside = osc.f(zs) >= t
-    # padded with outside points, the changes alternate run start, run end
-    changes = np.flatnonzero(np.diff(np.r_[False, inside, False]))
-    intervals = []
-    for start_idx, end_idx in zip(changes[0::2], changes[1::2] - 1):
-        lo = zs[start_idx]
-        if start_idx > 0:
-            lo = _refine_boundary(osc.f, t, zs[start_idx - 1], zs[start_idx],
-                                  rising=True, tol=cfg.bisect_tol)
-        hi = zs[end_idx]
-        if end_idx + 1 < len(zs):
-            hi = _refine_boundary(osc.f, t, zs[end_idx + 1], zs[end_idx],
-                                  rising=False, tol=cfg.bisect_tol)
-        intervals.append(ZInterval.closed(lo, hi))
-    return normalize(intervals)
-
-
-def _refine_boundary(f, t, outside, inside, rising: bool, tol: float) -> float:
-    """Bisect one sign change of ``f - t`` between an outside and an inside point."""
-    lo, hi = (outside, inside) if rising else (inside, outside)
-    # invariant for rising: f(lo) < t <= f(hi); mirrored otherwise
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) >= t) == rising:
-            hi = mid
-        else:
-            lo = mid
-    return hi if rising else lo
 
 
 def cut_event(osc: Oscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ZEventSet:
     """Normalized coordinate set ``{z : osc(z) >= t}``.
 
-    Oscillations with knots yield the exact components between segment
-    crossings (the same computation the quadrature batches over levels).
-    Otherwise, declared-monotone oscillations yield a single interval
-    anchored at 0 or 1, with the moving endpoint taken from the registered
-    inverse or located by bisection, and black-box general oscillations are
-    scanned on ``cfg.cut_grid`` points with each sign change refined by
-    bisection.
+    The components are those the quadrature computes for a whole batch of
+    levels (:func:`_cut_components`), here for one level: exact segment
+    crossings for knot oscillations; for other declared-monotone ones a
+    single interval anchored at 0 or 1, whose moving end comes from the
+    registered inverse or by bisection; for black-box general ones a scan
+    on ``cfg.cut_grid`` cells with every boundary bisected.
     """
-    if osc.knots is not None:
-        _, lo, hi = _knot_components(osc.knots, np.array([float(t)]))
-        return normalize([ZInterval.closed(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
-    if osc.monotonicity == GENERAL:
-        return _cut_general(osc, t, cfg)
-    decreasing = osc.monotonicity == DECREASING
-    if t <= float(osc.f(1.0 if decreasing else 0.0)):
-        return FULL_EVENT
-    if t > float(osc.f(0.0 if decreasing else 1.0)):
-        return EMPTY_EVENT
-    z = float(_cut_endpoints(osc, np.array([float(t)]), cfg)[0])
-    return normalize([ZInterval.closed(0.0, z) if decreasing else ZInterval.closed(z, 1.0)])
-
-
-def _lower_cut_prob(pbox: PBox, osc: Oscillation, t: float, cfg: QuadratureConfig) -> float:
-    return lower_prob_event(pbox, cut_event(osc, t, cfg))
-
-
-def _upper_cut_prob(pbox: PBox, osc: Oscillation, t: float, cfg: QuadratureConfig) -> float:
-    return upper_prob_event(pbox, complement_z(cut_event(osc, t, cfg)))
+    _, lo, hi = _cut_components(osc, np.array([float(t)]), cfg)
+    return normalize([ZInterval.closed(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
 
 
 def _batch_cut_probs(pbox: PBox, osc: Oscillation, ts: np.ndarray, upper: bool,
                      cfg: QuadratureConfig) -> np.ndarray:
-    """Cut probabilities for many levels at once.
+    """Lower (upper) cut probabilities at every level in ``ts``.
 
-    Oscillations with knots take their exact components from one vectorized
-    pass over all levels.  For other declared-monotone oscillations the cut
-    is a single anchored interval and its probability reduces to one CDF
-    evaluation, which vectorizes; black-box general oscillations go through
-    the per-level event machinery.
+    The components of all cut sets come from one :func:`_cut_components`
+    pass and their probabilities from one :func:`_component_probs` pass.
+    Levels go in chunks, so that levels times the cells scanned per level
+    (one for a monotone oscillation, its knots, or the ``cut_grid`` points
+    of a black box) stays within a fixed memory bound.
     """
     if osc.knots is not None:
-        return _knot_cut_probs(pbox, osc.knots, ts, upper)
-    if osc.monotonicity == GENERAL:
-        fn = _upper_cut_prob if upper else _lower_cut_prob
-        return np.array([fn(pbox, osc, float(t), cfg) for t in ts])
-
-    decreasing = osc.monotonicity == DECREASING
-    f_at_anchor = float(osc.f(1.0)) if decreasing else float(osc.f(0.0))
-    f_at_free = float(osc.f(0.0)) if decreasing else float(osc.f(1.0))
-    full = ts <= f_at_anchor
-    empty = ts > f_at_free
-    interior = ~(full | empty)
-
-    out = np.empty_like(ts, dtype=float)
-    out[full] = 1.0
-    out[empty] = 0.0
-    if interior.any():
-        zb = _cut_endpoints(osc, ts[interior], cfg)
-        if decreasing:
-            if upper:
-                # cut [0, b]: complement (b, 1], so 1 - max(0, 1 - F_upper(b))
-                vals = np.minimum(1.0, pbox.upper(zb))
-            else:
-                vals = pbox.lower(zb)
-        else:
-            if upper:
-                # cut [b, 1]: complement [0, b), so 1 - F_lower(b-)
-                vals = 1.0 - pbox.lower.left_limit(zb)
-            else:
-                vals = np.maximum(0.0, 1.0 - pbox.upper(zb))
-        out[interior] = np.clip(vals, 0.0, 1.0)
-    return out
+        cells = len(osc.knots)
+    else:
+        cells = cfg.cut_grid + 1 if osc.monotonicity == GENERAL else 1
+    n = len(ts)
+    step = max(1, _CUT_BATCH_CELLS // cells)
+    if n > step:
+        return np.concatenate([_batch_cut_probs(pbox, osc, ts[i:i + step], upper, cfg)
+                               for i in range(0, n, step)])
+    level, a, b = _cut_components(osc, ts, cfg)
+    return _component_probs(pbox, n, level, a, b, upper)
 
 
 def _assert_monotone_integrand(rises: np.ndarray):

@@ -323,22 +323,20 @@ def _cmd_table(args) -> int:
         if query is None:
             raise ValidationError("no expectation query to take an integrand from")
     upper = query.kind != "expectation_lower"
-    cut_prob = _choquet._upper_cut_prob if upper else _choquet._lower_cut_prob
     pbox = query.pbox_override or scenario.pbox
 
-    def probe(t: float) -> float:
-        return cut_prob(pbox, query.oscillation, t, cfg)
+    def integrand(ts: np.ndarray) -> np.ndarray:
+        return _choquet._batch_cut_probs(pbox, query.oscillation, ts, upper, cfg)
 
     lo = query.oscillation.inf_value
     hi = query.oscillation.sup_value
     if not np.isfinite(hi):
-        # truncate where the quadrature does, from the same batched integrand
-        hi, _ = _choquet._span_doubling(
-            lambda ts: _choquet._batch_cut_probs(pbox, query.oscillation, ts, upper, cfg),
-            lo, cfg.tail_tol)
+        # truncate where the quadrature does, from the same integrand
+        hi, _ = _choquet._span_doubling(integrand, lo, cfg.tail_tol)
+    ts = np.linspace(lo, hi, grid)
     print("t,integrand")
-    for t in np.linspace(lo, hi, grid):
-        print(f"{_fmt(float(t))},{_fmt(probe(float(t)))}")
+    for t, g in zip(ts.tolist(), integrand(ts).tolist()):
+        print(f"{_fmt(t)},{_fmt(g)}")
     return 0
 
 
@@ -446,7 +444,7 @@ def _add_quadrature_flags(sub) -> None:
     sub.add_argument("--tail-tol", type=float, default=None,
                      help="tail truncation tolerance (default 1e-8)")
     sub.add_argument("--max-refine", type=int, default=None,
-                     help="maximum grid doublings (default 24)")
+                     help="maximum rounds of adaptive refinement (default 24)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -132,26 +132,57 @@ def _knot_test_boxes():
     )
 
 
+def assert_batch_matches_event(osc, ts, label):
+    """The batched cut probabilities equal the event path's at 1e-12."""
+    for box in _knot_test_boxes():
+        for upper in (False, True):
+            fast = _batch_cut_probs(box, osc, ts, upper, DEFAULT_CONFIG)
+            for t, val in zip(ts, fast):
+                cut = cut_event(osc, float(t))
+                if upper:
+                    slow = upper_prob_event(box, complement_z(cut))
+                else:
+                    slow = lower_prob_event(box, cut)
+                assert abs(val - slow) <= 1e-12, (label, upper, t)
+
+
+def knot_levels(knots, osc):
+    """Every knot value, levels across the range, and levels outside it."""
+    values = [v for _, v in knots]
+    return np.union1d(np.linspace(osc.inf_value, osc.sup_value, 37),
+                      values + [osc.inf_value - 0.1, osc.sup_value + 0.1])
+
+
 class TestKnotCutSets:
     @pytest.mark.parametrize("name", sorted(KNOT_CASES))
     def test_batch_path_matches_event_path(self, name):
         knots = KNOT_CASES[name]
         osc = piecewise_linear_oscillation(knots)
         assert osc.knots is not None
-        values = [v for _, v in knots]
-        # every knot value is one of the levels, plus levels outside the range
-        ts = np.union1d(np.linspace(osc.inf_value, osc.sup_value, 37),
-                        values + [osc.inf_value - 0.1, osc.sup_value + 0.1])
-        for box in _knot_test_boxes():
-            for upper in (False, True):
-                fast = _batch_cut_probs(box, osc, ts, upper, DEFAULT_CONFIG)
-                for t, val in zip(ts, fast):
-                    cut = cut_event(osc, float(t))
-                    if upper:
-                        slow = upper_prob_event(box, complement_z(cut))
-                    else:
-                        slow = lower_prob_event(box, cut)
-                    assert abs(val - slow) <= 1e-12, (name, upper, t)
+        assert_batch_matches_event(osc, knot_levels(knots, osc), name)
+
+    @pytest.mark.parametrize("name", sorted(KNOT_CASES))
+    def test_black_box_batch_path_matches_event_path(self, name):
+        knots = KNOT_CASES[name]
+        exact = piecewise_linear_oscillation(knots)
+        black_box = Oscillation(exact.f, exact.inf_value, exact.sup_value, GENERAL)
+        assert_batch_matches_event(black_box, knot_levels(knots, exact), name)
+
+    def test_monotone_bisection_batch_path_matches_event_path(self):
+        osc = Oscillation(lambda z: np.sqrt(np.asarray(z, float)), 0.0, 1.0, INCREASING)
+        assert osc.inverse is None and osc.knots is None
+        ts = np.linspace(-0.1, 1.1, 49)
+        assert_batch_matches_event(osc, ts, "sqrt")
+
+    def test_black_box_scan_is_batched(self):
+        counting = CountingBatch(lambda z: np.interp(z, *zip(*KNOT_CASES["double_hump"])))
+        osc = Oscillation(counting, 0.0, 1.0, GENERAL)
+        counting.calls = 0
+        ts = np.linspace(0.0, 1.0, 64)
+        _batch_cut_probs(UNIFORM_BOX, osc, ts, False, DEFAULT_CONFIG)
+        # one scan of the grid, then one call per halving of a grid cell
+        cell = 1.0 / DEFAULT_CONFIG.cut_grid
+        assert counting.calls <= 1 + math.ceil(math.log2(cell / DEFAULT_CONFIG.bisect_tol))
 
     @pytest.mark.parametrize("name", sorted(KNOT_CASES))
     def test_cut_event_is_the_exact_superlevel_set(self, name):
@@ -179,6 +210,14 @@ class TestKnotCutSets:
                 assert len(got) == len(want), (name, t)
                 for g, w in zip(got, want):
                     assert (g.lo, g.hi) == pytest.approx((w.lo, w.hi), abs=1e-9)
+
+    def test_bisection_stops_at_float_resolution(self):
+        exact = piecewise_linear_oscillation(KNOT_CASES["tent"])
+        black_box = Oscillation(exact.f, exact.inf_value, exact.sup_value, GENERAL)
+        # a tolerance below the float spacing ends the halving, not the loop
+        cut = cut_event(black_box, 0.3, QuadratureConfig(bisect_tol=1e-20))
+        (iv,) = cut.intervals
+        assert (iv.lo, iv.hi) == pytest.approx((0.15, 0.85), abs=1e-15)
 
     def test_narrow_spike_between_grid_points(self):
         spike = piecewise_linear_oscillation(
@@ -399,7 +438,7 @@ class TestStaircaseAgreement:
 
 
 class CountingBatch:
-    """A vectorised integrand that counts its batches and levels."""
+    """A vectorised callable that counts its calls and the points passed."""
 
     def __init__(self, g):
         self.g, self.calls, self.levels = g, 0, 0

@@ -1,15 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
+from pboxes.choquet import cut_event
 from pboxes.cli import CSV_HEADER, load_scenario, main, run_verify
+from pboxes.pbox import lower_prob_event, upper_prob_event
 from pboxes.scenarios import (
     BUILTIN_NAMES,
     builtin_scenario,
     diagonal_rectangle_interior,
     run_scenario,
 )
-from pboxes.preorder import EMPTY_EVENT, FULL_EVENT
+from pboxes.preorder import EMPTY_EVENT, FULL_EVENT, complement_z
 
 
 def run_cli(capsys, argv):
@@ -320,6 +323,28 @@ class TestTable:
         assert crossing < 25.0
         # monotone decay on the tabulated grid
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("name, query_id", [("oscillator", "damping_ratio_lower"),
+                                                ("dike", "overflow_upper")])
+    def test_integrand_rows_are_event_probabilities(self, capsys, name, query_id):
+        code, out, _ = run_cli(capsys, ["table", name, "--what", "integrand",
+                                        "--query", query_id])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        scenario = builtin_scenario(name)
+        query = next(q for q in scenario.queries if q.id == query_id)
+        osc, upper = query.oscillation, query.kind != "expectation_lower"
+        # the printed levels are those of an even grid up to the last one,
+        # which is the tail truncation point when the oscillation is unbounded
+        ts = np.linspace(osc.inf_value, float(rows[-1][0]), len(rows))
+        assert [t_text for t_text, _ in rows] == [f"{t:.12g}" for t in ts]
+        for t, (_, value) in zip(ts, rows):
+            cut = cut_event(osc, float(t))
+            if upper:
+                want = upper_prob_event(scenario.pbox, complement_z(cut))
+            else:
+                want = lower_prob_event(scenario.pbox, cut)
+            assert abs(float(value) - want) <= 1e-12, t
 
     def test_table_unknown_query_id(self, capsys):
         code, _, err = run_cli(capsys, ["table", "dike", "--what", "integrand",
