@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,6 +118,11 @@ class Oscillation:
             knot_zs, knot_vs = np.asarray(self.knots, dtype=float).T
             if not np.allclose(vals, np.interp(zs, knot_zs, knot_vs), rtol=0.0, atol=1e-9):
                 raise ValidationError("oscillation disagrees with its knots")
+
+    @cached_property
+    def _end_values(self) -> tuple:
+        """``(f(0), f(1))``, evaluated once."""
+        return float(self.f(0.0)), float(self.f(1.0))
 
     def _check_inverse(self, zs, vals):
         if self.monotonicity == GENERAL:
@@ -275,8 +281,7 @@ def _monotone_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig
     levels above the value at the free end cut nothing.
     """
     decreasing = osc.monotonicity == DECREASING
-    f_anchor = float(osc.f(1.0 if decreasing else 0.0))
-    f_free = float(osc.f(0.0 if decreasing else 1.0))
+    f_anchor, f_free = osc._end_values[::-1] if decreasing else osc._end_values
     # the whole space until the level passes the value at the anchor
     moving = np.full(len(ts), 1.0 if decreasing else 0.0)
     inner = (ts > f_anchor) & (ts <= f_free)
@@ -345,10 +350,9 @@ def _component_probs(pbox: PBox, n: int, level: np.ndarray, a: np.ndarray, b: np
     ``max(0, F_lower(b) - F_upper(a))``, with bottom 0 at a = 0.  The upper
     one is 1 minus the lower probability of the complement, whose pieces are
     ``[0, a_1)``, the open gaps ``(b_k, a_{k+1})`` and ``(b_n, 1]``.  The
-    CDFs are evaluated only at ends inside (0, 1); ``F_lower(1)`` is read
-    once.
+    CDFs are evaluated only at ends inside (0, 1).
     """
-    lower_one = float(pbox.lower(np.ones(1))[0])
+    lower_one = pbox.lower_at_one
     if not upper:
         top = _cdf_inside(pbox.lower, b, b < 1.0, lower_one)
         gains = np.maximum(0.0, top - _cdf_inside(pbox.upper, a, a > 0.0, 0.0))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -283,6 +284,11 @@ class PBox:
         if self.is_finite:
             return self.lower.values == self.upper.values
         return self.lower is self.upper
+
+    @cached_property
+    def lower_at_one(self) -> float:
+        """``F_lower(1)`` on the unit continuum, evaluated once."""
+        return float(self.lower(np.ones(1))[0])
 
 
 def _upper_at(pbox: PBox, x) -> float:

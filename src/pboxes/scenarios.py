@@ -24,6 +24,7 @@ from .choquet import (
     Oscillation,
     QuadratureConfig,
     QuadratureResult,
+    _bisect,
     lower_expectation,
     threshold_solve,
     upper_expectation,
@@ -262,6 +263,12 @@ DIKE_GUMBEL_SCALE = 716.0
 DIKE_RIVER_WIDTH = 300.0
 DIKE_RIVER_LENGTH = 6400.0
 DIKE_Z_MAPS = ("2|r - 1/2|", "|k - 30|/15", "|u - 55|", "|d - 50|")
+# the registered inverse resolves cut endpoints to this grid of [-1, 1]
+_DIKE_GRID_STEP = 2.0 ** -47
+# a cap: every step is below 1e-12 after about 9 on levels in (1e-9, 40]
+_DIKE_NEWTON_STEPS = 16
+# levels per Newton pass, to bound the memory of its temporaries
+_DIKE_INVERSE_CHUNK = 4096
 
 
 def dike_overflow_curve(z):
@@ -281,17 +288,60 @@ def dike_overflow_curve(z):
     return float(out) if out.ndim == 0 else out
 
 
+def _dike_newton(t: np.ndarray) -> np.ndarray:
+    """Approximate solutions z of ``dike_overflow_curve(z) = t``; NaN where none is found.
+
+    Newton steps in ``w = log(-log((1 + z) / 2))``, in which the Gumbel flow
+    ``mu - beta * w`` is linear, on the logarithm of the curve's 5/3 power,
+    starting from the flow-only inverse with the denominator taken at z = 0.
+    """
+    with np.errstate(all="ignore"):
+        rhs = (5.0 / 3.0) * np.log(t) + math.log(DIKE_RIVER_WIDTH)
+        w = (DIKE_GUMBEL_LOCATION - np.exp(rhs) * 30.0 * math.sqrt(5.0 / DIKE_RIVER_LENGTH)
+             ) / DIKE_GUMBEL_SCALE
+        for _ in range(_DIKE_NEWTON_STEPS):
+            e = np.exp(w)
+            z_plus_one = 2.0 * np.exp(-e)
+            z = z_plus_one - 1.0
+            flow = DIKE_GUMBEL_LOCATION - DIKE_GUMBEL_SCALE * w
+            g = (np.log(flow) - np.log(30.0 - 15.0 * z)
+                 - 0.5 * np.log((5.0 - 2.0 * z) / DIKE_RIVER_LENGTH) - rhs)
+            slope = (-DIKE_GUMBEL_SCALE / flow
+                     - z_plus_one * e * (15.0 / (30.0 - 15.0 * z) + 1.0 / (5.0 - 2.0 * z)))
+            step = g / slope
+            w = w - step
+            if not (np.abs(step) > 1e-12).any():
+                break
+        return 2.0 * np.exp(-np.exp(w)) - 1.0
+
+
 def _dike_curve_inverse(t):
-    """Smallest coordinate with overflow curve at least t, by bisection."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    lo = np.full(t_arr.shape, -1.0)
-    hi = np.ones(t_arr.shape)
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        inside = dike_overflow_curve(mid) >= t_arr
-        hi = np.where(inside, mid, hi)
-        lo = np.where(inside, lo, mid)
-    return hi if np.asarray(t).ndim else float(hi[0])
+    """Smallest point of the grid ``-1 + k * 2**-47`` on [-1, 1] where
+    ``dike_overflow_curve`` is at least ``t``.
+
+    Newton's method (:func:`_dike_newton`) gives a bracket of 8 grid steps
+    around the crossing, kept only where the curve is checked to cross inside
+    it; the bracket is then bisected to one grid step, in about 3 halvings.
+    A level whose bracket fails the check is bisected from all of [-1, 1],
+    in 48 halvings.  Levels go in chunks of ``_DIKE_INVERSE_CHUNK`` to bound
+    the memory of the Newton steps.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    flat = t_arr.ravel()
+    if flat.size > _DIKE_INVERSE_CHUNK:
+        z = np.concatenate([_dike_curve_inverse(flat[i:i + _DIKE_INVERSE_CHUNK])
+                            for i in range(0, flat.size, _DIKE_INVERSE_CHUNK)])
+        return z.reshape(t_arr.shape)
+    # the window is shifted, not cut, at the ends of [-1, 1]: a bracket of
+    # 2**j grid steps halves onto grid points only
+    top = 2.0 / _DIKE_GRID_STEP - 8.0
+    k = np.clip(np.rint((_dike_newton(flat) + 1.0) / _DIKE_GRID_STEP) - 4.0, 0.0, top)
+    lo = -1.0 + k * _DIKE_GRID_STEP
+    hi = lo + 8.0 * _DIKE_GRID_STEP
+    checked = (dike_overflow_curve(hi) >= flat) & (dike_overflow_curve(lo) < flat)
+    z = _bisect(dike_overflow_curve, flat, np.where(checked, lo, -1.0),
+                np.where(checked, hi, 1.0), True, _DIKE_GRID_STEP)
+    return z.reshape(t_arr.shape) if t_arr.ndim else float(z[0])
 
 
 def dike_lower_oscillation() -> Oscillation:

@@ -184,6 +184,27 @@ class TestKnotCutSets:
         cell = 1.0 / DEFAULT_CONFIG.cut_grid
         assert counting.calls <= 1 + math.ceil(math.log2(cell / DEFAULT_CONFIG.bisect_tol))
 
+    def test_fixed_values_are_read_once(self):
+        # f(0), f(1) and F_lower(1) do not depend on the levels
+        scalars, ones = [], []
+
+        def f(z):
+            if np.ndim(z) == 0:
+                scalars.append(z)
+            return np.sqrt(z)
+
+        def lower(z):
+            if np.array_equal(z, [1.0]):
+                ones.append(z)
+            return np.asarray(z, dtype=float)
+
+        box = PBox(AnalyticCdf(lower), AnalyticCdf(lambda z: np.asarray(z, dtype=float)),
+                   UNIT_INTERVAL)
+        osc = Oscillation(f, 0.0, 1.0, INCREASING)
+        for upper in (False, True, True):
+            _batch_cut_probs(box, osc, np.linspace(0.0, 1.0, 17), upper, DEFAULT_CONFIG)
+        assert (len(scalars), len(ones)) == (2, 1)
+
     @pytest.mark.parametrize("name", sorted(KNOT_CASES))
     def test_cut_event_is_the_exact_superlevel_set(self, name):
         osc = piecewise_linear_oscillation(KNOT_CASES[name])
@@ -500,12 +521,14 @@ class TestAdaptiveDarboux:
         assert rounds == doubling_rounds
         assert batch.levels <= doubling_levels / 4
 
-    @pytest.mark.parametrize("case", ["oscillator_lower", "oscillator_upper", "dike_lower"])
+    @pytest.mark.parametrize("case", ["oscillator_lower", "oscillator_upper", "dike_lower",
+                                      "dike_upper"])
     def test_brackets_nest(self, case):
         if case == "dike_lower":
-            # 1e-5 rather than 1e-6: the dike's inverse bisects every level,
-            # and 1e-6 takes seconds
-            box, osc, fine_tol = builtin_scenario("dike").pbox, dike_lower_oscillation(), 1e-5
+            box, osc, fine_tol = builtin_scenario("dike").pbox, dike_lower_oscillation(), 1e-6
+        elif case == "dike_upper":
+            # at 1e-6 the level grid reaches its cap of 2**21 before converging
+            box, osc, fine_tol = builtin_scenario("dike").pbox, dike_upper_oscillation(), 1e-5
         else:
             box, fine_tol = builtin_scenario("oscillator").pbox, 1e-6
             osc = (oscillator_lower_oscillation() if case.endswith("lower")

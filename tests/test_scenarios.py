@@ -8,6 +8,7 @@ from pboxes.choquet import QuadratureConfig, threshold_solve
 from pboxes.errors import ValidationError
 from pboxes.multivariate import INDEPENDENT, MarginalSpec, RealLinePBox, combine
 from pboxes.pbox import best_pbox_approximation, cdf_eval
+from pboxes import scenarios
 from pboxes.scenarios import (
     BUILTIN_NAMES,
     Query,
@@ -50,7 +51,63 @@ class TestOscillatorFixture:
         assert results["damping_ratio_lower"] <= results["damping_ratio_upper"]
 
 
+DIKE_GRID_STEP = 2.0 ** -47
+
+
+def bisect_48(ts):
+    """The dike inverse by 48 plain halvings of [-1, 1], the reference."""
+    lo, hi = np.full(ts.shape, -1.0), np.ones(ts.shape)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        inside = dike_overflow_curve(mid) >= ts
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
+    return hi
+
+
 class TestDikeFixture:
+    def test_inverse_contract(self):
+        # tiny levels, where the curve leaves 0 and Newton's method gives
+        # up, take the full bisection; levels above about 28 return z = 1
+        ts = np.concatenate([np.linspace(0.0, 40.0, 10_001)[1:],
+                             np.geomspace(5e-324, 40.0, 2_000)])
+        z = scenarios._dike_curve_inverse(ts)
+        assert np.array_equal(np.rint((z + 1.0) / DIKE_GRID_STEP) * DIKE_GRID_STEP - 1.0, z)
+        assert np.all(dike_overflow_curve(z) >= ts)
+        assert np.all((z == -1.0) | (dike_overflow_curve(z - DIKE_GRID_STEP) < ts))
+
+    def test_inverse_matches_reference_bisection(self, monkeypatch):
+        inverse, seen = scenarios._dike_curve_inverse, []
+
+        def recording(t):
+            seen.append(np.ravel(np.asarray(t, dtype=float)).copy())
+            return inverse(t)
+
+        monkeypatch.setattr(scenarios, "_dike_curve_inverse", recording)
+        run_scenario(builtin_scenario("dike"))
+        query_levels = np.concatenate(seen)
+        assert query_levels.size > 10_000
+        random_levels = np.random.default_rng(3).uniform(0.0, 25.0, 20_000)
+        for ts in (query_levels, random_levels):
+            assert np.array_equal(inverse(ts), bisect_48(ts))
+
+    def test_inverse_batch_needs_few_curve_calls(self, monkeypatch):
+        curve, calls = dike_overflow_curve, []
+
+        def counting(z):
+            calls.append(np.size(z))
+            return curve(z)
+
+        monkeypatch.setattr(scenarios, "dike_overflow_curve", counting)
+        scenarios._dike_curve_inverse(np.linspace(0.04, 40.0, 1_000))
+        # 48 for a bisection of all of [-1, 1]
+        assert len(calls) <= 8
+
+    def test_inverse_of_scalar_is_float(self):
+        z = scenarios._dike_curve_inverse(5.0)
+        assert isinstance(z, float)
+        assert z == bisect_48(np.array([5.0]))[0]
+
     def test_curve_landmarks(self):
         assert dike_overflow_curve(-1.0) == 0.0
         assert dike_overflow_curve(0.0) == pytest.approx(3.032, abs=1e-3)
