@@ -472,6 +472,12 @@ def _darboux(batch, a: float, b: float, cfg: QuadratureConfig):
         rounds += 1
 
 
+def _require_continuum(pbox: PBox) -> None:
+    """Refuse a finite-space p-box: cut sets and quadrature need the continuum."""
+    if pbox.is_finite:
+        raise ValidationError("use lower_expectation_finite on finite spaces")
+
+
 def lower_expectation(pbox: PBox, losc: Oscillation,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Lower expectation of a gamble given its lower oscillation.
@@ -481,8 +487,7 @@ def lower_expectation(pbox: PBox, losc: Oscillation,
     caller guarantees that ``losc`` is the per-class infimum of the target
     gamble.
     """
-    if pbox.is_finite:
-        raise ValidationError("use lower_expectation_finite on finite spaces")
+    _require_continuum(pbox)
     a, b = losc.inf_value, losc.sup_value
     if math.isinf(b):
         raise ValidationError("a lower oscillation of a bounded gamble is bounded")
@@ -502,8 +507,7 @@ def upper_expectation(pbox: PBox, uosc: Oscillation,
     integrand falls below ``cfg.tail_tol``; the truncated tail contributes
     ``tail_tol * (stop - last level above tail_tol)`` to the reported error.
     """
-    if pbox.is_finite:
-        raise ValidationError("use lower_expectation_finite on finite spaces")
+    _require_continuum(pbox)
     a, b = uosc.inf_value, uosc.sup_value
 
     def batch(ts):
@@ -573,6 +577,7 @@ def threshold_solve(pbox: PBox, uosc: Oscillation, target: float,
     ``_SECTIONS - 1`` interior levels of the bracket in one batch and keeps
     the section where the target is first met.
     """
+    _require_continuum(pbox)
     if not 0.0 < target <= 1.0:
         raise ValidationError("threshold target must lie in (0, 1]")
 

@@ -29,7 +29,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import choquet as _choquet
-from . import multivariate as _multivariate
 from . import pbox as _pbox
 from .choquet import DEFAULT_CONFIG, QuadratureConfig
 from .errors import ParseError, ToleranceError, ValidationError
@@ -53,6 +52,7 @@ from .preorder import (
     normalize,
 )
 from .scenarios import (
+    ARITH_KINDS,
     BUILTIN_NAMES,
     Query,
     Scenario,
@@ -141,7 +141,7 @@ def _oscillation_from_spec(spec):
     raise ValidationError("oscillations need 'builtin' or 'knots'")
 
 
-def _event_from_spec(query: dict, space):
+def _event_from_spec(query: dict):
     if "classes" in query:
         return ClassSubset(frozenset(int(i) for i in query["classes"]))
     if "intervals" in query:
@@ -154,7 +154,10 @@ def _pbox_from_spec(spec, space) -> PBox | None:
     if spec is None:
         return None
     if "builtin" in spec:
-        return builtin_scenario(spec["builtin"]).pbox
+        pbox = builtin_scenario(spec["builtin"]).pbox
+        if pbox is None:
+            raise ValidationError(f"builtin scenario {spec['builtin']!r} carries no p-box")
+        return pbox
     if "step" in spec:
         if not isinstance(space, FiniteQuotientSpace):
             raise ValidationError("step p-boxes need a finite space")
@@ -177,7 +180,31 @@ def _pbox_from_spec(spec, space) -> PBox | None:
     raise ValidationError(f"unrecognized p-box specification: {spec!r}")
 
 
-def _queries_from_spec(raw_queries, space) -> tuple:
+def _query(path: str, *args, **fields) -> Query:
+    """A :class:`Query` whose validation error names its field under ``path``."""
+    try:
+        return Query(*args, **fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}.{exc}") from None
+
+
+def _arith_queries(raw: dict, path: str, qid: str, kind: str) -> list:
+    """One query per point of the ``y_grid`` (ids suffixed ``_k``), or one for ``y``."""
+    x1 = _real_line_pbox(_field(raw, "x1", path, dict))
+    x2 = _real_line_pbox(_field(raw, "x2", path, dict))
+    op = _field(raw, "op", path, str, "add") if kind == "arith_op" else "add"
+    query = _query(path, qid, kind, x1=x1, x2=x2, op=op,
+                   side=_field(raw, "side", path, str, "lower"))
+    if "y_grid" not in raw:
+        return [replace(query, y=float(_field(raw, "y", path, _NUMBER)))]
+    y_grid = _field(raw, "y_grid", path, list)
+    if len(y_grid) > _choquet._MAX_GRID:
+        raise ValidationError(f"{path}.y_grid: more than {_choquet._MAX_GRID} points")
+    ys = [_expect(y, _NUMBER, f"{path}.y_grid[{k}]") for k, y in enumerate(y_grid)]
+    return [replace(query, id=f"{qid}_{k}", y=float(y)) for k, y in enumerate(ys)]
+
+
+def _queries_from_spec(raw_queries, pbox) -> tuple:
     queries = []
     for idx, raw in enumerate(raw_queries):
         path = f"queries[{idx}]"
@@ -185,38 +212,21 @@ def _queries_from_spec(raw_queries, space) -> tuple:
         kind = _field(raw, "kind", path, str)
         qid = str(raw.get("id", f"q{idx}"))
         with _malformed(path):
+            if kind in ARITH_KINDS:
+                queries.extend(_arith_queries(raw, path, qid, kind))
+                continue
+            fields = {}
             if kind in ("event_lower", "event_upper"):
-                queries.append(Query(qid, kind, event=_event_from_spec(raw, space)))
+                fields["event"] = _event_from_spec(raw)
             elif kind in ("expectation_lower", "expectation_upper", "threshold"):
-                osc = _oscillation_from_spec(_field(raw, "oscillation", path, dict))
-                target = (float(_field(raw, "target", path, _NUMBER))
-                          if kind == "threshold" else None)
-                queries.append(Query(qid, kind, oscillation=osc, target=target))
-            elif kind in ("arith_add", "arith_op"):
-                x1 = _real_line_pbox(_field(raw, "x1", path, dict))
-                x2 = _real_line_pbox(_field(raw, "x2", path, dict))
-                op = _field(raw, "op", path, str, "add") if kind == "arith_op" else "add"
-                if op not in _multivariate._PARTNERS:
-                    raise ValidationError(f"{path}.op: unknown arithmetic operation {op!r}")
-                side = _field(raw, "side", path, str, "lower")
-                if side not in ("lower", "upper"):
-                    raise ValidationError(
-                        f"{path}.side: expected 'lower' or 'upper', got {side!r}")
-                if "y_grid" in raw:
-                    y_grid = _field(raw, "y_grid", path, list)
-                    if len(y_grid) > _choquet._MAX_GRID:
-                        raise ValidationError(
-                            f"{path}.y_grid: more than {_choquet._MAX_GRID} points")
-                    ys = [_expect(y, _NUMBER, f"{path}.y_grid[{k}]")
-                          for k, y in enumerate(y_grid)]
-                else:
-                    ys = [_field(raw, "y", path, _NUMBER)]
-                for k, y in enumerate(ys):
-                    suffix = f"_{k}" if "y_grid" in raw else ""
-                    queries.append(Query(qid + suffix, kind, x1=x1, x2=x2, op=op,
-                                         y=float(y), side=side))
-            else:
-                raise ValidationError(f"unknown query kind {kind!r}")
+                fields["oscillation"] = _oscillation_from_spec(
+                    _field(raw, "oscillation", path, dict))
+                if kind == "threshold":
+                    fields["target"] = float(_field(raw, "target", path, _NUMBER))
+            # each of these kinds asks about the document's p-box
+            if fields and pbox is None:
+                raise ParseError("pbox: missing")
+            queries.append(_query(path, qid, kind, pbox, **fields))
     return tuple(queries)
 
 
@@ -243,34 +253,32 @@ def load_scenario(path: str):
         _expect(pbox_spec, dict, "pbox")
     with _malformed("pbox"):
         pbox = _pbox_from_spec(pbox_spec, space)
-    queries = _queries_from_spec(_field(doc, "queries", "", list, []), space)
+    queries = _queries_from_spec(_field(doc, "queries", "", list, []), pbox)
     raw_cfg = _field(doc, "config", "", dict, {})
     known = {key: _field(raw_cfg, key, "config", types)
              for key, types in _CONFIG_FIELDS.items() if key in raw_cfg}
     cfg = replace(DEFAULT_CONFIG, **known) if known else DEFAULT_CONFIG
-    name = doc.get("name", path)
-    return Scenario(str(name), pbox, queries), cfg
+    return Scenario(str(doc.get("name", path)), pbox, queries), cfg
 
 
 def _merge_config(cfg: QuadratureConfig, args) -> QuadratureConfig:
-    overrides = {}
-    if getattr(args, "tol", None) is not None:
-        overrides["abs_tol"] = args.tol
-    if getattr(args, "tail_tol", None) is not None:
-        overrides["tail_tol"] = args.tail_tol
-    if getattr(args, "max_refine", None) is not None:
-        overrides["max_refinements"] = args.max_refine
+    flags = {"abs_tol": args.tol, "tail_tol": args.tail_tol,
+             "max_refinements": args.max_refine}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _emit_scenario(scenario: Scenario, cfg: QuadratureConfig, out) -> None:
-    print(CSV_HEADER, file=out)
+def _emit_scenario(scenario: Scenario, cfg: QuadratureConfig, args) -> int:
+    """Run every query under ``cfg`` and the command-line overrides, CSV out."""
+    cfg = _merge_config(cfg, args)
+    print(CSV_HEADER)
     for query in scenario.queries:
         start = time.perf_counter()
-        result = run_query(scenario, query, cfg)
+        result = run_query(query, cfg)
         elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
         print(f"{result.id},{result.kind},{_fmt(result.value)},"
-              f"{_fmt(result.error_bound)},{elapsed_ms}", file=out)
+              f"{_fmt(result.error_bound)},{elapsed_ms}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +286,11 @@ def _emit_scenario(scenario: Scenario, cfg: QuadratureConfig, out) -> None:
 
 
 def _cmd_infer(args) -> int:
-    scenario, cfg = load_scenario(args.file)
-    _emit_scenario(scenario, _merge_config(cfg, args), sys.stdout)
-    return 0
+    return _emit_scenario(*load_scenario(args.file), args)
 
 
 def _cmd_paper(args) -> int:
-    scenario = builtin_scenario(args.name)
-    _emit_scenario(scenario, _merge_config(DEFAULT_CONFIG, args), sys.stdout)
-    return 0
-
-
-def _scenario_from_source(source: str):
-    if source in BUILTIN_NAMES:
-        return builtin_scenario(source), DEFAULT_CONFIG
-    return load_scenario(source)
+    return _emit_scenario(builtin_scenario(args.name), DEFAULT_CONFIG, args)
 
 
 def _cmd_table(args) -> int:
@@ -301,35 +299,40 @@ def _cmd_table(args) -> int:
         raise ValidationError("table grids need at least two points")
     if grid > _choquet._MAX_GRID:
         raise ValidationError(f"table grids above {_choquet._MAX_GRID} points are not supported")
-    scenario, cfg = _scenario_from_source(args.source)
+    if args.source in BUILTIN_NAMES:
+        scenario, cfg = builtin_scenario(args.source), DEFAULT_CONFIG
+    else:
+        scenario, cfg = load_scenario(args.source)
     cfg = _merge_config(cfg, args)
-    if scenario.pbox is None:
+    pbox = scenario.pbox
+    if pbox is None:
         raise ValidationError(f"scenario {scenario.name!r} carries no p-box to tabulate")
     if args.what == "cdf":
-        print("z,lower,upper")
-        for z in np.linspace(0.0, 1.0, grid):
-            print(f"{_fmt(float(z))},{_fmt(float(scenario.pbox.lower(z)))},"
-                  f"{_fmt(float(scenario.pbox.upper(z)))}")
+        # a finite p-box has one row per class index; the grid is for [0, 1]
+        if pbox.is_finite:
+            print("class,lower,upper")
+            points = range(pbox.space.size)
+        else:
+            print("z,lower,upper")
+            points = np.linspace(0.0, 1.0, grid)
+        for x in points:
+            print(f"{_fmt(float(x))},{_fmt(float(pbox.lower(x)))},"
+                  f"{_fmt(float(pbox.upper(x)))}")
         return 0
     integrand_kinds = ("expectation_lower", "expectation_upper", "threshold")
-    if args.query is not None:
-        query = next((q for q in scenario.queries
-                      if q.id == args.query and q.kind in integrand_kinds), None)
-        if query is None:
-            raise ValidationError(
-                f"no expectation query with id {args.query!r} in {scenario.name!r}")
-    else:
-        query = next((q for q in scenario.queries if q.kind in integrand_kinds), None)
-        if query is None:
-            raise ValidationError("no expectation query to take an integrand from")
+    query = next((q for q in scenario.queries
+                  if q.kind in integrand_kinds and args.query in (None, q.id)), None)
+    if query is None:
+        raise ValidationError(
+            "no expectation query to take an integrand from" if args.query is None
+            else f"no expectation query with id {args.query!r} in {scenario.name!r}")
+    _choquet._require_continuum(query.pbox)
     upper = query.kind != "expectation_lower"
-    pbox = query.pbox_override or scenario.pbox
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        return _choquet._batch_cut_probs(pbox, query.oscillation, ts, upper, cfg)
+        return _choquet._batch_cut_probs(query.pbox, query.oscillation, ts, upper, cfg)
 
-    lo = query.oscillation.inf_value
-    hi = query.oscillation.sup_value
+    lo, hi = query.oscillation.inf_value, query.oscillation.sup_value
     if not np.isfinite(hi):
         # truncate where the quadrature does, from the same integrand
         hi, _ = _choquet._span_doubling(integrand, lo, cfg.tail_tol)

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf
-from .preorder import UNIT_INTERVAL
+from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf
+from .preorder import UNIT_INTERVAL, FiniteQuotientSpace, UnitInterval
 
 __all__ = [
     "MarginalSpec",
@@ -50,15 +50,23 @@ class MarginalSpec:
     ``z_map`` is a human-readable description of the surjective mapping from
     the factor space onto [0, 1]; the CDFs are functions of that coordinate.
     The mapping itself never enters the joint computation, only its CDFs do.
+    A finite factor takes a pair of step CDFs, one value per class.
     """
 
-    lower: PiecewiseLinearCdf | AnalyticCdf
-    upper: PiecewiseLinearCdf | AnalyticCdf
+    lower: StepCdf | PiecewiseLinearCdf | AnalyticCdf
+    upper: StepCdf | PiecewiseLinearCdf | AnalyticCdf
     z_map: str = ""
 
     def __post_init__(self):
         # delegate the pair validation (ordering, monotonicity, top value)
-        PBox(self.lower, self.upper, UNIT_INTERVAL, validation_grid=512)
+        PBox(self.lower, self.upper, self.space, validation_grid=512)
+
+    @property
+    def space(self) -> FiniteQuotientSpace | UnitInterval:
+        """The class indices of a step pair; otherwise [0, 1]."""
+        if isinstance(self.lower, StepCdf):
+            return FiniteQuotientSpace(tuple(range(self.lower.size)))
+        return UNIT_INTERVAL
 
 
 @dataclass(frozen=True)
@@ -88,14 +96,10 @@ class CombinationRule:
         hi = np.array([float(self.u(list(p))) for p in points])
         if np.any(lo > hi + 1e-12):
             raise ValidationError(f"rule {self.name!r} has ell above u on the grid")
-        step = steps[1] - steps[0]
+        # a step along an axis of the grid is a step in that argument
         for axis in range(arity):
-            for p, v_lo, v_hi in zip(points, lo, hi):
-                if p[axis] + step > 1.0 + 1e-12:
-                    continue
-                q = p.copy()
-                q[axis] += step
-                if float(self.ell(list(q))) < v_lo - 1e-12 or float(self.u(list(q))) < v_hi - 1e-12:
+            for values in (lo, hi):
+                if np.any(np.diff(values.reshape(grids[0].shape), axis=axis) < -1e-12):
                     raise ValidationError(
                         f"rule {self.name!r} is not monotone in argument {axis}")
 
@@ -122,38 +126,37 @@ FRECHET = CombinationRule("frechet", _frechet_lower, _frechet_upper)
 INDEPENDENT = CombinationRule("independence", _product, _product)
 
 
+def _joint_cdf(cdfs: list, combiner: Callable, name: str):
+    """``combiner`` of the marginal CDFs, class by class or point by point."""
+    if isinstance(cdfs[0], StepCdf):
+        return StepCdf(tuple(combiner([np.array(cdf.values) for cdf in cdfs])))
+    continuous = all(getattr(cdf, "continuous", True) for cdf in cdfs)
+    left = None if continuous else (lambda z: combiner([cdf.left_limit(z) for cdf in cdfs]))
+    return AnalyticCdf(lambda z: combiner([cdf(z) for cdf in cdfs]), left,
+                       continuous=continuous, name=name)
+
+
 def combine(marginals: Sequence[MarginalSpec], rule: CombinationRule) -> PBox:
     """Joint p-box of the max-aggregated coordinate under a combination rule.
 
     The joint lower CDF is ``ell`` of the marginal lower CDFs evaluated at
     the same coordinate, and likewise for the upper; this is the tightest
     p-box whose inferences are dominated by the combined marginal model.
+
+    Finite marginals, step CDFs with a common number n of classes, give a
+    joint on n classes: joint class k holds the points whose largest
+    marginal class index is k, and the rule applies class by class.  So the
+    bottom joint class is the product of the marginals' bottom classes.
     """
     if len(marginals) < 2:
         raise ValidationError("combine needs at least two marginals")
     rule.validate(len(marginals))
-    lowers = [m.lower for m in marginals]
-    uppers = [m.upper for m in marginals]
-
-    def joint_lower(z):
-        return rule.ell([cdf(z) for cdf in lowers])
-
-    def joint_upper(z):
-        return rule.u([cdf(z) for cdf in uppers])
-
-    continuous = all(getattr(cdf, "continuous", True) for cdf in lowers + uppers)
-
-    def joint_lower_left(z):
-        return rule.ell([cdf.left_limit(z) for cdf in lowers])
-
-    def joint_upper_left(z):
-        return rule.u([cdf.left_limit(z) for cdf in uppers])
-
-    lower = AnalyticCdf(joint_lower, None if continuous else joint_lower_left,
-                        continuous=continuous, name=f"{rule.name}-lower")
-    upper = AnalyticCdf(joint_upper, None if continuous else joint_upper_left,
-                        continuous=continuous, name=f"{rule.name}-upper")
-    return PBox(lower, upper, UNIT_INTERVAL, validation_grid=2048)
+    spaces = {m.space for m in marginals}
+    if len(spaces) != 1:
+        raise ValidationError("finite marginals need step CDFs with the same number of classes")
+    return PBox(_joint_cdf([m.lower for m in marginals], rule.ell, f"{rule.name}-lower"),
+                _joint_cdf([m.upper for m in marginals], rule.u, f"{rule.name}-upper"),
+                spaces.pop(), validation_grid=2048)
 
 
 def sublevel_box_lower(joint: PBox, levels: Sequence[float]) -> float:

@@ -140,10 +140,6 @@ class ZInterval:
     def is_empty(self) -> bool:
         return self.lo == self.hi and (self.lo_open or self.hi_open)
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi and not (self.lo_open or self.hi_open)
-
     def __contains__(self, z: float) -> bool:
         if z < self.lo or (z == self.lo and self.lo_open):
             return False

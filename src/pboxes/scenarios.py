@@ -1,18 +1,19 @@
 """Built-in scenario fixtures and the query executor behind the CLI.
 
-Each builtin bundles a p-box, the closed-form oscillations and inverses of
-its target quantity, and a fixed query list, so the two engineering case
-studies (a damped oscillator's damping ratio, a river dike's overflow
-height) and the finite worked examples can be reproduced by name.  Fixture
-constants are asserted against their defining closed forms when assertions
-are enabled.
+Every query carries the model it asks about, and :func:`run_query` sends it
+to the engine through one table from query kind to runner.  Each builtin is
+a fixed query list built from p-boxes and the closed-form oscillations and
+inverses of its target quantity, so the two engineering case studies (a
+damped oscillator's damping ratio, a river dike's overflow height) and the
+finite worked examples can be reproduced by name.  The joint examples build
+finite product models with :func:`combine`.  Fixture constants are asserted
+against their defining closed forms when assertions are enabled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .choquet import (
 )
 from .errors import ValidationError
 from .multivariate import (
+    _PARTNERS,
     FRECHET,
     INDEPENDENT,
     MarginalSpec,
@@ -78,10 +80,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Query:
-    """One inference request against a scenario's model."""
+    """One inference request, bound to its model: ``pbox`` for events,
+    expectations and thresholds, ``x1`` and ``x2`` for arithmetic.  Building
+    it checks the kind, ``side`` and ``op``; an error starts with the field."""
 
     id: str
     kind: str
+    pbox: PBox | None = None
     event: object = None
     oscillation: Oscillation | None = None
     target: float | None = None
@@ -90,13 +95,21 @@ class Query:
     op: str = "add"
     y: float | None = None
     side: str = "lower"
-    pbox_override: PBox | None = None
-    value_fn: Callable | None = None
+
+    def __post_init__(self):
+        if self.kind not in _RUNNERS:
+            raise ValidationError(f"kind: unknown query kind {self.kind!r}")
+        if self.op not in _PARTNERS:
+            raise ValidationError(f"op: unknown arithmetic operation {self.op!r}")
+        if self.side not in ("lower", "upper"):
+            raise ValidationError(f"side: expected 'lower' or 'upper', got {self.side!r}")
+        if self.pbox is None and self.kind not in ARITH_KINDS:
+            raise ValidationError(f"pbox: a {self.kind} query needs a p-box")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A model plus the queries to run against it."""
+    """Queries run together, and the model ``table`` tabulates (if any)."""
 
     name: str
     pbox: PBox | None
@@ -112,43 +125,42 @@ class QueryResult:
     error_bound: float
 
 
-QUERY_KINDS = ("event_lower", "event_upper", "expectation_lower",
-               "expectation_upper", "threshold", "arith_add", "arith_op")
+ARITH_KINDS = ("arith_add", "arith_op")
 
 
-def run_query(scenario: Scenario, query: Query,
-              cfg: QuadratureConfig = DEFAULT_CONFIG) -> QueryResult:
+def _bracket(res: QuadratureResult) -> tuple:
+    return res.value, res.error_bound
+
+
+def _arith(q: Query, cfg: QuadratureConfig) -> tuple:
+    lower, upper = prob_arith_transform(q.op, q.x1, q.x2, q.y)
+    return (lower if q.side == "lower" else upper), 0.0
+
+
+# kind -> runner(query, cfg) -> (value, error bound).  The runners call the
+# engine through this module's names at call time, so rebinding one of them
+# (as a tracer does) reaches every query.
+_RUNNERS = {
+    "event_lower": lambda q, cfg: (lower_prob_event(q.pbox, q.event), 0.0),
+    "event_upper": lambda q, cfg: (upper_prob_event(q.pbox, q.event), 0.0),
+    "expectation_lower": lambda q, cfg: _bracket(lower_expectation(q.pbox, q.oscillation, cfg)),
+    "expectation_upper": lambda q, cfg: _bracket(upper_expectation(q.pbox, q.oscillation, cfg)),
+    "threshold": lambda q, cfg: (threshold_solve(q.pbox, q.oscillation, q.target, cfg),
+                                 cfg.bisect_tol),
+    "arith_add": _arith,
+    "arith_op": _arith,
+}
+
+
+def run_query(query: Query, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QueryResult:
     """Evaluate a single query; the error bound is 0 for exact computations."""
-    if query.kind not in QUERY_KINDS:
-        raise ValidationError(f"unknown query kind {query.kind!r}")
-    if query.value_fn is not None:
-        return QueryResult(query.id, query.kind, float(query.value_fn()), 0.0)
-    pbox = query.pbox_override or scenario.pbox
-    if query.kind == "event_lower":
-        return QueryResult(query.id, query.kind,
-                           lower_prob_event(pbox, query.event), 0.0)
-    if query.kind == "event_upper":
-        return QueryResult(query.id, query.kind,
-                           upper_prob_event(pbox, query.event), 0.0)
-    if query.kind == "expectation_lower":
-        res = lower_expectation(pbox, query.oscillation, cfg)
-        return QueryResult(query.id, query.kind, res.value, res.error_bound)
-    if query.kind == "expectation_upper":
-        res = upper_expectation(pbox, query.oscillation, cfg)
-        return QueryResult(query.id, query.kind, res.value, res.error_bound)
-    if query.kind == "threshold":
-        value = threshold_solve(pbox, query.oscillation, query.target, cfg)
-        return QueryResult(query.id, query.kind, value, cfg.bisect_tol)
-    if query.side not in ("lower", "upper"):
-        raise ValidationError(f"side must be 'lower' or 'upper', got {query.side!r}")
-    lower, upper = prob_arith_transform(query.op, query.x1, query.x2, query.y)
-    return QueryResult(query.id, query.kind,
-                       lower if query.side == "lower" else upper, 0.0)
+    value, error_bound = _RUNNERS[query.kind](query, cfg)
+    return QueryResult(query.id, query.kind, value, error_bound)
 
 
 def run_scenario(scenario: Scenario,
                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    return [run_query(scenario, q, cfg) for q in scenario.queries]
+    return [run_query(q, cfg) for q in scenario.queries]
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +194,16 @@ _NAMED_CDFS = {
 }
 
 
+def _build(registry: dict, name: str, what: str):
+    """``registry[name]()``; an unknown name is a validation error."""
+    if name not in registry:
+        raise ValidationError(
+            f"unknown {what} {name!r}; choose from {', '.join(sorted(registry))}")
+    return registry[name]()
+
+
 def named_cdf(name: str) -> AnalyticCdf:
-    try:
-        return _NAMED_CDFS[name]()
-    except KeyError:
-        raise ValidationError(f"unknown analytic CDF {name!r}") from None
+    return _build(_NAMED_CDFS, name, "analytic CDF")
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +262,9 @@ def _oscillator_scenario() -> Scenario:
     ]
     joint = combine(marginals, INDEPENDENT)
     queries = (
-        Query("damping_ratio_lower", "expectation_lower",
+        Query("damping_ratio_lower", "expectation_lower", joint,
               oscillation=oscillator_lower_oscillation()),
-        Query("damping_ratio_upper", "expectation_upper",
+        Query("damping_ratio_upper", "expectation_upper", joint,
               oscillation=oscillator_upper_oscillation()),
     )
     return Scenario("oscillator", joint, queries,
@@ -384,10 +401,10 @@ def _dike_scenario() -> Scenario:
         assert np.max(np.abs(joint.lower(zs) - _dike_frechet_lower(zs))) < 1e-12
     upper_osc = dike_upper_oscillation()
     queries = (
-        Query("overflow_lower", "expectation_lower",
+        Query("overflow_lower", "expectation_lower", joint,
               oscillation=dike_lower_oscillation()),
-        Query("overflow_upper", "expectation_upper", oscillation=upper_osc),
-        Query("design_height_p01", "threshold", oscillation=upper_osc,
+        Query("overflow_upper", "expectation_upper", joint, oscillation=upper_osc),
+        Query("design_height_p01", "threshold", joint, oscillation=upper_osc,
               target=0.01),
     )
     return Scenario("dike", joint, queries,
@@ -417,12 +434,10 @@ def _ordering_scenario() -> Scenario:
     for mask in range(32):
         members = frozenset(i for i in range(5) if mask & (1 << i))
         tag = "".join(str(i) for i in sorted(members)) or "empty"
-        queries.append(Query(f"coarse_{tag}", "event_lower",
-                             event=_interior_subset(coarse_partition, members),
-                             pbox_override=coarse))
-        queries.append(Query(f"fine_{tag}", "event_lower",
-                             event=_interior_subset(fine_partition, members),
-                             pbox_override=fine))
+        queries.append(Query(f"coarse_{tag}", "event_lower", coarse,
+                             event=_interior_subset(coarse_partition, members)))
+        queries.append(Query(f"fine_{tag}", "event_lower", fine,
+                             event=_interior_subset(fine_partition, members)))
     return Scenario("example_ordering", fine, tuple(queries),
                     "the same degenerate CDF under two preorders")
 
@@ -433,11 +448,11 @@ def _field_nonunique_scenario() -> Scenario:
     box = PBox(lower, upper, UNIT_INTERVAL)
     piece = normalize([ZInterval.left_open(0.5, 0.6)])
     queries = (
-        Query("natural_extension", "event_lower", event=piece),
-        Query("precise_lower_cdf", "event_lower", event=piece,
-              pbox_override=PBox(lower, lower, UNIT_INTERVAL)),
-        Query("precise_upper_cdf", "event_lower", event=piece,
-              pbox_override=PBox(upper, upper, UNIT_INTERVAL)),
+        Query("natural_extension", "event_lower", box, event=piece),
+        Query("precise_lower_cdf", "event_lower", PBox(lower, lower, UNIT_INTERVAL),
+              event=piece),
+        Query("precise_upper_cdf", "event_lower", PBox(upper, upper, UNIT_INTERVAL),
+              event=piece),
     )
     return Scenario("example_field_nonunique", box, queries,
                     "the envelope of two precise models is not the p-box value")
@@ -448,22 +463,28 @@ def _two_class_pbox(lower_first: float, upper_first: float) -> PBox:
     return PBox(StepCdf((lower_first, 1.0)), StepCdf((upper_first, 1.0)), space)
 
 
+def _joint(rule, boxes, firsts) -> PBox:
+    """Max-coordinate joint of two-class marginals, each listing its class
+    ``first`` first (the top class's probability lies in ``[1 - upper(0),
+    1 - lower(0)]``): its bottom class is the product of those classes."""
+    return combine([MarginalSpec(box.lower, box.upper) if first == 0 else
+                    MarginalSpec(StepCdf((1.0 - box.upper(0), 1.0)),
+                                 StepCdf((1.0 - box.lower(0), 1.0)))
+                    for box, first in zip(boxes, firsts)], rule)
+
+
 def _frechet62_scenario() -> Scenario:
     m1 = _two_class_pbox(0.4, 0.6)
     m2 = _two_class_pbox(0.2, 0.3)
-    first = ClassSubset.of(0)
-    second = ClassSubset.of(1)
-    p_a = lower_prob_event(m1, first)
-    p_b = lower_prob_event(m2, second)
-    up_a_c = upper_prob_event(m1, first)      # upper prob of {high} in dim 1
-    up_b_c = upper_prob_event(m2, second)     # upper prob of {low} in dim 2
+    # A = {low} x Y and B = X x {high}: A and B meet in the bottom class of
+    # one joint, and A u B is the complement of {high} x {low}
     queries = (
-        Query("A", "event_lower", value_fn=lambda: p_a),
-        Query("B", "event_lower", value_fn=lambda: p_b),
-        Query("A_union_B", "event_lower",
-              value_fn=lambda: 1.0 - FRECHET.u([up_a_c, up_b_c])),
-        Query("A_intersect_B", "event_lower",
-              value_fn=lambda: FRECHET.ell([p_a, p_b])),
+        Query("A", "event_lower", m1, event=ClassSubset.of(0)),
+        Query("B", "event_lower", m2, event=ClassSubset.of(1)),
+        Query("A_union_B", "event_lower", _joint(FRECHET, (m1, m2), (1, 0)),
+              event=ClassSubset.of(1)),
+        Query("A_intersect_B", "event_lower", _joint(FRECHET, (m1, m2), (0, 1)),
+              event=ClassSubset.of(0)),
     )
     return Scenario("example_frechet_62", None, queries,
                     "unknown-dependence joint of two binary marginals")
@@ -472,38 +493,17 @@ def _frechet62_scenario() -> Scenario:
 def _independent63_scenario() -> Scenario:
     m1 = _two_class_pbox(0.4, 0.6)
     m2 = _two_class_pbox(0.3, 0.5)
-    p_x1 = lower_prob_event(m1, ClassSubset.of(0))
-    p_y2 = lower_prob_event(m2, ClassSubset.of(1))
-    # upper probability of a top class comes from the interior of its
-    # complement, which is the bottom class
-    up_x2 = upper_prob_event(m1, ClassSubset.of(0))
-    up_y2 = upper_prob_event(m2, ClassSubset.of(0))
-
-    # joint p-box on the max coordinate with the first classes at z = 0.5:
-    # the only joint class below the top is {(low, low)}, so the image of
-    # the interior of {(low, high)} is empty
-    def staircase(first_value):
-        def fn(z):
-            z = np.asarray(z, dtype=float)
-            return np.where(z >= 1.0, 1.0, np.where(z >= 0.5, first_value, 0.0))
-
-        def left(z):
-            z = np.asarray(z, dtype=float)
-            return np.where(z > 1.0, 1.0, np.where(z > 0.5, first_value, 0.0))
-
-        return AnalyticCdf(fn, left, continuous=False, name="two-step")
-
-    joint = combine(
-        [MarginalSpec(staircase(0.4), staircase(0.6)),
-         MarginalSpec(staircase(0.3), staircase(0.5))],
-        INDEPENDENT)
+    # the joint in the classes' own order: its bottom class is
+    # {(low, low)}, so {(low, high)} contains no joint class
+    joint = _joint(INDEPENDENT, (m1, m2), (0, 0))
     queries = (
-        Query("A_union_B", "event_lower",
-              value_fn=lambda: 1.0 - INDEPENDENT.u([up_x2, up_y2])),
-        Query("A_intersect_B", "event_lower",
-              value_fn=lambda: INDEPENDENT.ell([p_x1, p_y2])),
-        Query("A_intersect_B_joint_pbox", "event_lower", event=EMPTY_EVENT,
-              pbox_override=joint),
+        # the complement of {high} x {high}
+        Query("A_union_B", "event_lower", _joint(INDEPENDENT, (m1, m2), (1, 1)),
+              event=ClassSubset.of(1)),
+        # {low} x {high}
+        Query("A_intersect_B", "event_lower", _joint(INDEPENDENT, (m1, m2), (0, 1)),
+              event=ClassSubset.of(0)),
+        Query("A_intersect_B_joint_pbox", "event_lower", joint, event=ClassSubset()),
     )
     return Scenario("example_independent_63", joint, queries,
                     "factorizing joint of two binary marginals")
@@ -530,13 +530,13 @@ def diagonal_rectangle_interior(a: float, b: float, c: float, d: float) -> ZEven
 def _diagonal_scenario() -> Scenario:
     box = PBox(named_cdf("uniform"), named_cdf("uniform"), UNIT_INTERVAL)
     queries = (
-        Query("corner_rectangle", "event_lower",
+        Query("corner_rectangle", "event_lower", box,
               event=diagonal_rectangle_interior(0.0, 0.5, 0.0, 0.7)),
-        Query("inner_rectangle", "event_lower",
+        Query("inner_rectangle", "event_lower", box,
               event=diagonal_rectangle_interior(0.2, 0.6, 0.1, 0.9)),
-        Query("upper_rectangle", "event_lower",
+        Query("upper_rectangle", "event_lower", box,
               event=diagonal_rectangle_interior(0.3, 1.0, 0.5, 1.0)),
-        Query("whole_square", "event_lower",
+        Query("whole_square", "event_lower", box,
               event=diagonal_rectangle_interior(0.0, 1.0, 0.0, 1.0)),
     )
     return Scenario("example_diagonal_46", box, queries,
@@ -557,13 +557,7 @@ BUILTIN_NAMES = tuple(sorted(_BUILTIN_BUILDERS))
 
 
 def builtin_scenario(name: str) -> Scenario:
-    try:
-        builder = _BUILTIN_BUILDERS[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown builtin scenario {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
-        ) from None
-    return builder()
+    return _build(_BUILTIN_BUILDERS, name, "builtin scenario")
 
 
 _NAMED_OSCILLATIONS = {
@@ -575,10 +569,7 @@ _NAMED_OSCILLATIONS = {
 
 
 def named_oscillation(name: str) -> Oscillation:
-    try:
-        return _NAMED_OSCILLATIONS[name]()
-    except KeyError:
-        raise ValidationError(f"unknown oscillation {name!r}") from None
+    return _build(_NAMED_OSCILLATIONS, name, "oscillation")
 
 
 def piecewise_linear_oscillation(knots) -> Oscillation:

@@ -78,6 +78,45 @@ class TestBuiltinScenarios:
         assert rows["whole_square"][1] == 1.0
 
 
+def _ordering_rows():
+    rows = []
+    for mask in range(32):
+        members = {i for i in range(5) if mask & (1 << i)}
+        tag = "".join(str(i) for i in sorted(members)) or "empty"
+        rows.append(f"coarse_{tag},event_lower,{int({2, 3, 4} <= members)},0")
+        rows.append(f"fine_{tag},event_lower,{int(2 in members)},0")
+    return rows
+
+
+# the `paper` output of the finite builtins, elapsed_ms dropped
+FINITE_BUILTIN_ROWS = {
+    "example_ordering": _ordering_rows(),
+    "example_field_nonunique": ["natural_extension,event_lower,0,0",
+                                "precise_lower_cdf,event_lower,0.2,0",
+                                "precise_upper_cdf,event_lower,0.1,0"],
+    "example_frechet_62": ["A,event_lower,0.4,0",
+                           "B,event_lower,0.7,0",
+                           "A_union_B,event_lower,0.7,0",
+                           "A_intersect_B,event_lower,0.1,0"],
+    "example_independent_63": ["A_union_B,event_lower,0.58,0",
+                               "A_intersect_B,event_lower,0.2,0",
+                               "A_intersect_B_joint_pbox,event_lower,0,0"],
+    "example_diagonal_46": ["corner_rectangle,event_lower,0.25,0",
+                            "inner_rectangle,event_lower,0,0",
+                            "upper_rectangle,event_lower,0.25,0",
+                            "whole_square,event_lower,1,0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_BUILTIN_ROWS))
+def test_finite_builtin_output_pinned(capsys, name):
+    code, out, _ = run_cli(capsys, ["paper", name])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == FINITE_BUILTIN_ROWS[name]
+
+
 class TestDiagonalInterior:
     def test_whole_square(self):
         assert diagonal_rectangle_interior(0, 1, 0, 1) == FULL_EVENT
@@ -268,6 +307,31 @@ class TestInfer:
         assert code == 0
         assert len(csv_rows(out)) == 4
 
+    @pytest.mark.parametrize("query", [
+        {"id": "e", "kind": "event_lower", "intervals": [[0.0, 0.5, False, False]]},
+        {"id": "x", "kind": "expectation_lower", "oscillation": {"builtin": "dike_lower"}},
+        {"id": "t", "kind": "threshold", "target": 0.5,
+         "oscillation": {"builtin": "dike_upper"}},
+    ])
+    def test_missing_pbox_exit_2(self, tmp_path, capsys, query):
+        doc = {"queries": [{"id": "a", "kind": "arith_add", "y": 0.5,
+                            "x1": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
+                            "x2": {"lower": [[0.0, 0.0], [1.0, 1.0]]}}, query]}
+        path = tmp_path / "no_pbox.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 2
+        assert "pbox: missing" in err and out == ""
+
+    def test_finite_threshold_exit_3(self, tmp_path, capsys):
+        doc = dict(SCENARIO_DOC, queries=[{"id": "t", "kind": "threshold", "target": 0.5,
+                                           "oscillation": {"builtin": "dike_upper"}}])
+        path = tmp_path / "finite_threshold.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3
+        assert "use lower_expectation_finite on finite spaces" in err
+
     def test_empty_query_list_header_only(self, tmp_path, capsys):
         doc = {"space": {"type": "continuum"},
                "pbox": {"analytic": {"lower": "uniform", "upper": "uniform"}},
@@ -357,6 +421,34 @@ class TestTable:
         assert code == 3
         assert "grid" in err and out == ""
 
+    def test_finite_cdf_rows_per_class(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(SCENARIO_DOC))
+        # the grid is for [0, 1] and plays no part on a finite space
+        code, out, _ = run_cli(capsys, ["table", str(path), "--what", "cdf", "--grid", "7"])
+        assert code == 0
+        assert out.splitlines() == ["class,lower,upper", "0,0.2,0.4", "1,0.5,0.9", "2,1,1"]
+
+    def test_finite_builtin_cdf(self, capsys):
+        code, out, _ = run_cli(capsys, ["table", "example_ordering"])
+        assert code == 0
+        assert out.splitlines() == ["class,lower,upper", "0,0,0", "1,0,0", "2,1,1",
+                                    "3,1,1", "4,1,1"]
+
+    def test_independent_63_joint_is_finite(self, capsys):
+        code, out, _ = run_cli(capsys, ["table", "example_independent_63"])
+        assert code == 0
+        assert out.splitlines() == ["class,lower,upper", "0,0.12,0.3", "1,1,1"]
+
+    def test_finite_integrand_exit_3(self, tmp_path, capsys):
+        doc = dict(SCENARIO_DOC, queries=[{"id": "x", "kind": "expectation_lower",
+                                           "oscillation": {"knots": [[0.0, 0.0], [1.0, 1.0]]}}])
+        path = tmp_path / "finite_expectation.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["table", str(path), "--what", "integrand"])
+        assert code == 3
+        assert "use lower_expectation_finite on finite spaces" in err and out == ""
+
     def test_table_needs_pbox(self, capsys):
         code, _, err = run_cli(capsys, ["table", "example_frechet_62"])
         assert code == 3
@@ -412,3 +504,20 @@ class TestScenarioConfig:
         scenario, _ = load_scenario(str(path))
         results = run_scenario(scenario)
         assert results[0].value == pytest.approx(0.25)
+
+    def test_builtin_pbox_reference_to_finite_joint(self, tmp_path):
+        doc = {"pbox": {"builtin": "example_independent_63"},
+               "queries": [{"id": "bottom", "kind": "event_lower", "classes": [0]}]}
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(doc))
+        scenario, _ = load_scenario(str(path))
+        assert run_scenario(scenario)[0].value == pytest.approx(0.4 * 0.3)
+
+    def test_builtin_without_pbox_exit_3(self, tmp_path, capsys):
+        doc = {"pbox": {"builtin": "example_frechet_62"},
+               "queries": [{"id": "bottom", "kind": "event_lower", "classes": [0]}]}
+        path = tmp_path / "no_model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3
+        assert "carries no p-box" in err and out == ""

@@ -19,7 +19,7 @@ from pboxes.multivariate import (
     prob_arith_transform,
     sublevel_box_lower,
 )
-from pboxes.pbox import AnalyticCdf, PiecewiseLinearCdf
+from pboxes.pbox import AnalyticCdf, PiecewiseLinearCdf, StepCdf
 from pboxes.scenarios import named_cdf
 
 UNIFORM01 = RealLinePBox.from_knots([(0.0, 0.0), (1.0, 1.0)])
@@ -65,6 +65,33 @@ class TestCombine:
     def test_needs_two_marginals(self):
         with pytest.raises(ValidationError):
             combine([MarginalSpec(named_cdf("uniform"), named_cdf("one"))], FRECHET)
+
+    def test_finite_class_counts_must_match(self):
+        two = MarginalSpec(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0)))
+        three = MarginalSpec(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.3, 0.7, 1.0)))
+        with pytest.raises(ValidationError, match="same number of classes"):
+            combine([two, three], FRECHET)
+
+    def test_finite_and_continuum_marginals_do_not_mix(self):
+        two = MarginalSpec(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0)))
+        with pytest.raises(ValidationError):
+            combine([two, MarginalSpec(named_cdf("uniform"), named_cdf("one"))], INDEPENDENT)
+
+    def test_finite_marginal_pair_validated(self):
+        with pytest.raises(ValidationError):
+            MarginalSpec(StepCdf((0.6, 1.0)), StepCdf((0.4, 1.0)))
+        with pytest.raises(ValidationError):
+            MarginalSpec(StepCdf((0.4, 1.0)), StepCdf((0.4, 0.6, 1.0)))
+        with pytest.raises(ValidationError):
+            MarginalSpec(StepCdf((0.4, 1.0)), named_cdf("one"))
+
+    def test_finite_joint_applies_rule_class_by_class(self):
+        m1 = MarginalSpec(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.3, 0.7, 1.0)))
+        m2 = MarginalSpec(StepCdf((0.1, 0.6, 1.0)), StepCdf((0.4, 0.6, 1.0)))
+        joint = combine([m1, m2], INDEPENDENT)
+        assert joint.is_finite and joint.space.size == 3
+        assert joint.lower.values == (0.2 * 0.1, 0.5 * 0.6, 1.0)
+        assert joint.upper.values == (0.3 * 0.4, 0.7 * 0.6, 1.0)
 
     def test_bound_ordering_between_rules(self):
         lowers = [named_cdf("uniform"), named_cdf("triangular_sym"), named_cdf("square")]

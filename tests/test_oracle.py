@@ -16,9 +16,10 @@ from pboxes.oracle import (
     random_credal_instance,
 )
 from pboxes.choquet import lower_expectation_finite
+from pboxes.multivariate import FRECHET, INDEPENDENT, MarginalSpec, combine
 from pboxes.oracle import _chain_vertex_min, _fraction
-from pboxes.pbox import PBox, StepCdf
-from pboxes.preorder import FiniteQuotientSpace
+from pboxes.pbox import PBox, StepCdf, lower_prob_event
+from pboxes.preorder import ClassSubset, FiniteQuotientSpace
 
 from lp_reference import credal_lp, simplex_min
 
@@ -253,3 +254,47 @@ class TestRandomInstances:
     def test_valid_by_construction(self, rng):
         for _ in range(50):
             random_credal_instance(rng, rng.randint(1, 8))
+
+
+class TestFiniteCombineAgainstCoupling:
+    """The max-coordinate joint of two binary marginals against the 2x2 LP.
+
+    Listing class ``c`` of a marginal first puts the atom with that class
+    in the bottom joint class, so the joint's bottom class is one atom of
+    the product space and its other class the complement of that atom.
+    """
+
+    @staticmethod
+    def listed_first(band, c):
+        """A binary marginal with "low"-probability band ``band``, class ``c`` first."""
+        lo, hi = band if c == 0 else (1.0 - band[1], 1.0 - band[0])
+        return MarginalSpec(StepCdf((lo, 1.0)), StepCdf((hi, 1.0)))
+
+    def bands(self, rng):
+        return [tuple(sorted((rng.random(), rng.random()))) for _ in range(2)]
+
+    def test_frechet_bottom_class_is_coupling_atom(self, rng):
+        for _ in range(25):
+            band1, band2 = self.bands(rng)
+            lp = coupling_lower_probability(band1, band2)
+            for c1 in (0, 1):
+                for c2 in (0, 1):
+                    joint = combine([self.listed_first(band1, c1),
+                                     self.listed_first(band2, c2)], FRECHET)
+                    atom = 1 << (2 * c1 + c2)
+                    bottom = lower_prob_event(joint, ClassSubset.of(0))
+                    rest = lower_prob_event(joint, ClassSubset.of(1))
+                    assert bottom == pytest.approx(lp[atom], abs=1e-12)
+                    assert rest == pytest.approx(lp[0b1111 ^ atom], abs=1e-12)
+
+    def test_independent_bottom_class_is_product(self, rng):
+        for _ in range(25):
+            band1, band2 = self.bands(rng)
+            for c1 in (0, 1):
+                for c2 in (0, 1):
+                    m1, m2 = self.listed_first(band1, c1), self.listed_first(band2, c2)
+                    joint = combine([m1, m2], INDEPENDENT)
+                    assert lower_prob_event(joint, ClassSubset.of(0)) == (
+                        m1.lower(0) * m2.lower(0))
+                    assert lower_prob_event(joint, ClassSubset.of(1)) == (
+                        1.0 - m1.upper(0) * m2.upper(0))

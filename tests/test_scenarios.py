@@ -8,11 +8,11 @@ from pboxes.choquet import QuadratureConfig, threshold_solve
 from pboxes.errors import ValidationError
 from pboxes.multivariate import INDEPENDENT, MarginalSpec, RealLinePBox, combine
 from pboxes.pbox import best_pbox_approximation, cdf_eval
+from pboxes.preorder import ClassSubset
 from pboxes import scenarios
 from pboxes.scenarios import (
     BUILTIN_NAMES,
     Query,
-    Scenario,
     builtin_scenario,
     dike_lower_oscillation,
     dike_overflow_curve,
@@ -152,10 +152,8 @@ class TestIndependentJointBound:
     def test_union_image_value_is_one_sided(self):
         scenario = builtin_scenario("example_independent_63")
         # the interior image of the union is the single bottom joint class
-        from pboxes.preorder import ZInterval, normalize
         from pboxes.pbox import lower_prob_event
-        image = normalize([ZInterval.closed(0.0, 0.5)])
-        value = lower_prob_event(scenario.pbox, image)
+        value = lower_prob_event(scenario.pbox, ClassSubset.of(0))
         assert value <= 0.58 + 1e-12
         assert value == pytest.approx(0.4 * 0.3)
 
@@ -214,11 +212,26 @@ class TestArithmeticQuery:
         return Query("a", "arith_op", x1=self.UNIFORM, x2=self.UNIFORM, y=0.5, side=side)
 
     def test_sides(self):
-        scenario = Scenario("s", None, ())
-        assert run_query(scenario, self.query("lower")).value == pytest.approx(0.0, abs=1e-12)
-        assert run_query(scenario, self.query("upper")).value == pytest.approx(0.5, abs=1e-12)
+        assert run_query(self.query("lower")).value == pytest.approx(0.0, abs=1e-12)
+        assert run_query(self.query("upper")).value == pytest.approx(0.5, abs=1e-12)
 
     def test_unknown_side_rejected(self):
-        # the file parser checks side, but a library caller builds the Query itself
+        # a library caller builds the Query itself; building it checks side
         with pytest.raises(ValidationError, match="side"):
-            run_query(Scenario("s", None, ()), self.query("lowr"))
+            self.query("lowr")
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(ValidationError, match="^op: "):
+            Query("a", "arith_op", x1=self.UNIFORM, x2=self.UNIFORM, y=0.5, op="modulo")
+
+
+class TestQueryValidation:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="^kind: "):
+            Query("q", "sorcery")
+
+    @pytest.mark.parametrize("kind", ["event_lower", "event_upper", "expectation_lower",
+                                      "expectation_upper", "threshold"])
+    def test_model_queries_need_a_pbox(self, kind):
+        with pytest.raises(ValidationError, match="^pbox: "):
+            Query("q", kind)
