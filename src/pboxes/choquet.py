@@ -10,31 +10,32 @@ adaptively: each round halves only the cells that carry a large share of the
 bracket width, until the bracket is narrower than the requested tolerance.
 
 Every cut set is represented the same way: the closed components ``[a, b]``
-of ``{osc >= t}`` for a whole batch of levels, as flat arrays.  One formula
-turns components into lower and upper probabilities.  The components are
-exact wherever the oscillation's structure allows it: from the segment
-crossings of a piecewise-linear oscillation's knots, or from a registered
-inverse.  Other declared-monotone oscillations bisect their one moving
-endpoint; black-box non-monotone ones are scanned on a grid once per batch
-and every boundary is bisected, which can miss components narrower than the
-grid spacing.
+of ``{osc >= t}`` for a whole batch of levels, as flat arrays.  The
+continuum formula of :mod:`pboxes.pbox` (``_piece_gains``) turns them into
+lower probabilities and their complements into upper ones.  They are exact
+wherever the oscillation's structure allows it: from the segment crossings
+of a piecewise-linear oscillation's knots, or from a registered inverse.
+Other declared-monotone oscillations bisect their one moving endpoint;
+black-box non-monotone ones are scanned on a grid once per batch and every
+boundary is bisected, which can miss components narrower than the grid
+spacing.
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
-expectation is an exact finite weighted sum over the sorted distinct gamble
-values.
+expectation is an exact finite sum over the sorted distinct gamble values,
+weighted by the finite formula of :func:`pboxes.pbox.lower_prob_event`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .pbox import PBox, lower_prob_event, vectorized
+from .pbox import PBox, _piece_gains, lower_prob_event, vectorized
 from .preorder import ClassSubset, ZEventSet, ZInterval, normalize
 
 __all__ = [
@@ -334,45 +335,35 @@ def _cut_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig):
     return _monotone_components(osc, ts, cfg)
 
 
-def _cdf_inside(cdf, z: np.ndarray, inside: np.ndarray, fill: float) -> np.ndarray:
-    """``cdf`` where ``inside`` holds (not called if nowhere), ``fill`` elsewhere."""
-    out = np.full(len(z), fill)
-    if inside.any():
-        out[inside] = cdf(z[inside])
-    return out
-
-
 def _component_probs(pbox: PBox, n: int, level: np.ndarray, a: np.ndarray, b: np.ndarray,
                      upper: bool) -> np.ndarray:
     """Lower (upper) probabilities of ``n`` cut sets given by their components.
 
     The lower probability of a union of closed components is the sum of
-    ``max(0, F_lower(b) - F_upper(a))``, with bottom 0 at a = 0.  The upper
-    one is 1 minus the lower probability of the complement, whose pieces are
-    ``[0, a_1)``, the open gaps ``(b_k, a_{k+1})`` and ``(b_n, 1]``.  The
-    CDFs are evaluated only at ends inside (0, 1).
+    their gains (:func:`pboxes.pbox._piece_gains`).  The upper one is 1
+    minus the lower probability of the complement, whose pieces are
+    ``[0, a_1)``, the open gaps ``(b_k, a_{k+1})`` and ``(b_n, 1]`` of each
+    level (all of ``[0, 1]`` for an empty cut), all passed in one call.
     """
-    lower_one = pbox.lower_at_one
+    m = len(a)
     if not upper:
-        top = _cdf_inside(pbox.lower, b, b < 1.0, lower_one)
-        gains = np.maximum(0.0, top - _cdf_inside(pbox.upper, a, a > 0.0, 0.0))
+        closed = np.zeros(m, dtype=bool)
+        gains = _piece_gains(pbox, a, b, closed, closed)
         return np.clip(np.bincount(level, weights=gains, minlength=n), 0.0, 1.0)
-
-    below_a = _cdf_inside(pbox.lower.left_limit, a, a > 0.0, 0.0)
-    # at b = 1 the gap above is empty: F_lower(1) - F_upper(1) reads 0 there
-    upper_b = _cdf_inside(pbox.upper, b, b < 1.0, lower_one)
-    new_level = level[1:] != level[:-1]
-    # the gap below each component: [0, a) for the first, (b_prev, a) after
-    bottom = np.zeros(len(a))
-    bottom[1:] = np.where(new_level, 0.0, upper_b[:-1])
-    gains = np.maximum(0.0, below_a - bottom)
-    total = np.bincount(level, weights=gains, minlength=n)
-    # the gap above the last component, (b_n, 1]; all of [0, 1] for an empty cut
-    last = np.ones(len(level), dtype=bool)
-    last[:-1] = new_level
-    top_gap = np.full(n, max(0.0, lower_one))
-    top_gap[level[last]] = np.maximum(0.0, lower_one - upper_b[last])
-    return 1.0 - np.clip(total + top_gap, 0.0, 1.0)
+    # first[k]: component k starts its level; first[m] stands for the next level
+    first = np.ones(m + 1, dtype=bool)
+    first[1:m] = level[1:] != level[:-1]
+    last = first[1:]
+    # the gap below each component, then per level the gap above its last one
+    lo, hi = np.zeros(m + n), np.ones(m + n)
+    lo_open, hi_open = np.zeros(m + n, dtype=bool), np.zeros(m + n, dtype=bool)
+    lo[1:m] = np.where(first[1:m], 0.0, b[:-1])
+    lo_open[:m], hi[:m], hi_open[:m] = ~first[:m], a, True
+    lo[m:][level[last]], lo_open[m:][level[last]] = b[last], True
+    gains = _piece_gains(pbox, lo, hi, lo_open, hi_open)
+    # each level sums its gaps from the bottom up
+    total = np.bincount(level, weights=gains[:m], minlength=n) + gains[m:]
+    return 1.0 - np.clip(total, 0.0, 1.0)
 
 
 def cut_event(osc: Oscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ZEventSet:
@@ -478,6 +469,34 @@ def _require_continuum(pbox: PBox) -> None:
         raise ValidationError("use lower_expectation_finite on finite spaces")
 
 
+def _integrand(pbox: PBox, osc: Oscillation, upper: bool, cfg: QuadratureConfig):
+    """The lower (upper) cut probability of ``osc`` as a batch function of
+    the level, the range ``[a, b]`` of levels it is integrated over, and the
+    width charged for the tail beyond ``b``.
+
+    An unbounded oscillation (``sup_value = inf``) is integrated up to the
+    level where the integrand falls below ``cfg.tail_tol``; the truncated
+    tail is charged ``tail_tol * (b - last level above tail_tol)``.
+    """
+    _require_continuum(pbox)
+    batch = partial(_batch_cut_probs, pbox, osc, upper=upper, cfg=cfg)
+    a, b = osc.inf_value, osc.sup_value
+    if not math.isinf(b):
+        return batch, a, b, 0.0
+    b, last_above = _span_doubling(batch, a, cfg.tail_tol)
+    return batch, a, b, cfg.tail_tol * max(b - last_above, 0.0)
+
+
+def _expectation(pbox: PBox, osc: Oscillation, upper: bool,
+                 cfg: QuadratureConfig) -> QuadratureResult:
+    """``inf + integral of the cut probability``, bracketed by :func:`_darboux`."""
+    batch, a, b, tail = _integrand(pbox, osc, upper, cfg)
+    if b <= a:
+        return QuadratureResult(a, 0.0, True)
+    mid, hw, ok, rounds = _darboux(batch, a, b, cfg)
+    return QuadratureResult(a + mid + 0.5 * tail, hw + 0.5 * tail, ok, rounds)
+
+
 def lower_expectation(pbox: PBox, losc: Oscillation,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Lower expectation of a gamble given its lower oscillation.
@@ -487,15 +506,9 @@ def lower_expectation(pbox: PBox, losc: Oscillation,
     caller guarantees that ``losc`` is the per-class infimum of the target
     gamble.
     """
-    _require_continuum(pbox)
-    a, b = losc.inf_value, losc.sup_value
-    if math.isinf(b):
+    if math.isinf(losc.sup_value):
         raise ValidationError("a lower oscillation of a bounded gamble is bounded")
-    if b <= a:
-        return QuadratureResult(a, 0.0, True)
-    mid, hw, ok, rounds = _darboux(
-        lambda ts: _batch_cut_probs(pbox, losc, ts, upper=False, cfg=cfg), a, b, cfg)
-    return QuadratureResult(a + mid, hw, ok, rounds)
+    return _expectation(pbox, losc, False, cfg)
 
 
 def upper_expectation(pbox: PBox, uosc: Oscillation,
@@ -504,25 +517,10 @@ def upper_expectation(pbox: PBox, uosc: Oscillation,
 
     Mirrors :func:`lower_expectation` through conjugacy.  An unbounded
     oscillation (``sup_value = inf``) is integrated up to the level where the
-    integrand falls below ``cfg.tail_tol``; the truncated tail contributes
-    ``tail_tol * (stop - last level above tail_tol)`` to the reported error.
+    integrand falls below ``cfg.tail_tol``, and the tail beyond it is
+    charged to the reported error (see :func:`_integrand`).
     """
-    _require_continuum(pbox)
-    a, b = uosc.inf_value, uosc.sup_value
-
-    def batch(ts):
-        return _batch_cut_probs(pbox, uosc, ts, upper=True, cfg=cfg)
-
-    if not math.isinf(b):
-        if b <= a:
-            return QuadratureResult(a, 0.0, True)
-        mid, hw, ok, rounds = _darboux(batch, a, b, cfg)
-        return QuadratureResult(a + mid, hw, ok, rounds)
-
-    t_stop, t_last_above = _span_doubling(batch, a, cfg.tail_tol)
-    mid, hw, ok, rounds = _darboux(batch, a, t_stop, cfg)
-    tail = cfg.tail_tol * max(t_stop - t_last_above, 0.0)
-    return QuadratureResult(a + mid + 0.5 * tail, hw + 0.5 * tail, ok, rounds)
+    return _expectation(pbox, uosc, True, cfg)
 
 
 def _span_doubling(batch, a: float, value: float):
@@ -580,10 +578,7 @@ def threshold_solve(pbox: PBox, uosc: Oscillation, target: float,
     _require_continuum(pbox)
     if not 0.0 < target <= 1.0:
         raise ValidationError("threshold target must lie in (0, 1]")
-
-    def prob(ts: np.ndarray) -> np.ndarray:
-        return _batch_cut_probs(pbox, uosc, ts, True, cfg)
-
+    prob = partial(_batch_cut_probs, pbox, uosc, upper=True, cfg=cfg)
     lo = uosc.inf_value
     if prob(np.array([lo]))[0] <= target:
         return lo

@@ -326,16 +326,9 @@ def _cmd_table(args) -> int:
         raise ValidationError(
             "no expectation query to take an integrand from" if args.query is None
             else f"no expectation query with id {args.query!r} in {scenario.name!r}")
-    _choquet._require_continuum(query.pbox)
-    upper = query.kind != "expectation_lower"
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        return _choquet._batch_cut_probs(query.pbox, query.oscillation, ts, upper, cfg)
-
-    lo, hi = query.oscillation.inf_value, query.oscillation.sup_value
-    if not np.isfinite(hi):
-        # truncate where the quadrature does, from the same integrand
-        hi, _ = _choquet._span_doubling(integrand, lo, cfg.tail_tol)
+    # the levels the quadrature integrates over, truncated where it truncates
+    integrand, lo, hi, _ = _choquet._integrand(
+        query.pbox, query.oscillation, query.kind != "expectation_lower", cfg)
     ts = np.linspace(lo, hi, grid)
     print("t,integrand")
     for t, g in zip(ts.tolist(), integrand(ts).tolist()):
@@ -347,24 +340,24 @@ def _cmd_table(args) -> int:
 # oracle campaign
 
 
+# random events and gambles per instance of the campaign, each checked against the LP
+_EVENTS, _GAMBLES = 10, 5
+
+
 def _instance_pbox(instance: FiniteCredalInstance) -> PBox:
     space = FiniteQuotientSpace(tuple(range(instance.n)))
     return PBox(StepCdf(tuple(float(v) for v in instance.lower_cum)),
                 StepCdf(tuple(float(v) for v in instance.upper_cum)), space)
 
 
-def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6,
-               events_per_instance: int = 10, gambles_per_instance: int = 5,
-               out=None) -> int:
-    """Full oracle campaign; returns 0 iff no violations were found.
+def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
+    """Full oracle campaign, printed to stdout; returns 0 iff no violations were found.
 
     Compares the closed-form event and expectation machinery against the
     exact credal-polytope optimum on random instances, then runs the
     structural checkers (additivity on components, complete monotonicity,
     p-box representability round trips, envelope sampling bounds).
     """
-    if out is None:
-        out = sys.stdout
     rng = random.Random(seed)
     violations = []
     lp_checks = 0
@@ -372,7 +365,7 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6,
         n = rng.randint(2, max(2, n_max))
         instance = random_credal_instance(rng, n)
         box = _instance_pbox(instance)
-        for _ in range(events_per_instance):
+        for _ in range(_EVENTS):
             mask = rng.randrange(1, 1 << n)
             subset = ClassSubset(frozenset(i for i in range(n) if mask & (1 << i)))
             formula = _pbox.lower_prob_event(box, subset)
@@ -383,7 +376,7 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6,
                 violations.append(
                     f"event mismatch: instance #{index} {_serialize(instance)} "
                     f"subset={sorted(subset.members)} formula={formula!r} lp={exact!r}")
-        for _ in range(gambles_per_instance):
+        for _ in range(_GAMBLES):
             gamble = [rng.randrange(-500, 501) / 100.0 for _ in range(n)]
             formula = _choquet.lower_expectation_finite(box, gamble)
             exact = lp_lower_expectation(instance, gamble)
@@ -403,7 +396,7 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6,
             violations.append(
                 f"additivity violation: instance #{index} {_serialize(instance)} "
                 f"{report.violations[0]}")
-    print(f"lp-agreement: {trials} instances, {lp_checks} checks", file=out)
+    print(f"lp-agreement: {trials} instances, {lp_checks} checks")
 
     structural = min(trials, 20)
     for index in range(structural):
@@ -418,12 +411,11 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6,
         if not rep.matches:
             violations.append(
                 f"representability mismatch: {_serialize(instance)} {rep.mismatches[0]}")
-    print(f"structural: {structural} instances", file=out)
+    print(f"structural: {structural} instances")
 
     for line in violations:
-        print(line, file=out)
-    print(f"RESULT: {'FAIL' if violations else 'PASS'} "
-          f"({len(violations)} violations)", file=out)
+        print(line)
+    print(f"RESULT: {'FAIL' if violations else 'PASS'} ({len(violations)} violations)")
     return 1 if violations else 0
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf
+from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf, lower_prob_field
 from .preorder import UNIT_INTERVAL, FiniteQuotientSpace, UnitInterval
 
 __all__ = [
@@ -45,17 +45,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarginalSpec:
-    """One factor of a product space: its coordinate map and CDF bounds.
+    """One factor of a product space: the CDF bounds of its coordinate.
 
-    ``z_map`` is a human-readable description of the surjective mapping from
-    the factor space onto [0, 1]; the CDFs are functions of that coordinate.
-    The mapping itself never enters the joint computation, only its CDFs do.
-    A finite factor takes a pair of step CDFs, one value per class.
+    The CDFs are functions of the coordinate of a surjective mapping from
+    the factor space onto [0, 1]; the mapping itself never enters the joint
+    computation, only its CDFs do.  A finite factor takes a pair of step
+    CDFs, one value per class.
     """
 
     lower: StepCdf | PiecewiseLinearCdf | AnalyticCdf
     upper: StepCdf | PiecewiseLinearCdf | AnalyticCdf
-    z_map: str = ""
 
     def __post_init__(self):
         # delegate the pair validation (ordering, monotonicity, top value)
@@ -159,18 +158,23 @@ def combine(marginals: Sequence[MarginalSpec], rule: CombinationRule) -> PBox:
                 spaces.pop(), validation_grid=2048)
 
 
-def sublevel_box_lower(joint: PBox, levels: Sequence[float]) -> float:
+def sublevel_box_lower(joint: PBox, levels: Sequence) -> float:
     """Lower probability of a product of marginal sublevel sets.
 
     The largest joint sublevel set inside the box sits at the smallest of
     the per-dimension levels, so the p-box (outer-approximation) value is
-    the joint lower CDF there.
+    that of the field event ``(None, min(levels)]``.  The levels are class
+    indices on a finite joint from :func:`combine`, else coordinates in [0, 1].
     """
     if not levels:
         raise ValidationError("at least one level is required")
-    if any(a < 0.0 or a > 1.0 for a in levels):
+    if joint.is_finite:
+        n = joint.space.size
+        if not all(isinstance(a, (int, np.integer)) and 0 <= a < n for a in levels):
+            raise ValidationError(f"levels of a finite joint are class indices 0 .. {n - 1}")
+    elif any(a < 0.0 or a > 1.0 for a in levels):
         raise ValidationError("levels must lie in [0, 1]")
-    return float(joint.lower(min(levels)))
+    return lower_prob_field(joint, [None, min(levels)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Cumulative distribution functions, p-boxes, and event inference.
 
 A p-box is an ordered pair of CDFs bounding an imprecisely known
-distribution.  Its least-committal extension to events is computed here in
-closed form: on a finite union of half-open pieces it is a sum of clamped
-increments, and on an arbitrary event it is the sum of those increments over
-the full components of the event's interior image (class subsets on finite
-spaces, interval unions on the unit continuum).
-
-The caller supplies the interior image of the event; this module never
-guesses interiors for raw events on the underlying space.
+distribution.  Its least-committal extension to an event is the sum, over
+the full components of the event's interior image, of
+``max(0, F_lower(top) - F_upper(predecessor of the bottom))``.  There is one
+formula per space type, both behind :func:`lower_prob_event`: on a finite
+space a scalar loop over runs of consecutive classes, each with its
+immediate predecessor; on the unit continuum :func:`_piece_gains`, one
+vectorised pass over intervals, where only 0 has a predecessor (of mass 0)
+and an open top reads the lower CDF's left limit.  The cut-set probabilities
+of :mod:`pboxes.choquet` come from the same helper, and
+:func:`lower_prob_field`, :func:`lower_prob_interval` and
+:func:`pboxes.multivariate.sublevel_box_lower` only convert their arguments
+into events.  The caller supplies the interior image of the event; this
+module never guesses interiors for raw events on the underlying space.
 """
 
 from __future__ import annotations
@@ -291,11 +296,29 @@ class PBox:
         return float(self.lower(np.ones(1))[0])
 
 
-def _upper_at(pbox: PBox, x) -> float:
-    """Upper CDF at an even endpoint; ``None`` is the below-everything sentinel."""
-    if x is None:
-        return 0.0
-    return float(pbox.upper(x))
+def _piece_gains(pbox: PBox, lo: np.ndarray, hi: np.ndarray, lo_open: np.ndarray,
+                 hi_open: np.ndarray) -> np.ndarray:
+    """``max(0, F_lower(top) - F_upper(bottom))`` for every piece of the continuum.
+
+    The pieces are subintervals of [0, 1] given by flat arrays of ends and
+    boolean arrays of their openness.  The top is ``F_lower(hi)`` at a closed
+    end and ``F_lower(hi-)`` at an open one; the bottom is ``F_upper(lo)``,
+    or 0 for a piece closed at 0.  Each CDF is called at most once, only on
+    ends whose value is not known: ``F_lower(1)`` is read once per p-box, an
+    open top 0 reads 0, and the empty ``(1, 1]`` gains 0.
+    """
+    below_one = lo < 1.0
+    masks = (~hi_open & (hi < 1.0), hi_open & (hi > 0.0),
+             np.where(lo_open, below_one, lo > 0.0))
+    # read every CDF before the gains exist, so that the two never meet in memory
+    reads = [cdf(z[where]) if where.any() else 0.0 for cdf, z, where in
+             zip((pbox.lower, pbox.lower.left_limit, pbox.upper), (hi, hi, lo), masks)]
+    one = pbox.lower_at_one
+    gains = np.where(hi_open, 0.0, one)
+    gains[masks[0]], gains[masks[1]] = reads[0], reads[1]
+    gains[masks[2]] -= reads[2]
+    gains[lo_open & ~below_one] -= one
+    return np.maximum(0.0, gains, out=gains)
 
 
 def lower_prob_field(pbox: PBox, endpoints: Sequence) -> float:
@@ -303,49 +326,42 @@ def lower_prob_field(pbox: PBox, endpoints: Sequence) -> float:
 
     ``endpoints`` is the flat ascending sequence ``x0 < x1 < ... < x_{2n+1}``
     describing ``(x0, x1] ∪ (x2, x3] ∪ ...``.  The first element may be
-    ``None`` (or -1 on finite spaces), the artificial predecessor of the
-    smallest class, so that ``(None, x]`` means the closed sublevel set.
+    ``None``, the artificial predecessor of the smallest element, so that
+    ``(None, x]`` means the closed sublevel set.  On a finite space the
+    endpoints are class indices and the sentinel may also be written -1; on
+    the continuum every other endpoint must lie in [0, 1].
 
-    Returns ``sum_k max(0, lower(x_{2k+1}) - upper(x_{2k}))``.
+    Returns ``sum_k max(0, lower(x_{2k+1}) - upper(x_{2k}))``, read off
+    :func:`lower_prob_event`: the pieces are the event's full components.
     """
     xs = list(endpoints)
     if len(xs) < 2 or len(xs) % 2 != 0:
         raise ValidationError("field events need an even number of endpoints")
-    for a, b in zip(xs, xs[1:]):
-        if a is not None and not b > a:
-            raise ValidationError("endpoints must be strictly increasing")
     if any(x is None for x in xs[1:]):
         raise ValidationError("only the first endpoint may be the sentinel")
-    total = 0.0
-    for k in range(0, len(xs), 2):
-        total += max(0.0, float(pbox.lower(xs[k + 1])) - _upper_at(pbox, xs[k]))
-    return min(max(total, 0.0), 1.0)
-
-
-def _interval_lower_continuum(pbox: PBox, iv: ZInterval) -> float:
-    if iv.is_empty:
-        raise ValidationError(f"degenerate empty interval {iv}")
-    if iv.hi_open:
-        top = cdf_left_limit(pbox.lower, iv.hi)
-    else:
-        top = float(pbox.lower(iv.hi))
-    if iv.lo_open:
-        bottom = float(pbox.upper(iv.lo))
-    elif iv.lo == 0.0:
-        # 0 is the only element of the continuum with an immediate
-        # predecessor, the artificial one carrying cumulative mass 0
-        bottom = 0.0
-    else:
-        bottom = float(pbox.upper(iv.lo))
-    return max(0.0, top - bottom)
+    if pbox.is_finite:
+        xs[0] = -1 if xs[0] is None else xs[0]
+        if not (all(isinstance(x, (int, np.integer)) for x in xs)
+                and -1 <= xs[0] and xs[-1] < pbox.space.size):
+            raise ValidationError(
+                f"finite-space endpoints are class indices -1 .. {pbox.space.size - 1}")
+    if any(a is not None and not b > a for a, b in zip(xs, xs[1:])):
+        raise ValidationError("endpoints must be strictly increasing")
+    pieces = zip(xs[::2], xs[1::2])
+    if pbox.is_finite:
+        return lower_prob_event(pbox, ClassSubset(frozenset(
+            i for a, b in pieces for i in range(a + 1, b + 1))))
+    return lower_prob_event(pbox, ZEventSet(tuple(
+        ZInterval.closed(0.0, b) if a is None else ZInterval.left_open(a, b)
+        for a, b in pieces)))
 
 
 def lower_prob_interval(pbox: PBox, interval) -> float:
-    """Lower probability of a single full interval.
+    """Lower probability of a single full interval, read off :func:`lower_prob_event`.
 
     On a finite space ``interval`` is an inclusive index range ``(a, b)``
     and every class has an immediate predecessor; on the continuum it is a
-    :class:`ZInterval` and only 0 has one.
+    non-empty :class:`ZInterval` and only 0 has one.
     """
     if pbox.is_finite:
         a, b = interval
@@ -353,29 +369,36 @@ def lower_prob_interval(pbox: PBox, interval) -> float:
             raise ValidationError("finite-space intervals are index pairs")
         if not 0 <= a <= b < pbox.space.size:
             raise ValidationError(f"index range ({a}, {b}) out of bounds")
-        return max(0.0, pbox.lower(b) - pbox.upper.left_limit(a))
+        return lower_prob_event(pbox, ClassSubset(frozenset(range(a, b + 1))))
     if not isinstance(interval, ZInterval):
         raise ValidationError("continuum intervals must be ZInterval values")
-    return _interval_lower_continuum(pbox, interval)
+    if interval.is_empty:
+        raise ValidationError(f"degenerate empty interval {interval}")
+    return lower_prob_event(pbox, ZEventSet((interval,)))
 
 
 def lower_prob_event(pbox: PBox, interior_image) -> float:
     """Lower probability of an event, given the image of its interior.
 
-    The value is the sum of :func:`lower_prob_interval` over the full
-    components of the image; the caller guarantees that the argument is the
-    image of the event's topological interior.
+    The value is the sum, over the full components of the image, of
+    ``max(0, F_lower(top) - F_upper(predecessor of the bottom))``, clamped
+    to [0, 1]; the caller guarantees that the argument is the image of the
+    event's topological interior.  A :class:`ClassSubset` of a finite space
+    is split into runs of consecutive classes, each with its immediate
+    predecessor, in a scalar loop; the intervals of a :class:`ZEventSet`
+    on the continuum go through :func:`_piece_gains` in one call.
     """
     if isinstance(interior_image, ClassSubset):
         if not pbox.is_finite:
             raise ValidationError("class subsets require a finite-space p-box")
-        runs = full_components_finite(pbox.space, interior_image)
-        total = sum(lower_prob_interval(pbox, run) for run in runs)
+        total = sum(max(0.0, pbox.lower(b) - pbox.upper.left_limit(a))
+                    for a, b in full_components_finite(pbox.space, interior_image))
     elif isinstance(interior_image, ZEventSet):
         if pbox.is_finite:
             raise ValidationError("z-events require a continuum p-box")
-        total = sum(_interval_lower_continuum(pbox, iv)
-                    for iv in interior_image.intervals)
+        ends = [(iv.lo, iv.hi, iv.lo_open, iv.hi_open) for iv in interior_image]
+        lo, hi, lo_open, hi_open = np.array(ends, dtype=float).reshape(-1, 4).T
+        total = sum(_piece_gains(pbox, lo, hi, lo_open > 0, hi_open > 0).tolist())
     else:
         raise ValidationError("events are ClassSubset or ZEventSet values")
     return min(max(total, 0.0), 1.0)

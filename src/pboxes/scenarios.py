@@ -114,7 +114,6 @@ class Scenario:
     name: str
     pbox: PBox | None
     queries: tuple
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -210,9 +209,6 @@ def named_cdf(name: str) -> AnalyticCdf:
 # damped oscillator: damping ratio of a unit-mass design at (c, k) = (2, 1),
 # coordinate Z(c, k) = max(|c - 2|, 2|k - 1|) on the region Z <= 1
 
-OSCILLATOR_DESIGN = (2.0, 1.0)
-OSCILLATOR_Z_MAPS = ("|c - 2|", "2|k - 1|")
-
 _SQRT6 = math.sqrt(6.0)
 _RATIO_INF = 1.0 / _SQRT6
 _RATIO_SUP = 3.0 / math.sqrt(2.0)
@@ -256,10 +252,7 @@ def _oscillator_scenario() -> Scenario:
         assert abs(_ratio_boundary(_RATIO_INF) - 1.0) < 1e-12
         assert abs(_ratio_boundary(1.0)) < 1e-12
         assert abs(float(oscillator_upper_oscillation().f(1.0)) - _RATIO_SUP) < 1e-12
-    marginals = [
-        MarginalSpec(named_cdf("uniform"), named_cdf("one"), z_map=OSCILLATOR_Z_MAPS[0]),
-        MarginalSpec(named_cdf("uniform"), named_cdf("one"), z_map=OSCILLATOR_Z_MAPS[1]),
-    ]
+    marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one")) for _ in range(2)]
     joint = combine(marginals, INDEPENDENT)
     queries = (
         Query("damping_ratio_lower", "expectation_lower", joint,
@@ -267,19 +260,18 @@ def _oscillator_scenario() -> Scenario:
         Query("damping_ratio_upper", "expectation_upper", joint,
               oscillation=oscillator_upper_oscillation()),
     )
-    return Scenario("oscillator", joint, queries,
-                    "independent uniform deviations of damping and stiffness")
+    return Scenario("oscillator", joint, queries)
 
 
 # ---------------------------------------------------------------------------
 # river dike: overflow height under unknown dependence between flow rate,
-# Strickler coefficient, and the two water levels
+# Strickler coefficient, and the two water levels, with deviation coordinates
+# 2|r - 1/2|, |k - 30|/15, |u - 55| and |d - 50|
 
 DIKE_GUMBEL_LOCATION = 1335.0
 DIKE_GUMBEL_SCALE = 716.0
 DIKE_RIVER_WIDTH = 300.0
 DIKE_RIVER_LENGTH = 6400.0
-DIKE_Z_MAPS = ("2|r - 1/2|", "|k - 30|/15", "|u - 55|", "|d - 50|")
 # the registered inverse resolves cut endpoints to this grid of [-1, 1]
 _DIKE_GRID_STEP = 2.0 ** -47
 # a cap: every step is below 1e-12 after about 9 on levels in (1e-9, 40]
@@ -388,11 +380,8 @@ def _dike_frechet_lower(z):
 
 
 def _dike_scenario() -> Scenario:
-    marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one"),
-                              z_map=DIKE_Z_MAPS[0])]
-    for z_map in DIKE_Z_MAPS[1:]:
-        marginals.append(MarginalSpec(named_cdf("triangular_sym"),
-                                      named_cdf("one"), z_map=z_map))
+    marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one"))]
+    marginals += [MarginalSpec(named_cdf("triangular_sym"), named_cdf("one")) for _ in range(3)]
     joint = combine(marginals, FRECHET)
     if __debug__:
         assert abs(dike_overflow_curve(0.0) - 3.0315831610902353) < 1e-9
@@ -407,8 +396,7 @@ def _dike_scenario() -> Scenario:
         Query("design_height_p01", "threshold", joint, oscillation=upper_osc,
               target=0.01),
     )
-    return Scenario("dike", joint, queries,
-                    "overflow height with unknown dependence between inputs")
+    return Scenario("dike", joint, queries)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +426,7 @@ def _ordering_scenario() -> Scenario:
                              event=_interior_subset(coarse_partition, members)))
         queries.append(Query(f"fine_{tag}", "event_lower", fine,
                              event=_interior_subset(fine_partition, members)))
-    return Scenario("example_ordering", fine, tuple(queries),
-                    "the same degenerate CDF under two preorders")
+    return Scenario("example_ordering", fine, tuple(queries))
 
 
 def _field_nonunique_scenario() -> Scenario:
@@ -454,8 +441,7 @@ def _field_nonunique_scenario() -> Scenario:
         Query("precise_upper_cdf", "event_lower", PBox(upper, upper, UNIT_INTERVAL),
               event=piece),
     )
-    return Scenario("example_field_nonunique", box, queries,
-                    "the envelope of two precise models is not the p-box value")
+    return Scenario("example_field_nonunique", box, queries)
 
 
 def _two_class_pbox(lower_first: float, upper_first: float) -> PBox:
@@ -486,8 +472,7 @@ def _frechet62_scenario() -> Scenario:
         Query("A_intersect_B", "event_lower", _joint(FRECHET, (m1, m2), (0, 1)),
               event=ClassSubset.of(0)),
     )
-    return Scenario("example_frechet_62", None, queries,
-                    "unknown-dependence joint of two binary marginals")
+    return Scenario("example_frechet_62", None, queries)
 
 
 def _independent63_scenario() -> Scenario:
@@ -505,8 +490,7 @@ def _independent63_scenario() -> Scenario:
               event=ClassSubset.of(0)),
         Query("A_intersect_B_joint_pbox", "event_lower", joint, event=ClassSubset()),
     )
-    return Scenario("example_independent_63", joint, queries,
-                    "factorizing joint of two binary marginals")
+    return Scenario("example_independent_63", joint, queries)
 
 
 def diagonal_rectangle_interior(a: float, b: float, c: float, d: float) -> ZEventSet:
@@ -539,8 +523,7 @@ def _diagonal_scenario() -> Scenario:
         Query("whole_square", "event_lower", box,
               event=diagonal_rectangle_interior(0.0, 1.0, 0.0, 1.0)),
     )
-    return Scenario("example_diagonal_46", box, queries,
-                    "a diagonal preorder only resolves corner-anchored rectangles")
+    return Scenario("example_diagonal_46", box, queries)
 
 
 _BUILTIN_BUILDERS = {

@@ -184,6 +184,24 @@ class TestKnotCutSets:
         cell = 1.0 / DEFAULT_CONFIG.cut_grid
         assert counting.calls <= 1 + math.ceil(math.log2(cell / DEFAULT_CONFIG.bisect_tol))
 
+    def test_chunked_batches_match_one_pass(self, monkeypatch):
+        import pboxes.choquet as choquet_mod
+
+        box = _knot_test_boxes()[1]
+        black_box = Oscillation(lambda z: np.interp(z, *zip(*KNOT_CASES["double_hump"])),
+                                0.0, 1.0, GENERAL)
+        # a black box scans cut_grid + 1 points per level, a knot oscillation its knots
+        cases = ((black_box, QuadratureConfig(cut_grid=31)),
+                 (piecewise_linear_oscillation(KNOT_CASES["double_hump"]), DEFAULT_CONFIG))
+        ts = np.linspace(-0.1, 1.1, 200)
+        for osc, cfg in cases:
+            for upper in (False, True):
+                whole = _batch_cut_probs(box, osc, ts, upper, cfg)
+                monkeypatch.setattr(choquet_mod, "_CUT_BATCH_CELLS", 64)
+                chunked = _batch_cut_probs(box, osc, ts, upper, cfg)
+                monkeypatch.undo()
+                assert np.array_equal(chunked, whole), (osc.name, upper)
+
     def test_fixed_values_are_read_once(self):
         # f(0), f(1) and F_lower(1) do not depend on the levels
         scalars, ones = [], []
@@ -369,6 +387,29 @@ class TestUpperExpectation:
                     slow = lower_prob_event(box, cut)
                 assert val == pytest.approx(slow, abs=1e-9)
 
+    def test_gap_below_a_cut_reads_the_left_limit(self):
+        # lower CDF 0 below 0.5, 0.6 from 0.5 on, 1 at 1; upper CDF 1: the
+        # cut [t, 1] of the identity has complement [0, t), whose lower
+        # probability is F_lower(t-), 0 at the jump itself
+        def jump(z):
+            z = np.asarray(z, dtype=float)
+            return np.where(z >= 1.0, 1.0, np.where(z >= 0.5, 0.6, 0.0))
+
+        def jump_left(z):
+            return np.where(np.asarray(z, dtype=float) > 0.5, 0.6, 0.0)
+
+        box = PBox(AnalyticCdf(jump, jump_left, continuous=False),
+                   AnalyticCdf(lambda z: np.ones_like(np.asarray(z, float))), UNIT_INTERVAL)
+        osc = Oscillation(lambda z: np.asarray(z, dtype=float), 0.0, 1.0, INCREASING,
+                          inverse=lambda t: np.asarray(t, dtype=float))
+        ts = np.array([0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(_batch_cut_probs(box, osc, ts, True, DEFAULT_CONFIG),
+                              1.0 - np.array([0.0, 0.0, 0.6, 0.6]))
+        assert np.array_equal(_batch_cut_probs(box, osc, ts, False, DEFAULT_CONFIG),
+                              np.zeros(4))
+        res = upper_expectation(box, osc, TIGHT)
+        assert res.bracket[0] <= 0.5 + 0.5 * 0.4 <= res.bracket[1]
+
 
 class TestFiniteChoquet:
     def test_indicator_reduces_to_event(self, rng):
@@ -413,49 +454,56 @@ class TestFiniteChoquet:
             lower_expectation_finite(box, [1.0, 2.0, 3.0])
 
 
+def staircase(values):
+    """A step CDF on [0, 1] whose class k is the cell ``(k/n, (k+1)/n]``
+    (class 0 also holds 0), vectorised, with its class lookup."""
+    values = np.asarray(values)
+    edges = np.arange(1, len(values)) / len(values)
+
+    def class_of(z):
+        return np.searchsorted(edges, np.asarray(z, dtype=float))
+
+    def fn(z):
+        return values[class_of(z)]
+
+    # every class is closed on the right, so the left limit is the value
+    # itself except at the bottom of the continuum
+    def left(z):
+        return np.where(np.asarray(z) <= 0.0, 0.0, fn(z))
+
+    return AnalyticCdf(fn, left, continuous=False), class_of
+
+
 class TestStaircaseAgreement:
     def test_finite_and_continuum_paths_agree(self, rng):
-        n = 4
-
-        def class_of(z):
-            return 0 if z <= 1.0 / n else math.ceil(z * n) - 1
-
-        for _ in range(10):
-            instance = random_credal_instance(rng, n, denominator=16)
-            lower = [float(v) for v in instance.lower_cum]
-            upper = [float(v) for v in instance.upper_cum]
-            gamble = sorted(rng.randrange(0, 400) / 100 for _ in range(n))
-
-            def stair(values):
-                def fn(z):
-                    return values[class_of(float(z))]
-
-                def left(z):
-                    z = float(z)
-                    scaled = z * n
-                    if z <= 0.0:
-                        return 0.0
-                    if scaled == int(scaled):
-                        return values[int(scaled) - 1]
-                    return values[class_of(z)]
-
-                return AnalyticCdf(fn, left, continuous=False)
-
+        """Quadrature on a staircase embedding of a finite p-box brackets the
+        finite run-loop value on both sides, and the two share no code
+        below the expectation."""
+        cfg = QuadratureConfig(abs_tol=1e-5)
+        for n in (4, 12, 25):
             space = FiniteQuotientSpace(tuple(range(n)))
-            finite_box = PBox(StepCdf(tuple(lower)), StepCdf(tuple(upper)), space)
-            cont_box = PBox(stair(lower), stair(upper), UNIT_INTERVAL,
-                            validation_grid=256)
-
-            def inverse(t):
-                j = next(i for i in range(n) if gamble[i] >= t)
-                return j / n
-
-            osc = Oscillation(lambda z: gamble[class_of(float(z))],
-                              inf_value=gamble[0], sup_value=gamble[-1],
-                              monotonicity=INCREASING, inverse=inverse)
-            exact = lower_expectation_finite(finite_box, gamble)
-            approx = lower_expectation(cont_box, osc, QuadratureConfig(abs_tol=1e-5))
-            assert approx.value == pytest.approx(exact, abs=1e-5 + 1e-12)
+            for _ in range(10):
+                instance = random_credal_instance(rng, n, denominator=16)
+                lower = [float(v) for v in instance.lower_cum]
+                upper = [float(v) for v in instance.upper_cum]
+                gamble = np.sort([rng.randrange(0, 400) / 100 for _ in range(n)])
+                finite_box = PBox(StepCdf(tuple(lower)), StepCdf(tuple(upper)), space)
+                (lower_cdf, class_of), (upper_cdf, _) = staircase(lower), staircase(upper)
+                cont_box = PBox(lower_cdf, upper_cdf, UNIT_INTERVAL, validation_grid=256)
+                # the cut {g >= t} holds the classes from the first j with
+                # g[j] >= t on: the closed interval [j/n, 1]
+                osc = Oscillation(lambda z: gamble[class_of(z)],
+                                  inf_value=gamble[0], sup_value=gamble[-1],
+                                  monotonicity=INCREASING,
+                                  inverse=lambda t: np.searchsorted(gamble, t) / n)
+                for side, exact in (
+                        (lower_expectation, lower_expectation_finite(finite_box, gamble)),
+                        (upper_expectation,
+                         -lower_expectation_finite(finite_box, -gamble))):
+                    approx = side(cont_box, osc, cfg)
+                    assert approx.value == pytest.approx(exact, abs=1e-5 + 1e-12)
+                    lo, hi = approx.bracket
+                    assert lo - 1e-12 <= exact <= hi + 1e-12
 
 
 class CountingBatch:

@@ -3,16 +3,33 @@ import json
 import numpy as np
 import pytest
 
-from pboxes.choquet import cut_event
+from pboxes.choquet import cut_event, upper_expectation
 from pboxes.cli import CSV_HEADER, load_scenario, main, run_verify
-from pboxes.pbox import lower_prob_event, upper_prob_event
+from pboxes.multivariate import (
+    FRECHET,
+    INDEPENDENT,
+    MarginalSpec,
+    RealLinePBox,
+    combine,
+    prob_arith_transform,
+)
+from pboxes.pbox import PBox, PiecewiseLinearCdf, lower_prob_event, upper_prob_event
 from pboxes.scenarios import (
     BUILTIN_NAMES,
     builtin_scenario,
     diagonal_rectangle_interior,
+    named_cdf,
+    piecewise_linear_oscillation,
     run_scenario,
 )
-from pboxes.preorder import EMPTY_EVENT, FULL_EVENT, complement_z
+from pboxes.preorder import (
+    EMPTY_EVENT,
+    FULL_EVENT,
+    UNIT_INTERVAL,
+    ZInterval,
+    complement_z,
+    normalize,
+)
 
 
 def run_cli(capsys, argv):
@@ -341,6 +358,85 @@ class TestInfer:
         code, out, _ = run_cli(capsys, ["infer", str(path)])
         assert code == 0
         assert out.strip() == CSV_HEADER
+
+
+TWO_MARGINALS = [
+    {"lower": {"analytic": "uniform"}, "upper": {"analytic": "one"}},
+    {"lower": {"linear": [[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]]},
+     "upper": {"linear": [[0.0, 0.3], [0.6, 0.9], [1.0, 1.0]]}},
+]
+MODEL_QUERIES = [
+    {"id": "event", "kind": "event_lower",
+     "intervals": [[0.0, 0.6, False, False], [0.7, 1.0, True, False]]},
+    {"id": "upper", "kind": "expectation_upper",
+     "oscillation": {"knots": [[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]]}},
+]
+
+
+class TestInferModels:
+    """Documents whose p-box is built by ``combine`` or from knots, and
+    arithmetic on a point mass, row by row against the library."""
+
+    def run_doc(self, tmp_path, capsys, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        return code, (csv_rows(out) if code == 0 else err)
+
+    def assert_model_rows(self, rows, box):
+        event = normalize([ZInterval.closed(0.0, 0.6), ZInterval.left_open(0.7, 1.0)])
+        expected = upper_expectation(box, piecewise_linear_oscillation(
+            MODEL_QUERIES[1]["oscillation"]["knots"]))
+        assert rows["event"][1] == pytest.approx(lower_prob_event(box, event), abs=1e-12)
+        assert rows["upper"][1] == pytest.approx(expected.value, abs=1e-12)
+        assert rows["upper"][2] == pytest.approx(expected.error_bound, abs=1e-12)
+
+    @pytest.mark.parametrize("rule_name, rule", [("frechet", FRECHET),
+                                                 ("independence", INDEPENDENT)])
+    def test_marginals(self, tmp_path, capsys, rule_name, rule):
+        doc = {"pbox": {"marginals": TWO_MARGINALS, "rule": rule_name},
+               "queries": MODEL_QUERIES}
+        code, rows = self.run_doc(tmp_path, capsys, doc)
+        assert code == 0
+        joint = combine([
+            MarginalSpec(named_cdf("uniform"), named_cdf("one")),
+            MarginalSpec(PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.2), (1.0, 1.0))),
+                         PiecewiseLinearCdf(((0.0, 0.3), (0.6, 0.9), (1.0, 1.0))))], rule)
+        self.assert_model_rows(rows, joint)
+
+    def test_linear_pbox(self, tmp_path, capsys):
+        doc = {"pbox": {"linear": {"lower": [[0.0, 0.0], [0.5, 0.1], [1.0, 1.0]],
+                                   "upper": [[0.0, 0.0], [0.3, 0.6], [1.0, 1.0]]}},
+               "queries": MODEL_QUERIES}
+        code, rows = self.run_doc(tmp_path, capsys, doc)
+        assert code == 0
+        box = PBox(PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.1), (1.0, 1.0))),
+                   PiecewiseLinearCdf(((0.0, 0.0), (0.3, 0.6), (1.0, 1.0))), UNIT_INTERVAL)
+        self.assert_model_rows(rows, box)
+
+    def test_point_operand(self, tmp_path, capsys):
+        x1 = {"lower": [[0.0, 0.0], [1.0, 1.0]], "upper": [[0.0, 0.2], [0.5, 0.9], [1.0, 1.0]]}
+        ys = [0.4, 0.8, 1.1, 1.6]
+        doc = {"queries": [{"id": side, "kind": "arith_op", "op": "add", "side": side,
+                            "x1": x1, "x2": {"point": 0.5}, "y_grid": ys}
+                           for side in ("lower", "upper")]}
+        code, rows = self.run_doc(tmp_path, capsys, doc)
+        assert code == 0
+        box = RealLinePBox.from_knots(x1["lower"], x1["upper"])
+        for k, y in enumerate(ys):
+            lower, upper = prob_arith_transform("add", box, RealLinePBox.point_mass(0.5), y)
+            assert rows[f"lower_{k}"][1] == pytest.approx(lower, abs=1e-12)
+            assert rows[f"upper_{k}"][1] == pytest.approx(upper, abs=1e-12)
+
+    @pytest.mark.parametrize("pbox, code, message", [
+        ({"marginals": TWO_MARGINALS, "rule": "max"}, 3, "unknown combination rule"),
+        ({"marginals": TWO_MARGINALS[:1]}, 3, "at least two marginals"),
+        ({"marginals": "x"}, 2, "pbox: malformed"),
+    ])
+    def test_bad_marginals(self, tmp_path, capsys, pbox, code, message):
+        got, err = self.run_doc(tmp_path, capsys, {"pbox": pbox, "queries": MODEL_QUERIES})
+        assert got == code
+        assert message in err
 
 
 class TestFormatting:

@@ -158,6 +158,23 @@ class TestSublevelBox:
         with pytest.raises(ValidationError):
             sublevel_box_lower(joint, (0.5, 1.2))
 
+    def test_finite_joint_takes_class_indices(self):
+        joint = combine([MarginalSpec(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.4, 0.7, 1.0))),
+                         MarginalSpec(StepCdf((0.3, 0.6, 1.0)), StepCdf((0.5, 0.9, 1.0)))],
+                        FRECHET)
+        # the joint lower CDF at class 1 is max(0, 0.5 + 0.6 - 1)
+        assert sublevel_box_lower(joint, [1, 2]) == pytest.approx(0.1)
+        assert sublevel_box_lower(joint, [2, 2]) == 1.0
+        assert sublevel_box_lower(joint, [np.int64(0), 2]) == 0.0
+
+    def test_finite_joint_rejects_coordinates(self):
+        two = combine([MarginalSpec(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0))),
+                       MarginalSpec(StepCdf((0.7, 1.0)), StepCdf((0.8, 1.0)))], FRECHET)
+        for levels in ([0.0, 1.0], [1, 0.5], [2, 1], [-1, 1]):
+            with pytest.raises(ValidationError, match="class indices"):
+                sublevel_box_lower(two, levels)
+        assert sublevel_box_lower(two, [0, 1]) == pytest.approx(max(0.0, 0.4 + 0.7 - 1.0))
+
 
 class TestAdditionClosedForms:
     def test_precise_uniform_lower(self):

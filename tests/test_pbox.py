@@ -143,7 +143,50 @@ class TestLowerProbField:
             lower_prob_field(NONUNIQUE_BOX, [0.6, 0.5])
         with pytest.raises(ValidationError):
             lower_prob_field(NONUNIQUE_BOX, [0.1, 0.2, 0.3])
+        with pytest.raises(ValidationError, match="sentinel"):
+            lower_prob_field(NONUNIQUE_BOX, [0.1, None])
 
+    def test_sentinel_minus_one_is_finite_only(self):
+        # on the continuum every endpoint but the sentinel lies in [0, 1]
+        for endpoints in ([-1, 0.5], [0.5, 1.5]):
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                lower_prob_field(NONUNIQUE_BOX, endpoints)
+
+    def test_finite_endpoints_are_class_indices(self):
+        box = finite_pbox([0.1, 0.4, 1.0], [0.5, 0.8, 1.0])
+        for endpoints in ([-1, 1.0], [0.5, 2], [-2, 1], [0, 3]):
+            with pytest.raises(ValidationError, match="class indices"):
+                lower_prob_field(box, endpoints)
+        with pytest.raises(ValidationError, match="increasing"):
+            lower_prob_field(box, [None, -1])
+        # (-1, 0] u (1, 2] is {0} u {2}: 0.1 + max(0, 1.0 - 0.8)
+        assert lower_prob_field(box, [-1, 0, 1, 2]) == pytest.approx(0.1 + 0.2)
+        # (0, 2] is {1, 2}: 1.0 - 0.5, with numpy integers as indices
+        assert lower_prob_field(box, [np.int64(0), np.int64(2)]) == pytest.approx(0.5)
+
+    def test_open_bottom_at_zero_reads_the_upper_cdf(self):
+        # a precise CDF with an atom of 0.25 at 0: (0, 0.6] leaves the atom
+        # out, the sentinel's closed sublevel set [0, 0.6] keeps it
+        atom = PiecewiseLinearCdf(((0.0, 0.25), (1.0, 1.0)))
+        box = PBox(atom, atom, UNIT_INTERVAL)
+        assert lower_prob_field(box, [0.0, 0.6, 0.7, 1.0]) == pytest.approx(0.45 + 0.225)
+        assert lower_prob_field(box, [None, 0.6]) == pytest.approx(0.7)
+        event = normalize([ZInterval.left_open(0.0, 0.6), ZInterval.left_open(0.7, 1.0)])
+        assert lower_prob_field(box, [0.0, 0.6, 0.7, 1.0]) == lower_prob_event(box, event)
+
+
+def _jump_at_half(z):
+    z = np.asarray(z, dtype=float)
+    return np.where(z >= 1.0, 1.0, np.where(z >= 0.5, 0.6, 0.0))
+
+
+def _jump_at_half_left(z):
+    z = np.asarray(z, dtype=float)
+    return np.where(z > 0.5, 0.6, 0.0)
+
+
+# 0 below 0.5, 0.6 from 0.5 on, 1 at 1: the left limit at 0.5 is 0
+JUMP_AT_HALF = AnalyticCdf(_jump_at_half, _jump_at_half_left, continuous=False)
 
 ORDERING_FINE = finite_pbox([0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0, 1.0])
 ORDERING_COARSE = finite_pbox([0.0, 1.0], [0.0, 1.0])
@@ -170,6 +213,13 @@ class TestLowerProbInterval:
     def test_open_interval_uses_left_limit(self):
         got = lower_prob_interval(NONUNIQUE_BOX, ZInterval.open(0.5, 0.9))
         assert got == pytest.approx(0.3)
+
+    def test_open_top_at_a_jump_reads_the_left_limit(self):
+        box = PBox(JUMP_AT_HALF, AnalyticCdf(lambda z: np.ones_like(np.asarray(z, float))),
+                   UNIT_INTERVAL)
+        assert lower_prob_interval(box, ZInterval.right_open(0.0, 0.5)) == 0.0
+        assert lower_prob_interval(box, ZInterval.closed(0.0, 0.5)) == 0.6
+        assert lower_prob_interval(box, ZInterval.right_open(0.0, 1.0)) == 0.6
 
     def test_degenerate_open_rejected(self):
         with pytest.raises(ValidationError):

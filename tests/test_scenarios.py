@@ -27,6 +27,25 @@ from pboxes.scenarios import (
 )
 
 
+# the case-study rows (value, error bound) at the default configuration; every
+# change to the quadrature or the cut sets should leave them unchanged
+PINNED_ROWS = {
+    "damping_ratio_lower": (0.583877959841, 3.80053937164e-05),
+    "damping_ratio_upper": (1.66375182466, 3.49325044379e-05),
+    "overflow_lower": (1.51507942729, 4.95462857985e-05),
+    "overflow_upper": (6.4234915981, 3.51719756925e-05),
+    "design_height_p01": (10.7246505658, 1e-12),
+}
+
+
+def assert_pinned_rows(results):
+    """Every row of ``results`` matches its pinned value and bound to 1e-9 relative."""
+    for r in results:
+        value, error_bound = PINNED_ROWS[r.id]
+        assert r.value == pytest.approx(value, rel=1e-9, abs=0.0), r.id
+        assert r.error_bound == pytest.approx(error_bound, rel=1e-9, abs=0.0), r.id
+
+
 class TestOscillatorFixture:
     def test_oscillation_endpoints(self):
         losc = oscillator_lower_oscillation()
@@ -47,7 +66,9 @@ class TestOscillatorFixture:
         assert np.allclose(scenario.pbox.lower(zs), zs ** 2, atol=1e-15)
 
     def test_lower_below_upper_expectation(self):
-        results = {r.id: r.value for r in run_scenario(builtin_scenario("oscillator"))}
+        rows = run_scenario(builtin_scenario("oscillator"))
+        assert_pinned_rows(rows)
+        results = {r.id: r.value for r in rows}
         assert results["damping_ratio_lower"] <= results["damping_ratio_upper"]
 
 
@@ -127,7 +148,9 @@ class TestDikeFixture:
         assert direct(t_star) == pytest.approx(0.0, abs=1e-6)
 
     def test_lower_below_upper_expectation(self):
-        results = {r.id: r.value for r in run_scenario(builtin_scenario("dike"))}
+        rows = run_scenario(builtin_scenario("dike"))
+        assert_pinned_rows(rows)
+        results = {r.id: r.value for r in rows}
         assert results["overflow_lower"] <= results["overflow_upper"]
 
     def test_deterministic_rerun(self):
