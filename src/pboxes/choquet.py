@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ToleranceError, ValidationError
 from .pbox import PBox, _piece_gains, lower_prob_event, vectorized
-from .preorder import ClassSubset, ZEventSet, ZInterval, normalize
+from .preorder import ClassSubset, ZEventSet, ZInterval, _finite_number, normalize
 
 __all__ = [
     "Oscillation",
@@ -92,16 +92,15 @@ class Oscillation:
     sup_value: float
     monotonicity: str = GENERAL
     inverse: Callable | None = None
-    name: str = ""
     knots: tuple | None = None
 
     def __post_init__(self):
         if self.monotonicity not in (INCREASING, DECREASING, GENERAL):
             raise ValidationError(f"unknown monotonicity {self.monotonicity!r}")
+        # the infimum of a bounded gamble is finite; its supremum may be +inf
+        object.__setattr__(self, "inf_value", _finite_number(self.inf_value))
         if math.isnan(self.sup_value) or self.inf_value > self.sup_value:
             raise ValidationError("inf_value exceeds sup_value")
-        if not math.isfinite(self.inf_value):
-            raise ValidationError("the infimum of a bounded gamble is finite")
         object.__setattr__(self, "f", vectorized(self.f))
         zs = np.linspace(0.0, 1.0, _VALIDATION_POINTS)
         vals = self.f(zs)
@@ -181,8 +180,8 @@ class QuadratureConfig:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.abs_tol, self.bisect_tol, self.tail_tol))):
-            raise ValidationError("tolerances must be finite")
+        for key in ("abs_tol", "bisect_tol", "tail_tol"):
+            object.__setattr__(self, key, _finite_number(getattr(self, key)))
         if self.abs_tol < 1e-12:
             raise ValidationError("abs_tol below 1e-12 is not honoured")
         if min(self.abs_tol, self.bisect_tol, self.tail_tol) <= 0:
@@ -550,11 +549,9 @@ def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
     """
     if not pbox.is_finite:
         raise ValidationError("lower_expectation_finite needs a finite-space p-box")
-    values = [float(v) for v in gamble]
+    values = [_finite_number(v) for v in gamble]
     if len(values) != pbox.space.size:
         raise ValidationError("gamble length must match the number of classes")
-    if any(math.isinf(v) or math.isnan(v) for v in values):
-        raise ValidationError("gamble values must be finite")
     distinct = sorted(set(values))
     total = distinct[0]
     for prev, cur in zip(distinct, distinct[1:]):

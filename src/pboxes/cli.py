@@ -126,7 +126,7 @@ def _cdf_from_spec(spec) -> object:
 
 def _real_line_pbox(spec) -> RealLinePBox:
     if "point" in spec:
-        return RealLinePBox.point_mass(float(spec["point"]))
+        return RealLinePBox.point_mass(spec["point"])
     lower = spec.get("lower")
     if lower is None:
         raise ValidationError("real-line p-boxes need 'lower' knots or a 'point'")
@@ -141,13 +141,13 @@ def _oscillation_from_spec(spec):
     raise ValidationError("oscillations need 'builtin' or 'knots'")
 
 
-def _event_from_spec(query: dict):
+def _event_from_spec(query: dict, path: str):
     if "classes" in query:
-        return ClassSubset(frozenset(int(i) for i in query["classes"]))
+        return ClassSubset(query["classes"])
     if "intervals" in query:
-        return normalize([ZInterval(float(lo), float(hi), bool(lo_open), bool(hi_open))
+        return normalize([ZInterval(lo, hi, lo_open, hi_open)
                           for lo, hi, lo_open, hi_open in query["intervals"]])
-    raise ValidationError(f"query {query.get('id')!r} needs 'classes' or 'intervals'")
+    raise ParseError(f"{path}: missing 'classes' or 'intervals'")
 
 
 def _pbox_from_spec(spec, space) -> PBox | None:
@@ -217,7 +217,7 @@ def _queries_from_spec(raw_queries, pbox) -> tuple:
                 continue
             fields = {}
             if kind in ("event_lower", "event_upper"):
-                fields["event"] = _event_from_spec(raw)
+                fields["event"] = _event_from_spec(raw, path)
             elif kind in ("expectation_lower", "expectation_upper", "threshold"):
                 fields["oscillation"] = _oscillation_from_spec(
                     _field(raw, "oscillation", path, dict))
@@ -346,8 +346,7 @@ _EVENTS, _GAMBLES = 10, 5
 
 def _instance_pbox(instance: FiniteCredalInstance) -> PBox:
     space = FiniteQuotientSpace(tuple(range(instance.n)))
-    return PBox(StepCdf(tuple(float(v) for v in instance.lower_cum)),
-                StepCdf(tuple(float(v) for v in instance.upper_cum)), space)
+    return PBox(StepCdf(instance.lower_cum), StepCdf(instance.upper_cum), space)
 
 
 def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:

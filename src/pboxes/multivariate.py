@@ -19,15 +19,16 @@ point per corner cell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf, lower_prob_field
-from .preorder import UNIT_INTERVAL, FiniteQuotientSpace, UnitInterval
+from .preorder import (UNIT_INTERVAL, FiniteQuotientSpace, UnitInterval, _class_index,
+                       _coordinate, _finite_number)
 
 __all__ = [
     "MarginalSpec",
@@ -125,14 +126,13 @@ FRECHET = CombinationRule("frechet", _frechet_lower, _frechet_upper)
 INDEPENDENT = CombinationRule("independence", _product, _product)
 
 
-def _joint_cdf(cdfs: list, combiner: Callable, name: str):
+def _joint_cdf(cdfs: list, combiner: Callable):
     """``combiner`` of the marginal CDFs, class by class or point by point."""
     if isinstance(cdfs[0], StepCdf):
         return StepCdf(tuple(combiner([np.array(cdf.values) for cdf in cdfs])))
-    continuous = all(getattr(cdf, "continuous", True) for cdf in cdfs)
+    continuous = all(getattr(cdf, "left_limit_fn", None) is None for cdf in cdfs)
     left = None if continuous else (lambda z: combiner([cdf.left_limit(z) for cdf in cdfs]))
-    return AnalyticCdf(lambda z: combiner([cdf(z) for cdf in cdfs]), left,
-                       continuous=continuous, name=name)
+    return AnalyticCdf(lambda z: combiner([cdf(z) for cdf in cdfs]), left)
 
 
 def combine(marginals: Sequence[MarginalSpec], rule: CombinationRule) -> PBox:
@@ -153,8 +153,8 @@ def combine(marginals: Sequence[MarginalSpec], rule: CombinationRule) -> PBox:
     spaces = {m.space for m in marginals}
     if len(spaces) != 1:
         raise ValidationError("finite marginals need step CDFs with the same number of classes")
-    return PBox(_joint_cdf([m.lower for m in marginals], rule.ell, f"{rule.name}-lower"),
-                _joint_cdf([m.upper for m in marginals], rule.u, f"{rule.name}-upper"),
+    return PBox(_joint_cdf([m.lower for m in marginals], rule.ell),
+                _joint_cdf([m.upper for m in marginals], rule.u),
                 spaces.pop(), validation_grid=2048)
 
 
@@ -168,13 +168,8 @@ def sublevel_box_lower(joint: PBox, levels: Sequence) -> float:
     """
     if not levels:
         raise ValidationError("at least one level is required")
-    if joint.is_finite:
-        n = joint.space.size
-        if not all(isinstance(a, (int, np.integer)) and 0 <= a < n for a in levels):
-            raise ValidationError(f"levels of a finite joint are class indices 0 .. {n - 1}")
-    elif any(a < 0.0 or a > 1.0 for a in levels):
-        raise ValidationError("levels must lie in [0, 1]")
-    return lower_prob_field(joint, [None, min(levels)])
+    level = partial(_class_index, size=joint.space.size) if joint.is_finite else _coordinate
+    return lower_prob_field(joint, [None, min(map(level, levels))])
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +240,7 @@ def _arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y: floa
     """
     if op not in _PARTNERS:
         raise ValidationError(f"unknown arithmetic operation {op!r}")
-    if not math.isfinite(y):
-        raise ValidationError(f"arithmetic points must be finite, got {y}")
+    y = _finite_number(y)
     if op in ("multiply", "divide") and min(x1.support[0], x2.support[0]) <= 0.0:
         raise ValidationError("multiplication and division need strictly positive supports")
     partner, preimage, reverses = _PARTNERS[op]

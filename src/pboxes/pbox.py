@@ -18,7 +18,6 @@ module never guesses interiors for raw events on the underlying space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -33,6 +32,9 @@ from .preorder import (
     UnitInterval,
     ZEventSet,
     ZInterval,
+    _class_index,
+    _coordinate,
+    _finite_number,
     full_components_finite,
 )
 
@@ -64,12 +66,10 @@ class StepCdf:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(_finite_number(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValidationError("a step CDF needs at least one value")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError("CDF values must be finite")
         if any(v < -_MONOTONE_SLACK or v > 1.0 + _MONOTONE_SLACK for v in vals):
             raise ValidationError("CDF values must lie in [0, 1]")
         if any(b < a - _MONOTONE_SLACK for a, b in zip(vals, vals[1:])):
@@ -82,15 +82,11 @@ class StepCdf:
         return len(self.values)
 
     def __call__(self, index: int) -> float:
-        if index == -1:
-            return 0.0
-        if not 0 <= index < len(self.values):
-            raise ValidationError(f"class index {index} out of range")
-        return self.values[index]
+        index = _class_index(index, self.size, lowest=-1)
+        return 0.0 if index == -1 else self.values[index]
 
     def left_limit(self, index: int) -> float:
-        if not -1 <= index < len(self.values):
-            raise ValidationError(f"class index {index} out of range")
+        index = _class_index(index, self.size, lowest=-1)
         return 0.0 if index <= 0 else self.values[index - 1]
 
 
@@ -106,14 +102,12 @@ class PiecewiseLinearCdf:
     knots: tuple
 
     def __post_init__(self):
-        knots = tuple((float(x), float(fx)) for x, fx in self.knots)
+        knots = tuple((_finite_number(x), _finite_number(fx)) for x, fx in self.knots)
         object.__setattr__(self, "knots", knots)
         if not knots:
             raise ValidationError("a piecewise-linear CDF needs at least one knot")
         xs = [x for x, _ in knots]
         fs = [fx for _, fx in knots]
-        if not all(math.isfinite(v) for v in xs + fs):
-            raise ValidationError("knots must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValidationError("knot coordinates must be strictly increasing")
         if any(b < a for a, b in zip(fs, fs[1:])):
@@ -148,20 +142,15 @@ class PiecewiseLinearCdf:
 class AnalyticCdf:
     """CDF given as a function of the quotient coordinate z in [0, 1].
 
-    Discontinuous forms must register an explicit left-limit companion;
-    continuous forms default their left limit to the function itself.
+    A discontinuous form registers its left limit as ``left_limit_fn``;
+    without one the CDF is continuous and its left limit is ``fn`` itself.
     Either function may be scalar-only (see :func:`vectorized`).
     """
 
     fn: Callable
     left_limit_fn: Callable | None = None
-    continuous: bool = True
-    name: str = ""
 
     def __post_init__(self):
-        if not self.continuous and self.left_limit_fn is None:
-            raise ValidationError(
-                "a discontinuous analytic CDF needs an explicit left-limit function")
         object.__setattr__(self, "fn", vectorized(self.fn))
         if self.left_limit_fn is not None:
             object.__setattr__(self, "left_limit_fn", vectorized(self.left_limit_fn))
@@ -175,7 +164,7 @@ class AnalyticCdf:
 
     def left_limit(self, z):
         # 0 is the bottom of [0, 1]: its artificial predecessor carries no mass
-        value = self.fn(z) if self.continuous else self.left_limit_fn(z)
+        value = self.fn(z) if self.left_limit_fn is None else self.left_limit_fn(z)
         out = np.where(np.asarray(z) <= 0.0, 0.0, value)
         return float(out) if out.ndim == 0 else out
 
@@ -209,23 +198,17 @@ def vectorized(fn: Callable, probe: np.ndarray = _PROBE) -> Callable:
 
 
 def cdf_eval(cdf, z):
-    """F(z), validating the coordinate against the CDF's domain."""
+    """F(z), validating the class index or the coordinate against the CDF's domain."""
     if isinstance(cdf, StepCdf):
-        return cdf(int(z))
-    lo, hi = cdf.domain
-    if z < lo or z > hi:
-        raise ValidationError(f"coordinate {z} outside CDF domain [{lo}, {hi}]")
-    return float(cdf(z))
+        return cdf(z)
+    return float(cdf(_coordinate(z, *cdf.domain)))
 
 
 def cdf_left_limit(cdf, z):
     """F(z-) = sup of F strictly below z; 0 at or below the bottom element."""
     if isinstance(cdf, StepCdf):
-        return cdf.left_limit(int(z))
-    lo, hi = cdf.domain
-    if z < lo or z > hi:
-        raise ValidationError(f"coordinate {z} outside CDF domain [{lo}, {hi}]")
-    return float(cdf.left_limit(z))
+        return cdf.left_limit(z)
+    return float(cdf.left_limit(_coordinate(z, *cdf.domain)))
 
 
 @dataclass(frozen=True)
@@ -340,11 +323,9 @@ def lower_prob_field(pbox: PBox, endpoints: Sequence) -> float:
     if any(x is None for x in xs[1:]):
         raise ValidationError("only the first endpoint may be the sentinel")
     if pbox.is_finite:
-        xs[0] = -1 if xs[0] is None else xs[0]
-        if not (all(isinstance(x, (int, np.integer)) for x in xs)
-                and -1 <= xs[0] and xs[-1] < pbox.space.size):
-            raise ValidationError(
-                f"finite-space endpoints are class indices -1 .. {pbox.space.size - 1}")
+        xs = [_class_index(-1 if x is None else x, pbox.space.size, lowest=-1) for x in xs]
+    else:
+        xs = [x if x is None else _coordinate(x) for x in xs]
     if any(a is not None and not b > a for a, b in zip(xs, xs[1:])):
         raise ValidationError("endpoints must be strictly increasing")
     pieces = zip(xs[::2], xs[1::2])
@@ -364,11 +345,9 @@ def lower_prob_interval(pbox: PBox, interval) -> float:
     non-empty :class:`ZInterval` and only 0 has one.
     """
     if pbox.is_finite:
-        a, b = interval
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise ValidationError("finite-space intervals are index pairs")
-        if not 0 <= a <= b < pbox.space.size:
-            raise ValidationError(f"index range ({a}, {b}) out of bounds")
+        a, b = (_class_index(i, pbox.space.size) for i in interval)
+        if a > b:
+            raise ValidationError(f"index range ({a}, {b}) is empty")
         return lower_prob_event(pbox, ClassSubset(frozenset(range(a, b + 1))))
     if not isinstance(interval, ZInterval):
         raise ValidationError("continuum intervals must be ZInterval values")
@@ -421,11 +400,6 @@ def best_pbox_approximation(lower_sublevel, upper_sublevel,
     companions.
     """
     if isinstance(space, FiniteQuotientSpace):
-        lo = StepCdf(tuple(lower_sublevel))
-        hi = StepCdf(tuple(upper_sublevel))
-        return PBox(lo, hi, space)
-    lo = AnalyticCdf(lower_sublevel, left_limit_fn=lower_left_limit,
-                     continuous=lower_left_limit is None, name="approx-lower")
-    hi = AnalyticCdf(upper_sublevel, left_limit_fn=upper_left_limit,
-                     continuous=upper_left_limit is None, name="approx-upper")
-    return PBox(lo, hi, space)
+        return PBox(StepCdf(tuple(lower_sublevel)), StepCdf(tuple(upper_sublevel)), space)
+    return PBox(AnalyticCdf(lower_sublevel, lower_left_limit),
+                AnalyticCdf(upper_sublevel, upper_left_limit), space)

@@ -7,6 +7,14 @@ space; callers work with the image of an event's topological interior, which
 is a set of class indices in the finite case and a finite union of
 subintervals of [0, 1] in the continuum case.
 
+Every input number of every module passes one of three checks here:
+:func:`_finite_number`, :func:`_coordinate` (a point of [0, 1] or of a CDF's
+domain) and :func:`_class_index` (-1 may stand for the artificial
+predecessor of the smallest class).  Python and numpy numbers and fractions
+come out as ``float`` or ``int``; a non-number (string, boolean, ``None``,
+container) is a ``TypeError``, and a number that is not finite, out of
+range, or a float where an index belongs is a :class:`ValidationError`.
+
 All values are immutable and all operations are pure functions, so they are
 safe to use concurrently without coordination.  Endpoint comparisons are
 exact floating-point comparisons; callers who need fuzzy endpoints must
@@ -15,8 +23,12 @@ quantize before building intervals.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -34,6 +46,34 @@ __all__ = [
     "full_components_finite",
     "sublevel_event",
 ]
+
+
+def _finite_number(x) -> float:
+    """``x`` as a float: a TypeError unless it is a number, a ValidationError unless finite."""
+    # plain ints and floats skip the slower check of the abstract number type
+    if type(x) not in (int, float) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        raise TypeError(f"expected a number, got {type(x).__name__}")
+    value = float(x)
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {value}")
+    return value
+
+
+def _coordinate(z, lo: float = 0.0, hi: float = 1.0) -> float:
+    """``z`` as a float in ``[lo, hi]``, checked by :func:`_finite_number` first."""
+    value = _finite_number(z)
+    if not lo <= value <= hi:
+        raise ValidationError(f"coordinate {value:g} outside [{lo:g}, {hi:g}]")
+    return value
+
+
+def _class_index(i, size, lowest: int = 0) -> int:
+    """``i`` as an int with ``lowest <= i < size``; a float is never an index."""
+    if type(i) is not int and (isinstance(i, bool) or not isinstance(i, numbers.Integral)):
+        _finite_number(i)  # a TypeError for what is not a number at all
+    elif lowest <= i < size:
+        return int(i)
+    raise ValidationError(f"class indices are integers in [{lowest}, {size}), got {i!r}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +114,13 @@ class ClassSubset:
     members: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        members = frozenset(self.members)
-        if any(not isinstance(i, int) or i < 0 for i in members):
-            raise ValidationError("class indices must be non-negative integers")
+        # checked before the set is made, where True would merge into 1
+        members = frozenset(_class_index(i, math.inf) for i in self.members)
         object.__setattr__(self, "members", members)
 
     @classmethod
     def of(cls, *indices: int) -> "ClassSubset":
-        return cls(frozenset(indices))
+        return cls(indices)
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -109,8 +148,10 @@ class ZInterval:
     hi_open: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.lo <= 1.0 and 0.0 <= self.hi <= 1.0):
-            raise ValidationError(f"endpoints must lie in [0, 1]: {self}")
+        if not all(isinstance(x, (bool, np.bool_)) for x in (self.lo_open, self.hi_open)):
+            raise TypeError("interval openness must be a boolean")
+        object.__setattr__(self, "lo", _coordinate(self.lo))
+        object.__setattr__(self, "hi", _coordinate(self.hi))
         if self.lo > self.hi:
             raise ValidationError(f"malformed interval: lo {self.lo} > hi {self.hi}")
 
@@ -248,8 +289,9 @@ def full_components_finite(space: FiniteQuotientSpace, subset: ClassSubset) -> t
     sorted, and cover the subset exactly.
     """
     indices = sorted(subset.members)
-    if indices and (indices[0] < 0 or indices[-1] >= space.size):
-        raise ValidationError(f"class index out of range for a {space.size}-class space")
+    if indices:
+        # the members are non-negative integers already
+        _class_index(indices[-1], space.size)
     runs: list[tuple[int, int]] = []
     for i in indices:
         if runs and i == runs[-1][1] + 1:
@@ -261,6 +303,4 @@ def full_components_finite(space: FiniteQuotientSpace, subset: ClassSubset) -> t
 
 def sublevel_event(z: float, closed: bool = True) -> ZEventSet:
     """The z-image ``[0, z]`` (or ``[0, z)``) of a sublevel set."""
-    if not 0.0 <= z <= 1.0:
-        raise ValidationError(f"sublevel coordinate must lie in [0, 1], got {z}")
     return normalize([ZInterval(0.0, z, False, not closed)])

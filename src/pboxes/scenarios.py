@@ -56,6 +56,7 @@ from .preorder import (
     FiniteQuotientSpace,
     ZEventSet,
     ZInterval,
+    _finite_number,
     normalize,
 )
 
@@ -186,10 +187,10 @@ def _humped(z):
 
 
 _NAMED_CDFS = {
-    "uniform": lambda: AnalyticCdf(_uniform, name="uniform"),
-    "one": lambda: AnalyticCdf(_constant_one, name="one"),
-    "square": lambda: AnalyticCdf(_square, name="square"),
-    "triangular_sym": lambda: AnalyticCdf(_humped, name="triangular_sym"),
+    "uniform": lambda: AnalyticCdf(_uniform),
+    "one": lambda: AnalyticCdf(_constant_one),
+    "square": lambda: AnalyticCdf(_square),
+    "triangular_sym": lambda: AnalyticCdf(_humped),
 }
 
 
@@ -230,8 +231,7 @@ def oscillator_lower_oscillation() -> Oscillation:
         return (2.0 - z) / (2.0 * np.sqrt(1.0 + z / 2.0))
 
     return Oscillation(f, inf_value=_RATIO_INF, sup_value=1.0,
-                       monotonicity=DECREASING, inverse=_ratio_boundary,
-                       name="damping-ratio-lower")
+                       monotonicity=DECREASING, inverse=_ratio_boundary)
 
 
 def oscillator_upper_oscillation() -> Oscillation:
@@ -243,8 +243,7 @@ def oscillator_upper_oscillation() -> Oscillation:
         return -_ratio_boundary(t)
 
     return Oscillation(f, inf_value=1.0, sup_value=_RATIO_SUP,
-                       monotonicity=INCREASING, inverse=inverse,
-                       name="damping-ratio-upper")
+                       monotonicity=INCREASING, inverse=inverse)
 
 
 def _oscillator_scenario() -> Scenario:
@@ -363,15 +362,13 @@ def dike_lower_oscillation() -> Oscillation:
         return np.negative(_dike_curve_inverse(t))
 
     return Oscillation(f, inf_value=0.0, sup_value=top,
-                       monotonicity=DECREASING, inverse=inverse,
-                       name="overflow-lower")
+                       monotonicity=DECREASING, inverse=inverse)
 
 
 def dike_upper_oscillation() -> Oscillation:
     top = dike_overflow_curve(0.0)
     return Oscillation(dike_overflow_curve, inf_value=top, sup_value=math.inf,
-                       monotonicity=INCREASING, inverse=_dike_curve_inverse,
-                       name="overflow-upper")
+                       monotonicity=INCREASING, inverse=_dike_curve_inverse)
 
 
 def _dike_frechet_lower(z):
@@ -561,11 +558,9 @@ def piecewise_linear_oscillation(knots) -> Oscillation:
     The knots are kept on the oscillation, so its cut sets are computed
     exactly from the segment crossings.
     """
-    knots = [(float(z), float(v)) for z, v in knots]
+    knots = [(_finite_number(z), _finite_number(v)) for z, v in knots]
     if len(knots) < 2:
         raise ValidationError("an oscillation needs at least two knots")
-    if not np.isfinite(knots).all():
-        raise ValidationError("oscillation knots must be finite")
     zs = np.array([z for z, _ in knots])
     vs = np.array([v for _, v in knots])
     if np.any(np.diff(zs) <= 0):
@@ -582,4 +577,4 @@ def piecewise_linear_oscillation(knots) -> Oscillation:
         return np.interp(z, zs, vs)
 
     return Oscillation(f, inf_value=float(vs.min()), sup_value=float(vs.max()),
-                       monotonicity=mono, name="piecewise-linear", knots=tuple(knots))
+                       monotonicity=mono, knots=tuple(knots))

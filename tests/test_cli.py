@@ -163,6 +163,11 @@ SCENARIO_DOC = {
     "config": {"abs_tol": 1e-5},
 }
 
+CONTINUUM_DOC = {
+    "pbox": {"analytic": {"lower": "square", "upper": "one"}},
+    "queries": [{"id": "e", "kind": "event_lower", "intervals": [[0.2, 0.5, False, False]]}],
+}
+
 
 class TestInfer:
     def test_finite_scenario(self, tmp_path, capsys):
@@ -242,6 +247,43 @@ class TestInfer:
         code, _, err = run_cli(capsys, ["infer", str(path)])
         assert code == 2
         assert "queries[0].target" in err
+
+    def test_missing_event_payload_exit_2(self, tmp_path, capsys):
+        doc = dict(SCENARIO_DOC, queries=[{"id": "e", "kind": "event_lower"}])
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 2
+        assert "queries[0]" in err and "'classes' or 'intervals'" in err and out == ""
+
+    @pytest.mark.parametrize("doc, code", [
+        (dict(SCENARIO_DOC, queries=[{"id": "e", "kind": "event_lower", "classes": [1.7]}]), 3),
+        (dict(SCENARIO_DOC, queries=[{"id": "e", "kind": "event_lower", "classes": ["1"]}]), 2),
+        (dict(SCENARIO_DOC, queries=[{"id": "e", "kind": "event_lower", "classes": [True]}]), 2),
+        (dict(CONTINUUM_DOC, queries=[{"id": "e", "kind": "event_lower",
+                                       "intervals": [[0.2, 0.5, "false", False]]}]), 2),
+        (dict(CONTINUUM_DOC, queries=[{"id": "e", "kind": "event_lower",
+                                       "intervals": [["0.2", 0.5, False, False]]}]), 2),
+        (dict(CONTINUUM_DOC, pbox={"linear": {"lower": [["0", 0], [1, 1]],
+                                              "upper": [[0, 0], [1, 1]]}}), 2),
+        (dict(SCENARIO_DOC, space={"type": "finite", "classes": ["a", "b"]},
+              pbox={"step": {"lower": [False, True], "upper": [False, True]}},
+              queries=[{"id": "e", "kind": "event_lower", "classes": [0]}]), 2),
+        ({"queries": [{"id": "a", "kind": "arith_op", "y": 1.0,
+                       "x1": {"point": "0.5"}, "x2": {"point": 0.5}}]}, 2),
+        (dict(CONTINUUM_DOC, queries=[{"id": "x", "kind": "expectation_lower",
+                                       "oscillation": {"knots": [["0", 0], [1, "1"]]}}]), 2),
+    ], ids=["float_class", "string_class", "boolean_class", "string_openness",
+            "string_endpoint", "string_cdf_knot", "boolean_step_values",
+            "string_point", "string_oscillation_knot"])
+    def test_mistyped_payload_prints_nothing(self, tmp_path, capsys, doc, code):
+        # a wrong JSON type is a parse error; a number that is no valid class
+        # index, coordinate or finite value is a validation error
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(doc))
+        got, out, err = run_cli(capsys, ["infer", str(path)])
+        assert got == code
+        assert out == "" and err.startswith("parse error" if code == 2 else "validation error")
 
     def test_string_abs_tol_exit_2(self, tmp_path, capsys):
         doc = dict(SCENARIO_DOC, config={"abs_tol": "1e-3"})

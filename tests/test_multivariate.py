@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -32,7 +33,7 @@ def vacuous_lower_cdf():
     def left(z):
         return np.where(np.asarray(z, dtype=float) > 1.0, 1.0, 0.0)
 
-    return AnalyticCdf(fn, left, continuous=False, name="vacuous")
+    return AnalyticCdf(fn, left)
 
 
 class TestCombine:
@@ -158,6 +159,15 @@ class TestSublevelBox:
         with pytest.raises(ValidationError):
             sublevel_box_lower(joint, (0.5, 1.2))
 
+    def test_nan_level_rejected(self):
+        marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one"))
+                     for _ in range(2)]
+        joint = combine(marginals, INDEPENDENT)
+        # NaN fails every comparison, so min() would drop it unchecked
+        for levels in ([0.5, math.nan], [math.nan, 0.5]):
+            with pytest.raises(ValidationError):
+                sublevel_box_lower(joint, levels)
+
     def test_finite_joint_takes_class_indices(self):
         joint = combine([MarginalSpec(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.4, 0.7, 1.0))),
                          MarginalSpec(StepCdf((0.3, 0.6, 1.0)), StepCdf((0.5, 0.9, 1.0)))],
@@ -166,6 +176,16 @@ class TestSublevelBox:
         assert sublevel_box_lower(joint, [1, 2]) == pytest.approx(0.1)
         assert sublevel_box_lower(joint, [2, 2]) == 1.0
         assert sublevel_box_lower(joint, [np.int64(0), 2]) == 0.0
+
+    def test_finite_joint_takes_numpy_integers(self):
+        joint = combine([MarginalSpec(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.4, 0.7, 1.0))),
+                         MarginalSpec(StepCdf((0.3, 0.6, 1.0)), StepCdf((0.5, 0.9, 1.0)))],
+                        FRECHET)
+        for levels in ([1, 2], [2, 2], [0, 1]):
+            assert (sublevel_box_lower(joint, [np.int64(a) for a in levels])
+                    == sublevel_box_lower(joint, levels))
+        with pytest.raises(TypeError):
+            sublevel_box_lower(joint, [True, 2])
 
     def test_finite_joint_rejects_coordinates(self):
         two = combine([MarginalSpec(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0))),

@@ -51,7 +51,7 @@ class TestCdfEval:
         assert cdf_eval(step, 1) == 0.7
 
     def test_analytic_square(self):
-        square = AnalyticCdf(lambda z: z * z, name="square")
+        square = AnalyticCdf(lambda z: z * z)
         assert cdf_eval(square, 0.5) == 0.25
 
     def test_identity_interpolation(self):
@@ -62,6 +62,23 @@ class TestCdfEval:
             cdf_eval(StepCdf((1.0,)), 3)
         with pytest.raises(ValidationError):
             cdf_eval(UNIFORM, 1.5)
+
+    def test_step_cdf_rejects_non_integer_index(self):
+        step = StepCdf((0.2, 0.7, 1.0))
+        for evaluate, index in ((lambda i: cdf_eval(step, i), 1.5),
+                                (lambda i: cdf_eval(step, i), -0.5),
+                                (lambda i: cdf_left_limit(step, i), 2.9),
+                                (step, 1.5), (step.left_limit, 1.0)):
+            with pytest.raises(ValidationError, match="class indices"):
+                evaluate(index)
+        assert cdf_eval(step, np.int64(1)) == cdf_eval(step, 1) == 0.7
+        assert cdf_left_limit(step, np.int64(2)) == cdf_left_limit(step, 2) == 0.7
+
+    def test_nan_coordinate_rejected(self):
+        for cdf in (UNIFORM, AnalyticCdf(lambda z: np.asarray(z, float))):
+            for evaluate in (cdf_eval, cdf_left_limit):
+                with pytest.raises(ValidationError):
+                    evaluate(cdf, math.nan)
 
 
 class TestCdfLeftLimit:
@@ -76,10 +93,6 @@ class TestCdfLeftLimit:
     def test_continuous_analytic(self):
         ident = AnalyticCdf(lambda z: z)
         assert cdf_left_limit(ident, 0.4) == 0.4
-
-    def test_discontinuous_needs_companion(self):
-        with pytest.raises(ValidationError):
-            AnalyticCdf(lambda z: float(z >= 0.5), continuous=False)
 
 
 class TestStepCdfValidation:
@@ -186,7 +199,7 @@ def _jump_at_half_left(z):
 
 
 # 0 below 0.5, 0.6 from 0.5 on, 1 at 1: the left limit at 0.5 is 0
-JUMP_AT_HALF = AnalyticCdf(_jump_at_half, _jump_at_half_left, continuous=False)
+JUMP_AT_HALF = AnalyticCdf(_jump_at_half, _jump_at_half_left)
 
 ORDERING_FINE = finite_pbox([0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0, 1.0])
 ORDERING_COARSE = finite_pbox([0.0, 1.0], [0.0, 1.0])
@@ -228,6 +241,17 @@ class TestLowerProbInterval:
     def test_finite_range_validated(self):
         with pytest.raises(ValidationError):
             lower_prob_interval(ORDERING_FINE, (3, 9))
+
+    def test_numpy_integer_indices(self):
+        box = finite_pbox([0.1, 0.4, 1.0], [0.5, 0.8, 1.0])
+        for a, b in ((0, 1), (1, 2), (2, 2)):
+            assert (lower_prob_interval(box, (np.int64(a), np.int32(b)))
+                    == lower_prob_interval(box, (a, b)))
+        assert (lower_prob_field(box, [np.int64(-1), np.int64(0), np.int64(1), np.int64(2)])
+                == lower_prob_field(box, [-1, 0, 1, 2]))
+        for interval in ((0.0, 1.0), (1, 0), (True, 1)):
+            with pytest.raises((TypeError, ValidationError)):
+                lower_prob_interval(box, interval)
 
 
 class TestOrderingExample:

@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +14,9 @@ from pboxes.preorder import (
     FiniteQuotientSpace,
     ZEventSet,
     ZInterval,
+    _class_index,
+    _coordinate,
+    _finite_number,
     complement_z,
     full_components_finite,
     normalize,
@@ -226,3 +233,63 @@ class TestFiniteQuotientSpace:
     def test_non_empty(self):
         with pytest.raises(ValidationError):
             FiniteQuotientSpace(())
+
+
+class TestInputChecks:
+    NOT_NUMBERS = ("1", True, np.bool_(False), None, [1.0], (0.5,), {"x": 1})
+
+    def test_numbers_of_every_kind_become_floats(self):
+        for x in (2, 0.25, np.float32(0.25), np.int64(2), Fraction(1, 4)):
+            value = _finite_number(x)
+            assert type(value) is float and value == float(x)
+
+    def test_non_numbers_are_type_errors(self):
+        for check in (_finite_number, _coordinate, lambda x: _class_index(x, 3)):
+            for x in self.NOT_NUMBERS:
+                with pytest.raises(TypeError):
+                    check(x)
+
+    def test_non_finite_numbers_are_validation_errors(self):
+        for check in (_finite_number, _coordinate, lambda x: _class_index(x, 3)):
+            for x in (math.nan, math.inf, -math.inf, np.float64("nan")):
+                with pytest.raises(ValidationError):
+                    check(x)
+
+    def test_coordinates_lie_in_their_range(self):
+        assert _coordinate(np.float32(0.5)) == 0.5
+        assert _coordinate(Fraction(5, 2), 1.0, 3.0) == 2.5
+        for z, lo, hi in ((-0.1, 0.0, 1.0), (1.5, 0.0, 1.0), (0.5, 1.0, 3.0)):
+            with pytest.raises(ValidationError):
+                _coordinate(z, lo, hi)
+
+    def test_class_indices_are_integers_in_range(self):
+        index = _class_index(np.int64(2), 3)
+        assert type(index) is int and index == 2
+        assert _class_index(-1, 3, lowest=-1) == -1
+        for i, lowest in ((1.0, 0), (np.float64(1.0), 0), (Fraction(1, 1), 0),
+                          (3, 0), (-1, 0), (-2, -1)):
+            with pytest.raises(ValidationError, match="class indices"):
+                _class_index(i, 3, lowest)
+
+    def test_class_subsets_take_numpy_integers_and_no_booleans(self):
+        assert ClassSubset.of(np.int64(1)) == ClassSubset.of(1)
+        assert ClassSubset(np.arange(3)).members == frozenset({0, 1, 2})
+        for members in ((True,), (1, True), ("1",)):
+            with pytest.raises(TypeError):
+                ClassSubset.of(*members)
+        for members in ((1.5,), (-1,)):
+            with pytest.raises(ValidationError):
+                ClassSubset.of(*members)
+
+    def test_interval_ends_are_checked_coordinates(self):
+        iv = ZInterval(np.float32(0.25), Fraction(1, 2), np.bool_(True), False)
+        assert (type(iv.lo), type(iv.hi)) == (float, float)
+        assert iv == ZInterval.left_open(0.25, 0.5)
+        with pytest.raises(TypeError):
+            ZInterval(0.2, 0.5, 1, 0)
+        with pytest.raises(TypeError):
+            ZInterval(0.2, 0.5, "false", False)
+        with pytest.raises(ValidationError):
+            ZInterval(0.2, math.nan)
+        with pytest.raises(ValidationError):
+            sublevel_event(math.nan)
