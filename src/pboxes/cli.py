@@ -355,13 +355,19 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
     Compares the closed-form event and expectation machinery against the
     exact credal-polytope optimum on random instances, then runs the
     structural checkers (additivity on components, complete monotonicity,
-    p-box representability round trips, envelope sampling bounds).
+    p-box representability round trips, envelope sampling bounds).  A
+    ``trials`` below 0 or an ``n_max`` below 2 is a validation error,
+    raised before anything is printed.
     """
+    if trials < 0:
+        raise ValidationError(f"--trials must be at least 0, got {trials}")
+    if n_max < 2:
+        raise ValidationError(f"--n-max must be at least 2, got {n_max}")
     rng = random.Random(seed)
     violations = []
     lp_checks = 0
     for index in range(trials):
-        n = rng.randint(2, max(2, n_max))
+        n = rng.randint(2, n_max)
         instance = random_credal_instance(rng, n)
         box = _instance_pbox(instance)
         for _ in range(_EVENTS):

@@ -6,12 +6,15 @@ credal polytope ``{p >= 0, sum p = 1, lower_cum <= cumsum(p) <= upper_cum}``,
 and the structural checkers (complete monotonicity, additivity on components,
 p-box representability) enumerate their defining conditions directly.
 
-The polytope is optimised in exact rational arithmetic by sweeping every
-candidate vertex: the chain constraints are totally unimodular, so each
-vertex of the cumulative-chain polytope takes its coordinates from the
-finite grid of cumulative bounds, and a monotone dynamic sweep over that
-grid visits every vertex in ``O(n * grid)`` steps, for any number of
-classes.  No external solver is used.
+The polytope is optimised exactly by sweeping every candidate vertex: the
+chain constraints are totally unimodular, so each vertex of the
+cumulative-chain polytope takes its coordinates from the finite grid of
+cumulative bounds, and a monotone dynamic sweep over that grid visits every
+vertex in ``O(n * grid)`` steps, for any number of classes.  The sweep runs
+on Python integers: the bounds are scaled once per instance to a common
+denominator, each gamble to the common denominator of its own values, and
+the minimum is divided by both once at the end, so the result is the same
+exact rational.  No external solver is used.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
@@ -71,6 +77,21 @@ class FiniteCredalInstance:
     def n(self) -> int:
         return len(self.lower_cum)
 
+    @cached_property
+    def _integer_chain(self) -> tuple:
+        """The bounds over their common denominator ``D``, as the sweep uses them.
+
+        Returns ``(D, grid, windows)``: the sorted distinct scaled bounds and,
+        per class, the index range ``(a, b)`` of ``grid`` between its scaled
+        lower and upper bound.
+        """
+        scale = lcm(*(v.denominator for v in self.lower_cum + self.upper_cum))
+        lo = [v.numerator * (scale // v.denominator) for v in self.lower_cum]
+        hi = [v.numerator * (scale // v.denominator) for v in self.upper_cum]
+        grid = sorted(set(lo) | set(hi))
+        index = {v: j for j, v in enumerate(grid)}
+        return scale, grid, tuple((index[a], index[b]) for a, b in zip(lo, hi))
+
 
 def _chain_vertex_min(instance: FiniteCredalInstance, gamble: Sequence[Fraction]) -> Fraction:
     """Exact minimum of the expectation over the credal polytope.
@@ -80,36 +101,37 @@ def _chain_vertex_min(instance: FiniteCredalInstance, gamble: Sequence[Fraction]
     candidate vertex values (the cumulative bounds themselves).  Every
     polytope vertex appears in the sweep and every swept point is feasible,
     so the sweep minimum is the exact linear-programming minimum.
+
+    The sweep runs on integers: ``s`` over the instance's common denominator
+    ``D`` and the costs over the gamble's common denominator ``E``, so the
+    value is an integer multiple of ``1 / (D * E)``, divided out once.
     """
     n = instance.n
-    lo, hi = instance.lower_cum, instance.upper_cum
     if n == 1:
         return gamble[0]
-    grid = sorted(set(lo) | set(hi))
-    costs = [gamble[i] - gamble[i + 1] for i in range(n - 1)]
-    best: list = [None] * len(grid)
-    for j, v in enumerate(grid):
-        if lo[0] <= v <= hi[0]:
-            best[j] = costs[0] * v
+    scale, grid, windows = instance._integer_chain
+    e = lcm(*(v.denominator for v in gamble))
+    g = [v.numerator * (e // v.denominator) for v in gamble]
+    # best[j - a]: least partial cost with the current s at grid[j], a <= j <= b
+    a, b = windows[0]
+    cost = g[0] - g[1]
+    best = [cost * v for v in grid[a:b + 1]]
     for i in range(1, n - 1):
-        nxt: list = [None] * len(grid)
-        prefix = None
-        for j, v in enumerate(grid):
-            if best[j] is not None and (prefix is None or best[j] < prefix):
-                prefix = best[j]
-            if prefix is not None and lo[i] <= v <= hi[i]:
-                nxt[j] = prefix + costs[i] * v
-        best = nxt
-    feasible = [b for b in best if b is not None]
-    if not feasible:
+        prefix = list(accumulate(best, min))
+        na, nb = windows[i]
+        cost = g[i] - g[i + 1]
+        # windows only move right, so every j >= na has a predecessor k <= min(j, b)
+        best = [prefix[min(j, b) - a] + cost * grid[j] for j in range(na, nb + 1)]
+        a, b = na, nb
+    if not best:
         raise ValidationError("internal consistency error: empty credal polytope")
-    return gamble[n - 1] + min(feasible)
+    return Fraction(g[n - 1] * scale + min(best), scale * e)
 
 
 def lp_lower_expectation(instance: FiniteCredalInstance, gamble: Sequence) -> float:
     """Exact minimum expectation of a gamble over the credal polytope.
 
-    Computed by the rational vertex sweep, exact for any number of classes,
+    Computed by the integer vertex sweep, exact for any number of classes,
     and rounded to a float once at the end.
     """
     if len(gamble) != instance.n:

@@ -57,6 +57,7 @@ from .preorder import (
     ZEventSet,
     ZInterval,
     _finite_number,
+    full_components_finite,
     normalize,
 )
 
@@ -83,7 +84,8 @@ __all__ = [
 class Query:
     """One inference request, bound to its model: ``pbox`` for events,
     expectations and thresholds, ``x1`` and ``x2`` for arithmetic.  Building
-    it checks the kind, ``side`` and ``op``; an error starts with the field."""
+    it checks the kind, ``side`` and ``op``, and the class indices of a
+    finite event against its p-box; an error starts with the field."""
 
     id: str
     kind: str
@@ -106,6 +108,11 @@ class Query:
             raise ValidationError(f"side: expected 'lower' or 'upper', got {self.side!r}")
         if self.pbox is None and self.kind not in ARITH_KINDS:
             raise ValidationError(f"pbox: a {self.kind} query needs a p-box")
+        if isinstance(self.event, ClassSubset) and self.pbox is not None and self.pbox.is_finite:
+            try:
+                full_components_finite(self.pbox.space, self.event)
+            except ValidationError as exc:
+                raise ValidationError(f"event: {exc}") from None
 
 
 @dataclass(frozen=True)

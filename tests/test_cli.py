@@ -382,6 +382,16 @@ class TestInfer:
         assert code == 2
         assert "pbox: missing" in err and out == ""
 
+    def test_class_index_beyond_space_exit_3(self, tmp_path, capsys):
+        # the index is checked when the query is built, before the first row
+        doc = dict(SCENARIO_DOC, queries=[SCENARIO_DOC["queries"][0],
+                                          {"kind": "event_lower", "classes": [5]}])
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3
+        assert err.startswith("validation error: queries[1].event: class indices") and out == ""
+
     def test_finite_threshold_exit_3(self, tmp_path, capsys):
         doc = dict(SCENARIO_DOC, queries=[{"id": "t", "kind": "threshold", "target": 0.5,
                                            "oscillation": {"builtin": "dike_upper"}}])
@@ -597,6 +607,12 @@ class TestVerify:
         code, out, _ = run_cli(capsys, ["verify", "--trials", "0"])
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("argv", [["--n-max", "1"], ["--n-max", "0"], ["--trials", "-3"]])
+    def test_out_of_range_arguments_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["verify", *argv])
+        assert code == 3
+        assert err.startswith(f"validation error: {argv[0]} must be at least") and out == ""
 
     def test_small_campaign_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--trials", "5", "--seed", "7"])

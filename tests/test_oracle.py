@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pboxes.errors import ValidationError
 from pboxes.oracle import (
@@ -68,14 +70,35 @@ class TestLpLowerExpectation:
             gamble = [_fraction(rng.randrange(-300, 301)) / 100 for _ in range(n)]
             assert _chain_vertex_min(instance, gamble) == credal_lp(instance, gamble)
 
-    def test_large_instances_use_simplex(self, rng):
+    def test_twelve_classes_equal_simplex_exactly(self, rng):
         instance = random_credal_instance(rng, 12, denominator=50)
         gamble = [rng.randrange(-100, 101) / 10 for _ in range(12)]
-        value = lp_lower_expectation(instance, gamble)
-        assert min(gamble) <= value <= max(gamble)
+        exact = credal_lp(instance, [_fraction(g) for g in gamble])
+        assert _chain_vertex_min(instance, [_fraction(g) for g in gamble]) == exact
+        assert lp_lower_expectation(instance, gamble) == float(exact)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_integer_sweep_equals_simplex(self, data):
+        # bounds with mixed denominators up to 10**12, as limit_denominator
+        # leaves them in pbox_representability_check
+        n = data.draw(st.integers(1, 8), label="n")
+        bound = st.fractions(min_value=0, max_value=1, max_denominator=10**12)
+        a = sorted(data.draw(st.lists(bound, min_size=n - 1, max_size=n - 1), label="a"))
+        b = sorted(data.draw(st.lists(bound, min_size=n - 1, max_size=n - 1), label="b"))
+        instance = FiniteCredalInstance(
+            tuple(min(x, y) for x, y in zip(a, b)) + (Fraction(1),),
+            tuple(max(x, y) for x, y in zip(a, b)) + (Fraction(1),))
+        indicator = st.sampled_from([Fraction(0), Fraction(1)])
+        value = st.one_of(
+            st.floats(-1e3, 1e3, allow_nan=False).map(Fraction),  # binary denominators
+            st.fractions(min_value=-100, max_value=100, max_denominator=10**6))
+        gamble = data.draw(st.one_of(st.lists(indicator, min_size=n, max_size=n),
+                                     st.lists(value, min_size=n, max_size=n)), label="gamble")
+        assert _chain_vertex_min(instance, gamble) == credal_lp(instance, gamble)
 
     def test_matches_finite_formula_at_large_n(self, rng):
-        for n in (25, 50):
+        for n in (25, 50, 100, 200):
             instance = random_credal_instance(rng, n)
             box = PBox(StepCdf(tuple(float(v) for v in instance.lower_cum)),
                        StepCdf(tuple(float(v) for v in instance.upper_cum)),
@@ -84,6 +107,11 @@ class TestLpLowerExpectation:
                 gamble = [rng.randrange(-500, 501) / 100 for _ in range(n)]
                 assert lp_lower_expectation(instance, gamble) == pytest.approx(
                     lower_expectation_finite(box, gamble), abs=1e-9)
+            for _ in range(5):
+                members = [i for i in range(n) if rng.random() < 0.5]
+                assert lp_lower_expectation(
+                    instance, [1 if i in members else 0 for i in range(n)]) == pytest.approx(
+                    lower_prob_event(box, ClassSubset(members)), abs=1e-9)
 
     def test_length_mismatch(self):
         instance = FiniteCredalInstance((1,), (1,))

@@ -1,9 +1,13 @@
-"""The README's library examples run and give the values their comments document."""
+"""The README's examples run: the library ones give the values their
+comments document, and the command-line ones that need no file exit 0."""
 
 import pathlib
 import re
+import shlex
 
 import pytest
+
+from pboxes.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # an expression line whose comment starts with the value it evaluates to
@@ -29,3 +33,22 @@ def test_library_examples_give_the_documented_values():
     assert event == quarter
     for value, doc in finite:
         assert value == pytest.approx(doc, abs=1e-12)
+
+
+def command_lines() -> list:
+    """The argv of every ``pboxes`` command in the "Command line" block."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_command_line_examples_exit_0(capsys):
+    # infer needs a scenario file of its own
+    argvs = [argv for argv in command_lines() if argv[0] != "infer"]
+    assert [argv[0] for argv in argvs] == ["paper", "paper", "paper", "table", "verify"]
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[0] == "verify":
+            assert "RESULT: PASS" in out
