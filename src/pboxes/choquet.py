@@ -1,24 +1,21 @@
 """Lower/upper expectations of gambles via cut sets and bracketed quadrature.
 
-A gamble on the underlying space enters as its lower (or upper) oscillation,
-a bounded function of the quotient coordinate z.  The expectation is the
-oscillation's infimum plus the integral over cut levels t of the lower
-(upper) probability of the cut set ``{z : osc(z) >= t}``.  That integrand is
-non-increasing in t, so lower and upper Darboux sums on any t-grid bracket
-the integral with a rigorous two-sided error.  The grid is refined
-adaptively: each round halves only the cells that carry a large share of the
-bracket width, until the bracket is narrower than the requested tolerance.
+A gamble enters as its lower (or upper) oscillation, a bounded function of
+the quotient coordinate z.  The expectation is the oscillation's infimum
+plus the integral over levels t of the lower (upper) probability of the cut
+set ``{z : osc(z) >= t}``, non-increasing in t, so Darboux sums bracket it
+rigorously; each round of refinement halves only the cells that carry a
+large share of the bracket width.
 
-Every cut set is represented the same way: the closed components ``[a, b]``
-of ``{osc >= t}`` for a whole batch of levels, as flat arrays.  The
-continuum formula of :mod:`pboxes.pbox` (``_piece_gains``) turns them into
-lower probabilities and their complements into upper ones.  They are exact
-wherever the oscillation's structure allows it: from the segment crossings
-of a piecewise-linear oscillation's knots, or from a registered inverse.
-Other declared-monotone oscillations bisect their one moving endpoint;
-black-box non-monotone ones are scanned on a grid once per batch and every
-boundary is bisected, which can miss components narrower than the grid
-spacing.
+A declared-monotone oscillation without knots is integrated over its own
+coordinate: its cut sets are the nested intervals ``[z, 1]`` or ``[0, z]``,
+so a cell of a z-grid weighs the cut probabilities at its ends by the step
+of ``f`` across it, with no inverse and for any monotone ``f``.  Other
+oscillations are integrated over levels, their cuts given as flat arrays of
+closed components: exact segment crossings for knot oscillations, and for
+black boxes a grid scan with every boundary bisected (components narrower
+than the grid can be missed).  ``pbox._piece_gains`` turns cut sets into
+lower probabilities and their complements into upper ones.
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
 expectation is an exact finite sum over the sorted distinct gamble values,
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,12 +52,13 @@ DECREASING = "decreasing"
 GENERAL = "general"
 
 _VALIDATION_POINTS = 129
-_INVERSE_ROUNDTRIP_TOL = 1e-10
 # hard cap on grid size so a hopeless tolerance flags instead of exhausting memory
 _MAX_GRID = 1 << 21
 # levels x cells per level handled in one vectorized pass, to bound its memory
 _CUT_BATCH_CELLS = 1 << 22
-# sections per round of the threshold search: 31 interior levels per batch
+# grid points per pass of a coordinate grid, to bound the memory of its temporaries
+_CHUNK = 1 << 13
+# sections per round of the threshold search: 31 interior points per batch
 _SECTIONS = 32
 
 
@@ -68,11 +66,7 @@ _SECTIONS = 32
 class Oscillation:
     """A bounded function of the quotient coordinate with monotonicity metadata.
 
-    ``inverse``, when given, maps a level t to the coordinate solving
-    ``f(z) = t`` on the declared monotone range; cut-set endpoints then come
-    from it directly instead of bisection.  Discontinuous oscillations
-    should always register an exact inverse, since bisection can only locate
-    a jump to within the bisection tolerance.
+    A declared-monotone ``f`` without knots needs no inverse and may jump.
 
     ``sup_value`` may be ``math.inf`` for upper oscillations that blow up at
     the top of the coordinate range; expectations then require a tail
@@ -83,15 +77,14 @@ class Oscillation:
     ``np.interp`` does).  Cut sets then come exactly from the segment
     crossings, whatever the monotonicity.
 
-    ``f`` and ``inverse`` may be scalar-only: each is probed once here and,
-    if it rejects arrays, looped over elements (see :func:`vectorized`).
+    ``f`` may be scalar-only: it is probed once here and, if it rejects
+    arrays, looped over elements (see :func:`vectorized`).
     """
 
     f: Callable
     inf_value: float
     sup_value: float
     monotonicity: str = GENERAL
-    inverse: Callable | None = None
     knots: tuple | None = None
 
     def __post_init__(self):
@@ -112,50 +105,10 @@ class Oscillation:
             raise ValidationError("oscillation is not increasing on the validation grid")
         if self.monotonicity == DECREASING and np.any(np.diff(vals) > 1e-9):
             raise ValidationError("oscillation is not decreasing on the validation grid")
-        if self.inverse is not None:
-            self._check_inverse(zs, vals)
         if self.knots is not None:
             knot_zs, knot_vs = np.asarray(self.knots, dtype=float).T
             if not np.allclose(vals, np.interp(zs, knot_zs, knot_vs), rtol=0.0, atol=1e-9):
                 raise ValidationError("oscillation disagrees with its knots")
-
-    @cached_property
-    def _end_values(self) -> tuple:
-        """``(f(0), f(1))``, evaluated once."""
-        return float(self.f(0.0)), float(self.f(1.0))
-
-    def _check_inverse(self, zs, vals):
-        if self.monotonicity == GENERAL:
-            raise ValidationError("an inverse requires declared monotonicity")
-        # sample the central range only: near the ends of the coordinate
-        # range the slope of an unbounded oscillation defeats any finite
-        # roundtrip tolerance
-        interior = slice(_VALIDATION_POINTS // 32, -_VALIDATION_POINTS // 32)
-        ts = np.unique(vals[interior])
-        ts = ts[np.isfinite(ts)]
-        object.__setattr__(self, "inverse", vectorized(self.inverse, probe=ts))
-        back_zs = np.clip(self.inverse(ts), 0.0, 1.0)
-        back = self.f(back_zs)
-        for t, z, b in zip(ts, back_zs, back):
-            if abs(b - t) <= _INVERSE_ROUNDTRIP_TOL:
-                continue
-            # a discontinuous oscillation has no exact roundtrip: its inverse
-            # lands on the jump itself, so accept a point that brackets the
-            # cut-set boundary instead
-            if self._brackets_boundary(float(z), float(t)):
-                continue
-            raise ValidationError(
-                f"inverse inconsistent with oscillation: f(inverse({t})) = {b}")
-
-    def _brackets_boundary(self, z: float, t: float, h: float = 1e-9) -> bool:
-        above = float(self.f(min(z + h, 1.0)))
-        below = float(self.f(max(z - h, 0.0)))
-        if self.monotonicity == INCREASING:
-            inside, outside = above, below
-        else:
-            inside, outside = below, above
-        edge = (z <= h) if self.monotonicity == INCREASING else (z >= 1.0 - h)
-        return inside >= t - 1e-9 and (edge or outside <= t + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -163,13 +116,12 @@ class QuadratureConfig:
     """Tolerances for the bracketed cut-level quadrature.
 
     ``max_refinements`` caps the rounds of adaptive refinement; a round
-    halves every cell whose share of the bracket width is large, not the
-    whole grid.  Knot oscillations and registered inverses give exact cut
-    sets, so ``cut_grid`` and the cut-set use of ``bisect_tol`` only affect
-    black-box oscillations: a non-monotone one is scanned once per batch of
-    levels on ``cut_grid`` cells, and every cut-set boundary, of a scan or
-    of a monotone oscillation without an inverse, is bisected to
-    ``bisect_tol``.  ``bisect_tol`` is also the tolerance of
+    halves every cell whose share of the bracket width is large.  Black
+    boxes without knots are scanned on ``cut_grid`` cells per batch of
+    levels, every boundary bisected to ``bisect_tol``, wherever their cut
+    sets are needed: expectations of non-monotone ones, and for any of them
+    :func:`cut_event`, the tabulated integrand and the probes of an
+    unbounded tail.  ``bisect_tol`` is also the tolerance of
     :func:`threshold_solve`.
     """
 
@@ -197,11 +149,8 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Bracket midpoint plus the half-width of the enclosing Darboux bracket.
-
-    ``refinements`` counts the rounds of adaptive refinement; each round
-    split some cells of the level grid at their midpoints.
-    """
+    """Bracket midpoint plus the half-width of the enclosing Darboux bracket,
+    and the rounds of adaptive refinement that split some cells of the grid."""
 
     value: float
     error_bound: float
@@ -273,31 +222,6 @@ def _knot_components(knots, ts: np.ndarray):
     return level[keep], np.clip(a[keep], 0.0, 1.0), np.clip(b[keep], 0.0, 1.0)
 
 
-def _monotone_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig):
-    """The one component of a declared-monotone cut: ``[0, z]`` if decreasing,
-    ``[z, 1]`` if increasing, with ``z`` from the inverse or by bisection.
-
-    Levels at or below the value at the anchored end cut all of [0, 1];
-    levels above the value at the free end cut nothing.
-    """
-    decreasing = osc.monotonicity == DECREASING
-    f_anchor, f_free = osc._end_values[::-1] if decreasing else osc._end_values
-    # the whole space until the level passes the value at the anchor
-    moving = np.full(len(ts), 1.0 if decreasing else 0.0)
-    inner = (ts > f_anchor) & (ts <= f_free)
-    if inner.any():
-        t = ts[inner]
-        z = osc.inverse(t) if osc.inverse is not None else _bisect(
-            osc.f, t, np.zeros(len(t)), np.ones(len(t)), not decreasing, cfg.bisect_tol)
-        moving[inner] = np.clip(z, 0.0, 1.0)
-    level = np.flatnonzero(ts <= f_free)
-    # a read-only view of one value: the anchored ends take no memory
-    anchor = np.broadcast_to(0.0 if decreasing else 1.0, level.shape)
-    if decreasing:
-        return level, anchor, moving[level]
-    return level, moving[level], anchor
-
-
 def _scan_components(f, ts: np.ndarray, cfg: QuadratureConfig):
     """Components of black-box cuts from one scan on ``cfg.cut_grid`` cells.
 
@@ -329,9 +253,7 @@ def _cut_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig):
     """
     if osc.knots is not None:
         return _knot_components(osc.knots, ts)
-    if osc.monotonicity == GENERAL:
-        return _scan_components(osc.f, ts, cfg)
-    return _monotone_components(osc, ts, cfg)
+    return _scan_components(osc.f, ts, cfg)
 
 
 def _component_probs(pbox: PBox, n: int, level: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -368,12 +290,9 @@ def _component_probs(pbox: PBox, n: int, level: np.ndarray, a: np.ndarray, b: np
 def cut_event(osc: Oscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ZEventSet:
     """Normalized coordinate set ``{z : osc(z) >= t}``.
 
-    The components are those the quadrature computes for a whole batch of
-    levels (:func:`_cut_components`), here for one level: exact segment
-    crossings for knot oscillations; for other declared-monotone ones a
-    single interval anchored at 0 or 1, whose moving end comes from the
-    registered inverse or by bisection; for black-box general ones a scan
-    on ``cfg.cut_grid`` cells with every boundary bisected.
+    The components of :func:`_cut_components` for one level.  The scan of
+    a black box includes 0 and 1, so it finds the one component of a
+    monotone cut, which holds one of them.
     """
     _, lo, hi = _cut_components(osc, np.array([float(t)]), cfg)
     return normalize([ZInterval.closed(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
@@ -386,20 +305,52 @@ def _batch_cut_probs(pbox: PBox, osc: Oscillation, ts: np.ndarray, upper: bool,
     The components of all cut sets come from one :func:`_cut_components`
     pass and their probabilities from one :func:`_component_probs` pass.
     Levels go in chunks, so that levels times the cells scanned per level
-    (one for a monotone oscillation, its knots, or the ``cut_grid`` points
-    of a black box) stays within a fixed memory bound.
+    (the knots, or the ``cut_grid`` points of a black box) stays within a
+    fixed memory bound.
     """
-    if osc.knots is not None:
-        cells = len(osc.knots)
-    else:
-        cells = cfg.cut_grid + 1 if osc.monotonicity == GENERAL else 1
-    n = len(ts)
-    step = max(1, _CUT_BATCH_CELLS // cells)
-    if n > step:
-        return np.concatenate([_batch_cut_probs(pbox, osc, ts[i:i + step], upper, cfg)
-                               for i in range(0, n, step)])
-    level, a, b = _cut_components(osc, ts, cfg)
-    return _component_probs(pbox, n, level, a, b, upper)
+    def probs(chunk):
+        level, a, b = _cut_components(osc, chunk, cfg)
+        return _component_probs(pbox, len(chunk), level, a, b, upper)
+
+    cells = len(osc.knots) if osc.knots is not None else cfg.cut_grid + 1
+    return _in_chunks(probs, ts, max(1, _CUT_BATCH_CELLS // cells))
+
+
+def _in_chunks(fn, s: np.ndarray, size: int = _CHUNK) -> np.ndarray:
+    """``fn(s)``, evaluated ``size`` points at a time to bound its temporaries."""
+    out = np.empty(len(s))
+    for i in range(0, len(s), size):
+        out[i:i + size] = fn(s[i:i + size])
+    return out
+
+
+def _coordinate_grid(pbox: PBox, osc: Oscillation, upper: bool, a: float, b: float):
+    """Level and lower (upper) cut probability, in chunks, at points ``s`` of
+    a grid over the coordinate of a declared-monotone ``osc``.
+
+    Point ``s`` is ``z = s``, or ``1 - s`` if ``osc`` decreases, so that its
+    anchored cut ``[z, 1]`` or ``[0, z]`` shrinks as ``s`` grows.  Its level
+    is ``clip(f(z), a, b)``; its probability is that of the anchored cut on
+    the lower side and 1 minus that of its complement on the upper.  Every
+    level ``t <= f(z)`` cuts a superset of the anchored cut and every level
+    above ``f(z)`` a subset, whether ``f`` jumps or not.
+    """
+    rising = osc.monotonicity == INCREASING
+
+    def level(s):
+        return np.clip(osc.f(s if rising else 1.0 - s), a, b)
+
+    def probs(s):
+        z = s if rising else 1.0 - s
+        fill = partial(np.broadcast_to, shape=z.shape)
+        if upper:
+            ends = (fill(0.0), z) if rising else (z, fill(1.0))
+            gains = _piece_gains(pbox, *ends, fill(not rising), fill(rising))
+            return 1.0 - np.clip(gains, 0.0, 1.0)
+        ends = (z, fill(1.0)) if rising else (fill(0.0), z)
+        return np.clip(_piece_gains(pbox, *ends, fill(False), fill(False)), 0.0, 1.0)
+
+    return partial(_in_chunks, level), partial(_in_chunks, probs)
 
 
 def _assert_monotone_integrand(rises: np.ndarray):
@@ -410,56 +361,57 @@ def _assert_monotone_integrand(rises: np.ndarray):
             "oscillation metadata or p-box inputs are inconsistent")
 
 
-def _darboux(batch, a: float, b: float, cfg: QuadratureConfig):
-    """Bracket the integral of a non-increasing integrand on [a, b].
+def _darboux(batch, a: float, b: float, cfg: QuadratureConfig, level=np.asarray,
+             tol: float | None = None):
+    """Bracket the integral over levels of a non-increasing integrand: its
+    midpoint, half-width, convergence flag and rounds of refinement.
 
-    Returns midpoint, half-width, convergence flag, and the number of
-    refinement rounds performed.  On every cell the integrand lies between
-    its right and left endpoint values, so the bracket [lower sum, upper sum]
-    (the right- and left-endpoint rules on the current, possibly non-uniform
-    grid) contains the integral whatever the cell widths.
-
+    The grid runs over ``s`` in [a, b]; ``batch(s)`` is the integrand and
+    ``level(s)`` the non-decreasing level (``np.asarray``, the identity, in
+    level space).  A cell weighs by its level step, and the integrand on it
+    lies between its end values, so the lower and upper sums bracket it.
     Each round splits, at its midpoint, only the cells whose contribution
-    ``c = width * (g_left - g_right)`` to the bracket width satisfies
-    ``c * n >= abs_tol / 2`` for ``n`` cells: the cells left alone add up to
-    less than ``abs_tol / 2``, and a split halves a cell's contribution.
-    Flat stretches of the integrand thus stay coarse.  Cells only ever split
-    at midpoints, so the grid for a tighter tolerance refines the grid for a
-    looser one and the brackets nest.
+    ``c = step * (g_left - g_right)`` has ``c * n >= tol / 2`` for ``n``
+    cells (``tol`` defaults to ``cfg.abs_tol``), so the cells left alone add
+    up to less than ``tol / 2`` and the brackets of tighter tolerances nest.
+    Only ``s`` and ``g`` are kept across rounds; levels are recomputed.
     """
-    ts = np.linspace(a, b, 17)
-    g = np.clip(batch(ts), 0.0, 1.0)
+    tol = cfg.abs_tol if tol is None else tol
+    s = np.linspace(a, b, 17)
+    g = np.clip(batch(s), 0.0, 1.0)
     _assert_monotone_integrand(np.diff(g))
     g = np.minimum.accumulate(g)  # remove float dust only; checked just above
     rounds = 0
     while True:
-        delta = ts[1:] - ts[:-1]
-        gaps = delta * (g[:-1] - g[1:])
+        steps = np.diff(level(s))
+        gaps = g[:-1] - g[1:]
+        gaps *= steps
         width = float(gaps.sum())
-        split = gaps >= 0.5 * cfg.abs_tol / len(gaps)
-        cells = np.flatnonzero(split)
-        converged = width < cfg.abs_tol
+        split = gaps >= 0.5 * tol / len(gaps)
+        converged = width < tol
         if (converged or rounds >= cfg.max_refinements
-                or len(gaps) + len(cells) > _MAX_GRID):
-            lower = float(delta @ g[1:])
+                or len(gaps) + np.count_nonzero(split) > _MAX_GRID):
+            lower = float(steps @ g[1:])
             return lower + 0.5 * width, 0.5 * width, converged, rounds
-        right = cells + 1
-        mids = 0.5 * (ts[cells] + ts[right])
-        g_left, g_right = g[cells], g[right]
-        gm = np.clip(batch(mids), 0.0, 1.0)
-        # the rest of the grid is already monotone; clip float dust only
-        _assert_monotone_integrand(np.maximum(gm - g_left, g_right - gm))
-        gm = np.minimum(np.maximum(gm, g_right), g_left)
-        # scatter: every level moves up by the number of midpoints below it
-        at = np.arange(len(ts))
-        at[1:] += np.cumsum(split)
-        ts_new = np.empty(len(ts) + len(cells))
-        g_new = np.empty_like(ts_new)
-        at_mid = at[cells] + 1
-        ts_new[at], g_new[at] = ts, g
-        ts_new[at_mid], g_new[at_mid] = mids, gm
-        ts, g = ts_new, g_new
+        del steps, gaps
+        s, g = _split(batch, s, g, np.flatnonzero(split))
         rounds += 1
+
+
+def _split(batch, s: np.ndarray, g: np.ndarray, cells: np.ndarray):
+    """The grid ``s`` and integrand ``g`` with the midpoints of ``cells`` inserted."""
+    right = cells + 1
+    mids = 0.5 * (s[cells] + s[right])
+    gm = np.clip(batch(mids), 0.0, 1.0)
+    # the rest of the grid is already monotone; clip float dust only
+    _assert_monotone_integrand(np.maximum(gm - g[cells], g[right] - gm))
+    np.clip(gm, g[right], g[cells], out=gm)
+    at = right + np.arange(len(cells))  # each midpoint moves up by the midpoints below it
+    old = np.ones(len(s) + len(cells), dtype=bool)
+    old[at] = False
+    s_new, g_new = np.empty(len(old)), np.empty(len(old))
+    s_new[old], s_new[at], g_new[old], g_new[at] = s, mids, g, gm
+    return s_new, g_new
 
 
 def _require_continuum(pbox: PBox) -> None:
@@ -470,12 +422,10 @@ def _require_continuum(pbox: PBox) -> None:
 
 def _integrand(pbox: PBox, osc: Oscillation, upper: bool, cfg: QuadratureConfig):
     """The lower (upper) cut probability of ``osc`` as a batch function of
-    the level, the range ``[a, b]`` of levels it is integrated over, and the
-    width charged for the tail beyond ``b``.
-
-    An unbounded oscillation (``sup_value = inf``) is integrated up to the
-    level where the integrand falls below ``cfg.tail_tol``; the truncated
-    tail is charged ``tail_tol * (b - last level above tail_tol)``.
+    the level, the levels ``[a, b]`` to integrate over, and the width charged
+    for the tail beyond ``b``: an unbounded oscillation stops at the level
+    where the integrand falls below ``cfg.tail_tol``, and its tail is charged
+    ``tail_tol * (b - last level above tail_tol)``.
     """
     _require_continuum(pbox)
     batch = partial(_batch_cut_probs, pbox, osc, upper=upper, cfg=cfg)
@@ -488,23 +438,33 @@ def _integrand(pbox: PBox, osc: Oscillation, upper: bool, cfg: QuadratureConfig)
 
 def _expectation(pbox: PBox, osc: Oscillation, upper: bool,
                  cfg: QuadratureConfig) -> QuadratureResult:
-    """``inf + integral of the cut probability``, bracketed by :func:`_darboux`."""
+    """``inf + integral of the cut probability``, bracketed by :func:`_darboux`.
+
+    A declared-monotone oscillation without knots is integrated over its
+    coordinate (:func:`_coordinate_grid`); the levels up to ``level(0)`` cut
+    the whole space and add the exact head ``(level(0) - a) * P(whole
+    space)``.  The tail's charge comes off the tolerance, so ``converged``
+    means the reported bound meets ``abs_tol``.
+    """
     batch, a, b, tail = _integrand(pbox, osc, upper, cfg)
     if b <= a:
         return QuadratureResult(a, 0.0, True)
-    mid, hw, ok, rounds = _darboux(batch, a, b, cfg)
-    return QuadratureResult(a + mid + 0.5 * tail, hw + 0.5 * tail, ok, rounds)
+    tol = cfg.abs_tol - tail
+    level, lo, hi, head = np.asarray, a, b, 0.0
+    if osc.knots is None and osc.monotonicity != GENERAL:
+        level, batch = _coordinate_grid(pbox, osc, upper, a, b)
+        lo, hi, head = 0.0, 1.0, float((level(np.zeros(1))[0] - a) * batch(np.zeros(1))[0])
+    # a tail charge beyond abs_tol cannot converge: refine to abs_tol instead
+    mid, hw, ok, rounds = _darboux(batch, lo, hi, cfg, level, tol if tol > 0 else cfg.abs_tol)
+    return QuadratureResult(a + (mid + head) + 0.5 * tail, hw + 0.5 * tail, ok and tol > 0,
+                            rounds)
 
 
 def lower_expectation(pbox: PBox, losc: Oscillation,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Lower expectation of a gamble given its lower oscillation.
-
-    Computes ``inf + integral of the lower cut probability`` over the
-    oscillation's range, with the integral bracketed by Darboux sums.  The
-    caller guarantees that ``losc`` is the per-class infimum of the target
-    gamble.
-    """
+    """Lower expectation of a gamble given its lower oscillation, the
+    per-class infimum of the gamble (the caller guarantees it): ``inf +
+    integral of the lower cut probability``, bracketed by Darboux sums."""
     if math.isinf(losc.sup_value):
         raise ValidationError("a lower oscillation of a bounded gamble is bounded")
     return _expectation(pbox, losc, False, cfg)
@@ -512,13 +472,9 @@ def lower_expectation(pbox: PBox, losc: Oscillation,
 
 def upper_expectation(pbox: PBox, uosc: Oscillation,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Upper expectation of a gamble given its upper oscillation.
-
-    Mirrors :func:`lower_expectation` through conjugacy.  An unbounded
-    oscillation (``sup_value = inf``) is integrated up to the level where the
-    integrand falls below ``cfg.tail_tol``, and the tail beyond it is
-    charged to the reported error (see :func:`_integrand`).
-    """
+    """Upper expectation of a gamble given its upper oscillation, the mirror
+    of :func:`lower_expectation` through conjugacy.  The tail of an unbounded
+    oscillation is charged to the reported error (see :func:`_integrand`)."""
     return _expectation(pbox, uosc, True, cfg)
 
 
@@ -565,35 +521,41 @@ def threshold_solve(pbox: PBox, uosc: Oscillation, target: float,
     """Smallest level t with upper cut probability at most ``target``.
 
     Requires the upper cut probability to be non-increasing and continuous
-    over the search range, which holds for continuous lower CDFs and
-    strictly monotone oscillations.  The answer ``hi`` satisfies
-    ``prob(hi) <= target < prob(lo)`` for some ``lo`` with
-    ``hi - lo <= cfg.bisect_tol``: each round of the search evaluates
-    ``_SECTIONS - 1`` interior levels of the bracket in one batch and keeps
-    the section where the target is first met.
+    over the search range, as for continuous lower CDFs and strictly
+    monotone oscillations.  The search runs over the grid of
+    :func:`_expectation`; its answer is ``level(hi)`` for a bracket with
+    ``prob(hi) <= target < prob(lo)`` and ``level(hi) - level(lo) <=
+    cfg.bisect_tol``, each round evaluating ``_SECTIONS - 1`` interior points
+    in one batch and keeping the section where the target is first met.
     """
     _require_continuum(pbox)
     if not 0.0 < target <= 1.0:
         raise ValidationError("threshold target must lie in (0, 1]")
+    unreachable = "threshold target unreachable on the search range"
     prob = partial(_batch_cut_probs, pbox, uosc, upper=True, cfg=cfg)
-    lo = uosc.inf_value
+    level, lo, hi = np.asarray, uosc.inf_value, uosc.sup_value
+    if uosc.knots is None and uosc.monotonicity != GENERAL:
+        level, prob = _coordinate_grid(pbox, uosc, True, lo, hi)
+        lo, hi = 0.0, 1.0
     if prob(np.array([lo]))[0] <= target:
-        return lo
-    if math.isinf(uosc.sup_value):
+        return uosc.inf_value
+    if math.isinf(hi):
         try:
             # prob <= target is prob < the next float above target
             hi, lo = _span_doubling(prob, lo, np.nextafter(target, np.inf))
         except ToleranceError:
-            raise ToleranceError("threshold target unreachable on the search range") from None
-    else:
-        hi = uosc.sup_value
-        if prob(np.array([hi]))[0] > target:
-            raise ToleranceError("threshold target unreachable on the search range")
-    while hi - lo > cfg.bisect_tol:
-        ts = np.linspace(lo, hi, _SECTIONS + 1)
-        met = np.flatnonzero(prob(ts[1:-1]) <= target)
+            raise ToleranceError(unreachable) from None
+    elif prob(np.array([hi]))[0] > target:
+        if level(np.array([hi]))[0] >= uosc.sup_value:
+            raise ToleranceError(unreachable)
+        lo = hi  # over the coordinate, the levels above f(1) < sup_value cut nothing
+    while True:
+        t_lo, t_hi = level(np.array([lo, hi]))
+        if t_hi - t_lo <= cfg.bisect_tol:
+            return float(t_hi)
+        s = np.linspace(lo, hi, _SECTIONS + 1)
+        met = np.flatnonzero(prob(s[1:-1]) <= target)
         k = int(met[0]) + 1 if met.size else _SECTIONS
-        if ts[k - 1] == lo and ts[k] == hi:
+        if s[k - 1] == lo and s[k] == hi:
             raise ToleranceError("bisect_tol is below the float spacing of the threshold")
-        lo, hi = float(ts[k - 1]), float(ts[k])
-    return hi
+        lo, hi = float(s[k - 1]), float(s[k])

@@ -54,6 +54,7 @@ from .preorder import (
 from .scenarios import (
     ARITH_KINDS,
     BUILTIN_NAMES,
+    INTEGRAL_KINDS,
     Query,
     Scenario,
     builtin_scenario,
@@ -218,7 +219,7 @@ def _queries_from_spec(raw_queries, pbox) -> tuple:
             fields = {}
             if kind in ("event_lower", "event_upper"):
                 fields["event"] = _event_from_spec(raw, path)
-            elif kind in ("expectation_lower", "expectation_upper", "threshold"):
+            elif kind in INTEGRAL_KINDS:
                 fields["oscillation"] = _oscillation_from_spec(
                     _field(raw, "oscillation", path, dict))
                 if kind == "threshold":
@@ -319,9 +320,8 @@ def _cmd_table(args) -> int:
             print(f"{_fmt(float(x))},{_fmt(float(pbox.lower(x)))},"
                   f"{_fmt(float(pbox.upper(x)))}")
         return 0
-    integrand_kinds = ("expectation_lower", "expectation_upper", "threshold")
     query = next((q for q in scenario.queries
-                  if q.kind in integrand_kinds and args.query in (None, q.id)), None)
+                  if q.kind in INTEGRAL_KINDS and args.query in (None, q.id)), None)
     if query is None:
         raise ValidationError(
             "no expectation query to take an integrand from" if args.query is None

@@ -19,6 +19,8 @@ exact rational.  No external solver is used.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +47,17 @@ __all__ = [
 ]
 
 def _fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """``x`` held exactly, by the library's rule for input numbers, restated
+    so that the oracle imports nothing it checks: a TypeError unless it is a
+    number (a string, bool or ``None`` is not), a ValidationError unless finite."""
+    if isinstance(x, Fraction):
+        return x
+    # plain ints and floats skip the slower check of the abstract number type
+    if type(x) not in (int, float) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        raise TypeError(f"expected a number, got {type(x).__name__}")
+    if not isinstance(x, int) and not math.isfinite(x):
+        raise ValidationError(f"expected a finite number, got {x}")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -171,17 +171,15 @@ class AnalyticCdf:
 
 Cdf = StepCdf | PiecewiseLinearCdf | AnalyticCdf
 
-_PROBE = np.array([0.25, 0.75])
-
-
-def vectorized(fn: Callable, probe: np.ndarray = _PROBE) -> Callable:
+def vectorized(fn: Callable) -> Callable:
     """``fn`` if it maps arrays elementwise, else ``fn`` looped over elements.
 
     User callables are probed once, when the object holding them is built:
-    one that raises on ``probe`` or does not return an array of its shape is
-    wrapped, so every later caller can pass arrays.  Scalars go straight to
-    ``fn`` either way.
+    one that raises on a two-point array or does not return an array of its
+    shape is wrapped, so every later caller can pass arrays.  Scalars go
+    straight to ``fn`` either way.
     """
+    probe = np.array([0.25, 0.75])
     try:
         out = fn(probe)
         if isinstance(out, np.ndarray) and out.shape == probe.shape:

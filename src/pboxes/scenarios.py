@@ -2,10 +2,10 @@
 
 Every query carries the model it asks about, and :func:`run_query` sends it
 to the engine through one table from query kind to runner.  Each builtin is
-a fixed query list built from p-boxes and the closed-form oscillations and
-inverses of its target quantity, so the two engineering case studies (a
-damped oscillator's damping ratio, a river dike's overflow height) and the
-finite worked examples can be reproduced by name.  The joint examples build
+a fixed query list built from p-boxes and the closed-form oscillations of
+its target quantity, so the two engineering case studies (a damped
+oscillator's damping ratio, a river dike's overflow height) and the finite
+worked examples can be reproduced by name.  The joint examples build
 finite product models with :func:`combine`.  Fixture constants are asserted
 against their defining closed forms when assertions are enabled.
 """
@@ -25,7 +25,6 @@ from .choquet import (
     Oscillation,
     QuadratureConfig,
     QuadratureResult,
-    _bisect,
     lower_expectation,
     threshold_solve,
     upper_expectation,
@@ -84,8 +83,10 @@ __all__ = [
 class Query:
     """One inference request, bound to its model: ``pbox`` for events,
     expectations and thresholds, ``x1`` and ``x2`` for arithmetic.  Building
-    it checks the kind, ``side`` and ``op``, and the class indices of a
-    finite event against its p-box; an error starts with the field."""
+    it checks the kind, ``side`` and ``op``, that the p-box's space suits
+    the query (a continuum for expectations, thresholds and z-events, a
+    finite space for class subsets), and the class indices of a finite event
+    against its p-box; an error starts with the field."""
 
     id: str
     kind: str
@@ -108,7 +109,15 @@ class Query:
             raise ValidationError(f"side: expected 'lower' or 'upper', got {self.side!r}")
         if self.pbox is None and self.kind not in ARITH_KINDS:
             raise ValidationError(f"pbox: a {self.kind} query needs a p-box")
-        if isinstance(self.event, ClassSubset) and self.pbox is not None and self.pbox.is_finite:
+        finite = self.pbox is not None and self.pbox.is_finite
+        if finite and self.kind in INTEGRAL_KINDS:
+            raise ValidationError(f"pbox: {self.kind} queries need a continuum p-box; "
+                                  "use lower_expectation_finite on finite spaces")
+        if isinstance(self.event, ZEventSet) and finite:
+            raise ValidationError("event: z-events require a continuum p-box")
+        if isinstance(self.event, ClassSubset):
+            if not finite:
+                raise ValidationError("event: class subsets require a finite-space p-box")
             try:
                 full_components_finite(self.pbox.space, self.event)
             except ValidationError as exc:
@@ -133,6 +142,7 @@ class QueryResult:
 
 
 ARITH_KINDS = ("arith_add", "arith_op")
+INTEGRAL_KINDS = ("expectation_lower", "expectation_upper", "threshold")
 
 
 def _bracket(res: QuadratureResult) -> tuple:
@@ -222,23 +232,12 @@ _RATIO_INF = 1.0 / _SQRT6
 _RATIO_SUP = 3.0 / math.sqrt(2.0)
 
 
-def _ratio_boundary(t):
-    """Solves (2 - z) / (2 sqrt(1 + z/2)) = t for z.
-
-    The mirrored upper branch (2 + z) / (2 sqrt(1 - z/2)) = t is solved by
-    the negative of the same expression.
-    """
-    t = np.asarray(t, dtype=float)
-    return 2.0 + t * t - t * np.sqrt(t * t + 8.0)
-
-
 def oscillator_lower_oscillation() -> Oscillation:
     def f(z):
         z = np.asarray(z, dtype=float)
         return (2.0 - z) / (2.0 * np.sqrt(1.0 + z / 2.0))
 
-    return Oscillation(f, inf_value=_RATIO_INF, sup_value=1.0,
-                       monotonicity=DECREASING, inverse=_ratio_boundary)
+    return Oscillation(f, inf_value=_RATIO_INF, sup_value=1.0, monotonicity=DECREASING)
 
 
 def oscillator_upper_oscillation() -> Oscillation:
@@ -246,17 +245,12 @@ def oscillator_upper_oscillation() -> Oscillation:
         z = np.asarray(z, dtype=float)
         return (2.0 + z) / (2.0 * np.sqrt(1.0 - z / 2.0))
 
-    def inverse(t):
-        return -_ratio_boundary(t)
-
-    return Oscillation(f, inf_value=1.0, sup_value=_RATIO_SUP,
-                       monotonicity=INCREASING, inverse=inverse)
+    return Oscillation(f, inf_value=1.0, sup_value=_RATIO_SUP, monotonicity=INCREASING)
 
 
 def _oscillator_scenario() -> Scenario:
     if __debug__:
-        assert abs(_ratio_boundary(_RATIO_INF) - 1.0) < 1e-12
-        assert abs(_ratio_boundary(1.0)) < 1e-12
+        assert abs(float(oscillator_lower_oscillation().f(1.0)) - _RATIO_INF) < 1e-12
         assert abs(float(oscillator_upper_oscillation().f(1.0)) - _RATIO_SUP) < 1e-12
     marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one")) for _ in range(2)]
     joint = combine(marginals, INDEPENDENT)
@@ -278,12 +272,6 @@ DIKE_GUMBEL_LOCATION = 1335.0
 DIKE_GUMBEL_SCALE = 716.0
 DIKE_RIVER_WIDTH = 300.0
 DIKE_RIVER_LENGTH = 6400.0
-# the registered inverse resolves cut endpoints to this grid of [-1, 1]
-_DIKE_GRID_STEP = 2.0 ** -47
-# a cap: every step is below 1e-12 after about 9 on levels in (1e-9, 40]
-_DIKE_NEWTON_STEPS = 16
-# levels per Newton pass, to bound the memory of its temporaries
-_DIKE_INVERSE_CHUNK = 4096
 
 
 def dike_overflow_curve(z):
@@ -303,79 +291,19 @@ def dike_overflow_curve(z):
     return float(out) if out.ndim == 0 else out
 
 
-def _dike_newton(t: np.ndarray) -> np.ndarray:
-    """Approximate solutions z of ``dike_overflow_curve(z) = t``; NaN where none is found.
-
-    Newton steps in ``w = log(-log((1 + z) / 2))``, in which the Gumbel flow
-    ``mu - beta * w`` is linear, on the logarithm of the curve's 5/3 power,
-    starting from the flow-only inverse with the denominator taken at z = 0.
-    """
-    with np.errstate(all="ignore"):
-        rhs = (5.0 / 3.0) * np.log(t) + math.log(DIKE_RIVER_WIDTH)
-        w = (DIKE_GUMBEL_LOCATION - np.exp(rhs) * 30.0 * math.sqrt(5.0 / DIKE_RIVER_LENGTH)
-             ) / DIKE_GUMBEL_SCALE
-        for _ in range(_DIKE_NEWTON_STEPS):
-            e = np.exp(w)
-            z_plus_one = 2.0 * np.exp(-e)
-            z = z_plus_one - 1.0
-            flow = DIKE_GUMBEL_LOCATION - DIKE_GUMBEL_SCALE * w
-            g = (np.log(flow) - np.log(30.0 - 15.0 * z)
-                 - 0.5 * np.log((5.0 - 2.0 * z) / DIKE_RIVER_LENGTH) - rhs)
-            slope = (-DIKE_GUMBEL_SCALE / flow
-                     - z_plus_one * e * (15.0 / (30.0 - 15.0 * z) + 1.0 / (5.0 - 2.0 * z)))
-            step = g / slope
-            w = w - step
-            if not (np.abs(step) > 1e-12).any():
-                break
-        return 2.0 * np.exp(-np.exp(w)) - 1.0
-
-
-def _dike_curve_inverse(t):
-    """Smallest point of the grid ``-1 + k * 2**-47`` on [-1, 1] where
-    ``dike_overflow_curve`` is at least ``t``.
-
-    Newton's method (:func:`_dike_newton`) gives a bracket of 8 grid steps
-    around the crossing, kept only where the curve is checked to cross inside
-    it; the bracket is then bisected to one grid step, in about 3 halvings.
-    A level whose bracket fails the check is bisected from all of [-1, 1],
-    in 48 halvings.  Levels go in chunks of ``_DIKE_INVERSE_CHUNK`` to bound
-    the memory of the Newton steps.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    flat = t_arr.ravel()
-    if flat.size > _DIKE_INVERSE_CHUNK:
-        z = np.concatenate([_dike_curve_inverse(flat[i:i + _DIKE_INVERSE_CHUNK])
-                            for i in range(0, flat.size, _DIKE_INVERSE_CHUNK)])
-        return z.reshape(t_arr.shape)
-    # the window is shifted, not cut, at the ends of [-1, 1]: a bracket of
-    # 2**j grid steps halves onto grid points only
-    top = 2.0 / _DIKE_GRID_STEP - 8.0
-    k = np.clip(np.rint((_dike_newton(flat) + 1.0) / _DIKE_GRID_STEP) - 4.0, 0.0, top)
-    lo = -1.0 + k * _DIKE_GRID_STEP
-    hi = lo + 8.0 * _DIKE_GRID_STEP
-    checked = (dike_overflow_curve(hi) >= flat) & (dike_overflow_curve(lo) < flat)
-    z = _bisect(dike_overflow_curve, flat, np.where(checked, lo, -1.0),
-                np.where(checked, hi, 1.0), True, _DIKE_GRID_STEP)
-    return z.reshape(t_arr.shape) if t_arr.ndim else float(z[0])
-
-
 def dike_lower_oscillation() -> Oscillation:
     top = dike_overflow_curve(0.0)
 
     def f(z):
         return dike_overflow_curve(np.negative(z))
 
-    def inverse(t):
-        return np.negative(_dike_curve_inverse(t))
-
-    return Oscillation(f, inf_value=0.0, sup_value=top,
-                       monotonicity=DECREASING, inverse=inverse)
+    return Oscillation(f, inf_value=0.0, sup_value=top, monotonicity=DECREASING)
 
 
 def dike_upper_oscillation() -> Oscillation:
     top = dike_overflow_curve(0.0)
     return Oscillation(dike_overflow_curve, inf_value=top, sup_value=math.inf,
-                       monotonicity=INCREASING, inverse=_dike_curve_inverse)
+                       monotonicity=INCREASING)
 
 
 def _dike_frechet_lower(z):

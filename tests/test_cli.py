@@ -392,6 +392,32 @@ class TestInfer:
         assert code == 3
         assert err.startswith("validation error: queries[1].event: class indices") and out == ""
 
+    @pytest.mark.parametrize("space, second, message", [
+        ("finite", {"kind": "threshold", "target": 0.5, "oscillation": {"builtin": "dike_upper"}},
+         "queries[1].pbox: threshold queries need a continuum p-box"),
+        ("finite", {"kind": "expectation_upper", "oscillation": {"knots": [[0, 0], [1, 1]]}},
+         "queries[1].pbox: expectation_upper queries need a continuum p-box"),
+        ("finite", {"kind": "event_lower", "intervals": [[0.0, 0.5, False, False]]},
+         "queries[1].event: z-events require a continuum p-box"),
+        ("continuum", {"kind": "event_lower", "classes": [0]},
+         "queries[1].event: class subsets require a finite-space p-box"),
+    ])
+    def test_query_model_mismatch_exit_3_before_any_row(self, tmp_path, capsys, space,
+                                                        second, message):
+        # a query that does not suit its p-box's space is rejected when it is built
+        if space == "finite":
+            doc = dict(SCENARIO_DOC, queries=[SCENARIO_DOC["queries"][0], second])
+        else:
+            doc = {"space": {"type": "continuum"},
+                   "pbox": {"analytic": {"lower": "uniform", "upper": "uniform"}},
+                   "queries": [{"id": "i", "kind": "event_lower",
+                                "intervals": [[0.0, 0.5, False, False]]}, second]}
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3
+        assert err.startswith(f"validation error: {message}") and out == ""
+
     def test_finite_threshold_exit_3(self, tmp_path, capsys):
         doc = dict(SCENARIO_DOC, queries=[{"id": "t", "kind": "threshold", "target": 0.5,
                                            "oscillation": {"builtin": "dike_upper"}}])

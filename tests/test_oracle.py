@@ -133,6 +133,45 @@ class TestInstanceValidation:
             FiniteCredalInstance((0.2, 0.9), (0.4, 0.9))
 
 
+class TestInputNumbers:
+    INSTANCE = FiniteCredalInstance((0.5, 1), (0.6, 1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_gamble_value_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            lp_lower_expectation(self.INSTANCE, [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", ["1", True, None])
+    def test_non_number_gamble_value_rejected(self, bad):
+        with pytest.raises(TypeError):
+            lp_lower_expectation(self.INSTANCE, [bad, 0])
+
+    @pytest.mark.parametrize("bad", ["0.5", False, None])
+    def test_non_number_bound_rejected(self, bad):
+        with pytest.raises(TypeError):
+            FiniteCredalInstance((bad, 1), (0.6, 1))
+
+    def test_non_finite_bound_rejected(self):
+        with pytest.raises(ValidationError):
+            FiniteCredalInstance((float("nan"), 1), (0.6, 1))
+
+    def test_exact_numbers_kept(self):
+        # the most mass the bounds allow, 0.6, sits on the smaller value
+        top = Fraction(0.6)
+        assert lp_lower_expectation(self.INSTANCE, [Fraction(1, 3), 10**20]) == float(
+            Fraction(1, 3) * top + 10**20 * (1 - top))
+        assert _fraction(0.1) == Fraction(0.1)
+
+    def test_oracle_imports_nothing_it_checks(self):
+        import ast
+        import pboxes.oracle
+
+        with open(pboxes.oracle.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        local = {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level > 0}
+        assert local == {"errors"}
+
 class TestEnvelopeSampleBound:
     def test_precise_instance_exact_for_any_samples(self):
         cum = (0.25, 0.75, 1.0)
