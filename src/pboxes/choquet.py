@@ -11,11 +11,15 @@ A declared-monotone oscillation without knots is integrated over its own
 coordinate: its cut sets are the nested intervals ``[z, 1]`` or ``[0, z]``,
 so a cell of a z-grid weighs the cut probabilities at its ends by the step
 of ``f`` across it, with no inverse and for any monotone ``f``.  Other
-oscillations are integrated over levels, their cuts given as flat arrays of
-closed components: exact segment crossings for knot oscillations, and for
-black boxes a grid scan with every boundary bisected (components narrower
-than the grid can be missed).  ``pbox._piece_gains`` turns cut sets into
-lower probabilities and their complements into upper ones.
+oscillations are integrated over levels.  One scan finds, for a batch of
+levels, the components of every cut set or, on the upper side, of every
+complement: the oscillation is sampled on its knots (a black box on a
+grid), each run of samples inside the set is a component, and an end
+between two samples is the exact segment crossing, or for a black box is
+bisected (components narrower than the grid can be missed).  By
+conjugacy the upper probability of a cut is 1 minus the lower probability
+of its complement, and ``pbox._piece_gains`` gives the lower probability
+of either.
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
 expectation is an exact finite sum over the sorted distinct gamble values,
@@ -74,8 +78,9 @@ class Oscillation:
 
     ``knots``, when given, are sorted ``(z, value)`` pairs of which ``f`` is
     the linear interpolation, held flat beyond the end knots (as
-    ``np.interp`` does).  Cut sets then come exactly from the segment
-    crossings, whatever the monotonicity.
+    ``np.interp`` does).  They are stored spanning [0, 1] exactly: the
+    interpolation at 0 and at 1 and the knots strictly between.  Cut sets
+    then come exactly from the segment crossings, whatever the monotonicity.
 
     ``f`` may be scalar-only: it is probed once here and, if it rejects
     arrays, looped over elements (see :func:`vectorized`).
@@ -107,6 +112,11 @@ class Oscillation:
             raise ValidationError("oscillation is not decreasing on the validation grid")
         if self.knots is not None:
             knot_zs, knot_vs = np.asarray(self.knots, dtype=float).T
+            head, tail = np.interp((0.0, 1.0), knot_zs, knot_vs)
+            inside = (knot_zs > 0.0) & (knot_zs < 1.0)
+            knot_zs = np.concatenate([[0.0], knot_zs[inside], [1.0]])
+            knot_vs = np.concatenate([[head], knot_vs[inside], [tail]])
+            object.__setattr__(self, "knots", tuple(zip(knot_zs.tolist(), knot_vs.tolist())))
             if not np.allclose(vals, np.interp(zs, knot_zs, knot_vs), rtol=0.0, atol=1e-9):
                 raise ValidationError("oscillation disagrees with its knots")
 
@@ -116,12 +126,10 @@ class QuadratureConfig:
     """Tolerances for the bracketed cut-level quadrature.
 
     ``max_refinements`` caps the rounds of adaptive refinement; a round
-    halves every cell whose share of the bracket width is large.  Black
-    boxes without knots are scanned on ``cut_grid`` cells per batch of
-    levels, every boundary bisected to ``bisect_tol``, wherever their cut
-    sets are needed: expectations of non-monotone ones, and for any of them
-    :func:`cut_event`, the tabulated integrand and the probes of an
-    unbounded tail.  ``bisect_tol`` is also the tolerance of
+    halves every cell whose share of the bracket width is large.  The one
+    cut-set scan samples an oscillation without knots on ``cut_grid``
+    cells and bisects every end between samples to ``bisect_tol``; knot
+    oscillations use neither.  ``bisect_tol`` is also the tolerance of
     :func:`threshold_solve`.
     """
 
@@ -192,99 +200,43 @@ def _runs(inside: np.ndarray):
     return row, first, stop
 
 
-def _knot_components(knots, ts: np.ndarray):
-    """Maximal components ``[a, b]`` of ``{f >= t}`` for every level in ``ts``.
+def _cut_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig,
+                    complement: bool = False):
+    """Components of ``{osc >= t}``, or with ``complement`` of ``{osc < t}``,
+    for every level in ``ts``: flat arrays ``level, a, b, a_open, b_open``.
 
-    ``f`` is the linear interpolation of ``knots``, flat beyond the end
-    knots.  A run of knots at or above a level is one component; its
-    endpoints are the crossings of the segments leaving the run, measured
-    from the inside knot so that a level equal to a knot value lands on that
-    knot exactly.  A run that reaches an end knot extends to that end of
-    [0, 1].  Components outside [0, 1] are dropped and the rest clipped to it.
-    """
-    zs, vs = np.asarray(knots, dtype=float).T
-    last = len(zs) - 1
-    level, first, stop = _runs(vs >= ts[:, None])
-    t = ts[level]
-
-    a = np.zeros(len(level))
-    rise = first > 0
-    k, t_in = first[rise], t[rise]
-    a[rise] = zs[k] - (vs[k] - t_in) / (vs[k] - vs[k - 1]) * (zs[k] - zs[k - 1])
-
-    b = np.ones(len(level))
-    j = stop - 1
-    fall = j < last
-    j, t_in = j[fall], t[fall]
-    b[fall] = zs[j] + (vs[j] - t_in) / (vs[j] - vs[j + 1]) * (zs[j + 1] - zs[j])
-
-    keep = (b >= 0.0) & (a <= 1.0)
-    return level[keep], np.clip(a[keep], 0.0, 1.0), np.clip(b[keep], 0.0, 1.0)
-
-
-def _scan_components(f, ts: np.ndarray, cfg: QuadratureConfig):
-    """Components of black-box cuts from one scan on ``cfg.cut_grid`` cells.
-
-    ``f`` is evaluated on the grid once for the whole batch of levels; each
-    run of grid points at or above a level is one component, and the
-    boundaries between grid points, of all levels at once, are bisected in
-    one pass.  A component narrower than the grid spacing can be missed.
-    """
-    zs = np.linspace(0.0, 1.0, cfg.cut_grid + 1)
-    level, first, stop = _runs(f(zs) >= ts[:, None])
-    a, b = zs[first], zs[stop - 1]
-    rise = np.flatnonzero(first > 0)
-    fall = np.flatnonzero(stop < len(zs))
-    # the left grid point of the cell holding each boundary
-    cell = np.concatenate([first[rise] - 1, stop[fall] - 1])
-    rising = np.arange(len(cell)) < len(rise)
-    ends = _bisect(f, ts[level[np.concatenate([rise, fall])]], zs[cell], zs[cell + 1],
-                   rising, cfg.bisect_tol)
-    a[rise], b[fall] = ends[:len(rise)], ends[len(rise):]
-    return level, a, b
-
-
-def _cut_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig):
-    """Closed components ``[a, b]`` of ``{osc >= t}`` for every level in ``ts``.
-
-    Returns level indices and endpoints as flat arrays, sorted by level and
-    then by coordinate, disjoint and within [0, 1]; a level with an empty
-    cut has no entry.
+    ``osc`` is sampled on its knots, or on ``cfg.cut_grid + 1`` points if it
+    is a black box, and each run of samples inside the set is a component.
+    A run that reaches the first or last sample ends at 0 or 1.  Any other
+    end lies in the cell between the run and its neighbour: at the crossing
+    of the knot segment, measured from the cell's end at or above the level
+    so that a level equal to a knot value lands on that knot exactly, or
+    bisected to ``cfg.bisect_tol`` for a black box, all cells of all levels
+    in one pass (a component narrower than the grid can be missed).  Cut
+    components are closed; complement ends between samples are open.  The
+    components are sorted by level and then by coordinate, and a level with
+    an empty set has no entry.
     """
     if osc.knots is not None:
-        return _knot_components(osc.knots, ts)
-    return _scan_components(osc.f, ts, cfg)
-
-
-def _component_probs(pbox: PBox, n: int, level: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     upper: bool) -> np.ndarray:
-    """Lower (upper) probabilities of ``n`` cut sets given by their components.
-
-    The lower probability of a union of closed components is the sum of
-    their gains (:func:`pboxes.pbox._piece_gains`).  The upper one is 1
-    minus the lower probability of the complement, whose pieces are
-    ``[0, a_1)``, the open gaps ``(b_k, a_{k+1})`` and ``(b_n, 1]`` of each
-    level (all of ``[0, 1]`` for an empty cut), all passed in one call.
-    """
-    m = len(a)
-    if not upper:
-        closed = np.zeros(m, dtype=bool)
-        gains = _piece_gains(pbox, a, b, closed, closed)
-        return np.clip(np.bincount(level, weights=gains, minlength=n), 0.0, 1.0)
-    # first[k]: component k starts its level; first[m] stands for the next level
-    first = np.ones(m + 1, dtype=bool)
-    first[1:m] = level[1:] != level[:-1]
-    last = first[1:]
-    # the gap below each component, then per level the gap above its last one
-    lo, hi = np.zeros(m + n), np.ones(m + n)
-    lo_open, hi_open = np.zeros(m + n, dtype=bool), np.zeros(m + n, dtype=bool)
-    lo[1:m] = np.where(first[1:m], 0.0, b[:-1])
-    lo_open[:m], hi[:m], hi_open[:m] = ~first[:m], a, True
-    lo[m:][level[last]], lo_open[m:][level[last]] = b[last], True
-    gains = _piece_gains(pbox, lo, hi, lo_open, hi_open)
-    # each level sums its gaps from the bottom up
-    total = np.bincount(level, weights=gains[:m], minlength=n) + gains[m:]
-    return 1.0 - np.clip(total, 0.0, 1.0)
+        zs, vs = np.asarray(osc.knots, dtype=float).T
+    else:
+        zs = np.linspace(0.0, 1.0, cfg.cut_grid + 1)
+        vs = osc.f(zs)
+    level, first, stop = _runs(vs < ts[:, None] if complement else vs >= ts[:, None])
+    a, b = zs[first], zs[stop - 1]
+    a_open, b_open = first > 0, stop < len(zs)
+    # the left sample of the cell holding each end between samples
+    cell = np.concatenate([first[a_open] - 1, stop[b_open] - 1])
+    t = ts[level[np.concatenate([np.flatnonzero(a_open), np.flatnonzero(b_open)])]]
+    rising = vs[cell + 1] >= t
+    if osc.knots is not None:
+        k, o = np.where(rising, cell + 1, cell), np.where(rising, cell, cell + 1)
+        ends = zs[k] + (vs[k] - t) / (vs[k] - vs[o]) * (zs[o] - zs[k])
+    else:
+        ends = _bisect(osc.f, t, zs[cell], zs[cell + 1], rising, cfg.bisect_tol)
+    split = np.count_nonzero(a_open)
+    a[a_open], b[b_open] = ends[:split], ends[split:]
+    return level, a, b, a_open & complement, b_open & complement
 
 
 def cut_event(osc: Oscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ZEventSet:
@@ -294,7 +246,7 @@ def cut_event(osc: Oscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
     a black box includes 0 and 1, so it finds the one component of a
     monotone cut, which holds one of them.
     """
-    _, lo, hi = _cut_components(osc, np.array([float(t)]), cfg)
+    _, lo, hi, _, _ = _cut_components(osc, np.array([float(t)]), cfg)
     return normalize([ZInterval.closed(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
 
 
@@ -302,15 +254,18 @@ def _batch_cut_probs(pbox: PBox, osc: Oscillation, ts: np.ndarray, upper: bool,
                      cfg: QuadratureConfig) -> np.ndarray:
     """Lower (upper) cut probabilities at every level in ``ts``.
 
-    The components of all cut sets come from one :func:`_cut_components`
-    pass and their probabilities from one :func:`_component_probs` pass.
-    Levels go in chunks, so that levels times the cells scanned per level
-    (the knots, or the ``cut_grid`` points of a black box) stays within a
-    fixed memory bound.
+    The lower probability of a cut set is the sum of the gains of its
+    components (:func:`pboxes.pbox._piece_gains`); the upper one is 1 minus
+    the lower probability of its complement, whose components come from
+    the same scan.  Levels go in chunks, so that levels times the samples
+    per level (the knots, or the ``cut_grid + 1`` points of a black box)
+    stays within a fixed memory bound.
     """
     def probs(chunk):
-        level, a, b = _cut_components(osc, chunk, cfg)
-        return _component_probs(pbox, len(chunk), level, a, b, upper)
+        level, *pieces = _cut_components(osc, chunk, cfg, complement=upper)
+        gains = np.bincount(level, weights=_piece_gains(pbox, *pieces), minlength=len(chunk))
+        total = np.clip(gains, 0.0, 1.0)
+        return 1.0 - total if upper else total
 
     cells = len(osc.knots) if osc.knots is not None else cfg.cut_grid + 1
     return _in_chunks(probs, ts, max(1, _CUT_BATCH_CELLS // cells))
@@ -420,6 +375,18 @@ def _require_continuum(pbox: PBox) -> None:
         raise ValidationError("use lower_expectation_finite on finite spaces")
 
 
+def _require_bounded(osc: Oscillation) -> None:
+    """Refuse an unbounded lower oscillation: a bounded gamble has a bounded one."""
+    if math.isinf(osc.sup_value):
+        raise ValidationError("a lower oscillation of a bounded gamble is bounded")
+
+
+def _require_target(target: float) -> None:
+    """Refuse a threshold target outside (0, 1] (NaN included)."""
+    if not 0.0 < target <= 1.0:
+        raise ValidationError("threshold target must lie in (0, 1]")
+
+
 def _integrand(pbox: PBox, osc: Oscillation, upper: bool, cfg: QuadratureConfig):
     """The lower (upper) cut probability of ``osc`` as a batch function of
     the level, the levels ``[a, b]`` to integrate over, and the width charged
@@ -465,8 +432,7 @@ def lower_expectation(pbox: PBox, losc: Oscillation,
     """Lower expectation of a gamble given its lower oscillation, the
     per-class infimum of the gamble (the caller guarantees it): ``inf +
     integral of the lower cut probability``, bracketed by Darboux sums."""
-    if math.isinf(losc.sup_value):
-        raise ValidationError("a lower oscillation of a bounded gamble is bounded")
+    _require_bounded(losc)
     return _expectation(pbox, losc, False, cfg)
 
 
@@ -529,8 +495,7 @@ def threshold_solve(pbox: PBox, uosc: Oscillation, target: float,
     in one batch and keeping the section where the target is first met.
     """
     _require_continuum(pbox)
-    if not 0.0 < target <= 1.0:
-        raise ValidationError("threshold target must lie in (0, 1]")
+    _require_target(target)
     unreachable = "threshold target unreachable on the search range"
     prob = partial(_batch_cut_probs, pbox, uosc, upper=True, cfg=cfg)
     level, lo, hi = np.asarray, uosc.inf_value, uosc.sup_value

@@ -194,15 +194,14 @@ def _arith_queries(raw: dict, path: str, qid: str, kind: str) -> list:
     x1 = _real_line_pbox(_field(raw, "x1", path, dict))
     x2 = _real_line_pbox(_field(raw, "x2", path, dict))
     op = _field(raw, "op", path, str, "add") if kind == "arith_op" else "add"
-    query = _query(path, qid, kind, x1=x1, x2=x2, op=op,
-                   side=_field(raw, "side", path, str, "lower"))
+    fields = {"x1": x1, "x2": x2, "op": op, "side": _field(raw, "side", path, str, "lower")}
     if "y_grid" not in raw:
-        return [replace(query, y=float(_field(raw, "y", path, _NUMBER)))]
+        return [_query(path, qid, kind, y=float(_field(raw, "y", path, _NUMBER)), **fields)]
     y_grid = _field(raw, "y_grid", path, list)
     if len(y_grid) > _choquet._MAX_GRID:
         raise ValidationError(f"{path}.y_grid: more than {_choquet._MAX_GRID} points")
     ys = [_expect(y, _NUMBER, f"{path}.y_grid[{k}]") for k, y in enumerate(y_grid)]
-    return [replace(query, id=f"{qid}_{k}", y=float(y)) for k, y in enumerate(ys)]
+    return [_query(path, f"{qid}_{k}", kind, y=float(y), **fields) for k, y in enumerate(ys)]
 
 
 def _queries_from_spec(raw_queries, pbox) -> tuple:
@@ -270,7 +269,8 @@ def _merge_config(cfg: QuadratureConfig, args) -> QuadratureConfig:
 
 
 def _emit_scenario(scenario: Scenario, cfg: QuadratureConfig, args) -> int:
-    """Run every query under ``cfg`` and the command-line overrides, CSV out."""
+    """Run every query under ``cfg`` and the command-line overrides, CSV out;
+    a query whose quadrature did not converge also gets a line on stderr."""
     cfg = _merge_config(cfg, args)
     print(CSV_HEADER)
     for query in scenario.queries:
@@ -279,6 +279,9 @@ def _emit_scenario(scenario: Scenario, cfg: QuadratureConfig, args) -> int:
         elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
         print(f"{result.id},{result.kind},{_fmt(result.value)},"
               f"{_fmt(result.error_bound)},{elapsed_ms}")
+        if not result.converged:
+            print(f"not converged: {result.id} error bound {_fmt(result.error_bound)} "
+                  f"above abs_tol {_fmt(cfg.abs_tol)}", file=sys.stderr)
     return 0
 
 

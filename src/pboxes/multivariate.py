@@ -225,6 +225,19 @@ _PARTNERS = {
 }
 
 
+def _operation(op: str) -> tuple:
+    """The partner maps of ``op``; an unknown operation is a validation error."""
+    if op not in _PARTNERS:
+        raise ValidationError(f"unknown arithmetic operation {op!r}")
+    return _PARTNERS[op]
+
+
+def _positive_support(op: str, x: RealLinePBox) -> None:
+    """Refuse an operand whose support reaches 0 or below in a product or quotient."""
+    if op in ("multiply", "divide") and x.support[0] <= 0.0:
+        raise ValidationError("multiplication and division need strictly positive supports")
+
+
 def _arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y: float) -> float:
     """One side of the CDF of ``X1 op X2`` at y under unknown dependence.
 
@@ -238,12 +251,10 @@ def _arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y: floa
     The extrema therefore sit at corners, in one-sided limits there, or at
     the product's stationary point ``sqrt(s2 y / s1)``.
     """
-    if op not in _PARTNERS:
-        raise ValidationError(f"unknown arithmetic operation {op!r}")
+    partner, preimage, reverses = _operation(op)
     y = _finite_number(y)
-    if op in ("multiply", "divide") and min(x1.support[0], x2.support[0]) <= 0.0:
-        raise ValidationError("multiplication and division need strictly positive supports")
-    partner, preimage, reverses = _PARTNERS[op]
+    _positive_support(op, x1)
+    _positive_support(op, x2)
     (a1, b1), (a2, b2) = x1.support, x2.support
     ends = sorted((preimage(a2, y), preimage(b2, y)))
     lo, hi = max(a1, ends[0]), min(b1, ends[1])

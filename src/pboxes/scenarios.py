@@ -25,19 +25,22 @@ from .choquet import (
     Oscillation,
     QuadratureConfig,
     QuadratureResult,
+    _require_bounded,
+    _require_target,
     lower_expectation,
     threshold_solve,
     upper_expectation,
 )
 from .errors import ValidationError
 from .multivariate import (
-    _PARTNERS,
     FRECHET,
     INDEPENDENT,
     MarginalSpec,
     RealLinePBox,
+    _arith_bound,
+    _operation,
+    _positive_support,
     combine,
-    prob_arith_transform,
 )
 from .pbox import (
     AnalyticCdf,
@@ -83,10 +86,13 @@ __all__ = [
 class Query:
     """One inference request, bound to its model: ``pbox`` for events,
     expectations and thresholds, ``x1`` and ``x2`` for arithmetic.  Building
-    it checks the kind, ``side`` and ``op``, that the p-box's space suits
-    the query (a continuum for expectations, thresholds and z-events, a
-    finite space for class subsets), and the class indices of a finite event
-    against its p-box; an error starts with the field."""
+    it checks the kind, ``side`` and ``op``, that the kind's payload is
+    there (``event``; ``oscillation`` and, for a threshold, ``target``;
+    ``x1``, ``x2`` and ``y``), that the p-box's space suits the query (a
+    continuum for expectations, thresholds and z-events, a finite space for
+    class subsets), the class indices of a finite event against its p-box,
+    and the payload values the engine would refuse, through the engine's
+    own checks; an error starts with the field."""
 
     id: str
     kind: str
@@ -103,25 +109,49 @@ class Query:
     def __post_init__(self):
         if self.kind not in _RUNNERS:
             raise ValidationError(f"kind: unknown query kind {self.kind!r}")
-        if self.op not in _PARTNERS:
-            raise ValidationError(f"op: unknown arithmetic operation {self.op!r}")
+        _checked("op", _operation, self.op)
         if self.side not in ("lower", "upper"):
             raise ValidationError(f"side: expected 'lower' or 'upper', got {self.side!r}")
-        if self.pbox is None and self.kind not in ARITH_KINDS:
+        if self.kind in ARITH_KINDS:
+            for name in ("x1", "x2"):
+                _checked(name, _positive_support, self.op, self._payload(name))
+            _checked("y", _finite_number, self._payload("y"))
+            return
+        if self.pbox is None:
             raise ValidationError(f"pbox: a {self.kind} query needs a p-box")
-        finite = self.pbox is not None and self.pbox.is_finite
-        if finite and self.kind in INTEGRAL_KINDS:
-            raise ValidationError(f"pbox: {self.kind} queries need a continuum p-box; "
-                                  "use lower_expectation_finite on finite spaces")
-        if isinstance(self.event, ZEventSet) and finite:
+        finite = self.pbox.is_finite
+        if self.kind in INTEGRAL_KINDS:
+            if finite:
+                raise ValidationError(f"pbox: {self.kind} queries need a continuum p-box; "
+                                      "use lower_expectation_finite on finite spaces")
+            oscillation = self._payload("oscillation")
+            if self.kind == "expectation_lower":
+                _checked("oscillation", _require_bounded, oscillation)
+            if self.kind == "threshold":
+                _checked("target", _require_target, self._payload("target"))
+            return
+        event = self._payload("event")
+        if isinstance(event, ZEventSet) and finite:
             raise ValidationError("event: z-events require a continuum p-box")
-        if isinstance(self.event, ClassSubset):
+        if isinstance(event, ClassSubset):
             if not finite:
                 raise ValidationError("event: class subsets require a finite-space p-box")
-            try:
-                full_components_finite(self.pbox.space, self.event)
-            except ValidationError as exc:
-                raise ValidationError(f"event: {exc}") from None
+            _checked("event", full_components_finite, self.pbox.space, event)
+
+    def _payload(self, name: str):
+        """The field ``name``, which this kind of query needs."""
+        value = getattr(self, name)
+        if value is None:
+            raise ValidationError(f"{name}: missing from a {self.kind} query")
+        return value
+
+
+def _checked(field: str, check, *args):
+    """``check(*args)``, its validation error prefixed by the query field it concerns."""
+    try:
+        return check(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{field}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -135,10 +165,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class QueryResult:
+    """A query's value and error bound; ``converged`` is false when a
+    quadrature stopped before its bound met ``abs_tol``."""
+
     id: str
     kind: str
     value: float
     error_bound: float
+    converged: bool = True
 
 
 ARITH_KINDS = ("arith_add", "arith_op")
@@ -146,15 +180,14 @@ INTEGRAL_KINDS = ("expectation_lower", "expectation_upper", "threshold")
 
 
 def _bracket(res: QuadratureResult) -> tuple:
-    return res.value, res.error_bound
+    return res.value, res.error_bound, res.converged
 
 
 def _arith(q: Query, cfg: QuadratureConfig) -> tuple:
-    lower, upper = prob_arith_transform(q.op, q.x1, q.x2, q.y)
-    return (lower if q.side == "lower" else upper), 0.0
+    return _arith_bound(q.op, q.side, q.x1, q.x2, q.y), 0.0
 
 
-# kind -> runner(query, cfg) -> (value, error bound).  The runners call the
+# kind -> runner(query, cfg) -> (value, error bound[, converged]).  The runners call the
 # engine through this module's names at call time, so rebinding one of them
 # (as a tracer does) reaches every query.
 _RUNNERS = {
@@ -171,8 +204,7 @@ _RUNNERS = {
 
 def run_query(query: Query, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QueryResult:
     """Evaluate a single query; the error bound is 0 for exact computations."""
-    value, error_bound = _RUNNERS[query.kind](query, cfg)
-    return QueryResult(query.id, query.kind, value, error_bound)
+    return QueryResult(query.id, query.kind, *_RUNNERS[query.kind](query, cfg))
 
 
 def run_scenario(scenario: Scenario,

@@ -269,6 +269,59 @@ class TestKnotCutSets:
                         knots=((0.0, 0.0), (1.0, 0.5)))
 
 
+# cut sets of knots that do not span [0, 1] exactly, as the clipped segment
+# crossings gave them: level -> (lo, hi) of each closed component
+OFF_UNIT_CUTS = {
+    "inside_unit": {
+        -0.6: [(0.0, 1.0)],
+        -0.2: [(0.0, 0.6399999999999999), (0.7545454545454545, 1.0)],
+        0.3: [(0.0, 0.54), (0.8454545454545455, 1.0)],
+        0.45: [(0.24285714285714285, 0.51), (0.8727272727272728, 1.0)],
+        0.6: [(0.2857142857142857, 0.48), (0.9, 1.0)],
+        0.8: [(0.34285714285714286, 0.44)],
+        1.0: [(0.4, 0.4)],
+        1.1: [],
+    },
+    "beyond_unit": {
+        -0.2: [(0.0, 1.0)],
+        0.0: [(0.0, 0.9705882352941176)],
+        0.3: [(0.0, 0.05999999999999994), (0.4285714285714286, 0.8117647058823529)],
+        0.45: [(0.4928571428571429, 0.7323529411764705)],
+        0.6: [(0.5571428571428572, 0.6529411764705882)],
+        0.7: [(0.6, 0.6)],
+        0.75: [],
+    },
+}
+
+
+class TestKnotNormalisation:
+    @pytest.mark.parametrize("name", sorted(OFF_UNIT_CUTS))
+    def test_knots_span_the_unit_interval(self, name):
+        osc = piecewise_linear_oscillation(KNOT_CASES[name])
+        f = lambda z: float(np.interp(z, *zip(*KNOT_CASES[name])))
+        assert osc.knots[0] == (0.0, f(0.0))
+        assert osc.knots[-1] == (1.0, f(1.0))
+        zs = np.linspace(0.0, 1.0, 10_001)
+        np.testing.assert_array_equal(osc.f(zs), np.interp(zs, *zip(*KNOT_CASES[name])))
+
+    @pytest.mark.parametrize("name", sorted(OFF_UNIT_CUTS))
+    def test_cut_sets_are_kept(self, name):
+        osc = piecewise_linear_oscillation(KNOT_CASES[name])
+        for t, want in OFF_UNIT_CUTS[name].items():
+            cut = cut_event(osc, t).intervals
+            assert not any(iv.lo_open or iv.hi_open for iv in cut)
+            got = [(iv.lo, iv.hi) for iv in cut]
+            # the crossing on the segment cut at z = 0 is now measured from
+            # (0, 0.375): 0.06000000000000001 instead of 0.05999999999999994
+            np.testing.assert_allclose(np.reshape(got, (-1, 2)), np.reshape(want, (-1, 2)),
+                                       rtol=0.0, atol=1e-16, err_msg=f"{name} at {t}")
+
+    def test_knots_on_the_unit_interval_are_unchanged(self):
+        for name in ("tent", "double_hump", "plateau", "increasing", "decreasing"):
+            knots = tuple(KNOT_CASES[name])
+            assert piecewise_linear_oscillation(knots).knots == knots
+
+
 class TestOscillationValidation:
     def test_monotonicity_checked(self):
         with pytest.raises(ValidationError):

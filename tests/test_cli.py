@@ -418,6 +418,48 @@ class TestInfer:
         assert code == 3
         assert err.startswith(f"validation error: {message}") and out == ""
 
+    @pytest.mark.parametrize("second, message", [
+        ({"kind": "threshold", "target": 1.5, "oscillation": {"builtin": "dike_upper"}},
+         "queries[1].target: threshold target must lie in (0, 1]"),
+        ({"kind": "threshold", "target": float("nan"), "oscillation": {"builtin": "dike_upper"}},
+         "queries[1].target: threshold target must lie in (0, 1]"),
+        ({"kind": "arith_op", "x1": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
+          "x2": {"lower": [[0.0, 0.0], [1.0, 1.0]]}, "y": float("nan")},
+         "queries[1].y: expected a finite number"),
+        ({"kind": "arith_op", "op": "multiply", "x1": {"lower": [[1.0, 0.0], [2.0, 1.0]]},
+          "x2": {"lower": [[-1.0, 0.0], [1.0, 1.0]]}, "y": 1.0},
+         "queries[1].x2: multiplication and division need strictly positive supports"),
+        ({"kind": "expectation_lower", "oscillation": {"builtin": "dike_upper"}},
+         "queries[1].oscillation: a lower oscillation of a bounded gamble is bounded"),
+    ], ids=["target_above_one", "nan_target", "nan_y", "multiply_nonpositive",
+            "unbounded_lower_oscillation"])
+    def test_bad_query_number_exit_3_before_any_row(self, tmp_path, capsys, second, message):
+        # the engine's own checks run when the query is built, before the header
+        doc = {"pbox": {"analytic": {"lower": "square", "upper": "uniform"}},
+               "queries": [{"id": "i", "kind": "event_lower",
+                            "intervals": [[0.0, 0.5, False, False]]}, second]}
+        path = tmp_path / "bad_number.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3
+        assert err.startswith(f"validation error: {message}") and out == ""
+
+    def test_unconverged_query_on_stderr(self, tmp_path, capsys):
+        # one stderr line per unconverged query; the CSV and exit code are as before
+        doc = dict(CONTINUUM_DOC, queries=[
+            {"id": "tent", "kind": "expectation_lower",
+             "oscillation": {"knots": [[0.0, 0.0], [0.3, 1.0], [0.6, 0.2], [1.0, 0.8]]}},
+            {"id": "edge", "kind": "event_lower", "intervals": [[0.0, 0.5, False, False]]}])
+        path = tmp_path / "unconverged.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path), "--max-refine", "1"])
+        assert code == 0
+        bound = csv_rows(out)["tent"][2]
+        assert bound > 1e-4
+        assert err == f"not converged: tent error bound {bound:.12g} above abs_tol 0.0001\n"
+        code, _, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 0 and err == ""
+
     def test_finite_threshold_exit_3(self, tmp_path, capsys):
         doc = dict(SCENARIO_DOC, queries=[{"id": "t", "kind": "threshold", "target": 0.5,
                                            "oscillation": {"builtin": "dike_upper"}}])

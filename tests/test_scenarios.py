@@ -196,6 +196,34 @@ class TestQueryValidation:
         with pytest.raises(ValidationError, match="^pbox: "):
             Query("q", kind)
 
+    @pytest.mark.parametrize("kind, fields, field", [
+        ("event_lower", {}, "event"),
+        ("expectation_lower", {}, "oscillation"),
+        ("expectation_upper", {}, "oscillation"),
+        ("threshold", {"target": 0.5}, "oscillation"),
+        ("threshold", {"oscillation": dike_upper_oscillation()}, "target"),
+        ("arith_op", {"x2": TestArithmeticQuery.UNIFORM, "y": 0.5}, "x1"),
+        ("arith_add", {"x1": TestArithmeticQuery.UNIFORM, "y": 0.5}, "x2"),
+        ("arith_op", {"x1": TestArithmeticQuery.UNIFORM, "x2": TestArithmeticQuery.UNIFORM},
+         "y"),
+    ])
+    def test_missing_payload_names_its_field(self, kind, fields, field):
+        box = None if kind.startswith("arith") else builtin_scenario("oscillator").pbox
+        with pytest.raises(ValidationError, match=f"^{field}: missing from a {kind} query$"):
+            Query("q", kind, box, **fields)
+
+    def test_engine_checks_run_when_built(self):
+        box = builtin_scenario("dike").pbox
+        uniform = TestArithmeticQuery.UNIFORM
+        with pytest.raises(ValidationError, match=r"^target: threshold target must lie"):
+            Query("q", "threshold", box, oscillation=dike_upper_oscillation(), target=1.5)
+        with pytest.raises(ValidationError, match="^oscillation: a lower oscillation"):
+            Query("q", "expectation_lower", box, oscillation=dike_upper_oscillation())
+        with pytest.raises(ValidationError, match="^y: expected a finite number"):
+            Query("q", "arith_op", x1=uniform, x2=uniform, y=math.inf)
+        with pytest.raises(ValidationError, match="^x1: multiplication and division need"):
+            Query("q", "arith_op", x1=uniform, x2=uniform, y=0.5, op="divide")
+
     def test_query_must_suit_the_space_of_its_pbox(self):
         finite = builtin_scenario("example_independent_63").pbox
         continuum = builtin_scenario("oscillator").pbox
