@@ -49,6 +49,7 @@ from .preorder import (
     ClassSubset,
     FiniteQuotientSpace,
     ZInterval,
+    _finite_number,
     normalize,
 )
 from .scenarios import (
@@ -57,6 +58,7 @@ from .scenarios import (
     INTEGRAL_KINDS,
     Query,
     Scenario,
+    _checked,
     builtin_scenario,
     named_cdf,
     named_oscillation,
@@ -200,8 +202,11 @@ def _arith_queries(raw: dict, path: str, qid: str, kind: str) -> list:
     y_grid = _field(raw, "y_grid", path, list)
     if len(y_grid) > _choquet._MAX_GRID:
         raise ValidationError(f"{path}.y_grid: more than {_choquet._MAX_GRID} points")
-    ys = [_expect(y, _NUMBER, f"{path}.y_grid[{k}]") for k, y in enumerate(y_grid)]
-    return [_query(path, f"{qid}_{k}", kind, y=float(y), **fields) for k, y in enumerate(ys)]
+    ys = []
+    for k, y in enumerate(y_grid):
+        where = f"{path}.y_grid[{k}]"
+        ys.append(_checked(where, _finite_number, _expect(y, _NUMBER, where)))
+    return [_query(path, f"{qid}_{k}", kind, y=y, **fields) for k, y in enumerate(ys)]
 
 
 def _queries_from_spec(raw_queries, pbox) -> tuple:

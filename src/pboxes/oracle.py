@@ -12,9 +12,15 @@ cumulative-chain polytope takes its coordinates from the finite grid of
 cumulative bounds, and a monotone dynamic sweep over that grid visits every
 vertex in ``O(n * grid)`` steps, for any number of classes.  The sweep runs
 on Python integers: the bounds are scaled once per instance to a common
-denominator, each gamble to the common denominator of its own values, and
-the minimum is divided by both once at the end, so the result is the same
-exact rational.  No external solver is used.
+denominator, each gamble value enters as its exact integer ratio and is
+scaled to the common denominator of the gamble, and the minimum is divided
+by both once at the end, so the result is the same exact rational.  No
+external solver is used.
+
+The envelope sampler clamps each sorted uniform draw into its class's
+cumulative band on its own.  The draws and both bands never decrease and
+the clamp never decreases in any argument, so the clamped values already
+form a monotone CDF; carrying the previous value forward changes nothing.
 """
 
 from __future__ import annotations
@@ -105,7 +111,18 @@ class FiniteCredalInstance:
         return scale, grid, tuple((index[a], index[b]) for a, b in zip(lo, hi))
 
 
-def _chain_vertex_min(instance: FiniteCredalInstance, gamble: Sequence[Fraction]) -> Fraction:
+def _ratio(x) -> tuple:
+    """``x`` as an exact ``(numerator, denominator)`` pair, checked as by :func:`_fraction`."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is float:
+        if not math.isfinite(x):
+            raise ValidationError(f"expected a finite number, got {x}")
+        return x.as_integer_ratio()
+    return _fraction(x).as_integer_ratio()
+
+
+def _chain_sweep(instance: FiniteCredalInstance, gamble: Sequence[tuple]) -> tuple:
     """Exact minimum of the expectation over the credal polytope.
 
     Rewrites ``sum p_i g_i`` as ``g_{n-1} + sum_i (g_i - g_{i+1}) s_i`` in the
@@ -114,16 +131,17 @@ def _chain_vertex_min(instance: FiniteCredalInstance, gamble: Sequence[Fraction]
     polytope vertex appears in the sweep and every swept point is feasible,
     so the sweep minimum is the exact linear-programming minimum.
 
-    The sweep runs on integers: ``s`` over the instance's common denominator
-    ``D`` and the costs over the gamble's common denominator ``E``, so the
-    value is an integer multiple of ``1 / (D * E)``, divided out once.
+    The gamble values come as ``(numerator, denominator)`` pairs.  The sweep
+    runs on integers: ``s`` over the instance's common denominator ``D`` and
+    the costs over the gamble's common denominator ``E``, so the minimum is
+    returned as the pair ``(numerator, D * E)``.
     """
     n = instance.n
     if n == 1:
         return gamble[0]
     scale, grid, windows = instance._integer_chain
-    e = lcm(*(v.denominator for v in gamble))
-    g = [v.numerator * (e // v.denominator) for v in gamble]
+    e = lcm(*(d for _, d in gamble))
+    g = [p * (e // d) for p, d in gamble]
     # best[j - a]: least partial cost with the current s at grid[j], a <= j <= b
     a, b = windows[0]
     cost = g[0] - g[1]
@@ -137,47 +155,53 @@ def _chain_vertex_min(instance: FiniteCredalInstance, gamble: Sequence[Fraction]
         a, b = na, nb
     if not best:
         raise ValidationError("internal consistency error: empty credal polytope")
-    return Fraction(g[n - 1] * scale + min(best), scale * e)
+    return g[n - 1] * scale + min(best), scale * e
+
+
+def _chain_vertex_min(instance: FiniteCredalInstance, gamble: Sequence[Fraction]) -> Fraction:
+    """The sweep's exact minimum for a gamble of Fractions, as a Fraction."""
+    return Fraction(*_chain_sweep(instance, [v.as_integer_ratio() for v in gamble]))
 
 
 def lp_lower_expectation(instance: FiniteCredalInstance, gamble: Sequence) -> float:
     """Exact minimum expectation of a gamble over the credal polytope.
 
     Computed by the integer vertex sweep, exact for any number of classes,
-    and rounded to a float once at the end.
+    and rounded to a float once at the end: integer true division rounds
+    correctly, so the float is that of the exact rational.
     """
     if len(gamble) != instance.n:
         raise ValidationError("gamble length must match the number of classes")
-    return float(_chain_vertex_min(instance, [_fraction(g) for g in gamble]))
+    num, den = _chain_sweep(instance, [_ratio(g) for g in gamble])
+    return num / den
 
 
 def envelope_sample_bound(instance: FiniteCredalInstance, gamble: Sequence,
                           samples: int, seed: int = 0) -> float:
     """Upper bound on the minimum expectation from sampled feasible CDFs.
 
-    Draws uniform cumulative candidates, sorts them, and clamps left to
-    right into the cumulative bands, preserving monotonicity.  The minimum
-    sampled expectation dominates the exact value; it is reproducible for a
-    fixed seed and never used for equality claims.
+    Draws ``n`` uniform cumulative candidates per sample, sorts them, and
+    clamps each into its band, ``s_i = min(max(d_i, lo_i), hi_i)``, which is
+    monotone in ``i`` (see the module docstring), so the expectation is
+    ``g_{n-1} + sum_{i<n-1} (g_i - g_{i+1}) s_i``.  The minimum sampled
+    expectation dominates the exact value; it is reproducible for a fixed
+    seed and never used for equality claims.
     """
     if samples < 1:
         raise ValidationError("at least one sample is required")
     n = instance.n
-    lo = [float(v) for v in instance.lower_cum]
-    hi = [float(v) for v in instance.upper_cum]
     g = [float(v) for v in gamble]
-    rng = random.Random(seed)
+    # (lower bound, upper bound, g_i - g_{i+1}) of every class below the top
+    bands = [(float(lo), float(hi), a - b) for lo, hi, a, b in
+             zip(instance.lower_cum, instance.upper_cum, g, g[1:n])]
+    top = g[n - 1]
+    draw = random.Random(seed).random
     best = None
     for _ in range(samples):
-        draws = sorted(rng.random() for _ in range(n))
-        s_prev = 0.0
-        expectation = 0.0
-        for i in range(n):
-            v = min(max(draws[i], lo[i], s_prev), hi[i])
-            if i == n - 1:
-                v = 1.0
-            expectation += (v - s_prev) * g[i]
-            s_prev = v
+        draws = sorted([draw() for _ in range(n)])
+        expectation = top
+        for d, (lo, hi, step) in zip(draws, bands):
+            expectation += step * (lo if d < lo else hi if d > hi else d)
         if best is None or expectation < best:
             best = expectation
     return best
@@ -288,17 +312,24 @@ def complete_monotonicity_check(lp: FiniteLowerProbability, p_max: int,
     if lp.n > 5 or p_max > 4:
         raise ValidationError("enumeration limited to 5 classes and order 4")
     limit = max_violations if max_violations is not None else -1
+    vals = [lp.values[m] for m in range(1 << lp.n)]
     violations = []
     checked = 0
 
     def descend(a_mask, candidates, start, terms, total, chosen):
+        # a family grown by ``part`` adds the parent's intersections, each
+        # met with ``part`` and with its sign flipped; they are summed apart
+        # from ``total`` and added to it once, as a plain enumeration does
         nonlocal checked
+        depth = len(chosen) + 1
+        deeper = depth < p_max
+        negated = [(m, -s) for m, s in terms]
         for idx in range(start, len(candidates)):
             part = candidates[idx]
-            new_terms = [(m & part, -s) for (m, s) in terms]
-            new_total = total + sum(s * lp.values[m] for (m, s) in new_terms)
-            all_terms = terms + new_terms
-            depth = len(chosen) + 1
+            added = 0.0
+            for m, s in negated:
+                added += s * vals[m & part]
+            new_total = total + added
             if depth >= 2:
                 checked += 1
                 if new_total < -tol:
@@ -308,16 +339,16 @@ def complete_monotonicity_check(lp: FiniteLowerProbability, p_max: int,
                         defect=new_total))
                     if limit >= 0 and len(violations) >= limit:
                         return True
-            if depth < p_max:
-                if descend(a_mask, candidates, idx + 1, all_terms, new_total,
-                           chosen + [part]):
-                    return True
+            if deeper and descend(a_mask, candidates, idx + 1,
+                                  terms + [(m & part, s) for m, s in negated],
+                                  new_total, chosen + [part]):
+                return True
         return False
 
     full = (1 << lp.n) - 1
     for a_mask in range(1, full + 1):
         candidates = [m for m in range(1, a_mask) if (m & a_mask) == m]
-        stop = descend(a_mask, candidates, 0, [(a_mask, 1)], lp.values[a_mask], [])
+        stop = descend(a_mask, candidates, 0, [(a_mask, 1)], vals[a_mask], [])
         if stop:
             break
     return MonotonicityReport(not violations, checked, tuple(violations))

@@ -333,6 +333,18 @@ class TestInfer:
         assert code == 3
         assert "validation error" in err
 
+    def test_nan_arithmetic_grid_point_names_entry(self, tmp_path, capsys):
+        doc = {"queries": [{"id": "a", "kind": "arith_op", "op": "add",
+                            "x1": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
+                            "x2": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
+                            "y_grid": [0.5, float("nan")]}]}
+        path = tmp_path / "nan_y_grid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3 and out == ""
+        assert err.startswith(
+            "validation error: queries[0].y_grid[1]: expected a finite number, got nan")
+
     @pytest.mark.parametrize("field, value", [("side", "lowr"), ("op", "modulo")])
     def test_bad_arithmetic_field_exit_3(self, tmp_path, capsys, field, value):
         doc = {"queries": [{"id": "ok", "kind": "event_lower", "intervals": []},

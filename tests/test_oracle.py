@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from pboxes.pbox import PBox, StepCdf, lower_prob_event
 from pboxes.preorder import ClassSubset, FiniteQuotientSpace
 
 from lp_reference import credal_lp, simplex_min
+from monotonicity_reference import monotonicity_reference
 
 
 def coupling_lower_probability(p1_band, p2_band):
@@ -47,6 +49,30 @@ def coupling_lower_probability(p1_band, p2_band):
         cost = [Fraction(1 if mask & (1 << i) else 0) for i in range(4)]
         values[mask] = float(simplex_min(cost, a_ub, b_ub, a_eq, b_eq))
     return FiniteLowerProbability(4, values)
+
+
+def envelope_reference(instance, gamble, samples, seed=0):
+    """Sorted uniform draws clamped left to right, each class floored by the
+    value of the class before it; the least expectation over the samples."""
+    n = instance.n
+    lo = [float(v) for v in instance.lower_cum]
+    hi = [float(v) for v in instance.upper_cum]
+    g = [float(v) for v in gamble]
+    rng = random.Random(seed)
+    best = None
+    for _ in range(samples):
+        draws = sorted(rng.random() for _ in range(n))
+        s_prev = 0.0
+        expectation = 0.0
+        for i in range(n):
+            v = min(max(draws[i], lo[i], s_prev), hi[i])
+            if i == n - 1:
+                v = 1.0
+            expectation += (v - s_prev) * g[i]
+            s_prev = v
+        if best is None or expectation < best:
+            best = expectation
+    return best
 
 
 class TestLpLowerExpectation:
@@ -96,6 +122,22 @@ class TestLpLowerExpectation:
         gamble = data.draw(st.one_of(st.lists(indicator, min_size=n, max_size=n),
                                      st.lists(value, min_size=n, max_size=n)), label="gamble")
         assert _chain_vertex_min(instance, gamble) == credal_lp(instance, gamble)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_float_is_the_rounded_exact_minimum(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        instance = random_credal_instance(
+            random.Random(data.draw(st.integers(0, 2**32), label="seed")), n,
+            denominator=data.draw(st.sampled_from([4, 997, 10**12]), label="denominator"))
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        value = st.one_of(st.integers(-10**6, 10**6), finite,
+                          st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
+                          finite.map(np.float64))
+        gamble = data.draw(st.lists(value, min_size=n, max_size=n), label="gamble")
+        got = lp_lower_expectation(instance, gamble)
+        exact = _chain_vertex_min(instance, [Fraction(x) for x in gamble])
+        assert got.hex() == float(exact).hex()
 
     def test_matches_finite_formula_at_large_n(self, rng):
         for n in (25, 50, 100, 200):
@@ -211,6 +253,19 @@ class TestEnvelopeSampleBound:
         with pytest.raises(ValidationError):
             envelope_sample_bound(instance, [1.0], samples=0)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_clamp_closed_form_matches_sequential_clamp(self, rng, n):
+        # clamping each class on its own equals carrying the previous value forward
+        for precise in (True, False):
+            for _ in range(10):
+                instance = random_credal_instance(rng, n, rng.choice([4, 20, 1000]))
+                if precise:
+                    instance = FiniteCredalInstance(instance.lower_cum, instance.lower_cum)
+                gamble = [rng.uniform(-5, 5) for _ in range(n)]
+                seed = rng.randrange(1 << 30)
+                assert envelope_sample_bound(instance, gamble, samples=16, seed=seed) == \
+                    pytest.approx(envelope_reference(instance, gamble, 16, seed), abs=1e-12)
+
 
 class TestCompleteMonotonicity:
     def test_pbox_extensions_pass(self, rng):
@@ -253,6 +308,39 @@ class TestCompleteMonotonicity:
         report = complete_monotonicity_check(lp, p_max=2, max_violations=1)
         assert not report.passed
         assert len(report.violations) == 1
+
+    @staticmethod
+    def assert_matches_reference(lp, p_max, max_violations):
+        got = complete_monotonicity_check(lp, p_max=p_max, max_violations=max_violations)
+        ref = monotonicity_reference(lp, p_max=p_max, max_violations=max_violations)
+        assert (got.passed, got.checked) == (ref.passed, ref.checked)
+        assert [(v.order, v.event, v.parts) for v in got.violations] == \
+            [(v.order, v.event, v.parts) for v in ref.violations]
+        for v, w in zip(got.violations, ref.violations):
+            assert v.defect == pytest.approx(w.defect, abs=1e-15)
+        return got
+
+    @pytest.mark.parametrize("max_violations", [None, 1, 3])
+    @pytest.mark.parametrize("p_max", [2, 3, 4])
+    def test_natural_extensions_match_reference(self, rng, p_max, max_violations):
+        for _ in range(30):
+            instance = random_credal_instance(rng, rng.randint(2, 5), rng.choice([24, 100]))
+            report = self.assert_matches_reference(
+                natural_extension_table(instance), p_max, max_violations)
+            assert report.passed
+
+    @pytest.mark.parametrize("max_violations", [None, 1, 3])
+    @pytest.mark.parametrize("p_max", [2, 3, 4])
+    def test_coupling_joints_match_reference(self, rng, p_max, max_violations):
+        bands = [((0.4, 0.6), (0.2, 0.3))] + [
+            tuple(tuple(sorted((rng.random(), rng.random()))) for _ in range(2))
+            for _ in range(9)]
+        failed = 0
+        for band1, band2 in bands:
+            report = self.assert_matches_reference(
+                coupling_lower_probability(band1, band2), p_max, max_violations)
+            failed += not report.passed
+        assert failed
 
     def test_refuses_large_inputs(self, rng):
         table = natural_extension_table(random_credal_instance(rng, 3, 8))
