@@ -23,8 +23,6 @@ from .errors import ParseError, ToleranceError, ValidationError
 from .multivariate import (
     FRECHET,
     INDEPENDENT,
-    CombinationRule,
-    MarginalSpec,
     RealLinePBox,
     combine,
     prob_arith_add_lower,

@@ -32,7 +32,7 @@ from . import choquet as _choquet
 from . import pbox as _pbox
 from .choquet import DEFAULT_CONFIG, QuadratureConfig
 from .errors import ParseError, ToleranceError, ValidationError
-from .multivariate import FRECHET, INDEPENDENT, MarginalSpec, RealLinePBox, combine
+from .multivariate import FRECHET, RealLinePBox, combine
 from .oracle import (
     FiniteCredalInstance,
     additivity_check,
@@ -67,8 +67,6 @@ from .scenarios import (
 )
 
 CSV_HEADER = "query_id,kind,value,error_bound,elapsed_ms"
-
-_RULES = {"frechet": FRECHET, "independence": INDEPENDENT}
 
 
 def _fmt(x: float) -> str:
@@ -174,12 +172,8 @@ def _pbox_from_spec(spec, space) -> PBox | None:
         return PBox(named_cdf(spec["analytic"]["lower"]),
                     named_cdf(spec["analytic"]["upper"]), UNIT_INTERVAL)
     if "marginals" in spec:
-        marginals = [MarginalSpec(_cdf_from_spec(m["lower"]), _cdf_from_spec(m["upper"]))
-                     for m in spec["marginals"]]
-        rule_name = spec.get("rule", "frechet")
-        if rule_name not in _RULES:
-            raise ValidationError(f"unknown combination rule {rule_name!r}")
-        return combine(marginals, _RULES[rule_name])
+        return combine([PBox(_cdf_from_spec(m["lower"]), _cdf_from_spec(m["upper"]))
+                        for m in spec["marginals"]], spec.get("rule", FRECHET))
     raise ValidationError(f"unrecognized p-box specification: {spec!r}")
 
 
@@ -198,7 +192,8 @@ def _arith_queries(raw: dict, path: str, qid: str, kind: str) -> list:
     op = _field(raw, "op", path, str, "add") if kind == "arith_op" else "add"
     fields = {"x1": x1, "x2": x2, "op": op, "side": _field(raw, "side", path, str, "lower")}
     if "y_grid" not in raw:
-        return [_query(path, qid, kind, y=float(_field(raw, "y", path, _NUMBER)), **fields)]
+        y = _checked(f"{path}.y", _finite_number, _field(raw, "y", path, _NUMBER))
+        return [_query(path, qid, kind, y=y, **fields)]
     y_grid = _field(raw, "y_grid", path, list)
     if len(y_grid) > _choquet._MAX_GRID:
         raise ValidationError(f"{path}.y_grid: more than {_choquet._MAX_GRID} points")
@@ -227,7 +222,7 @@ def _queries_from_spec(raw_queries, pbox) -> tuple:
                 fields["oscillation"] = _oscillation_from_spec(
                     _field(raw, "oscillation", path, dict))
                 if kind == "threshold":
-                    fields["target"] = float(_field(raw, "target", path, _NUMBER))
+                    fields["target"] = _field(raw, "target", path, _NUMBER)
             # each of these kinds asks about the document's p-box
             if fields and pbox is None:
                 raise ParseError("pbox: missing")

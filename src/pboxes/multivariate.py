@@ -2,11 +2,10 @@
 
 A joint model on a product space is induced by aggregating per-dimension
 coordinates with a pointwise maximum, under which every joint sublevel set
-is a product of marginal sublevel sets.  Any combination rule expressible as
-a pair of pointwise combiners on marginal probabilities (Fréchet bounds for
-unknown dependence, products for epistemic independence, or a user-supplied
-pair) then yields the tightest p-box dominated by the combined model simply
-by combining the marginal CDFs pointwise.
+is a product of marginal sublevel sets.  The marginals are p-boxes, and the
+dependence model is a name: Fréchet bounds for unknown dependence, or
+products for epistemic independence.  Either one yields the tightest p-box
+dominated by the combined model by combining the marginal CDFs pointwise.
 
 Arithmetic on real-line p-boxes (dependency-bounds convolution for sums,
 differences, products, and quotients) is the special case where the
@@ -21,18 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf, lower_prob_field
-from .preorder import (UNIT_INTERVAL, FiniteQuotientSpace, UnitInterval, _class_index,
-                       _coordinate, _finite_number)
+from .preorder import _class_index, _coordinate, _finite_number
 
 __all__ = [
-    "MarginalSpec",
-    "CombinationRule",
     "FRECHET",
     "INDEPENDENT",
     "RealLinePBox",
@@ -44,67 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MarginalSpec:
-    """One factor of a product space: the CDF bounds of its coordinate.
-
-    The CDFs are functions of the coordinate of a surjective mapping from
-    the factor space onto [0, 1]; the mapping itself never enters the joint
-    computation, only its CDFs do.  A finite factor takes a pair of step
-    CDFs, one value per class.
-    """
-
-    lower: StepCdf | PiecewiseLinearCdf | AnalyticCdf
-    upper: StepCdf | PiecewiseLinearCdf | AnalyticCdf
-
-    def __post_init__(self):
-        # delegate the pair validation (ordering, monotonicity, top value)
-        PBox(self.lower, self.upper, self.space, validation_grid=512)
-
-    @property
-    def space(self) -> FiniteQuotientSpace | UnitInterval:
-        """The class indices of a step pair; otherwise [0, 1]."""
-        if isinstance(self.lower, StepCdf):
-            return FiniteQuotientSpace(tuple(range(self.lower.size)))
-        return UNIT_INTERVAL
-
-
-@dataclass(frozen=True)
-class CombinationRule:
-    """A pair of n-ary combiners applied to marginal lower/upper probabilities.
-
-    Both combiners take a sequence of values in [0, 1] (one per marginal) and
-    must be non-decreasing in every argument, map all-ones to one, and
-    satisfy ``ell <= u`` pointwise.  These invariants are spot-checked on a
-    coarse grid by :meth:`validate`.
-    """
-
-    name: str
-    ell: Callable
-    u: Callable
-
-    def validate(self, arity: int):
-        if arity < 2:
-            raise ValidationError("combination rules need at least two marginals")
-        steps = np.linspace(0.0, 1.0, 5 if arity <= 3 else 3)
-        ones = [1.0] * arity
-        if abs(self.ell(ones) - 1.0) > 1e-12 or abs(self.u(ones) - 1.0) > 1e-12:
-            raise ValidationError(f"rule {self.name!r} must map all-ones to 1")
-        grids = np.meshgrid(*([steps] * arity), indexing="ij")
-        points = np.stack([g.ravel() for g in grids], axis=1)
-        lo = np.array([float(self.ell(list(p))) for p in points])
-        hi = np.array([float(self.u(list(p))) for p in points])
-        if np.any(lo > hi + 1e-12):
-            raise ValidationError(f"rule {self.name!r} has ell above u on the grid")
-        # a step along an axis of the grid is a step in that argument
-        for axis in range(arity):
-            for values in (lo, hi):
-                if np.any(np.diff(values.reshape(grids[0].shape), axis=axis) < -1e-12):
-                    raise ValidationError(
-                        f"rule {self.name!r} is not monotone in argument {axis}")
-
-
-def _frechet_lower(values) -> float:
+def _frechet_lower(values):
     return np.maximum(0.0, 1.0 - len(values) + sum(values))
 
 
@@ -122,11 +58,14 @@ def _product(values):
     return out
 
 
-FRECHET = CombinationRule("frechet", _frechet_lower, _frechet_upper)
-INDEPENDENT = CombinationRule("independence", _product, _product)
+FRECHET = "frechet"
+INDEPENDENT = "independence"
+
+# rule -> (lower combiner, upper combiner), each taking one value per marginal
+_COMBINERS = {FRECHET: (_frechet_lower, _frechet_upper), INDEPENDENT: (_product, _product)}
 
 
-def _joint_cdf(cdfs: list, combiner: Callable):
+def _joint_cdf(cdfs: list, combiner):
     """``combiner`` of the marginal CDFs, class by class or point by point."""
     if isinstance(cdfs[0], StepCdf):
         return StepCdf(tuple(combiner([np.array(cdf.values) for cdf in cdfs])))
@@ -135,27 +74,30 @@ def _joint_cdf(cdfs: list, combiner: Callable):
     return AnalyticCdf(lambda z: combiner([cdf(z) for cdf in cdfs]), left)
 
 
-def combine(marginals: Sequence[MarginalSpec], rule: CombinationRule) -> PBox:
-    """Joint p-box of the max-aggregated coordinate under a combination rule.
+def combine(marginals: Sequence[PBox], rule: str) -> PBox:
+    """Joint p-box of the max-aggregated coordinate under a dependence model.
 
-    The joint lower CDF is ``ell`` of the marginal lower CDFs evaluated at
-    the same coordinate, and likewise for the upper; this is the tightest
-    p-box whose inferences are dominated by the combined marginal model.
+    ``rule`` is :data:`FRECHET` (unknown dependence) or :data:`INDEPENDENT`
+    (epistemic independence).  The joint lower CDF combines the marginal
+    lower CDFs evaluated at the same coordinate, and likewise for the upper;
+    this is the tightest p-box whose inferences are dominated by the
+    combined marginal model.
 
-    Finite marginals, step CDFs with a common number n of classes, give a
-    joint on n classes: joint class k holds the points whose largest
-    marginal class index is k, and the rule applies class by class.  So the
-    bottom joint class is the product of the marginals' bottom classes.
+    Finite marginals, whose spaces have a common number n of classes (their
+    labels may differ), give a joint on the class indices 0..n-1: joint
+    class k holds the points whose largest marginal class index is k, and
+    the rule applies class by class.  So the bottom joint class is the
+    product of the marginals' bottom classes.
     """
+    if rule not in _COMBINERS:
+        raise ValidationError(f"unknown combination rule {rule!r}")
     if len(marginals) < 2:
         raise ValidationError("combine needs at least two marginals")
-    rule.validate(len(marginals))
-    spaces = {m.space for m in marginals}
-    if len(spaces) != 1:
+    if len({m.space.size if m.is_finite else None for m in marginals}) != 1:
         raise ValidationError("finite marginals need step CDFs with the same number of classes")
-    return PBox(_joint_cdf([m.lower for m in marginals], rule.ell),
-                _joint_cdf([m.upper for m in marginals], rule.u),
-                spaces.pop(), validation_grid=2048)
+    ell, u = _COMBINERS[rule]
+    return PBox(_joint_cdf([m.lower for m in marginals], ell),
+                _joint_cdf([m.upper for m in marginals], u), validation_grid=2048)
 
 
 def sublevel_box_lower(joint: PBox, levels: Sequence) -> float:

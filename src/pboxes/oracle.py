@@ -170,10 +170,16 @@ def lp_lower_expectation(instance: FiniteCredalInstance, gamble: Sequence) -> fl
     and rounded to a float once at the end: integer true division rounds
     correctly, so the float is that of the exact rational.
     """
+    num, den = _chain_sweep(instance, _gamble(instance, gamble))
+    return num / den
+
+
+def _gamble(instance: FiniteCredalInstance, gamble: Sequence) -> list:
+    """The gamble as one exact ``(numerator, denominator)`` pair per class of the
+    instance, each value checked by :func:`_ratio`."""
     if len(gamble) != instance.n:
         raise ValidationError("gamble length must match the number of classes")
-    num, den = _chain_sweep(instance, [_ratio(g) for g in gamble])
-    return num / den
+    return [_ratio(g) for g in gamble]
 
 
 def envelope_sample_bound(instance: FiniteCredalInstance, gamble: Sequence,
@@ -190,7 +196,7 @@ def envelope_sample_bound(instance: FiniteCredalInstance, gamble: Sequence,
     if samples < 1:
         raise ValidationError("at least one sample is required")
     n = instance.n
-    g = [float(v) for v in gamble]
+    g = [num / den for num, den in _gamble(instance, gamble)]
     # (lower bound, upper bound, g_i - g_{i+1}) of every class below the top
     bands = [(float(lo), float(hi), a - b) for lo, hi, a, b in
              zip(instance.lower_cum, instance.upper_cum, g, g[1:n])]

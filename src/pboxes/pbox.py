@@ -213,18 +213,23 @@ def cdf_left_limit(cdf, z):
 class PBox:
     """A pair of CDFs ``lower <= upper`` over a common quotient space.
 
-    On the unit continuum the ordering and monotonicity of analytic members
-    are verified on a sampling grid (all knots plus ``validation_grid``
-    uniform points); exact global verification of black-box functions is not
-    attempted.
+    Without a space, a step pair lives on its class indices and any other
+    pair on [0, 1].  On the unit continuum the ordering and monotonicity of
+    analytic members are verified on a sampling grid (all knots plus
+    ``validation_grid`` uniform points); exact global verification of
+    black-box functions is not attempted.
     """
 
     lower: Cdf
     upper: Cdf
-    space: FiniteQuotientSpace | UnitInterval = UNIT_INTERVAL
+    space: FiniteQuotientSpace | UnitInterval | None = None
     validation_grid: int = 10_000
 
     def __post_init__(self):
+        if self.space is None:
+            space = (FiniteQuotientSpace(tuple(range(self.lower.size)))
+                     if isinstance(self.lower, StepCdf) else UNIT_INTERVAL)
+            object.__setattr__(self, "space", space)
         if isinstance(self.space, FiniteQuotientSpace):
             self._validate_finite()
         else:

@@ -53,7 +53,10 @@ def _finite_number(x) -> float:
     # plain ints and floats skip the slower check of the abstract number type
     if type(x) not in (int, float) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         raise TypeError(f"expected a number, got {type(x).__name__}")
-    value = float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # an int or a fraction beyond the float range
+        raise ValidationError("expected a finite number, got one too large for a float") from None
     if not math.isfinite(value):
         raise ValidationError(f"expected a finite number, got {value}")
     return value

@@ -35,7 +35,6 @@ from .errors import ValidationError
 from .multivariate import (
     FRECHET,
     INDEPENDENT,
-    MarginalSpec,
     RealLinePBox,
     _arith_bound,
     _operation,
@@ -284,7 +283,7 @@ def _oscillator_scenario() -> Scenario:
     if __debug__:
         assert abs(float(oscillator_lower_oscillation().f(1.0)) - _RATIO_INF) < 1e-12
         assert abs(float(oscillator_upper_oscillation().f(1.0)) - _RATIO_SUP) < 1e-12
-    marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one")) for _ in range(2)]
+    marginals = [PBox(named_cdf("uniform"), named_cdf("one")) for _ in range(2)]
     joint = combine(marginals, INDEPENDENT)
     queries = (
         Query("damping_ratio_lower", "expectation_lower", joint,
@@ -344,8 +343,8 @@ def _dike_frechet_lower(z):
 
 
 def _dike_scenario() -> Scenario:
-    marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one"))]
-    marginals += [MarginalSpec(named_cdf("triangular_sym"), named_cdf("one")) for _ in range(3)]
+    marginals = [PBox(named_cdf("uniform"), named_cdf("one"))]
+    marginals += [PBox(named_cdf("triangular_sym"), named_cdf("one")) for _ in range(3)]
     joint = combine(marginals, FRECHET)
     if __debug__:
         assert abs(dike_overflow_curve(0.0) - 3.0315831610902353) < 1e-9
@@ -417,9 +416,8 @@ def _joint(rule, boxes, firsts) -> PBox:
     """Max-coordinate joint of two-class marginals, each listing its class
     ``first`` first (the top class's probability lies in ``[1 - upper(0),
     1 - lower(0)]``): its bottom class is the product of those classes."""
-    return combine([MarginalSpec(box.lower, box.upper) if first == 0 else
-                    MarginalSpec(StepCdf((1.0 - box.upper(0), 1.0)),
-                                 StepCdf((1.0 - box.lower(0), 1.0)))
+    return combine([box if first == 0 else
+                    PBox(StepCdf((1.0 - box.upper(0), 1.0)), StepCdf((1.0 - box.lower(0), 1.0)))
                     for box, first in zip(boxes, firsts)], rule)
 
 

@@ -8,7 +8,6 @@ from pboxes.cli import CSV_HEADER, load_scenario, main, run_verify
 from pboxes.multivariate import (
     FRECHET,
     INDEPENDENT,
-    MarginalSpec,
     RealLinePBox,
     combine,
     prob_arith_transform,
@@ -145,6 +144,8 @@ class TestDiagonalInterior:
         event = diagonal_rectangle_interior(0.0, 0.4, 0.0, 0.8)
         assert event.intervals[0].hi == pytest.approx(0.2)
 
+
+UNIFORM_KNOTS = {"lower": [[0.0, 0.0], [1.0, 1.0]]}
 
 SCENARIO_DOC = {
     "name": "fixture",
@@ -332,6 +333,24 @@ class TestInfer:
         code, _, err = run_cli(capsys, ["infer", str(path)])
         assert code == 3
         assert "validation error" in err
+
+    @pytest.mark.parametrize("query", [
+        {"kind": "arith_op", "x1": UNIFORM_KNOTS, "x2": UNIFORM_KNOTS, "y": 10**400},
+        {"kind": "arith_op", "x1": UNIFORM_KNOTS, "x2": UNIFORM_KNOTS,
+         "y_grid": [0.5, 10**400]},
+        {"kind": "threshold", "target": 10**400, "oscillation": {"builtin": "dike_upper"}},
+        {"kind": "event_lower", "intervals": [[0.0, 10**400, False, False]]},
+    ], ids=["y", "y_grid", "target", "interval_end"])
+    def test_integer_beyond_float_range_exit_3(self, tmp_path, capsys, query):
+        # JSON keeps a long integer literal exact, and float() of it overflows
+        doc = {"pbox": {"analytic": {"lower": "square", "upper": "uniform"}},
+               "queries": [query]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert "1" + "0" * 400 in path.read_text()
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3 and out == ""
+        assert err.startswith("validation error: ")
 
     def test_nan_arithmetic_grid_point_names_entry(self, tmp_path, capsys):
         doc = {"queries": [{"id": "a", "kind": "arith_op", "op": "add",
@@ -523,17 +542,19 @@ class TestInferModels:
         assert rows["upper"][1] == pytest.approx(expected.value, abs=1e-12)
         assert rows["upper"][2] == pytest.approx(expected.error_bound, abs=1e-12)
 
+    # explicit ids keep the names these cases have run under
     @pytest.mark.parametrize("rule_name, rule", [("frechet", FRECHET),
-                                                 ("independence", INDEPENDENT)])
+                                                 ("independence", INDEPENDENT)],
+                             ids=["frechet-rule0", "independence-rule1"])
     def test_marginals(self, tmp_path, capsys, rule_name, rule):
         doc = {"pbox": {"marginals": TWO_MARGINALS, "rule": rule_name},
                "queries": MODEL_QUERIES}
         code, rows = self.run_doc(tmp_path, capsys, doc)
         assert code == 0
         joint = combine([
-            MarginalSpec(named_cdf("uniform"), named_cdf("one")),
-            MarginalSpec(PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.2), (1.0, 1.0))),
-                         PiecewiseLinearCdf(((0.0, 0.3), (0.6, 0.9), (1.0, 1.0))))], rule)
+            PBox(named_cdf("uniform"), named_cdf("one")),
+            PBox(PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.2), (1.0, 1.0))),
+                 PiecewiseLinearCdf(((0.0, 0.3), (0.6, 0.9), (1.0, 1.0))))], rule)
         self.assert_model_rows(rows, joint)
 
     def test_linear_pbox(self, tmp_path, capsys):

@@ -11,8 +11,6 @@ from pboxes.errors import ValidationError
 from pboxes.multivariate import (
     FRECHET,
     INDEPENDENT,
-    CombinationRule,
-    MarginalSpec,
     RealLinePBox,
     combine,
     prob_arith_add_lower,
@@ -20,7 +18,8 @@ from pboxes.multivariate import (
     prob_arith_transform,
     sublevel_box_lower,
 )
-from pboxes.pbox import AnalyticCdf, PiecewiseLinearCdf, StepCdf
+from pboxes.pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf
+from pboxes.preorder import FiniteQuotientSpace
 from pboxes.scenarios import named_cdf
 
 UNIFORM01 = RealLinePBox.from_knots([(0.0, 0.0), (1.0, 1.0)])
@@ -38,8 +37,8 @@ def vacuous_lower_cdf():
 
 class TestCombine:
     def test_dike_frechet_closed_form(self):
-        marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one"))]
-        marginals += [MarginalSpec(named_cdf("triangular_sym"), named_cdf("one"))
+        marginals = [PBox(named_cdf("uniform"), named_cdf("one"))]
+        marginals += [PBox(named_cdf("triangular_sym"), named_cdf("one"))
                       for _ in range(3)]
         joint = combine(marginals, FRECHET)
         zs = np.linspace(0.0, 1.0, 501)
@@ -48,15 +47,15 @@ class TestCombine:
         assert np.allclose(joint.upper(zs), 1.0, atol=0)
 
     def test_oscillator_independence_closed_form(self):
-        marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one"))
+        marginals = [PBox(named_cdf("uniform"), named_cdf("one"))
                      for _ in range(2)]
         joint = combine(marginals, INDEPENDENT)
         zs = np.linspace(0.0, 1.0, 501)
         assert np.allclose(joint.lower(zs), zs ** 2, atol=1e-15)
 
     def test_vacuous_marginal_absorbs_frechet(self):
-        marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one")),
-                     MarginalSpec(vacuous_lower_cdf(), named_cdf("one"))]
+        marginals = [PBox(named_cdf("uniform"), named_cdf("one")),
+                     PBox(vacuous_lower_cdf(), named_cdf("one"))]
         joint = combine(marginals, FRECHET)
         zs = np.linspace(0.0, 1.0, 101)
         lower = np.asarray(joint.lower(zs))
@@ -65,75 +64,71 @@ class TestCombine:
 
     def test_needs_two_marginals(self):
         with pytest.raises(ValidationError):
-            combine([MarginalSpec(named_cdf("uniform"), named_cdf("one"))], FRECHET)
+            combine([PBox(named_cdf("uniform"), named_cdf("one"))], FRECHET)
 
     def test_finite_class_counts_must_match(self):
-        two = MarginalSpec(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0)))
-        three = MarginalSpec(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.3, 0.7, 1.0)))
+        two = PBox(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0)))
+        three = PBox(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.3, 0.7, 1.0)))
         with pytest.raises(ValidationError, match="same number of classes"):
             combine([two, three], FRECHET)
 
     def test_finite_and_continuum_marginals_do_not_mix(self):
-        two = MarginalSpec(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0)))
+        two = PBox(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0)))
         with pytest.raises(ValidationError):
-            combine([two, MarginalSpec(named_cdf("uniform"), named_cdf("one"))], INDEPENDENT)
+            combine([two, PBox(named_cdf("uniform"), named_cdf("one"))], INDEPENDENT)
 
     def test_finite_marginal_pair_validated(self):
         with pytest.raises(ValidationError):
-            MarginalSpec(StepCdf((0.6, 1.0)), StepCdf((0.4, 1.0)))
+            PBox(StepCdf((0.6, 1.0)), StepCdf((0.4, 1.0)))
         with pytest.raises(ValidationError):
-            MarginalSpec(StepCdf((0.4, 1.0)), StepCdf((0.4, 0.6, 1.0)))
+            PBox(StepCdf((0.4, 1.0)), StepCdf((0.4, 0.6, 1.0)))
         with pytest.raises(ValidationError):
-            MarginalSpec(StepCdf((0.4, 1.0)), named_cdf("one"))
+            PBox(StepCdf((0.4, 1.0)), named_cdf("one"))
 
     def test_finite_joint_applies_rule_class_by_class(self):
-        m1 = MarginalSpec(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.3, 0.7, 1.0)))
-        m2 = MarginalSpec(StepCdf((0.1, 0.6, 1.0)), StepCdf((0.4, 0.6, 1.0)))
+        m1 = PBox(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.3, 0.7, 1.0)))
+        m2 = PBox(StepCdf((0.1, 0.6, 1.0)), StepCdf((0.4, 0.6, 1.0)))
         joint = combine([m1, m2], INDEPENDENT)
         assert joint.is_finite and joint.space.size == 3
         assert joint.lower.values == (0.2 * 0.1, 0.5 * 0.6, 1.0)
         assert joint.upper.values == (0.3 * 0.4, 0.7 * 0.6, 1.0)
 
     def test_bound_ordering_between_rules(self):
-        lowers = [named_cdf("uniform"), named_cdf("triangular_sym"), named_cdf("square")]
+        cdfs = [named_cdf("uniform"), named_cdf("triangular_sym"), named_cdf("square")]
+        # precise marginals, so each joint CDF is its rule's combiner of the same values
+        marginals = [PBox(cdf, cdf) for cdf in cdfs]
+        frechet, independent = (combine(marginals, rule) for rule in (FRECHET, INDEPENDENT))
         zs = np.linspace(0.0, 1.0, 201)
-        values = [np.asarray(cdf(zs)) for cdf in lowers]
-        frechet = FRECHET.ell(values)
-        product = INDEPENDENT.ell(values)
-        upper_prod = INDEPENDENT.u(values)
-        upper_min = FRECHET.u(values)
-        assert np.all(frechet <= product + 1e-12)
-        assert np.all(upper_prod <= upper_min + 1e-12)
+        assert np.all(frechet.lower(zs) <= independent.lower(zs) + 1e-12)
+        assert np.all(independent.upper(zs) <= frechet.upper(zs) + 1e-12)
 
+    def test_labelled_finite_marginals_give_the_index_joint(self):
+        labelled = [PBox(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0)),
+                         FiniteQuotientSpace(("low", "high"))),
+                    PBox(StepCdf((0.7, 1.0)), StepCdf((0.8, 1.0)),
+                         FiniteQuotientSpace(("dry", "wet")))]
+        unlabelled = [PBox(m.lower, m.upper) for m in labelled]
+        for rule in (FRECHET, INDEPENDENT):
+            joint = combine(labelled, rule)
+            assert joint == combine(unlabelled, rule)
+            assert joint.space == FiniteQuotientSpace((0, 1))
 
-class TestCombinationRuleValidation:
-    def test_must_map_ones_to_one(self):
-        bad = CombinationRule("bad", lambda v: 0.5, lambda v: 1.0)
-        with pytest.raises(ValidationError):
-            bad.validate(2)
-
-    def test_lower_must_not_exceed_upper(self):
-        bad = CombinationRule("bad", lambda v: max(v), lambda v: min(v))
-        with pytest.raises(ValidationError):
-            bad.validate(2)
-
-    def test_monotonicity_enforced(self):
-        # decreasing in the first argument
-        bad = CombinationRule("bad", lambda v: (1.0 - v[0]) * (1.0 - v[1]) + v[0] * v[1],
-                              lambda v: 1.0)
-        with pytest.raises(ValidationError):
-            bad.validate(2)
+    @pytest.mark.parametrize("rule", ["max", "Frechet", None, 3])
+    def test_unknown_rule_refused(self, rule):
+        marginals = [PBox(named_cdf("uniform"), named_cdf("one")) for _ in range(2)]
+        with pytest.raises(ValidationError, match="unknown combination rule"):
+            combine(marginals, rule)
 
 
 class TestSublevelBox:
     def test_all_ones(self):
-        marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one"))
+        marginals = [PBox(named_cdf("uniform"), named_cdf("one"))
                      for _ in range(2)]
         joint = combine(marginals, INDEPENDENT)
         assert sublevel_box_lower(joint, (1.0, 1.0)) == 1.0
 
     def test_independent_product(self):
-        marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("uniform"))
+        marginals = [PBox(named_cdf("uniform"), named_cdf("uniform"))
                      for _ in range(2)]
         joint = combine(marginals, INDEPENDENT)
         assert sublevel_box_lower(joint, (0.5, 0.5)) == pytest.approx(0.25)
@@ -144,23 +139,23 @@ class TestSublevelBox:
         def low_scale(z):
             return np.minimum(1.0, np.asarray(z, dtype=float) * 4.0)
 
-        first = MarginalSpec(PiecewiseLinearCdf(((0.0, 0.0), (0.9, 0.4), (1.0, 1.0))),
-                             named_cdf("one"))
-        second = MarginalSpec(AnalyticCdf(low_scale), AnalyticCdf(low_scale))
+        first = PBox(PiecewiseLinearCdf(((0.0, 0.0), (0.9, 0.4), (1.0, 1.0))),
+                     named_cdf("one"))
+        second = PBox(AnalyticCdf(low_scale), AnalyticCdf(low_scale))
         joint = combine([first, second], FRECHET)
         level = 0.9
         value = sublevel_box_lower(joint, (level, 1.0))
         assert value == pytest.approx(max(0.0, 1 - 2 + 0.4 + 1.0)) == pytest.approx(0.4)
 
     def test_rejects_bad_levels(self):
-        marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one"))
+        marginals = [PBox(named_cdf("uniform"), named_cdf("one"))
                      for _ in range(2)]
         joint = combine(marginals, INDEPENDENT)
         with pytest.raises(ValidationError):
             sublevel_box_lower(joint, (0.5, 1.2))
 
     def test_nan_level_rejected(self):
-        marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one"))
+        marginals = [PBox(named_cdf("uniform"), named_cdf("one"))
                      for _ in range(2)]
         joint = combine(marginals, INDEPENDENT)
         # NaN fails every comparison, so min() would drop it unchecked
@@ -169,8 +164,8 @@ class TestSublevelBox:
                 sublevel_box_lower(joint, levels)
 
     def test_finite_joint_takes_class_indices(self):
-        joint = combine([MarginalSpec(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.4, 0.7, 1.0))),
-                         MarginalSpec(StepCdf((0.3, 0.6, 1.0)), StepCdf((0.5, 0.9, 1.0)))],
+        joint = combine([PBox(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.4, 0.7, 1.0))),
+                         PBox(StepCdf((0.3, 0.6, 1.0)), StepCdf((0.5, 0.9, 1.0)))],
                         FRECHET)
         # the joint lower CDF at class 1 is max(0, 0.5 + 0.6 - 1)
         assert sublevel_box_lower(joint, [1, 2]) == pytest.approx(0.1)
@@ -178,8 +173,8 @@ class TestSublevelBox:
         assert sublevel_box_lower(joint, [np.int64(0), 2]) == 0.0
 
     def test_finite_joint_takes_numpy_integers(self):
-        joint = combine([MarginalSpec(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.4, 0.7, 1.0))),
-                         MarginalSpec(StepCdf((0.3, 0.6, 1.0)), StepCdf((0.5, 0.9, 1.0)))],
+        joint = combine([PBox(StepCdf((0.2, 0.5, 1.0)), StepCdf((0.4, 0.7, 1.0))),
+                         PBox(StepCdf((0.3, 0.6, 1.0)), StepCdf((0.5, 0.9, 1.0)))],
                         FRECHET)
         for levels in ([1, 2], [2, 2], [0, 1]):
             assert (sublevel_box_lower(joint, [np.int64(a) for a in levels])
@@ -188,8 +183,8 @@ class TestSublevelBox:
             sublevel_box_lower(joint, [True, 2])
 
     def test_finite_joint_rejects_coordinates(self):
-        two = combine([MarginalSpec(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0))),
-                       MarginalSpec(StepCdf((0.7, 1.0)), StepCdf((0.8, 1.0)))], FRECHET)
+        two = combine([PBox(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0))),
+                       PBox(StepCdf((0.7, 1.0)), StepCdf((0.8, 1.0)))], FRECHET)
         for levels in ([0.0, 1.0], [1, 0.5], [2, 1], [-1, 1]):
             with pytest.raises(ValidationError, match="class indices"):
                 sublevel_box_lower(two, levels)

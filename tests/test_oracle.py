@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,13 +20,16 @@ from pboxes.oracle import (
     random_credal_instance,
 )
 from pboxes.choquet import lower_expectation_finite
-from pboxes.multivariate import FRECHET, INDEPENDENT, MarginalSpec, combine
+from pboxes.multivariate import FRECHET, INDEPENDENT, combine
 from pboxes.oracle import _chain_vertex_min, _fraction
 from pboxes.pbox import PBox, StepCdf, lower_prob_event
 from pboxes.preorder import ClassSubset, FiniteQuotientSpace
 
 from lp_reference import credal_lp, simplex_min
 from monotonicity_reference import monotonicity_reference
+
+# both read a gamble, and both check it by the same rules
+GAMBLE_READERS = (lp_lower_expectation, partial(envelope_sample_bound, samples=4))
 
 
 def coupling_lower_probability(p1_band, p2_band):
@@ -157,8 +161,10 @@ class TestLpLowerExpectation:
 
     def test_length_mismatch(self):
         instance = FiniteCredalInstance((1,), (1,))
-        with pytest.raises(ValidationError):
-            lp_lower_expectation(instance, [1.0, 2.0])
+        for read in GAMBLE_READERS:
+            for gamble in ([1.0, 2.0], []):
+                with pytest.raises(ValidationError):
+                    read(instance, gamble)
 
 
 class TestInstanceValidation:
@@ -180,13 +186,15 @@ class TestInputNumbers:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_gamble_value_rejected(self, bad):
-        with pytest.raises(ValidationError):
-            lp_lower_expectation(self.INSTANCE, [bad, 1.0])
+        for read in GAMBLE_READERS:
+            with pytest.raises(ValidationError):
+                read(self.INSTANCE, [bad, 1.0])
 
     @pytest.mark.parametrize("bad", ["1", True, None])
     def test_non_number_gamble_value_rejected(self, bad):
-        with pytest.raises(TypeError):
-            lp_lower_expectation(self.INSTANCE, [bad, 0])
+        for read in GAMBLE_READERS:
+            with pytest.raises(TypeError):
+                read(self.INSTANCE, [bad, 0])
 
     @pytest.mark.parametrize("bad", ["0.5", False, None])
     def test_non_number_bound_rejected(self, bad):
@@ -423,7 +431,7 @@ class TestFiniteCombineAgainstCoupling:
     def listed_first(band, c):
         """A binary marginal with "low"-probability band ``band``, class ``c`` first."""
         lo, hi = band if c == 0 else (1.0 - band[1], 1.0 - band[0])
-        return MarginalSpec(StepCdf((lo, 1.0)), StepCdf((hi, 1.0)))
+        return PBox(StepCdf((lo, 1.0)), StepCdf((hi, 1.0)))
 
     def bands(self, rng):
         return [tuple(sorted((rng.random(), rng.random()))) for _ in range(2)]

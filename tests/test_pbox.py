@@ -114,6 +114,16 @@ class TestStepCdfValidation:
                 StepCdf((bad, 1.0))
 
 
+class TestPBoxSpace:
+    def test_space_inferred_without_one(self):
+        step = PBox(StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0)))
+        assert step.space == FiniteQuotientSpace((0, 1))
+        continuous = PBox(AnalyticCdf(lambda z: z), AnalyticCdf(lambda z: z))
+        assert continuous.space is UNIT_INTERVAL
+        knots = PiecewiseLinearCdf(((0.0, 0.0), (1.0, 1.0)))
+        assert PBox(knots, knots).space is UNIT_INTERVAL
+
+
 class TestPiecewiseLinearCdfValidation:
     def test_non_finite_knots_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):

@@ -251,7 +251,8 @@ class TestInputChecks:
 
     def test_non_finite_numbers_are_validation_errors(self):
         for check in (_finite_number, _coordinate, lambda x: _class_index(x, 3)):
-            for x in (math.nan, math.inf, -math.inf, np.float64("nan")):
+            for x in (math.nan, math.inf, -math.inf, np.float64("nan"),
+                      10**400, -10**400, Fraction(10**400, 3)):
                 with pytest.raises(ValidationError):
                     check(x)
 

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from pboxes.choquet import QuadratureConfig, threshold_solve
 from pboxes.errors import ValidationError
-from pboxes.multivariate import INDEPENDENT, MarginalSpec, RealLinePBox, combine
-from pboxes.pbox import best_pbox_approximation, cdf_eval
+from pboxes.multivariate import INDEPENDENT, RealLinePBox, combine
+from pboxes.pbox import PBox, best_pbox_approximation, cdf_eval
 from pboxes.preorder import FULL_EVENT, ClassSubset
 from pboxes.scenarios import (
     BUILTIN_NAMES,
@@ -78,9 +77,12 @@ class TestDikeFixture:
         t_star = threshold_solve(scenario.pbox, uosc, target)
 
         def direct(t):
-            z = optimize.brentq(lambda w: dike_overflow_curve(w) - t,
-                                -1 + 1e-12, 1 - 1e-12, xtol=1e-13)
-            return 1.0 - float(scenario.pbox.lower(z)) - target
+            # bisect the increasing overflow curve down to a bracket of 1e-13 around t
+            lo, hi = -1 + 1e-12, 1 - 1e-12
+            while hi - lo > 1e-13:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if dike_overflow_curve(mid) < t else (lo, mid)
+            return 1.0 - float(scenario.pbox.lower(hi)) - target
 
         assert direct(t_star) == pytest.approx(0.0, abs=1e-6)
 
@@ -120,7 +122,7 @@ class TestIndependentJointBound:
 
 class TestApproximationConsistency:
     def test_product_rule_inputs_reproduce_joint(self):
-        marginals = [MarginalSpec(named_cdf("uniform"), named_cdf("one"))
+        marginals = [PBox(named_cdf("uniform"), named_cdf("one"))
                      for _ in range(2)]
         joint = combine(marginals, INDEPENDENT)
         # feed the joint's own sublevel bounds back through the
