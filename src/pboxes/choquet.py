@@ -4,8 +4,8 @@ A gamble enters as its lower (or upper) oscillation, a bounded function of
 the quotient coordinate z.  The expectation is the oscillation's infimum
 plus the integral over levels t of the lower (upper) probability of the cut
 set ``{z : osc(z) >= t}``, non-increasing in t, so Darboux sums bracket it
-rigorously; each round of refinement halves only the cells that carry a
-large share of the bracket width.
+rigorously; each round of refinement cuts every cell into equal parts,
+as many as its share of the bracket width calls for (equidistribution).
 
 A declared-monotone oscillation without knots is integrated over its own
 coordinate: its cut sets are the nested intervals ``[z, 1]`` or ``[0, z]``,
@@ -64,6 +64,11 @@ _CUT_BATCH_CELLS = 1 << 22
 _CHUNK = 1 << 13
 # sections per round of the threshold search: 31 interior points per batch
 _SECTIONS = 32
+# Darboux refinement: the bracket width a round aims for, as a share of the
+# tolerance, and the most parts it cuts one cell into
+_THETA = 0.8
+_MAX_PARTS = 64
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ class QuadratureConfig:
     """Tolerances for the bracketed cut-level quadrature.
 
     ``max_refinements`` caps the rounds of adaptive refinement; a round
-    halves every cell whose share of the bracket width is large.  The one
+    cuts every cell into parts by its share of the bracket width.  The one
     cut-set scan samples an oscillation without knots on ``cut_grid``
     cells and bisects every end between samples to ``bisect_tol``; knot
     oscillations use neither.  ``bisect_tol`` is also the tolerance of
@@ -158,7 +163,7 @@ DEFAULT_CONFIG = QuadratureConfig()
 @dataclass(frozen=True)
 class QuadratureResult:
     """Bracket midpoint plus the half-width of the enclosing Darboux bracket,
-    and the rounds of adaptive refinement that split some cells of the grid."""
+    and the rounds of adaptive refinement that cut some cells of the grid."""
 
     value: float
     error_bound: float
@@ -308,14 +313,6 @@ def _coordinate_grid(pbox: PBox, osc: Oscillation, upper: bool, a: float, b: flo
     return partial(_in_chunks, level), partial(_in_chunks, probs)
 
 
-def _assert_monotone_integrand(rises: np.ndarray):
-    """Reject an integrand that rises by more than float dust between levels."""
-    if np.any(rises > 1e-7):
-        raise ValidationError(
-            "cut probability increased with the level; "
-            "oscillation metadata or p-box inputs are inconsistent")
-
-
 def _darboux(batch, a: float, b: float, cfg: QuadratureConfig, level=np.asarray,
              tol: float | None = None):
     """Bracket the integral over levels of a non-increasing integrand: its
@@ -323,50 +320,80 @@ def _darboux(batch, a: float, b: float, cfg: QuadratureConfig, level=np.asarray,
 
     The grid runs over ``s`` in [a, b]; ``batch(s)`` is the integrand and
     ``level(s)`` the non-decreasing level (``np.asarray``, the identity, in
-    level space).  A cell weighs by its level step, and the integrand on it
-    lies between its end values, so the lower and upper sums bracket it.
-    Each round splits, at its midpoint, only the cells whose contribution
-    ``c = step * (g_left - g_right)`` has ``c * n >= tol / 2`` for ``n``
-    cells (``tol`` defaults to ``cfg.abs_tol``), so the cells left alone add
-    up to less than ``tol / 2`` and the brackets of tighter tolerances nest.
-    Only ``s`` and ``g`` are kept across rounds; levels are recomputed.
+    level space), both evaluated once per point of each round's grid.  A
+    cell weighs by its level step, and the integrand on it lies between its
+    end values, so the lower and upper sums bracket it; the half-width also
+    bounds the rounding of the steps and of both sums.  Each round cuts
+    every cell into ``k`` equal parts by equidistribution: if a cell's
+    contribution ``c = step * (g_left - g_right)`` fell to ``c / k``, the
+    fewest parts in all that bring the width to ``_THETA * tol`` (``tol``
+    defaults to ``cfg.abs_tol``) are ``k = sqrt(c) * S / (_THETA * tol)``
+    with ``S = sum(sqrt(c))``.  ``k`` is rounded up and clipped to [1,
+    ``_MAX_PARTS``] and to the parts the float spacing of the cell allows.
+    A round that would pass ``_MAX_GRID`` cells, or that would cut no cell,
+    is not taken.  The old points stay, so each grid refines the last and
+    its Darboux sums lie within the last one's.
     """
     tol = cfg.abs_tol if tol is None else tol
+    # parts per unit of s that keep the points of a cut cell distinct floats
+    resolution = 0.5 / np.spacing(max(abs(a), abs(b)))
     s = np.linspace(a, b, 17)
-    g = np.clip(batch(s), 0.0, 1.0)
-    _assert_monotone_integrand(np.diff(g))
-    g = np.minimum.accumulate(g)  # remove float dust only; checked just above
     rounds = 0
     while True:
+        g = _monotone_integrand(np.clip(batch(s), 0.0, 1.0))
         steps = np.diff(level(s))
         gaps = g[:-1] - g[1:]
         gaps *= steps
         width = float(gaps.sum())
-        split = gaps >= 0.5 * tol / len(gaps)
-        converged = width < tol
-        if (converged or rounds >= cfg.max_refinements
-                or len(gaps) + np.count_nonzero(split) > _MAX_GRID):
-            lower = float(steps @ g[1:])
-            return lower + 0.5 * width, 0.5 * width, converged, rounds
-        del steps, gaps
-        s, g = _split(batch, s, g, np.flatnonzero(split))
+        lower = float(steps @ g[1:])
+        del g, steps
+        # every term is >= 0, so the computed sums are within (n + 2) unit
+        # roundoffs of the exact sums over this grid's levels; doubling the
+        # bound covers the rounding of the midpoint and half-width as well
+        half = 0.5 * width + 2.0 * (len(gaps) + 4) * _UNIT_ROUNDOFF * (lower + width)
+        converged = half < 0.5 * tol
+        if converged or rounds >= cfg.max_refinements:
+            return lower + 0.5 * width, half, converged, rounds
+        # a level that dips by float dust makes a step, and so a share, negative
+        root = np.sqrt(np.maximum(gaps, 0.0, out=gaps), out=gaps)
+        parts = root * (root.sum() / (_THETA * tol))
+        np.ceil(parts, out=parts)
+        room = np.diff(s)
+        room *= resolution
+        np.minimum(parts, room, out=parts)
+        parts = np.clip(parts, 1, _MAX_PARTS, out=parts).astype(np.intp)
+        cells = int(parts.sum())
+        if cells > _MAX_GRID or cells == len(parts):
+            return lower + 0.5 * width, half, converged, rounds
+        del gaps, root, room
+        s = _subdivide(s, parts)
         rounds += 1
 
 
-def _split(batch, s: np.ndarray, g: np.ndarray, cells: np.ndarray):
-    """The grid ``s`` and integrand ``g`` with the midpoints of ``cells`` inserted."""
-    right = cells + 1
-    mids = 0.5 * (s[cells] + s[right])
-    gm = np.clip(batch(mids), 0.0, 1.0)
-    # the rest of the grid is already monotone; clip float dust only
-    _assert_monotone_integrand(np.maximum(gm - g[cells], g[right] - gm))
-    np.clip(gm, g[right], g[cells], out=gm)
-    at = right + np.arange(len(cells))  # each midpoint moves up by the midpoints below it
-    old = np.ones(len(s) + len(cells), dtype=bool)
-    old[at] = False
-    s_new, g_new = np.empty(len(old)), np.empty(len(old))
-    s_new[old], s_new[at], g_new[old], g_new[at] = s, mids, g, gm
-    return s_new, g_new
+def _subdivide(s: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """The sorted grid ``s`` with cell ``i`` cut into ``parts[i]`` equal
+    parts; the points of ``s`` are kept bit for bit."""
+    starts = np.cumsum(parts)
+    starts -= parts
+    offset = np.arange(starts[-1] + parts[-1])
+    offset -= np.repeat(starts, parts)
+    out = np.empty(len(offset) + 1)
+    out[:-1] = np.repeat(np.diff(s) / parts, parts)
+    out[:-1] *= offset
+    del offset
+    out[:-1] += np.repeat(s[:-1], parts)
+    out[-1] = s[-1]
+    return out
+
+
+def _monotone_integrand(g: np.ndarray) -> np.ndarray:
+    """``g`` with float dust removed, after rejecting an integrand that
+    rises by more than float dust between levels."""
+    if np.any(np.diff(g) > 1e-7):
+        raise ValidationError(
+            "cut probability increased with the level; "
+            "oscillation metadata or p-box inputs are inconsistent")
+    return np.minimum.accumulate(g, out=g)
 
 
 def _require_continuum(pbox: PBox) -> None:

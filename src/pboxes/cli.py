@@ -146,8 +146,8 @@ def _event_from_spec(query: dict, path: str):
     if "classes" in query:
         return ClassSubset(query["classes"])
     if "intervals" in query:
-        return normalize([ZInterval(lo, hi, lo_open, hi_open)
-                          for lo, hi, lo_open, hi_open in query["intervals"]])
+        return normalize([_checked(f"{path}.intervals[{k}]", ZInterval, lo, hi, lo_open, hi_open)
+                          for k, (lo, hi, lo_open, hi_open) in enumerate(query["intervals"])])
     raise ParseError(f"{path}: missing 'classes' or 'intervals'")
 
 
@@ -173,7 +173,7 @@ def _pbox_from_spec(spec, space) -> PBox | None:
                     named_cdf(spec["analytic"]["upper"]), UNIT_INTERVAL)
     if "marginals" in spec:
         return combine([PBox(_cdf_from_spec(m["lower"]), _cdf_from_spec(m["upper"]))
-                        for m in spec["marginals"]], spec.get("rule", FRECHET))
+                        for m in spec["marginals"]], _field(spec, "rule", "pbox", str, FRECHET))
     raise ValidationError(f"unrecognized p-box specification: {spec!r}")
 
 

@@ -52,6 +52,11 @@ __all__ = [
     "random_credal_instance",
 ]
 
+# the least magnitude that rounds to infinity as a float: a gamble bounded by
+# less has an expectation that rounds to a finite float
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
 def _fraction(x) -> Fraction:
     """``x`` held exactly, by the library's rule for input numbers, restated
     so that the oracle imports nothing it checks: a TypeError unless it is a
@@ -112,14 +117,20 @@ class FiniteCredalInstance:
 
 
 def _ratio(x) -> tuple:
-    """``x`` as an exact ``(numerator, denominator)`` pair, checked as by :func:`_fraction`."""
+    """``x`` as an exact ``(numerator, denominator)`` pair, checked as by
+    :func:`_fraction`; a ValidationError if it is too large for a float."""
     if type(x) is int:
-        return x, 1
-    if type(x) is float:
+        if abs(x) < _FLOAT_LIMIT:
+            return x, 1
+    elif type(x) is float:
         if not math.isfinite(x):
             raise ValidationError(f"expected a finite number, got {x}")
         return x.as_integer_ratio()
-    return _fraction(x).as_integer_ratio()
+    else:
+        x = _fraction(x)
+        if abs(x) < _FLOAT_LIMIT:
+            return x.as_integer_ratio()
+    raise ValidationError("expected a finite number, got one too large for a float")
 
 
 def _chain_sweep(instance: FiniteCredalInstance, gamble: Sequence[tuple]) -> tuple:

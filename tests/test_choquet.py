@@ -17,6 +17,7 @@ from pboxes.choquet import (
     threshold_solve,
     upper_expectation,
 )
+from pboxes import choquet
 from pboxes.choquet import _MAX_GRID, _batch_cut_probs, _darboux, _span_doubling
 from pboxes.errors import ToleranceError, ValidationError
 from pboxes.oracle import lp_lower_expectation, random_credal_instance
@@ -640,13 +641,13 @@ class TestAdaptiveDarboux:
         assert half < 0.5 * cfg.abs_tol
         assert mid - half <= exact <= mid + half
 
-    def test_linear_integrand_refines_like_doubling(self):
+    def test_linear_integrand_costs_at_most_doubling(self):
         cfg = QuadratureConfig(abs_tol=1e-4)
         batch = CountingBatch(lambda ts: 1.0 - ts)
         _, _, converged, rounds = _darboux(batch, 0.0, 1.0, cfg)
         assert converged
-        # every cell carries the same share of the bracket, so all split
-        assert (rounds, batch.levels) == doubling_cost(1.0, 1.0, cfg.abs_tol)
+        assert batch.levels <= doubling_cost(1.0, 1.0, cfg.abs_tol)[1]
+        # one batch per round
         assert batch.calls == rounds + 1
 
     def test_long_tail_needs_a_quarter_of_doubling(self):
@@ -656,8 +657,37 @@ class TestAdaptiveDarboux:
         doubling_rounds, doubling_levels = doubling_cost(40.0, 1.0 - math.exp(-40.0),
                                                          cfg.abs_tol)
         assert converged
-        assert rounds == doubling_rounds
+        assert rounds <= doubling_rounds
         assert batch.levels <= doubling_levels / 4
+
+    def test_level_dip_within_validation_dust_is_tolerated(self):
+        # declared increasing, but f drops by 9e-10 at 0.5, which the 1e-9
+        # slack of the validation grid lets through: the cells across the
+        # drop have negative level steps
+        def f(z):
+            z = np.asarray(z, dtype=float)
+            return 1e-6 * z - 9e-10 * (z > 0.5)
+
+        osc = Oscillation(f, 0.0, float(f(1.0)), INCREASING)
+        res = upper_expectation(UNIFORM_BOX, osc, QuadratureConfig(abs_tol=1e-11))
+        assert res.converged
+        assert res.bracket[0] <= 0.5e-6 - 0.5 * 9e-10 <= res.bracket[1]
+
+    def test_dike_upper_evaluates_fewer_levels_than_bisection(self, monkeypatch):
+        # halving the cells with a large share of the bracket each round took
+        # 130,805 levels for the dike's upper expectation at abs_tol 1e-4
+        batches = []
+
+        def counted(batch, *args, **kwargs):
+            batches.append(CountingBatch(batch))
+            return _darboux(batches[-1], *args, **kwargs)
+
+        monkeypatch.setattr(choquet, "_darboux", counted)
+        res = upper_expectation(builtin_scenario("dike").pbox, dike_upper_oscillation(),
+                                QuadratureConfig(abs_tol=1e-4))
+        assert res.converged
+        assert len(batches) == 1
+        assert batches[0].levels < 130_805
 
     @pytest.mark.parametrize("case", ["oscillator_lower", "oscillator_upper", "dike_lower",
                                       "dike_upper"])

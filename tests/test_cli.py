@@ -352,6 +352,16 @@ class TestInfer:
         assert code == 3 and out == ""
         assert err.startswith("validation error: ")
 
+    def test_infinite_interval_end_names_entry(self, tmp_path, capsys):
+        path = tmp_path / "inf_interval.json"
+        path.write_text('{"pbox": {"analytic": {"lower": "square", "upper": "uniform"}}, '
+                        '"queries": [{"kind": "event_lower", '
+                        '"intervals": [[0.0, 0.5, false, false], [0.0, 1e999, false, false]]}]}')
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3 and out == ""
+        assert err.startswith(
+            "validation error: queries[0].intervals[1]: expected a finite number, got inf")
+
     def test_nan_arithmetic_grid_point_names_entry(self, tmp_path, capsys):
         doc = {"queries": [{"id": "a", "kind": "arith_op", "op": "add",
                             "x1": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
@@ -585,6 +595,8 @@ class TestInferModels:
         ({"marginals": TWO_MARGINALS, "rule": "max"}, 3, "unknown combination rule"),
         ({"marginals": TWO_MARGINALS[:1]}, 3, "at least two marginals"),
         ({"marginals": "x"}, 2, "pbox: malformed"),
+        ({"marginals": TWO_MARGINALS, "rule": ["x"]}, 2,
+         "parse error: pbox.rule: expected a string, got an array"),
     ])
     def test_bad_marginals(self, tmp_path, capsys, pbox, code, message):
         got, err = self.run_doc(tmp_path, capsys, {"pbox": pbox, "queries": MODEL_QUERIES})

@@ -190,6 +190,19 @@ class TestInputNumbers:
             with pytest.raises(ValidationError):
                 read(self.INSTANCE, [bad, 1.0])
 
+    @pytest.mark.parametrize("bad", [10**400, -10**400, Fraction(10**400, 3),
+                                     2**1024 - 2**970])
+    def test_gamble_value_beyond_float_range_rejected(self, bad):
+        for read in GAMBLE_READERS:
+            with pytest.raises(ValidationError, match="too large for a float"):
+                read(self.INSTANCE, [bad, 1.0])
+
+    def test_largest_value_below_float_overflow_accepted(self):
+        # the next integer up rounds to infinity as a float
+        value = 2**1024 - 2**970 - 1
+        for read in GAMBLE_READERS:
+            assert read(self.INSTANCE, [value, value]) == float(value)
+
     @pytest.mark.parametrize("bad", ["1", True, None])
     def test_non_number_gamble_value_rejected(self, bad):
         for read in GAMBLE_READERS:

@@ -25,13 +25,13 @@ from pboxes.scenarios import (
 )
 
 
-# the case-study rows (value, error bound) at the default configuration; every
-# change to the quadrature or the cut sets should leave them unchanged
+# the case-study rows (value, error bound) at the default configuration; a
+# change that keeps the Darboux refinement rule should leave them unchanged
 PINNED_ROWS = {
-    "damping_ratio_lower": (0.583877959762, 3.45675143488e-05),
-    "damping_ratio_upper": (1.663751824, 4.09538852049e-05),
-    "overflow_lower": (1.51507926929, 4.81761995741e-05),
-    "overflow_upper": (6.42350739298, 4.08649356625e-05),
+    "damping_ratio_lower": (0.583877959891, 3.70047708194e-05),
+    "damping_ratio_upper": (1.66375182442, 3.85557807826e-05),
+    "overflow_lower": (1.51507930027, 4.13674808643e-05),
+    "overflow_upper": (6.42349341933, 3.70055794402e-05),
     "design_height_p01": (10.7246505658, 1e-12),
 }
 
