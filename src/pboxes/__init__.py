@@ -49,12 +49,10 @@ from .pbox import (
     PBox,
     PiecewiseLinearCdf,
     StepCdf,
-    best_pbox_approximation,
     cdf_eval,
     cdf_left_limit,
     lower_prob_event,
     lower_prob_field,
-    lower_prob_interval,
     upper_prob_event,
 )
 from .preorder import (

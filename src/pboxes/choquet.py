@@ -7,19 +7,21 @@ set ``{z : osc(z) >= t}``, non-increasing in t, so Darboux sums bracket it
 rigorously; each round of refinement cuts every cell into equal parts,
 as many as its share of the bracket width calls for (equidistribution).
 
-A declared-monotone oscillation without knots is integrated over its own
-coordinate: its cut sets are the nested intervals ``[z, 1]`` or ``[0, z]``,
-so a cell of a z-grid weighs the cut probabilities at its ends by the step
-of ``f`` across it, with no inverse and for any monotone ``f``.  Other
-oscillations are integrated over levels.  One scan finds, for a batch of
-levels, the components of every cut set or, on the upper side, of every
-complement: the oscillation is sampled on its knots (a black box on a
-grid), each run of samples inside the set is a component, and an end
-between two samples is the exact segment crossing, or for a black box is
-bisected (components narrower than the grid can be missed).  By
-conjugacy the upper probability of a cut is 1 minus the lower probability
-of its complement, and ``pbox._piece_gains`` gives the lower probability
-of either.
+Every cut set is exact.  An oscillation either has knots, of which it is
+the linear interpolation, or is a black box declared increasing or
+decreasing; a non-monotone oscillation needs knots.  A declared-monotone
+oscillation without knots is integrated over its own coordinate: its cut
+sets are the nested intervals ``[z, 1]`` or ``[0, z]``, so a cell of a
+z-grid weighs the cut probabilities at its ends by the step of ``f``
+across it, with no inverse and for any monotone ``f``.  Knot oscillations
+are integrated over levels.  One scan finds, for a batch of levels, the
+components of every cut set or, on the upper side, of every complement:
+the oscillation is sampled on its knots (a black box at 0 and 1), each run
+of samples inside the set is a component, and an end between two samples
+is the exact segment crossing, or for a black box its one end, bisected.
+By conjugacy the upper probability of a cut is 1 minus the lower
+probability of its complement, and ``pbox._piece_gains`` gives the lower
+probability of either.
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
 expectation is an exact finite sum over the sorted distinct gamble values,
@@ -75,7 +77,9 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 class Oscillation:
     """A bounded function of the quotient coordinate with monotonicity metadata.
 
-    A declared-monotone ``f`` without knots needs no inverse and may jump.
+    Without knots ``f`` is a black box and must be declared increasing or
+    decreasing, so that each cut set is one interval with one end to find;
+    it needs no inverse and may jump.
 
     ``sup_value`` may be ``math.inf`` for upper oscillations that blow up at
     the top of the coordinate range; expectations then require a tail
@@ -100,6 +104,9 @@ class Oscillation:
     def __post_init__(self):
         if self.monotonicity not in (INCREASING, DECREASING, GENERAL):
             raise ValidationError(f"unknown monotonicity {self.monotonicity!r}")
+        if self.monotonicity == GENERAL and self.knots is None:
+            raise ValidationError(
+                "an oscillation without knots must be declared increasing or decreasing")
         # the infimum of a bounded gamble is finite; its supremum may be +inf
         object.__setattr__(self, "inf_value", _finite_number(self.inf_value))
         if math.isnan(self.sup_value) or self.inf_value > self.sup_value:
@@ -131,16 +138,14 @@ class QuadratureConfig:
     """Tolerances for the bracketed cut-level quadrature.
 
     ``max_refinements`` caps the rounds of adaptive refinement; a round
-    cuts every cell into parts by its share of the bracket width.  The one
-    cut-set scan samples an oscillation without knots on ``cut_grid``
-    cells and bisects every end between samples to ``bisect_tol``; knot
-    oscillations use neither.  ``bisect_tol`` is also the tolerance of
-    :func:`threshold_solve`.
+    cuts every cell into parts by its share of the bracket width.
+    ``bisect_tol`` is the width to which the cut-set scan bisects the one
+    end of a monotone black box's cut (knot oscillations need none), and
+    the tolerance of :func:`threshold_solve`.
     """
 
     abs_tol: float = 1e-4
     max_refinements: int = 24
-    cut_grid: int = 4096
     bisect_tol: float = 1e-12
     tail_tol: float = 1e-8
 
@@ -151,10 +156,8 @@ class QuadratureConfig:
             raise ValidationError("abs_tol below 1e-12 is not honoured")
         if min(self.abs_tol, self.bisect_tol, self.tail_tol) <= 0:
             raise ValidationError("tolerances must be positive")
-        if self.max_refinements <= 0 or self.cut_grid <= 0:
-            raise ValidationError("refinement and grid counts must be positive")
-        if self.cut_grid > _MAX_GRID:
-            raise ValidationError(f"cut_grid above {_MAX_GRID} is not supported")
+        if self.max_refinements <= 0:
+            raise ValidationError("max_refinements must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -210,22 +213,22 @@ def _cut_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig,
     """Components of ``{osc >= t}``, or with ``complement`` of ``{osc < t}``,
     for every level in ``ts``: flat arrays ``level, a, b, a_open, b_open``.
 
-    ``osc`` is sampled on its knots, or on ``cfg.cut_grid + 1`` points if it
-    is a black box, and each run of samples inside the set is a component.
-    A run that reaches the first or last sample ends at 0 or 1.  Any other
-    end lies in the cell between the run and its neighbour: at the crossing
-    of the knot segment, measured from the cell's end at or above the level
-    so that a level equal to a knot value lands on that knot exactly, or
-    bisected to ``cfg.bisect_tol`` for a black box, all cells of all levels
-    in one pass (a component narrower than the grid can be missed).  Cut
-    components are closed; complement ends between samples are open.  The
-    components are sorted by level and then by coordinate, and a level with
-    an empty set has no entry.
+    ``osc`` is sampled on its knots, or at 0 and 1 if it is a black box
+    (declared monotone, so its set is one interval that holds 0 or 1), and
+    each run of samples inside the set is a component.  A run that reaches
+    the first or last sample ends at 0 or 1.  Any other end lies in the cell
+    between the run and its neighbour: at the crossing of the knot segment,
+    measured from the cell's end at or above the level so that a level
+    equal to a knot value lands on that knot exactly, or for a black box
+    bisected in the cell [0, 1] to ``cfg.bisect_tol``, all levels in one
+    pass.  Cut components are closed; complement ends between samples are
+    open.  The components are sorted by level and then by coordinate, and
+    a level with an empty set has no entry.
     """
     if osc.knots is not None:
         zs, vs = np.asarray(osc.knots, dtype=float).T
     else:
-        zs = np.linspace(0.0, 1.0, cfg.cut_grid + 1)
+        zs = np.array([0.0, 1.0])
         vs = osc.f(zs)
     level, first, stop = _runs(vs < ts[:, None] if complement else vs >= ts[:, None])
     a, b = zs[first], zs[stop - 1]
@@ -247,9 +250,9 @@ def _cut_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig,
 def cut_event(osc: Oscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ZEventSet:
     """Normalized coordinate set ``{z : osc(z) >= t}``.
 
-    The components of :func:`_cut_components` for one level.  The scan of
-    a black box includes 0 and 1, so it finds the one component of a
-    monotone cut, which holds one of them.
+    The components of :func:`_cut_components` for one level: exact for a
+    knot oscillation, and for a monotone black box the one interval that
+    holds 0 or 1, its other end bisected to ``cfg.bisect_tol``.
     """
     _, lo, hi, _, _ = _cut_components(osc, np.array([float(t)]), cfg)
     return normalize([ZInterval.closed(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
@@ -263,8 +266,8 @@ def _batch_cut_probs(pbox: PBox, osc: Oscillation, ts: np.ndarray, upper: bool,
     components (:func:`pboxes.pbox._piece_gains`); the upper one is 1 minus
     the lower probability of its complement, whose components come from
     the same scan.  Levels go in chunks, so that levels times the samples
-    per level (the knots, or the ``cut_grid + 1`` points of a black box)
-    stays within a fixed memory bound.
+    per level (the knots, or the 2 ends of a black box) stays within a
+    fixed memory bound.
     """
     def probs(chunk):
         level, *pieces = _cut_components(osc, chunk, cfg, complement=upper)
@@ -272,7 +275,7 @@ def _batch_cut_probs(pbox: PBox, osc: Oscillation, ts: np.ndarray, upper: bool,
         total = np.clip(gains, 0.0, 1.0)
         return 1.0 - total if upper else total
 
-    cells = len(osc.knots) if osc.knots is not None else cfg.cut_grid + 1
+    cells = len(osc.knots) if osc.knots is not None else 2
     return _in_chunks(probs, ts, max(1, _CUT_BATCH_CELLS // cells))
 
 
@@ -445,7 +448,7 @@ def _expectation(pbox: PBox, osc: Oscillation, upper: bool,
         return QuadratureResult(a, 0.0, True)
     tol = cfg.abs_tol - tail
     level, lo, hi, head = np.asarray, a, b, 0.0
-    if osc.knots is None and osc.monotonicity != GENERAL:
+    if osc.knots is None:
         level, batch = _coordinate_grid(pbox, osc, upper, a, b)
         lo, hi, head = 0.0, 1.0, float((level(np.zeros(1))[0] - a) * batch(np.zeros(1))[0])
     # a tail charge beyond abs_tol cannot converge: refine to abs_tol instead
@@ -526,7 +529,7 @@ def threshold_solve(pbox: PBox, uosc: Oscillation, target: float,
     unreachable = "threshold target unreachable on the search range"
     prob = partial(_batch_cut_probs, pbox, uosc, upper=True, cfg=cfg)
     level, lo, hi = np.asarray, uosc.inf_value, uosc.sup_value
-    if uosc.knots is None and uosc.monotonicity != GENERAL:
+    if uosc.knots is None:
         level, prob = _coordinate_grid(pbox, uosc, True, lo, hi)
         lo, hi = 0.0, 1.0
     if prob(np.array([lo]))[0] <= target:

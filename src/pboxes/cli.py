@@ -81,8 +81,8 @@ _NUMBER = (int, float)
 # in matching order: a boolean is an int to Python, and any int is a number
 _JSON_TYPES = {bool: "a boolean", dict: "an object", list: "an array",
                str: "a string", _NUMBER: "a number", int: "an integer"}
-_CONFIG_FIELDS = {"abs_tol": _NUMBER, "max_refinements": int, "cut_grid": int,
-                  "bisect_tol": _NUMBER, "tail_tol": _NUMBER}
+_CONFIG_FIELDS = {"abs_tol": _NUMBER, "max_refinements": int, "bisect_tol": _NUMBER,
+                  "tail_tol": _NUMBER}
 
 
 def _expect(value, types, path: str):
@@ -234,7 +234,8 @@ def load_scenario(path: str):
     """Parse a scenario file into a runnable scenario and its config.
 
     A document without the documented shape raises :class:`ParseError`
-    naming the offending field, such as ``queries[2].target``.
+    naming the offending field, such as ``queries[2].target`` or an
+    unknown ``config`` setting.
     """
     with open(path, "r", encoding="utf-8") as handle:
         doc = _expect(json.load(handle), dict, "document")
@@ -255,6 +256,9 @@ def load_scenario(path: str):
         pbox = _pbox_from_spec(pbox_spec, space)
     queries = _queries_from_spec(_field(doc, "queries", "", list, []), pbox)
     raw_cfg = _field(doc, "config", "", dict, {})
+    for key in raw_cfg:
+        if key not in _CONFIG_FIELDS:
+            raise ParseError(f"config.{key}: unknown setting")
     known = {key: _field(raw_cfg, key, "config", types)
              for key, types in _CONFIG_FIELDS.items() if key in raw_cfg}
     cfg = replace(DEFAULT_CONFIG, **known) if known else DEFAULT_CONFIG

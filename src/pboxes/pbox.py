@@ -10,9 +10,8 @@ immediate predecessor; on the unit continuum :func:`_piece_gains`, one
 vectorised pass over intervals, where only 0 has a predecessor (of mass 0)
 and an open top reads the lower CDF's left limit.  The cut-set probabilities
 of :mod:`pboxes.choquet` come from the same helper, and
-:func:`lower_prob_field`, :func:`lower_prob_interval` and
-:func:`pboxes.multivariate.sublevel_box_lower` only convert their arguments
-into events.  The caller supplies the interior image of the event; this
+:func:`lower_prob_field` and :func:`pboxes.multivariate.sublevel_box_lower`
+only convert their arguments into events.  The caller supplies the interior image of the event; this
 module never guesses interiors for raw events on the underlying space.
 """
 
@@ -46,10 +45,8 @@ __all__ = [
     "cdf_eval",
     "cdf_left_limit",
     "lower_prob_field",
-    "lower_prob_interval",
     "lower_prob_event",
     "upper_prob_event",
-    "best_pbox_approximation",
 ]
 
 _MONOTONE_SLACK = 1e-10
@@ -340,25 +337,6 @@ def lower_prob_field(pbox: PBox, endpoints: Sequence) -> float:
         for a, b in pieces)))
 
 
-def lower_prob_interval(pbox: PBox, interval) -> float:
-    """Lower probability of a single full interval, read off :func:`lower_prob_event`.
-
-    On a finite space ``interval`` is an inclusive index range ``(a, b)``
-    and every class has an immediate predecessor; on the continuum it is a
-    non-empty :class:`ZInterval` and only 0 has one.
-    """
-    if pbox.is_finite:
-        a, b = (_class_index(i, pbox.space.size) for i in interval)
-        if a > b:
-            raise ValidationError(f"index range ({a}, {b}) is empty")
-        return lower_prob_event(pbox, ClassSubset(frozenset(range(a, b + 1))))
-    if not isinstance(interval, ZInterval):
-        raise ValidationError("continuum intervals must be ZInterval values")
-    if interval.is_empty:
-        raise ValidationError(f"degenerate empty interval {interval}")
-    return lower_prob_event(pbox, ZEventSet((interval,)))
-
-
 def lower_prob_event(pbox: PBox, interior_image) -> float:
     """Lower probability of an event, given the image of its interior.
 
@@ -389,20 +367,3 @@ def lower_prob_event(pbox: PBox, interior_image) -> float:
 def upper_prob_event(pbox: PBox, complement_interior_image) -> float:
     """Upper probability via conjugacy: ``1 - lower(interior of the complement)``."""
     return 1.0 - lower_prob_event(pbox, complement_interior_image)
-
-
-def best_pbox_approximation(lower_sublevel, upper_sublevel,
-                            space: FiniteQuotientSpace | UnitInterval = UNIT_INTERVAL,
-                            lower_left_limit=None, upper_left_limit=None) -> PBox:
-    """Tightest p-box dominated by a model with the given sublevel bounds.
-
-    ``lower_sublevel`` and ``upper_sublevel`` map each coordinate z to the
-    model's lower/upper probability of the closed sublevel set up to z; on a
-    finite space they are per-class sequences instead.  Discontinuous
-    sublevel maps on the continuum should pass explicit left-limit
-    companions.
-    """
-    if isinstance(space, FiniteQuotientSpace):
-        return PBox(StepCdf(tuple(lower_sublevel)), StepCdf(tuple(upper_sublevel)), space)
-    return PBox(AnalyticCdf(lower_sublevel, lower_left_limit),
-                AnalyticCdf(upper_sublevel, upper_left_limit), space)

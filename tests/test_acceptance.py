@@ -220,8 +220,9 @@ def test_criterion_10_probabilistic_arithmetic():
 
 
 def test_criterion_11_bracket_contains_refined_value():
-    with criterion(11, "Darboux bracket contains the value at 4x the refinement "
-                       "budget, 20 random analytic pairs"):
+    with criterion(11, "Darboux bracket contains the value refined by two more "
+                       "equidistributed rounds at abs_tol 1e-12, 20 random "
+                       "analytic pairs"):
         rng = random.Random(7)
         for trial in range(20):
             p = 1.0 + 2.0 * rng.random()

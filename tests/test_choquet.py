@@ -18,7 +18,7 @@ from pboxes.choquet import (
     upper_expectation,
 )
 from pboxes import choquet
-from pboxes.choquet import _MAX_GRID, _batch_cut_probs, _darboux, _span_doubling
+from pboxes.choquet import _batch_cut_probs, _darboux, _span_doubling
 from pboxes.errors import ToleranceError, ValidationError
 from pboxes.oracle import lp_lower_expectation, random_credal_instance
 from pboxes.pbox import (
@@ -105,6 +105,10 @@ KNOT_CASES = {
 }
 
 
+# a spike narrower than the validation grid, centred between two points of it
+SPIKE_Z0, SPIKE_W = 0.5 + 0.3 / 4096, 2e-5
+
+
 def _knot_test_boxes():
     def jump_lower(z):
         z = np.asarray(z, float)
@@ -139,6 +143,20 @@ def assert_batch_matches_event(osc, ts, label):
                 assert abs(val - slow) <= 1e-12, (label, upper, t)
 
 
+def monotone_knots(name):
+    """A knot case with its values sorted: a ramp through the same values,
+    rising, or falling for the decreasing case."""
+    zs, vs = zip(*KNOT_CASES[name])
+    return list(zip(zs, sorted(vs, reverse=name == "decreasing")))
+
+
+def monotone_black_box(knots):
+    """The oscillation of monotone ``knots``, and its ``f`` as a black box
+    declared with the same monotonicity."""
+    exact = piecewise_linear_oscillation(knots)
+    return exact, Oscillation(exact.f, exact.inf_value, exact.sup_value, exact.monotonicity)
+
+
 def knot_levels(knots, osc):
     """Every knot value, levels across the range, and levels outside it."""
     values = [v for _, v in knots]
@@ -156,9 +174,8 @@ class TestKnotCutSets:
 
     @pytest.mark.parametrize("name", sorted(KNOT_CASES))
     def test_black_box_batch_path_matches_event_path(self, name):
-        knots = KNOT_CASES[name]
-        exact = piecewise_linear_oscillation(knots)
-        black_box = Oscillation(exact.f, exact.inf_value, exact.sup_value, GENERAL)
+        knots = monotone_knots(name)
+        exact, black_box = monotone_black_box(knots)
         assert_batch_matches_event(black_box, knot_levels(knots, exact), name)
 
     def test_monotone_bisection_batch_path_matches_event_path(self):
@@ -168,30 +185,27 @@ class TestKnotCutSets:
         assert_batch_matches_event(osc, ts, "sqrt")
 
     def test_black_box_scan_is_batched(self):
-        counting = CountingBatch(lambda z: np.interp(z, *zip(*KNOT_CASES["double_hump"])))
-        osc = Oscillation(counting, 0.0, 1.0, GENERAL)
+        counting = CountingBatch(lambda z: np.interp(z, *zip(*KNOT_CASES["increasing"])))
+        osc = Oscillation(counting, 0.0, 1.0, INCREASING)
         counting.calls = 0
         ts = np.linspace(0.0, 1.0, 64)
         _batch_cut_probs(UNIFORM_BOX, osc, ts, False, DEFAULT_CONFIG)
-        # one scan of the grid, then one call per halving of a grid cell
-        cell = 1.0 / DEFAULT_CONFIG.cut_grid
-        assert counting.calls <= 1 + math.ceil(math.log2(cell / DEFAULT_CONFIG.bisect_tol))
+        # one call at the ends 0 and 1, then one per halving of the cell [0, 1]
+        assert counting.calls <= 1 + math.ceil(math.log2(1.0 / DEFAULT_CONFIG.bisect_tol))
 
     def test_chunked_batches_match_one_pass(self, monkeypatch):
         import pboxes.choquet as choquet_mod
 
         box = _knot_test_boxes()[1]
-        black_box = Oscillation(lambda z: np.interp(z, *zip(*KNOT_CASES["double_hump"])),
-                                0.0, 1.0, GENERAL)
-        # a black box scans cut_grid + 1 points per level, a knot oscillation its knots
-        cases = ((black_box, QuadratureConfig(cut_grid=31)),
-                 (piecewise_linear_oscillation(KNOT_CASES["double_hump"]), DEFAULT_CONFIG))
+        _, black_box = monotone_black_box(monotone_knots("double_hump"))
+        # a black box scans its 2 ends per level, a knot oscillation its knots
+        cases = (black_box, piecewise_linear_oscillation(KNOT_CASES["double_hump"]))
         ts = np.linspace(-0.1, 1.1, 200)
-        for osc, cfg in cases:
+        for osc in cases:
             for upper in (False, True):
-                whole = _batch_cut_probs(box, osc, ts, upper, cfg)
+                whole = _batch_cut_probs(box, osc, ts, upper, DEFAULT_CONFIG)
                 monkeypatch.setattr(choquet_mod, "_CUT_BATCH_CELLS", 64)
-                chunked = _batch_cut_probs(box, osc, ts, upper, cfg)
+                chunked = _batch_cut_probs(box, osc, ts, upper, DEFAULT_CONFIG)
                 monkeypatch.undo()
                 assert np.array_equal(chunked, whole), (osc.knots is not None, upper)
 
@@ -233,9 +247,8 @@ class TestKnotCutSets:
         assert cut_event(tent, 1.0).intervals == (ZInterval.point(0.5),)
 
     def test_black_box_scan_matches_knots(self):
-        for name in ("tent", "double_hump", "inside_unit", "plateau"):
-            exact = piecewise_linear_oscillation(KNOT_CASES[name])
-            black_box = Oscillation(exact.f, exact.inf_value, exact.sup_value, GENERAL)
+        for name in sorted(KNOT_CASES):
+            exact, black_box = monotone_black_box(monotone_knots(name))
             for t in (0.05, 0.45, 0.9):
                 want = cut_event(exact, t).intervals
                 got = cut_event(black_box, t).intervals
@@ -244,12 +257,11 @@ class TestKnotCutSets:
                     assert (g.lo, g.hi) == pytest.approx((w.lo, w.hi), abs=1e-9)
 
     def test_bisection_stops_at_float_resolution(self):
-        exact = piecewise_linear_oscillation(KNOT_CASES["tent"])
-        black_box = Oscillation(exact.f, exact.inf_value, exact.sup_value, GENERAL)
+        _, ramp = monotone_black_box([(0.0, 0.0), (1.0, 1.0)])
         # a tolerance below the float spacing ends the halving, not the loop
-        cut = cut_event(black_box, 0.3, QuadratureConfig(bisect_tol=1e-20))
+        cut = cut_event(ramp, 0.3, QuadratureConfig(bisect_tol=1e-20))
         (iv,) = cut.intervals
-        assert (iv.lo, iv.hi) == pytest.approx((0.15, 0.85), abs=1e-15)
+        assert (iv.lo, iv.hi) == pytest.approx((0.3, 1.0), abs=1e-15)
 
     def test_narrow_spike_between_grid_points(self):
         spike = piecewise_linear_oscillation(
@@ -262,6 +274,30 @@ class TestKnotCutSets:
         assert lo <= 0.75 <= hi
         # 1 - integral of a(t)^2 over the rising edge a(t) = 0.50001 + 5e-6 t
         exact = 1.0 - (0.500015 ** 3 - 0.50001 ** 3) / (3 * 5e-6)
+        assert lo <= exact <= hi
+
+    def test_black_box_spike_is_refused(self):
+        # a spike between the validation points: no finite sample of a
+        # black box proves its cut sets, so it must be declared monotone
+        def spike(z):
+            return 1.0 + 10.0 * np.maximum(0.0, 1.0 - np.abs(np.asarray(z, float) - SPIKE_Z0)
+                                           / SPIKE_W)
+
+        with pytest.raises(ValidationError, match="increasing or decreasing"):
+            Oscillation(spike, 1.0, 11.0)
+
+    def test_spike_knots_bracket_the_exact_value(self):
+        z0, w = SPIKE_Z0, SPIKE_W
+        spike = piecewise_linear_oscillation(
+            [(0.0, 1.0), (z0 - w, 1.0), (z0, 11.0), (z0 + w, 1.0), (1.0, 1.0)])
+        box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
+                   AnalyticCdf(lambda z: np.asarray(z, float)), UNIT_INTERVAL)
+        res = upper_expectation(box, spike)
+        # the cut at level t in (1, 11] is [z0 - h, z0 + h], h = w (11 - t) / 10,
+        # of upper probability (z0 + h) - (z0 - h)^2
+        exact = 1.0 + 10.0 * (z0 * (1.0 - z0) + w * (1.0 + 2.0 * z0) / 2.0 - w * w / 3.0)
+        lo, hi = res.bracket
+        assert res.converged
         assert lo <= exact <= hi
 
     def test_knots_must_match_the_function(self):
@@ -803,11 +839,6 @@ class TestQuadratureConfig:
     def test_positive_counts(self):
         with pytest.raises(ValidationError):
             QuadratureConfig(max_refinements=0)
-
-    def test_cut_grid_capped(self):
-        QuadratureConfig(cut_grid=_MAX_GRID)
-        with pytest.raises(ValidationError):
-            QuadratureConfig(cut_grid=_MAX_GRID + 1)
 
     def test_non_finite_tolerance_rejected(self):
         for bad in (math.nan, math.inf):

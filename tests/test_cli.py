@@ -314,13 +314,17 @@ class TestInfer:
         assert code == 3
         assert "validation error" in err and out == ""
 
-    def test_oversized_cut_grid_exit_3(self, tmp_path, capsys):
-        doc = dict(SCENARIO_DOC, config={"cut_grid": 10**12})
-        path = tmp_path / "grid.json"
+    @pytest.mark.parametrize("key, value", [("cut_grid", 4096), ("abs_tl", 1e-9)],
+                             ids=["cut_grid", "abs_tl"])
+    def test_unknown_config_setting_exit_2(self, tmp_path, capsys, key, value):
+        # a retired setting and a misspelt one are refused, not ignored
+        doc = dict(SCENARIO_DOC, config={key: value})
+        path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, ["infer", str(path)])
-        assert code == 3
-        assert "cut_grid" in err
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"config.{key}: unknown setting" in err
 
     def test_nan_arithmetic_point_exit_3(self, tmp_path, capsys):
         doc = {"queries": [{"id": "a", "kind": "arith_op", "op": "add",

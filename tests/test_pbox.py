@@ -10,12 +10,10 @@ from pboxes.pbox import (
     PBox,
     PiecewiseLinearCdf,
     StepCdf,
-    best_pbox_approximation,
     cdf_eval,
     cdf_left_limit,
     lower_prob_event,
     lower_prob_field,
-    lower_prob_interval,
     upper_prob_event,
 )
 from pboxes.preorder import (
@@ -24,6 +22,7 @@ from pboxes.preorder import (
     UNIT_INTERVAL,
     ClassSubset,
     FiniteQuotientSpace,
+    ZEventSet,
     ZInterval,
     normalize,
 )
@@ -215,53 +214,63 @@ ORDERING_FINE = finite_pbox([0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0, 1.0]
 ORDERING_COARSE = finite_pbox([0.0, 1.0], [0.0, 1.0])
 
 
+def one_interval(iv):
+    """The event of a single full interval, not normalized, so that an empty
+    one is refused."""
+    return ZEventSet((iv,))
+
+
 class TestLowerProbInterval:
+    """A single full interval: a run of consecutive classes, where every
+    class has an immediate predecessor, or one interval of the continuum,
+    where only 0 has one."""
+
     def test_singleton_with_predecessor(self):
-        assert lower_prob_interval(ORDERING_FINE, (2, 2)) == 1.0
+        assert lower_prob_event(ORDERING_FINE, ClassSubset.of(2)) == 1.0
 
     def test_singleton_on_coarser_preorder(self):
-        assert lower_prob_interval(ORDERING_COARSE, (1, 1)) == 1.0
+        assert lower_prob_event(ORDERING_COARSE, ClassSubset.of(1)) == 1.0
 
     def test_sublevel_closed_interval(self):
-        assert lower_prob_interval(NONUNIQUE_BOX, ZInterval.closed(0.0, 0.75)) == \
+        assert lower_prob_event(NONUNIQUE_BOX, one_interval(ZInterval.closed(0.0, 0.75))) == \
             pytest.approx(0.5)
 
     def test_interior_closed_interval_uses_value_not_left_limit(self):
         # away from 0 there is no immediate predecessor, so the upper CDF is
         # evaluated at the endpoint itself
         box = NONUNIQUE_BOX
-        got = lower_prob_interval(box, ZInterval.closed(0.5, 0.9))
+        got = lower_prob_event(box, one_interval(ZInterval.closed(0.5, 0.9)))
         assert got == pytest.approx(max(0.0, 0.8 - 0.5))
 
     def test_open_interval_uses_left_limit(self):
-        got = lower_prob_interval(NONUNIQUE_BOX, ZInterval.open(0.5, 0.9))
+        got = lower_prob_event(NONUNIQUE_BOX, one_interval(ZInterval.open(0.5, 0.9)))
         assert got == pytest.approx(0.3)
 
     def test_open_top_at_a_jump_reads_the_left_limit(self):
         box = PBox(JUMP_AT_HALF, AnalyticCdf(lambda z: np.ones_like(np.asarray(z, float))),
                    UNIT_INTERVAL)
-        assert lower_prob_interval(box, ZInterval.right_open(0.0, 0.5)) == 0.0
-        assert lower_prob_interval(box, ZInterval.closed(0.0, 0.5)) == 0.6
-        assert lower_prob_interval(box, ZInterval.right_open(0.0, 1.0)) == 0.6
+        assert lower_prob_event(box, one_interval(ZInterval.right_open(0.0, 0.5))) == 0.0
+        assert lower_prob_event(box, one_interval(ZInterval.closed(0.0, 0.5))) == 0.6
+        assert lower_prob_event(box, one_interval(ZInterval.right_open(0.0, 1.0))) == 0.6
 
     def test_degenerate_open_rejected(self):
         with pytest.raises(ValidationError):
-            lower_prob_interval(NONUNIQUE_BOX, ZInterval(0.4, 0.4, True, False))
+            lower_prob_event(NONUNIQUE_BOX, one_interval(ZInterval(0.4, 0.4, True, False)))
 
     def test_finite_range_validated(self):
         with pytest.raises(ValidationError):
-            lower_prob_interval(ORDERING_FINE, (3, 9))
+            lower_prob_event(ORDERING_FINE, ClassSubset(frozenset(range(3, 10))))
 
     def test_numpy_integer_indices(self):
         box = finite_pbox([0.1, 0.4, 1.0], [0.5, 0.8, 1.0])
         for a, b in ((0, 1), (1, 2), (2, 2)):
-            assert (lower_prob_interval(box, (np.int64(a), np.int32(b)))
-                    == lower_prob_interval(box, (a, b)))
+            assert (lower_prob_event(box, ClassSubset.of(np.int64(a), np.int32(b)))
+                    == lower_prob_event(box, ClassSubset.of(a, b)))
         assert (lower_prob_field(box, [np.int64(-1), np.int64(0), np.int64(1), np.int64(2)])
                 == lower_prob_field(box, [-1, 0, 1, 2]))
-        for interval in ((0.0, 1.0), (1, 0), (True, 1)):
+        for indices in ((0.0, 1.0), (True, 1)):
             with pytest.raises((TypeError, ValidationError)):
-                lower_prob_interval(box, interval)
+                lower_prob_event(box, ClassSubset.of(*indices))
 
 
 class TestOrderingExample:
@@ -368,11 +377,13 @@ class TestUpperProbEvent:
 
 
 class TestBestPBoxApproximation:
+    """The tightest p-box under a model's sublevel bounds is the PBox of
+    those bounds: step CDFs on a finite space, analytic ones on [0, 1]."""
+
     def test_vacuous_input(self):
-        box = best_pbox_approximation(
-            lambda z: np.where(np.asarray(z) >= 1.0, 1.0, 0.0),
-            lambda z: np.asarray(z) * 0.0 + 1.0,
-            lower_left_limit=lambda z: 0.0)
+        box = PBox(AnalyticCdf(lambda z: np.where(np.asarray(z) >= 1.0, 1.0, 0.0),
+                               lambda z: 0.0),
+                   AnalyticCdf(lambda z: np.asarray(z) * 0.0 + 1.0))
         assert float(box.lower(0.999)) == 0.0
         assert float(box.upper(0.0)) == 1.0
         # an interval that stops short of the top has lower probability 0
@@ -380,17 +391,17 @@ class TestBestPBoxApproximation:
         assert lower_prob_event(box, FULL_EVENT) == 1.0
 
     def test_precise_input(self):
-        box = best_pbox_approximation(lambda z: np.asarray(z, dtype=float),
-                                      lambda z: np.asarray(z, dtype=float))
+        box = PBox(AnalyticCdf(lambda z: np.asarray(z, dtype=float)),
+                   AnalyticCdf(lambda z: np.asarray(z, dtype=float)))
         assert float(box.lower(0.3)) == float(box.upper(0.3)) == pytest.approx(0.3)
 
     def test_finite_vectors(self):
         space = FiniteQuotientSpace(("a", "b", "c"))
-        box = best_pbox_approximation((0.1, 0.5, 1.0), (0.4, 0.9, 1.0), space)
+        box = PBox(StepCdf((0.1, 0.5, 1.0)), StepCdf((0.4, 0.9, 1.0)), space)
         assert isinstance(box.lower, StepCdf)
         assert lower_prob_event(box, ClassSubset.of(0)) == pytest.approx(0.1)
 
     def test_monotonicity_violation_rejected(self):
         space = FiniteQuotientSpace(("a", "b"))
         with pytest.raises(ValidationError):
-            best_pbox_approximation((0.5, 1.0), (0.4, 1.0), space)
+            PBox(StepCdf((0.5, 1.0)), StepCdf((0.4, 1.0)), space)

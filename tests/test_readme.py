@@ -1,6 +1,8 @@
 """The README's examples run: the library ones give the values their
-comments document, and the command-line ones that need no file exit 0."""
+comments document, the command-line ones that need no file exit 0, and
+the scenario document gives its rows."""
 
+import json
 import pathlib
 import re
 import shlex
@@ -52,3 +54,15 @@ def test_command_line_examples_exit_0(capsys):
         out = capsys.readouterr().out
         if argv[0] == "verify":
             assert "RESULT: PASS" in out
+
+
+def test_scenario_document_runs(tmp_path, capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["infer", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    values = {line.split(",")[0]: float(line.split(",")[2]) for line in lines[1:]}
+    assert values == {"bottom": 0.2, "sum_0": 0.0, "sum_1": 0.5}

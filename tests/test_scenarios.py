@@ -6,7 +6,7 @@ import pytest
 from pboxes.choquet import QuadratureConfig, threshold_solve
 from pboxes.errors import ValidationError
 from pboxes.multivariate import INDEPENDENT, RealLinePBox, combine
-from pboxes.pbox import PBox, best_pbox_approximation, cdf_eval
+from pboxes.pbox import AnalyticCdf, PBox, cdf_eval
 from pboxes.preorder import FULL_EVENT, ClassSubset
 from pboxes.scenarios import (
     BUILTIN_NAMES,
@@ -127,8 +127,8 @@ class TestApproximationConsistency:
         joint = combine(marginals, INDEPENDENT)
         # feed the joint's own sublevel bounds back through the
         # least-conservative construction
-        rebuilt = best_pbox_approximation(lambda z: joint.lower(z),
-                                          lambda z: joint.upper(z))
+        rebuilt = PBox(AnalyticCdf(lambda z: joint.lower(z)),
+                       AnalyticCdf(lambda z: joint.upper(z)))
         for z in np.linspace(0.0, 1.0, 41):
             assert cdf_eval(rebuilt.lower, z) == pytest.approx(
                 cdf_eval(joint.lower, z), abs=1e-15)
