@@ -117,28 +117,44 @@ def _malformed(path: str):
         raise ParseError(f"{path}: malformed specification: {exc}") from exc
 
 
-def _cdf_from_spec(spec) -> object:
+def _knots(value, path: str) -> tuple:
+    """The ``[z, value]`` pairs of the knot list at ``path``; else a ParseError."""
+    for k, pair in enumerate(_expect(value, list, path)):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"{path}[{k}]: expected a [z, value] pair")
+    return tuple(map(tuple, value))
+
+
+def _linear_cdf(value, path: str) -> PiecewiseLinearCdf:
+    """The CDF of the knot list at ``path``, its validation errors prefixed by ``path``."""
+    return _checked(path, PiecewiseLinearCdf, _knots(value, path))
+
+
+def _cdf_from_spec(spec, path: str) -> object:
     if isinstance(spec, dict) and "linear" in spec:
-        return PiecewiseLinearCdf(tuple((z, f) for z, f in spec["linear"]))
+        return _linear_cdf(spec["linear"], f"{path}.linear")
     if isinstance(spec, dict) and "analytic" in spec:
         return named_cdf(spec["analytic"])
     raise ValidationError(f"unrecognized CDF specification: {spec!r}")
 
 
-def _real_line_pbox(spec) -> RealLinePBox:
+def _real_line_pbox(spec: dict, path: str) -> RealLinePBox:
+    """The operand at ``path``, its validation errors prefixed by ``path``."""
     if "point" in spec:
-        return RealLinePBox.point_mass(spec["point"])
-    lower = spec.get("lower")
+        return _checked(path, RealLinePBox.point_mass, spec["point"])
+    lower, upper = spec.get("lower"), spec.get("upper")
     if lower is None:
-        raise ValidationError("real-line p-boxes need 'lower' knots or a 'point'")
-    return RealLinePBox.from_knots(lower, spec.get("upper"))
+        raise ValidationError(f"{path}: real-line p-boxes need 'lower' knots or a 'point'")
+    return _checked(path, RealLinePBox.from_knots, _knots(lower, f"{path}.lower"),
+                    _knots(upper, f"{path}.upper") if upper else None)
 
 
-def _oscillation_from_spec(spec):
+def _oscillation_from_spec(spec, path: str):
     if "builtin" in spec:
         return named_oscillation(spec["builtin"])
     if "knots" in spec:
-        return piecewise_linear_oscillation(spec["knots"])
+        where = f"{path}.knots"
+        return _checked(where, piecewise_linear_oscillation, _knots(spec["knots"], where))
     raise ValidationError("oscillations need 'builtin' or 'knots'")
 
 
@@ -165,15 +181,17 @@ def _pbox_from_spec(spec, space) -> PBox | None:
         return PBox(StepCdf(tuple(spec["step"]["lower"])),
                     StepCdf(tuple(spec["step"]["upper"])), space)
     if "linear" in spec:
-        return PBox(PiecewiseLinearCdf(tuple(map(tuple, spec["linear"]["lower"]))),
-                    PiecewiseLinearCdf(tuple(map(tuple, spec["linear"]["upper"]))),
+        return PBox(_linear_cdf(spec["linear"]["lower"], "pbox.linear.lower"),
+                    _linear_cdf(spec["linear"]["upper"], "pbox.linear.upper"),
                     UNIT_INTERVAL)
     if "analytic" in spec:
         return PBox(named_cdf(spec["analytic"]["lower"]),
                     named_cdf(spec["analytic"]["upper"]), UNIT_INTERVAL)
     if "marginals" in spec:
-        return combine([PBox(_cdf_from_spec(m["lower"]), _cdf_from_spec(m["upper"]))
-                        for m in spec["marginals"]], _field(spec, "rule", "pbox", str, FRECHET))
+        return combine([PBox(_cdf_from_spec(m["lower"], f"pbox.marginals[{k}].lower"),
+                             _cdf_from_spec(m["upper"], f"pbox.marginals[{k}].upper"))
+                        for k, m in enumerate(spec["marginals"])],
+                       _field(spec, "rule", "pbox", str, FRECHET))
     raise ValidationError(f"unrecognized p-box specification: {spec!r}")
 
 
@@ -187,14 +205,16 @@ def _query(path: str, *args, **fields) -> Query:
 
 def _arith_queries(raw: dict, path: str, qid: str, kind: str) -> list:
     """One query per point of the ``y_grid`` (ids suffixed ``_k``), or one for ``y``."""
-    x1 = _real_line_pbox(_field(raw, "x1", path, dict))
-    x2 = _real_line_pbox(_field(raw, "x2", path, dict))
+    x1, x2 = (_real_line_pbox(_field(raw, name, path, dict), f"{path}.{name}")
+              for name in ("x1", "x2"))
     op = _field(raw, "op", path, str, "add") if kind == "arith_op" else "add"
     fields = {"x1": x1, "x2": x2, "op": op, "side": _field(raw, "side", path, str, "lower")}
     if "y_grid" not in raw:
         y = _checked(f"{path}.y", _finite_number, _field(raw, "y", path, _NUMBER))
         return [_query(path, qid, kind, y=y, **fields)]
     y_grid = _field(raw, "y_grid", path, list)
+    if not y_grid:
+        raise ValidationError(f"{path}.y_grid: expected at least one point")
     if len(y_grid) > _choquet._MAX_GRID:
         raise ValidationError(f"{path}.y_grid: more than {_choquet._MAX_GRID} points")
     ys = []
@@ -220,7 +240,7 @@ def _queries_from_spec(raw_queries, pbox) -> tuple:
                 fields["event"] = _event_from_spec(raw, path)
             elif kind in INTEGRAL_KINDS:
                 fields["oscillation"] = _oscillation_from_spec(
-                    _field(raw, "oscillation", path, dict))
+                    _field(raw, "oscillation", path, dict), f"{path}.oscillation")
                 if kind == "threshold":
                     fields["target"] = _field(raw, "target", path, _NUMBER)
             # each of these kinds asks about the document's p-box

@@ -133,8 +133,10 @@ class RealLinePBox:
 
     def __post_init__(self):
         # both CDFs are linear between consecutive knots of either one, so
-        # values and left limits at those knots decide the ordering exactly
-        xs = np.unique(np.concatenate([self.lower.knot_xs, self.upper.knot_xs]))
+        # values and left limits at those knots decide the ordering exactly;
+        # a knot of both is checked twice rather than deduplicated, because
+        # np.unique imports numpy.ma on its first call (numpy 2.4)
+        xs = np.sort(np.concatenate([self.lower.knot_xs, self.upper.knot_xs]))
         if (np.any(self.lower(xs) > self.upper(xs) + 1e-12)
                 or np.any(self.lower.left_limit(xs) > self.upper.left_limit(xs) + 1e-12)):
             raise ValidationError("lower CDF exceeds upper CDF on the support")

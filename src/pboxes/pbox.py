@@ -250,7 +250,9 @@ class PBox:
             if isinstance(cdf, PiecewiseLinearCdf):
                 if cdf.domain != (0.0, 1.0):
                     raise ValidationError("continuum CDFs live on [0, 1]")
-                zs = np.union1d(zs, cdf._xs)
+                # not np.union1d, which imports numpy.ma on its first call
+                # (numpy 2.4): a point listed twice is only checked twice
+                zs = np.sort(np.concatenate([zs, cdf._xs]))
         flo = self.lower(zs)
         fhi = self.upper(zs)
         for name, f in (("lower", flo), ("upper", fhi)):

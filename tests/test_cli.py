@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -523,6 +526,94 @@ class TestInfer:
         code, out, _ = run_cli(capsys, ["infer", str(path)])
         assert code == 0
         assert out.strip() == CSV_HEADER
+
+    def test_empty_y_grid_exit_3(self, tmp_path, capsys):
+        # an empty grid would otherwise give no row for a listed query
+        doc = {"queries": [{"id": "a", "kind": "arith_op", "x1": UNIFORM_KNOTS,
+                            "x2": UNIFORM_KNOTS, "y_grid": []}]}
+        path = tmp_path / "empty_grid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3 and out == ""
+        assert err.startswith("validation error: queries[0].y_grid: expected at least one point")
+
+    @pytest.mark.parametrize("doc, code, message", [
+        ({"pbox": {"linear": {"lower": [[0.0, 0.0], [0.5, 0.2], [0.5, 0.3], [1.0, 1.0]],
+                              "upper": UNIFORM_KNOTS["lower"]}}},
+         3, "validation error: pbox.linear.lower: knot coordinates must be strictly increasing"),
+        ({"pbox": {"marginals": [
+            {"lower": {"linear": [[0.0, 0.0], [0.0, 0.5], [1.0, 1.0]]},
+             "upper": {"analytic": "one"}},
+            {"lower": {"analytic": "uniform"}, "upper": {"analytic": "one"}}]}},
+         3, "validation error: pbox.marginals[0].lower.linear: knot coordinates must be"),
+        ({"queries": [{"kind": "expectation_lower",
+                       "oscillation": {"knots": [[0.5, 0.0], [0.2, 1.0], [1.0, 0.0]]}}]},
+         3, "validation error: queries[0].oscillation.knots: oscillation knots must be "
+            "strictly increasing in z"),
+        ({"queries": [{"kind": "expectation_lower",
+                       "oscillation": {"knots": [[0.0, 0.0, 1], [1.0, 0.0]]}}]},
+         2, "parse error: queries[0].oscillation.knots[0]: expected a [z, value] pair"),
+        ({"queries": [{"kind": "expectation_lower", "oscillation": {"knots": {}}}]},
+         2, "parse error: queries[0].oscillation.knots: expected an array, got an object"),
+        ({"queries": [{"kind": "arith_op", "y": 0.5, "x2": UNIFORM_KNOTS,
+                       "x1": {"lower": [[0.0, 0.0], [0.0, 0.5], [1.0, 1.0]]}}]},
+         3, "validation error: queries[0].x1: knot coordinates must be strictly increasing"),
+        ({"queries": [{"kind": "arith_op", "y": 0.5, "x1": UNIFORM_KNOTS,
+                       "x2": {"lower": [[0.0, 0.0], [1.0]]}}]},
+         2, "parse error: queries[0].x2.lower[1]: expected a [z, value] pair"),
+    ], ids=["linear_pbox", "marginal", "oscillation_order", "oscillation_triple",
+            "oscillation_object", "operand_order", "operand_single"])
+    def test_spec_error_names_field(self, tmp_path, capsys, doc, code, message):
+        doc = dict({"pbox": {"analytic": {"lower": "square", "upper": "uniform"}},
+                    "queries": []}, **doc)
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        got, out, err = run_cli(capsys, ["infer", str(path)])
+        assert got == code and out == ""
+        assert err.startswith(message)
+
+
+# a linear p-box and arithmetic operands, whose checks merge the knots of two
+# CDFs, with a knots oscillation as a scenario file would have
+COLD_DOC = {
+    "pbox": {"linear": {"lower": [[0.0, 0.0], [0.5, 0.3], [1.0, 1.0]],
+                        "upper": [[0.0, 0.0], [0.5, 0.6], [1.0, 1.0]]}},
+    "queries": [{"id": "tent", "kind": "expectation_lower",
+                 "oscillation": {"knots": [[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]]}},
+                {"id": "sum", "kind": "arith_op", "x1": UNIFORM_KNOTS,
+                 "x2": {"lower": [[0.0, 0.0], [0.5, 0.5], [2.0, 1.0]]},
+                 "y_grid": [0.5, 1.5]}],
+    "config": {"abs_tol": 1e-3},
+}
+
+_MODULES_AFTER_MAIN = """
+import contextlib, io, sys
+from pboxes.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, sorted(name for name in sys.modules
+                   if name.partition(".")[0] == "scipy"
+                   or (name + ".").startswith("numpy.ma.")))
+"""
+
+
+@pytest.mark.parametrize("argv", [["infer", "DOC"], ["table", "DOC"], ["paper", "dike"],
+                                  ["verify", "--trials", "2"]],
+                         ids=["infer", "table", "paper", "verify"])
+def test_commands_leave_numpy_ma_and_scipy_unloaded(tmp_path, argv):
+    # np.unique and np.union1d import numpy.ma on their first call, which
+    # costs a cold process more than the whole of a small query
+    import pboxes
+
+    path = tmp_path / "cold.json"
+    path.write_text(json.dumps(COLD_DOC))
+    argv = [str(path) if arg == "DOC" else arg for arg in argv]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pboxes.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "0 []"
 
 
 TWO_MARGINALS = [

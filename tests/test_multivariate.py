@@ -276,6 +276,17 @@ class TestRealLinePBoxValidation:
             RealLinePBox.from_knots([(0.0, 0.0), (0.499, 0.0), (0.5, 0.5), (1.0, 1.0)],
                                     [(0.5, 0.6), (1.0, 1.0)])
 
+    def test_crossing_at_shared_knot_refused(self):
+        # the knot 1.0 of both CDFs is checked, once for each CDF
+        with pytest.raises(ValidationError, match="lower CDF exceeds upper CDF"):
+            RealLinePBox.from_knots([(0.0, 0.0), (1.0, 0.6), (2.0, 1.0)],
+                                    [(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)])
+
+    def test_touching_at_shared_knot_accepted(self):
+        box = RealLinePBox.from_knots([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)],
+                                      [(0.0, 0.0), (1.0, 0.5), (1.5, 1.0), (2.0, 1.0)])
+        assert box.support == (0.0, 2.0)
+
 
     def test_support_is_hull_of_the_knots(self):
         uniform02 = PiecewiseLinearCdf(((0.0, 0.0), (2.0, 1.0)))

@@ -123,6 +123,30 @@ class TestPBoxSpace:
         assert PBox(knots, knots).space is UNIT_INTERVAL
 
 
+class TestSharedKnotCrossing:
+    """The validation grid lists a knot of both CDFs twice; that must not
+    hide a crossing there, nor refuse a p-box that only touches there."""
+
+    # lower exceeds upper only on (0.49999, 0.50001), between two points of
+    # the uniform validation grid, and most at the shared knot 0.5
+    LOWER = ((0.0, 0.0), (0.49999, 0.49), (0.5, 0.6), (1.0, 1.0))
+    UPPER = ((0.0, 0.0), (0.5, 0.5), (0.50001, 0.61), (1.0, 1.0))
+
+    def test_crossing_at_shared_knot_refused(self):
+        lower, upper = PiecewiseLinearCdf(self.LOWER), PiecewiseLinearCdf(self.UPPER)
+        zs = np.linspace(0.0, 1.0, 10_000)
+        assert np.all(lower(zs) <= upper(zs))
+        assert lower(0.5) > upper(0.5)
+        with pytest.raises(ValidationError, match="lower CDF exceeds upper CDF"):
+            PBox(lower, upper, UNIT_INTERVAL)
+
+    def test_touching_at_shared_knot_accepted(self):
+        touching = ((0.0, 0.0), (0.49999, 0.49), (0.5, 0.5), (1.0, 1.0))
+        box = PBox(PiecewiseLinearCdf(touching), PiecewiseLinearCdf(self.UPPER),
+                   UNIT_INTERVAL)
+        assert box.lower(0.5) == box.upper(0.5)
+
+
 class TestPiecewiseLinearCdfValidation:
     def test_non_finite_knots_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
