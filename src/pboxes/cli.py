@@ -23,15 +23,15 @@ import json
 import random
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
 from . import choquet as _choquet
 from . import pbox as _pbox
 from .choquet import DEFAULT_CONFIG, QuadratureConfig
-from .errors import ParseError, ToleranceError, ValidationError
+from .errors import ParseError, ToleranceError, ValidationError, _checked
 from .multivariate import FRECHET, RealLinePBox, combine
 from .oracle import (
     FiniteCredalInstance,
@@ -58,7 +58,6 @@ from .scenarios import (
     INTEGRAL_KINDS,
     Query,
     Scenario,
-    _checked,
     builtin_scenario,
     named_cdf,
     named_oscillation,
@@ -76,213 +75,209 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # scenario files
 
-_REQUIRED = object()
-_NUMBER = (int, float)
-# in matching order: a boolean is an int to Python, and any int is a number
-_JSON_TYPES = {bool: "a boolean", dict: "an object", list: "an array",
-               str: "a string", _NUMBER: "a number", int: "an integer"}
-_CONFIG_FIELDS = {"abs_tol": _NUMBER, "max_refinements": int, "bisect_tol": _NUMBER,
-                  "tail_tol": _NUMBER}
+# each JSON type by the exact Python types json.load gives it: a boolean is no number
+_TYPES = {"an object": (dict,), "an array": (list,), "a string": (str,), "a boolean": (bool,),
+          "a number": (int, float), "an integer": (int,)}
+# the most entries of an array; a y_grid takes up to choquet._MAX_GRID points
+_MAX_ITEMS = 1 << 16
+_CONFIG_FIELDS = {"abs_tol": "a number", "max_refinements": "an integer",
+                  "bisect_tol": "a number", "tail_tol": "a number"}
 
 
-def _expect(value, types, path: str):
-    """``value`` if it is of ``types`` (a boolean is never a number); else a ParseError."""
-    if isinstance(value, types) and not isinstance(value, bool):
-        return value
-    got = next((name for kind, name in _JSON_TYPES.items() if isinstance(value, kind)),
-               "null")
-    raise ParseError(f"{path}: expected {_JSON_TYPES[types]}, got {got}")
+class _Node:
+    """A JSON value and its path in the document, such as ``queries[2].x1.lower``: a
+    wrong type, member or shape is a ParseError there, and :meth:`build` prefixes the
+    path to a ValidationError."""
+
+    __slots__ = ("value", "path")
+
+    def __init__(self, value, path: str):
+        self.value, self.path = value, path
+
+    def fail(self, message: str, error=ParseError) -> Exception:
+        return error(message, self.path or "document")
+
+    def of(self, name: str):
+        """The value, if it is of the JSON type ``name``, such as ``"a number"``."""
+        if type(self.value) in _TYPES[name]:
+            return self.value
+        got = next((got for got, types in _TYPES.items() if type(self.value) in types), "null")
+        raise self.fail(f"expected {name}, got {got}")
+
+    def get(self, key: str, default=None) -> "_Node":
+        """The member ``key`` of an object; ``default`` where absent, unless it is None."""
+        obj = self.of("an object")
+        path = f"{self.path}.{key}" if self.path else key
+        if key not in obj and default is None:
+            raise ParseError("missing", path)
+        return _Node(obj.get(key, default), path)
+
+    def values(self, name: str | None = None, most: int = _MAX_ITEMS) -> list:
+        """The entries of an array of at most ``most``, each of JSON type ``name``:
+        checked in one pass, with a node per entry only to name a wrong one."""
+        entries = self.of("an array")
+        if len(entries) > most:
+            raise self.fail(f"more than {most} entries", ValidationError)
+        if name is not None and not set(map(type, entries)).issubset(_TYPES[name]):
+            for item in self.items():
+                item.of(name)
+        return entries
+
+    def items(self, name: str | None = None, most: int = _MAX_ITEMS) -> list:
+        """The entries of :meth:`values`, as nodes."""
+        return [_Node(v, f"{self.path}[{k}]") for k, v in enumerate(self.values(name, most))]
+
+    def one_of(self, *keys: str) -> str:
+        """The one member of an object among ``keys``, which names its variant."""
+        obj = self.of("an object")
+        found = [key for key in keys if key in obj]
+        if len(found) != 1:
+            raise self.fail(f"expected exactly one of {' or '.join(map(repr, keys))}")
+        return found[0]
+
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, its validation error prefixed by this path."""
+        return _checked(self.path, make, *args, **kwargs)
 
 
-def _field(obj: dict, key: str, path: str, types, default=_REQUIRED):
-    """``obj[key]`` checked by :func:`_expect`, or ``default`` when absent."""
-    where = f"{path}.{key}" if path else key
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ParseError(f"{where}: missing")
-        return default
-    return _expect(obj[key], types, where)
+def _knots(node: _Node) -> tuple:
+    """The ``[z, value]`` pairs of a knot list, their types checked in one pass."""
+    pairs = node.values("an array")
+    numbers = set(map(type, chain.from_iterable(pairs)))
+    if set(map(len, pairs)) - {2} or not numbers.issubset(_TYPES["a number"]):
+        for pair in node.items():
+            if len(pair.value) != 2:
+                raise pair.fail("expected a [z, value] pair")
+            pair.values("a number")
+    return tuple(map(tuple, pairs))
 
 
-@contextmanager
-def _malformed(path: str):
-    """Report a specification the builders cannot read as a ParseError at ``path``."""
-    try:
-        yield
-    except (ParseError, ValidationError):
-        raise
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc.args[0]!r}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed specification: {exc}") from exc
+# the CDF of each kind, from the node of its values, knots or name
+_CDFS = {"step": lambda node: node.build(StepCdf, tuple(node.values("a number"))),
+         "linear": lambda node: node.build(PiecewiseLinearCdf, _knots(node)),
+         "analytic": lambda node: node.build(named_cdf, node.of("a string"))}
 
 
-def _knots(value, path: str) -> tuple:
-    """The ``[z, value]`` pairs of the knot list at ``path``; else a ParseError."""
-    for k, pair in enumerate(_expect(value, list, path)):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"{path}[{k}]: expected a [z, value] pair")
-    return tuple(map(tuple, value))
+def _cdf(node: _Node):
+    """A marginal's CDF: ``linear`` knots or an ``analytic`` name."""
+    variant = node.one_of("linear", "analytic")
+    return _CDFS[variant](node.get(variant))
 
 
-def _linear_cdf(value, path: str) -> PiecewiseLinearCdf:
-    """The CDF of the knot list at ``path``, its validation errors prefixed by ``path``."""
-    return _checked(path, PiecewiseLinearCdf, _knots(value, path))
-
-
-def _cdf_from_spec(spec, path: str) -> object:
-    if isinstance(spec, dict) and "linear" in spec:
-        return _linear_cdf(spec["linear"], f"{path}.linear")
-    if isinstance(spec, dict) and "analytic" in spec:
-        return named_cdf(spec["analytic"])
-    raise ValidationError(f"unrecognized CDF specification: {spec!r}")
-
-
-def _real_line_pbox(spec: dict, path: str) -> RealLinePBox:
-    """The operand at ``path``, its validation errors prefixed by ``path``."""
-    if "point" in spec:
-        return _checked(path, RealLinePBox.point_mass, spec["point"])
-    lower, upper = spec.get("lower"), spec.get("upper")
-    if lower is None:
-        raise ValidationError(f"{path}: real-line p-boxes need 'lower' knots or a 'point'")
-    return _checked(path, RealLinePBox.from_knots, _knots(lower, f"{path}.lower"),
-                    _knots(upper, f"{path}.upper") if upper else None)
-
-
-def _oscillation_from_spec(spec, path: str):
-    if "builtin" in spec:
-        return named_oscillation(spec["builtin"])
-    if "knots" in spec:
-        where = f"{path}.knots"
-        return _checked(where, piecewise_linear_oscillation, _knots(spec["knots"], where))
-    raise ValidationError("oscillations need 'builtin' or 'knots'")
-
-
-def _event_from_spec(query: dict, path: str):
-    if "classes" in query:
-        return ClassSubset(query["classes"])
-    if "intervals" in query:
-        return normalize([_checked(f"{path}.intervals[{k}]", ZInterval, lo, hi, lo_open, hi_open)
-                          for k, (lo, hi, lo_open, hi_open) in enumerate(query["intervals"])])
-    raise ParseError(f"{path}: missing 'classes' or 'intervals'")
-
-
-def _pbox_from_spec(spec, space) -> PBox | None:
-    if spec is None:
-        return None
-    if "builtin" in spec:
-        pbox = builtin_scenario(spec["builtin"]).pbox
+def _box(node: _Node, space) -> PBox:
+    variant = node.one_of("builtin", "step", "linear", "analytic", "marginals")
+    spec = node.get(variant)
+    if variant == "builtin":
+        pbox = spec.build(builtin_scenario, spec.of("a string")).pbox
         if pbox is None:
-            raise ValidationError(f"builtin scenario {spec['builtin']!r} carries no p-box")
+            raise spec.fail(f"builtin scenario {spec.value!r} carries no p-box", ValidationError)
         return pbox
-    if "step" in spec:
-        if not isinstance(space, FiniteQuotientSpace):
-            raise ValidationError("step p-boxes need a finite space")
-        return PBox(StepCdf(tuple(spec["step"]["lower"])),
-                    StepCdf(tuple(spec["step"]["upper"])), space)
-    if "linear" in spec:
-        return PBox(_linear_cdf(spec["linear"]["lower"], "pbox.linear.lower"),
-                    _linear_cdf(spec["linear"]["upper"], "pbox.linear.upper"),
-                    UNIT_INTERVAL)
-    if "analytic" in spec:
-        return PBox(named_cdf(spec["analytic"]["lower"]),
-                    named_cdf(spec["analytic"]["upper"]), UNIT_INTERVAL)
-    if "marginals" in spec:
-        return combine([PBox(_cdf_from_spec(m["lower"], f"pbox.marginals[{k}].lower"),
-                             _cdf_from_spec(m["upper"], f"pbox.marginals[{k}].upper"))
-                        for k, m in enumerate(spec["marginals"])],
-                       _field(spec, "rule", "pbox", str, FRECHET))
-    raise ValidationError(f"unrecognized p-box specification: {spec!r}")
+    if variant == "marginals":
+        marginals = [m.build(PBox, _cdf(m.get("lower")), _cdf(m.get("upper")))
+                     for m in spec.items()]
+        return node.build(combine, marginals, node.get("rule", FRECHET).of("a string"))
+    if variant == "step" and not isinstance(space, FiniteQuotientSpace):
+        raise spec.fail("step p-boxes need a finite space", ValidationError)
+    lower, upper = (_CDFS[variant](spec.get(side)) for side in ("lower", "upper"))
+    return spec.build(PBox, lower, upper, space if variant == "step" else UNIT_INTERVAL)
 
 
-def _query(path: str, *args, **fields) -> Query:
-    """A :class:`Query` whose validation error names its field under ``path``."""
-    try:
-        return Query(*args, **fields)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}.{exc}") from None
+def _space(node: _Node):
+    kind = node.get("type")
+    if kind.of("a string") == "finite":
+        classes = node.get("classes")
+        return classes.build(FiniteQuotientSpace, tuple(classes.values("a string")))
+    if kind.value not in ("continuum", "z_induced"):
+        raise kind.fail(f"unknown space type {kind.value!r}", ValidationError)
+    return UNIT_INTERVAL
 
 
-def _arith_queries(raw: dict, path: str, qid: str, kind: str) -> list:
+def _oscillation(node: _Node):
+    variant = node.one_of("builtin", "knots")
+    spec = node.get(variant)
+    if variant == "builtin":
+        return spec.build(named_oscillation, spec.of("a string"))
+    return spec.build(piecewise_linear_oscillation, _knots(spec))
+
+
+def _operand(node: _Node) -> RealLinePBox:
+    """A real-line p-box: a ``point``, or ``lower`` knots and optional ``upper`` ones."""
+    if node.one_of("point", "lower") == "point":
+        point = node.get("point")
+        return point.build(RealLinePBox.point_mass, point.of("a number"))
+    upper = _knots(node.get("upper")) if "upper" in node.value else None
+    return node.build(RealLinePBox.from_knots, _knots(node.get("lower")), upper)
+
+
+def _event(node: _Node):
+    if node.one_of("classes", "intervals") == "classes":
+        classes = node.get("classes")
+        return classes.build(ClassSubset, classes.values("a number"))
+    intervals = []
+    for item in node.get("intervals").items():
+        if len(item.of("an array")) != 4:
+            raise item.fail("expected a [lo, hi, lo_open, hi_open] interval")
+        lo, hi, lo_open, hi_open = item.items()
+        intervals.append(item.build(ZInterval, lo.of("a number"), hi.of("a number"),
+                                    lo_open.of("a boolean"), hi_open.of("a boolean")))
+    return normalize(intervals)
+
+
+def _arith(node: _Node, qid: str, kind: str) -> list:
     """One query per point of the ``y_grid`` (ids suffixed ``_k``), or one for ``y``."""
-    x1, x2 = (_real_line_pbox(_field(raw, name, path, dict), f"{path}.{name}")
-              for name in ("x1", "x2"))
-    op = _field(raw, "op", path, str, "add") if kind == "arith_op" else "add"
-    fields = {"x1": x1, "x2": x2, "op": op, "side": _field(raw, "side", path, str, "lower")}
-    if "y_grid" not in raw:
-        y = _checked(f"{path}.y", _finite_number, _field(raw, "y", path, _NUMBER))
-        return [_query(path, qid, kind, y=y, **fields)]
-    y_grid = _field(raw, "y_grid", path, list)
-    if not y_grid:
-        raise ValidationError(f"{path}.y_grid: expected at least one point")
-    if len(y_grid) > _choquet._MAX_GRID:
-        raise ValidationError(f"{path}.y_grid: more than {_choquet._MAX_GRID} points")
-    ys = []
-    for k, y in enumerate(y_grid):
-        where = f"{path}.y_grid[{k}]"
-        ys.append(_checked(where, _finite_number, _expect(y, _NUMBER, where)))
-    return [_query(path, f"{qid}_{k}", kind, y=y, **fields) for k, y in enumerate(ys)]
+    fields = {"x1": _operand(node.get("x1")), "x2": _operand(node.get("x2")),
+              "op": node.get("op", "add").of("a string") if kind == "arith_op" else "add",
+              "side": node.get("side", "lower").of("a string")}
+    if "y_grid" not in node.value:
+        return [node.build(Query, qid, kind, y=node.get("y").of("a number"), **fields)]
+    grid = node.get("y_grid")
+    ys = [y.build(_finite_number, y.value) for y in grid.items("a number", _choquet._MAX_GRID)]
+    if not ys:
+        raise grid.fail("expected at least one point", ValidationError)
+    return [node.build(Query, f"{qid}_{k}", kind, y=y, **fields) for k, y in enumerate(ys)]
 
 
-def _queries_from_spec(raw_queries, pbox) -> tuple:
-    queries = []
-    for idx, raw in enumerate(raw_queries):
-        path = f"queries[{idx}]"
-        raw = _expect(raw, dict, path)
-        kind = _field(raw, "kind", path, str)
-        qid = str(raw.get("id", f"q{idx}"))
-        with _malformed(path):
-            if kind in ARITH_KINDS:
-                queries.extend(_arith_queries(raw, path, qid, kind))
-                continue
-            fields = {}
-            if kind in ("event_lower", "event_upper"):
-                fields["event"] = _event_from_spec(raw, path)
-            elif kind in INTEGRAL_KINDS:
-                fields["oscillation"] = _oscillation_from_spec(
-                    _field(raw, "oscillation", path, dict), f"{path}.oscillation")
-                if kind == "threshold":
-                    fields["target"] = _field(raw, "target", path, _NUMBER)
-            # each of these kinds asks about the document's p-box
-            if fields and pbox is None:
-                raise ParseError("pbox: missing")
-            queries.append(_query(path, qid, kind, pbox, **fields))
-    return tuple(queries)
+def _query(node: _Node, index: int, pbox) -> list:
+    """The queries of one entry of ``queries``: one, or one per arithmetic grid point."""
+    kind = node.get("kind").of("a string")
+    qid = node.get("id", f"q{index}")
+    if not set(',"\r\n').isdisjoint(qid.of("a string")):  # one CSV field, unquoted
+        raise qid.fail("expected no ',', '\"', carriage return or line feed", ValidationError)
+    if kind in ARITH_KINDS:
+        return _arith(node, qid.value, kind)
+    fields = {}
+    if kind in ("event_lower", "event_upper"):
+        fields["event"] = _event(node)
+    elif kind in INTEGRAL_KINDS:
+        fields["oscillation"] = _oscillation(node.get("oscillation"))
+        if kind == "threshold":
+            fields["target"] = node.get("target").of("a number")
+    # each of these kinds asks about the document's p-box
+    if fields and pbox is None:
+        raise ParseError("missing", "pbox")
+    return [node.build(Query, qid.value, kind, pbox, **fields)]
 
 
 def load_scenario(path: str):
-    """Parse a scenario file into a runnable scenario and its config.
-
-    A document without the documented shape raises :class:`ParseError`
-    naming the offending field, such as ``queries[2].target`` or an
-    unknown ``config`` setting.
-    """
+    """Parse a scenario file into a runnable scenario and its config; a
+    :class:`ParseError` (a document of the wrong shape) or a :class:`ValidationError`
+    (a value the model refuses) names the field, such as ``queries[2].target``."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = _expect(json.load(handle), dict, "document")
-    space_spec = _field(doc, "space", "", dict, {"type": "continuum"})
-    space_type = space_spec.get("type")
-    if space_type == "finite":
-        classes = _field(space_spec, "classes", "space", list)
-        with _malformed("space.classes"):
-            space = FiniteQuotientSpace(tuple(classes))
-    elif space_type in ("continuum", "z_induced"):
-        space = UNIT_INTERVAL
-    else:
-        raise ValidationError(f"unknown space type {space_type!r}")
-    pbox_spec = doc.get("pbox")
-    if pbox_spec is not None:
-        _expect(pbox_spec, dict, "pbox")
-    with _malformed("pbox"):
-        pbox = _pbox_from_spec(pbox_spec, space)
-    queries = _queries_from_spec(_field(doc, "queries", "", list, []), pbox)
-    raw_cfg = _field(doc, "config", "", dict, {})
-    for key in raw_cfg:
+        try:
+            doc = _Node(json.load(handle), "")
+        except RecursionError:
+            raise ParseError("nested too deeply", "document") from None
+    space = _space(doc.get("space", {"type": "continuum"}))
+    pbox = _box(doc.get("pbox"), space) if "pbox" in doc.of("an object") else None
+    queries = tuple(query for index, node in enumerate(doc.get("queries", []).items())
+                    for query in _query(node, index, pbox))
+    config = doc.get("config", {})
+    for key in config.of("an object"):
         if key not in _CONFIG_FIELDS:
-            raise ParseError(f"config.{key}: unknown setting")
-    known = {key: _field(raw_cfg, key, "config", types)
-             for key, types in _CONFIG_FIELDS.items() if key in raw_cfg}
-    cfg = replace(DEFAULT_CONFIG, **known) if known else DEFAULT_CONFIG
-    return Scenario(str(doc.get("name", path)), pbox, queries), cfg
+            raise config.get(key).fail("unknown setting")
+    cfg = config.build(replace, DEFAULT_CONFIG, **{
+        key: config.get(key).of(_CONFIG_FIELDS[key]) for key in config.value})
+    return Scenario(doc.get("name", path).of("a string"), pbox, queries), cfg
 
 
 def _merge_config(cfg: QuadratureConfig, args) -> QuadratureConfig:
@@ -311,14 +306,6 @@ def _emit_scenario(scenario: Scenario, cfg: QuadratureConfig, args) -> int:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _cmd_infer(args) -> int:
-    return _emit_scenario(*load_scenario(args.file), args)
-
-
-def _cmd_paper(args) -> int:
-    return _emit_scenario(builtin_scenario(args.name), DEFAULT_CONFIG, args)
 
 
 def _cmd_table(args) -> int:
@@ -457,10 +444,6 @@ def _serialize(instance: FiniteCredalInstance) -> str:
     return f"lower={lo} upper={hi}"
 
 
-def _cmd_verify(args) -> int:
-    return run_verify(seed=args.seed, trials=args.trials, n_max=args.n_max)
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -483,12 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
     infer = commands.add_parser("infer", help="run a JSON scenario file")
     infer.add_argument("file")
     _add_quadrature_flags(infer)
-    infer.set_defaults(func=_cmd_infer)
+    infer.set_defaults(func=lambda args: _emit_scenario(*load_scenario(args.file), args))
 
     paper = commands.add_parser("paper", help="run a builtin scenario by name")
     paper.add_argument("name", choices=BUILTIN_NAMES)
     _add_quadrature_flags(paper)
-    paper.set_defaults(func=_cmd_paper)
+    paper.set_defaults(
+        func=lambda args: _emit_scenario(builtin_scenario(args.name), DEFAULT_CONFIG, args))
 
     table = commands.add_parser("table", help="tabulate CDFs or an integrand")
     table.add_argument("source", help="scenario file or builtin name")
@@ -504,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--trials", type=int, default=200)
     verify.add_argument("--n-max", type=int, default=6)
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(func=lambda args: run_verify(args.seed, args.trials, args.n_max))
     return parser
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _checked
 from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf, lower_prob_field
 from .preorder import _class_index, _coordinate, _finite_number
 
@@ -148,8 +148,10 @@ class RealLinePBox:
 
     @classmethod
     def from_knots(cls, lower_knots, upper_knots=None) -> "RealLinePBox":
-        lower = PiecewiseLinearCdf(tuple(lower_knots))
-        upper = PiecewiseLinearCdf(tuple(upper_knots)) if upper_knots else lower
+        """The p-box of two knot lists (precise without ``upper_knots``), errors named by side."""
+        lower = _checked("lower", PiecewiseLinearCdf, tuple(lower_knots))
+        upper = lower if upper_knots is None else _checked(
+            "upper", PiecewiseLinearCdf, tuple(upper_knots))
         return cls(lower, upper)
 
     @classmethod

@@ -107,6 +107,8 @@ class PiecewiseLinearCdf:
         fs = [fx for _, fx in knots]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValidationError("knot coordinates must be strictly increasing")
+        if xs[-1] - xs[0] == np.inf:  # np.interp would read every slope as 0
+            raise ValidationError("knot coordinates differ by more than the largest float")
         if any(b < a for a, b in zip(fs, fs[1:])):
             raise ValidationError("knot values must be non-decreasing")
         if any(v < 0.0 or v > 1.0 for v in fs):

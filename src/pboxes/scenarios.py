@@ -31,7 +31,7 @@ from .choquet import (
     threshold_solve,
     upper_expectation,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _checked
 from .multivariate import (
     FRECHET,
     INDEPENDENT,
@@ -107,22 +107,22 @@ class Query:
 
     def __post_init__(self):
         if self.kind not in _RUNNERS:
-            raise ValidationError(f"kind: unknown query kind {self.kind!r}")
+            raise ValidationError(f"unknown query kind {self.kind!r}", "kind")
         _checked("op", _operation, self.op)
         if self.side not in ("lower", "upper"):
-            raise ValidationError(f"side: expected 'lower' or 'upper', got {self.side!r}")
+            raise ValidationError(f"expected 'lower' or 'upper', got {self.side!r}", "side")
         if self.kind in ARITH_KINDS:
             for name in ("x1", "x2"):
                 _checked(name, _positive_support, self.op, self._payload(name))
             _checked("y", _finite_number, self._payload("y"))
             return
         if self.pbox is None:
-            raise ValidationError(f"pbox: a {self.kind} query needs a p-box")
+            raise ValidationError(f"a {self.kind} query needs a p-box", "pbox")
         finite = self.pbox.is_finite
         if self.kind in INTEGRAL_KINDS:
             if finite:
-                raise ValidationError(f"pbox: {self.kind} queries need a continuum p-box; "
-                                      "use lower_expectation_finite on finite spaces")
+                raise ValidationError(f"{self.kind} queries need a continuum p-box; "
+                                      "use lower_expectation_finite on finite spaces", "pbox")
             oscillation = self._payload("oscillation")
             if self.kind == "expectation_lower":
                 _checked("oscillation", _require_bounded, oscillation)
@@ -131,26 +131,18 @@ class Query:
             return
         event = self._payload("event")
         if isinstance(event, ZEventSet) and finite:
-            raise ValidationError("event: z-events require a continuum p-box")
+            raise ValidationError("z-events require a continuum p-box", "event")
         if isinstance(event, ClassSubset):
             if not finite:
-                raise ValidationError("event: class subsets require a finite-space p-box")
+                raise ValidationError("class subsets require a finite-space p-box", "event")
             _checked("event", full_components_finite, self.pbox.space, event)
 
     def _payload(self, name: str):
         """The field ``name``, which this kind of query needs."""
         value = getattr(self, name)
         if value is None:
-            raise ValidationError(f"{name}: missing from a {self.kind} query")
+            raise ValidationError(f"missing from a {self.kind} query", name)
         return value
-
-
-def _checked(field: str, check, *args):
-    """``check(*args)``, its validation error prefixed by the query field it concerns."""
-    try:
-        return check(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"{field}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -528,6 +520,9 @@ def piecewise_linear_oscillation(knots) -> Oscillation:
         raise ValidationError("an oscillation needs at least two knots")
     zs = np.array([z for z, _ in knots])
     vs = np.array([v for _, v in knots])
+    # a Python float overflows to inf without the warning numpy's difference would print
+    if math.inf in (float(zs.max()) - float(zs.min()), float(vs.max()) - float(vs.min())):
+        raise ValidationError("knot coordinates or values differ by more than the largest float")
     if np.any(np.diff(zs) <= 0):
         raise ValidationError("oscillation knots must be strictly increasing in z")
     diffs = np.diff(vs)

@@ -75,7 +75,7 @@ class TestCutEvent:
         assert cut_event(osc, 0.4) == FULL_EVENT
         assert cut_event(osc, 0.41) == EMPTY_EVENT
 
-    def test_tent_matches_grid_scan(self):
+    def test_tent_cut_is_exact_superlevel_set(self):
         tent = piecewise_linear_oscillation([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
         assert tent.monotonicity == GENERAL
         cut = cut_event(tent, 0.5)

@@ -557,7 +557,7 @@ class TestInfer:
          2, "parse error: queries[0].oscillation.knots: expected an array, got an object"),
         ({"queries": [{"kind": "arith_op", "y": 0.5, "x2": UNIFORM_KNOTS,
                        "x1": {"lower": [[0.0, 0.0], [0.0, 0.5], [1.0, 1.0]]}}]},
-         3, "validation error: queries[0].x1: knot coordinates must be strictly increasing"),
+         3, "validation error: queries[0].x1.lower: knot coordinates must be strictly increasing"),
         ({"queries": [{"kind": "arith_op", "y": 0.5, "x1": UNIFORM_KNOTS,
                        "x2": {"lower": [[0.0, 0.0], [1.0]]}}]},
          2, "parse error: queries[0].x2.lower[1]: expected a [z, value] pair"),
@@ -571,6 +571,62 @@ class TestInfer:
         got, out, err = run_cli(capsys, ["infer", str(path)])
         assert got == code and out == ""
         assert err.startswith(message)
+
+    @pytest.mark.parametrize("query, code, message", [
+        # one CSV row must stay one line of five fields
+        ({"id": "a,b\n\"c"}, 3, "validation error: queries[0].id: expected no ','"),
+        ({"id": "a\rb"}, 3, "validation error: queries[0].id: expected no ','"),
+        ({"id": {"x": 1}}, 2, "parse error: queries[0].id: expected a string, got an object"),
+        ({"id": 5}, 2, "parse error: queries[0].id: expected a string, got a number"),
+    ], ids=["comma_quote_newline", "carriage_return", "object", "number"])
+    def test_query_id_is_a_plain_csv_field(self, tmp_path, capsys, query, code, message):
+        doc = dict(CONTINUUM_DOC, queries=[dict(CONTINUUM_DOC["queries"][0], **query)])
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps(doc))
+        got, out, err = run_cli(capsys, ["infer", str(path)])
+        assert got == code and out == ""
+        assert err.startswith(message)
+
+    @pytest.mark.parametrize("doc, code, message", [
+        ({"queries": [{"kind": "arith_op", "y": 0.5, "x2": UNIFORM_KNOTS,
+                       "x1": {"lower": UNIFORM_KNOTS["lower"], "upper": []}}]},
+         3, "validation error: queries[0].x1.upper: a piecewise-linear CDF needs at least"),
+        ({"queries": [{"kind": "arith_op", "y": 0.5, "x2": UNIFORM_KNOTS,
+                       "x1": {"lower": UNIFORM_KNOTS["lower"], "upper": None}}]},
+         2, "parse error: queries[0].x1.upper: expected an array, got null"),
+        ({"pbox": None}, 2, "parse error: pbox: expected an object, got null"),
+        ({"pbox": {"linear": {"lower": [[0.0, 0.0], [0.5, 0.7], [1.0, 1.0]],
+                              "upper": [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]}}},
+         3, "validation error: pbox.linear: lower CDF exceeds upper CDF"),
+        ({"pbox": {"analytic": {"lower": "square", "upper": "uniform"}, "builtin": "dike"}},
+         2, "parse error: pbox: expected exactly one of 'builtin' or 'step'"),
+        # the knot values' difference overflows, which numpy would report with a warning
+        ({"queries": [{"kind": "expectation_upper",
+                       "oscillation": {"knots": [[0, -1.7e308], [1, 1.7e308]]}}]},
+         3, "validation error: queries[0].oscillation.knots: knot coordinates or values "
+            "differ by more than the largest float"),
+        # a span of inf would make every slope of the CDF 0
+        ({"queries": [{"kind": "arith_op", "y": 0.5, "x2": UNIFORM_KNOTS,
+                       "x1": {"lower": [[-1.7e308, 0.0], [1.7e308, 1.0]]}}]},
+         3, "validation error: queries[0].x1.lower: knot coordinates differ by more than "
+            "the largest float"),
+    ], ids=["operand_empty_upper", "operand_null_upper", "null_pbox", "crossing_linear_pbox",
+            "two_pbox_variants", "overflowing_oscillation_knots", "overflowing_operand_knots"])
+    def test_refused_document_names_field(self, tmp_path, capsys, doc, code, message):
+        doc = dict({"pbox": {"analytic": {"lower": "square", "upper": "uniform"}},
+                    "queries": []}, **doc)
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        got, out, err = run_cli(capsys, ["infer", str(path)])
+        assert got == code and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_deeply_nested_document_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 2 and out == ""
+        assert err == "parse error: document: nested too deeply\n"
 
 
 # a linear p-box and arithmetic operands, whose checks merge the knots of two
@@ -689,7 +745,7 @@ class TestInferModels:
     @pytest.mark.parametrize("pbox, code, message", [
         ({"marginals": TWO_MARGINALS, "rule": "max"}, 3, "unknown combination rule"),
         ({"marginals": TWO_MARGINALS[:1]}, 3, "at least two marginals"),
-        ({"marginals": "x"}, 2, "pbox: malformed"),
+        ({"marginals": "x"}, 2, "pbox.marginals: expected an array"),
         ({"marginals": TWO_MARGINALS, "rule": ["x"]}, 2,
          "parse error: pbox.rule: expected a string, got an array"),
     ])
