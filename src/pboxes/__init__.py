@@ -30,20 +30,6 @@ from .multivariate import (
     prob_arith_transform,
     sublevel_box_lower,
 )
-from .oracle import (
-    AdditivityReport,
-    FiniteCredalInstance,
-    FiniteLowerProbability,
-    MonotonicityReport,
-    RepresentabilityReport,
-    additivity_check,
-    complete_monotonicity_check,
-    envelope_sample_bound,
-    lp_lower_expectation,
-    natural_extension_table,
-    pbox_representability_check,
-    random_credal_instance,
-)
 from .pbox import (
     AnalyticCdf,
     PBox,
@@ -79,3 +65,33 @@ from .scenarios import (
 )
 
 __version__ = "0.1.0"
+
+# the rational oracle (with fractions and decimal) loads on first use, so that
+# commands other than ``verify`` do without it (PEP 562)
+_ORACLE_NAMES = frozenset({
+    "AdditivityReport",
+    "FiniteCredalInstance",
+    "FiniteLowerProbability",
+    "MonotonicityReport",
+    "RepresentabilityReport",
+    "additivity_check",
+    "complete_monotonicity_check",
+    "envelope_sample_bound",
+    "lp_lower_expectation",
+    "natural_extension_table",
+    "pbox_representability_check",
+    "random_credal_instance",
+})
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted(globals().keys() | _ORACLE_NAMES)

@@ -359,7 +359,9 @@ def _darboux(batch, a: float, b: float, cfg: QuadratureConfig, level=np.asarray,
             return lower + 0.5 * width, half, converged, rounds
         # a level that dips by float dust makes a step, and so a share, negative
         root = np.sqrt(np.maximum(gaps, 0.0, out=gaps), out=gaps)
-        parts = root * (root.sum() / (_THETA * tol))
+        # a share beyond the float range is cut into _MAX_PARTS parts all the same
+        with np.errstate(over="ignore"):
+            parts = root * (root.sum() / (_THETA * tol))
         np.ceil(parts, out=parts)
         room = np.diff(s)
         room *= resolution

@@ -24,6 +24,7 @@ import random
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -33,16 +34,6 @@ from . import pbox as _pbox
 from .choquet import DEFAULT_CONFIG, QuadratureConfig
 from .errors import ParseError, ToleranceError, ValidationError, _checked
 from .multivariate import FRECHET, RealLinePBox, combine
-from .oracle import (
-    FiniteCredalInstance,
-    additivity_check,
-    complete_monotonicity_check,
-    envelope_sample_bound,
-    lp_lower_expectation,
-    natural_extension_table,
-    pbox_representability_check,
-    random_credal_instance,
-)
 from .pbox import PBox, PiecewiseLinearCdf, StepCdf
 from .preorder import (
     UNIT_INTERVAL,
@@ -258,13 +249,23 @@ def _query(node: _Node, index: int, pbox) -> list:
     return [node.build(Query, qid.value, kind, pbox, **fields)]
 
 
+def _integer(literal: str) -> int:
+    """A JSON integer literal as an int; one longer than Python converts (4,300
+    digits by default) is a parse error, not a ValueError from ``json.load``."""
+    try:
+        return int(literal)
+    except ValueError:
+        digits = len(literal.lstrip("-"))
+        raise ParseError(f"an integer literal of {digits} digits is too long", "document") from None
+
+
 def load_scenario(path: str):
     """Parse a scenario file into a runnable scenario and its config; a
     :class:`ParseError` (a document of the wrong shape) or a :class:`ValidationError`
     (a value the model refuses) names the field, such as ``queries[2].target``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = _Node(json.load(handle), "")
+            doc = _Node(json.load(handle, parse_int=_integer), "")
         except RecursionError:
             raise ParseError("nested too deeply", "document") from None
     space = _space(doc.get("space", {"type": "continuum"}))
@@ -358,7 +359,7 @@ def _cmd_table(args) -> int:
 _EVENTS, _GAMBLES = 10, 5
 
 
-def _instance_pbox(instance: FiniteCredalInstance) -> PBox:
+def _instance_pbox(instance) -> PBox:
     space = FiniteQuotientSpace(tuple(range(instance.n)))
     return PBox(StepCdf(instance.lower_cum), StepCdf(instance.upper_cum), space)
 
@@ -373,6 +374,17 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
     ``trials`` below 0 or an ``n_max`` below 2 is a validation error,
     raised before anything is printed.
     """
+    # the oracle, with fractions and decimal, loads only for this command
+    from .oracle import (
+        additivity_check,
+        complete_monotonicity_check,
+        envelope_sample_bound,
+        lp_lower_expectation,
+        natural_extension_table,
+        pbox_representability_check,
+        random_credal_instance,
+    )
+
     if trials < 0:
         raise ValidationError(f"--trials must be at least 0, got {trials}")
     if n_max < 2:
@@ -438,7 +450,7 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
     return 1 if violations else 0
 
 
-def _serialize(instance: FiniteCredalInstance) -> str:
+def _serialize(instance) -> str:
     lo = [str(v) for v in instance.lower_cum]
     hi = [str(v) for v in instance.upper_cum]
     return f"lower={lo} upper={hi}"
@@ -492,8 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args gives each call a fresh namespace
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -184,6 +184,9 @@ def _positive_support(op: str, x: RealLinePBox) -> None:
         raise ValidationError("multiplication and division need strictly positive supports")
 
 
+# a corner or stationary point beyond the float range overflows to ±inf, which
+# the segment or its cell drops, or at which a CDF takes its limit, 0 or 1
+@np.errstate(over="ignore")
 def _arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y: float) -> float:
     """One side of the CDF of ``X1 op X2`` at y under unknown dependence.
 

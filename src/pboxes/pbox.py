@@ -115,8 +115,11 @@ class PiecewiseLinearCdf:
             raise ValidationError("CDF values must lie in [0, 1]")
         if fs[-1] != 1.0:
             raise ValidationError("the CDF must reach 1 at the top of its domain")
-        object.__setattr__(self, "_xs", np.array(xs))
-        object.__setattr__(self, "_fs", np.array(fs))
+        # read-only, as the CDF of a builtin scenario is shared within a process
+        xs, fs = np.array(xs), np.array(fs)
+        xs.flags.writeable = fs.flags.writeable = False
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_fs", fs)
 
     @property
     def domain(self) -> tuple:

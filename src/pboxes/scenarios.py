@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -493,7 +494,10 @@ _BUILTIN_BUILDERS = {
 BUILTIN_NAMES = tuple(sorted(_BUILTIN_BUILDERS))
 
 
+@cache
 def builtin_scenario(name: str) -> Scenario:
+    """The builtin scenario ``name``, built once per process and then shared:
+    a scenario and everything it holds is immutable."""
     return _build(_BUILTIN_BUILDERS, name, "builtin scenario")
 
 

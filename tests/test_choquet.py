@@ -501,6 +501,18 @@ class TestUpperExpectation:
         res = upper_expectation(box, osc, TIGHT)
         assert res.bracket[0] <= 0.5 + 0.5 * 0.4 <= res.bracket[1]
 
+    def test_levels_near_the_float_range_warn_not(self):
+        # the shares of the refinement overflow: each such cell is cut into
+        # the most parts, with no numpy warning (an error under the test
+        # configuration), and the value and bound stay as pinned
+        osc = piecewise_linear_oscillation([[0, -8e307], [1, 8e307]])
+        res = upper_expectation(UNIFORM_BOX, osc)
+        assert not res.converged
+        assert res.value == pytest.approx(-9.9792015476736e+291, rel=1e-9)
+        assert res.error_bound == pytest.approx(1.2207042892420372e+303, rel=1e-9)
+        # the exact value, the mean of the line under a precise uniform law
+        assert res.bracket[0] <= 0.0 <= res.bracket[1]
+
 
 class TestFiniteChoquet:
     def test_indicator_reduces_to_event(self, rng):

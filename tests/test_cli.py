@@ -628,6 +628,16 @@ class TestInfer:
         assert code == 2 and out == ""
         assert err == "parse error: document: nested too deeply\n"
 
+    def test_integer_beyond_the_digit_limit_exit_2(self, tmp_path, capsys):
+        # Python converts at most 4,300 digits to an int by default
+        path = tmp_path / "long.json"
+        path.write_text('{"pbox": {"analytic": {"lower": "square", "upper": "uniform"}}, '
+                        '"queries": [{"kind": "threshold", "target": 1' + "0" * 5000
+                        + ', "oscillation": {"builtin": "dike_upper"}}]}')
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 2 and out == ""
+        assert err == "parse error: document: an integer literal of 5001 digits is too long\n"
+
 
 # a linear p-box and arithmetic operands, whose checks merge the knots of two
 # CDFs, with a knots oscillation as a scenario file would have
@@ -643,33 +653,87 @@ COLD_DOC = {
 }
 
 _MODULES_AFTER_MAIN = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 from pboxes.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, sorted(name for name in sys.modules
-                   if name.partition(".")[0] == "scipy"
-                   or (name + ".").startswith("numpy.ma.")))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-@pytest.mark.parametrize("argv", [["infer", "DOC"], ["table", "DOC"], ["paper", "dike"],
-                                  ["verify", "--trials", "2"]],
-                         ids=["infer", "table", "paper", "verify"])
-def test_commands_leave_numpy_ma_and_scipy_unloaded(tmp_path, argv):
-    # np.unique and np.union1d import numpy.ma on their first call, which
-    # costs a cold process more than the whole of a small query
+def _pboxes_env() -> dict:
+    """The environment of a child interpreter that imports this pboxes."""
     import pboxes
 
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pboxes.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _modules_after_main(tmp_path, argv) -> set:
+    """The modules a fresh interpreter holds after ``main(argv)`` returned 0,
+    ``DOC`` in ``argv`` standing for a file of :data:`COLD_DOC`."""
     path = tmp_path / "cold.json"
     path.write_text(json.dumps(COLD_DOC))
     argv = [str(path) if arg == "DOC" else arg for arg in argv]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pboxes.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
-                         capture_output=True, text=True, env=env, check=True).stdout
-    assert out.strip() == "0 []"
+                         capture_output=True, text=True, env=_pboxes_env(), check=True).stdout
+    code, modules = json.loads(out)
+    assert code == 0
+    return set(modules)
+
+
+COMMANDS = pytest.mark.parametrize(
+    "argv", [["infer", "DOC"], ["table", "DOC"], ["paper", "dike"], ["verify", "--trials", "2"]],
+    ids=["infer", "table", "paper", "verify"])
+
+
+@COMMANDS
+def test_commands_leave_numpy_ma_and_scipy_unloaded(tmp_path, argv):
+    # np.unique and np.union1d import numpy.ma on their first call, which
+    # costs a cold process more than the whole of a small query
+    modules = _modules_after_main(tmp_path, argv)
+    assert sorted(name for name in modules if name.partition(".")[0] == "scipy"
+                  or (name + ".").startswith("numpy.ma.")) == []
+
+
+@COMMANDS
+def test_only_verify_loads_the_oracle(tmp_path, argv):
+    # the oracle, fractions and decimal take about 13 ms of a cold import
+    loaded = {"pboxes.oracle", "fractions"} & _modules_after_main(tmp_path, argv)
+    assert loaded == ({"pboxes.oracle", "fractions"} if argv[0] == "verify" else set())
+
+
+def _without_elapsed(out: str) -> str:
+    """CSV output with its wall-time column dropped; other output as it is."""
+    lines = out.splitlines()
+    if lines and lines[0] == CSV_HEADER:
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    return "\n".join(lines)
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, capsys):
+    # one parser serves every call of a process: a flag given to one call
+    # must not reach the next, and a refused argv must leave it as it was
+    path = tmp_path / "cold.json"
+    path.write_text(json.dumps(COLD_DOC))
+    argvs = [["infer", str(path), "--tol", "0.05"], ["infer", str(path)],
+             ["infer", str(path), "--tol"], ["paper", "dike"]]
+    codes = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses an argv with exit 2
+            code = exc.code
+        codes.append(code)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from pboxes.cli import main; "
+                                   "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=_pboxes_env())
+        assert (code, _without_elapsed(out), err) == (
+            fresh.returncode, _without_elapsed(fresh.stdout), fresh.stderr), argv
+    assert codes == [0, 0, 2, 0]
 
 
 TWO_MARGINALS = [

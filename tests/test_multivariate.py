@@ -324,6 +324,30 @@ class TestAgainstFineGridOracle:
                         (trial, op, y, "upper")
 
 
+class TestNearTheFloatRange:
+    """Corners and stationary points beyond the float range overflow to inf
+    with no numpy warning, which the test configuration makes an error."""
+
+    WIDE = RealLinePBox.from_knots([[1e-300, 0.0], [1e300, 1.0]])
+
+    def test_divide_partner_beyond_the_float_range(self):
+        # the preimage k * y of x2's top knot, 1e300 * 1e10, overflows
+        low, up = prob_arith_transform("divide", self.WIDE, self.WIDE, 1e10)
+        # X1 / X2 keeps its law when both operands are scaled by one factor:
+        # the oracle checks the bound on operands scaled into its range
+        scaled = RealLinePBox.from_knots([[1e-310, 0.0], [1e290, 1.0]])
+        oracle_lower, oracle_upper = ORACLES["divide"]
+        assert low == pytest.approx(oracle_lower(scaled, scaled, 1e10), abs=1e-6)
+        assert up == pytest.approx(oracle_upper(scaled, scaled, 1e10), abs=1e-6)
+        assert (low, up) == (pytest.approx(1.0 - 1e-10, abs=1e-15), 1.0)
+
+    def test_multiply_stationary_point_beyond_the_float_range(self):
+        x2 = RealLinePBox.from_knots([[1e-300, 0.0], [1.0, 0.5], [1e300, 1.0]],
+                                     [[1e-300, 0.2], [1.0, 0.7], [1e300, 1.0]])
+        low, up = prob_arith_transform("multiply", self.WIDE, x2, 1e10)
+        assert (low, up) == (0.0, pytest.approx(0.7, abs=1e-12))
+
+
 def _op_support(op, x1, x2):
     (a1, b1), (a2, b2) = x1.support, x2.support
     if op == "add":

@@ -235,6 +235,18 @@ class TestInputNumbers:
                  if isinstance(node, ast.ImportFrom) and node.level > 0}
         assert local == {"errors"}
 
+    def test_public_names_resolve_through_the_package(self):
+        # the package loads the oracle on first use of one of its names
+        import pboxes
+        import pboxes.oracle
+
+        for name in pboxes.oracle.__all__:
+            assert getattr(pboxes, name) is getattr(pboxes.oracle, name)
+            assert name in dir(pboxes)
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            getattr(pboxes, "no_such_name")
+
+
 class TestEnvelopeSampleBound:
     def test_precise_instance_exact_for_any_samples(self):
         cum = (0.25, 0.75, 1.0)

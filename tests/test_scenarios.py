@@ -155,6 +155,10 @@ class TestRegistries:
                 "example_frechet_62", "example_independent_63",
                 "example_diagonal_46"} == set(BUILTIN_NAMES)
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_built_once(self, name):
+        assert builtin_scenario(name) is builtin_scenario(name)
+
     def test_piecewise_oscillation_needs_two_knots(self):
         with pytest.raises(ValidationError):
             piecewise_linear_oscillation([(0.0, 1.0)])
