@@ -81,9 +81,10 @@ class Oscillation:
     decreasing, so that each cut set is one interval with one end to find;
     it needs no inverse and may jump.
 
-    ``sup_value`` may be ``math.inf`` for upper oscillations that blow up at
-    the top of the coordinate range; expectations then require a tail
-    tolerance (see :class:`QuadratureConfig`).
+    ``sup_value`` may be ``math.inf`` for a black-box upper oscillation that
+    blows up at the top of the coordinate range; expectations then require a
+    tail tolerance (see :class:`QuadratureConfig`).  A knot oscillation is
+    bounded by its knots.
 
     ``knots``, when given, are sorted ``(z, value)`` pairs of which ``f`` is
     the linear interpolation, held flat beyond the end knots (as
@@ -111,6 +112,8 @@ class Oscillation:
         object.__setattr__(self, "inf_value", _finite_number(self.inf_value))
         if math.isnan(self.sup_value) or self.inf_value > self.sup_value:
             raise ValidationError("inf_value exceeds sup_value")
+        if self.knots is not None and math.isinf(self.sup_value):
+            raise ValidationError("a knot oscillation is bounded by its knots")
         object.__setattr__(self, "f", vectorized(self.f))
         zs = np.linspace(0.0, 1.0, _VALIDATION_POINTS)
         vals = self.f(zs)
@@ -528,7 +531,6 @@ def threshold_solve(pbox: PBox, uosc: Oscillation, target: float,
     """
     _require_continuum(pbox)
     _require_target(target)
-    unreachable = "threshold target unreachable on the search range"
     prob = partial(_batch_cut_probs, pbox, uosc, upper=True, cfg=cfg)
     level, lo, hi = np.asarray, uosc.inf_value, uosc.sup_value
     if uosc.knots is None:
@@ -536,15 +538,9 @@ def threshold_solve(pbox: PBox, uosc: Oscillation, target: float,
         lo, hi = 0.0, 1.0
     if prob(np.array([lo]))[0] <= target:
         return uosc.inf_value
-    if math.isinf(hi):
-        try:
-            # prob <= target is prob < the next float above target
-            hi, lo = _span_doubling(prob, lo, np.nextafter(target, np.inf))
-        except ToleranceError:
-            raise ToleranceError(unreachable) from None
-    elif prob(np.array([hi]))[0] > target:
+    if prob(np.array([hi]))[0] > target:
         if level(np.array([hi]))[0] >= uosc.sup_value:
-            raise ToleranceError(unreachable)
+            raise ToleranceError("threshold target unreachable on the search range")
         lo = hi  # over the coordinate, the levels above f(1) < sup_value cut nothing
     while True:
         t_lo, t_hi = level(np.array([lo, hi]))

@@ -2,12 +2,12 @@
 
 Every query carries the model it asks about, and :func:`run_query` sends it
 to the engine through one table from query kind to runner.  Each builtin is
-a fixed query list built from p-boxes and the closed-form oscillations of
-its target quantity, so the two engineering case studies (a damped
+a fixed query list, so the two engineering case studies (a damped
 oscillator's damping ratio, a river dike's overflow height) and the finite
-worked examples can be reproduced by name.  The joint examples build
-finite product models with :func:`combine`.  Fixture constants are asserted
-against their defining closed forms when assertions are enabled.
+worked examples can be reproduced by name.  A case study's oscillations
+are its gamble's values at the corners of the boxes that make up the
+classes of its joint coordinate.  The joint examples build finite product
+models with :func:`combine`.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ __all__ = [
     "run_scenario",
     "named_cdf",
     "named_oscillation",
-    "oscillator_lower_oscillation",
-    "oscillator_upper_oscillation",
-    "dike_lower_oscillation",
-    "dike_upper_oscillation",
-    "dike_overflow_curve",
     "diagonal_rectangle_interior",
 ]
 
@@ -248,106 +243,89 @@ def named_cdf(name: str) -> AnalyticCdf:
 
 
 # ---------------------------------------------------------------------------
-# damped oscillator: damping ratio of a unit-mass design at (c, k) = (2, 1),
-# coordinate Z(c, k) = max(|c - 2|, 2|k - 1|) on the region Z <= 1
-
-_SQRT6 = math.sqrt(6.0)
-_RATIO_INF = 1.0 / _SQRT6
-_RATIO_SUP = 3.0 / math.sqrt(2.0)
+# case studies: a gamble of several variables on the joint coordinate
+# Z = max_i |x_i - c_i| / h_i, whose class at z is the boundary of the box of
+# radius z about the centres
 
 
-def oscillator_lower_oscillation() -> Oscillation:
-    def f(z):
-        z = np.asarray(z, dtype=float)
-        return (2.0 - z) / (2.0 * np.sqrt(1.0 + z / 2.0))
+def _corner_oscillations(gamble, centres, half_widths, signs) -> tuple:
+    """Decreasing lower and increasing upper oscillation of ``gamble``.
 
-    return Oscillation(f, inf_value=_RATIO_INF, sup_value=1.0, monotonicity=DECREASING)
+    ``gamble`` takes one argument per variable and is monotone in each,
+    increasing where ``signs`` has +1 and decreasing where it has -1, so
+    over the class at z its least and greatest values are at the corners
+    ``c_i - s_i h_i z`` and ``c_i + s_i h_i z``.  Each side's bounds are
+    its values at the centres and at the corner of radius 1.
+    """
 
+    def corner(direction: float):
+        steps = [direction * s * h for s, h in zip(signs, half_widths)]
 
-def oscillator_upper_oscillation() -> Oscillation:
-    def f(z):
-        z = np.asarray(z, dtype=float)
-        return (2.0 + z) / (2.0 * np.sqrt(1.0 - z / 2.0))
+        def f(z):
+            z = np.asarray(z, dtype=float)
+            return gamble(*(c + step * z for c, step in zip(centres, steps)))
 
-    return Oscillation(f, inf_value=1.0, sup_value=_RATIO_SUP, monotonicity=INCREASING)
+        return f
 
-
-def _oscillator_scenario() -> Scenario:
-    if __debug__:
-        assert abs(float(oscillator_lower_oscillation().f(1.0)) - _RATIO_INF) < 1e-12
-        assert abs(float(oscillator_upper_oscillation().f(1.0)) - _RATIO_SUP) < 1e-12
-    marginals = [PBox(named_cdf("uniform"), named_cdf("one")) for _ in range(2)]
-    joint = combine(marginals, INDEPENDENT)
-    queries = (
-        Query("damping_ratio_lower", "expectation_lower", joint,
-              oscillation=oscillator_lower_oscillation()),
-        Query("damping_ratio_upper", "expectation_upper", joint,
-              oscillation=oscillator_upper_oscillation()),
-    )
-    return Scenario("oscillator", joint, queries)
+    lower, upper = corner(-1.0), corner(1.0)
+    mid = float(gamble(*centres))
+    return (Oscillation(lower, inf_value=float(lower(1.0)), sup_value=mid,
+                        monotonicity=DECREASING),
+            Oscillation(upper, inf_value=mid, sup_value=float(upper(1.0)),
+                        monotonicity=INCREASING))
 
 
-# ---------------------------------------------------------------------------
-# river dike: overflow height under unknown dependence between flow rate,
-# Strickler coefficient, and the two water levels, with deviation coordinates
-# 2|r - 1/2|, |k - 30|/15, |u - 55| and |d - 50|
+def _damping_ratio(c, k):
+    """Damping ratio of a unit-mass oscillator with damping c and stiffness k."""
+    return c / (2.0 * np.sqrt(k))
 
+
+# the dike's Gumbel flow law and river geometry
 DIKE_GUMBEL_LOCATION = 1335.0
 DIKE_GUMBEL_SCALE = 716.0
 DIKE_RIVER_WIDTH = 300.0
 DIKE_RIVER_LENGTH = 6400.0
 
 
-def dike_overflow_curve(z):
-    """Extreme overflow height over the contour at deviation coordinate z.
-
-    Increasing from 0 at z = -1 to infinity at z = 1; the value at z is
-    the worst case over the contour, the value at -z the best case.
-    """
-    z = np.asarray(z, dtype=float)
+def _overflow(r, k, u, d):
+    """Overflow height at flow quantile r, Strickler coefficient k and the
+    upstream and downstream levels u > d; +inf at r = 1."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inner = -np.log((1.0 + z) / 2.0)
-        flow = DIKE_GUMBEL_LOCATION - DIKE_GUMBEL_SCALE * np.log(inner)
+        flow = DIKE_GUMBEL_LOCATION - DIKE_GUMBEL_SCALE * np.log(-np.log(r))
         flow = np.maximum(flow, 0.0)
-        denom = ((30.0 - 15.0 * z)
-                 * np.sqrt((5.0 - 2.0 * z) / DIKE_RIVER_LENGTH) * DIKE_RIVER_WIDTH)
-        out = (flow / denom) ** 0.6
-    return float(out) if out.ndim == 0 else out
+        return (flow / (k * np.sqrt((u - d) / DIKE_RIVER_LENGTH) * DIKE_RIVER_WIDTH)) ** 0.6
 
 
-def dike_lower_oscillation() -> Oscillation:
-    top = dike_overflow_curve(0.0)
-
-    def f(z):
-        return dike_overflow_curve(np.negative(z))
-
-    return Oscillation(f, inf_value=0.0, sup_value=top, monotonicity=DECREASING)
-
-
-def dike_upper_oscillation() -> Oscillation:
-    top = dike_overflow_curve(0.0)
-    return Oscillation(dike_overflow_curve, inf_value=top, sup_value=math.inf,
-                       monotonicity=INCREASING)
+_CASE_STUDY_GAMBLES = {
+    # the design (c, k) = (2, 1), coordinate max(|c - 2|, 2|k - 1|)
+    "oscillator": (_damping_ratio, (2.0, 1.0), (1.0, 0.5), (1, -1)),
+    # coordinate max(2|r - 1/2|, |k - 30|/15, |u - 55|, |d - 50|)
+    "dike": (_overflow, (0.5, 30.0, 55.0, 50.0), (0.5, 15.0, 1.0, 1.0), (1, -1, -1, 1)),
+}
 
 
-def _dike_frechet_lower(z):
-    z = np.asarray(z, dtype=float)
-    return np.maximum(0.0, -3.0 + z + 3.0 * (1.0 - (1.0 - z) ** 2))
+def _case_study_oscillations(name: str) -> tuple:
+    return _corner_oscillations(*_CASE_STUDY_GAMBLES[name])
+
+
+def _oscillator_scenario() -> Scenario:
+    marginals = [PBox(named_cdf("uniform"), named_cdf("one")) for _ in range(2)]
+    joint = combine(marginals, INDEPENDENT)
+    lower_osc, upper_osc = _case_study_oscillations("oscillator")
+    queries = (
+        Query("damping_ratio_lower", "expectation_lower", joint, oscillation=lower_osc),
+        Query("damping_ratio_upper", "expectation_upper", joint, oscillation=upper_osc),
+    )
+    return Scenario("oscillator", joint, queries)
 
 
 def _dike_scenario() -> Scenario:
     marginals = [PBox(named_cdf("uniform"), named_cdf("one"))]
     marginals += [PBox(named_cdf("triangular_sym"), named_cdf("one")) for _ in range(3)]
     joint = combine(marginals, FRECHET)
-    if __debug__:
-        assert abs(dike_overflow_curve(0.0) - 3.0315831610902353) < 1e-9
-        assert dike_overflow_curve(-1.0) == 0.0
-        zs = np.linspace(0.0, 1.0, 257)
-        assert np.max(np.abs(joint.lower(zs) - _dike_frechet_lower(zs))) < 1e-12
-    upper_osc = dike_upper_oscillation()
+    lower_osc, upper_osc = _case_study_oscillations("dike")
     queries = (
-        Query("overflow_lower", "expectation_lower", joint,
-              oscillation=dike_lower_oscillation()),
+        Query("overflow_lower", "expectation_lower", joint, oscillation=lower_osc),
         Query("overflow_upper", "expectation_upper", joint, oscillation=upper_osc),
         Query("design_height_p01", "threshold", joint, oscillation=upper_osc,
               target=0.01),
@@ -502,10 +480,10 @@ def builtin_scenario(name: str) -> Scenario:
 
 
 _NAMED_OSCILLATIONS = {
-    "oscillator_lower": oscillator_lower_oscillation,
-    "oscillator_upper": oscillator_upper_oscillation,
-    "dike_lower": dike_lower_oscillation,
-    "dike_upper": dike_upper_oscillation,
+    "oscillator_lower": lambda: _case_study_oscillations("oscillator")[0],
+    "oscillator_upper": lambda: _case_study_oscillations("oscillator")[1],
+    "dike_lower": lambda: _case_study_oscillations("dike")[0],
+    "dike_upper": lambda: _case_study_oscillations("dike")[1],
 }
 
 

@@ -5,14 +5,18 @@ the defining sup/inf expressions, with no reuse of the library's transform
 or optimiser code.  The sweep covers the full hull of the constraint line
 where either factor is still varying — an infimum can sit just outside the
 naive feasible segment, where one CDF has already saturated at 0 or 1 —
-and is a dense uniform grid augmented with the exact CDF corner points
-plus one-sided probes beside them (limits at jumps matter).
+clipped to the float range, and is a dense uniform grid augmented with the
+exact CDF corner points plus one-sided probes beside them (limits at jumps
+matter).
 """
+
+import sys
 
 import numpy as np
 
 GRID = 100_000
 _EPS = 1e-9
+_FLOAT_MAX = sys.float_info.max
 
 
 def _sweep(lo, hi, corners, grid=GRID):
@@ -45,6 +49,9 @@ def _bounds(op, x1, x2, y):
         seg = (max(a1, y * a2), min(b1, y * b2))
         hull = (min(a1, y * a2), max(b1, y * b2))
         low_support = a1 / b2
+    # beyond the float range x1 lies outside its support, where both of its
+    # CDFs are flat, and a linear sweep to an infinite end would be all NaN
+    hull = (max(hull[0], -_FLOAT_MAX), min(hull[1], _FLOAT_MAX))
     return seg, hull, low_support
 
 

@@ -40,10 +40,7 @@ from pboxes.preorder import (
 )
 from pboxes.scenarios import (
     builtin_scenario,
-    dike_lower_oscillation,
-    dike_upper_oscillation,
-    oscillator_lower_oscillation,
-    oscillator_upper_oscillation,
+    named_oscillation,
     piecewise_linear_oscillation,
 )
 
@@ -59,11 +56,11 @@ def constant_oscillation(c):
 
 class TestCutEvent:
     def test_oscillator_boundary_level_gives_whole_space(self):
-        osc = oscillator_lower_oscillation()
+        osc = named_oscillation("oscillator_lower")
         assert cut_event(osc, 1.0 / math.sqrt(6.0)) == FULL_EVENT
 
     def test_oscillator_interior_level(self):
-        osc = oscillator_lower_oscillation()
+        osc = named_oscillation("oscillator_lower")
         cut = cut_event(osc, 0.7)
         assert len(cut.intervals) == 1
         iv = cut.intervals[0]
@@ -372,6 +369,11 @@ class TestOscillationValidation:
         with pytest.raises(ValidationError):
             Oscillation(lambda z: z, 0.0, 1.0, "sideways")
 
+    def test_knot_oscillation_refuses_an_infinite_supremum(self):
+        with pytest.raises(ValidationError, match="^a knot oscillation is bounded by its knots$"):
+            Oscillation(lambda z: np.asarray(z, float), 0.0, math.inf, INCREASING,
+                        knots=((0.0, 0.0), (1.0, 1.0)))
+
 
 class TestLowerExpectation:
     def test_constant_gamble_exact(self):
@@ -398,7 +400,7 @@ class TestLowerExpectation:
             lower_expectation(box, constant_oscillation(1.0))
 
     def test_constant_shift(self):
-        base = oscillator_lower_oscillation()
+        base = named_oscillation("oscillator_lower")
         shifted = Oscillation(lambda z: base.f(z) + 3.0, base.inf_value + 3.0,
                               base.sup_value + 3.0, DECREASING)
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
@@ -410,7 +412,7 @@ class TestLowerExpectation:
         assert b.value == pytest.approx(a.value + 3.0, abs=2 * cfg.abs_tol)
 
     def test_budget_exhaustion_is_flagged_not_raised(self):
-        osc = oscillator_lower_oscillation()
+        osc = named_oscillation("oscillator_lower")
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
@@ -423,7 +425,7 @@ class TestLowerExpectation:
         assert abs(res.value - exact.value) <= res.error_bound
 
     def test_bracket_width_halves_with_refinement(self):
-        osc = oscillator_lower_oscillation()
+        osc = named_oscillation("oscillator_lower")
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
@@ -441,8 +443,8 @@ class TestUpperExpectation:
         assert res.value == pytest.approx(0.5, abs=2e-6)
 
     def test_dominates_lower(self):
-        losc = oscillator_lower_oscillation()
-        uosc = oscillator_upper_oscillation()
+        losc = named_oscillation("oscillator_lower")
+        uosc = named_oscillation("oscillator_upper")
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
@@ -454,8 +456,8 @@ class TestUpperExpectation:
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
-        for osc, upper in ((oscillator_lower_oscillation(), False),
-                           (oscillator_upper_oscillation(), True)):
+        for osc, upper in ((named_oscillation("oscillator_lower"), False),
+                           (named_oscillation("oscillator_upper"), True)):
             ts = np.linspace(osc.inf_value, osc.sup_value, 23)
             fast = _batch_cut_probs(box, osc, ts, upper, TIGHT)
             for t, val in zip(ts, fast):
@@ -731,7 +733,7 @@ class TestAdaptiveDarboux:
             return _darboux(batches[-1], *args, **kwargs)
 
         monkeypatch.setattr(choquet, "_darboux", counted)
-        res = upper_expectation(builtin_scenario("dike").pbox, dike_upper_oscillation(),
+        res = upper_expectation(builtin_scenario("dike").pbox, named_oscillation("dike_upper"),
                                 QuadratureConfig(abs_tol=1e-4))
         assert res.converged
         assert len(batches) == 1
@@ -740,15 +742,9 @@ class TestAdaptiveDarboux:
     @pytest.mark.parametrize("case", ["oscillator_lower", "oscillator_upper", "dike_lower",
                                       "dike_upper"])
     def test_brackets_nest(self, case):
-        if case == "dike_lower":
-            box, osc, fine_tol = builtin_scenario("dike").pbox, dike_lower_oscillation(), 1e-6
-        elif case == "dike_upper":
-            # at 1e-6 the level grid reaches its cap of 2**21 before converging
-            box, osc, fine_tol = builtin_scenario("dike").pbox, dike_upper_oscillation(), 1e-5
-        else:
-            box, fine_tol = builtin_scenario("oscillator").pbox, 1e-6
-            osc = (oscillator_lower_oscillation() if case.endswith("lower")
-                   else oscillator_upper_oscillation())
+        box, osc = builtin_scenario(case.split("_")[0]).pbox, named_oscillation(case)
+        # at 1e-6 the dike's upper level grid reaches its cap of 2**21 before converging
+        fine_tol = 1e-5 if case == "dike_upper" else 1e-6
         compute = upper_expectation if case.endswith("upper") else lower_expectation
         coarse = compute(box, osc, QuadratureConfig(abs_tol=1e-3))
         fine = compute(box, osc, QuadratureConfig(abs_tol=fine_tol))
@@ -766,7 +762,7 @@ class TestMemory:
     def test_dike_upper_expectation_peak(self):
         """Integrating over the coordinate keeps the grid and the cut
         probabilities only, and evaluates the curve and the CDFs in chunks."""
-        box, osc = builtin_scenario("dike").pbox, dike_upper_oscillation()
+        box, osc = builtin_scenario("dike").pbox, named_oscillation("dike_upper")
         upper_expectation(box, osc)  # warm-up: caches and first-call allocations
         tracemalloc.start()
         try:
@@ -791,7 +787,7 @@ class TestSpanDoubling:
 
     @pytest.mark.parametrize("value", [1.0, 0.5, 1e-3, 1e-8, 1e-30])
     def test_matches_sequential_probing(self, value):
-        box, osc = builtin_scenario("dike").pbox, dike_upper_oscillation()
+        box, osc = builtin_scenario("dike").pbox, named_oscillation("dike_upper")
 
         def batch(ts):
             return _batch_cut_probs(box, osc, ts, True, DEFAULT_CONFIG)
@@ -806,7 +802,7 @@ class TestSpanDoubling:
 
 class TestThresholdSolve:
     def test_trivial_target_one(self):
-        osc = oscillator_upper_oscillation()
+        osc = named_oscillation("oscillator_upper")
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
@@ -816,7 +812,7 @@ class TestThresholdSolve:
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
-        osc = oscillator_upper_oscillation()
+        osc = named_oscillation("oscillator_upper")
         target = 0.3
         t_star = threshold_solve(box, osc, target)
         # direct inversion: upper cut probability is 1 - (boundary)^2
@@ -838,7 +834,7 @@ class TestThresholdSolve:
         assert 0.5 <= t_star <= 0.5 + DEFAULT_CONFIG.bisect_tol
 
     def test_invalid_target(self):
-        osc = oscillator_upper_oscillation()
+        osc = named_oscillation("oscillator_upper")
         with pytest.raises(ValidationError):
             threshold_solve(UNIFORM_BOX, osc, 0.0)
 
@@ -860,10 +856,12 @@ class TestQuadratureConfig:
 
 class TestThresholdSearch:
     CASES = {
-        # unbounded upper oscillation: the search range comes from span doubling
-        "dike": (lambda: builtin_scenario("dike").pbox, dike_upper_oscillation, 0.01),
+        # unbounded upper oscillation: like every black box, the search runs
+        # over its coordinate, whose range is [0, 1] whatever the levels' range
+        "dike": (lambda: builtin_scenario("dike").pbox,
+                 lambda: named_oscillation("dike_upper"), 0.01),
         "oscillator": (lambda: builtin_scenario("oscillator").pbox,
-                       oscillator_upper_oscillation, 0.3),
+                       lambda: named_oscillation("oscillator_upper"), 0.3),
     }
 
     @staticmethod

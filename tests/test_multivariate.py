@@ -339,6 +339,9 @@ class TestNearTheFloatRange:
         oracle_lower, oracle_upper = ORACLES["divide"]
         assert low == pytest.approx(oracle_lower(scaled, scaled, 1e10), abs=1e-6)
         assert up == pytest.approx(oracle_upper(scaled, scaled, 1e10), abs=1e-6)
+        # and, its sweep clipped to the float range, on the operands themselves
+        assert low == pytest.approx(oracle_lower(self.WIDE, self.WIDE, 1e10), abs=1e-6)
+        assert up == pytest.approx(oracle_upper(self.WIDE, self.WIDE, 1e10), abs=1e-6)
         assert (low, up) == (pytest.approx(1.0 - 1e-10, abs=1e-15), 1.0)
 
     def test_multiply_stationary_point_beyond_the_float_range(self):

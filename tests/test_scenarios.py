@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from case_study_reference import REFERENCE_CURVES, dike_overflow_curve
 
 from pboxes.choquet import QuadratureConfig, threshold_solve
 from pboxes.errors import ValidationError
@@ -12,13 +13,8 @@ from pboxes.scenarios import (
     BUILTIN_NAMES,
     Query,
     builtin_scenario,
-    dike_lower_oscillation,
-    dike_overflow_curve,
-    dike_upper_oscillation,
     named_cdf,
     named_oscillation,
-    oscillator_lower_oscillation,
-    oscillator_upper_oscillation,
     piecewise_linear_oscillation,
     run_query,
     run_scenario,
@@ -44,10 +40,41 @@ def assert_pinned_rows(results):
         assert r.error_bound == pytest.approx(error_bound, rel=1e-9, abs=0.0), r.id
 
 
+class TestCornerOscillations:
+    """The case studies' oscillations, built from their gambles by the corner
+    rule, against the hand-derived curves of ``case_study_reference``."""
+
+    GRID = np.concatenate([np.linspace(0.0, 1.0, 1025), [1e-9, 0.5 - 1e-12, 1.0 - 1e-9]])
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CURVES))
+    def test_agrees_with_the_hand_derived_curve(self, name):
+        osc = named_oscillation(name)
+        got, want = osc.f(self.GRID), REFERENCE_CURVES[name](self.GRID)
+        finite = np.isfinite(want)
+        assert np.array_equal(finite, np.isfinite(got))
+        # the dike's upper side is unbounded, so its agreement is relative
+        scale = np.abs(want[finite]) if name == "dike_upper" else 1.0
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale)
+        for z in (0.0, 1.0):
+            assert float(osc.f(z)) == pytest.approx(REFERENCE_CURVES[name](z),
+                                                    rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("name, bounds", [
+        ("oscillator_lower", (1.0 / math.sqrt(6.0), 1.0)),
+        ("oscillator_upper", (1.0, 3.0 / math.sqrt(2.0))),
+        ("dike_lower", (0.0, 3.0315831610902353)),
+        ("dike_upper", (3.0315831610902353, math.inf)),
+    ])
+    def test_bounds_are_the_corner_values(self, name, bounds):
+        osc = named_oscillation(name)
+        assert (osc.inf_value, osc.sup_value) == bounds
+        assert type(osc.inf_value) is float and type(osc.sup_value) is float
+
+
 class TestOscillatorFixture:
     def test_oscillation_endpoints(self):
-        losc = oscillator_lower_oscillation()
-        uosc = oscillator_upper_oscillation()
+        losc = named_oscillation("oscillator_lower")
+        uosc = named_oscillation("oscillator_upper")
         assert float(losc.f(0.0)) == pytest.approx(1.0)
         assert float(losc.f(1.0)) == pytest.approx(1.0 / math.sqrt(6.0))
         assert float(uosc.f(1.0)) == pytest.approx(3.0 / math.sqrt(2.0))
@@ -72,7 +99,7 @@ class TestDikeFixture:
 
     def test_threshold_cross_checked_by_direct_inversion(self):
         scenario = builtin_scenario("dike")
-        uosc = dike_upper_oscillation()
+        uosc = named_oscillation("dike_upper")
         target = 0.5
         t_star = threshold_solve(scenario.pbox, uosc, target)
 
@@ -101,7 +128,7 @@ class TestDikeFixture:
 
     def test_tail_tolerance_controls_reported_error(self):
         scenario = builtin_scenario("dike")
-        uosc = dike_lower_oscillation()
+        uosc = named_oscillation("dike_lower")
         # a tighter quadrature tolerance narrows the bracket
         from pboxes.choquet import lower_expectation
         loose = lower_expectation(scenario.pbox, uosc, QuadratureConfig(abs_tol=1e-3))
@@ -207,7 +234,7 @@ class TestQueryValidation:
         ("expectation_lower", {}, "oscillation"),
         ("expectation_upper", {}, "oscillation"),
         ("threshold", {"target": 0.5}, "oscillation"),
-        ("threshold", {"oscillation": dike_upper_oscillation()}, "target"),
+        ("threshold", {"oscillation": named_oscillation("dike_upper")}, "target"),
         ("arith_op", {"x2": TestArithmeticQuery.UNIFORM, "y": 0.5}, "x1"),
         ("arith_add", {"x1": TestArithmeticQuery.UNIFORM, "y": 0.5}, "x2"),
         ("arith_op", {"x1": TestArithmeticQuery.UNIFORM, "x2": TestArithmeticQuery.UNIFORM},
@@ -222,9 +249,9 @@ class TestQueryValidation:
         box = builtin_scenario("dike").pbox
         uniform = TestArithmeticQuery.UNIFORM
         with pytest.raises(ValidationError, match=r"^target: threshold target must lie"):
-            Query("q", "threshold", box, oscillation=dike_upper_oscillation(), target=1.5)
+            Query("q", "threshold", box, oscillation=named_oscillation("dike_upper"), target=1.5)
         with pytest.raises(ValidationError, match="^oscillation: a lower oscillation"):
-            Query("q", "expectation_lower", box, oscillation=dike_upper_oscillation())
+            Query("q", "expectation_lower", box, oscillation=named_oscillation("dike_upper"))
         with pytest.raises(ValidationError, match="^y: expected a finite number"):
             Query("q", "arith_op", x1=uniform, x2=uniform, y=math.inf)
         with pytest.raises(ValidationError, match="^x1: multiplication and division need"):
@@ -234,9 +261,10 @@ class TestQueryValidation:
         finite = builtin_scenario("example_independent_63").pbox
         continuum = builtin_scenario("oscillator").pbox
         with pytest.raises(ValidationError, match="^pbox: expectation_lower queries need"):
-            Query("q", "expectation_lower", finite, oscillation=oscillator_lower_oscillation())
+            Query("q", "expectation_lower", finite,
+                  oscillation=named_oscillation("oscillator_lower"))
         with pytest.raises(ValidationError, match="^pbox: threshold queries need"):
-            Query("q", "threshold", finite, oscillation=oscillator_upper_oscillation(),
+            Query("q", "threshold", finite, oscillation=named_oscillation("oscillator_upper"),
                   target=0.5)
         with pytest.raises(ValidationError, match="^event: z-events"):
             Query("q", "event_lower", finite, event=FULL_EVENT)
