@@ -41,6 +41,7 @@ from .preorder import (
     FiniteQuotientSpace,
     ZInterval,
     _finite_number,
+    _finite_numbers,
     normalize,
 )
 from .scenarios import (
@@ -53,6 +54,7 @@ from .scenarios import (
     named_cdf,
     named_oscillation,
     piecewise_linear_oscillation,
+    result_rows,
     run_query,
 )
 
@@ -214,22 +216,27 @@ def _event(node: _Node):
     return normalize(intervals)
 
 
-def _arith(node: _Node, qid: str, kind: str) -> list:
-    """One query per point of the ``y_grid`` (ids suffixed ``_k``), or one for ``y``."""
+def _arith(node: _Node, qid: str, kind: str) -> Query:
+    """The query of a ``y``, or of a ``y_grid`` as a tuple of its points."""
     fields = {"x1": _operand(node.get("x1")), "x2": _operand(node.get("x2")),
               "op": node.get("op", "add").of("a string") if kind == "arith_op" else "add",
               "side": node.get("side", "lower").of("a string")}
     if "y_grid" not in node.value:
-        return [node.build(Query, qid, kind, y=node.get("y").of("a number"), **fields)]
+        return node.build(Query, qid, kind, y=node.get("y").of("a number"), **fields)
     grid = node.get("y_grid")
-    ys = [y.build(_finite_number, y.value) for y in grid.items("a number", _choquet._MAX_GRID)]
+    ys = grid.values("a number", _choquet._MAX_GRID)
+    try:
+        _finite_numbers(ys)
+    except ValidationError:
+        for y in grid.items():  # the first point that is not finite, by its path
+            y.build(_finite_number, y.value)
     if not ys:
         raise grid.fail("expected at least one point", ValidationError)
-    return [node.build(Query, f"{qid}_{k}", kind, y=y, **fields) for k, y in enumerate(ys)]
+    return node.build(Query, qid, kind, y=tuple(ys), **fields)
 
 
-def _query(node: _Node, index: int, pbox) -> list:
-    """The queries of one entry of ``queries``: one, or one per arithmetic grid point."""
+def _query(node: _Node, index: int, pbox) -> Query:
+    """The query of one entry of ``queries``."""
     kind = node.get("kind").of("a string")
     qid = node.get("id", f"q{index}")
     if not set(',"\r\n').isdisjoint(qid.of("a string")):  # one CSV field, unquoted
@@ -246,7 +253,7 @@ def _query(node: _Node, index: int, pbox) -> list:
     # each of these kinds asks about the document's p-box
     if fields and pbox is None:
         raise ParseError("missing", "pbox")
-    return [node.build(Query, qid.value, kind, pbox, **fields)]
+    return node.build(Query, qid.value, kind, pbox, **fields)
 
 
 def _integer(literal: str) -> int:
@@ -270,8 +277,8 @@ def load_scenario(path: str):
             raise ParseError("nested too deeply", "document") from None
     space = _space(doc.get("space", {"type": "continuum"}))
     pbox = _box(doc.get("pbox"), space) if "pbox" in doc.of("an object") else None
-    queries = tuple(query for index, node in enumerate(doc.get("queries", []).items())
-                    for query in _query(node, index, pbox))
+    queries = tuple(_query(node, index, pbox)
+                    for index, node in enumerate(doc.get("queries", []).items()))
     config = doc.get("config", {})
     for key in config.of("an object"):
         if key not in _CONFIG_FIELDS:
@@ -296,9 +303,11 @@ def _emit_scenario(scenario: Scenario, cfg: QuadratureConfig, args) -> int:
     for query in scenario.queries:
         start = time.perf_counter()
         result = run_query(query, cfg)
-        elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
-        print(f"{result.id},{result.kind},{_fmt(result.value)},"
-              f"{_fmt(result.error_bound)},{elapsed_ms}")
+        rows = result_rows(query, result)
+        # the rows of a grid share its wall time evenly
+        elapsed_ms = int(round((time.perf_counter() - start) * 1000.0 / len(rows)))
+        for rid, value in rows:
+            print(f"{rid},{result.kind},{_fmt(value)},{_fmt(result.error_bound)},{elapsed_ms}")
         if not result.converged:
             print(f"not converged: {result.id} error bound {_fmt(result.error_bound)} "
                   f"above abs_tol {_fmt(cfg.abs_tol)}", file=sys.stderr)

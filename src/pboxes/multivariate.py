@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError, _checked
 from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf, lower_prob_field
-from .preorder import _class_index, _coordinate, _finite_number
+from .preorder import _class_index, _coordinate, _finite_number, _finite_numbers
 
 __all__ = [
     "FRECHET",
@@ -187,8 +187,9 @@ def _positive_support(op: str, x: RealLinePBox) -> None:
 # a corner or stationary point beyond the float range overflows to ±inf, which
 # the segment or its cell drops, or at which a CDF takes its limit, 0 or 1
 @np.errstate(over="ignore")
-def _arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y: float) -> float:
-    """One side of the CDF of ``X1 op X2`` at y under unknown dependence.
+def _arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y):
+    """One side of the CDF of ``X1 op X2`` under unknown dependence, at y: a
+    float at a number, an array at each point of an array.
 
     With ``p`` the partner map and ``T(x)`` the second variable's term
     (``F2(p(x))``, or ``1 - G2(p(x)-)`` when the order reverses), the lower
@@ -198,53 +199,85 @@ def _arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y: floa
     its exact partner) both CDFs are linear in their own argument, so the
     objective is linear in x, or ``a + s1 x + s2 y / x`` for a product.
     The extrema therefore sit at corners, in one-sided limits there, or at
-    the product's stationary point ``sqrt(s2 y / s1)``.
+    the product's stationary point ``sqrt(s2 y / s1)``.  Each point takes a
+    row of every corner, and the corners outside its segment are masked.
     """
     partner, preimage, reverses = _operation(op)
-    y = _finite_number(y)
+    scalar = np.ndim(y) == 0
+    ys = np.array([_finite_number(y)]) if scalar else _finite_numbers(y)
     _positive_support(op, x1)
     _positive_support(op, x2)
     (a1, b1), (a2, b2) = x1.support, x2.support
-    ends = sorted((preimage(a2, y), preimage(b2, y)))
-    lo, hi = max(a1, ends[0]), min(b1, ends[1])
-    if hi < lo:
-        # y lies below or above the whole support of X1 op X2
-        return 0.0 if ends[1] < a1 else 1.0
+    ends = preimage(a2, ys), preimage(b2, ys)
+    end_lo, end_hi = np.minimum(*ends), np.maximum(*ends)
+    lo, hi = np.maximum(a1, end_lo), np.minimum(b1, end_hi)
+    # where the segment is empty, y lies below or above the whole support of X1 op X2
+    out = np.where(end_hi < a1, 0.0, 1.0)
+    inside = hi >= lo
+    y, lo, hi = ys[inside, None], lo[inside, None], hi[inside, None]
     other = "upper" if side == "lower" else "lower"
     f1, f2 = getattr(x1, side), getattr(x2, other if reverses else side)
     xs1 = np.array((a1, b1) + f1.knot_xs)
     ks = np.array((a2, b2) + f2.knot_xs)
-    xs = np.concatenate([xs1, preimage(ks, y)])
-    ps = np.concatenate([partner(xs1, y), ks])
+    xs = np.empty((len(y), len(xs1) + len(ks)))
+    ps = np.empty_like(xs)
+    xs[:, :len(xs1)], xs[:, len(xs1):] = xs1, preimage(ks, y)
+    ps[:, :len(xs1)], ps[:, len(xs1):] = partner(xs1, y), ks
     keep = (xs >= lo) & (xs <= hi)
-    xs, ps = xs[keep], ps[keep]
-    # T at x and its limit from the right of x, both non-increasing in x
-    if reverses:
-        term, term_right = 1.0 - f2.left_limit(ps), 1.0 - f2(ps)
-    else:
-        term, term_right = f2(ps), f2.left_limit(ps)
+    # T at x and, for the upper bound, its limit from the right of x, both non-increasing in x
+    term = 1.0 - f2.left_limit(ps) if reverses else f2(ps)
     if side == "lower":
-        value = np.max(f1(xs) + term - 1.0)
+        value = np.max(np.where(keep, f1(xs) + term - 1.0, -np.inf), axis=1)
     else:
-        value = np.min(np.minimum(f1.left_limit(xs) + term, f1(xs) + term_right))
+        term_right = 1.0 - f2(ps) if reverses else f2.left_limit(ps)
+        value = np.min(np.where(keep, np.minimum(f1.left_limit(xs) + term, f1(xs) + term_right),
+                                np.inf), axis=1)
         if op == "multiply":
-            mid = _stationary_points(f1, f2, xs, ps, y)
-            value = min(value, np.min(f1(mid) + f2(y / mid), initial=1.0))
-    return min(max(float(value), 0.0), 1.0)
+            least = _stationary_minima(f1, f2, xs, ps, keep, y[:, 0])
+            value = np.where(least < value, least, value)
+    # clamped to [0, 1] as min(max(value, 0), 1) clamps, signed zeros included
+    value = np.where(value < 0.0, 0.0, value)
+    out[inside] = np.where(value > 1.0, 1.0, value)
+    return float(out[0]) if scalar else out
 
 
-def _stationary_points(f1, f2, xs, ps, y) -> np.ndarray:
-    """Minimisers of ``F1(x) + F2(y / x)`` strictly inside corner cells."""
-    order = np.argsort(xs)
-    xs, ps = xs[order], ps[order]
-    left, right, p_hi, p_lo = xs[:-1], xs[1:], ps[:-1], ps[1:]
+def _stationary_minima(f1, f2, xs, ps, keep, y) -> np.ndarray:
+    """Per row, the least ``F1(x) + F2(y / x)`` at a stationary point strictly
+    inside a corner cell, or 1 where there is none.
+
+    A cell joins consecutive kept corners in order of x.  Corners of one x can
+    hold different partners, one a rounded image of the other, and then their
+    order decides the cells.  So each row's kept corners are sorted as
+    ``np.argsort`` sorts them alone, as when each point was evaluated by
+    itself: a 1-d argsort need not be stable, and a 2-d one sorts each row
+    as the 1-d one would, so the rows with one number of kept corners sort
+    together.
+    """
+    counts = keep.sum(axis=1)
+    # dropped corners go last, and a cell that reaches one has no p_hi > p_lo
+    sorted_x, sorted_p = np.full(xs.shape, np.inf), np.full(xs.shape, np.inf)
+    for n in np.flatnonzero(np.bincount(counts)):
+        rows = counts == n
+        cx = xs[rows][keep[rows]].reshape(-1, n)
+        cp = ps[rows][keep[rows]].reshape(-1, n)
+        order = np.argsort(cx, axis=1)
+        sorted_x[rows, :n] = np.take_along_axis(cx, order, axis=1)
+        sorted_p[rows, :n] = np.take_along_axis(cp, order, axis=1)
+    left, right = sorted_x[:, :-1], sorted_x[:, 1:]
+    p_hi, p_lo = sorted_p[:, :-1], sorted_p[:, 1:]
     cell = (right > left) & (p_hi > p_lo)
+    row = np.nonzero(cell)[0]
     left, right, p_hi, p_lo = left[cell], right[cell], p_hi[cell], p_lo[cell]
     s1 = (f1.left_limit(right) - f1(left)) / (right - left)
     s2 = (f2.left_limit(p_hi) - f2(p_lo)) / (p_hi - p_lo)
     curved = (s1 > 0.0) & (s2 > 0.0)
-    mid = np.sqrt(s2[curved] * y / s1[curved])
-    return mid[(mid > left[curved]) & (mid < right[curved])]
+    row, left, right, y_cell = row[curved], left[curved], right[curved], y[row[curved]]
+    mid = np.sqrt(s2[curved] * y_cell / s1[curved])
+    inner = (mid > left) & (mid < right)
+    mid, y_cell = mid[inner], y_cell[inner]
+    least = np.ones(len(xs))
+    np.minimum.at(least, row[inner], f1(mid) + f2(y_cell / mid))
+    return least
 
 
 def prob_arith_add_lower(x1: RealLinePBox, x2: RealLinePBox, y: float) -> float:

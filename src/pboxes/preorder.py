@@ -8,7 +8,8 @@ is a set of class indices in the finite case and a finite union of
 subintervals of [0, 1] in the continuum case.
 
 Every input number of every module passes one of three checks here:
-:func:`_finite_number`, :func:`_coordinate` (a point of [0, 1] or of a CDF's
+:func:`_finite_number` (:func:`_finite_numbers` for a sequence of them, in
+one array pass), :func:`_coordinate` (a point of [0, 1] or of a CDF's
 domain) and :func:`_class_index` (-1 may stand for the artificial
 predecessor of the smallest class).  Python and numpy numbers and fractions
 come out as ``float`` or ``int``; a non-number (string, boolean, ``None``,
@@ -60,6 +61,23 @@ def _finite_number(x) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"expected a finite number, got {value}")
     return value
+
+
+def _finite_numbers(xs) -> np.ndarray:
+    """A float array of ``xs``, each entry checked as by :func:`_finite_number`: a float
+    array, or a sequence of plain ints and floats, in one array pass, and entry by entry
+    only to raise the first entry's error, or for entries of other numeric types."""
+    if not (isinstance(xs, np.ndarray) and xs.dtype == float
+            or {int, float}.issuperset(map(type, xs))):
+        return np.array([_finite_number(x) for x in xs], dtype=float)
+    try:
+        points = np.asarray(xs, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        points = None
+    if points is None or not np.isfinite(points).all():
+        for x in xs:
+            _finite_number(x)
+    return points
 
 
 def _coordinate(z, lo: float = 0.0, hi: float = 1.0) -> float:

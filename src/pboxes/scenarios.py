@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .choquet import (
     Oscillation,
     QuadratureConfig,
     QuadratureResult,
+    _in_chunks,
     _require_bounded,
     _require_target,
     lower_expectation,
@@ -59,6 +60,7 @@ from .preorder import (
     ZEventSet,
     ZInterval,
     _finite_number,
+    _finite_numbers,
     full_components_finite,
     normalize,
 )
@@ -70,6 +72,7 @@ __all__ = [
     "BUILTIN_NAMES",
     "builtin_scenario",
     "run_query",
+    "result_rows",
     "run_scenario",
     "named_cdf",
     "named_oscillation",
@@ -80,7 +83,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Query:
     """One inference request, bound to its model: ``pbox`` for events,
-    expectations and thresholds, ``x1`` and ``x2`` for arithmetic.  Building
+    expectations and thresholds, ``x1`` and ``x2`` for arithmetic, whose
+    ``y`` is a number or a tuple of numbers (a grid).  Building
     it checks the kind, ``side`` and ``op``, that the kind's payload is
     there (``event``; ``oscillation`` and, for a threshold, ``target``;
     ``x1``, ``x2`` and ``y``), that the p-box's space suits the query (a
@@ -98,7 +102,7 @@ class Query:
     x1: RealLinePBox | None = None
     x2: RealLinePBox | None = None
     op: str = "add"
-    y: float | None = None
+    y: float | tuple | None = None
     side: str = "lower"
 
     def __post_init__(self):
@@ -110,7 +114,8 @@ class Query:
         if self.kind in ARITH_KINDS:
             for name in ("x1", "x2"):
                 _checked(name, _positive_support, self.op, self._payload(name))
-            _checked("y", _finite_number, self._payload("y"))
+            y = self._payload("y")
+            _checked("y", _finite_numbers if isinstance(y, tuple) else _finite_number, y)
             return
         if self.pbox is None:
             raise ValidationError(f"a {self.kind} query needs a p-box", "pbox")
@@ -170,8 +175,20 @@ def _bracket(res: QuadratureResult) -> tuple:
     return res.value, res.error_bound, res.converged
 
 
+# corners per chunk of a grid of y: each temporary array of a pass then takes at
+# most 512 kB, whatever the length of the grid
+_ARITH_CELLS = 1 << 16
+
+
 def _arith(q: Query, cfg: QuadratureConfig) -> tuple:
-    return _arith_bound(q.op, q.side, q.x1, q.x2, q.y), 0.0
+    """The bound at ``y``, or an array of the bounds at each point of a grid."""
+    bound = partial(_arith_bound, q.op, q.side, q.x1, q.x2)
+    if not isinstance(q.y, tuple):
+        return bound(q.y), 0.0
+    # at most the corners of a point's row: the ends of both supports and the
+    # knots of one CDF of each operand
+    corners = 4 + sum(len(cdf.knots) for x in (q.x1, q.x2) for cdf in (x.lower, x.upper))
+    return _in_chunks(bound, np.array(q.y, dtype=float), max(1, _ARITH_CELLS // corners)), 0.0
 
 
 # kind -> runner(query, cfg) -> (value, error bound[, converged]).  The runners call the
@@ -190,13 +207,28 @@ _RUNNERS = {
 
 
 def run_query(query: Query, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QueryResult:
-    """Evaluate a single query; the error bound is 0 for exact computations."""
+    """Evaluate a single query; the error bound is 0 for exact computations.
+    The value of a query on a grid of ``y`` is an array, one value per point."""
     return QueryResult(query.id, query.kind, *_RUNNERS[query.kind](query, cfg))
+
+
+def result_rows(query: Query, result: QueryResult) -> list:
+    """The ``(id, value)`` rows of a query's result: one, or one per point of a
+    grid of ``y``, with ids suffixed ``_0``, ``_1``, ..."""
+    if not isinstance(query.y, tuple):
+        return [(result.id, result.value)]
+    return [(f"{result.id}_{k}", value) for k, value in enumerate(result.value.tolist())]
 
 
 def run_scenario(scenario: Scenario,
                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    return [run_query(q, cfg) for q in scenario.queries]
+    """The result of each row of each query (see :func:`result_rows`)."""
+    results = []
+    for query in scenario.queries:
+        result = run_query(query, cfg)
+        results += [QueryResult(rid, result.kind, value, result.error_bound, result.converged)
+                    for rid, value in result_rows(query, result)]
+    return results
 
 
 # ---------------------------------------------------------------------------

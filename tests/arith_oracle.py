@@ -20,13 +20,17 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _sweep(lo, hi, corners, grid=GRID):
-    pts = [np.linspace(lo, hi, grid + 1)]
+    # each half from its end, by the half-width: both stay finite where the hull
+    # spans both signs and is wider than the largest float
+    half = hi / 2 - lo / 2
+    steps = half * np.linspace(0.0, 1.0, grid // 2 + 1)
+    pts = [lo + steps, hi - steps]
     inside = np.asarray([c for c in corners if lo <= c <= hi], dtype=float)
     if inside.size:
-        width = max(hi - lo, 1e-30)
+        step = 2.0 * _EPS * max(half, 1e-30)
         pts += [inside,
-                np.clip(inside - _EPS * width, lo, hi),
-                np.clip(inside + _EPS * width, lo, hi)]
+                np.clip(inside - step, lo, hi),
+                np.clip(inside + step, lo, hi)]
     return np.unique(np.concatenate(pts))
 
 
@@ -55,6 +59,7 @@ def _bounds(op, x1, x2, y):
     return seg, hull, low_support
 
 
+@np.errstate(over="ignore")  # a partner beyond the float range, where its CDFs are 0 or 1
 def _partner(op, xs, y):
     if op == "add":
         return y - xs

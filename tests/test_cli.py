@@ -806,6 +806,16 @@ class TestInferModels:
             assert rows[f"lower_{k}"][1] == pytest.approx(lower, abs=1e-12)
             assert rows[f"upper_{k}"][1] == pytest.approx(upper, abs=1e-12)
 
+    def test_grid_rows_share_its_wall_time(self, tmp_path, capsys):
+        ys = [2.0 * k / 4999 for k in range(5000)]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"queries": [{"id": "g", "kind": "arith_op", "y_grid": ys,
+                                                 "x1": UNIFORM_KNOTS, "x2": UNIFORM_KNOTS}]}))
+        code, out, _ = run_cli(capsys, ["infer", str(path)])
+        lines = out.splitlines()[1:]
+        assert code == 0 and len(lines) == 5000
+        assert len({line.rsplit(",", 1)[1] for line in lines}) == 1
+
     @pytest.mark.parametrize("pbox, code, message", [
         ({"marginals": TWO_MARGINALS, "rule": "max"}, 3, "unknown combination rule"),
         ({"marginals": TWO_MARGINALS[:1]}, 3, "at least two marginals"),

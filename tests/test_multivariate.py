@@ -1,11 +1,15 @@
 import math
+import operator
 import os
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 from arith_oracle import ORACLES, random_real_line_pbox
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pboxes.errors import ValidationError
 from pboxes.multivariate import (
@@ -20,7 +24,7 @@ from pboxes.multivariate import (
 )
 from pboxes.pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf
 from pboxes.preorder import FiniteQuotientSpace
-from pboxes.scenarios import named_cdf
+from pboxes.scenarios import Query, named_cdf, run_query
 
 UNIFORM01 = RealLinePBox.from_knots([(0.0, 0.0), (1.0, 1.0)])
 
@@ -329,6 +333,13 @@ class TestNearTheFloatRange:
     with no numpy warning, which the test configuration makes an error."""
 
     WIDE = RealLinePBox.from_knots([[1e-300, 0.0], [1e300, 1.0]])
+    STEPPED = RealLinePBox.from_knots([[1e-300, 0.0], [1.0, 0.5], [1e300, 1.0]],
+                                      [[1e-300, 0.2], [1.0, 0.7], [1e300, 1.0]])
+    # supports near 1e308 and near -1e308
+    NEAR_TOP = RealLinePBox.from_knots([[5e307, 0.0], [1e308, 0.4], [1.5e308, 1.0]],
+                                       [[5e307, 0.3], [1e308, 0.8], [1.5e308, 1.0]])
+    NEAR_BOTTOM = RealLinePBox.from_knots([[-1.5e308, 0.0], [-1e308, 0.4], [-5e307, 1.0]],
+                                          [[-1.5e308, 0.3], [-1e308, 0.8], [-5e307, 1.0]])
 
     def test_divide_partner_beyond_the_float_range(self):
         # the preimage k * y of x2's top knot, 1e300 * 1e10, overflows
@@ -345,10 +356,58 @@ class TestNearTheFloatRange:
         assert (low, up) == (pytest.approx(1.0 - 1e-10, abs=1e-15), 1.0)
 
     def test_multiply_stationary_point_beyond_the_float_range(self):
-        x2 = RealLinePBox.from_knots([[1e-300, 0.0], [1.0, 0.5], [1e300, 1.0]],
-                                     [[1e-300, 0.2], [1.0, 0.7], [1e300, 1.0]])
-        low, up = prob_arith_transform("multiply", self.WIDE, x2, 1e10)
+        low, up = prob_arith_transform("multiply", self.WIDE, self.STEPPED, 1e10)
         assert (low, up) == (0.0, pytest.approx(0.7, abs=1e-12))
+
+    @pytest.mark.parametrize("op, x1, x2", [("add", NEAR_TOP, NEAR_BOTTOM),
+                                            ("subtract", NEAR_BOTTOM, NEAR_BOTTOM)],
+                             ids=["add", "subtract"])
+    def test_sum_and_difference_near_the_ends_of_the_float_range(self, op, x1, x2):
+        # at y = -9e307 (add) and 9e307 (subtract) the oracle's sweep spans both
+        # signs and is wider than the largest float
+        ys = (-1.2e308, -9e307, -3e307, 0.0, 3e307, 9e307, 1.2e308)
+        for side, oracle in zip(("lower", "upper"), ORACLES[op]):
+            grid = run_query(Query("g", "arith_op", x1=x1, x2=x2, op=op, side=side, y=ys)).value
+            for y, value in zip(ys, grid):
+                expected = oracle(x1, x2, y)
+                point = prob_arith_transform(op, x1, x2, y)[side == "upper"]
+                assert point == pytest.approx(expected, abs=1e-6), (side, y)
+                assert value == pytest.approx(expected, abs=1e-6), (side, y)
+
+
+_OPERATIONS = {"add": operator.add, "subtract": operator.sub, "multiply": operator.mul,
+               "divide": operator.truediv}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grid_values_equal_pointwise(data):
+    """A grid of y runs as one pass, and each of its values is the pointwise one."""
+    op = data.draw(st.sampled_from(sorted(_OPERATIONS)), label="op")
+    positive = op in ("multiply", "divide")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    near = TestNearTheFloatRange
+    far = [near.WIDE, near.STEPPED] + ([] if positive else [near.NEAR_TOP, near.NEAR_BOTTOM])
+
+    def operand(label):
+        kind = data.draw(st.sampled_from(["random", "point", "far"]), label=label)
+        if kind == "far":
+            return data.draw(st.sampled_from(far), label=f"{label} far")
+        box = random_real_line_pbox(rng, positive=positive)
+        return RealLinePBox.point_mass(rng.choice(box.lower.knot_xs)) if kind == "point" else box
+
+    x1, x2 = operand("x1"), operand("x2")
+    # where knots of both operands meet, between those points, and anywhere
+    meets = [y for y in (_OPERATIONS[op](a, b)
+                         for a in x1.lower.knot_xs + x1.upper.knot_xs
+                         for b in x2.lower.knot_xs + x2.upper.knot_xs) if math.isfinite(y)]
+    point = st.one_of(st.sampled_from(meets), st.floats(min(meets), max(meets)),
+                      st.floats(-1e308, 1e308))
+    ys = tuple(data.draw(st.lists(point, min_size=1, max_size=40), label="ys"))
+    pointwise = [prob_arith_transform(op, x1, x2, y) for y in ys]
+    for index, side in enumerate(("lower", "upper")):
+        grid = run_query(Query("g", "arith_op", x1=x1, x2=x2, op=op, side=side, y=ys)).value
+        assert grid.tolist() == [bounds[index] for bounds in pointwise], side
 
 
 def _op_support(op, x1, x2):

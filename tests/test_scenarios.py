@@ -9,9 +9,11 @@ from pboxes.errors import ValidationError
 from pboxes.multivariate import INDEPENDENT, RealLinePBox, combine
 from pboxes.pbox import AnalyticCdf, PBox, cdf_eval
 from pboxes.preorder import FULL_EVENT, ClassSubset
+from pboxes import scenarios
 from pboxes.scenarios import (
     BUILTIN_NAMES,
     Query,
+    Scenario,
     builtin_scenario,
     named_cdf,
     named_oscillation,
@@ -217,6 +219,27 @@ class TestArithmeticQuery:
         with pytest.raises(ValidationError, match="^op: "):
             Query("a", "arith_op", x1=self.UNIFORM, x2=self.UNIFORM, y=0.5, op="modulo")
 
+    def test_grid_makes_one_engine_call_per_chunk(self, monkeypatch):
+        calls = []
+        bound = scenarios._arith_bound
+
+        def counted(op, side, x1, x2, y):
+            calls.append(len(y))
+            return bound(op, side, x1, x2, y)
+
+        monkeypatch.setattr(scenarios, "_arith_bound", counted)
+        ys = tuple(np.linspace(-0.5, 2.5, 1000).tolist())
+        query = Query("g", "arith_op", x1=self.UNIFORM, x2=self.UNIFORM, y=ys, side="upper")
+        whole = run_query(query).value
+        assert calls == [1000]
+        # 12 corners a point: the ends of both supports and two knots for each of four CDFs
+        monkeypatch.setattr(scenarios, "_ARITH_CELLS", 1200)
+        calls.clear()
+        results = run_scenario(Scenario("s", None, (query,)))
+        assert calls == [100] * 10
+        assert [result.id for result in results] == [f"g_{k}" for k in range(1000)]
+        assert [result.value for result in results] == whole.tolist()
+
 
 class TestQueryValidation:
     def test_unknown_kind_rejected(self):
@@ -254,6 +277,12 @@ class TestQueryValidation:
             Query("q", "expectation_lower", box, oscillation=named_oscillation("dike_upper"))
         with pytest.raises(ValidationError, match="^y: expected a finite number"):
             Query("q", "arith_op", x1=uniform, x2=uniform, y=math.inf)
+        with pytest.raises(ValidationError, match="^y: expected a finite number, got nan$"):
+            Query("q", "arith_op", x1=uniform, x2=uniform, y=(0.5, math.nan))
+        with pytest.raises(ValidationError, match="^y: expected a finite number, got one too"):
+            Query("q", "arith_op", x1=uniform, x2=uniform, y=(0.5, 10**400))
+        with pytest.raises(TypeError, match="expected a number, got str"):
+            Query("q", "arith_op", x1=uniform, x2=uniform, y=(0.5, "1"))
         with pytest.raises(ValidationError, match="^x1: multiplication and division need"):
             Query("q", "arith_op", x1=uniform, x2=uniform, y=0.5, op="divide")
 
