@@ -13,15 +13,16 @@ decreasing; a non-monotone oscillation needs knots.  A declared-monotone
 oscillation without knots is integrated over its own coordinate: its cut
 sets are the nested intervals ``[z, 1]`` or ``[0, z]``, so a cell of a
 z-grid weighs the cut probabilities at its ends by the step of ``f``
-across it, with no inverse and for any monotone ``f``.  Knot oscillations
-are integrated over levels.  One scan finds, for a batch of levels, the
-components of every cut set or, on the upper side, of every complement:
-the oscillation is sampled on its knots (a black box at 0 and 1), each run
-of samples inside the set is a component, and an end between two samples
-is the exact segment crossing, or for a black box its one end, bisected.
-By conjugacy the upper probability of a cut is 1 minus the lower
-probability of its complement, and ``pbox._piece_gains`` gives the lower
-probability of either.
+across it, with no inverse and for any monotone ``f``.  Such a cut, or its
+complement, is anchored at 0 or 1, so its lower probability is one read of
+one CDF.  Knot oscillations are integrated over levels.  One scan finds,
+for a batch of levels, the components of every cut set or, on the upper
+side, of every complement: the oscillation is sampled on its knots (a
+black box at 0 and 1), each run of samples inside the set is a component,
+and an end between two samples is the exact segment crossing, or for a
+black box its one end, bisected.  By conjugacy the upper probability of a
+cut is 1 minus the lower probability of its complement, and
+``pbox._piece_gains`` gives the lower probability of either.
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
 expectation is an exact finite sum over the sorted distinct gamble values,
@@ -297,26 +298,44 @@ def _coordinate_grid(pbox: PBox, osc: Oscillation, upper: bool, a: float, b: flo
     Point ``s`` is ``z = s``, or ``1 - s`` if ``osc`` decreases, so that its
     anchored cut ``[z, 1]`` or ``[0, z]`` shrinks as ``s`` grows.  Its level
     is ``clip(f(z), a, b)``; its probability is that of the anchored cut on
-    the lower side and 1 minus that of its complement on the upper.  Every
-    level ``t <= f(z)`` cuts a superset of the anchored cut and every level
-    above ``f(z)`` a subset, whether ``f`` jumps or not.
+    the lower side and 1 minus that of its complement, ``[0, z)`` or ``(z,
+    1]``, on the upper.  Every level ``t <= f(z)`` cuts a superset of the
+    anchored cut and every level above ``f(z)`` a subset, whether ``f``
+    jumps or not.  A piece anchored at 0 or 1 has one end to read, so its
+    lower probability takes one call of one CDF per chunk; at an end of [0,
+    1] where :func:`pboxes.pbox._piece_gains` reads no CDF, the value is the
+    one that formula gives there, with the same float operations.
     """
     rising = osc.monotonicity == INCREASING
+    one = pbox.lower_at_one
 
     def level(s):
         return np.clip(osc.f(s if rising else 1.0 - s), a, b)
 
     def probs(s):
         z = s if rising else 1.0 - s
-        fill = partial(np.broadcast_to, shape=z.shape)
-        if upper:
-            ends = (fill(0.0), z) if rising else (z, fill(1.0))
-            gains = _piece_gains(pbox, *ends, fill(not rising), fill(rising))
-            return 1.0 - np.clip(gains, 0.0, 1.0)
-        ends = (z, fill(1.0)) if rising else (fill(0.0), z)
-        return np.clip(_piece_gains(pbox, *ends, fill(False), fill(False)), 0.0, 1.0)
+        if upper == rising:  # [0, z) or [0, z]: F_lower(z-) or F_lower(z)
+            gains = np.maximum(0.0, _read(pbox.lower.left_limit, z, z > 0.0, 0.0) if upper
+                               else _read(pbox.lower, z, z < 1.0, one))
+        else:  # (z, 1] or [z, 1]: F_lower(1) - F_upper(z)
+            gains = one - (_read(pbox.upper, z, z < 1.0, one) if upper
+                           else _read(pbox.upper, z, z > 0.0, 0.0))
+            np.maximum(0.0, gains, out=gains)
+        total = np.clip(gains, 0.0, 1.0, out=gains)
+        return 1.0 - total if upper else total
 
     return partial(_in_chunks, level), partial(_in_chunks, probs)
+
+
+def _read(cdf, z: np.ndarray, where: np.ndarray, fixed: float) -> np.ndarray:
+    """``cdf(z)`` as floats where ``where`` holds and ``fixed`` elsewhere; the
+    CDF is called once, on those points only, and not at all if there are none."""
+    if where.all():
+        return np.asarray(cdf(z), dtype=float)
+    out = np.full(z.shape, fixed)
+    if where.any():
+        out[where] = cdf(z[where])
+    return out
 
 
 def _darboux(batch, a: float, b: float, cfg: QuadratureConfig, level=np.asarray,
@@ -397,10 +416,15 @@ def _subdivide(s: np.ndarray, parts: np.ndarray) -> np.ndarray:
 def _monotone_integrand(g: np.ndarray) -> np.ndarray:
     """``g`` with float dust removed, after rejecting an integrand that
     rises by more than float dust between levels."""
-    if np.any(np.diff(g) > 1e-7):
+    rises = np.diff(g)
+    if np.any(rises > 1e-7):
         raise ValidationError(
             "cut probability increased with the level; "
             "oscillation metadata or p-box inputs are inconsistent")
+    # the running minimum of a non-increasing g is g itself; a NaN fails
+    # the test, so the running minimum still spreads it forward
+    if (rises <= 0.0).all():
+        return g
     return np.minimum.accumulate(g, out=g)
 
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
 from dataclasses import replace
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 
 import numpy as np
@@ -193,13 +194,27 @@ def _oscillation(node: _Node):
     return spec.build(piecewise_linear_oscillation, _knots(spec))
 
 
-def _operand(node: _Node) -> RealLinePBox:
-    """A real-line p-box: a ``point``, or ``lower`` knots and optional ``upper`` ones."""
+def _operand(node: _Node, operands: dict) -> RealLinePBox:
+    """A real-line p-box: a ``point``, or ``lower`` knots and optional ``upper`` ones.
+
+    ``operands`` maps each operand the document has parsed to its p-box, so an
+    operand that repeats is built, and validated, at its first occurrence only.
+    """
     if node.one_of("point", "lower") == "point":
         point = node.get("point")
-        return point.build(RealLinePBox.point_mass, point.of("a number"))
-    upper = _knots(node.get("upper")) if "upper" in node.value else None
-    return node.build(RealLinePBox.from_knots, _knots(node.get("lower")), upper)
+        parsed = ("point", point.of("a number"))
+        numbers = parsed[1:]
+        build = partial(point.build, RealLinePBox.point_mass, parsed[1])
+    else:
+        upper = _knots(node.get("upper")) if "upper" in node.value else None
+        parsed = (_knots(node.get("lower")), upper)
+        numbers = chain.from_iterable(parsed[0] + (upper or ()))
+        build = partial(node.build, RealLinePBox.from_knots, *parsed)
+    # -0.0 == 0.0, so the sign of each zero joins the key
+    key = parsed + tuple(math.copysign(1.0, v) for v in numbers if v == 0)
+    if key not in operands:
+        operands[key] = build()
+    return operands[key]
 
 
 def _event(node: _Node):
@@ -216,9 +231,10 @@ def _event(node: _Node):
     return normalize(intervals)
 
 
-def _arith(node: _Node, qid: str, kind: str) -> Query:
+def _arith(node: _Node, qid: str, kind: str, operands: dict) -> Query:
     """The query of a ``y``, or of a ``y_grid`` as a tuple of its points."""
-    fields = {"x1": _operand(node.get("x1")), "x2": _operand(node.get("x2")),
+    fields = {"x1": _operand(node.get("x1"), operands),
+              "x2": _operand(node.get("x2"), operands),
               "op": node.get("op", "add").of("a string") if kind == "arith_op" else "add",
               "side": node.get("side", "lower").of("a string")}
     if "y_grid" not in node.value:
@@ -235,14 +251,14 @@ def _arith(node: _Node, qid: str, kind: str) -> Query:
     return node.build(Query, qid, kind, y=tuple(ys), **fields)
 
 
-def _query(node: _Node, index: int, pbox) -> Query:
-    """The query of one entry of ``queries``."""
+def _query(node: _Node, index: int, pbox, operands: dict) -> Query:
+    """The query of one entry of ``queries``; ``operands`` as for :func:`_operand`."""
     kind = node.get("kind").of("a string")
     qid = node.get("id", f"q{index}")
     if not set(',"\r\n').isdisjoint(qid.of("a string")):  # one CSV field, unquoted
         raise qid.fail("expected no ',', '\"', carriage return or line feed", ValidationError)
     if kind in ARITH_KINDS:
-        return _arith(node, qid.value, kind)
+        return _arith(node, qid.value, kind, operands)
     fields = {}
     if kind in ("event_lower", "event_upper"):
         fields["event"] = _event(node)
@@ -277,7 +293,8 @@ def load_scenario(path: str):
             raise ParseError("nested too deeply", "document") from None
     space = _space(doc.get("space", {"type": "continuum"}))
     pbox = _box(doc.get("pbox"), space) if "pbox" in doc.of("an object") else None
-    queries = tuple(_query(node, index, pbox)
+    operands = {}
+    queries = tuple(_query(node, index, pbox, operands)
                     for index, node in enumerate(doc.get("queries", []).items()))
     config = doc.get("config", {})
     for key in config.of("an object"):

@@ -8,11 +8,14 @@ formula per space type, both behind :func:`lower_prob_event`: on a finite
 space a scalar loop over runs of consecutive classes, each with its
 immediate predecessor; on the unit continuum :func:`_piece_gains`, one
 vectorised pass over intervals, where only 0 has a predecessor (of mass 0)
-and an open top reads the lower CDF's left limit.  The cut-set probabilities
-of :mod:`pboxes.choquet` come from the same helper, and
-:func:`lower_prob_field` and :func:`pboxes.multivariate.sublevel_box_lower`
-only convert their arguments into events.  The caller supplies the interior image of the event; this
-module never guesses interiors for raw events on the underlying space.
+and an open top reads the lower CDF's left limit.  The same helper gives
+the probabilities of the cut sets that :mod:`pboxes.choquet` finds from
+knots or by a level scan; a cut anchored at 0 or 1 on a coordinate grid
+has one end and reads its one CDF directly.  :func:`lower_prob_field` and
+:func:`pboxes.multivariate.sublevel_box_lower` only convert their
+arguments into events.  The caller supplies the interior image of the
+event; this module never guesses interiors for raw events on the
+underlying space.
 """
 
 from __future__ import annotations

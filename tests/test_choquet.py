@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from coordinate_grid_reference import anchored_probs
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pboxes.choquet import (
     DEFAULT_CONFIG,
@@ -18,7 +21,7 @@ from pboxes.choquet import (
     upper_expectation,
 )
 from pboxes import choquet
-from pboxes.choquet import _batch_cut_probs, _darboux, _span_doubling
+from pboxes.choquet import _batch_cut_probs, _darboux, _monotone_integrand, _span_doubling
 from pboxes.errors import ToleranceError, ValidationError
 from pboxes.oracle import lp_lower_expectation, random_credal_instance
 from pboxes.pbox import (
@@ -40,6 +43,7 @@ from pboxes.preorder import (
 )
 from pboxes.scenarios import (
     builtin_scenario,
+    named_cdf,
     named_oscillation,
     piecewise_linear_oscillation,
 )
@@ -752,6 +756,105 @@ class TestAdaptiveDarboux:
         assert fine.error_bound < 0.5 * fine_tol
         assert coarse.bracket[0] - 1e-12 <= fine.bracket[0]
         assert fine.bracket[1] <= coarse.bracket[1] + 1e-12
+
+
+def _jumping_cdf_box():
+    """A lower CDF that jumps by 0.3 at 0.5, with its registered left limit,
+    and an upper CDF of float32 values, which are read as floats."""
+    return PBox(AnalyticCdf(lambda z: 0.7 * np.asarray(z) + 0.3 * (np.asarray(z) >= 0.5),
+                            lambda z: 0.7 * np.asarray(z) + 0.3 * (np.asarray(z) > 0.5)),
+                AnalyticCdf(lambda z: np.minimum(1.0, 0.8 * np.asarray(z) + 0.3).astype(
+                    np.float32)),
+                UNIT_INTERVAL)
+
+
+ANCHORED_BOXES = {
+    # positive first knot values: both CDFs jump at 0
+    "jump_at_zero": lambda: PBox(PiecewiseLinearCdf(((0.0, 0.2), (0.5, 0.6), (1.0, 1.0))),
+                                 PiecewiseLinearCdf(((0.0, 0.4), (0.3, 0.9), (1.0, 1.0))),
+                                 UNIT_INTERVAL),
+    "uniform_one": lambda: PBox(named_cdf("uniform"), named_cdf("one"), UNIT_INTERVAL),
+    "left_limit_jump": _jumping_cdf_box,
+    "dike_frechet": lambda: builtin_scenario("dike").pbox,
+    "oscillator_independence": lambda: builtin_scenario("oscillator").pbox,
+}
+
+
+class TestAnchoredReads:
+    """The coordinate grid's direct CDF reads against the generic piece formula."""
+
+    # three chunks of the grid: the ends 0 and 1, the points next to them
+    # (1 - 2**-53 is the float below 1) and a chunk without either end
+    GRID = np.sort(np.concatenate([np.linspace(0.0, 1.0, 20_001),
+                                   [2.0 ** -53, 1e-300, 0.5 - 2.0 ** -54, 1.0 - 2.0 ** -53]]))
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    @pytest.mark.parametrize("rising", [True, False], ids=["increasing", "decreasing"])
+    @pytest.mark.parametrize("name", sorted(ANCHORED_BOXES))
+    def test_reads_match_the_piece_formula_bit_for_bit(self, name, rising, upper):
+        box = ANCHORED_BOXES[name]()
+        osc = (Oscillation(lambda z: np.asarray(z, dtype=float), 0.0, 1.0, INCREASING) if rising
+               else Oscillation(lambda z: 1.0 - np.asarray(z, dtype=float), 0.0, 1.0,
+                                DECREASING))
+        assert len(self.GRID) > 2 * choquet._CHUNK
+        _, probs = choquet._coordinate_grid(box, osc, upper, 0.0, 1.0)
+        # the grid, and the one- and two-point calls at its ends
+        for s in (self.GRID, np.zeros(1), np.ones(1), np.array([0.0, 1.0])):
+            got, want = probs(s), anchored_probs(box, rising, upper, s)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), len(s)
+
+
+@st.composite
+def integrands(draw):
+    """Non-increasing runs with flat stretches, rises of float dust (up to
+    1e-7) or beyond it, ties of 0.0 and -0.0, and NaNs."""
+    g = [draw(st.sampled_from([1.0, 0.5, 0.0, -0.0]) | st.floats(0.0, 1.0))]
+    for step in draw(st.lists(st.sampled_from(
+            ["flat", "drop", "dust", "rise", "zero", "signed_zero", "nan"]), max_size=40)):
+        prev = g[-1]
+        if step == "flat":
+            g.append(prev)
+        elif step == "drop":
+            g.append(prev - draw(st.floats(0.0, 1.0)))
+        elif step == "dust":
+            g.append(prev + draw(st.floats(0.0, 1e-7)))
+        elif step == "rise":
+            g.append(prev + draw(st.floats(1e-7, 1.0, exclude_min=True)))
+        elif step == "zero":
+            g.append(draw(st.sampled_from([0.0, -0.0])))
+        elif step == "signed_zero":
+            g.append(-prev if prev == 0.0 else prev)
+        else:
+            g.append(math.nan)
+    return np.array(g)
+
+
+class TestMonotoneIntegrand:
+    @settings(max_examples=400, deadline=None)
+    @given(integrands())
+    # a rise of one subnormal, ties of signed zeros, a NaN between falls
+    @example(np.array([0.0, 5e-324]))
+    @example(np.array([0.5, 0.0, -0.0, -0.0, 0.0]))
+    @example(np.array([1.0, math.nan, 0.5]))
+    def test_equals_the_running_minimum(self, g):
+        if np.any(np.diff(g) > 1e-7):
+            with pytest.raises(ValidationError, match="increased with the level"):
+                _monotone_integrand(g.copy())
+            return
+        expected = np.minimum.accumulate(g)
+        assert _monotone_integrand(g.copy()).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("g", [[0.5, 0.5 + 2e-7], [0.0, -0.0, 1e-7 + 1e-9],
+                                   [1.0, math.nan, 0.4, 0.6]], ids=["rise", "after_zeros",
+                                                                    "after_nan"])
+    def test_rise_beyond_dust_raises(self, g):
+        with pytest.raises(ValidationError, match="increased with the level"):
+            _monotone_integrand(np.array(g))
+
+    def test_nan_spreads_forward(self):
+        # a NaN makes the skip test false, so the running minimum spreads it
+        out = _monotone_integrand(np.array([1.0, math.nan, 0.5, 0.25]))
+        assert out[0] == 1.0 and np.isnan(out[1:]).all()
 
 
 class TestMemory:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -805,6 +806,63 @@ class TestInferModels:
             lower, upper = prob_arith_transform("add", box, RealLinePBox.point_mass(0.5), y)
             assert rows[f"lower_{k}"][1] == pytest.approx(lower, abs=1e-12)
             assert rows[f"upper_{k}"][1] == pytest.approx(upper, abs=1e-12)
+
+    def count_builds(self, monkeypatch):
+        """The knot lists of every ``RealLinePBox.from_knots`` call from now on."""
+        calls, build = [], RealLinePBox.from_knots
+
+        def counted(lower, upper=None):
+            calls.append((lower, upper))
+            return build(lower, upper)
+
+        monkeypatch.setattr(RealLinePBox, "from_knots", counted)
+        return calls
+
+    def test_repeated_operands_are_built_once(self, tmp_path, capsys, monkeypatch):
+        # 8 grids, 4 operations x 2 sides, over one x1 and one x2
+        x1 = {"lower": [[1.0, 0.0], [2.0, 0.4], [3.0, 1.0]],
+              "upper": [[1.0, 0.2], [2.0, 0.7], [3.0, 1.0]]}
+        x2 = {"lower": [[1.0, 0.0], [2.5, 0.5], [4.0, 1.0]]}
+        queries = [{"id": f"{op}_{side}", "kind": "arith_op", "op": op, "side": side,
+                    "x1": x1, "x2": x2, "y_grid": [-1.0, 1.5, 2.75, 4.5, 9.0]}
+                   for op in ("add", "subtract", "multiply", "divide")
+                   for side in ("lower", "upper")]
+        # each query alone, so that nothing is shared between them
+        alone = []
+        for query in queries:
+            (tmp_path / "one.json").write_text(json.dumps({"queries": [query]}))
+            code, out, err = run_cli(capsys, ["infer", str(tmp_path / "one.json")])
+            assert (code, err) == (0, "")
+            alone += _without_elapsed(out).splitlines()[1:]
+        calls = self.count_builds(monkeypatch)
+        (tmp_path / "all.json").write_text(json.dumps({"queries": queries}))
+        code, out, err = run_cli(capsys, ["infer", str(tmp_path / "all.json")])
+        assert (code, err) == (0, "")
+        assert len(calls) == 2
+        assert _without_elapsed(out).splitlines() == [CSV_HEADER.rsplit(",", 1)[0]] + alone
+
+    def test_operands_differing_in_a_zero_sign_are_built_apart(
+            self, tmp_path, capsys, monkeypatch):
+        # -0.0 == 0.0, and 1 == 1.0 builds the same p-box as 1.0
+        operands = [{"lower": [[-1.0, 0.0], [zero, 0.5], [1, 1.0]]}
+                    for zero in (0.0, -0.0, 0.0)]
+        operands.append({"lower": [[-1.0, 0.0], [0.0, 0.5], [1.0, 1.0]]})
+        doc = {"queries": [{"id": f"q{k}", "kind": "arith_op", "y": 0.5,
+                            "x1": x1, "x2": {"point": 0.25}} for k, x1 in enumerate(operands)]}
+        calls = self.count_builds(monkeypatch)
+        code, rows = self.run_doc(tmp_path, capsys, doc)
+        assert code == 0 and len(rows) == 4
+        assert [math.copysign(1.0, lower[1][0]) for lower, _ in calls] == [1.0, -1.0]
+
+    def test_repeated_invalid_operand_names_its_first_occurrence(self, tmp_path, capsys):
+        bad = {"lower": [[0.0, 0.5], [1.0, 0.2]]}
+        doc = {"queries": [{"id": "ok", "kind": "arith_op", "y": 0.5, "x1": UNIFORM_KNOTS,
+                            "x2": UNIFORM_KNOTS}] +
+                          [{"id": f"bad{k}", "kind": "arith_op", "y": 0.5, "x1": UNIFORM_KNOTS,
+                            "x2": bad} for k in range(2)]}
+        code, err = self.run_doc(tmp_path, capsys, doc)
+        assert code == 3
+        assert err == "validation error: queries[1].x2.lower: knot values must be non-decreasing\n"
 
     def test_grid_rows_share_its_wall_time(self, tmp_path, capsys):
         ys = [2.0 * k / 4999 for k in range(5000)]
