@@ -302,9 +302,10 @@ def _coordinate_grid(pbox: PBox, osc: Oscillation, upper: bool, a: float, b: flo
     1]``, on the upper.  Every level ``t <= f(z)`` cuts a superset of the
     anchored cut and every level above ``f(z)`` a subset, whether ``f``
     jumps or not.  A piece anchored at 0 or 1 has one end to read, so its
-    lower probability takes one call of one CDF per chunk; at an end of [0,
-    1] where :func:`pboxes.pbox._piece_gains` reads no CDF, the value is the
-    one that formula gives there, with the same float operations.
+    lower probability takes one call of one CDF per chunk, with the float
+    operations of :func:`pboxes.pbox._piece_gains`.  ``F_lower`` gives at the
+    ends of [0, 1] the values that formula fixes there, 0 below 0 and
+    ``F_lower(1)`` at 1; ``F_upper`` need not, so it is not read at them.
     """
     rising = osc.monotonicity == INCREASING
     one = pbox.lower_at_one
@@ -315,8 +316,8 @@ def _coordinate_grid(pbox: PBox, osc: Oscillation, upper: bool, a: float, b: flo
     def probs(s):
         z = s if rising else 1.0 - s
         if upper == rising:  # [0, z) or [0, z]: F_lower(z-) or F_lower(z)
-            gains = np.maximum(0.0, _read(pbox.lower.left_limit, z, z > 0.0, 0.0) if upper
-                               else _read(pbox.lower, z, z < 1.0, one))
+            cdf = pbox.lower.left_limit if upper else pbox.lower
+            gains = np.maximum(0.0, np.asarray(cdf(z), dtype=float))
         else:  # (z, 1] or [z, 1]: F_lower(1) - F_upper(z)
             gains = one - (_read(pbox.upper, z, z < 1.0, one) if upper
                            else _read(pbox.upper, z, z > 0.0, 0.0))
@@ -421,8 +422,9 @@ def _monotone_integrand(g: np.ndarray) -> np.ndarray:
         raise ValidationError(
             "cut probability increased with the level; "
             "oscillation metadata or p-box inputs are inconsistent")
-    # the running minimum of a non-increasing g is g itself; a NaN fails
-    # the test, so the running minimum still spreads it forward
+    # the running minimum of a non-increasing g is g itself, and the test
+    # costs a sixth of it; a NaN fails the test, so the running minimum
+    # still spreads it forward
     if (rises <= 0.0).all():
         return g
     return np.minimum.accumulate(g, out=g)

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -197,24 +196,21 @@ def _oscillation(node: _Node):
 def _operand(node: _Node, operands: dict) -> RealLinePBox:
     """A real-line p-box: a ``point``, or ``lower`` knots and optional ``upper`` ones.
 
-    ``operands`` maps each operand the document has parsed to its p-box, so an
+    ``operands`` maps the JSON value of each operand the document has built, by
+    its ``repr`` (which keeps ``-0.0`` apart from ``0.0``), to its p-box, so an
     operand that repeats is built, and validated, at its first occurrence only.
     """
+    key = repr(node.value)
+    if key in operands:
+        return operands[key]
     if node.one_of("point", "lower") == "point":
         point = node.get("point")
-        parsed = ("point", point.of("a number"))
-        numbers = parsed[1:]
-        build = partial(point.build, RealLinePBox.point_mass, parsed[1])
+        built = point.build(RealLinePBox.point_mass, point.of("a number"))
     else:
         upper = _knots(node.get("upper")) if "upper" in node.value else None
-        parsed = (_knots(node.get("lower")), upper)
-        numbers = chain.from_iterable(parsed[0] + (upper or ()))
-        build = partial(node.build, RealLinePBox.from_knots, *parsed)
-    # -0.0 == 0.0, so the sign of each zero joins the key
-    key = parsed + tuple(math.copysign(1.0, v) for v in numbers if v == 0)
-    if key not in operands:
-        operands[key] = build()
-    return operands[key]
+        built = node.build(RealLinePBox.from_knots, _knots(node.get("lower")), upper)
+    operands[key] = built
+    return built
 
 
 def _event(node: _Node):

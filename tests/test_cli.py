@@ -843,15 +843,14 @@ class TestInferModels:
 
     def test_operands_differing_in_a_zero_sign_are_built_apart(
             self, tmp_path, capsys, monkeypatch):
-        # -0.0 == 0.0, and 1 == 1.0 builds the same p-box as 1.0
-        operands = [{"lower": [[-1.0, 0.0], [zero, 0.5], [1, 1.0]]}
+        # -0.0 == 0.0, but the two are different operands
+        operands = [{"lower": [[-1.0, 0.0], [zero, 0.5], [1.0, 1.0]]}
                     for zero in (0.0, -0.0, 0.0)]
-        operands.append({"lower": [[-1.0, 0.0], [0.0, 0.5], [1.0, 1.0]]})
         doc = {"queries": [{"id": f"q{k}", "kind": "arith_op", "y": 0.5,
                             "x1": x1, "x2": {"point": 0.25}} for k, x1 in enumerate(operands)]}
         calls = self.count_builds(monkeypatch)
         code, rows = self.run_doc(tmp_path, capsys, doc)
-        assert code == 0 and len(rows) == 4
+        assert code == 0 and len(rows) == 3
         assert [math.copysign(1.0, lower[1][0]) for lower, _ in calls] == [1.0, -1.0]
 
     def test_repeated_invalid_operand_names_its_first_occurrence(self, tmp_path, capsys):
