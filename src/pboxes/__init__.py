@@ -72,16 +72,71 @@ _ORACLE_NAMES = frozenset({
     "AdditivityReport",
     "FiniteCredalInstance",
     "FiniteLowerProbability",
+    "MobiusReport",
     "MonotonicityReport",
     "RepresentabilityReport",
     "additivity_check",
     "complete_monotonicity_check",
     "envelope_sample_bound",
     "lp_lower_expectation",
+    "mobius_check",
+    "natural_extension_numerators",
     "natural_extension_table",
     "pbox_representability_check",
     "random_credal_instance",
 })
+
+# a star import binds the oracle's names too, loading it, and no submodule
+__all__ = [
+    "DEFAULT_CONFIG",
+    "Oscillation",
+    "QuadratureConfig",
+    "QuadratureResult",
+    "cut_event",
+    "lower_expectation",
+    "lower_expectation_finite",
+    "threshold_solve",
+    "upper_expectation",
+    "ParseError",
+    "ToleranceError",
+    "ValidationError",
+    "FRECHET",
+    "INDEPENDENT",
+    "RealLinePBox",
+    "combine",
+    "prob_arith_add_lower",
+    "prob_arith_add_upper",
+    "prob_arith_transform",
+    "sublevel_box_lower",
+    "AnalyticCdf",
+    "PBox",
+    "PiecewiseLinearCdf",
+    "StepCdf",
+    "cdf_eval",
+    "cdf_left_limit",
+    "lower_prob_event",
+    "lower_prob_field",
+    "upper_prob_event",
+    "EMPTY_EVENT",
+    "FULL_EVENT",
+    "UNIT_INTERVAL",
+    "ClassSubset",
+    "FiniteQuotientSpace",
+    "UnitInterval",
+    "ZEventSet",
+    "ZInterval",
+    "complement_z",
+    "full_components_finite",
+    "normalize",
+    "sublevel_event",
+    "BUILTIN_NAMES",
+    "Query",
+    "Scenario",
+    "builtin_scenario",
+    "run_query",
+    "run_scenario",
+    *sorted(_ORACLE_NAMES),
+]
 
 
 def __getattr__(name: str):

@@ -39,8 +39,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .pbox import PBox, _piece_gains, lower_prob_event, vectorized
-from .preorder import ClassSubset, ZEventSet, ZInterval, _finite_number, normalize
+from .pbox import PBox, _piece_gains, _run_sum, vectorized
+from .preorder import ZEventSet, ZInterval, _finite_number, normalize
 
 __all__ = [
     "Oscillation",
@@ -528,18 +528,32 @@ def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
 
     Sorts the distinct gamble values and accumulates value increments times
     the lower probability of the super-level class subsets; no quadrature is
-    involved.
+    involved.  One scan of the classes per level finds the runs of the
+    super-level set, in ascending order, and ``pbox._run_sum``, the finite
+    formula of :func:`pboxes.pbox.lower_prob_event`, reads their lower
+    probability from the step CDFs' values.
     """
     if not pbox.is_finite:
         raise ValidationError("lower_expectation_finite needs a finite-space p-box")
     values = [_finite_number(v) for v in gamble]
-    if len(values) != pbox.space.size:
+    n = len(values)
+    if n != pbox.space.size:
         raise ValidationError("gamble length must match the number of classes")
+    lower, upper = pbox.lower.values, pbox.upper.values
     distinct = sorted(set(values))
     total = distinct[0]
     for prev, cur in zip(distinct, distinct[1:]):
-        level = ClassSubset(frozenset(i for i, v in enumerate(values) if v >= cur))
-        total += (cur - prev) * lower_prob_event(pbox, level)
+        runs, start = [], None
+        for i, v in enumerate(values):
+            if v < cur:
+                if start is not None:
+                    runs.append((start, i - 1))
+                    start = None
+            elif start is None:
+                start = i
+        if start is not None:
+            runs.append((start, n - 1))
+        total += (cur - prev) * _run_sum(lower, upper, runs)
     return total
 
 

@@ -398,11 +398,12 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
     """
     # the oracle, with fractions and decimal, loads only for this command
     from .oracle import (
+        FiniteLowerProbability,
         additivity_check,
-        complete_monotonicity_check,
         envelope_sample_bound,
         lp_lower_expectation,
-        natural_extension_table,
+        mobius_check,
+        natural_extension_numerators,
         pbox_representability_check,
         random_credal_instance,
     )
@@ -455,11 +456,13 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
     for index in range(structural):
         n = rng.randint(2, min(n_max, 5))
         instance = random_credal_instance(rng, n, denominator=100)
-        table = natural_extension_table(instance)
-        mono = complete_monotonicity_check(table, p_max=3)
+        # one exact sweep per subset feeds both checks
+        numerators, scale = natural_extension_numerators(instance)
+        mono = mobius_check(numerators, scale)
         if not mono.passed:
             violations.append(
                 f"monotonicity violation: {_serialize(instance)} {mono.violations[0]}")
+        table = FiniteLowerProbability.from_numerators(numerators, scale)
         rep = pbox_representability_check(table)
         if not rep.matches:
             violations.append(

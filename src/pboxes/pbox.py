@@ -5,8 +5,10 @@ distribution.  Its least-committal extension to an event is the sum, over
 the full components of the event's interior image, of
 ``max(0, F_lower(top) - F_upper(predecessor of the bottom))``.  There is one
 formula per space type, both behind :func:`lower_prob_event`: on a finite
-space a scalar loop over runs of consecutive classes, each with its
-immediate predecessor; on the unit continuum :func:`_piece_gains`, one
+space :func:`_run_sum`, a scalar loop over runs of consecutive classes,
+each with its immediate predecessor, which
+:func:`pboxes.choquet.lower_expectation_finite` calls for every level too;
+on the unit continuum :func:`_piece_gains`, one
 vectorised pass over intervals, where only 0 has a predecessor (of mass 0)
 and an open top reads the lower CDF's left limit.  The same helper gives
 the probabilities of the cut sets that :mod:`pboxes.choquet` finds from
@@ -361,16 +363,29 @@ def lower_prob_event(pbox: PBox, interior_image) -> float:
     if isinstance(interior_image, ClassSubset):
         if not pbox.is_finite:
             raise ValidationError("class subsets require a finite-space p-box")
-        total = sum(max(0.0, pbox.lower(b) - pbox.upper.left_limit(a))
-                    for a, b in full_components_finite(pbox.space, interior_image))
-    elif isinstance(interior_image, ZEventSet):
-        if pbox.is_finite:
-            raise ValidationError("z-events require a continuum p-box")
-        ends = [(iv.lo, iv.hi, iv.lo_open, iv.hi_open) for iv in interior_image]
-        lo, hi, lo_open, hi_open = np.array(ends, dtype=float).reshape(-1, 4).T
-        total = sum(_piece_gains(pbox, lo, hi, lo_open > 0, hi_open > 0).tolist())
-    else:
+        return _run_sum(pbox.lower.values, pbox.upper.values,
+                        full_components_finite(pbox.space, interior_image))
+    if not isinstance(interior_image, ZEventSet):
         raise ValidationError("events are ClassSubset or ZEventSet values")
+    if pbox.is_finite:
+        raise ValidationError("z-events require a continuum p-box")
+    ends = [(iv.lo, iv.hi, iv.lo_open, iv.hi_open) for iv in interior_image]
+    lo, hi, lo_open, hi_open = np.array(ends, dtype=float).reshape(-1, 4).T
+    total = sum(_piece_gains(pbox, lo, hi, lo_open > 0, hi_open > 0).tolist(), 0.0)
+    return min(max(total, 0.0), 1.0)
+
+
+def _run_sum(lower: tuple, upper: tuple, runs) -> float:
+    """The finite formula over ascending runs ``(a, b)`` of consecutive classes.
+
+    ``lower`` and ``upper`` are the values of the two step CDFs, and the
+    predecessor of class 0 reads 0.  The sum of ``max(0, lower[b] -
+    upper[a - 1])`` starts at the float 0, so that an empty event has the
+    float lower probability 0, and is clamped to [0, 1].
+    """
+    total = 0.0
+    for a, b in runs:
+        total += max(0.0, lower[b] - (upper[a - 1] if a else 0.0))
     return min(max(total, 0.0), 1.0)
 
 

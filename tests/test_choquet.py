@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from coordinate_grid_reference import anchored_probs
+from finite_sum_reference import event_reference, finite_sum_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -561,6 +562,29 @@ class TestFiniteChoquet:
         box = PBox(StepCdf((0.3, 1.0)), StepCdf((0.7, 1.0)), space)
         with pytest.raises(ValidationError):
             lower_expectation_finite(box, [1.0, 2.0, 3.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_run_scan_equals_per_level_events_bitwise(self, data):
+        # a CDF value of 0.0 or -0.0, tied cumulative bounds and tied gamble
+        # values, and ints mixed with floats, each in its own class; one
+        # non-empty event through lower_prob_event's share of the run sum
+        n = data.draw(st.integers(1, 12), label="n")
+        bound = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                          st.floats(0.0, 1.0))
+        a = sorted(data.draw(st.lists(bound, min_size=n - 1, max_size=n - 1), label="a"))
+        b = sorted(data.draw(st.lists(bound, min_size=n - 1, max_size=n - 1), label="b"))
+        box = PBox(StepCdf(tuple(min(x, y) for x, y in zip(a, b)) + (1.0,)),
+                   StepCdf(tuple(max(x, y) for x, y in zip(a, b)) + (1.0,)))
+        value = st.one_of(st.integers(-3, 3), st.sampled_from([0.0, -0.0, 0.5, -1.5]),
+                          st.floats(-1e6, 1e6, allow_nan=False))
+        gamble = data.draw(st.lists(value, min_size=n, max_size=n), label="gamble")
+        got = lower_expectation_finite(box, gamble)
+        assert type(got) is float
+        assert got.hex() == finite_sum_reference(box, gamble).hex()
+        mask = data.draw(st.integers(1, (1 << n) - 1), label="event")
+        event = ClassSubset(frozenset(i for i in range(n) if mask >> i & 1))
+        assert lower_prob_event(box, event).hex() == event_reference(box, event).hex()
 
 
 def staircase(values):

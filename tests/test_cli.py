@@ -1034,6 +1034,21 @@ class TestVerify:
         assert "mismatch" in out
         assert "subset=" in out
 
+    def test_corrupted_structural_table_flagged(self, capsys, monkeypatch):
+        import pboxes.oracle as oracle_mod
+
+        # three classes, every pair certain and no singleton: monotone under
+        # inclusion, but the full set has the Möbius mass 1 - 3 = -2
+        def corrupted(instance):
+            return [0, 0, 0, 1, 0, 1, 1, 1], 1
+
+        monkeypatch.setattr(oracle_mod, "natural_extension_numerators", corrupted)
+        code = run_verify(seed=3, trials=4, n_max=4)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "monotonicity violation" in out
+        assert "mass=Fraction(-2, 1)" in out
+
 
 class TestScenarioConfig:
     def test_file_config_respected(self, tmp_path):

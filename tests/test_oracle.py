@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -15,6 +18,8 @@ from pboxes.oracle import (
     complete_monotonicity_check,
     envelope_sample_bound,
     lp_lower_expectation,
+    mobius_check,
+    natural_extension_numerators,
     natural_extension_table,
     pbox_representability_check,
     random_credal_instance,
@@ -32,8 +37,8 @@ from monotonicity_reference import monotonicity_reference
 GAMBLE_READERS = (lp_lower_expectation, partial(envelope_sample_bound, samples=4))
 
 
-def coupling_lower_probability(p1_band, p2_band):
-    """Lower probability of every subset of a 2x2 product space.
+def coupling_exact(p1_band, p2_band) -> list:
+    """Exact lower probability of every subset of a 2x2 product space, by bitmask.
 
     Atoms are indexed 0=(low, low), 1=(low, high), 2=(high, low),
     3=(high, high); the bands constrain the first-margin and second-margin
@@ -48,11 +53,14 @@ def coupling_lower_probability(p1_band, p2_band):
     b_ub = [hi1, -lo1, hi2, -lo2]
     a_eq = [[Fraction(1)] * 4]
     b_eq = [Fraction(1)]
-    values = {}
-    for mask in range(16):
-        cost = [Fraction(1 if mask & (1 << i) else 0) for i in range(4)]
-        values[mask] = float(simplex_min(cost, a_ub, b_ub, a_eq, b_eq))
-    return FiniteLowerProbability(4, values)
+    return [simplex_min([Fraction(mask >> i & 1) for i in range(4)], a_ub, b_ub, a_eq, b_eq)
+            for mask in range(16)]
+
+
+def coupling_lower_probability(p1_band, p2_band):
+    """The table of :func:`coupling_exact`, each value rounded to a float."""
+    exact = coupling_exact(p1_band, p2_band)
+    return FiniteLowerProbability(4, {mask: float(v) for mask, v in enumerate(exact)})
 
 
 def envelope_reference(instance, gamble, samples, seed=0):
@@ -246,6 +254,20 @@ class TestInputNumbers:
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             getattr(pboxes, "no_such_name")
 
+    def test_star_import_binds_the_oracle_and_no_submodule(self):
+        # a fresh interpreter: the bare import leaves the oracle unloaded
+        import pboxes
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pboxes.__file__)))
+        script = ("import sys, pboxes; loaded = 'pboxes.oracle' in sys.modules; "
+                  "from pboxes import *; "
+                  "print(loaded, lp_lower_expectation.__module__, 'choquet' in dir())")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=env, check=True).stdout
+        assert out.split() == ["False", "pboxes.oracle", "False"]
+
 
 class TestEnvelopeSampleBound:
     def test_precise_instance_exact_for_any_samples(self):
@@ -381,6 +403,80 @@ class TestCompleteMonotonicity:
             complete_monotonicity_check(table, p_max=5)
         with pytest.raises(ValidationError):
             complete_monotonicity_check(table, p_max=1)
+
+
+class TestMobiusCheck:
+    def test_natural_extensions_are_belief_functions_on_chain_intervals(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            instance = random_credal_instance(rng, n, rng.choice([24, 100, 1000]))
+            numerators, scale = natural_extension_numerators(instance)
+            report = mobius_check(numerators, scale)
+            assert report.passed, report.violations
+            assert sum(report.masses) == scale
+            for mask, mass in enumerate(report.masses):
+                run = mask >> ((mask & -mask).bit_length() - 1) if mask else 0
+                assert mass == 0 or run & (run + 1) == 0, (mask, mass)
+
+    def test_table_floats_are_the_lp_floats(self, rng):
+        for _ in range(10):
+            n = rng.randint(1, 6)
+            instance = random_credal_instance(rng, n, rng.choice([24, 997]))
+            table = natural_extension_table(instance)
+            for mask in range(1 << n):
+                indicator = [mask >> i & 1 for i in range(n)]
+                assert table[mask].hex() == lp_lower_expectation(instance, indicator).hex()
+
+    def test_lowered_additive_pair_is_caught(self, rng):
+        # {0, 2} splits into two runs, so its mass is 0; one unit of 1/D less
+        # is a negative mass (one unit more can leave a belief function)
+        for _ in range(20):
+            numerators, scale = natural_extension_numerators(
+                random_credal_instance(rng, rng.randint(3, 6), rng.choice([24, 100])))
+            assert mobius_check(numerators, scale).masses[0b101] == 0
+            numerators[0b101] -= 1
+            report = mobius_check(numerators, scale)
+            assert not report.passed
+            assert report.violations[0].event == frozenset({0, 2})
+            assert report.violations[0].mass == Fraction(-1, scale)
+
+    def test_coupling_joint_has_a_negative_mass(self):
+        # criterion 6's joint, not 2-monotone at A = {0, 1} and B = {1, 3}: the
+        # masses of the subsets of A | B in neither A nor B sum to the defect
+        exact = coupling_exact((0.4, 0.6), (0.2, 0.3))
+        report = mobius_check(exact)
+        assert not report.passed
+        a, b = 0b0011, 0b1010
+        gap = sum(mass for c, mass in enumerate(report.masses)
+                  if c & ~(a | b) == 0 and c & ~a and c & ~b)
+        assert gap == exact[a | b] + exact[a & b] - exact[a] - exact[b]
+        assert float(gap) == pytest.approx(-0.3, abs=1e-9)
+
+    def test_agrees_with_the_enumeration_on_coupling_joints(self, rng):
+        # a failed order up to 4 is a negative mass, and with no negative mass
+        # every order passes; a vacuous margin leaves a belief function
+        bands = [((0.4, 0.6), (0.2, 0.3)), ((0.4, 0.6), (0.0, 1.0)),
+                 ((0.0, 1.0), (0.0, 1.0))] + [
+            tuple(tuple(sorted((rng.random(), rng.random()))) for _ in range(2))
+            for _ in range(9)]
+        outcomes = set()
+        for band1, band2 in bands:
+            mobius = mobius_check(coupling_exact(band1, band2))
+            enumerated = complete_monotonicity_check(
+                coupling_lower_probability(band1, band2), p_max=4)
+            assert mobius.passed <= enumerated.passed
+            outcomes.add(mobius.passed)
+        assert outcomes == {True, False}
+
+    def test_refuses_malformed_tables(self):
+        with pytest.raises(ValidationError):
+            mobius_check([0, 1, 1])
+        with pytest.raises(ValidationError):
+            mobius_check([1])
+        with pytest.raises(ValidationError):
+            mobius_check([1, 1])
+        with pytest.raises(TypeError):
+            mobius_check([0.0, 1.0])
 
 
 class TestRepresentability:

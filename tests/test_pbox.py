@@ -323,6 +323,13 @@ class TestLowerProbEvent:
     def test_empty_interior_gives_zero(self):
         assert lower_prob_event(NONUNIQUE_BOX, EMPTY_EVENT) == 0.0
 
+    @pytest.mark.parametrize("box, event", [(NONUNIQUE_BOX, EMPTY_EVENT),
+                                            (ORDERING_FINE, ClassSubset())],
+                             ids=["z-event", "class-subset"])
+    def test_empty_event_is_the_float_zero(self, box, event):
+        value = lower_prob_event(box, event)
+        assert type(value) is float and value == 0.0
+
     def test_matches_lp_oracle_on_random_finite_instances(self, rng):
         for _ in range(40):
             n = rng.randint(2, 5)
