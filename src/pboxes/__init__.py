@@ -24,10 +24,8 @@ from .multivariate import (
     FRECHET,
     INDEPENDENT,
     RealLinePBox,
+    arith_bound,
     combine,
-    prob_arith_add_lower,
-    prob_arith_add_upper,
-    prob_arith_transform,
     sublevel_box_lower,
 )
 from .pbox import (
@@ -35,8 +33,6 @@ from .pbox import (
     PBox,
     PiecewiseLinearCdf,
     StepCdf,
-    cdf_eval,
-    cdf_left_limit,
     lower_prob_event,
     lower_prob_field,
     upper_prob_event,
@@ -53,7 +49,6 @@ from .preorder import (
     complement_z,
     full_components_finite,
     normalize,
-    sublevel_event,
 )
 from .scenarios import (
     BUILTIN_NAMES,
@@ -61,7 +56,6 @@ from .scenarios import (
     Scenario,
     builtin_scenario,
     run_query,
-    run_scenario,
 )
 
 __version__ = "0.1.0"
@@ -103,17 +97,13 @@ __all__ = [
     "FRECHET",
     "INDEPENDENT",
     "RealLinePBox",
+    "arith_bound",
     "combine",
-    "prob_arith_add_lower",
-    "prob_arith_add_upper",
-    "prob_arith_transform",
     "sublevel_box_lower",
     "AnalyticCdf",
     "PBox",
     "PiecewiseLinearCdf",
     "StepCdf",
-    "cdf_eval",
-    "cdf_left_limit",
     "lower_prob_event",
     "lower_prob_field",
     "upper_prob_event",
@@ -128,13 +118,11 @@ __all__ = [
     "complement_z",
     "full_components_finite",
     "normalize",
-    "sublevel_event",
     "BUILTIN_NAMES",
     "Query",
     "Scenario",
     "builtin_scenario",
     "run_query",
-    "run_scenario",
     *sorted(_ORACLE_NAMES),
 ]
 

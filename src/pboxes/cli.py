@@ -462,6 +462,9 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
         if not mono.passed:
             violations.append(
                 f"monotonicity violation: {_serialize(instance)} {mono.violations[0]}")
+            # a drop under inclusion is a negative mass too, and such a table
+            # cannot be a FiniteLowerProbability for the round trip below
+            continue
         table = FiniteLowerProbability.from_numerators(numerators, scale)
         rep = pbox_representability_check(table)
         if not rep.matches:

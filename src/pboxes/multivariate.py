@@ -34,9 +34,7 @@ __all__ = [
     "RealLinePBox",
     "combine",
     "sublevel_box_lower",
-    "prob_arith_add_lower",
-    "prob_arith_add_upper",
-    "prob_arith_transform",
+    "arith_bound",
 ]
 
 
@@ -187,9 +185,13 @@ def _positive_support(op: str, x: RealLinePBox) -> None:
 # a corner or stationary point beyond the float range overflows to ±inf, which
 # the segment or its cell drops, or at which a CDF takes its limit, 0 or 1
 @np.errstate(over="ignore")
-def _arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y):
+def arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y):
     """One side of the CDF of ``X1 op X2`` under unknown dependence, at y: a
     float at a number, an array at each point of an array.
+
+    ``op`` is ``add``, ``subtract``, ``multiply`` or ``divide``, and ``side``
+    is ``lower`` or ``upper``; products and quotients need strictly positive
+    supports, and every y must be finite.  The bound is exact up to rounding.
 
     With ``p`` the partner map and ``T(x)`` the second variable's term
     (``F2(p(x))``, or ``1 - G2(p(x)-)`` when the order reverses), the lower
@@ -203,6 +205,8 @@ def _arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y):
     row of every corner, and the corners outside its segment are masked.
     """
     partner, preimage, reverses = _operation(op)
+    if side not in ("lower", "upper"):
+        raise ValidationError(f"expected side 'lower' or 'upper', got {side!r}")
     scalar = np.ndim(y) == 0
     ys = np.array([_finite_number(y)]) if scalar else _finite_numbers(y)
     _positive_support(op, x1)
@@ -278,27 +282,3 @@ def _stationary_minima(f1, f2, xs, ps, keep, y) -> np.ndarray:
     least = np.ones(len(xs))
     np.minimum.at(least, row[inner], f1(mid) + f2(y_cell / mid))
     return least
-
-
-def prob_arith_add_lower(x1: RealLinePBox, x2: RealLinePBox, y: float) -> float:
-    """Lower CDF of ``X1 + X2`` at y under unknown dependence.
-
-    The maximum of ``max(0, F1(x) + F2(y - x) - 1)`` along ``x1 + x2 = y``;
-    values of y outside the sum support clamp to 0 or 1.
-    """
-    return _arith_bound("add", "lower", x1, x2, y)
-
-
-def prob_arith_add_upper(x1: RealLinePBox, x2: RealLinePBox, y: float) -> float:
-    """Upper CDF of ``X1 + X2`` at y: the infimum of ``min(1, F1(x) + F2(y - x))``."""
-    return _arith_bound("add", "upper", x1, x2, y)
-
-
-def prob_arith_transform(op: str, x1: RealLinePBox, x2: RealLinePBox, y: float) -> tuple:
-    """CDF bounds at y for ``X1 + X2``, ``X1 - X2``, ``X1 * X2`` or ``X1 / X2``.
-
-    ``op`` is ``add``, ``subtract``, ``multiply`` or ``divide``; products
-    and quotients need strictly positive supports.  Returns the
-    ``(lower, upper)`` pair, exact up to rounding.
-    """
-    return (_arith_bound(op, "lower", x1, x2, y), _arith_bound(op, "upper", x1, x2, y))

@@ -47,8 +47,6 @@ __all__ = [
     "PiecewiseLinearCdf",
     "AnalyticCdf",
     "PBox",
-    "cdf_eval",
-    "cdf_left_limit",
     "lower_prob_field",
     "lower_prob_event",
     "upper_prob_event",
@@ -162,10 +160,6 @@ class AnalyticCdf:
         if self.left_limit_fn is not None:
             object.__setattr__(self, "left_limit_fn", vectorized(self.left_limit_fn))
 
-    @property
-    def domain(self) -> tuple:
-        return (0.0, 1.0)
-
     def __call__(self, z):
         return self.fn(z)
 
@@ -200,20 +194,6 @@ def vectorized(fn: Callable) -> Callable:
         return np.array([float(fn(v)) for v in np.ravel(x)]).reshape(np.shape(x))
 
     return elementwise
-
-
-def cdf_eval(cdf, z):
-    """F(z), validating the class index or the coordinate against the CDF's domain."""
-    if isinstance(cdf, StepCdf):
-        return cdf(z)
-    return float(cdf(_coordinate(z, *cdf.domain)))
-
-
-def cdf_left_limit(cdf, z):
-    """F(z-) = sup of F strictly below z; 0 at or below the bottom element."""
-    if isinstance(cdf, StepCdf):
-        return cdf.left_limit(z)
-    return float(cdf.left_limit(_coordinate(z, *cdf.domain)))
 
 
 @dataclass(frozen=True)

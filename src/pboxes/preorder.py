@@ -9,12 +9,12 @@ subintervals of [0, 1] in the continuum case.
 
 Every input number of every module passes one of three checks here:
 :func:`_finite_number` (:func:`_finite_numbers` for a sequence of them, in
-one array pass), :func:`_coordinate` (a point of [0, 1] or of a CDF's
-domain) and :func:`_class_index` (-1 may stand for the artificial
-predecessor of the smallest class).  Python and numpy numbers and fractions
-come out as ``float`` or ``int``; a non-number (string, boolean, ``None``,
-container) is a ``TypeError``, and a number that is not finite, out of
-range, or a float where an index belongs is a :class:`ValidationError`.
+one array pass), :func:`_coordinate` (a point of [0, 1]) and
+:func:`_class_index` (-1 may stand for the artificial predecessor of the
+smallest class).  Python and numpy numbers and fractions come out as
+``float`` or ``int``; a non-number (string, boolean, ``None``, container) is
+a ``TypeError``, and a number that is not finite, out of range, or a float
+where an index belongs is a :class:`ValidationError`.
 
 All values are immutable and all operations are pure functions, so they are
 safe to use concurrently without coordination.  Endpoint comparisons are
@@ -45,7 +45,6 @@ __all__ = [
     "normalize",
     "complement_z",
     "full_components_finite",
-    "sublevel_event",
 ]
 
 
@@ -80,11 +79,11 @@ def _finite_numbers(xs) -> np.ndarray:
     return points
 
 
-def _coordinate(z, lo: float = 0.0, hi: float = 1.0) -> float:
-    """``z`` as a float in ``[lo, hi]``, checked by :func:`_finite_number` first."""
+def _coordinate(z) -> float:
+    """``z`` as a float in [0, 1], checked by :func:`_finite_number` first."""
     value = _finite_number(z)
-    if not lo <= value <= hi:
-        raise ValidationError(f"coordinate {value:g} outside [{lo:g}, {hi:g}]")
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"coordinate {value:g} outside [0, 1]")
     return value
 
 
@@ -320,8 +319,3 @@ def full_components_finite(space: FiniteQuotientSpace, subset: ClassSubset) -> t
         else:
             runs.append((i, i))
     return tuple(runs)
-
-
-def sublevel_event(z: float, closed: bool = True) -> ZEventSet:
-    """The z-image ``[0, z]`` (or ``[0, z)``) of a sublevel set."""
-    return normalize([ZInterval(0.0, z, False, not closed)])

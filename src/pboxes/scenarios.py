@@ -38,9 +38,9 @@ from .multivariate import (
     FRECHET,
     INDEPENDENT,
     RealLinePBox,
-    _arith_bound,
     _operation,
     _positive_support,
+    arith_bound,
     combine,
 )
 from .pbox import (
@@ -73,7 +73,6 @@ __all__ = [
     "builtin_scenario",
     "run_query",
     "result_rows",
-    "run_scenario",
     "named_cdf",
     "named_oscillation",
     "diagonal_rectangle_interior",
@@ -182,7 +181,7 @@ _ARITH_CELLS = 1 << 16
 
 def _arith(q: Query, cfg: QuadratureConfig) -> tuple:
     """The bound at ``y``, or an array of the bounds at each point of a grid."""
-    bound = partial(_arith_bound, q.op, q.side, q.x1, q.x2)
+    bound = partial(arith_bound, q.op, q.side, q.x1, q.x2)
     if not isinstance(q.y, tuple):
         return bound(q.y), 0.0
     # at most the corners of a point's row: the ends of both supports and the
@@ -218,17 +217,6 @@ def result_rows(query: Query, result: QueryResult) -> list:
     if not isinstance(query.y, tuple):
         return [(result.id, result.value)]
     return [(f"{result.id}_{k}", value) for k, value in enumerate(result.value.tolist())]
-
-
-def run_scenario(scenario: Scenario,
-                 cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    """The result of each row of each query (see :func:`result_rows`)."""
-    results = []
-    for query in scenario.queries:
-        result = run_query(query, cfg)
-        results += [QueryResult(rid, result.kind, value, result.error_bound, result.converged)
-                    for rid, value in result_rows(query, result)]
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from pboxes.choquet import (
     upper_expectation,
 )
 from pboxes.cli import CSV_HEADER, main
-from pboxes.multivariate import RealLinePBox, prob_arith_add_lower, prob_arith_transform
+from pboxes.multivariate import RealLinePBox, arith_bound
 from pboxes.oracle import (
     FiniteLowerProbability,
     complete_monotonicity_check,
@@ -200,7 +200,7 @@ def test_criterion_10_probabilistic_arithmetic():
         uniform = RealLinePBox.from_knots([(0.0, 0.0), (1.0, 1.0)])
         for k in range(1001):
             y = 2.0 * k / 1000
-            got = prob_arith_add_lower(uniform, uniform, y)
+            got = arith_bound("add", "lower", uniform, uniform, y)
             assert abs(got - max(0.0, y - 1.0)) <= 1e-9
         rng = random.Random(99)
         supports = {"add": lambda s1, s2: (s1[0] + s2[0], s1[1] + s2[1]),
@@ -214,7 +214,7 @@ def test_criterion_10_probabilistic_arithmetic():
                 lo_y, hi_y = supports[op](x1.support, x2.support)
                 for frac in (0.2, 0.5, 0.8):
                     y = lo_y + frac * (hi_y - lo_y)
-                    low, up = prob_arith_transform(op, x1, x2, y)
+                    low, up = (arith_bound(op, side, x1, x2, y) for side in ("lower", "upper"))
                     assert abs(low - oracle_lower(x1, x2, y)) <= 1e-6, (op, y)
                     assert abs(up - oracle_upper(x1, x2, y)) <= 1e-6, (op, y)
 

@@ -521,6 +521,35 @@ class TestUpperExpectation:
         assert res.bracket[0] <= 0.0 <= res.bracket[1]
 
 
+class TestScalarOnlyCallables:
+    """A CDF or oscillation written for scalars only is looped over elements,
+    and gives the expectations of its numpy equivalent bit for bit."""
+
+    @staticmethod
+    def expectations(lower, upper, f):
+        box = PBox(AnalyticCdf(lower), AnalyticCdf(upper), UNIT_INTERVAL)
+        osc = Oscillation(f, inf_value=0.0, sup_value=3.0, monotonicity=INCREASING)
+        return lower_expectation(box, osc), upper_expectation(box, osc)
+
+    def test_equal_to_the_vectorised_callables(self):
+        def square(z):
+            return float(z) * float(z)
+
+        def rising(z):
+            return 2.0 * math.sqrt(z) + z
+
+        probe = np.array([0.25, 0.75])
+        for scalar_only in (math.sqrt, square, rising):
+            with pytest.raises(TypeError):
+                scalar_only(probe)
+        assert AnalyticCdf(math.sqrt).fn is not math.sqrt
+        scalar = self.expectations(square, math.sqrt, rising)
+        vector = self.expectations(lambda z: np.asarray(z, float) * z, np.sqrt,
+                                   lambda z: 2.0 * np.sqrt(z) + z)
+        assert scalar == vector
+        assert all(result.converged for result in scalar)
+
+
 class TestFiniteChoquet:
     def test_indicator_reduces_to_event(self, rng):
         for _ in range(20):

@@ -13,8 +13,8 @@ from pboxes.multivariate import (
     FRECHET,
     INDEPENDENT,
     RealLinePBox,
+    arith_bound,
     combine,
-    prob_arith_transform,
 )
 from pboxes.pbox import PBox, PiecewiseLinearCdf, lower_prob_event, upper_prob_event
 from pboxes.scenarios import (
@@ -23,7 +23,8 @@ from pboxes.scenarios import (
     diagonal_rectangle_interior,
     named_cdf,
     piecewise_linear_oscillation,
-    run_scenario,
+    result_rows,
+    run_query,
 )
 from pboxes.preorder import (
     EMPTY_EVENT,
@@ -54,8 +55,9 @@ def csv_rows(out):
 class TestBuiltinScenarios:
     def test_all_builtins_run(self):
         for name in BUILTIN_NAMES:
-            results = run_scenario(builtin_scenario(name))
-            assert results
+            queries = builtin_scenario(name).queries
+            rows = [row for q in queries for row in result_rows(q, run_query(q))]
+            assert rows
 
     def test_ordering_rows(self, capsys):
         code, out, _ = run_cli(capsys, ["paper", "example_ordering"])
@@ -803,7 +805,8 @@ class TestInferModels:
         assert code == 0
         box = RealLinePBox.from_knots(x1["lower"], x1["upper"])
         for k, y in enumerate(ys):
-            lower, upper = prob_arith_transform("add", box, RealLinePBox.point_mass(0.5), y)
+            lower, upper = (arith_bound("add", side, box, RealLinePBox.point_mass(0.5), y)
+                            for side in ("lower", "upper"))
             assert rows[f"lower_{k}"][1] == pytest.approx(lower, abs=1e-12)
             assert rows[f"upper_{k}"][1] == pytest.approx(upper, abs=1e-12)
 
@@ -1049,6 +1052,22 @@ class TestVerify:
         assert "monotonicity violation" in out
         assert "mass=Fraction(-2, 1)" in out
 
+    def test_structural_table_dropping_under_inclusion_flagged(self, capsys, monkeypatch):
+        import pboxes.oracle as oracle_mod
+
+        # the singleton {0} is certain and the pair {0, 1} impossible: the pair
+        # has the Möbius mass 0 - 1 = -1, and no lower probability drops so
+        def corrupted(instance):
+            return [0, 1, 0, 0, 0, 1, 1, 1], 1
+
+        monkeypatch.setattr(oracle_mod, "natural_extension_numerators", corrupted)
+        code = run_verify(seed=3, trials=4, n_max=4)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "monotonicity violation" in out
+        assert "mass=Fraction(-1, 1)" in out
+        assert "representability mismatch" not in out
+
 
 class TestScenarioConfig:
     def test_file_config_respected(self, tmp_path):
@@ -1066,8 +1085,7 @@ class TestScenarioConfig:
         path = tmp_path / "ref.json"
         path.write_text(json.dumps(doc))
         scenario, _ = load_scenario(str(path))
-        results = run_scenario(scenario)
-        assert results[0].value == pytest.approx(0.25)
+        assert run_query(scenario.queries[0]).value == pytest.approx(0.25)
 
     def test_builtin_pbox_reference_to_finite_joint(self, tmp_path):
         doc = {"pbox": {"builtin": "example_independent_63"},
@@ -1075,7 +1093,7 @@ class TestScenarioConfig:
         path = tmp_path / "joint.json"
         path.write_text(json.dumps(doc))
         scenario, _ = load_scenario(str(path))
-        assert run_scenario(scenario)[0].value == pytest.approx(0.4 * 0.3)
+        assert run_query(scenario.queries[0]).value == pytest.approx(0.4 * 0.3)
 
     def test_builtin_without_pbox_exit_3(self, tmp_path, capsys):
         doc = {"pbox": {"builtin": "example_frechet_62"},

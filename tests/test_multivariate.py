@@ -16,10 +16,8 @@ from pboxes.multivariate import (
     FRECHET,
     INDEPENDENT,
     RealLinePBox,
+    arith_bound,
     combine,
-    prob_arith_add_lower,
-    prob_arith_add_upper,
-    prob_arith_transform,
     sublevel_box_lower,
 )
 from pboxes.pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf
@@ -27,6 +25,11 @@ from pboxes.preorder import FiniteQuotientSpace
 from pboxes.scenarios import Query, named_cdf, run_query
 
 UNIFORM01 = RealLinePBox.from_knots([(0.0, 0.0), (1.0, 1.0)])
+
+
+def bounds(op, x1, x2, y):
+    """The ``(lower, upper)`` CDF bounds of ``X1 op X2`` at y."""
+    return arith_bound(op, "lower", x1, x2, y), arith_bound(op, "upper", x1, x2, y)
 
 
 def vacuous_lower_cdf():
@@ -199,23 +202,24 @@ class TestAdditionClosedForms:
     def test_precise_uniform_lower(self):
         for k in range(101):
             y = 2.0 * k / 100
-            assert prob_arith_add_lower(UNIFORM01, UNIFORM01, y) == pytest.approx(
+            assert arith_bound("add", "lower", UNIFORM01, UNIFORM01, y) == pytest.approx(
                 max(0.0, y - 1.0), abs=1e-12)
 
     def test_precise_uniform_upper_midpoint(self):
-        assert prob_arith_add_upper(UNIFORM01, UNIFORM01, 0.5) == pytest.approx(0.5, abs=1e-9)
+        assert arith_bound("add", "upper", UNIFORM01, UNIFORM01, 0.5) == pytest.approx(
+            0.5, abs=1e-9)
 
     def test_support_edges(self):
-        assert prob_arith_add_upper(UNIFORM01, UNIFORM01, 2.0) == 1.0
-        assert prob_arith_add_lower(UNIFORM01, UNIFORM01, 0.0) == 0.0
-        assert prob_arith_add_lower(UNIFORM01, UNIFORM01, -0.5) == 0.0
-        assert prob_arith_add_lower(UNIFORM01, UNIFORM01, 2.5) == 1.0
+        assert arith_bound("add", "upper", UNIFORM01, UNIFORM01, 2.0) == 1.0
+        assert arith_bound("add", "lower", UNIFORM01, UNIFORM01, 0.0) == 0.0
+        assert arith_bound("add", "lower", UNIFORM01, UNIFORM01, -0.5) == 0.0
+        assert arith_bound("add", "lower", UNIFORM01, UNIFORM01, 2.5) == 1.0
 
     def test_monotone_in_y(self):
-        values = [prob_arith_add_lower(UNIFORM01, UNIFORM01, y)
+        values = [arith_bound("add", "lower", UNIFORM01, UNIFORM01, y)
                   for y in np.linspace(-0.2, 2.2, 61)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-        values = [prob_arith_add_upper(UNIFORM01, UNIFORM01, y)
+        values = [arith_bound("add", "upper", UNIFORM01, UNIFORM01, y)
                   for y in np.linspace(-0.2, 2.2, 61)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -223,7 +227,7 @@ class TestAdditionClosedForms:
 class TestTransforms:
     def test_self_difference_of_precise_uniform(self):
         for y in np.linspace(-1.0, 1.0, 41):
-            low, up = prob_arith_transform("subtract", UNIFORM01, UNIFORM01, float(y))
+            low, up = bounds("subtract", UNIFORM01, UNIFORM01, float(y))
             assert low == pytest.approx(max(0.0, y), abs=1e-9)
             assert up == pytest.approx(min(1.0, 1.0 + y), abs=1e-9)
 
@@ -232,7 +236,7 @@ class TestTransforms:
                                       [(1.0, 0.2), (2.0, 0.8), (3.0, 1.0)])
         one = RealLinePBox.point_mass(1.0)
         for y in np.linspace(1.0, 3.0, 21):
-            low, up = prob_arith_transform("multiply", box, one, float(y))
+            low, up = bounds("multiply", box, one, float(y))
             assert low == pytest.approx(float(box.lower(y)), abs=1e-9)
             assert up == pytest.approx(float(box.upper(y)), abs=1e-9)
 
@@ -240,37 +244,41 @@ class TestTransforms:
         uniform12 = RealLinePBox.from_knots([(1.0, 0.0), (2.0, 1.0)])
         two = RealLinePBox.point_mass(2.0)
         for y in np.linspace(0.5, 1.0, 11):
-            low, up = prob_arith_transform("divide", uniform12, two, float(y))
+            low, up = bounds("divide", uniform12, two, float(y))
             assert low == pytest.approx(2.0 * y - 1.0, abs=1e-9)
             assert up == pytest.approx(2.0 * y - 1.0, abs=1e-9)
 
     def test_positive_support_required(self):
         with pytest.raises(ValidationError):
-            prob_arith_transform("multiply", UNIFORM01, UNIFORM01, 0.5)
+            bounds("multiply", UNIFORM01, UNIFORM01, 0.5)
 
     def test_unknown_operation(self):
         with pytest.raises(ValidationError):
-            prob_arith_transform("modulo", UNIFORM01, UNIFORM01, 0.5)
+            bounds("modulo", UNIFORM01, UNIFORM01, 0.5)
+
+    def test_unknown_side(self):
+        with pytest.raises(ValidationError, match="side"):
+            arith_bound("add", "lowr", UNIFORM01, UNIFORM01, 0.5)
 
 
 class TestExactCorners:
     def test_subtract_lower_pairs_knot_with_its_preimage(self):
         # the lower bound sits at x = 0.3, exactly where X2 = 0.1 jumps to 0.5
         x2 = RealLinePBox.from_knots([(0.1, 0.0), (1.0, 1.0)], [(0.1, 0.5), (1.0, 1.0)])
-        low, _ = prob_arith_transform("subtract", UNIFORM01, x2, 0.2)
+        low, _ = bounds("subtract", UNIFORM01, x2, 0.2)
         assert low == pytest.approx(0.3, abs=1e-12)
 
     def test_product_upper_at_stationary_point(self):
         # inf over x of (x - 1) + (y / x - 1) sits at x = sqrt(y), inside a cell
         uniform12 = RealLinePBox.from_knots([(1.0, 0.0), (2.0, 1.0)])
         for y in (1.2, 1.69, 2.0):
-            _, up = prob_arith_transform("multiply", uniform12, uniform12, y)
+            _, up = bounds("multiply", uniform12, uniform12, y)
             assert up == pytest.approx(min(1.0, 2.0 * np.sqrt(y) - 2.0), abs=1e-12)
 
     def test_non_finite_point_rejected(self):
         for y in (float("nan"), float("inf")):
             with pytest.raises(ValidationError):
-                prob_arith_transform("add", UNIFORM01, UNIFORM01, y)
+                bounds("add", UNIFORM01, UNIFORM01, y)
 
 
 class TestRealLinePBoxValidation:
@@ -296,7 +304,7 @@ class TestRealLinePBoxValidation:
         uniform02 = PiecewiseLinearCdf(((0.0, 0.0), (2.0, 1.0)))
         box = RealLinePBox(uniform02, uniform02)
         assert box.support == (0.0, 2.0)
-        lower, _ = prob_arith_transform("add", box, box, 2.5)
+        lower, _ = bounds("add", box, box, 2.5)
         assert lower == pytest.approx(0.25, abs=1e-12)
 
 
@@ -321,7 +329,7 @@ class TestAgainstFineGridOracle:
                 lo_y, hi_y = _op_support(op, x1, x2)
                 for frac in (0.15, 0.5, 0.85):
                     y = lo_y + frac * (hi_y - lo_y)
-                    low, up = prob_arith_transform(op, x1, x2, y)
+                    low, up = bounds(op, x1, x2, y)
                     assert low == pytest.approx(oracle_lower(x1, x2, y), abs=1e-6), \
                         (trial, op, y, "lower")
                     assert up == pytest.approx(oracle_upper(x1, x2, y), abs=1e-6), \
@@ -343,7 +351,7 @@ class TestNearTheFloatRange:
 
     def test_divide_partner_beyond_the_float_range(self):
         # the preimage k * y of x2's top knot, 1e300 * 1e10, overflows
-        low, up = prob_arith_transform("divide", self.WIDE, self.WIDE, 1e10)
+        low, up = bounds("divide", self.WIDE, self.WIDE, 1e10)
         # X1 / X2 keeps its law when both operands are scaled by one factor:
         # the oracle checks the bound on operands scaled into its range
         scaled = RealLinePBox.from_knots([[1e-310, 0.0], [1e290, 1.0]])
@@ -356,7 +364,7 @@ class TestNearTheFloatRange:
         assert (low, up) == (pytest.approx(1.0 - 1e-10, abs=1e-15), 1.0)
 
     def test_multiply_stationary_point_beyond_the_float_range(self):
-        low, up = prob_arith_transform("multiply", self.WIDE, self.STEPPED, 1e10)
+        low, up = bounds("multiply", self.WIDE, self.STEPPED, 1e10)
         assert (low, up) == (0.0, pytest.approx(0.7, abs=1e-12))
 
     @pytest.mark.parametrize("op, x1, x2", [("add", NEAR_TOP, NEAR_BOTTOM),
@@ -370,7 +378,7 @@ class TestNearTheFloatRange:
             grid = run_query(Query("g", "arith_op", x1=x1, x2=x2, op=op, side=side, y=ys)).value
             for y, value in zip(ys, grid):
                 expected = oracle(x1, x2, y)
-                point = prob_arith_transform(op, x1, x2, y)[side == "upper"]
+                point = bounds(op, x1, x2, y)[side == "upper"]
                 assert point == pytest.approx(expected, abs=1e-6), (side, y)
                 assert value == pytest.approx(expected, abs=1e-6), (side, y)
 
@@ -404,7 +412,7 @@ def test_grid_values_equal_pointwise(data):
     point = st.one_of(st.sampled_from(meets), st.floats(min(meets), max(meets)),
                       st.floats(-1e308, 1e308))
     ys = tuple(data.draw(st.lists(point, min_size=1, max_size=40), label="ys"))
-    pointwise = [prob_arith_transform(op, x1, x2, y) for y in ys]
+    pointwise = [bounds(op, x1, x2, y) for y in ys]
     for index, side in enumerate(("lower", "upper")):
         grid = run_query(Query("g", "arith_op", x1=x1, x2=x2, op=op, side=side, y=ys)).value
         assert grid.tolist() == [bounds[index] for bounds in pointwise], side

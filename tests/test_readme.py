@@ -1,7 +1,9 @@
 """The README's examples run: the library ones give the values their
 comments document, the command-line ones that need no file exit 0, and
-the scenario document gives its rows."""
+the scenario document gives its rows.  Every public name is used by the
+program or documented."""
 
+import ast
 import json
 import pathlib
 import re
@@ -9,6 +11,7 @@ import shlex
 
 import pytest
 
+import pboxes
 from pboxes.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -24,13 +27,13 @@ def library_blocks() -> list:
 
 def test_library_examples_give_the_documented_values():
     blocks = library_blocks()
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     namespace, values = {}, []
-    # the blocks share one namespace: the second uses the first one's imports
+    # the blocks share one namespace: the later ones use the first one's imports
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
         values += [(eval(expr, namespace), float(doc)) for expr, doc in _DOCUMENTED.findall(block)]
-    assert [doc for _, doc in values] == [0.25, 0.1, 0.1]
+    assert [doc for _, doc in values] == [0.25, 0.1, 0.1, 0.5]
     (event, quarter), *finite = values
     assert event == quarter
     for value, doc in finite:
@@ -66,3 +69,47 @@ def test_scenario_document_runs(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     values = {line.split(",")[0]: float(line.split(",")[2]) for line in lines[1:]}
     assert values == {"bottom": 0.2, "sum_0": 0.0, "sum_1": 0.5}
+
+
+def _top_level_names(tree) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _referenced_names(tree) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_name_is_used_or_documented():
+    """Each name of ``pboxes.__all__`` is referenced by a module of the package
+    other than the one that defines it (``__init__`` aside), or appears in the
+    README's code: a fenced block or an inline code span."""
+    package = pathlib.Path(pboxes.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py") if path.stem != "__init__"}
+    text = README.read_text(encoding="utf-8")
+    fenced = re.compile(r"```\w*\n(.*?)```", re.S)
+    code = "\n".join(fenced.findall(text) + re.findall(r"`([^`\n]+)`", fenced.sub("", text)))
+    unused = []
+    for name in pboxes.__all__:
+        homes = {stem for stem, tree in trees.items() if name in _top_level_names(tree)}
+        assert homes, name
+        used = any(name in _referenced_names(tree)
+                   for stem, tree in trees.items() if stem not in homes)
+        if not used and not re.search(rf"\b{name}\b", code):
+            unused.append(name)
+    assert unused == []

@@ -7,19 +7,18 @@ from case_study_reference import REFERENCE_CURVES, dike_overflow_curve
 from pboxes.choquet import QuadratureConfig, threshold_solve
 from pboxes.errors import ValidationError
 from pboxes.multivariate import INDEPENDENT, RealLinePBox, combine
-from pboxes.pbox import AnalyticCdf, PBox, cdf_eval
+from pboxes.pbox import AnalyticCdf, PBox
 from pboxes.preorder import FULL_EVENT, ClassSubset
 from pboxes import scenarios
 from pboxes.scenarios import (
     BUILTIN_NAMES,
     Query,
-    Scenario,
     builtin_scenario,
     named_cdf,
     named_oscillation,
     piecewise_linear_oscillation,
+    result_rows,
     run_query,
-    run_scenario,
 )
 
 
@@ -87,7 +86,7 @@ class TestOscillatorFixture:
         assert np.allclose(scenario.pbox.lower(zs), zs ** 2, atol=1e-15)
 
     def test_lower_below_upper_expectation(self):
-        rows = run_scenario(builtin_scenario("oscillator"))
+        rows = [run_query(q) for q in builtin_scenario("oscillator").queries]
         assert_pinned_rows(rows)
         results = {r.id: r.value for r in rows}
         assert results["damping_ratio_lower"] <= results["damping_ratio_upper"]
@@ -116,16 +115,16 @@ class TestDikeFixture:
         assert direct(t_star) == pytest.approx(0.0, abs=1e-6)
 
     def test_lower_below_upper_expectation(self):
-        rows = run_scenario(builtin_scenario("dike"))
+        rows = [run_query(q) for q in builtin_scenario("dike").queries]
         assert_pinned_rows(rows)
         results = {r.id: r.value for r in rows}
         assert results["overflow_lower"] <= results["overflow_upper"]
 
     def test_deterministic_rerun(self):
         first = [(r.id, r.value, r.error_bound)
-                 for r in run_scenario(builtin_scenario("dike"))]
+                 for r in map(run_query, builtin_scenario("dike").queries)]
         second = [(r.id, r.value, r.error_bound)
-                  for r in run_scenario(builtin_scenario("dike"))]
+                  for r in map(run_query, builtin_scenario("dike").queries)]
         assert first == second
 
     def test_tail_tolerance_controls_reported_error(self):
@@ -159,10 +158,8 @@ class TestApproximationConsistency:
         rebuilt = PBox(AnalyticCdf(lambda z: joint.lower(z)),
                        AnalyticCdf(lambda z: joint.upper(z)))
         for z in np.linspace(0.0, 1.0, 41):
-            assert cdf_eval(rebuilt.lower, z) == pytest.approx(
-                cdf_eval(joint.lower, z), abs=1e-15)
-            assert cdf_eval(rebuilt.upper, z) == pytest.approx(
-                cdf_eval(joint.upper, z), abs=1e-15)
+            assert float(rebuilt.lower(z)) == pytest.approx(float(joint.lower(z)), abs=1e-15)
+            assert float(rebuilt.upper(z)) == pytest.approx(float(joint.upper(z)), abs=1e-15)
 
 
 class TestRegistries:
@@ -221,13 +218,13 @@ class TestArithmeticQuery:
 
     def test_grid_makes_one_engine_call_per_chunk(self, monkeypatch):
         calls = []
-        bound = scenarios._arith_bound
+        bound = scenarios.arith_bound
 
         def counted(op, side, x1, x2, y):
             calls.append(len(y))
             return bound(op, side, x1, x2, y)
 
-        monkeypatch.setattr(scenarios, "_arith_bound", counted)
+        monkeypatch.setattr(scenarios, "arith_bound", counted)
         ys = tuple(np.linspace(-0.5, 2.5, 1000).tolist())
         query = Query("g", "arith_op", x1=self.UNIFORM, x2=self.UNIFORM, y=ys, side="upper")
         whole = run_query(query).value
@@ -235,10 +232,10 @@ class TestArithmeticQuery:
         # 12 corners a point: the ends of both supports and two knots for each of four CDFs
         monkeypatch.setattr(scenarios, "_ARITH_CELLS", 1200)
         calls.clear()
-        results = run_scenario(Scenario("s", None, (query,)))
+        rows = result_rows(query, run_query(query))
         assert calls == [100] * 10
-        assert [result.id for result in results] == [f"g_{k}" for k in range(1000)]
-        assert [result.value for result in results] == whole.tolist()
+        assert [rid for rid, _ in rows] == [f"g_{k}" for k in range(1000)]
+        assert [value for _, value in rows] == whole.tolist()
 
 
 class TestQueryValidation:
