@@ -67,10 +67,8 @@ _ORACLE_NAMES = frozenset({
     "FiniteCredalInstance",
     "FiniteLowerProbability",
     "MobiusReport",
-    "MonotonicityReport",
     "RepresentabilityReport",
     "additivity_check",
-    "complete_monotonicity_check",
     "envelope_sample_bound",
     "lp_lower_expectation",
     "mobius_check",

@@ -7,9 +7,9 @@ and the structural checkers (complete monotonicity, additivity on components,
 p-box representability) test their defining conditions directly.
 Complete monotonicity of every order is read off the Möbius transform of
 the exact table: a lower probability is a belief function exactly when no
-Möbius mass is negative (Shafer 1976; Chateauneuf & Jaffray 1989).  The
-enumeration of inclusion-exclusion families, limited to small orders, also
-names the family that fails.
+Möbius mass is negative (Shafer 1976; Chateauneuf & Jaffray 1989).  It is
+the one check of that property here; the enumeration of inclusion-exclusion
+families, which names the family that fails, is kept as a test reference.
 
 The polytope is optimised exactly by sweeping every candidate vertex: the
 chain constraints are totally unimodular, so each vertex of the
@@ -46,7 +46,6 @@ __all__ = [
     "FiniteCredalInstance",
     "FiniteLowerProbability",
     "MobiusReport",
-    "MonotonicityReport",
     "RepresentabilityReport",
     "AdditivityReport",
     "lp_lower_expectation",
@@ -54,7 +53,6 @@ __all__ = [
     "natural_extension_numerators",
     "natural_extension_table",
     "mobius_check",
-    "complete_monotonicity_check",
     "pbox_representability_check",
     "additivity_check",
     "random_credal_instance",
@@ -177,11 +175,6 @@ def _chain_sweep(instance: FiniteCredalInstance, gamble: Sequence[tuple]) -> tup
     return g[n - 1] * scale + min(best), scale * e
 
 
-def _chain_vertex_min(instance: FiniteCredalInstance, gamble: Sequence[Fraction]) -> Fraction:
-    """The sweep's exact minimum for a gamble of Fractions, as a Fraction."""
-    return Fraction(*_chain_sweep(instance, [v.as_integer_ratio() for v in gamble]))
-
-
 def lp_lower_expectation(instance: FiniteCredalInstance, gamble: Sequence) -> float:
     """Exact minimum expectation of a gamble over the credal polytope.
 
@@ -244,6 +237,8 @@ def random_credal_instance(rng: random.Random, n: int,
     """
     if n < 1:
         raise ValidationError("instances need at least one class")
+    if denominator < 1:
+        raise ValidationError(f"the lattice denominator must be at least 1, got {denominator}")
     a = sorted(Fraction(rng.randrange(denominator + 1), denominator)
                for _ in range(n - 1))
     b = sorted(Fraction(rng.randrange(denominator + 1), denominator)
@@ -282,16 +277,6 @@ class FiniteLowerProbability:
         subsets; integer true division rounds each value correctly."""
         n = len(numerators).bit_length() - 1
         return cls(n, {mask: num / scale for mask, num in enumerate(numerators)})
-
-    @classmethod
-    def from_sets(cls, n: int, assignments: Mapping) -> "FiniteLowerProbability":
-        vals = {}
-        for key, v in assignments.items():
-            mask = 0
-            for i in key:
-                mask |= 1 << i
-            vals[mask] = float(v)
-        return cls(n, vals)
 
     def __getitem__(self, mask: int) -> float:
         return self.values[mask]
@@ -362,89 +347,12 @@ def mobius_check(values: Sequence, scale: int = 1) -> MobiusReport:
     return MobiusReport(not violations, tuple(masses), violations)
 
 
-@dataclass(frozen=True)
-class MonotonicityViolation:
-    order: int
-    event: frozenset
-    parts: tuple
-    defect: float
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    passed: bool
-    checked: int
-    violations: tuple = ()
-
-
-def complete_monotonicity_check(lp: FiniteLowerProbability, p_max: int,
-                                tol: float = 1e-12,
-                                max_violations: int = 1) -> MonotonicityReport:
-    """Verify p-monotonicity for all orders up to ``p_max`` by enumeration.
-
-    For every event A and every family of 2 to ``p_max`` distinct nonempty
-    proper subsets of A, the signed inclusion-exclusion sum of the lower
-    probability over all intersections must be non-negative (within ``tol``).
-    Restricting the family to distinct proper subsets of A is exact: repeats
-    and parts not below A reduce to smaller families.
-
-    Returns the violations in deterministic enumeration order, at most
-    ``max_violations`` of them (pass ``None`` to collect every violation).
-    """
-    if p_max < 2:
-        raise ValidationError("p_max must be at least 2")
-    if lp.n > 5 or p_max > 4:
-        raise ValidationError("enumeration limited to 5 classes and order 4")
-    limit = max_violations if max_violations is not None else -1
-    vals = [lp.values[m] for m in range(1 << lp.n)]
-    violations = []
-    checked = 0
-
-    def descend(a_mask, candidates, start, terms, total, chosen):
-        # a family grown by ``part`` adds the parent's intersections, each
-        # met with ``part`` and with its sign flipped; they are summed apart
-        # from ``total`` and added to it once, as a plain enumeration does
-        nonlocal checked
-        depth = len(chosen) + 1
-        deeper = depth < p_max
-        negated = [(m, -s) for m, s in terms]
-        for idx in range(start, len(candidates)):
-            part = candidates[idx]
-            added = 0.0
-            for m, s in negated:
-                added += s * vals[m & part]
-            new_total = total + added
-            if depth >= 2:
-                checked += 1
-                if new_total < -tol:
-                    violations.append(MonotonicityViolation(
-                        order=depth, event=lp.event(a_mask),
-                        parts=tuple(lp.event(p) for p in chosen + [part]),
-                        defect=new_total))
-                    if limit >= 0 and len(violations) >= limit:
-                        return True
-            if deeper and descend(a_mask, candidates, idx + 1,
-                                  terms + [(m & part, s) for m, s in negated],
-                                  new_total, chosen + [part]):
-                return True
-        return False
-
-    full = (1 << lp.n) - 1
-    for a_mask in range(1, full + 1):
-        candidates = [m for m in range(1, a_mask) if (m & a_mask) == m]
-        stop = descend(a_mask, candidates, 0, [(a_mask, 1)], vals[a_mask], [])
-        if stop:
-            break
-    return MonotonicityReport(not violations, checked, tuple(violations))
-
-
 def _formula_value(instance: FiniteCredalInstance, positions: Sequence[int]) -> float:
-    """Interval-sum value of a subset given by its sorted rank positions."""
+    """Interval-sum value of a subset given by its sorted class positions."""
     lo = [float(v) for v in instance.lower_cum]
     hi = [float(v) for v in instance.upper_cum]
     total = 0.0
     i = 0
-    positions = sorted(positions)
     while i < len(positions):
         j = i
         while j + 1 < len(positions) and positions[j + 1] == positions[j] + 1:
@@ -471,36 +379,26 @@ class RepresentabilityReport:
 
 
 def pbox_representability_check(lp: FiniteLowerProbability,
-                                ordering: Sequence[int] | None = None,
                                 tol: float = 1e-9) -> RepresentabilityReport:
     """Test whether a lower probability is exactly a p-box extension.
 
-    Derives the tightest cumulative bounds under the given total order
-    (prefix values and one minus suffix values), recomputes every subset
-    through the interval-sum formula, and reports each subset where the
-    stored value differs.  An empty report means the lower probability is
-    exactly the extension of the derived p-box.
+    Derives the tightest cumulative bounds under the class order (prefix
+    values and one minus suffix values), recomputes every subset through
+    the interval-sum formula, and reports each subset where the stored
+    value differs.  An empty report means the lower probability is exactly
+    the extension of the derived p-box.
     """
     n = lp.n
-    order = list(ordering) if ordering is not None else list(range(n))
-    if sorted(order) != list(range(n)):
-        raise ValidationError("ordering must be a permutation of the class indices")
-    prefix_masks = []
-    mask = 0
-    for cls in order:
-        mask |= 1 << cls
-        prefix_masks.append(mask)
     full = (1 << n) - 1
+    prefix_masks = [(2 << k) - 1 for k in range(n)]
     lower_cum = tuple(Fraction(lp.values[m]).limit_denominator(10**12)
                       for m in prefix_masks)
     upper_cum = tuple(Fraction(1) - Fraction(lp.values[full ^ m]).limit_denominator(10**12)
                       for m in prefix_masks)
     instance = FiniteCredalInstance(lower_cum, upper_cum)
-    rank_of = {cls: r for r, cls in enumerate(order)}
     mismatches = []
     for m in range(full + 1):
-        positions = [rank_of[i] for i in range(n) if m & (1 << i)]
-        value = _formula_value(instance, positions)
+        value = _formula_value(instance, [i for i in range(n) if m & (1 << i)])
         if abs(value - lp.values[m]) > tol:
             mismatches.append(RepresentabilityMismatch(lp.event(m), value, lp.values[m]))
     return RepresentabilityReport(not mismatches, tuple(mismatches), instance)
@@ -526,8 +424,11 @@ def additivity_check(instance: FiniteCredalInstance, trials: int,
 
     Both sides of each identity come from the exact LP: the value of the
     whole subset must equal the sum of the values of its maximal consecutive
-    runs.
+    runs.  A negative ``trials`` is a validation error; zero trials pass
+    vacuously.
     """
+    if trials < 0:
+        raise ValidationError(f"trials must be at least 0, got {trials}")
     n = instance.n
     rng = random.Random(seed)
     violations = []

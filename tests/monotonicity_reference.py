@@ -1,24 +1,56 @@
 """Reference complete-monotonicity enumerator for the oracle tests.
 
 A plain recursive enumeration that lists every family's inclusion-exclusion
-terms in full, independent of the flattened loop in ``pboxes.oracle``.  The
-tests compare the oracle's reports against it.
+terms in full.  The oracle checks complete monotonicity by Möbius masses
+alone; the enumeration is what names the failing family of events, and the
+tests compare the two.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Mapping
+
 from pboxes.errors import ValidationError
-from pboxes.oracle import (
-    FiniteLowerProbability,
-    MonotonicityReport,
-    MonotonicityViolation,
-)
+from pboxes.oracle import FiniteLowerProbability
+
+
+@dataclass(frozen=True)
+class MonotonicityViolation:
+    order: int
+    event: frozenset
+    parts: tuple
+    defect: float
+
+
+@dataclass(frozen=True)
+class MonotonicityReport:
+    passed: bool
+    checked: int
+    violations: tuple = ()
+
+
+def from_sets(n: int, assignments: Mapping) -> FiniteLowerProbability:
+    """The table of ``n`` classes with ``assignments[members]`` as the lower
+    probability of each event, keyed by an iterable of its members."""
+    values = {}
+    for key, v in assignments.items():
+        mask = 0
+        for i in key:
+            mask |= 1 << i
+        values[mask] = float(v)
+    return FiniteLowerProbability(n, values)
 
 
 def monotonicity_reference(lp: FiniteLowerProbability, p_max: int, tol: float = 1e-12,
                            max_violations: int | None = 1) -> MonotonicityReport:
     """Every family of 2 to ``p_max`` distinct nonempty proper subsets of every
-    event, depth first, each family's inclusion-exclusion terms listed in full."""
+    event, depth first, each family's inclusion-exclusion terms listed in full.
+
+    Restricting the family to distinct proper subsets of the event is exact:
+    repeats and parts not below it reduce to smaller families.  Returns the
+    violations (sums below ``-tol``) in enumeration order, at most
+    ``max_violations`` of them (``None`` collects every violation)."""
     if p_max < 2:
         raise ValidationError("p_max must be at least 2")
     if lp.n > 5 or p_max > 4:
@@ -56,4 +88,3 @@ def monotonicity_reference(lp: FiniteLowerProbability, p_max: int, tol: float = 
         if descend(a_mask, candidates, 0, [(a_mask, 1)], lp.values[a_mask], []):
             break
     return MonotonicityReport(not violations, checked, tuple(violations))
-

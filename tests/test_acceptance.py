@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from arith_oracle import ORACLES, random_real_line_pbox
+from monotonicity_reference import from_sets, monotonicity_reference
 from test_oracle import coupling_lower_probability
 
 from pboxes.choquet import (
@@ -25,8 +26,6 @@ from pboxes.choquet import (
 from pboxes.cli import CSV_HEADER, main
 from pboxes.multivariate import RealLinePBox, arith_bound
 from pboxes.oracle import (
-    FiniteLowerProbability,
-    complete_monotonicity_check,
     lp_lower_expectation,
     natural_extension_table,
     pbox_representability_check,
@@ -133,7 +132,7 @@ def test_criterion_6_frechet_joint(capsys):
         assert rows["A_union_B"][1] == pytest.approx(0.7, abs=1e-15)
         assert rows["A_intersect_B"][1] == pytest.approx(0.1, abs=1e-12)
         joint = coupling_lower_probability((0.4, 0.6), (0.2, 0.3))
-        report = complete_monotonicity_check(joint, p_max=2, max_violations=None)
+        report = monotonicity_reference(joint, p_max=2, max_violations=None)
         assert not report.passed
         a_set, b_set = frozenset({0, 1}), frozenset({1, 3})
         flagged = [v for v in report.violations
@@ -182,9 +181,9 @@ def test_criterion_9_complete_monotonicity_and_representability():
         for _ in range(50):
             n = rng.randint(2, 5)
             table = natural_extension_table(random_credal_instance(rng, n, 60))
-            report = complete_monotonicity_check(table, p_max=4, tol=1e-12)
+            report = monotonicity_reference(table, p_max=4, tol=1e-12)
             assert report.passed, report.violations
-        counterexample = FiniteLowerProbability.from_sets(3, {
+        counterexample = from_sets(3, {
             (): 0.0, (0,): 0.1, (1,): 0.1, (2,): 0.1,
             (0, 1): 0.2, (0, 2): 0.2, (1, 2): 0.2, (0, 1, 2): 1.0})
         report = pbox_representability_check(counterexample)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 from pboxes.errors import ValidationError
 from pboxes.oracle import (
+    AdditivityReport,
     FiniteCredalInstance,
     FiniteLowerProbability,
     additivity_check,
-    complete_monotonicity_check,
     envelope_sample_bound,
     lp_lower_expectation,
     mobius_check,
@@ -26,15 +27,20 @@ from pboxes.oracle import (
 )
 from pboxes.choquet import lower_expectation_finite
 from pboxes.multivariate import FRECHET, INDEPENDENT, combine
-from pboxes.oracle import _chain_vertex_min, _fraction
+from pboxes.oracle import _chain_sweep, _fraction
 from pboxes.pbox import PBox, StepCdf, lower_prob_event
 from pboxes.preorder import ClassSubset, FiniteQuotientSpace
 
 from lp_reference import credal_lp, simplex_min
-from monotonicity_reference import monotonicity_reference
+from monotonicity_reference import from_sets, monotonicity_reference
 
 # both read a gamble, and both check it by the same rules
 GAMBLE_READERS = (lp_lower_expectation, partial(envelope_sample_bound, samples=4))
+
+
+def chain_vertex_min(instance, gamble) -> Fraction:
+    """The oracle's vertex sweep for a gamble of Fractions, as a Fraction."""
+    return Fraction(*_chain_sweep(instance, [v.as_integer_ratio() for v in gamble]))
 
 
 def coupling_exact(p1_band, p2_band) -> list:
@@ -106,13 +112,13 @@ class TestLpLowerExpectation:
             n = rng.randint(2, 12)
             instance = random_credal_instance(rng, n, denominator=rng.choice([4, 20, 997]))
             gamble = [_fraction(rng.randrange(-300, 301)) / 100 for _ in range(n)]
-            assert _chain_vertex_min(instance, gamble) == credal_lp(instance, gamble)
+            assert chain_vertex_min(instance, gamble) == credal_lp(instance, gamble)
 
     def test_twelve_classes_equal_simplex_exactly(self, rng):
         instance = random_credal_instance(rng, 12, denominator=50)
         gamble = [rng.randrange(-100, 101) / 10 for _ in range(12)]
         exact = credal_lp(instance, [_fraction(g) for g in gamble])
-        assert _chain_vertex_min(instance, [_fraction(g) for g in gamble]) == exact
+        assert chain_vertex_min(instance, [_fraction(g) for g in gamble]) == exact
         assert lp_lower_expectation(instance, gamble) == float(exact)
 
     @settings(max_examples=150, deadline=None)
@@ -133,7 +139,7 @@ class TestLpLowerExpectation:
             st.fractions(min_value=-100, max_value=100, max_denominator=10**6))
         gamble = data.draw(st.one_of(st.lists(indicator, min_size=n, max_size=n),
                                      st.lists(value, min_size=n, max_size=n)), label="gamble")
-        assert _chain_vertex_min(instance, gamble) == credal_lp(instance, gamble)
+        assert chain_vertex_min(instance, gamble) == credal_lp(instance, gamble)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -148,7 +154,7 @@ class TestLpLowerExpectation:
                           finite.map(np.float64))
         gamble = data.draw(st.lists(value, min_size=n, max_size=n), label="gamble")
         got = lp_lower_expectation(instance, gamble)
-        exact = _chain_vertex_min(instance, [Fraction(x) for x in gamble])
+        exact = chain_vertex_min(instance, [Fraction(x) for x in gamble])
         assert got.hex() == float(exact).hex()
 
     def test_matches_finite_formula_at_large_n(self, rng):
@@ -327,17 +333,17 @@ class TestCompleteMonotonicity:
         for _ in range(10):
             n = rng.randint(2, 4)
             table = natural_extension_table(random_credal_instance(rng, n, 24))
-            report = complete_monotonicity_check(table, p_max=4)
+            report = monotonicity_reference(table, p_max=4)
             assert report.passed, report.violations
 
     def test_masses_envelope_is_completely_monotone(self):
         # the envelope of (.8,.1,.1), (.1,.8,.1), (.1,.1,.8): additive on
         # components yet not a p-box extension; it is a belief function, so
         # the order checks all pass
-        lp = FiniteLowerProbability.from_sets(3, {
+        lp = from_sets(3, {
             (): 0.0, (0,): 0.1, (1,): 0.1, (2,): 0.1,
             (0, 1): 0.2, (0, 2): 0.2, (1, 2): 0.2, (0, 1, 2): 1.0})
-        report = complete_monotonicity_check(lp, p_max=4, max_violations=None)
+        report = monotonicity_reference(lp, p_max=4, max_violations=None)
         assert report.passed
 
     def test_coupling_joint_fails_two_monotonicity(self):
@@ -349,7 +355,7 @@ class TestCompleteMonotonicity:
         assert lp[b_mask] == pytest.approx(0.7)
         assert lp[union] == pytest.approx(0.7)
         assert lp[a_mask & b_mask] == pytest.approx(0.1)
-        report = complete_monotonicity_check(lp, p_max=2, max_violations=None)
+        report = monotonicity_reference(lp, p_max=2, max_violations=None)
         assert not report.passed
         events = {(v.event, frozenset(v.parts)) for v in report.violations}
         key = (frozenset({0, 1, 3}), frozenset({frozenset({0, 1}), frozenset({1, 3})}))
@@ -360,19 +366,43 @@ class TestCompleteMonotonicity:
 
     def test_first_violation_short_circuits(self):
         lp = coupling_lower_probability((0.4, 0.6), (0.2, 0.3))
-        report = complete_monotonicity_check(lp, p_max=2, max_violations=1)
+        report = monotonicity_reference(lp, p_max=2, max_violations=1)
         assert not report.passed
         assert len(report.violations) == 1
 
     @staticmethod
-    def assert_matches_reference(lp, p_max, max_violations):
-        got = complete_monotonicity_check(lp, p_max=p_max, max_violations=max_violations)
-        ref = monotonicity_reference(lp, p_max=p_max, max_violations=max_violations)
-        assert (got.passed, got.checked) == (ref.passed, ref.checked)
-        assert [(v.order, v.event, v.parts) for v in got.violations] == \
-            [(v.order, v.event, v.parts) for v in ref.violations]
-        for v, w in zip(got.violations, ref.violations):
-            assert v.defect == pytest.approx(w.defect, abs=1e-15)
+    def assert_matches_masses(lp, p_max, max_violations):
+        """The enumeration against the Möbius masses of the same float table.
+
+        Every family of 2 to ``p_max`` distinct nonempty proper subsets of
+        each event is checked once, a cut-off report is a prefix of the full
+        one, each flagged family's defect is the sum of the masses of the
+        subsets of its event below none of its parts, and each negative mass
+        on an event of 2 to ``p_max`` classes is flagged at the family of the
+        event's maximal proper subsets."""
+        masses = mobius_check([Fraction(lp[mask]) for mask in range(1 << lp.n)]).masses
+        full = monotonicity_reference(lp, p_max=p_max, max_violations=None)
+        got = monotonicity_reference(lp, p_max=p_max, max_violations=max_violations)
+        assert full.checked == sum(comb(lp.n, k) * comb((1 << k) - 2, j)
+                                   for k in range(1, lp.n + 1) for j in range(2, p_max + 1))
+        assert got.passed == full.passed
+        assert got.checked <= full.checked
+        assert got.violations == full.violations[:max_violations]
+        flagged = set()
+        for v in full.violations:
+            event = sum(1 << i for i in v.event)
+            parts = [sum(1 << i for i in part) for part in v.parts]
+            assert v.order == len(set(parts)) and all(0 < p < event and p & ~event == 0
+                                                      for p in parts)
+            gap = sum(mass for c, mass in enumerate(masses)
+                      if c & ~event == 0 and all(c & ~p for p in parts))
+            assert v.defect == pytest.approx(float(gap), abs=1e-15)
+            flagged.add((v.event, frozenset(v.parts)))
+        for c, mass in enumerate(masses):
+            members = lp.event(c)
+            if mass < -1e-9 and 2 <= len(members) <= p_max:
+                facets = frozenset(members - {i} for i in members)
+                assert (members, facets) in flagged
         return got
 
     @pytest.mark.parametrize("max_violations", [None, 1, 3])
@@ -380,9 +410,10 @@ class TestCompleteMonotonicity:
     def test_natural_extensions_match_reference(self, rng, p_max, max_violations):
         for _ in range(30):
             instance = random_credal_instance(rng, rng.randint(2, 5), rng.choice([24, 100]))
-            report = self.assert_matches_reference(
+            report = self.assert_matches_masses(
                 natural_extension_table(instance), p_max, max_violations)
             assert report.passed
+            assert mobius_check(*natural_extension_numerators(instance)).passed
 
     @pytest.mark.parametrize("max_violations", [None, 1, 3])
     @pytest.mark.parametrize("p_max", [2, 3, 4])
@@ -392,7 +423,7 @@ class TestCompleteMonotonicity:
             for _ in range(9)]
         failed = 0
         for band1, band2 in bands:
-            report = self.assert_matches_reference(
+            report = self.assert_matches_masses(
                 coupling_lower_probability(band1, band2), p_max, max_violations)
             failed += not report.passed
         assert failed
@@ -400,9 +431,9 @@ class TestCompleteMonotonicity:
     def test_refuses_large_inputs(self, rng):
         table = natural_extension_table(random_credal_instance(rng, 3, 8))
         with pytest.raises(ValidationError):
-            complete_monotonicity_check(table, p_max=5)
+            monotonicity_reference(table, p_max=5)
         with pytest.raises(ValidationError):
-            complete_monotonicity_check(table, p_max=1)
+            monotonicity_reference(table, p_max=1)
 
 
 class TestMobiusCheck:
@@ -440,17 +471,42 @@ class TestMobiusCheck:
             assert report.violations[0].event == frozenset({0, 2})
             assert report.violations[0].mass == Fraction(-1, scale)
 
-    def test_coupling_joint_has_a_negative_mass(self):
+    @staticmethod
+    def gap(masses, a, b) -> Fraction:
+        """The masses of the subsets of ``a | b`` in neither ``a`` nor ``b``, summed."""
+        return sum(mass for c, mass in enumerate(masses)
+                   if c & ~(a | b) == 0 and c & ~a and c & ~b)
+
+    def test_coupling_joint_has_a_negative_mass(self, rng):
         # criterion 6's joint, not 2-monotone at A = {0, 1} and B = {1, 3}: the
         # masses of the subsets of A | B in neither A nor B sum to the defect
         exact = coupling_exact((0.4, 0.6), (0.2, 0.3))
         report = mobius_check(exact)
         assert not report.passed
         a, b = 0b0011, 0b1010
-        gap = sum(mass for c, mass in enumerate(report.masses)
-                  if c & ~(a | b) == 0 and c & ~a and c & ~b)
+        gap = self.gap(report.masses, a, b)
         assert gap == exact[a | b] + exact[a & b] - exact[a] - exact[b]
         assert float(gap) == pytest.approx(-0.3, abs=1e-9)
+        # and so at every pair the enumeration flags on ten coupling joints:
+        # the masses alone name each failing pair
+        bands = [((0.4, 0.6), (0.2, 0.3))] + [
+            tuple(tuple(sorted((rng.random(), rng.random()))) for _ in range(2))
+            for _ in range(9)]
+        flagged = []
+        for band1, band2 in bands:
+            exact = coupling_exact(band1, band2)
+            masses = mobius_check(exact).masses
+            violations = monotonicity_reference(coupling_lower_probability(band1, band2),
+                                                p_max=2, max_violations=None).violations
+            for v in violations:
+                a, b = (sum(1 << i for i in part) for part in v.parts)
+                assert v.event == v.parts[0] | v.parts[1]
+                gap = self.gap(masses, a, b)
+                assert gap == exact[a | b] + exact[a & b] - exact[a] - exact[b]
+                assert v.defect == pytest.approx(float(gap), abs=1e-15)
+                flagged.append((band1, band2, a, b))
+        assert ((0.4, 0.6), (0.2, 0.3), 0b0011, 0b1010) in flagged
+        assert len(flagged) > 1
 
     def test_agrees_with_the_enumeration_on_coupling_joints(self, rng):
         # a failed order up to 4 is a negative mass, and with no negative mass
@@ -462,7 +518,7 @@ class TestMobiusCheck:
         outcomes = set()
         for band1, band2 in bands:
             mobius = mobius_check(coupling_exact(band1, band2))
-            enumerated = complete_monotonicity_check(
+            enumerated = monotonicity_reference(
                 coupling_lower_probability(band1, band2), p_max=4)
             assert mobius.passed <= enumerated.passed
             outcomes.add(mobius.passed)
@@ -488,7 +544,7 @@ class TestRepresentability:
             assert report.matches, report.mismatches
 
     def test_masses_envelope_fails_at_middle_singleton(self):
-        lp = FiniteLowerProbability.from_sets(3, {
+        lp = from_sets(3, {
             (): 0.0, (0,): 0.1, (1,): 0.1, (2,): 0.1,
             (0, 1): 0.2, (0, 2): 0.2, (1, 2): 0.2, (0, 1, 2): 1.0})
         report = pbox_representability_check(lp)
@@ -508,11 +564,6 @@ class TestRepresentability:
         assert not report.matches
         assert [m.event for m in report.mismatches] == [frozenset({0, 2})]
 
-    def test_rejects_non_permutation(self):
-        lp = natural_extension_table(FiniteCredalInstance((0.5, 1.0), (0.5, 1.0)))
-        with pytest.raises(ValidationError):
-            pbox_representability_check(lp, ordering=(0, 0))
-
 
 class TestAdditivity:
     def test_random_subsets_pass(self, rng):
@@ -528,6 +579,12 @@ class TestAdditivity:
                  + lp_lower_expectation(instance, [0, 0, 1, 0]))
         assert whole == pytest.approx(parts, abs=1e-12)
 
+    def test_negative_trials_refused(self):
+        instance = FiniteCredalInstance((0.2, 1.0), (0.4, 1.0))
+        with pytest.raises(ValidationError, match="trials"):
+            additivity_check(instance, trials=-1)
+        assert additivity_check(instance, trials=0) == AdditivityReport(True, 0)
+
 
 class TestRandomInstances:
     def test_deterministic(self):
@@ -538,6 +595,14 @@ class TestRandomInstances:
     def test_valid_by_construction(self, rng):
         for _ in range(50):
             random_credal_instance(rng, rng.randint(1, 8))
+
+    @pytest.mark.parametrize("denominator", [0, -3])
+    def test_denominator_below_one_refused_before_any_draw(self, denominator):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValidationError, match="denominator"):
+            random_credal_instance(rng, 3, denominator=denominator)
+        assert rng.getstate() == state
 
 
 class TestFiniteCombineAgainstCoupling:
