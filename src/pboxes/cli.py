@@ -231,7 +231,7 @@ def _arith(node: _Node, qid: str, kind: str, operands: dict) -> Query:
     """The query of a ``y``, or of a ``y_grid`` as a tuple of its points."""
     fields = {"x1": _operand(node.get("x1"), operands),
               "x2": _operand(node.get("x2"), operands),
-              "op": node.get("op", "add").of("a string") if kind == "arith_op" else "add",
+              "op": node.get("op", "add").of("a string"),
               "side": node.get("side", "lower").of("a string")}
     if "y_grid" not in node.value:
         return node.build(Query, qid, kind, y=node.get("y").of("a number"), **fields)

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .choquet import _in_chunks
 from .errors import ValidationError, _checked
 from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf, lower_prob_field
 from .preorder import _class_index, _coordinate, _finite_number, _finite_numbers
@@ -182,6 +183,11 @@ def _positive_support(op: str, x: RealLinePBox) -> None:
         raise ValidationError("multiplication and division need strictly positive supports")
 
 
+# corners per chunk of an array of y: each temporary array of a pass then takes
+# at most 512 kB, whatever the length of the array
+_ARITH_CELLS = 1 << 16
+
+
 # a corner or stationary point beyond the float range overflows to ±inf, which
 # the segment or its cell drops, or at which a CDF takes its limit, 0 or 1
 @np.errstate(over="ignore")
@@ -202,7 +208,8 @@ def arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y):
     objective is linear in x, or ``a + s1 x + s2 y / x`` for a product.
     The extrema therefore sit at corners, in one-sided limits there, or at
     the product's stationary point ``sqrt(s2 y / s1)``.  Each point takes a
-    row of every corner, and the corners outside its segment are masked.
+    row of every corner, and the corners outside its segment are masked; an
+    array of y goes in chunks of about ``_ARITH_CELLS`` corners.
     """
     partner, preimage, reverses = _operation(op)
     if side not in ("lower", "upper"):
@@ -211,6 +218,13 @@ def arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y):
     ys = np.array([_finite_number(y)]) if scalar else _finite_numbers(y)
     _positive_support(op, x1)
     _positive_support(op, x2)
+    other = "upper" if side == "lower" else "lower"
+    f1, f2 = getattr(x1, side), getattr(x2, other if reverses else side)
+    # a row holds the ends of both supports and the knots of f1 and f2
+    rows = max(1, _ARITH_CELLS // (4 + len(f1.knots) + len(f2.knots)))
+    if ys.size > rows:
+        bound = partial(arith_bound, op, side, x1, x2)
+        return _in_chunks(bound, ys.ravel(), rows).reshape(ys.shape)
     (a1, b1), (a2, b2) = x1.support, x2.support
     ends = preimage(a2, ys), preimage(b2, ys)
     end_lo, end_hi = np.minimum(*ends), np.maximum(*ends)
@@ -219,8 +233,6 @@ def arith_bound(op: str, side: str, x1: RealLinePBox, x2: RealLinePBox, y):
     out = np.where(end_hi < a1, 0.0, 1.0)
     inside = hi >= lo
     y, lo, hi = ys[inside, None], lo[inside, None], hi[inside, None]
-    other = "upper" if side == "lower" else "lower"
-    f1, f2 = getattr(x1, side), getattr(x2, other if reverses else side)
     xs1 = np.array((a1, b1) + f1.knot_xs)
     ks = np.array((a2, b2) + f2.knot_xs)
     xs = np.empty((len(y), len(xs1) + len(ks)))
@@ -251,22 +263,14 @@ def _stationary_minima(f1, f2, xs, ps, keep, y) -> np.ndarray:
 
     A cell joins consecutive kept corners in order of x.  Corners of one x can
     hold different partners, one a rounded image of the other, and then their
-    order decides the cells.  So each row's kept corners are sorted as
-    ``np.argsort`` sorts them alone, as when each point was evaluated by
-    itself: a 1-d argsort need not be stable, and a 2-d one sorts each row
-    as the 1-d one would, so the rows with one number of kept corners sort
-    together.
+    order decides the cells.  A stable sort keeps tied corners in column
+    order, so a row's cells never depend on the rows beside it.
     """
-    counts = keep.sum(axis=1)
     # dropped corners go last, and a cell that reaches one has no p_hi > p_lo
-    sorted_x, sorted_p = np.full(xs.shape, np.inf), np.full(xs.shape, np.inf)
-    for n in np.flatnonzero(np.bincount(counts)):
-        rows = counts == n
-        cx = xs[rows][keep[rows]].reshape(-1, n)
-        cp = ps[rows][keep[rows]].reshape(-1, n)
-        order = np.argsort(cx, axis=1)
-        sorted_x[rows, :n] = np.take_along_axis(cx, order, axis=1)
-        sorted_p[rows, :n] = np.take_along_axis(cp, order, axis=1)
+    xs, ps = np.where(keep, xs, np.inf), np.where(keep, ps, np.inf)
+    order = np.argsort(xs, axis=1, kind="stable")
+    sorted_x = np.take_along_axis(xs, order, axis=1)
+    sorted_p = np.take_along_axis(ps, order, axis=1)
     left, right = sorted_x[:, :-1], sorted_x[:, 1:]
     p_hi, p_lo = sorted_p[:, :-1], sorted_p[:, 1:]
     cell = (right > left) & (p_hi > p_lo)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .choquet import (
     Oscillation,
     QuadratureConfig,
     QuadratureResult,
-    _in_chunks,
     _require_bounded,
     _require_target,
     lower_expectation,
@@ -84,7 +83,8 @@ class Query:
     """One inference request, bound to its model: ``pbox`` for events,
     expectations and thresholds, ``x1`` and ``x2`` for arithmetic, whose
     ``y`` is a number or a tuple of numbers (a grid).  Building
-    it checks the kind, ``side`` and ``op``, that the kind's payload is
+    it checks the kind, ``side`` and ``op`` (``add`` in an ``arith_add``
+    query), that the kind's payload is
     there (``event``; ``oscillation`` and, for a threshold, ``target``;
     ``x1``, ``x2`` and ``y``), that the p-box's space suits the query (a
     continuum for expectations, thresholds and z-events, a finite space for
@@ -108,6 +108,8 @@ class Query:
         if self.kind not in _RUNNERS:
             raise ValidationError(f"unknown query kind {self.kind!r}", "kind")
         _checked("op", _operation, self.op)
+        if self.kind == "arith_add" and self.op != "add":
+            raise ValidationError(f"expected 'add' in an arith_add query, got {self.op!r}", "op")
         if self.side not in ("lower", "upper"):
             raise ValidationError(f"expected 'lower' or 'upper', got {self.side!r}", "side")
         if self.kind in ARITH_KINDS:
@@ -174,22 +176,6 @@ def _bracket(res: QuadratureResult) -> tuple:
     return res.value, res.error_bound, res.converged
 
 
-# corners per chunk of a grid of y: each temporary array of a pass then takes at
-# most 512 kB, whatever the length of the grid
-_ARITH_CELLS = 1 << 16
-
-
-def _arith(q: Query, cfg: QuadratureConfig) -> tuple:
-    """The bound at ``y``, or an array of the bounds at each point of a grid."""
-    bound = partial(arith_bound, q.op, q.side, q.x1, q.x2)
-    if not isinstance(q.y, tuple):
-        return bound(q.y), 0.0
-    # at most the corners of a point's row: the ends of both supports and the
-    # knots of one CDF of each operand
-    corners = 4 + sum(len(cdf.knots) for x in (q.x1, q.x2) for cdf in (x.lower, x.upper))
-    return _in_chunks(bound, np.array(q.y, dtype=float), max(1, _ARITH_CELLS // corners)), 0.0
-
-
 # kind -> runner(query, cfg) -> (value, error bound[, converged]).  The runners call the
 # engine through this module's names at call time, so rebinding one of them
 # (as a tracer does) reaches every query.
@@ -200,8 +186,8 @@ _RUNNERS = {
     "expectation_upper": lambda q, cfg: _bracket(upper_expectation(q.pbox, q.oscillation, cfg)),
     "threshold": lambda q, cfg: (threshold_solve(q.pbox, q.oscillation, q.target, cfg),
                                  cfg.bisect_tol),
-    "arith_add": _arith,
-    "arith_op": _arith,
+    "arith_add": lambda q, cfg: (arith_bound(q.op, q.side, q.x1, q.x2, q.y), 0.0),
+    "arith_op": lambda q, cfg: (arith_bound(q.op, q.side, q.x1, q.x2, q.y), 0.0),
 }
 
 

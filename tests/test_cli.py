@@ -398,6 +398,18 @@ class TestInfer:
         assert code == 3
         assert f"queries[1].{field}" in err and out == ""
 
+    def test_arith_add_with_another_op_exit_3(self, tmp_path, capsys):
+        # an arith_add query adds: its op is read, and one other than add is refused
+        doc = {"queries": [{"id": "a", "kind": "arith_add", "op": "multiply",
+                            "x1": {"lower": [[1.0, 0.0], [2.0, 1.0]]},
+                            "x2": {"lower": [[1.0, 0.0], [2.0, 1.0]]}, "y": 2.25}]}
+        path = tmp_path / "add_multiply.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 3 and out == ""
+        assert err.startswith("validation error: queries[0].op: expected 'add' in an "
+                              "arith_add query, got 'multiply'")
+
     def test_oversized_y_grid_exit_3(self, tmp_path, capsys, monkeypatch):
         import pboxes.choquet as choquet_mod
 

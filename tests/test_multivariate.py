@@ -4,13 +4,16 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from arith_oracle import ORACLES, random_real_line_pbox
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stationary_minima_reference import stationary_minima
 
+from pboxes import multivariate
 from pboxes.errors import ValidationError
 from pboxes.multivariate import (
     FRECHET,
@@ -22,7 +25,7 @@ from pboxes.multivariate import (
 )
 from pboxes.pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf
 from pboxes.preorder import FiniteQuotientSpace
-from pboxes.scenarios import Query, named_cdf, run_query
+from pboxes.scenarios import Query, named_cdf, result_rows, run_query
 
 UNIFORM01 = RealLinePBox.from_knots([(0.0, 0.0), (1.0, 1.0)])
 
@@ -387,35 +390,104 @@ _OPERATIONS = {"add": operator.add, "subtract": operator.sub, "multiply": operat
                "divide": operator.truediv}
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_grid_values_equal_pointwise(data):
-    """A grid of y runs as one pass, and each of its values is the pointwise one."""
-    op = data.draw(st.sampled_from(sorted(_OPERATIONS)), label="op")
+def draw_grid(data, op):
+    """Operands of ``op`` and a grid of y for them: random operands, on a
+    dyadic lattice or scaled off it, point masses and float-range operands,
+    and points where knots of both operands meet, between those points, and
+    anywhere.  Off the lattice, the corner where a meet's line crosses one
+    knot can tie with the other knot in x and differ from it in partner."""
     positive = op in ("multiply", "divide")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     near = TestNearTheFloatRange
     far = [near.WIDE, near.STEPPED] + ([] if positive else [near.NEAR_TOP, near.NEAR_BOTTOM])
 
     def operand(label):
-        kind = data.draw(st.sampled_from(["random", "point", "far"]), label=label)
+        kind = data.draw(st.sampled_from(["random", "scaled", "point", "far"]), label=label)
         if kind == "far":
             return data.draw(st.sampled_from(far), label=f"{label} far")
         box = random_real_line_pbox(rng, positive=positive)
+        if kind == "scaled":
+            scale = rng.uniform(1.0, 3.0)
+            return RealLinePBox.from_knots(*([(x * scale, p) for x, p in cdf.knots]
+                                             for cdf in (box.lower, box.upper)))
         return RealLinePBox.point_mass(rng.choice(box.lower.knot_xs)) if kind == "point" else box
 
     x1, x2 = operand("x1"), operand("x2")
-    # where knots of both operands meet, between those points, and anywhere
     meets = [y for y in (_OPERATIONS[op](a, b)
                          for a in x1.lower.knot_xs + x1.upper.knot_xs
                          for b in x2.lower.knot_xs + x2.upper.knot_xs) if math.isfinite(y)]
     point = st.one_of(st.sampled_from(meets), st.floats(min(meets), max(meets)),
                       st.floats(-1e308, 1e308))
-    ys = tuple(data.draw(st.lists(point, min_size=1, max_size=40), label="ys"))
+    return x1, x2, tuple(data.draw(st.lists(point, min_size=1, max_size=40), label="ys"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grid_values_equal_pointwise(data):
+    """A grid of y runs as one pass, and each of its values is the pointwise one."""
+    op = data.draw(st.sampled_from(sorted(_OPERATIONS)), label="op")
+    x1, x2, ys = draw_grid(data, op)
     pointwise = [bounds(op, x1, x2, y) for y in ys]
     for index, side in enumerate(("lower", "upper")):
         grid = run_query(Query("g", "arith_op", x1=x1, x2=x2, op=op, side=side, y=ys)).value
         assert grid.tolist() == [bounds[index] for bounds in pointwise], side
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_sort_equals_the_sort_by_group(data):
+    """The cells of a product's upper bound come from one stable sort of every
+    row, bit for bit as when the rows with one number of kept corners sort alone."""
+    x1, x2, ys = draw_grid(data, "multiply")
+    one_sort = arith_bound("multiply", "upper", x1, x2, ys)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multivariate, "_stationary_minima", stationary_minima)
+        by_group = arith_bound("multiply", "upper", x1, x2, ys)
+    assert one_sort.tobytes() == by_group.tobytes()
+
+
+def test_grid_makes_one_engine_call_per_chunk(monkeypatch):
+    """A long array of y goes in chunks inside arith_bound, whoever calls it,
+    and a y of any shape gives values of that shape."""
+    calls = []
+    bound = multivariate.arith_bound
+
+    def counted(op, side, x1, x2, y):
+        calls.append(np.shape(y))
+        return bound(op, side, x1, x2, y)
+
+    monkeypatch.setattr(multivariate, "arith_bound", counted)
+    ys = tuple(np.linspace(-0.5, 2.5, 1000).tolist())
+    query = Query("g", "arith_op", x1=UNIFORM01, x2=UNIFORM01, y=ys, side="upper")
+    whole = run_query(query).value
+    assert calls == []
+    # 8 corners a point: the ends of both supports and two knots for one CDF of each operand
+    monkeypatch.setattr(multivariate, "_ARITH_CELLS", 800)
+    rows = result_rows(query, run_query(query))
+    assert calls == [(100,)] * 10
+    assert [rid for rid, _ in rows] == [f"g_{k}" for k in range(1000)]
+    assert [value for _, value in rows] == whole.tolist()
+    calls.clear()
+    square = counted("add", "upper", UNIFORM01, UNIFORM01, np.reshape(ys, (40, 25)))
+    assert calls == [(40, 25)] + [(100,)] * 10
+    assert square.shape == (40, 25) and square.tobytes() == whole.tobytes()
+
+
+def test_a_library_call_bounds_its_own_memory():
+    """2^18 points of a product's upper bound, called directly, in chunks."""
+    x1 = RealLinePBox.from_knots([[1.0, 0.0], [2.0, 0.4], [3.0, 1.0]],
+                                 [[1.0, 0.2], [2.0, 0.7], [3.0, 1.0]])
+    x2 = RealLinePBox.from_knots([[1.0, 0.0], [2.5, 0.5], [4.0, 1.0]])
+    ys = np.linspace(-4.0, 14.0, 1 << 18)
+    tracemalloc.start()
+    try:
+        values = arith_bound("multiply", "upper", x1, x2, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == ys.shape
+    # the y and the values take 4 MB; one pass over all the rows would take about 125 MB
+    assert peak < 16 << 20
 
 
 def _op_support(op, x1, x2):

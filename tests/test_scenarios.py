@@ -9,7 +9,6 @@ from pboxes.errors import ValidationError
 from pboxes.multivariate import INDEPENDENT, RealLinePBox, combine
 from pboxes.pbox import AnalyticCdf, PBox
 from pboxes.preorder import FULL_EVENT, ClassSubset
-from pboxes import scenarios
 from pboxes.scenarios import (
     BUILTIN_NAMES,
     Query,
@@ -17,7 +16,6 @@ from pboxes.scenarios import (
     named_cdf,
     named_oscillation,
     piecewise_linear_oscillation,
-    result_rows,
     run_query,
 )
 
@@ -216,26 +214,16 @@ class TestArithmeticQuery:
         with pytest.raises(ValidationError, match="^op: "):
             Query("a", "arith_op", x1=self.UNIFORM, x2=self.UNIFORM, y=0.5, op="modulo")
 
-    def test_grid_makes_one_engine_call_per_chunk(self, monkeypatch):
-        calls = []
-        bound = scenarios.arith_bound
-
-        def counted(op, side, x1, x2, y):
-            calls.append(len(y))
-            return bound(op, side, x1, x2, y)
-
-        monkeypatch.setattr(scenarios, "arith_bound", counted)
-        ys = tuple(np.linspace(-0.5, 2.5, 1000).tolist())
-        query = Query("g", "arith_op", x1=self.UNIFORM, x2=self.UNIFORM, y=ys, side="upper")
-        whole = run_query(query).value
-        assert calls == [1000]
-        # 12 corners a point: the ends of both supports and two knots for each of four CDFs
-        monkeypatch.setattr(scenarios, "_ARITH_CELLS", 1200)
-        calls.clear()
-        rows = result_rows(query, run_query(query))
-        assert calls == [100] * 10
-        assert [rid for rid, _ in rows] == [f"g_{k}" for k in range(1000)]
-        assert [value for _, value in rows] == whole.tolist()
+    def test_arith_add_only_adds(self):
+        u12 = RealLinePBox.from_knots(((1.0, 0.0), (2.0, 1.0)))
+        with pytest.raises(ValidationError, match="^op: expected 'add' in an arith_add query, "
+                                                  "got 'multiply'$"):
+            Query("q", "arith_add", x1=u12, x2=u12, op="multiply", y=2.25)
+        added = Query("q", "arith_add", x1=u12, x2=u12, op="add", y=2.25)
+        assert run_query(added).value == run_query(Query("q", "arith_add", x1=u12, x2=u12,
+                                                         y=2.25)).value
+        multiplied = Query("q", "arith_op", x1=u12, x2=u12, op="multiply", y=2.25)
+        assert run_query(multiplied).value == pytest.approx(0.125, abs=1e-12)
 
 
 class TestQueryValidation:
