@@ -70,6 +70,7 @@ _ORACLE_NAMES = frozenset({
     "RepresentabilityReport",
     "additivity_check",
     "envelope_sample_bound",
+    "lp_event_ratio",
     "lp_lower_expectation",
     "mobius_check",
     "natural_extension_numerators",

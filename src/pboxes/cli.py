@@ -41,7 +41,6 @@ from .preorder import (
     FiniteQuotientSpace,
     ZInterval,
     _finite_number,
-    _finite_numbers,
     normalize,
 )
 from .scenarios import (
@@ -237,14 +236,14 @@ def _arith(node: _Node, qid: str, kind: str, operands: dict) -> Query:
         return node.build(Query, qid, kind, y=node.get("y").of("a number"), **fields)
     grid = node.get("y_grid")
     ys = grid.values("a number", _choquet._MAX_GRID)
+    if not ys:
+        raise grid.fail("expected at least one point", ValidationError)
     try:
-        _finite_numbers(ys)
+        return node.build(Query, qid, kind, y=tuple(ys), **fields)
     except ValidationError:
         for y in grid.items():  # the first point that is not finite, by its path
             y.build(_finite_number, y.value)
-    if not ys:
-        raise grid.fail("expected at least one point", ValidationError)
-    return node.build(Query, qid, kind, y=tuple(ys), **fields)
+        raise
 
 
 def _query(node: _Node, index: int, pbox, operands: dict) -> Query:
@@ -383,7 +382,10 @@ _EVENTS, _GAMBLES = 10, 5
 
 def _instance_pbox(instance) -> PBox:
     space = FiniteQuotientSpace(tuple(range(instance.n)))
-    return PBox(StepCdf(instance.lower_cum), StepCdf(instance.upper_cum), space)
+    # each float is that of its Fraction, read without the number-tower dispatch
+    lower, upper = ([v.numerator / v.denominator for v in cum]
+                    for cum in (instance.lower_cum, instance.upper_cum))
+    return PBox(StepCdf(tuple(lower)), StepCdf(tuple(upper)), space)
 
 
 def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
@@ -401,6 +403,7 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
         FiniteLowerProbability,
         additivity_check,
         envelope_sample_bound,
+        lp_event_ratio,
         lp_lower_expectation,
         mobius_check,
         natural_extension_numerators,
@@ -423,24 +426,28 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
             mask = rng.randrange(1, 1 << n)
             subset = ClassSubset(frozenset(i for i in range(n) if mask & (1 << i)))
             formula = _pbox.lower_prob_event(box, subset)
-            exact = lp_lower_expectation(instance, [1 if i in subset.members else 0
-                                                    for i in range(n)])
+            numerator, scale = lp_event_ratio(instance, mask)
+            exact = numerator / scale
             lp_checks += 1
             if abs(formula - exact) > 1e-9:
                 violations.append(
                     f"event mismatch: instance #{index} {_serialize(instance)} "
                     f"subset={sorted(subset.members)} formula={formula!r} lp={exact!r}")
-        for _ in range(_GAMBLES):
-            gamble = [rng.randrange(-500, 501) / 100.0 for _ in range(n)]
+        gambles = [[rng.randrange(-500, 501) / 100.0 for _ in range(n)]
+                   for _ in range(_GAMBLES)]
+        exacts = []
+        for gamble in gambles:
             formula = _choquet.lower_expectation_finite(box, gamble)
             exact = lp_lower_expectation(instance, gamble)
+            exacts.append(exact)
             lp_checks += 1
             if abs(formula - exact) > 1e-9:
                 violations.append(
                     f"gamble mismatch: instance #{index} {_serialize(instance)} "
                     f"gamble={gamble} formula={formula!r} lp={exact!r}")
-            bound = envelope_sample_bound(instance, gamble, samples=16,
-                                          seed=rng.randrange(1 << 30))
+        bounds = envelope_sample_bound(instance, gambles, samples=16,
+                                       seed=rng.randrange(1 << 30))
+        for gamble, exact, bound in zip(gambles, exacts, bounds):
             if bound < exact - 1e-12:
                 violations.append(
                     f"envelope bound below lp: instance #{index} {_serialize(instance)} "

@@ -17,15 +17,21 @@ cumulative-chain polytope takes its coordinates from the finite grid of
 cumulative bounds, and a monotone dynamic sweep over that grid visits every
 vertex in ``O(n * grid)`` steps, for any number of classes.  The sweep runs
 on Python integers: the bounds are scaled once per instance to a common
-denominator, each gamble value enters as its exact integer ratio and is
-scaled to the common denominator of the gamble, and the minimum is divided
-by both once at the end, so the result is the same exact rational.  No
-external solver is used.
+denominator, on which the instance also validates them, each gamble value
+enters as its exact integer ratio and is scaled to the common denominator
+of the gamble, and the minimum is divided by both once at the end, so the
+result is the same exact rational.  No external solver is used.  An
+instance keeps the integer lower probability of every event it has been
+swept for, so each event is swept once however many checks read it.
 
 The envelope sampler clamps each sorted uniform draw into its class's
 cumulative band on its own.  The draws and both bands never decrease and
 the clamp never decreases in any argument, so the clamped values already
 form a monotone CDF; carrying the previous value forward changes nothing.
+It draws the CDFs once per call and evaluates every gamble on them.
+
+The module is plain Python and imports no numpy, whose kernels would add to
+the memory of every run of the oracle for arrays of a few classes.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from math import lcm
 from typing import Mapping, Sequence
@@ -49,6 +54,7 @@ __all__ = [
     "RepresentabilityReport",
     "AdditivityReport",
     "lp_lower_expectation",
+    "lp_event_ratio",
     "envelope_sample_bound",
     "natural_extension_numerators",
     "natural_extension_table",
@@ -79,7 +85,13 @@ def _fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class FiniteCredalInstance:
-    """Cumulative probability bounds over n ordered classes, held exactly."""
+    """Cumulative probability bounds over n ordered classes, held exactly.
+
+    The bounds are validated as integers over their common denominator ``D``,
+    the chain the sweep runs on.  The instance also keeps the exact lower
+    probability of every event that :func:`lp_event_ratio` has swept, so
+    each event is swept once.
+    """
 
     lower_cum: tuple
     upper_cum: tuple
@@ -92,34 +104,30 @@ class FiniteCredalInstance:
         n = len(lo)
         if n == 0 or len(hi) != n:
             raise ValidationError("cumulative bound vectors must share a positive length")
+        scale = lcm(*(v.denominator for v in lo + hi))
+        lo = [v.numerator * (scale // v.denominator) for v in lo]
+        hi = [v.numerator * (scale // v.denominator) for v in hi]
         for vec, name in ((lo, "lower"), (hi, "upper")):
-            if any(v < 0 or v > 1 for v in vec):
+            if any(v < 0 or v > scale for v in vec):
                 raise ValidationError(f"{name} cumulative bounds must lie in [0, 1]")
             if any(b < a for a, b in zip(vec, vec[1:])):
                 raise ValidationError(f"{name} cumulative bounds must be non-decreasing")
         if any(a > b for a, b in zip(lo, hi)):
             raise ValidationError("lower cumulative bounds exceed upper ones")
-        if lo[-1] != 1 or hi[-1] != 1:
+        if lo[-1] != scale or hi[-1] != scale:
             raise ValidationError("cumulative bounds must reach 1 at the top class")
+        # (D, grid, windows): the sorted distinct scaled bounds and, per class,
+        # the index range (a, b) of grid between its scaled lower and upper bound
+        grid = sorted(set(lo) | set(hi))
+        index = {v: j for j, v in enumerate(grid)}
+        object.__setattr__(self, "_integer_chain",
+                           (scale, grid, tuple((index[a], index[b]) for a, b in zip(lo, hi))))
+        # event bitmask -> numerator of its exact lower probability over D
+        object.__setattr__(self, "_events", {})
 
     @property
     def n(self) -> int:
         return len(self.lower_cum)
-
-    @cached_property
-    def _integer_chain(self) -> tuple:
-        """The bounds over their common denominator ``D``, as the sweep uses them.
-
-        Returns ``(D, grid, windows)``: the sorted distinct scaled bounds and,
-        per class, the index range ``(a, b)`` of ``grid`` between its scaled
-        lower and upper bound.
-        """
-        scale = lcm(*(v.denominator for v in self.lower_cum + self.upper_cum))
-        lo = [v.numerator * (scale // v.denominator) for v in self.lower_cum]
-        hi = [v.numerator * (scale // v.denominator) for v in self.upper_cum]
-        grid = sorted(set(lo) | set(hi))
-        index = {v: j for j, v in enumerate(grid)}
-        return scale, grid, tuple((index[a], index[b]) for a, b in zip(lo, hi))
 
 
 def _ratio(x) -> tuple:
@@ -194,35 +202,61 @@ def _gamble(instance: FiniteCredalInstance, gamble: Sequence) -> list:
     return [_ratio(g) for g in gamble]
 
 
-def envelope_sample_bound(instance: FiniteCredalInstance, gamble: Sequence,
-                          samples: int, seed: int = 0) -> float:
-    """Upper bound on the minimum expectation from sampled feasible CDFs.
+def lp_event_ratio(instance: FiniteCredalInstance, mask: int) -> tuple:
+    """Exact lower probability of the event ``mask`` (bit ``i`` for class ``i``).
+
+    Returns ``(numerator, D)`` with ``D`` the instance's common denominator,
+    so ``numerator / D`` is :func:`lp_lower_expectation` of the event's
+    indicator, bit for bit: an indicator has integer values, so its sweep
+    returns its minimum over ``D`` itself.  Each event is swept once per
+    instance; later reads return the kept numerator.  A mask that is not an
+    int in ``[0, 2**n)`` is a validation error.
+    """
+    if type(mask) is not int or not 0 <= mask < 1 << instance.n:
+        raise ValidationError(f"expected an event bitmask of {instance.n} classes, "
+                              f"got {mask!r}")
+    events = instance._events
+    numerator = events.get(mask)
+    if numerator is None:
+        numerator = events[mask] = _chain_sweep(
+            instance, [(mask >> i & 1, 1) for i in range(instance.n)])[0]
+    return numerator, instance._integer_chain[0]
+
+
+def envelope_sample_bound(instance: FiniteCredalInstance, gambles: Sequence[Sequence],
+                          samples: int, seed: int = 0) -> list:
+    """Upper bounds on the minimum expectations of gambles from sampled feasible CDFs.
 
     Draws ``n`` uniform cumulative candidates per sample, sorts them, and
     clamps each into its band, ``s_i = min(max(d_i, lo_i), hi_i)``, which is
-    monotone in ``i`` (see the module docstring), so the expectation is
-    ``g_{n-1} + sum_{i<n-1} (g_i - g_{i+1}) s_i``.  The minimum sampled
-    expectation dominates the exact value; it is reproducible for a fixed
-    seed and never used for equality claims.
+    monotone in ``i`` (see the module docstring).  The samples are drawn once
+    and shared by every gamble, whose expectation under a sample is
+    ``g_{n-1} + sum_{i<n-1} (g_i - g_{i+1}) s_i``.  Returns one bound per
+    gamble, its least sampled expectation, which dominates the exact value;
+    each is reproducible for a fixed seed, equal to the bound of that gamble
+    alone, and never used for equality claims.
     """
+    if type(samples) is not int:
+        raise ValidationError(f"the number of samples must be an int, got {samples!r}")
     if samples < 1:
         raise ValidationError("at least one sample is required")
     n = instance.n
-    g = [num / den for num, den in _gamble(instance, gamble)]
-    # (lower bound, upper bound, g_i - g_{i+1}) of every class below the top
-    bands = [(float(lo), float(hi), a - b) for lo, hi, a, b in
-             zip(instance.lower_cum, instance.upper_cum, g, g[1:n])]
-    top = g[n - 1]
+    gambles = [[num / den for num, den in _gamble(instance, gamble)] for gamble in gambles]
+    scale, grid, windows = instance._integer_chain
+    # (lower bound, upper bound) of every class below the top
+    bands = [(grid[a] / scale, grid[b] / scale) for a, b in windows[:n - 1]]
     draw = random.Random(seed).random
-    best = None
-    for _ in range(samples):
-        draws = sorted([draw() for _ in range(n)])
-        expectation = top
-        for d, (lo, hi, step) in zip(draws, bands):
-            expectation += step * (lo if d < lo else hi if d > hi else d)
-        if best is None or expectation < best:
-            best = expectation
-    return best
+    sorted_draws = [sorted([draw() for _ in range(n)]) for _ in range(samples)]
+    # per class below the top, its clamped value in every sample
+    columns = [[lo if d < lo else hi if d > hi else d for d in draws]
+               for draws, (lo, hi) in zip(zip(*sorted_draws), bands)]
+    bounds = []
+    for g in gambles:
+        expectations = [g[n - 1]] * samples
+        for step, column in zip([a - b for a, b in zip(g, g[1:])], columns):
+            expectations = [e + step * s for e, s in zip(expectations, column)]
+        bounds.append(min(expectations))
+    return bounds
 
 
 def random_credal_instance(rng: random.Random, n: int,
@@ -239,12 +273,11 @@ def random_credal_instance(rng: random.Random, n: int,
         raise ValidationError("instances need at least one class")
     if denominator < 1:
         raise ValidationError(f"the lattice denominator must be at least 1, got {denominator}")
-    a = sorted(Fraction(rng.randrange(denominator + 1), denominator)
-               for _ in range(n - 1))
-    b = sorted(Fraction(rng.randrange(denominator + 1), denominator)
-               for _ in range(n - 1))
-    lower = tuple(min(x, y) for x, y in zip(a, b)) + (Fraction(1),)
-    upper = tuple(max(x, y) for x, y in zip(a, b)) + (Fraction(1),)
+    a = sorted([rng.randrange(denominator + 1) for _ in range(n - 1)])
+    b = sorted([rng.randrange(denominator + 1) for _ in range(n - 1)])
+    top = Fraction(1)
+    lower = tuple(Fraction(min(x, y), denominator) for x, y in zip(a, b)) + (top,)
+    upper = tuple(Fraction(max(x, y), denominator) for x, y in zip(a, b)) + (top,)
     return FiniteCredalInstance(lower, upper)
 
 
@@ -288,13 +321,11 @@ class FiniteLowerProbability:
 def natural_extension_numerators(instance: FiniteCredalInstance) -> tuple:
     """Exact lower probability of every subset, by bitmask, over a common denominator.
 
-    Returns ``(numerators, D)`` with ``D`` the instance's common denominator:
-    an indicator gamble has integer values, so the sweep of each subset
-    returns its minimum over ``D`` itself (``D`` is 1 for a single class).
+    Returns ``(numerators, D)`` with ``D`` the instance's common denominator
+    (1 for a single class), each subset read through :func:`lp_event_ratio`,
+    so a subset the instance has already swept is not swept again.
     """
-    n = instance.n
-    numerators = [_chain_sweep(instance, [(mask >> i & 1, 1) for i in range(n)])[0]
-                  for mask in range(1 << n)]
+    numerators = [lp_event_ratio(instance, mask)[0] for mask in range(1 << instance.n)]
     return numerators, instance._integer_chain[0]
 
 
@@ -326,8 +357,11 @@ def mobius_check(values: Sequence, scale: int = 1) -> MobiusReport:
     Fractions.  The fast transform takes ``n * 2**(n-1)`` subtractions and
     gives each subset's Möbius mass times ``scale``, in ``masses``.  The
     lower probability is completely monotone exactly when no mass is
-    negative; each negative mass is a violation, with no tolerance.
+    negative; each negative mass is a violation, with no tolerance.  A
+    ``scale`` that is not a positive int is a validation error.
     """
+    if type(scale) is not int or scale < 1:
+        raise ValidationError(f"the scale must be a positive int, got {scale!r}")
     masses = list(values)
     n = len(masses).bit_length() - 1
     if n < 1 or len(masses) != 1 << n:
@@ -422,13 +456,18 @@ def additivity_check(instance: FiniteCredalInstance, trials: int,
                      seed: int = 0, tol: float = 1e-9) -> AdditivityReport:
     """Check additivity over runs of consecutive classes on random subsets.
 
-    Both sides of each identity come from the exact LP: the value of the
-    whole subset must equal the sum of the values of its maximal consecutive
-    runs.  A negative ``trials`` is a validation error; zero trials pass
-    vacuously.
+    Both sides of each identity come from the exact LP, each event read
+    through :func:`lp_event_ratio`: the value of the whole subset must equal
+    the sum of the values of its maximal consecutive runs.  A negative
+    ``trials`` is a validation error; zero trials pass vacuously.
     """
     if trials < 0:
         raise ValidationError(f"trials must be at least 0, got {trials}")
+
+    def value(mask: int) -> float:
+        numerator, scale = lp_event_ratio(instance, mask)
+        return numerator / scale
+
     n = instance.n
     rng = random.Random(seed)
     violations = []
@@ -436,8 +475,7 @@ def additivity_check(instance: FiniteCredalInstance, trials: int,
         members = [i for i in range(n) if rng.random() < 0.5]
         if not members:
             continue
-        whole = lp_lower_expectation(
-            instance, [1 if i in members else 0 for i in range(n)])
+        whole = value(sum(1 << i for i in members))
         runs = []
         for i in members:
             if runs and i == runs[-1][1] + 1:
@@ -446,8 +484,7 @@ def additivity_check(instance: FiniteCredalInstance, trials: int,
                 runs.append((i, i))
         parts = 0.0
         for a, b in runs:
-            parts += lp_lower_expectation(
-                instance, [1 if a <= i <= b else 0 for i in range(n)])
+            parts += value((2 << b) - (1 << a))
         if abs(whole - parts) > tol:
             violations.append(AdditivityViolation(frozenset(members), whole, parts))
     return AdditivityReport(not violations, trials, tuple(violations))

@@ -384,13 +384,19 @@ class TestInfer:
         assert err.startswith(
             "validation error: queries[0].y_grid[1]: expected a finite number, got nan")
 
-    @pytest.mark.parametrize("field, value", [("side", "lowr"), ("op", "modulo")])
-    def test_bad_arithmetic_field_exit_3(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("field, value, points", [
+        pytest.param("side", "lowr", {"y": 0.5}, id="side-lowr"),
+        pytest.param("op", "modulo", {"y": 0.5}, id="op-modulo"),
+        # a finite grid: the error is the query's own, not a grid point's
+        pytest.param("side", "lowr", {"y_grid": [0.5, 1.0]}, id="side-lowr-y_grid"),
+        pytest.param("op", "modulo", {"y_grid": [0.5, 1.0]}, id="op-modulo-y_grid"),
+    ])
+    def test_bad_arithmetic_field_exit_3(self, tmp_path, capsys, field, value, points):
         doc = {"queries": [{"id": "ok", "kind": "event_lower", "intervals": []},
                            dict({"id": "a", "kind": "arith_op",
                                  "x1": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
                                  "x2": {"lower": [[0.0, 0.0], [1.0, 1.0]]},
-                                 "y": 0.5}, **{field: value})],
+                                 **points}, **{field: value})],
                "pbox": {"analytic": {"lower": "uniform", "upper": "uniform"}}}
         path = tmp_path / "bad_field.json"
         path.write_text(json.dumps(doc))
@@ -1048,6 +1054,68 @@ class TestVerify:
         assert code == 1
         assert "mismatch" in out
         assert "subset=" in out
+
+    def test_corrupted_gamble_formula_flagged(self, capsys, monkeypatch):
+        import pboxes.choquet as choquet_mod
+
+        true_fn = choquet_mod.lower_expectation_finite
+        monkeypatch.setattr(choquet_mod, "lower_expectation_finite",
+                            lambda box, gamble: true_fn(box, gamble) + 0.25)
+        code = run_verify(seed=3, trials=4, n_max=4)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "gamble mismatch: instance #0" in out
+        assert "event mismatch" not in out
+
+    def test_envelope_bound_below_lp_flagged(self, capsys, monkeypatch):
+        import pboxes.oracle as oracle_mod
+
+        true_fn = oracle_mod.envelope_sample_bound
+
+        def corrupted(instance, gambles, samples, seed):
+            return [bound - 1.0 for bound in true_fn(instance, gambles, samples, seed)]
+
+        monkeypatch.setattr(oracle_mod, "envelope_sample_bound", corrupted)
+        code = run_verify(seed=3, trials=4, n_max=4)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("envelope bound below lp:") == 4 * 5
+        assert "mismatch" not in out
+
+    def test_non_additive_lp_flagged(self, capsys, monkeypatch):
+        import pboxes.oracle as oracle_mod
+
+        true_fn = oracle_mod.lp_event_ratio
+
+        # one unit of 1/D more on every event of two or more runs of classes
+        def corrupted(instance, mask):
+            numerator, scale = true_fn(instance, mask)
+            runs = [run for run in bin(mask)[2:].split("0") if run]
+            return numerator + (len(runs) > 1), scale
+
+        monkeypatch.setattr(oracle_mod, "lp_event_ratio", corrupted)
+        code = run_verify(seed=3, trials=20, n_max=6)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "additivity violation: instance #" in out
+        assert "AdditivityViolation(event=frozenset(" in out
+
+    def test_unrepresentable_structural_table_flagged(self, capsys, monkeypatch):
+        import pboxes.oracle as oracle_mod
+
+        # a belief function with its one mass on {0, 2}: completely monotone,
+        # but its p-box is vacuous and gives {0, 2} the value 0
+        def corrupted(instance):
+            return [0, 0, 0, 0, 0, 1, 0, 1], 1
+
+        monkeypatch.setattr(oracle_mod, "natural_extension_numerators", corrupted)
+        code = run_verify(seed=3, trials=4, n_max=4)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("representability mismatch:") == 4
+        assert "RepresentabilityMismatch(event=frozenset({0, 2}), formula_value=0.0, " \
+               "stored_value=1.0)" in out
+        assert "monotonicity violation" not in out
 
     def test_corrupted_structural_table_flagged(self, capsys, monkeypatch):
         import pboxes.oracle as oracle_mod

@@ -3,8 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from functools import partial
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from pboxes.oracle import (
     FiniteLowerProbability,
     additivity_check,
     envelope_sample_bound,
+    lp_event_ratio,
     lp_lower_expectation,
     mobius_check,
     natural_extension_numerators,
@@ -35,7 +35,8 @@ from lp_reference import credal_lp, simplex_min
 from monotonicity_reference import from_sets, monotonicity_reference
 
 # both read a gamble, and both check it by the same rules
-GAMBLE_READERS = (lp_lower_expectation, partial(envelope_sample_bound, samples=4))
+GAMBLE_READERS = (lp_lower_expectation,
+                  lambda instance, g: envelope_sample_bound(instance, [g], samples=4)[0])
 
 
 def chain_vertex_min(instance, gamble) -> Fraction:
@@ -194,6 +195,12 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             FiniteCredalInstance((0.2, 0.9), (0.4, 0.9))
 
+    @pytest.mark.parametrize("lower, upper", [((Fraction(-1, 3), 1), (0.5, 1)),
+                                              ((0.5, 1), (0.5, Fraction(4, 3)))])
+    def test_unit_interval_required(self, lower, upper):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            FiniteCredalInstance(lower, upper)
+
 
 class TestInputNumbers:
     INSTANCE = FiniteCredalInstance((0.5, 1), (0.6, 1))
@@ -248,6 +255,12 @@ class TestInputNumbers:
         local = {node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.level > 0}
         assert local == {"errors"}
+        # and no numpy: the oracle stays plain Python
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert not {name for name in imported if name.split(".")[0] == "numpy"}
 
     def test_public_names_resolve_through_the_package(self):
         # the package loads the oracle on first use of one of its names
@@ -281,7 +294,7 @@ class TestEnvelopeSampleBound:
         instance = FiniteCredalInstance(cum, cum)
         gamble = [2.0, 0.0, -1.0]
         expected = 0.25 * 2.0 + 0.5 * 0.0 + 0.25 * -1.0
-        assert envelope_sample_bound(instance, gamble, samples=3, seed=1) == \
+        assert envelope_sample_bound(instance, [gamble], samples=3, seed=1)[0] == \
             pytest.approx(expected, abs=1e-12)
 
     def test_always_dominates_lp(self, rng):
@@ -289,8 +302,8 @@ class TestEnvelopeSampleBound:
             n = rng.randint(2, 5)
             instance = random_credal_instance(rng, n)
             gamble = [rng.randrange(-200, 201) / 50 for _ in range(n)]
-            bound = envelope_sample_bound(instance, gamble, samples=20,
-                                          seed=rng.randrange(1 << 20))
+            bound = envelope_sample_bound(instance, [gamble], samples=20,
+                                          seed=rng.randrange(1 << 20))[0]
             assert bound >= lp_lower_expectation(instance, gamble) - 1e-12
 
     def test_joint_band_instance_statistical_band(self):
@@ -300,19 +313,42 @@ class TestEnvelopeSampleBound:
         for gamble, expected in (([1.0, 0.0], 0.0), ([0.0, 1.0], 0.7)):
             exact = lp_lower_expectation(instance, gamble)
             assert exact == pytest.approx(expected)
-            bound = envelope_sample_bound(instance, gamble, samples=10_000, seed=5)
+            bound = envelope_sample_bound(instance, [gamble], samples=10_000, seed=5)[0]
             assert exact <= bound <= exact + 0.02
 
     def test_deterministic_for_fixed_seed(self):
         instance = FiniteCredalInstance((0.1, 1.0), (0.9, 1.0))
-        a = envelope_sample_bound(instance, [1.0, -1.0], samples=64, seed=9)
-        b = envelope_sample_bound(instance, [1.0, -1.0], samples=64, seed=9)
+        a = envelope_sample_bound(instance, [[1.0, -1.0]], samples=64, seed=9)[0]
+        b = envelope_sample_bound(instance, [[1.0, -1.0]], samples=64, seed=9)[0]
         assert a == b
 
     def test_requires_samples(self):
         instance = FiniteCredalInstance((1.0,), (1.0,))
         with pytest.raises(ValidationError):
-            envelope_sample_bound(instance, [1.0], samples=0)
+            envelope_sample_bound(instance, [[1.0]], samples=0)
+
+    @pytest.mark.parametrize("samples", [True, False, 2.5, 16.0, "16", None])
+    def test_samples_must_be_an_int(self, samples):
+        instance = FiniteCredalInstance((0.5, 1.0), (0.6, 1.0))
+        with pytest.raises(ValidationError, match="must be an int"):
+            envelope_sample_bound(instance, [[1.0, 0.0]], samples=samples)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_bound_is_that_of_its_gamble_alone(self, rng, n):
+        # the samples are drawn once and shared, so every gamble sees the
+        # draws it would see alone at the same seed
+        for _ in range(10):
+            instance = random_credal_instance(rng, n, rng.choice([4, 20, 1000]))
+            gambles = [[rng.uniform(-5, 5) for _ in range(n)]
+                       for _ in range(rng.randint(0, 6))]
+            samples, seed = rng.randint(1, 20), rng.randrange(1 << 30)
+            bounds = envelope_sample_bound(instance, gambles, samples, seed)
+            assert len(bounds) == len(gambles)
+            for gamble, bound in zip(gambles, bounds):
+                alone = envelope_sample_bound(instance, [gamble], samples, seed)[0]
+                assert bound.hex() == alone.hex()
+                assert bound == pytest.approx(
+                    envelope_reference(instance, gamble, samples, seed), abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_clamp_closed_form_matches_sequential_clamp(self, rng, n):
@@ -324,7 +360,7 @@ class TestEnvelopeSampleBound:
                     instance = FiniteCredalInstance(instance.lower_cum, instance.lower_cum)
                 gamble = [rng.uniform(-5, 5) for _ in range(n)]
                 seed = rng.randrange(1 << 30)
-                assert envelope_sample_bound(instance, gamble, samples=16, seed=seed) == \
+                assert envelope_sample_bound(instance, [gamble], samples=16, seed=seed)[0] == \
                     pytest.approx(envelope_reference(instance, gamble, 16, seed), abs=1e-12)
 
 
@@ -534,6 +570,12 @@ class TestMobiusCheck:
         with pytest.raises(TypeError):
             mobius_check([0.0, 1.0])
 
+    @pytest.mark.parametrize("scale", [0, -1, True, 1.0, Fraction(1), None])
+    def test_refuses_a_scale_that_is_not_a_positive_int(self, scale):
+        # [0, -1] over -1 would be a valid table, [0, 1], with the mass -1
+        with pytest.raises(ValidationError, match="scale must be a positive int"):
+            mobius_check([0, -1], scale=scale)
+
 
 class TestRepresentability:
     def test_round_trip_is_empty(self, rng):
@@ -563,6 +605,47 @@ class TestRepresentability:
         report = pbox_representability_check(FiniteLowerProbability(3, values))
         assert not report.matches
         assert [m.event for m in report.mismatches] == [frozenset({0, 2})]
+
+
+class TestEventMemo:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_one_sweep_per_distinct_mask(self, rng, monkeypatch, n):
+        import pboxes.oracle as oracle_mod
+
+        sweep = oracle_mod._chain_sweep
+        swept = []
+
+        def counted(instance, gamble):
+            swept.append(gamble)
+            return sweep(instance, gamble)
+
+        instance = random_credal_instance(rng, n, rng.choice([4, 100, 1000]))
+        scale = lcm(*(v.denominator for v in instance.lower_cum + instance.upper_cum))
+        monkeypatch.setattr(oracle_mod, "_chain_sweep", counted)
+        masks = [rng.randrange(1 << n) for _ in range(3 << n)]
+        for mask in masks:
+            indicator = [(mask >> i & 1, 1) for i in range(n)]
+            assert lp_event_ratio(instance, mask) == sweep(instance, indicator)
+            assert lp_event_ratio(instance, mask)[1] == scale
+        assert len(swept) == len(set(masks))
+        numerators, table_scale = natural_extension_numerators(instance)
+        assert len(swept) == 1 << n and table_scale == scale
+        assert numerators == [sweep(instance, [(mask >> i & 1, 1) for i in range(n)])[0]
+                              for mask in range(1 << n)]
+        assert additivity_check(instance, trials=20, seed=n).passed
+        assert len(swept) == 1 << n
+        for mask in range(1 << n):
+            indicator = [mask >> i & 1 for i in range(n)]
+            assert (numerators[mask] / scale).hex() == \
+                lp_lower_expectation(instance, indicator).hex()
+
+    @pytest.mark.parametrize("mask", [-1, 8, 1.0, True, "1", None])
+    def test_refuses_a_mask_outside_the_classes(self, mask):
+        # also once every mask is kept, where True and 1.0 would find the key 1
+        instance = FiniteCredalInstance((0.2, 0.5, 1.0), (0.4, 0.7, 1.0))
+        natural_extension_numerators(instance)
+        with pytest.raises(ValidationError, match="event bitmask of 3 classes"):
+            lp_event_ratio(instance, mask)
 
 
 class TestAdditivity:
@@ -595,6 +678,22 @@ class TestRandomInstances:
     def test_valid_by_construction(self, rng):
         for _ in range(50):
             random_credal_instance(rng, rng.randint(1, 8))
+
+    def test_lattice_draws_equal_the_fraction_draws(self, rng):
+        # the instances drawn as Fractions, sorted and compared as Fractions
+        for _ in range(200):
+            n, denominator, seed = rng.randint(1, 12), rng.choice([1, 3, 16, 1000]), rng.random()
+            draws = random.Random(seed)
+            a = sorted(Fraction(draws.randrange(denominator + 1), denominator)
+                       for _ in range(n - 1))
+            b = sorted(Fraction(draws.randrange(denominator + 1), denominator)
+                       for _ in range(n - 1))
+            expected = FiniteCredalInstance(
+                tuple(min(x, y) for x, y in zip(a, b)) + (Fraction(1),),
+                tuple(max(x, y) for x, y in zip(a, b)) + (Fraction(1),))
+            lattice = random.Random(seed)
+            assert random_credal_instance(lattice, n, denominator) == expected
+            assert lattice.getstate() == draws.getstate()
 
     @pytest.mark.parametrize("denominator", [0, -3])
     def test_denominator_below_one_refused_before_any_draw(self, denominator):
