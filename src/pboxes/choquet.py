@@ -25,13 +25,15 @@ cut is 1 minus the lower probability of its complement, and
 ``pbox._piece_gains`` gives the lower probability of either.
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
-expectation is an exact finite sum over the sorted distinct gamble values,
-weighted by the finite formula of :func:`pboxes.pbox.lower_prob_event`.
+expectation is an exact finite sum over the p-box's random set, each strip
+of cumulative probability weighing the least gamble value on its focal
+interval of classes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -39,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .pbox import PBox, _piece_gains, _run_sum, vectorized
+from .pbox import PBox, _piece_gains, vectorized
 from .preorder import ZEventSet, ZInterval, _finite_number, normalize
 
 __all__ = [
@@ -526,12 +528,22 @@ def _span_doubling(batch, a: float, value: float):
 def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
     """Exact expectation bound for a gamble on a finite quotient space.
 
-    Sorts the distinct gamble values and accumulates value increments times
-    the lower probability of the super-level class subsets; no quadrature is
-    involved.  One scan of the classes per level finds the runs of the
-    super-level set, in ascending order, and ``pbox._run_sum``, the finite
-    formula of :func:`pboxes.pbox.lower_prob_event`, reads their lower
-    probability from the step CDFs' values.
+    A p-box on a chain is a random set whose focal sets are intervals of
+    classes (Kriegler & Held 2005; Destercke, Dubois & Chojnacki 2008).
+    Sort the distinct cumulative bounds ``0 = a_0 < a_1 < ... < a_K = 1``:
+    the strip ``(a_{k-1}, a_k]`` puts mass ``a_k - a_{k-1}`` on the classes
+    from the first one with ``F_upper >= a_k`` to the first one with
+    ``F_lower >= a_k``, and the lower expectation is the sum over strips of
+    the mass times the least gamble value on the interval.  Both ends only
+    move right as ``k`` grows, so a monotone deque gives every interval's
+    least value in one pass after the one sort; no quadrature is involved.
+    The sum is taken as the first least value plus each change of it times
+    the mass above the strip, ``1 - a_{k-1}``, so a constant gamble has its
+    own value.
+
+    The CDFs may leave their bounds by a tolerance: a bound outside (0, 1)
+    adds no level, an interval starts at the first class where either CDF
+    reaches the level, and an end that no class reaches is the top class.
     """
     if not pbox.is_finite:
         raise ValidationError("lower_expectation_finite needs a finite-space p-box")
@@ -540,20 +552,35 @@ def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
     if n != pbox.space.size:
         raise ValidationError("gamble length must match the number of classes")
     lower, upper = pbox.lower.values, pbox.upper.values
-    distinct = sorted(set(values))
-    total = distinct[0]
-    for prev, cur in zip(distinct, distinct[1:]):
-        runs, start = [], None
-        for i, v in enumerate(values):
-            if v < cur:
-                if start is not None:
-                    runs.append((start, i - 1))
-                    start = None
-            elif start is None:
-                start = i
-        if start is not None:
-            runs.append((start, n - 1))
-        total += (cur - prev) * _run_sum(lower, upper, runs)
+    levels = sorted({v for v in lower + upper if 0.0 < v < 1.0})
+    levels.append(1.0)
+    # minima: the classes pushed so far whose value is below that of every
+    # later class pushed, in ascending order of class and of value
+    minima = deque()
+    left = right = pushed = 0
+    total = previous = None
+    below = 0.0
+    for level in levels:
+        while left < n - 1 and upper[left] < level:
+            left += 1
+        while right < n - 1 and lower[right] < level:
+            right += 1
+        while pushed <= right:
+            value = values[pushed]
+            while minima and values[minima[-1]] >= value:
+                minima.pop()
+            minima.append(pushed)
+            pushed += 1
+        # a lower CDF above the upper one, by the tolerance, starts the
+        # interval where it reaches the level
+        while minima[0] < min(left, right):
+            minima.popleft()
+        least = values[minima[0]]
+        if total is None:
+            total = least
+        elif least != previous:
+            total += (1.0 - below) * (least - previous)
+        previous, below = least, level
     return total
 
 

@@ -20,9 +20,12 @@ on Python integers: the bounds are scaled once per instance to a common
 denominator, on which the instance also validates them, each gamble value
 enters as its exact integer ratio and is scaled to the common denominator
 of the gamble, and the minimum is divided by both once at the end, so the
-result is the same exact rational.  No external solver is used.  An
-instance keeps the integer lower probability of every event it has been
-swept for, so each event is swept once however many checks read it.
+result is the same exact rational.  A step between two classes of equal
+gamble value costs nothing and changes no prefix minimum of the sweep, so
+it is skipped: an event is swept only across the ends of its runs.  No
+external solver is used.  An instance keeps the integer lower probability
+of every event it has been swept for, so each event is swept once however
+many checks read it.
 
 The envelope sampler clamps each sorted uniform draw into its class's
 cumulative band on its own.  The draws and both bands never decrease and
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -95,6 +98,7 @@ class FiniteCredalInstance:
 
     lower_cum: tuple
     upper_cum: tuple
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = tuple(_fraction(v) for v in self.lower_cum)
@@ -102,6 +106,7 @@ class FiniteCredalInstance:
         object.__setattr__(self, "lower_cum", lo)
         object.__setattr__(self, "upper_cum", hi)
         n = len(lo)
+        object.__setattr__(self, "n", n)
         if n == 0 or len(hi) != n:
             raise ValidationError("cumulative bound vectors must share a positive length")
         scale = lcm(*(v.denominator for v in lo + hi))
@@ -125,10 +130,6 @@ class FiniteCredalInstance:
         # event bitmask -> numerator of its exact lower probability over D
         object.__setattr__(self, "_events", {})
 
-    @property
-    def n(self) -> int:
-        return len(self.lower_cum)
-
 
 def _ratio(x) -> tuple:
     """``x`` as an exact ``(numerator, denominator)`` pair, checked as by
@@ -147,8 +148,8 @@ def _ratio(x) -> tuple:
     raise ValidationError("expected a finite number, got one too large for a float")
 
 
-def _chain_sweep(instance: FiniteCredalInstance, gamble: Sequence[tuple]) -> tuple:
-    """Exact minimum of the expectation over the credal polytope.
+def _chain_sweep(instance: FiniteCredalInstance, g: Sequence[int]) -> int:
+    """Exact minimum of the expectation over the credal polytope, times ``D``.
 
     Rewrites ``sum p_i g_i`` as ``g_{n-1} + sum_i (g_i - g_{i+1}) s_i`` in the
     cumulative coordinates ``s`` and sweeps all monotone assignments of the
@@ -156,31 +157,30 @@ def _chain_sweep(instance: FiniteCredalInstance, gamble: Sequence[tuple]) -> tup
     polytope vertex appears in the sweep and every swept point is feasible,
     so the sweep minimum is the exact linear-programming minimum.
 
-    The gamble values come as ``(numerator, denominator)`` pairs.  The sweep
-    runs on integers: ``s`` over the instance's common denominator ``D`` and
-    the costs over the gamble's common denominator ``E``, so the minimum is
-    returned as the pair ``(numerator, D * E)``.
+    The gamble comes as integers, one per class, and the sweep runs on
+    integers, with ``s`` over the instance's common denominator ``D``: the
+    minimum is returned as its numerator over ``D``.  A step of zero cost
+    leaves every prefix minimum as it is, because the windows only move
+    right, so only the steps where the gamble changes are swept: at most
+    two per run of an event.
     """
-    n = instance.n
-    if n == 1:
-        return gamble[0]
     scale, grid, windows = instance._integer_chain
-    e = lcm(*(d for _, d in gamble))
-    g = [p * (e // d) for p, d in gamble]
-    # best[j - a]: least partial cost with the current s at grid[j], a <= j <= b
-    a, b = windows[0]
-    cost = g[0] - g[1]
-    best = [cost * v for v in grid[a:b + 1]]
-    for i in range(1, n - 1):
-        prefix = list(accumulate(best, min))
-        na, nb = windows[i]
+    # prefix[j - a]: least partial cost with the current s at or below grid[j],
+    # a <= j <= b, for the last step of nonzero cost; none yet costs 0 everywhere
+    prefix = None
+    for i in range(len(g) - 1):
         cost = g[i] - g[i + 1]
-        # windows only move right, so every j >= na has a predecessor k <= min(j, b)
-        best = [prefix[min(j, b) - a] + cost * grid[j] for j in range(na, nb + 1)]
+        if not cost:
+            continue
+        na, nb = windows[i]
+        if prefix is None:
+            best = [cost * v for v in grid[na:nb + 1]]
+        else:
+            # windows only move right, so every j >= na has a predecessor k <= min(j, b)
+            best = [prefix[min(j, b) - a] + cost * grid[j] for j in range(na, nb + 1)]
+        prefix = list(accumulate(best, min))
         a, b = na, nb
-    if not best:
-        raise ValidationError("internal consistency error: empty credal polytope")
-    return g[n - 1] * scale + min(best), scale * e
+    return g[-1] * scale + (0 if prefix is None else prefix[-1])
 
 
 def lp_lower_expectation(instance: FiniteCredalInstance, gamble: Sequence) -> float:
@@ -190,16 +190,28 @@ def lp_lower_expectation(instance: FiniteCredalInstance, gamble: Sequence) -> fl
     and rounded to a float once at the end: integer true division rounds
     correctly, so the float is that of the exact rational.
     """
-    num, den = _chain_sweep(instance, _gamble(instance, gamble))
+    pairs = _gamble(instance, gamble, _ratio)
+    # each value scaled to the gamble's common denominator e
+    e = lcm(*(d for _, d in pairs))
+    numerator = _chain_sweep(instance, [p * (e // d) for p, d in pairs])
+    return numerator / (instance._integer_chain[0] * e)
+
+
+def _float(x) -> float:
+    """The float of ``x``'s exact value, checked as by :func:`_ratio`.  A finite
+    float is its own value, but ``-0.0`` reads as ``0.0``, as its ratio does."""
+    if type(x) is float and math.isfinite(x):
+        return x + 0.0
+    num, den = _ratio(x)
     return num / den
 
 
-def _gamble(instance: FiniteCredalInstance, gamble: Sequence) -> list:
-    """The gamble as one exact ``(numerator, denominator)`` pair per class of the
-    instance, each value checked by :func:`_ratio`."""
+def _gamble(instance: FiniteCredalInstance, gamble: Sequence, read) -> list:
+    """The gamble as one value per class of the instance, each read by ``read``
+    (:func:`_ratio` or :func:`_float`)."""
     if len(gamble) != instance.n:
         raise ValidationError("gamble length must match the number of classes")
-    return [_ratio(g) for g in gamble]
+    return [read(g) for g in gamble]
 
 
 def lp_event_ratio(instance: FiniteCredalInstance, mask: int) -> tuple:
@@ -219,7 +231,7 @@ def lp_event_ratio(instance: FiniteCredalInstance, mask: int) -> tuple:
     numerator = events.get(mask)
     if numerator is None:
         numerator = events[mask] = _chain_sweep(
-            instance, [(mask >> i & 1, 1) for i in range(instance.n)])[0]
+            instance, [mask >> i & 1 for i in range(instance.n)])
     return numerator, instance._integer_chain[0]
 
 
@@ -241,7 +253,7 @@ def envelope_sample_bound(instance: FiniteCredalInstance, gambles: Sequence[Sequ
     if samples < 1:
         raise ValidationError("at least one sample is required")
     n = instance.n
-    gambles = [[num / den for num, den in _gamble(instance, gamble)] for gamble in gambles]
+    gambles = [_gamble(instance, gamble, _float) for gamble in gambles]
     scale, grid, windows = instance._integer_chain
     # (lower bound, upper bound) of every class below the top
     bands = [(grid[a] / scale, grid[b] / scale) for a, b in windows[:n - 1]]
@@ -381,10 +393,10 @@ def mobius_check(values: Sequence, scale: int = 1) -> MobiusReport:
     return MobiusReport(not violations, tuple(masses), violations)
 
 
-def _formula_value(instance: FiniteCredalInstance, positions: Sequence[int]) -> float:
-    """Interval-sum value of a subset given by its sorted class positions."""
-    lo = [float(v) for v in instance.lower_cum]
-    hi = [float(v) for v in instance.upper_cum]
+def _formula_value(lo: Sequence[float], hi: Sequence[float],
+                   positions: Sequence[int]) -> float:
+    """Interval-sum value of a subset given by its sorted class positions, on
+    the float cumulative bounds ``lo`` and ``hi``."""
     total = 0.0
     i = 0
     while i < len(positions):
@@ -430,9 +442,10 @@ def pbox_representability_check(lp: FiniteLowerProbability,
     upper_cum = tuple(Fraction(1) - Fraction(lp.values[full ^ m]).limit_denominator(10**12)
                       for m in prefix_masks)
     instance = FiniteCredalInstance(lower_cum, upper_cum)
+    lo, hi = [float(v) for v in lower_cum], [float(v) for v in upper_cum]
     mismatches = []
     for m in range(full + 1):
-        value = _formula_value(instance, [i for i in range(n) if m & (1 << i)])
+        value = _formula_value(lo, hi, [i for i in range(n) if m & (1 << i)])
         if abs(value - lp.values[m]) > tol:
             mismatches.append(RepresentabilityMismatch(lp.event(m), value, lp.values[m]))
     return RepresentabilityReport(not mismatches, tuple(mismatches), instance)

@@ -6,18 +6,24 @@ the full components of the event's interior image, of
 ``max(0, F_lower(top) - F_upper(predecessor of the bottom))``.  There is one
 formula per space type, both behind :func:`lower_prob_event`: on a finite
 space :func:`_run_sum`, a scalar loop over runs of consecutive classes,
-each with its immediate predecessor, which
-:func:`pboxes.choquet.lower_expectation_finite` calls for every level too;
-on the unit continuum :func:`_piece_gains`, one
-vectorised pass over intervals, where only 0 has a predecessor (of mass 0)
-and an open top reads the lower CDF's left limit.  The same helper gives
-the probabilities of the cut sets that :mod:`pboxes.choquet` finds from
-knots or by a level scan; a cut anchored at 0 or 1 on a coordinate grid
-has one end and reads its one CDF directly.  :func:`lower_prob_field` and
+each with its immediate predecessor; on the unit continuum
+:func:`_piece_gains`, one vectorised pass over intervals, where only 0 has
+a predecessor (of mass 0) and an open top reads the lower CDF's left
+limit.  The same helper gives the probabilities of the cut sets that
+:mod:`pboxes.choquet` finds from knots or by a level scan; a cut anchored
+at 0 or 1 on a coordinate grid has one end and reads its one CDF
+directly.  :func:`lower_prob_field` and
 :func:`pboxes.multivariate.sublevel_box_lower` only convert their
 arguments into events.  The caller supplies the interior image of the
 event; this module never guesses interiors for raw events on the
 underlying space.
+
+A finite p-box is also a random set: each strip ``(a, b]`` between
+consecutive distinct cumulative bounds puts its mass on the interval of
+classes from the first where ``F_upper`` reaches ``b`` to the first where
+``F_lower`` does.  :func:`pboxes.choquet.lower_expectation_finite` sums
+that random set, and the lower probability of an event is the mass of the
+intervals inside it.
 """
 
 from __future__ import annotations

@@ -3,15 +3,55 @@
 A minimal two-phase dense simplex in exact rationals, independent of the
 vertex sweep in ``pboxes.oracle``.  The tests compare the sweep against it
 on the credal polytope and use it to solve the 2x2 coupling LP.
+
+:func:`chain_sweep_reference` is the vertex sweep as it was before it
+skipped the steps of zero cost: every step swept, on ``(numerator,
+denominator)`` pairs.  The tests require the same integers from
+``pboxes.oracle._chain_sweep``, which :func:`chain_vertex_min` reads as
+an exact Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Sequence
 
 from pboxes.errors import ValidationError
-from pboxes.oracle import FiniteCredalInstance
+from pboxes.oracle import FiniteCredalInstance, _chain_sweep
+
+
+def chain_vertex_min(instance: FiniteCredalInstance, gamble: Sequence) -> Fraction:
+    """The oracle's vertex sweep for a gamble of exact numbers, as a Fraction."""
+    values = [Fraction(v) for v in gamble]
+    e = lcm(*(v.denominator for v in values))
+    numerator = _chain_sweep(instance, [v.numerator * (e // v.denominator) for v in values])
+    return Fraction(numerator, instance._integer_chain[0] * e)
+
+
+def chain_sweep_reference(instance: FiniteCredalInstance, gamble: Sequence[tuple]) -> tuple:
+    """Exact minimum expectation of a gamble of ``(numerator, denominator)``
+    pairs, as ``(numerator, D * E)``, with ``D`` the instance's common
+    denominator and ``E`` the gamble's, sweeping every step."""
+    n = instance.n
+    if n == 1:
+        return gamble[0]
+    scale, grid, windows = instance._integer_chain
+    e = lcm(*(d for _, d in gamble))
+    g = [p * (e // d) for p, d in gamble]
+    # best[j - a]: least partial cost with the current s at grid[j], a <= j <= b
+    a, b = windows[0]
+    cost = g[0] - g[1]
+    best = [cost * v for v in grid[a:b + 1]]
+    for i in range(1, n - 1):
+        prefix = list(accumulate(best, min))
+        na, nb = windows[i]
+        cost = g[i] - g[i + 1]
+        # windows only move right, so every j >= na has a predecessor k <= min(j, b)
+        best = [prefix[min(j, b) - a] + cost * grid[j] for j in range(na, nb + 1)]
+        a, b = na, nb
+    return g[n - 1] * scale + min(best), scale * e
 
 
 def simplex_min(c: Sequence[Fraction], a_ub, b_ub, a_eq, b_eq) -> Fraction:

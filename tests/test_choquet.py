@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from coordinate_grid_reference import anchored_probs
-from finite_sum_reference import event_reference, finite_sum_reference
+from finite_sum_reference import event_reference, finite_sum_reference, run_scan_reference
+from lp_reference import chain_vertex_min
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,7 @@ from pboxes.choquet import (
 from pboxes import choquet
 from pboxes.choquet import _batch_cut_probs, _darboux, _monotone_integrand, _span_doubling
 from pboxes.errors import ToleranceError, ValidationError
-from pboxes.oracle import lp_lower_expectation, random_credal_instance
+from pboxes.oracle import FiniteCredalInstance, lp_lower_expectation, random_credal_instance
 from pboxes.pbox import (
     AnalyticCdf,
     PBox,
@@ -592,6 +594,19 @@ class TestFiniteChoquet:
         with pytest.raises(ValidationError):
             lower_expectation_finite(box, [1.0, 2.0, 3.0])
 
+    def test_cdfs_past_each_other_within_their_tolerance(self, rng):
+        # a lower CDF above the upper one by 5e-11 at some classes, and a top
+        # of 1 - 5e-10, both within what StepCdf and PBox accept, move the
+        # value by about as much
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            upper = sorted(rng.randrange(4) / 4 for _ in range(n - 1)) + [1.0]
+            lower = [u + 5e-11 if rng.random() < 0.5 else u for u in upper[:-1]]
+            box = PBox(StepCdf(tuple(lower) + (1.0 - 5e-10,)), StepCdf(tuple(upper)))
+            gamble = [rng.uniform(-10, 10) for _ in range(n)]
+            assert lower_expectation_finite(box, gamble) == pytest.approx(
+                run_scan_reference(box, gamble), abs=1e-8 * max(1.0, *map(abs, gamble)))
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_run_scan_equals_per_level_events_bitwise(self, data):
@@ -608,9 +623,14 @@ class TestFiniteChoquet:
         value = st.one_of(st.integers(-3, 3), st.sampled_from([0.0, -0.0, 0.5, -1.5]),
                           st.floats(-1e6, 1e6, allow_nan=False))
         gamble = data.draw(st.lists(value, min_size=n, max_size=n), label="gamble")
+        assert run_scan_reference(box, gamble).hex() == finite_sum_reference(box, gamble).hex()
+        # the random-set sum, against the exact value of the same floats
         got = lower_expectation_finite(box, gamble)
         assert type(got) is float
-        assert got.hex() == finite_sum_reference(box, gamble).hex()
+        instance = FiniteCredalInstance(tuple(map(Fraction, box.lower.values)),
+                                        tuple(map(Fraction, box.upper.values)))
+        exact = chain_vertex_min(instance, gamble)
+        assert abs(Fraction(got) - exact) <= 1e-12 * max(1.0, *map(abs, gamble))
         mask = data.draw(st.integers(1, (1 << n) - 1), label="event")
         event = ClassSubset(frozenset(i for i in range(n) if mask >> i & 1))
         assert lower_prob_event(box, event).hex() == event_reference(box, event).hex()

@@ -31,17 +31,12 @@ from pboxes.oracle import _chain_sweep, _fraction
 from pboxes.pbox import PBox, StepCdf, lower_prob_event
 from pboxes.preorder import ClassSubset, FiniteQuotientSpace
 
-from lp_reference import credal_lp, simplex_min
+from lp_reference import chain_sweep_reference, chain_vertex_min, credal_lp, simplex_min
 from monotonicity_reference import from_sets, monotonicity_reference
 
 # both read a gamble, and both check it by the same rules
 GAMBLE_READERS = (lp_lower_expectation,
                   lambda instance, g: envelope_sample_bound(instance, [g], samples=4)[0])
-
-
-def chain_vertex_min(instance, gamble) -> Fraction:
-    """The oracle's vertex sweep for a gamble of Fractions, as a Fraction."""
-    return Fraction(*_chain_sweep(instance, [v.as_integer_ratio() for v in gamble]))
 
 
 def coupling_exact(p1_band, p2_band) -> list:
@@ -114,6 +109,35 @@ class TestLpLowerExpectation:
             instance = random_credal_instance(rng, n, denominator=rng.choice([4, 20, 997]))
             gamble = [_fraction(rng.randrange(-300, 301)) / 100 for _ in range(n)]
             assert chain_vertex_min(instance, gamble) == credal_lp(instance, gamble)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sweep_equals_the_sweep_of_every_step(self, rng, n):
+        # the skipped steps of zero cost change no integer: events (every mask
+        # up to n = 8) and gambles with equal neighbours, 0.0 and -0.0, on
+        # lattice bounds with ties and on a precise and a vacuous instance
+        top = (Fraction(1),)
+        precise = random_credal_instance(rng, n, 100).lower_cum
+        instances = [random_credal_instance(rng, n, d) for d in (4, 100, 1000)] + [
+            FiniteCredalInstance(precise, precise),
+            FiniteCredalInstance((Fraction(0),) * (n - 1) + top, top * n)]
+        levels = [0.0, -0.0, 0.5, -1.5, 2, 7]
+        masks = range(1 << n) if n <= 8 else [rng.randrange(1 << n) for _ in range(300)]
+        for instance in instances:
+            scale = instance._integer_chain[0]
+            for mask in masks:
+                indicator = [(mask >> i & 1, 1) for i in range(n)]
+                assert lp_event_ratio(instance, mask) == chain_sweep_reference(instance, indicator)
+            for _ in range(40):
+                gamble = []
+                while len(gamble) < n:
+                    value = rng.choice(levels + [rng.randrange(-500, 501) / 100])
+                    gamble += [value] * rng.randint(1, 3)
+                gamble = gamble[:n]
+                pairs = [_fraction(v).as_integer_ratio() for v in gamble]
+                numerator, den = chain_sweep_reference(instance, pairs)
+                e = den // scale
+                assert _chain_sweep(instance, [p * (e // d) for p, d in pairs]) == numerator
+                assert lp_lower_expectation(instance, gamble).hex() == (numerator / den).hex()
 
     def test_twelve_classes_equal_simplex_exactly(self, rng):
         instance = random_credal_instance(rng, 12, denominator=50)
@@ -349,6 +373,20 @@ class TestEnvelopeSampleBound:
                 assert bound.hex() == alone.hex()
                 assert bound == pytest.approx(
                     envelope_reference(instance, gamble, samples, seed), abs=1e-12)
+
+    def test_floats_read_as_their_ratios(self, rng):
+        # a float is used as it is and a Fraction through its ratio, so the
+        # bounds agree bit for bit; -0.0 reads as 0.0 either way
+        cases = [(FiniteCredalInstance((1,), (1,)), [-0.0])]
+        for n in range(1, 7):
+            instance = random_credal_instance(rng, n, 100)
+            cases += [(instance, [rng.choice([0.0, -0.0, rng.uniform(-5, 5)])
+                                  for _ in range(n)]) for _ in range(10)]
+        for instance, gamble in cases:
+            seed = rng.randrange(1 << 30)
+            floats = envelope_sample_bound(instance, [gamble], 8, seed)[0]
+            ratios = envelope_sample_bound(instance, [list(map(Fraction, gamble))], 8, seed)[0]
+            assert floats.hex() == ratios.hex()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_clamp_closed_form_matches_sequential_clamp(self, rng, n):
@@ -624,13 +662,13 @@ class TestEventMemo:
         monkeypatch.setattr(oracle_mod, "_chain_sweep", counted)
         masks = [rng.randrange(1 << n) for _ in range(3 << n)]
         for mask in masks:
-            indicator = [(mask >> i & 1, 1) for i in range(n)]
-            assert lp_event_ratio(instance, mask) == sweep(instance, indicator)
+            indicator = [mask >> i & 1 for i in range(n)]
+            assert lp_event_ratio(instance, mask) == (sweep(instance, indicator), scale)
             assert lp_event_ratio(instance, mask)[1] == scale
         assert len(swept) == len(set(masks))
         numerators, table_scale = natural_extension_numerators(instance)
         assert len(swept) == 1 << n and table_scale == scale
-        assert numerators == [sweep(instance, [(mask >> i & 1, 1) for i in range(n)])[0]
+        assert numerators == [sweep(instance, [mask >> i & 1 for i in range(n)])
                               for mask in range(1 << n)]
         assert additivity_check(instance, trials=20, seed=n).passed
         assert len(swept) == 1 << n
