@@ -65,17 +65,12 @@ __version__ = "0.1.0"
 _ORACLE_NAMES = frozenset({
     "AdditivityReport",
     "FiniteCredalInstance",
-    "FiniteLowerProbability",
     "MobiusReport",
-    "RepresentabilityReport",
     "additivity_check",
-    "envelope_sample_bound",
     "lp_event_ratio",
     "lp_lower_expectation",
     "mobius_check",
     "natural_extension_numerators",
-    "natural_extension_table",
-    "pbox_representability_check",
     "random_credal_instance",
 })
 

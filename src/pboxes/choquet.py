@@ -539,7 +539,10 @@ def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
     least value in one pass after the one sort; no quadrature is involved.
     The sum is taken as the first least value plus each change of it times
     the mass above the strip, ``1 - a_{k-1}``, so a constant gamble has its
-    own value.
+    own value.  A change too large for a float, where the gamble spans more
+    than the float range, is added as its two terms instead: the sum of the
+    strips below, the running total less the mass above times the old value,
+    stays finite.
 
     The CDFs may leave their bounds by a tolerance: a bound outside (0, 1)
     adds no level, an interval starts at the first class where either CDF
@@ -579,7 +582,11 @@ def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
         if total is None:
             total = least
         elif least != previous:
-            total += (1.0 - below) * (least - previous)
+            step = least - previous
+            if math.isinf(step):
+                total = (total - (1.0 - below) * previous) + (1.0 - below) * least
+            else:
+                total += (1.0 - below) * step
         previous, below = least, level
     return total
 

@@ -388,26 +388,38 @@ def _instance_pbox(instance) -> PBox:
     return PBox(StepCdf(tuple(lower)), StepCdf(tuple(upper)), space)
 
 
+def _event_mismatch(where: str, instance, box: PBox, mask: int, numerator: int,
+                    scale: int):
+    """The violation line if the formula's lower probability of the event
+    ``mask`` is off the exact ``numerator / scale`` by more than 1e-9, else None."""
+    subset = ClassSubset(frozenset(i for i in range(instance.n) if mask >> i & 1))
+    formula = _pbox.lower_prob_event(box, subset)
+    exact = numerator / scale
+    if abs(formula - exact) <= 1e-9:
+        return None
+    return (f"event mismatch: {where} {_serialize(instance)} "
+            f"subset={sorted(subset.members)} formula={formula!r} lp={exact!r}")
+
+
 def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
     """Full oracle campaign, printed to stdout; returns 0 iff no violations were found.
 
     Compares the closed-form event and expectation machinery against the
-    exact credal-polytope optimum on random instances, then runs the
-    structural checkers (additivity on components, complete monotonicity,
-    p-box representability round trips, envelope sampling bounds).  A
+    exact credal-polytope optimum on random instances, with additivity on
+    components of the exact table.  Then, on smaller instances, it reads
+    the exact lower probability of every subset once: no Möbius mass of
+    that table may be negative (complete monotonicity of every order), and
+    the library's event formula must give every subset its exact value.  A
     ``trials`` below 0 or an ``n_max`` below 2 is a validation error,
     raised before anything is printed.
     """
     # the oracle, with fractions and decimal, loads only for this command
     from .oracle import (
-        FiniteLowerProbability,
         additivity_check,
-        envelope_sample_bound,
         lp_event_ratio,
         lp_lower_expectation,
         mobius_check,
         natural_extension_numerators,
-        pbox_representability_check,
         random_credal_instance,
     )
 
@@ -424,34 +436,20 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
         box = _instance_pbox(instance)
         for _ in range(_EVENTS):
             mask = rng.randrange(1, 1 << n)
-            subset = ClassSubset(frozenset(i for i in range(n) if mask & (1 << i)))
-            formula = _pbox.lower_prob_event(box, subset)
-            numerator, scale = lp_event_ratio(instance, mask)
-            exact = numerator / scale
             lp_checks += 1
-            if abs(formula - exact) > 1e-9:
-                violations.append(
-                    f"event mismatch: instance #{index} {_serialize(instance)} "
-                    f"subset={sorted(subset.members)} formula={formula!r} lp={exact!r}")
-        gambles = [[rng.randrange(-500, 501) / 100.0 for _ in range(n)]
-                   for _ in range(_GAMBLES)]
-        exacts = []
-        for gamble in gambles:
+            mismatch = _event_mismatch(f"instance #{index}", instance, box, mask,
+                                       *lp_event_ratio(instance, mask))
+            if mismatch:
+                violations.append(mismatch)
+        for _ in range(_GAMBLES):
+            gamble = [rng.randrange(-500, 501) / 100.0 for _ in range(n)]
             formula = _choquet.lower_expectation_finite(box, gamble)
             exact = lp_lower_expectation(instance, gamble)
-            exacts.append(exact)
             lp_checks += 1
             if abs(formula - exact) > 1e-9:
                 violations.append(
                     f"gamble mismatch: instance #{index} {_serialize(instance)} "
                     f"gamble={gamble} formula={formula!r} lp={exact!r}")
-        bounds = envelope_sample_bound(instance, gambles, samples=16,
-                                       seed=rng.randrange(1 << 30))
-        for gamble, exact, bound in zip(gambles, exacts, bounds):
-            if bound < exact - 1e-12:
-                violations.append(
-                    f"envelope bound below lp: instance #{index} {_serialize(instance)} "
-                    f"gamble={gamble} bound={bound!r} lp={exact!r}")
         report = additivity_check(instance, trials=4, seed=rng.randrange(1 << 30))
         if not report.passed:
             violations.append(
@@ -469,14 +467,15 @@ def run_verify(seed: int = 42, trials: int = 200, n_max: int = 6) -> int:
         if not mono.passed:
             violations.append(
                 f"monotonicity violation: {_serialize(instance)} {mono.violations[0]}")
-            # a drop under inclusion is a negative mass too, and such a table
-            # cannot be a FiniteLowerProbability for the round trip below
+            # one report per defective table
             continue
-        table = FiniteLowerProbability.from_numerators(numerators, scale)
-        rep = pbox_representability_check(table)
-        if not rep.matches:
-            violations.append(
-                f"representability mismatch: {_serialize(instance)} {rep.mismatches[0]}")
+        box = _instance_pbox(instance)
+        for mask in range(1 << n):
+            mismatch = _event_mismatch(f"structural #{index}", instance, box, mask,
+                                       numerators[mask], scale)
+            if mismatch:
+                violations.append(mismatch)
+                break
     print(f"structural: {structural} instances")
 
     for line in violations:

@@ -3,13 +3,15 @@
 Everything here recomputes inferences at small finite scale without touching
 the formula modules: expectations come from exact optimisation over the
 credal polytope ``{p >= 0, sum p = 1, lower_cum <= cumsum(p) <= upper_cum}``,
-and the structural checkers (complete monotonicity, additivity on components,
-p-box representability) test their defining conditions directly.
+and the structural checkers (complete monotonicity, additivity on components)
+test their defining conditions directly, with no tolerance.
 Complete monotonicity of every order is read off the Möbius transform of
 the exact table: a lower probability is a belief function exactly when no
 Möbius mass is negative (Shafer 1976; Chateauneuf & Jaffray 1989).  It is
 the one check of that property here; the enumeration of inclusion-exclusion
 families, which names the family that fails, is kept as a test reference.
+The same exact table of every subset is the reference for the library's
+interval-sum formula, which is compared with it subset by subset.
 
 The polytope is optimised exactly by sweeping every candidate vertex: the
 chain constraints are totally unimodular, so each vertex of the
@@ -27,12 +29,6 @@ external solver is used.  An instance keeps the integer lower probability
 of every event it has been swept for, so each event is swept once however
 many checks read it.
 
-The envelope sampler clamps each sorted uniform draw into its class's
-cumulative band on its own.  The draws and both bands never decrease and
-the clamp never decreases in any argument, so the clamped values already
-form a monotone CDF; carrying the previous value forward changes nothing.
-It draws the CDFs once per call and evaluates every gamble on them.
-
 The module is plain Python and imports no numpy, whose kernels would add to
 the memory of every run of the oracle for arrays of a few classes.
 """
@@ -46,23 +42,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 
 __all__ = [
     "FiniteCredalInstance",
-    "FiniteLowerProbability",
     "MobiusReport",
-    "RepresentabilityReport",
     "AdditivityReport",
     "lp_lower_expectation",
     "lp_event_ratio",
-    "envelope_sample_bound",
     "natural_extension_numerators",
-    "natural_extension_table",
     "mobius_check",
-    "pbox_representability_check",
     "additivity_check",
     "random_credal_instance",
 ]
@@ -190,28 +181,13 @@ def lp_lower_expectation(instance: FiniteCredalInstance, gamble: Sequence) -> fl
     and rounded to a float once at the end: integer true division rounds
     correctly, so the float is that of the exact rational.
     """
-    pairs = _gamble(instance, gamble, _ratio)
+    if len(gamble) != instance.n:
+        raise ValidationError("gamble length must match the number of classes")
+    pairs = [_ratio(g) for g in gamble]
     # each value scaled to the gamble's common denominator e
     e = lcm(*(d for _, d in pairs))
     numerator = _chain_sweep(instance, [p * (e // d) for p, d in pairs])
     return numerator / (instance._integer_chain[0] * e)
-
-
-def _float(x) -> float:
-    """The float of ``x``'s exact value, checked as by :func:`_ratio`.  A finite
-    float is its own value, but ``-0.0`` reads as ``0.0``, as its ratio does."""
-    if type(x) is float and math.isfinite(x):
-        return x + 0.0
-    num, den = _ratio(x)
-    return num / den
-
-
-def _gamble(instance: FiniteCredalInstance, gamble: Sequence, read) -> list:
-    """The gamble as one value per class of the instance, each read by ``read``
-    (:func:`_ratio` or :func:`_float`)."""
-    if len(gamble) != instance.n:
-        raise ValidationError("gamble length must match the number of classes")
-    return [read(g) for g in gamble]
 
 
 def lp_event_ratio(instance: FiniteCredalInstance, mask: int) -> tuple:
@@ -233,42 +209,6 @@ def lp_event_ratio(instance: FiniteCredalInstance, mask: int) -> tuple:
         numerator = events[mask] = _chain_sweep(
             instance, [mask >> i & 1 for i in range(instance.n)])
     return numerator, instance._integer_chain[0]
-
-
-def envelope_sample_bound(instance: FiniteCredalInstance, gambles: Sequence[Sequence],
-                          samples: int, seed: int = 0) -> list:
-    """Upper bounds on the minimum expectations of gambles from sampled feasible CDFs.
-
-    Draws ``n`` uniform cumulative candidates per sample, sorts them, and
-    clamps each into its band, ``s_i = min(max(d_i, lo_i), hi_i)``, which is
-    monotone in ``i`` (see the module docstring).  The samples are drawn once
-    and shared by every gamble, whose expectation under a sample is
-    ``g_{n-1} + sum_{i<n-1} (g_i - g_{i+1}) s_i``.  Returns one bound per
-    gamble, its least sampled expectation, which dominates the exact value;
-    each is reproducible for a fixed seed, equal to the bound of that gamble
-    alone, and never used for equality claims.
-    """
-    if type(samples) is not int:
-        raise ValidationError(f"the number of samples must be an int, got {samples!r}")
-    if samples < 1:
-        raise ValidationError("at least one sample is required")
-    n = instance.n
-    gambles = [_gamble(instance, gamble, _float) for gamble in gambles]
-    scale, grid, windows = instance._integer_chain
-    # (lower bound, upper bound) of every class below the top
-    bands = [(grid[a] / scale, grid[b] / scale) for a, b in windows[:n - 1]]
-    draw = random.Random(seed).random
-    sorted_draws = [sorted([draw() for _ in range(n)]) for _ in range(samples)]
-    # per class below the top, its clamped value in every sample
-    columns = [[lo if d < lo else hi if d > hi else d for d in draws]
-               for draws, (lo, hi) in zip(zip(*sorted_draws), bands)]
-    bounds = []
-    for g in gambles:
-        expectations = [g[n - 1]] * samples
-        for step, column in zip([a - b for a, b in zip(g, g[1:])], columns):
-            expectations = [e + step * s for e, s in zip(expectations, column)]
-        bounds.append(min(expectations))
-    return bounds
 
 
 def random_credal_instance(rng: random.Random, n: int,
@@ -293,43 +233,6 @@ def random_credal_instance(rng: random.Random, n: int,
     return FiniteCredalInstance(lower, upper)
 
 
-@dataclass(frozen=True)
-class FiniteLowerProbability:
-    """A lower probability on all subsets of ``{0, ..., n-1}``, keyed by bitmask."""
-
-    n: int
-    values: Mapping
-
-    def __post_init__(self):
-        if not 1 <= self.n <= 16:
-            raise ValidationError("subset tables support 1 to 16 classes")
-        full = (1 << self.n) - 1
-        vals = dict(self.values)
-        if set(vals) != set(range(full + 1)):
-            raise ValidationError("a value is required for every subset bitmask")
-        object.__setattr__(self, "values", vals)
-        if abs(vals[0]) > 1e-12 or abs(vals[full] - 1.0) > 1e-12:
-            raise ValidationError("the empty set maps to 0 and the full set to 1")
-        for mask in range(full + 1):
-            for bit in range(self.n):
-                ext = mask | (1 << bit)
-                if ext != mask and vals[mask] > vals[ext] + 1e-12:
-                    raise ValidationError("lower probability must be monotone under inclusion")
-
-    @classmethod
-    def from_numerators(cls, numerators: Sequence[int], scale: int) -> "FiniteLowerProbability":
-        """The table of ``numerators[mask] / scale`` over ``len(numerators) == 2**n``
-        subsets; integer true division rounds each value correctly."""
-        n = len(numerators).bit_length() - 1
-        return cls(n, {mask: num / scale for mask, num in enumerate(numerators)})
-
-    def __getitem__(self, mask: int) -> float:
-        return self.values[mask]
-
-    def event(self, mask: int) -> frozenset:
-        return frozenset(i for i in range(self.n) if mask & (1 << i))
-
-
 def natural_extension_numerators(instance: FiniteCredalInstance) -> tuple:
     """Exact lower probability of every subset, by bitmask, over a common denominator.
 
@@ -339,12 +242,6 @@ def natural_extension_numerators(instance: FiniteCredalInstance) -> tuple:
     """
     numerators = [lp_event_ratio(instance, mask)[0] for mask in range(1 << instance.n)]
     return numerators, instance._integer_chain[0]
-
-
-def natural_extension_table(instance: FiniteCredalInstance) -> FiniteLowerProbability:
-    """Lower probability of every subset, each computed by the exact LP and
-    bitwise equal to :func:`lp_lower_expectation` of its indicator."""
-    return FiniteLowerProbability.from_numerators(*natural_extension_numerators(instance))
 
 
 @dataclass(frozen=True)
@@ -393,69 +290,11 @@ def mobius_check(values: Sequence, scale: int = 1) -> MobiusReport:
     return MobiusReport(not violations, tuple(masses), violations)
 
 
-def _formula_value(lo: Sequence[float], hi: Sequence[float],
-                   positions: Sequence[int]) -> float:
-    """Interval-sum value of a subset given by its sorted class positions, on
-    the float cumulative bounds ``lo`` and ``hi``."""
-    total = 0.0
-    i = 0
-    while i < len(positions):
-        j = i
-        while j + 1 < len(positions) and positions[j + 1] == positions[j] + 1:
-            j += 1
-        a, b = positions[i], positions[j]
-        below = hi[a - 1] if a > 0 else 0.0
-        total += max(0.0, lo[b] - below)
-        i = j + 1
-    return min(total, 1.0)
-
-
-@dataclass(frozen=True)
-class RepresentabilityMismatch:
-    event: frozenset
-    formula_value: float
-    stored_value: float
-
-
-@dataclass(frozen=True)
-class RepresentabilityReport:
-    matches: bool
-    mismatches: tuple
-    instance: FiniteCredalInstance
-
-
-def pbox_representability_check(lp: FiniteLowerProbability,
-                                tol: float = 1e-9) -> RepresentabilityReport:
-    """Test whether a lower probability is exactly a p-box extension.
-
-    Derives the tightest cumulative bounds under the class order (prefix
-    values and one minus suffix values), recomputes every subset through
-    the interval-sum formula, and reports each subset where the stored
-    value differs.  An empty report means the lower probability is exactly
-    the extension of the derived p-box.
-    """
-    n = lp.n
-    full = (1 << n) - 1
-    prefix_masks = [(2 << k) - 1 for k in range(n)]
-    lower_cum = tuple(Fraction(lp.values[m]).limit_denominator(10**12)
-                      for m in prefix_masks)
-    upper_cum = tuple(Fraction(1) - Fraction(lp.values[full ^ m]).limit_denominator(10**12)
-                      for m in prefix_masks)
-    instance = FiniteCredalInstance(lower_cum, upper_cum)
-    lo, hi = [float(v) for v in lower_cum], [float(v) for v in upper_cum]
-    mismatches = []
-    for m in range(full + 1):
-        value = _formula_value(lo, hi, [i for i in range(n) if m & (1 << i)])
-        if abs(value - lp.values[m]) > tol:
-            mismatches.append(RepresentabilityMismatch(lp.event(m), value, lp.values[m]))
-    return RepresentabilityReport(not mismatches, tuple(mismatches), instance)
-
-
 @dataclass(frozen=True)
 class AdditivityViolation:
     event: frozenset
-    whole: float
-    component_sum: float
+    whole: Fraction
+    component_sum: Fraction
 
 
 @dataclass(frozen=True)
@@ -466,21 +305,17 @@ class AdditivityReport:
 
 
 def additivity_check(instance: FiniteCredalInstance, trials: int,
-                     seed: int = 0, tol: float = 1e-9) -> AdditivityReport:
+                     seed: int = 0) -> AdditivityReport:
     """Check additivity over runs of consecutive classes on random subsets.
 
     Both sides of each identity come from the exact LP, each event read
-    through :func:`lp_event_ratio`: the value of the whole subset must equal
-    the sum of the values of its maximal consecutive runs.  A negative
-    ``trials`` is a validation error; zero trials pass vacuously.
+    through :func:`lp_event_ratio`: the numerator of the whole subset must
+    equal the sum of the numerators of its maximal consecutive runs, with no
+    tolerance.  A negative ``trials`` is a validation error; zero trials
+    pass vacuously.
     """
     if trials < 0:
         raise ValidationError(f"trials must be at least 0, got {trials}")
-
-    def value(mask: int) -> float:
-        numerator, scale = lp_event_ratio(instance, mask)
-        return numerator / scale
-
     n = instance.n
     rng = random.Random(seed)
     violations = []
@@ -488,16 +323,15 @@ def additivity_check(instance: FiniteCredalInstance, trials: int,
         members = [i for i in range(n) if rng.random() < 0.5]
         if not members:
             continue
-        whole = value(sum(1 << i for i in members))
+        whole, scale = lp_event_ratio(instance, sum(1 << i for i in members))
         runs = []
         for i in members:
             if runs and i == runs[-1][1] + 1:
                 runs[-1] = (runs[-1][0], i)
             else:
                 runs.append((i, i))
-        parts = 0.0
-        for a, b in runs:
-            parts += value((2 << b) - (1 << a))
-        if abs(whole - parts) > tol:
-            violations.append(AdditivityViolation(frozenset(members), whole, parts))
+        parts = sum(lp_event_ratio(instance, (2 << b) - (1 << a))[0] for a, b in runs)
+        if whole != parts:
+            violations.append(AdditivityViolation(
+                frozenset(members), Fraction(whole, scale), Fraction(parts, scale)))
     return AdditivityReport(not violations, trials, tuple(violations))

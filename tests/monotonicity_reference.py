@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from lower_probability_reference import FiniteLowerProbability
+
 from pboxes.errors import ValidationError
-from pboxes.oracle import FiniteLowerProbability
 
 
 @dataclass(frozen=True)

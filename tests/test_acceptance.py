@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from arith_oracle import ORACLES, random_real_line_pbox
+from lower_probability_reference import natural_extension_table, pbox_representability_check
 from monotonicity_reference import from_sets, monotonicity_reference
 from test_oracle import coupling_lower_probability
 
@@ -25,12 +26,7 @@ from pboxes.choquet import (
 )
 from pboxes.cli import CSV_HEADER, main
 from pboxes.multivariate import RealLinePBox, arith_bound
-from pboxes.oracle import (
-    lp_lower_expectation,
-    natural_extension_table,
-    pbox_representability_check,
-    random_credal_instance,
-)
+from pboxes.oracle import lp_lower_expectation, random_credal_instance
 from pboxes.pbox import (
     AnalyticCdf,
     PBox,

@@ -594,6 +594,31 @@ class TestFiniteChoquet:
         with pytest.raises(ValidationError):
             lower_expectation_finite(box, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("gamble", [[-1e308, 1e308], [1e308, -1e308]])
+    @pytest.mark.parametrize("lower", [0.0, 0.5])
+    def test_gamble_wider_than_the_float_range(self, lower, gamble):
+        # the least value can change by 2e308, which overflows a float; the
+        # expectation, a mean of the two values, does not
+        box = PBox(StepCdf((lower, 1.0)), StepCdf((0.5, 1.0)))
+        instance = FiniteCredalInstance((lower, 1), (0.5, 1))
+        assert lower_expectation_finite(box, gamble) == lp_lower_expectation(instance, gamble)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gamble_wider_than_the_float_range_on_random_instances(self, rng, n):
+        # values near both ends of the float range, mixed with ordinary ones,
+        # so an overflowing change can come after strips already summed
+        pool = [-1.7976931348623157e308, -1e308, -1.0, 0.0, 2.5, 1e308,
+                1.7976931348623157e308]
+        for _ in range(40):
+            instance = random_credal_instance(rng, n, rng.choice([4, 100, 1000]))
+            box = PBox(StepCdf(tuple(map(float, instance.lower_cum))),
+                       StepCdf(tuple(map(float, instance.upper_cum))))
+            gamble = [rng.choice(pool) for _ in range(n)]
+            got = lower_expectation_finite(box, gamble)
+            assert math.isfinite(got)
+            assert got == pytest.approx(lp_lower_expectation(instance, gamble),
+                                        abs=1e-12 * max(1.0, *map(abs, gamble)))
+
     def test_cdfs_past_each_other_within_their_tolerance(self, rng):
         # a lower CDF above the upper one by 5e-11 at some classes, and a top
         # of 1 - 5e-10, both within what StepCdf and PBox accept, move the

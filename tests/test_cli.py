@@ -1,8 +1,11 @@
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1018,6 +1021,55 @@ class TestTable:
         assert code == 3
 
 
+def lp_plus_1e3(monkeypatch, oracle):
+    true_fn = oracle.lp_lower_expectation
+    monkeypatch.setattr(oracle, "lp_lower_expectation",
+                        lambda instance, gamble: true_fn(instance, gamble) + 1e-3)
+
+
+def windows_at_lower_bound(monkeypatch, oracle):
+    # every cumulative coordinate pinned to its lower bound: the LP of the lower CDF
+    true_fn = oracle._chain_sweep
+
+    def collapsed(instance, g):
+        scale, grid, windows = instance._integer_chain
+        chain = (scale, grid, tuple((a, a) for a, _ in windows))
+        return true_fn(SimpleNamespace(_integer_chain=chain), g)
+
+    monkeypatch.setattr(oracle, "_chain_sweep", collapsed)
+
+
+def windows_cut_by_one(monkeypatch, oracle):
+    # each window loses its top vertex unless that leaves it empty
+    true_fn = oracle._chain_sweep
+
+    def cut(instance, g):
+        scale, grid, windows = instance._integer_chain
+        chain = (scale, grid, tuple((a, max(a, b - 1)) for a, b in windows))
+        return true_fn(SimpleNamespace(_integer_chain=chain), g)
+
+    monkeypatch.setattr(oracle, "_chain_sweep", cut)
+
+
+def prefix_minimum_dropped(monkeypatch, oracle):
+    # each step reads the cost at its predecessor's own value, not the least below it
+    monkeypatch.setattr(oracle, "accumulate", lambda best, func: best)
+
+
+def first_predecessor_only(monkeypatch, oracle):
+    # each step reads the least cost at the window's first vertex alone
+    source = textwrap.dedent(inspect.getsource(oracle._chain_sweep))
+    old = "prefix[min(j, b) - a] + cost"
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, "prefix[0] + cost"), vars(oracle), namespace)
+    monkeypatch.setattr(oracle, "_chain_sweep", namespace["_chain_sweep"])
+
+
+LP_DEFECTS = (lp_plus_1e3, windows_at_lower_bound, windows_cut_by_one,
+              prefix_minimum_dropped, first_predecessor_only)
+
+
 class TestVerify:
     def test_zero_trials_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--trials", "0"])
@@ -1067,20 +1119,15 @@ class TestVerify:
         assert "gamble mismatch: instance #0" in out
         assert "event mismatch" not in out
 
-    def test_envelope_bound_below_lp_flagged(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("defect", LP_DEFECTS, ids=lambda defect: defect.__name__)
+    def test_lp_defect_flagged_by_the_formula_checks(self, capsys, monkeypatch, defect):
         import pboxes.oracle as oracle_mod
 
-        true_fn = oracle_mod.envelope_sample_bound
-
-        def corrupted(instance, gambles, samples, seed):
-            return [bound - 1.0 for bound in true_fn(instance, gambles, samples, seed)]
-
-        monkeypatch.setattr(oracle_mod, "envelope_sample_bound", corrupted)
+        defect(monkeypatch, oracle_mod)
         code = run_verify(seed=3, trials=4, n_max=4)
         out = capsys.readouterr().out
         assert code == 1
-        assert out.count("envelope bound below lp:") == 4 * 5
-        assert "mismatch" not in out
+        assert "gamble mismatch" in out
 
     def test_non_additive_lp_flagged(self, capsys, monkeypatch):
         import pboxes.oracle as oracle_mod
@@ -1103,19 +1150,51 @@ class TestVerify:
     def test_unrepresentable_structural_table_flagged(self, capsys, monkeypatch):
         import pboxes.oracle as oracle_mod
 
-        # a belief function with its one mass on {0, 2}: completely monotone,
-        # but its p-box is vacuous and gives {0, 2} the value 0
+        true_fn = oracle_mod.natural_extension_numerators
+
+        # a point mass on a class that the instance does not make certain:
+        # completely monotone, but not the instance's natural extension
         def corrupted(instance):
-            return [0, 0, 0, 0, 0, 1, 0, 1], 1
+            numerators, scale = true_fn(instance)
+            point = 1 if numerators[1] < scale else 1 << instance.n - 1
+            return [int(mask & point != 0) for mask in range(1 << instance.n)], 1
 
         monkeypatch.setattr(oracle_mod, "natural_extension_numerators", corrupted)
         code = run_verify(seed=3, trials=4, n_max=4)
         out = capsys.readouterr().out
         assert code == 1
-        assert out.count("representability mismatch:") == 4
-        assert "RepresentabilityMismatch(event=frozenset({0, 2}), formula_value=0.0, " \
-               "stored_value=1.0)" in out
+        assert out.count("event mismatch: structural #") == 4
         assert "monotonicity violation" not in out
+
+    def test_representable_structural_table_of_another_pbox_flagged(self, capsys,
+                                                                    monkeypatch):
+        import pboxes.oracle as oracle_mod
+        from lower_probability_reference import (
+            FiniteLowerProbability,
+            pbox_representability_check,
+        )
+
+        true_fn = oracle_mod.natural_extension_numerators
+        tables = []
+
+        # the natural extension of the precise p-box at the lower CDF: a
+        # p-box's table, so the float round trip accepts it, but not this one's
+        def corrupted(instance):
+            precise = oracle_mod.FiniteCredalInstance(instance.lower_cum, instance.lower_cum)
+            table = true_fn(precise)
+            tables.append(table)
+            return table
+
+        monkeypatch.setattr(oracle_mod, "natural_extension_numerators", corrupted)
+        code = run_verify(seed=3, trials=4, n_max=4)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert len(tables) == 4
+        assert out.count("event mismatch: structural #") == 4
+        assert "monotonicity violation" not in out
+        for numerators, scale in tables:
+            table = FiniteLowerProbability.from_numerators(numerators, scale)
+            assert pbox_representability_check(table).matches
 
     def test_corrupted_structural_table_flagged(self, capsys, monkeypatch):
         import pboxes.oracle as oracle_mod
@@ -1146,7 +1225,7 @@ class TestVerify:
         assert code == 1
         assert "monotonicity violation" in out
         assert "mass=Fraction(-1, 1)" in out
-        assert "representability mismatch" not in out
+        assert "event mismatch" not in out
 
 
 class TestScenarioConfig:

@@ -14,15 +14,11 @@ from pboxes.errors import ValidationError
 from pboxes.oracle import (
     AdditivityReport,
     FiniteCredalInstance,
-    FiniteLowerProbability,
     additivity_check,
-    envelope_sample_bound,
     lp_event_ratio,
     lp_lower_expectation,
     mobius_check,
     natural_extension_numerators,
-    natural_extension_table,
-    pbox_representability_check,
     random_credal_instance,
 )
 from pboxes.choquet import lower_expectation_finite
@@ -31,12 +27,13 @@ from pboxes.oracle import _chain_sweep, _fraction
 from pboxes.pbox import PBox, StepCdf, lower_prob_event
 from pboxes.preorder import ClassSubset, FiniteQuotientSpace
 
+from lower_probability_reference import (
+    FiniteLowerProbability,
+    natural_extension_table,
+    pbox_representability_check,
+)
 from lp_reference import chain_sweep_reference, chain_vertex_min, credal_lp, simplex_min
 from monotonicity_reference import from_sets, monotonicity_reference
-
-# both read a gamble, and both check it by the same rules
-GAMBLE_READERS = (lp_lower_expectation,
-                  lambda instance, g: envelope_sample_bound(instance, [g], samples=4)[0])
 
 
 def coupling_exact(p1_band, p2_band) -> list:
@@ -63,30 +60,6 @@ def coupling_lower_probability(p1_band, p2_band):
     """The table of :func:`coupling_exact`, each value rounded to a float."""
     exact = coupling_exact(p1_band, p2_band)
     return FiniteLowerProbability(4, {mask: float(v) for mask, v in enumerate(exact)})
-
-
-def envelope_reference(instance, gamble, samples, seed=0):
-    """Sorted uniform draws clamped left to right, each class floored by the
-    value of the class before it; the least expectation over the samples."""
-    n = instance.n
-    lo = [float(v) for v in instance.lower_cum]
-    hi = [float(v) for v in instance.upper_cum]
-    g = [float(v) for v in gamble]
-    rng = random.Random(seed)
-    best = None
-    for _ in range(samples):
-        draws = sorted(rng.random() for _ in range(n))
-        s_prev = 0.0
-        expectation = 0.0
-        for i in range(n):
-            v = min(max(draws[i], lo[i], s_prev), hi[i])
-            if i == n - 1:
-                v = 1.0
-            expectation += (v - s_prev) * g[i]
-            s_prev = v
-        if best is None or expectation < best:
-            best = expectation
-    return best
 
 
 class TestLpLowerExpectation:
@@ -200,10 +173,9 @@ class TestLpLowerExpectation:
 
     def test_length_mismatch(self):
         instance = FiniteCredalInstance((1,), (1,))
-        for read in GAMBLE_READERS:
-            for gamble in ([1.0, 2.0], []):
-                with pytest.raises(ValidationError):
-                    read(instance, gamble)
+        for gamble in ([1.0, 2.0], []):
+            with pytest.raises(ValidationError):
+                lp_lower_expectation(instance, gamble)
 
 
 class TestInstanceValidation:
@@ -231,28 +203,24 @@ class TestInputNumbers:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_gamble_value_rejected(self, bad):
-        for read in GAMBLE_READERS:
-            with pytest.raises(ValidationError):
-                read(self.INSTANCE, [bad, 1.0])
+        with pytest.raises(ValidationError):
+            lp_lower_expectation(self.INSTANCE, [bad, 1.0])
 
     @pytest.mark.parametrize("bad", [10**400, -10**400, Fraction(10**400, 3),
                                      2**1024 - 2**970])
     def test_gamble_value_beyond_float_range_rejected(self, bad):
-        for read in GAMBLE_READERS:
-            with pytest.raises(ValidationError, match="too large for a float"):
-                read(self.INSTANCE, [bad, 1.0])
+        with pytest.raises(ValidationError, match="too large for a float"):
+            lp_lower_expectation(self.INSTANCE, [bad, 1.0])
 
     def test_largest_value_below_float_overflow_accepted(self):
         # the next integer up rounds to infinity as a float
         value = 2**1024 - 2**970 - 1
-        for read in GAMBLE_READERS:
-            assert read(self.INSTANCE, [value, value]) == float(value)
+        assert lp_lower_expectation(self.INSTANCE, [value, value]) == float(value)
 
     @pytest.mark.parametrize("bad", ["1", True, None])
     def test_non_number_gamble_value_rejected(self, bad):
-        for read in GAMBLE_READERS:
-            with pytest.raises(TypeError):
-                read(self.INSTANCE, [bad, 0])
+        with pytest.raises(TypeError):
+            lp_lower_expectation(self.INSTANCE, [bad, 0])
 
     @pytest.mark.parametrize("bad", ["0.5", False, None])
     def test_non_number_bound_rejected(self, bad):
@@ -285,6 +253,11 @@ class TestInputNumbers:
         imported |= {node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.level == 0}
         assert not {name for name in imported if name.split(".")[0] == "numpy"}
+        # and every comparison it makes is exact: no function takes a tolerance
+        params = {arg.arg for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+        assert not {name for name in params if "tol" in name}
 
     def test_public_names_resolve_through_the_package(self):
         # the package loads the oracle on first use of one of its names
@@ -310,96 +283,6 @@ class TestInputNumbers:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, env=env, check=True).stdout
         assert out.split() == ["False", "pboxes.oracle", "False"]
-
-
-class TestEnvelopeSampleBound:
-    def test_precise_instance_exact_for_any_samples(self):
-        cum = (0.25, 0.75, 1.0)
-        instance = FiniteCredalInstance(cum, cum)
-        gamble = [2.0, 0.0, -1.0]
-        expected = 0.25 * 2.0 + 0.5 * 0.0 + 0.25 * -1.0
-        assert envelope_sample_bound(instance, [gamble], samples=3, seed=1)[0] == \
-            pytest.approx(expected, abs=1e-12)
-
-    def test_always_dominates_lp(self, rng):
-        for _ in range(25):
-            n = rng.randint(2, 5)
-            instance = random_credal_instance(rng, n)
-            gamble = [rng.randrange(-200, 201) / 50 for _ in range(n)]
-            bound = envelope_sample_bound(instance, [gamble], samples=20,
-                                          seed=rng.randrange(1 << 20))[0]
-            assert bound >= lp_lower_expectation(instance, gamble) - 1e-12
-
-    def test_joint_band_instance_statistical_band(self):
-        # two-class image of the unknown-dependence joint of the worked
-        # binary example: lower cumulative 0, upper 0.3 at the first class
-        instance = FiniteCredalInstance((0.0, 1.0), (0.3, 1.0))
-        for gamble, expected in (([1.0, 0.0], 0.0), ([0.0, 1.0], 0.7)):
-            exact = lp_lower_expectation(instance, gamble)
-            assert exact == pytest.approx(expected)
-            bound = envelope_sample_bound(instance, [gamble], samples=10_000, seed=5)[0]
-            assert exact <= bound <= exact + 0.02
-
-    def test_deterministic_for_fixed_seed(self):
-        instance = FiniteCredalInstance((0.1, 1.0), (0.9, 1.0))
-        a = envelope_sample_bound(instance, [[1.0, -1.0]], samples=64, seed=9)[0]
-        b = envelope_sample_bound(instance, [[1.0, -1.0]], samples=64, seed=9)[0]
-        assert a == b
-
-    def test_requires_samples(self):
-        instance = FiniteCredalInstance((1.0,), (1.0,))
-        with pytest.raises(ValidationError):
-            envelope_sample_bound(instance, [[1.0]], samples=0)
-
-    @pytest.mark.parametrize("samples", [True, False, 2.5, 16.0, "16", None])
-    def test_samples_must_be_an_int(self, samples):
-        instance = FiniteCredalInstance((0.5, 1.0), (0.6, 1.0))
-        with pytest.raises(ValidationError, match="must be an int"):
-            envelope_sample_bound(instance, [[1.0, 0.0]], samples=samples)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_each_bound_is_that_of_its_gamble_alone(self, rng, n):
-        # the samples are drawn once and shared, so every gamble sees the
-        # draws it would see alone at the same seed
-        for _ in range(10):
-            instance = random_credal_instance(rng, n, rng.choice([4, 20, 1000]))
-            gambles = [[rng.uniform(-5, 5) for _ in range(n)]
-                       for _ in range(rng.randint(0, 6))]
-            samples, seed = rng.randint(1, 20), rng.randrange(1 << 30)
-            bounds = envelope_sample_bound(instance, gambles, samples, seed)
-            assert len(bounds) == len(gambles)
-            for gamble, bound in zip(gambles, bounds):
-                alone = envelope_sample_bound(instance, [gamble], samples, seed)[0]
-                assert bound.hex() == alone.hex()
-                assert bound == pytest.approx(
-                    envelope_reference(instance, gamble, samples, seed), abs=1e-12)
-
-    def test_floats_read_as_their_ratios(self, rng):
-        # a float is used as it is and a Fraction through its ratio, so the
-        # bounds agree bit for bit; -0.0 reads as 0.0 either way
-        cases = [(FiniteCredalInstance((1,), (1,)), [-0.0])]
-        for n in range(1, 7):
-            instance = random_credal_instance(rng, n, 100)
-            cases += [(instance, [rng.choice([0.0, -0.0, rng.uniform(-5, 5)])
-                                  for _ in range(n)]) for _ in range(10)]
-        for instance, gamble in cases:
-            seed = rng.randrange(1 << 30)
-            floats = envelope_sample_bound(instance, [gamble], 8, seed)[0]
-            ratios = envelope_sample_bound(instance, [list(map(Fraction, gamble))], 8, seed)[0]
-            assert floats.hex() == ratios.hex()
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_clamp_closed_form_matches_sequential_clamp(self, rng, n):
-        # clamping each class on its own equals carrying the previous value forward
-        for precise in (True, False):
-            for _ in range(10):
-                instance = random_credal_instance(rng, n, rng.choice([4, 20, 1000]))
-                if precise:
-                    instance = FiniteCredalInstance(instance.lower_cum, instance.lower_cum)
-                gamble = [rng.uniform(-5, 5) for _ in range(n)]
-                seed = rng.randrange(1 << 30)
-                assert envelope_sample_bound(instance, [gamble], samples=16, seed=seed)[0] == \
-                    pytest.approx(envelope_reference(instance, gamble, 16, seed), abs=1e-12)
 
 
 class TestCompleteMonotonicity:
@@ -645,6 +528,27 @@ class TestRepresentability:
         assert [m.event for m in report.mismatches] == [frozenset({0, 2})]
 
 
+class TestFormulaOnTheExactTable:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_formula_gives_every_subset_its_exact_value(self, rng, n):
+        # the paper's finite result, on the table that verify's structural
+        # block reads: the interval-sum formula is the natural extension
+        lattice = rng.choice([4, 100, 1000])
+        instance = random_credal_instance(rng, n, lattice)
+        instances = [instance,
+                     FiniteCredalInstance(instance.lower_cum, instance.lower_cum),
+                     FiniteCredalInstance((0,) * (n - 1) + (1,), (1,) * n)]
+        for instance in instances:
+            box = PBox(StepCdf(tuple(map(float, instance.lower_cum))),
+                       StepCdf(tuple(map(float, instance.upper_cum))),
+                       FiniteQuotientSpace(tuple(range(n))))
+            numerators, scale = natural_extension_numerators(instance)
+            for mask in range(1 << n):
+                members = [i for i in range(n) if mask >> i & 1]
+                assert lower_prob_event(box, ClassSubset(members)) == pytest.approx(
+                    numerators[mask] / scale, abs=1e-12)
+
+
 class TestEventMemo:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_one_sweep_per_distinct_mask(self, rng, monkeypatch, n):
@@ -699,6 +603,26 @@ class TestAdditivity:
         parts = (lp_lower_expectation(instance, [1, 0, 0, 0])
                  + lp_lower_expectation(instance, [0, 0, 1, 0]))
         assert whole == pytest.approx(parts, abs=1e-12)
+
+    def test_one_unit_of_the_denominator_is_flagged_exactly(self, monkeypatch):
+        # 1/D = 1e-12 more on {0, 2}, far below any float tolerance of 1e-9
+        import pboxes.oracle as oracle_mod
+
+        instance = FiniteCredalInstance((Fraction(1, 10**12), Fraction(1, 2), 1),
+                                        (Fraction(1, 4), Fraction(3, 4), 1))
+        true_fn = oracle_mod.lp_event_ratio
+
+        def corrupted(instance, mask):
+            numerator, scale = true_fn(instance, mask)
+            return numerator + (mask == 0b101), scale
+
+        monkeypatch.setattr(oracle_mod, "lp_event_ratio", corrupted)
+        report = additivity_check(instance, trials=40, seed=1)
+        assert not report.passed
+        assert {v.event for v in report.violations} == {frozenset({0, 2})}
+        for v in report.violations:
+            assert type(v.whole) is Fraction and type(v.component_sum) is Fraction
+            assert v.whole - v.component_sum == Fraction(1, 10**12)
 
     def test_negative_trials_refused(self):
         instance = FiniteCredalInstance((0.2, 1.0), (0.4, 1.0))
