@@ -32,6 +32,7 @@ from .pbox import (
     AnalyticCdf,
     PBox,
     PiecewiseLinearCdf,
+    PiecewisePolynomialCdf,
     StepCdf,
     lower_prob_event,
     lower_prob_field,
@@ -97,6 +98,7 @@ __all__ = [
     "AnalyticCdf",
     "PBox",
     "PiecewiseLinearCdf",
+    "PiecewisePolynomialCdf",
     "StepCdf",
     "lower_prob_event",
     "lower_prob_field",

@@ -1,11 +1,18 @@
-"""Lower/upper expectations of gambles via cut sets and bracketed quadrature.
+"""Lower/upper expectations of gambles via cut sets, exactly or by bracketed
+quadrature.
 
 A gamble enters as its lower (or upper) oscillation, a bounded function of
 the quotient coordinate z.  The expectation is the oscillation's infimum
 plus the integral over levels t of the lower (upper) probability of the cut
-set ``{z : osc(z) >= t}``, non-increasing in t, so Darboux sums bracket it
-rigorously; each round of refinement cuts every cell into equal parts,
-as many as its share of the bracket width calls for (equidistribution).
+set ``{z : osc(z) >= t}``, non-increasing in t.  Where both CDFs are
+piecewise polynomial and the oscillation has knots, that integrand is a
+quadratic in t between breakpoints the algebra gives (the knot values, the
+oscillation at every CDF break, and the zero of any clamped gain), and
+each piece is integrated exactly, with a proven bound on float rounding
+(:func:`_exact_expectation`).  Anywhere else Darboux sums bracket it
+rigorously; each round of refinement cuts every cell into equal parts, as
+many as its share of the bracket width calls for (equidistribution).  The
+model's types choose the path.
 
 Every cut set is exact.  An oscillation either has knots, of which it is
 the linear interpolation, or is a black box declared increasing or
@@ -171,8 +178,9 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Bracket midpoint plus the half-width of the enclosing Darboux bracket,
-    and the rounds of adaptive refinement that cut some cells of the grid."""
+    """Bracket midpoint plus the half-width of the enclosing bracket (a
+    Darboux bracket, or the rounding bound of an exact integral), and the
+    rounds of adaptive refinement that cut some cells of the grid."""
 
     value: float
     error_bound: float
@@ -208,7 +216,9 @@ def _bisect(f, ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, rising,
 
 def _runs(inside: np.ndarray):
     """Row, first column and one-past-last column of every run of true cells."""
-    edges = np.diff(np.pad(inside, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    padded = np.zeros((len(inside), inside.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = inside
+    edges = np.diff(padded, axis=1)
     row, first = np.nonzero(edges > 0)
     _, stop = np.nonzero(edges < 0)
     return row, first, stop
@@ -468,7 +478,9 @@ def _integrand(pbox: PBox, osc: Oscillation, upper: bool, cfg: QuadratureConfig)
 
 def _expectation(pbox: PBox, osc: Oscillation, upper: bool,
                  cfg: QuadratureConfig) -> QuadratureResult:
-    """``inf + integral of the cut probability``, bracketed by :func:`_darboux`.
+    """``inf + integral of the cut probability``, exact for a knot oscillation
+    on a piecewise-polynomial p-box (:func:`_exact_expectation`), else
+    bracketed by :func:`_darboux`.
 
     A declared-monotone oscillation without knots is integrated over its
     coordinate (:func:`_coordinate_grid`); the levels up to ``level(0)`` cut
@@ -476,6 +488,10 @@ def _expectation(pbox: PBox, osc: Oscillation, upper: bool,
     space)``.  The tail's charge comes off the tolerance, so ``converged``
     means the reported bound meets ``abs_tol``.
     """
+    # a level range wider than the largest float has no float width to split
+    if (osc.knots is not None and pbox.is_polynomial
+            and math.isfinite(osc.sup_value - osc.inf_value)):
+        return _exact_expectation(pbox, osc, upper, cfg)
     batch, a, b, tail = _integrand(pbox, osc, upper, cfg)
     if b <= a:
         return QuadratureResult(a, 0.0, True)
@@ -488,6 +504,124 @@ def _expectation(pbox: PBox, osc: Oscillation, upper: bool,
     mid, hw, ok, rounds = _darboux(batch, lo, hi, cfg, level, tol if tol > 0 else cfg.abs_tol)
     return QuadratureResult(a + (mid + head) + 0.5 * tail, hw + 0.5 * tail, ok and tol > 0,
                             rounds)
+
+
+def _exact_expectation(pbox: PBox, osc: Oscillation, upper: bool,
+                       cfg: QuadratureConfig) -> QuadratureResult:
+    """The expectation of a knot oscillation on a p-box of two
+    piecewise-polynomial CDFs, piece by piece in the level, with a proven
+    bound on its rounding.
+
+    The level range splits at the knot values, at the level where ``f``
+    crosses each break of either CDF, and within a piece at the zero of any
+    gain whose clamp ``max(0, .)`` kinks there.  Between the first two, the
+    components of every cut (on the upper side, of its complement) have
+    fixed runs of knots, each end between knots moves linearly in the level,
+    and each CDF it reads stays on one piece; so every gain ``F_lower(top) -
+    F_upper(bottom)`` is a quadratic in the level.  It is taken at the
+    piece's ends and middle, with the middle's knot cells and CDF pieces
+    (the one-sided limits at the ends), and integrated exactly: by
+    Simpson's rule where its clamp is idle, and over its positive part
+    otherwise.  A gain is monotone in the level, falling as a cut shrinks
+    and rising as a complement grows, so its clamp kinks at most once.
+
+    The bound adds, with ``u`` the unit roundoff, ``L`` the steepest slope
+    and ``K`` the largest curvature of either CDF, and ``w`` the width of a
+    gain's piece:
+
+    * ``w (2.5 e + |r| + 16 u s)`` per gain.  ``e = (14 L + 21) u`` bounds
+      each of its three values: an end off by ``7 u``, a CDF value by
+      ``10 u``.  Its quadratic interpolant is within ``1.25 e``, so a
+      misplaced kink costs at most ``w`` times ``1.25 e`` plus the
+      interpolant's residual ``|r|`` at the computed zero; ``s`` is the sum
+      of its coefficients' sizes, for the rounding of the integral.
+    * ``3 L u V``, ``V`` the largest level, for the rounding of the
+      middles: weighed by the piece widths, the gains' slopes sum to at
+      most ``L`` over all pieces, since each segment's end sweeps its cell
+      once.
+    * ``(L + K) |dz / dv| d**2`` per crossing of a CDF break, off by at
+      most ``d = min(11 u v, |dv|)`` on a segment rising ``dv`` over
+      ``dz`` between knot values of size at most ``v``: the two CDF pieces
+      agree at the break, so over the misplaced levels they differ by at
+      most ``2 (L + K)`` times the distance.
+    * ``2 u`` of the sum and of the result, which take one rounding each.
+
+    ``converged`` means the bracket ``value -+ error_bound`` is narrower
+    than ``cfg.abs_tol``; no round of refinement is made.
+    """
+    zs, vs = np.asarray(osc.knots, dtype=float).T
+    a, b = osc.inf_value, osc.sup_value
+    lower, upper_cdf = pbox.lower, pbox.upper
+    # each interior break of either CDF lies on one segment, crossed at f(break)
+    x = np.concatenate([lower._xs[1:-1], upper_cdf._xs[1:-1]])
+    seg = np.searchsorted(zs, x, side="right") - 1
+    v0, v1 = vs[seg], vs[seg + 1]
+    rise, run = v1 - v0, zs[seg + 1] - zs[seg]
+    crossing = np.minimum(np.maximum(v0 + (x - zs[seg]) * (rise / run), np.minimum(v0, v1)),
+                          np.maximum(v0, v1))
+    ts = np.sort(np.concatenate([(a, b), vs, crossing]))
+    half = 0.5 * np.diff(ts)
+    live = half > 0.0
+    t0, half = ts[:-1][live], half[live]
+    # each piece's ends and middle, one column per piece
+    levels = np.stack([t0, t0 + half, ts[1:][live]])
+    middle = levels[1, :, None]
+    piece, first, stop = _runs(vs < middle if upper else vs >= middle)
+    bottom, top = first > 0, stop < len(zs)
+    cell = np.concatenate([first[bottom] - 1, stop[top] - 1])
+    # each end between knots, measured from the higher knot of its cell
+    hi = np.where(vs[cell + 1] > vs[cell], cell + 1, cell)
+    lo = 2 * cell + 1 - hi
+    at = levels[:, np.concatenate([piece[bottom], piece[top]])]
+    ends = zs[hi] + (vs[hi] - at) / (vs[hi] - vs[lo]) * (zs[lo] - zs[hi])
+    split = np.count_nonzero(bottom)
+    bottoms, tops = ends[:, :split], ends[:, split:]
+    # a run from the first knot is closed at 0 and one to the last reaches 1
+    gains = np.full((3, len(piece)), pbox.lower_at_one)
+    gains[:, top] = lower.on_piece(tops, lower.piece(tops[1]))
+    gains[:, bottom] -= upper_cdf.on_piece(bottoms, upper_cdf.piece(bottoms[1]))
+    # the quadratic through the three values, over x in [-1, 1] across the piece
+    q0, qc, q1 = gains
+    c0, c1, c2 = qc, 0.5 * (q1 - q0), 0.5 * (q0 + q1) - qc
+    xl, xh = np.full(len(piece), -1.0), np.ones(len(piece))
+    if upper:  # rising gains: positive on [x, 1]
+        kink = (q0 < 0.0) & (q1 > 0.0)
+        xl[q1 <= 0.0] = 1.0
+        xl[kink] = root = _sign_change(c0[kink], c1[kink], c2[kink])
+    else:  # falling gains: positive on [-1, x]
+        kink = (q0 > 0.0) & (q1 < 0.0)
+        xh[q0 <= 0.0] = -1.0
+        xh[kink] = root = _sign_change(c0[kink], c1[kink], c2[kink])
+    integral = (xh - xl) * (c0 + c1 * (0.5 * (xh + xl))
+                            + c2 * ((xh * xh + xh * xl + xl * xl) / 3.0))
+    total = math.fsum((half[piece] * integral).tolist())
+    value = b - total if upper else a + total
+
+    u = _UNIT_ROUNDOFF
+    steep = max(lower.steepest, upper_cdf.steepest)
+    bend = max(map(abs, lower.curvature + upper_cdf.curvature), default=0.0)
+    residual = np.zeros(len(piece))
+    residual[kink] = np.abs(c0[kink] + root * (c1[kink] + root * c2[kink]))
+    size = np.abs(c0) + np.abs(c1) + np.abs(c2)
+    rows = half[piece] * ((70.0 * steep + 105.0) * u + 2.0 * residual + 32.0 * u * size)
+    miss = np.minimum(11.0 * u * np.maximum(np.abs(v0), np.abs(v1)), np.abs(rise))
+    slivers = np.divide(run * miss * miss, np.abs(rise), out=np.zeros(len(miss)),
+                        where=rise != 0.0)
+    bound = (math.fsum(rows.tolist()) + 3.0 * steep * u * max(abs(a), abs(b))
+             + (steep + bend) * float(np.sum(slivers)) + 2.0 * u * (abs(total) + abs(value)))
+    return QuadratureResult(value, bound, bound < 0.5 * cfg.abs_tol)
+
+
+def _sign_change(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """The root in [-1, 1] of each ``c0 + c1 x + c2 x**2``, which changes sign
+    on it, by the stable quadratic formula; a root that rounding puts outside
+    [-1, 1], or makes NaN, is clipped to it, and the residual at it enters
+    the error bound."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(c1 * c1 - 4.0 * c0 * c2, 0.0)), c1))
+        near, far = c0 / s, s / c2
+        x = np.where(np.abs(near) <= 1.0, near, far)
+    return np.fmin(np.fmax(x, -1.0), 1.0)
 
 
 def lower_expectation(pbox: PBox, losc: Oscillation,

@@ -34,7 +34,7 @@ from . import pbox as _pbox
 from .choquet import DEFAULT_CONFIG, QuadratureConfig
 from .errors import ParseError, ToleranceError, ValidationError, _checked
 from .multivariate import FRECHET, RealLinePBox, combine
-from .pbox import PBox, PiecewiseLinearCdf, StepCdf
+from .pbox import PBox, PiecewisePolynomialCdf, StepCdf
 from .preorder import (
     UNIT_INTERVAL,
     ClassSubset,
@@ -146,7 +146,7 @@ def _knots(node: _Node) -> tuple:
 
 # the CDF of each kind, from the node of its values, knots or name
 _CDFS = {"step": lambda node: node.build(StepCdf, tuple(node.values("a number"))),
-         "linear": lambda node: node.build(PiecewiseLinearCdf, _knots(node)),
+         "linear": lambda node: node.build(PiecewisePolynomialCdf, _knots(node)),
          "analytic": lambda node: node.build(named_cdf, node.of("a string"))}
 
 

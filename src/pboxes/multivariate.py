@@ -26,7 +26,14 @@ import numpy as np
 
 from .choquet import _in_chunks
 from .errors import ValidationError, _checked
-from .pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf, lower_prob_field
+from .pbox import (
+    AnalyticCdf,
+    PBox,
+    PiecewiseLinearCdf,
+    PiecewisePolynomialCdf,
+    StepCdf,
+    lower_prob_field,
+)
 from .preorder import _class_index, _coordinate, _finite_number, _finite_numbers
 
 __all__ = [
@@ -121,16 +128,18 @@ def sublevel_box_lower(joint: PBox, levels: Sequence) -> float:
 class RealLinePBox:
     """A p-box for a real variable with bounded support.
 
-    The CDFs are functions of the real coordinate, 0 below and 1 above their
-    knots.  The support is the hull of both CDFs' knot domains, so every
-    change of either CDF lies inside it; a single knot gives a point
-    support (a degenerate variable).
+    The CDFs are piecewise-linear functions of the real coordinate, 0 below
+    and 1 above their knots.  The support is the hull of both CDFs' knot
+    domains, so every change of either CDF lies inside it; a single knot
+    gives a point support (a degenerate variable).
     """
 
-    lower: PiecewiseLinearCdf
-    upper: PiecewiseLinearCdf
+    lower: PiecewisePolynomialCdf
+    upper: PiecewisePolynomialCdf
 
     def __post_init__(self):
+        if self.lower.curvature or self.upper.curvature:
+            raise ValidationError("real-line p-boxes take piecewise-linear CDFs")
         # both CDFs are linear between consecutive knots of either one, so
         # values and left limits at those knots decide the ordering exactly;
         # a knot of both is checked twice rather than deduplicated, because

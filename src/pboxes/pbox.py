@@ -1,5 +1,13 @@
 """Cumulative distribution functions, p-boxes, and event inference.
 
+A CDF is one of three types: a :class:`StepCdf` on the classes of a finite
+space; a :class:`PiecewisePolynomialCdf` of degree at most 2 between knots,
+the type of every CDF a scenario file can write or name; or an
+:class:`AnalyticCdf`, a black-box callable.  A p-box of two piecewise-
+polynomial CDFs is validated exactly from its pieces, and
+:mod:`pboxes.choquet` integrates knot oscillations on it exactly; a p-box
+with a black box is validated on a grid, on which its brackets then rest.
+
 A p-box is an ordered pair of CDFs bounding an imprecisely known
 distribution.  Its least-committal extension to an event is the sum, over
 the full components of the event's interior image, of
@@ -50,6 +58,7 @@ from .preorder import (
 
 __all__ = [
     "StepCdf",
+    "PiecewisePolynomialCdf",
     "PiecewiseLinearCdf",
     "AnalyticCdf",
     "PBox",
@@ -97,15 +106,22 @@ class StepCdf:
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearCdf:
-    """Continuous piecewise-linear CDF given by sorted knots ``(x, F(x))``.
+class PiecewisePolynomialCdf:
+    """Continuous CDF of degree at most 2 between sorted knots ``(x, F(x))``.
 
-    The domain is ``[knots[0].x, knots[-1].x]``; below the domain the CDF is
-    0 and above it 1, so a positive value at the first knot encodes a jump at
+    On the piece between knots ``i`` and ``i + 1`` it is the linear
+    interpolation of the two knots plus the bend ``curvature[i] * (x - x_i) *
+    (x - x_{i+1})``, which vanishes at both; without ``curvature`` every
+    piece is linear and the CDF evaluates by ``np.interp``.  A piece is
+    non-decreasing when its bend is at most its rise, ``|curvature[i]| *
+    (x_{i+1} - x_i)**2 <= F(x_{i+1}) - F(x_i)``, which is checked.  The
+    domain is ``[knots[0].x, knots[-1].x]``; below the domain the CDF is 0
+    and above it 1, so a positive value at the first knot encodes a jump at
     the bottom of the support.
     """
 
     knots: tuple
+    curvature: tuple = ()
 
     def __post_init__(self):
         knots = tuple((_finite_number(x), _finite_number(fx)) for x, fx in self.knots)
@@ -124,6 +140,14 @@ class PiecewiseLinearCdf:
             raise ValidationError("CDF values must lie in [0, 1]")
         if fs[-1] != 1.0:
             raise ValidationError("the CDF must reach 1 at the top of its domain")
+        bends = tuple(_finite_number(c) for c in self.curvature)
+        if bends and len(bends) != len(knots) - 1:
+            raise ValidationError("a piecewise-polynomial CDF takes one curvature per piece")
+        # a bend that matches its rise to within rounding keeps its piece monotone
+        if any(abs(c) * (b - a) * (b - a) > (fb - fa) * (1.0 + 2.0 ** -50)
+               for c, a, b, fa, fb in zip(bends, xs, xs[1:], fs, fs[1:])):
+            raise ValidationError("a bend exceeds the rise of its piece, so the CDF decreases")
+        object.__setattr__(self, "curvature", bends if any(bends) else ())
         # read-only, as the CDF of a builtin scenario is shared within a process
         xs, fs = np.array(xs), np.array(fs)
         xs.flags.writeable = fs.flags.writeable = False
@@ -139,14 +163,49 @@ class PiecewiseLinearCdf:
         return tuple(x for x, _ in self.knots)
 
     def __call__(self, x):
-        return np.interp(x, self._xs, self._fs, left=0.0, right=1.0)
+        out = np.interp(x, self._xs, self._fs, left=0.0, right=1.0)
+        if not self.curvature:
+            return out
+        x = np.asarray(x, dtype=float)
+        piece = self.piece(x)
+        bend = self._bends[piece] * (x - self._xs[piece]) * (x - self._xs[piece + 1])
+        return out + np.where((x > self._xs[0]) & (x < self._xs[-1]), bend, 0.0)
 
     def left_limit(self, x):
         # continuous inside the domain; 0 below and at the bottom knot
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(x_arr <= self._xs[0], 0.0,
-                       np.interp(x_arr, self._xs, self._fs, left=0.0, right=1.0))
+        out = np.where(x_arr <= self._xs[0], 0.0, self(x_arr))
         return float(out) if np.isscalar(x) or out.ndim == 0 else out
+
+    def piece(self, x):
+        """Index of the piece holding each ``x``: the first below the domain,
+        the last at and above its top."""
+        return np.searchsorted(self._xs[1:-1], x, side="right")
+
+    def on_piece(self, x, piece):
+        """The polynomial of each ``piece`` at ``x``, continued beyond the piece's ends."""
+        lo = self._xs[piece]
+        return (self._fs[piece] + self._slopes[piece] * (x - lo)
+                + self._bends[piece] * (x - lo) * (x - self._xs[piece + 1]))
+
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        return np.diff(self._fs) / np.diff(self._xs)
+
+    @cached_property
+    def _bends(self) -> np.ndarray:
+        return np.array(self.curvature) if self.curvature else np.zeros(len(self._xs) - 1)
+
+    @cached_property
+    def steepest(self) -> float:
+        """The largest slope on any piece, reached at one of its ends."""
+        return float(np.max(self._slopes + np.abs(self._bends) * np.diff(self._xs)))
+
+
+def PiecewiseLinearCdf(knots) -> PiecewisePolynomialCdf:
+    """The continuous piecewise-linear CDF through sorted ``knots`` ``(x, F(x))``:
+    a :class:`PiecewisePolynomialCdf` without curvature."""
+    return PiecewisePolynomialCdf(knots)
 
 
 @dataclass(frozen=True)
@@ -176,7 +235,7 @@ class AnalyticCdf:
         return float(out) if out.ndim == 0 else out
 
 
-Cdf = StepCdf | PiecewiseLinearCdf | AnalyticCdf
+Cdf = StepCdf | PiecewisePolynomialCdf | AnalyticCdf
 
 def vectorized(fn: Callable) -> Callable:
     """``fn`` if it maps arrays elementwise, else ``fn`` looped over elements.
@@ -207,10 +266,11 @@ class PBox:
     """A pair of CDFs ``lower <= upper`` over a common quotient space.
 
     Without a space, a step pair lives on its class indices and any other
-    pair on [0, 1].  On the unit continuum the ordering and monotonicity of
-    analytic members are verified on a sampling grid (all knots plus
-    ``validation_grid`` uniform points); exact global verification of
-    black-box functions is not attempted.
+    pair on [0, 1].  A pair of piecewise-polynomial CDFs is validated
+    exactly from its pieces.  Any other pair on the unit continuum has its
+    ordering and monotonicity verified on ``validation_grid`` uniform
+    points; exact global verification of black-box functions is not
+    attempted.
     """
 
     lower: Cdf
@@ -241,14 +301,13 @@ class PBox:
     def _validate_continuum(self):
         if isinstance(self.lower, StepCdf) or isinstance(self.upper, StepCdf):
             raise ValidationError("step CDFs require a finite quotient space")
-        zs = np.linspace(0.0, 1.0, max(self.validation_grid, 2))
         for cdf in (self.lower, self.upper):
-            if isinstance(cdf, PiecewiseLinearCdf):
-                if cdf.domain != (0.0, 1.0):
-                    raise ValidationError("continuum CDFs live on [0, 1]")
-                # not np.union1d, which imports numpy.ma on its first call
-                # (numpy 2.4): a point listed twice is only checked twice
-                zs = np.sort(np.concatenate([zs, cdf._xs]))
+            if isinstance(cdf, PiecewisePolynomialCdf) and cdf.domain != (0.0, 1.0):
+                raise ValidationError("continuum CDFs live on [0, 1]")
+        if self.is_polynomial:
+            self._validate_polynomial()
+            return
+        zs = np.linspace(0.0, 1.0, max(self.validation_grid, 2))
         flo = self.lower(zs)
         fhi = self.upper(zs)
         for name, f in (("lower", flo), ("upper", fhi)):
@@ -261,9 +320,45 @@ class PBox:
         if np.any(flo > fhi + _MONOTONE_SLACK):
             raise ValidationError("lower CDF exceeds upper CDF on the grid")
 
+    def _validate_polynomial(self):
+        """``lower <= upper`` at every break of either CDF and, where one bends,
+        at the least value of their difference between breaks.
+
+        Each CDF checked its own range and monotonicity when it was built.
+        Both are continuous on (0, 1], and 0, where one may jump, is a
+        break.  Between breaks the difference is one quadratic, so its least
+        value is at an end or at its vertex, read off its values at the ends
+        and the middle.
+        """
+        lower, upper = self.lower, self.upper
+        # not np.union1d, which imports numpy.ma on its first call (numpy 2.4):
+        # a break of both CDFs is only checked twice
+        zs = np.sort(np.concatenate([lower._xs, upper._xs]))
+        if lower.curvature or upper.curvature:
+            zs = np.concatenate([zs, 0.5 * (zs[:-1] + zs[1:])])
+        gap = upper(zs) - lower(zs)
+        breaks = len(lower._xs) + len(upper._xs)
+        if len(gap) > breaks:
+            d0, d1, middle = gap[:breaks - 1], gap[1:breaks], gap[breaks:]
+            # twice the bend over the piece; where it holds a least value,
+            # the vertex lies strictly inside
+            bent, slope = d0 - 2.0 * middle + d1, d1 - d0
+            inner = (bent > 0.0) & (np.abs(slope) < 2.0 * bent)
+            least = middle[inner] - slope[inner] ** 2 / (8.0 * bent[inner])
+            gap = np.concatenate([gap, least])
+        if np.any(gap < -_MONOTONE_SLACK):
+            raise ValidationError("lower CDF exceeds upper CDF")
+
     @property
     def is_finite(self) -> bool:
         return isinstance(self.space, FiniteQuotientSpace)
+
+    @property
+    def is_polynomial(self) -> bool:
+        """Both CDFs piecewise polynomial: validated, and integrated against a
+        knot oscillation, exactly."""
+        return (isinstance(self.lower, PiecewisePolynomialCdf)
+                and isinstance(self.upper, PiecewisePolynomialCdf))
 
     @property
     def is_precise(self) -> bool:

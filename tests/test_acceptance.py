@@ -172,7 +172,7 @@ def test_criterion_8_oracle_equivalence_campaign():
 
 def test_criterion_9_complete_monotonicity_and_representability():
     with criterion(9, "50 random p-box extensions pass p <= 4 monotonicity; the "
-                      "three-point counterexample fails representability at {2}"):
+                      "three-point counterexample fails representability at {1}"):
         rng = random.Random(2024)
         for _ in range(50):
             n = rng.randint(2, 5)

@@ -517,20 +517,33 @@ class TestInfer:
         assert err.startswith(f"validation error: {message}") and out == ""
 
     def test_unconverged_query_on_stderr(self, tmp_path, capsys):
-        # one stderr line per unconverged query; the CSV and exit code are as before
+        # one stderr line per unconverged query; the CSV and exit code are as
+        # before.  A black box takes Darboux rounds, which --max-refine caps
         doc = dict(CONTINUUM_DOC, queries=[
-            {"id": "tent", "kind": "expectation_lower",
-             "oscillation": {"knots": [[0.0, 0.0], [0.3, 1.0], [0.6, 0.2], [1.0, 0.8]]}},
+            {"id": "black_box", "kind": "expectation_lower",
+             "oscillation": {"builtin": "oscillator_lower"}},
             {"id": "edge", "kind": "event_lower", "intervals": [[0.0, 0.5, False, False]]}])
         path = tmp_path / "unconverged.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, ["infer", str(path), "--max-refine", "1"])
         assert code == 0
-        bound = csv_rows(out)["tent"][2]
+        bound = csv_rows(out)["black_box"][2]
         assert bound > 1e-4
-        assert err == f"not converged: tent error bound {bound:.12g} above abs_tol 0.0001\n"
+        assert err == f"not converged: black_box error bound {bound:.12g} above abs_tol 0.0001\n"
         code, _, err = run_cli(capsys, ["infer", str(path)])
         assert code == 0 and err == ""
+
+    def test_knot_query_on_a_polynomial_pbox_takes_no_rounds(self, tmp_path, capsys):
+        # its exact pieces need no refinement, so --max-refine 1 leaves it converged
+        doc = dict(CONTINUUM_DOC, queries=[
+            {"id": "tent", "kind": "expectation_lower",
+             "oscillation": {"knots": [[0.0, 0.0], [0.3, 1.0], [0.6, 0.2], [1.0, 0.8]]}}])
+        path = tmp_path / "exact.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path), "--max-refine", "1",
+                                          "--tol", "1e-12"])
+        assert code == 0 and err == ""
+        assert csv_rows(out)["tent"][2] < 0.5e-12
 
     def test_finite_threshold_exit_3(self, tmp_path, capsys):
         doc = dict(SCENARIO_DOC, queries=[{"id": "t", "kind": "threshold", "target": 0.5,
