@@ -10,6 +10,7 @@ cross-checked by a brute-force credal-polytope oracle at small scale.
 
 from .choquet import (
     DEFAULT_CONFIG,
+    KnotOscillation,
     Oscillation,
     QuadratureConfig,
     QuadratureResult,
@@ -78,6 +79,7 @@ _ORACLE_NAMES = frozenset({
 # a star import binds the oracle's names too, loading it, and no submodule
 __all__ = [
     "DEFAULT_CONFIG",
+    "KnotOscillation",
     "Oscillation",
     "QuadratureConfig",
     "QuadratureResult",

@@ -14,9 +14,10 @@ rigorously; each round of refinement cuts every cell into equal parts, as
 many as its share of the bracket width calls for (equidistribution).  The
 model's types choose the path.
 
-Every cut set is exact.  An oscillation either has knots, of which it is
-the linear interpolation, or is a black box declared increasing or
-decreasing; a non-monotone oscillation needs knots.  A declared-monotone
+Every cut set is exact.  An oscillation is a :class:`KnotOscillation`,
+defined by its knots alone, or a black-box :class:`Oscillation` declared
+increasing or decreasing, whose bracket rests on its declared bounds and
+monotonicity; a non-monotone oscillation needs knots.  A declared-monotone
 oscillation without knots is integrated over its own coordinate: its cut
 sets are the nested intervals ``[z, 1]`` or ``[0, z]``, so a cell of a
 z-grid weighs the cut probabilities at its ends by the step of ``f``
@@ -26,8 +27,9 @@ one CDF.  Knot oscillations are integrated over levels.  One scan finds,
 for a batch of levels, the components of every cut set or, on the upper
 side, of every complement: the oscillation is sampled on its knots (a
 black box at 0 and 1), each run of samples inside the set is a component,
-and an end between two samples is the exact segment crossing, or for a
-black box its one end, bisected.  By conjugacy the upper probability of a
+and an end between two samples is the exact segment crossing
+(:func:`_crossings`, which the exact path reads too), or for a black box
+its one end, bisected.  By conjugacy the upper probability of a
 cut is 1 minus the lower probability of its complement, and
 ``pbox._piece_gains`` gives the lower probability of either.
 
@@ -41,18 +43,19 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .pbox import PBox, _piece_gains, vectorized
-from .preorder import ZEventSet, ZInterval, _finite_number, normalize
+from .pbox import PBox, _knot_list, _piece_gains, vectorized
+from .preorder import ZEventSet, ZInterval, _class_index, _finite_number, normalize
 
 __all__ = [
     "Oscillation",
+    "KnotOscillation",
     "QuadratureConfig",
     "QuadratureResult",
     "DEFAULT_CONFIG",
@@ -85,73 +88,83 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 @dataclass(frozen=True)
 class Oscillation:
-    """A bounded function of the quotient coordinate with monotonicity metadata.
+    """A black-box oscillation: a bounded function ``f`` of the quotient
+    coordinate, declared increasing or decreasing, so that each cut set is
+    one interval with one end to find; it needs no inverse and may jump.
 
-    Without knots ``f`` is a black box and must be declared increasing or
-    decreasing, so that each cut set is one interval with one end to find;
-    it needs no inverse and may jump.
-
-    ``sup_value`` may be ``math.inf`` for a black-box upper oscillation that
-    blows up at the top of the coordinate range; expectations then require a
-    tail tolerance (see :class:`QuadratureConfig`).  A knot oscillation is
-    bounded by its knots.
-
-    ``knots``, when given, are sorted ``(z, value)`` pairs of which ``f`` is
-    the linear interpolation, held flat beyond the end knots (as
-    ``np.interp`` does).  They are stored spanning [0, 1] exactly: the
-    interpolation at 0 and at 1 and the knots strictly between.  Cut sets
-    then come exactly from the segment crossings, whatever the monotonicity.
-
-    ``f`` may be scalar-only: it is probed once here and, if it rejects
-    arrays, looped over elements (see :func:`vectorized`).
-    """
+    ``sup_value`` may be ``math.inf`` for an upper oscillation that blows up
+    at the top of the coordinate range; expectations then require a tail
+    tolerance (see :class:`QuadratureConfig`).  The declared bounds and
+    monotonicity are checked on 129 points only, and a bracket rests on
+    them.  ``f`` may be scalar-only (see :func:`vectorized`)."""
 
     f: Callable
     inf_value: float
     sup_value: float
-    monotonicity: str = GENERAL
-    knots: tuple | None = None
+    monotonicity: str
+    knots = None  # the engine's test for a KnotOscillation
 
     def __post_init__(self):
-        if self.monotonicity not in (INCREASING, DECREASING, GENERAL):
-            raise ValidationError(f"unknown monotonicity {self.monotonicity!r}")
-        if self.monotonicity == GENERAL and self.knots is None:
-            raise ValidationError(
-                "an oscillation without knots must be declared increasing or decreasing")
+        if self.monotonicity not in (INCREASING, DECREASING):
+            raise ValidationError("a black-box oscillation must be declared increasing or "
+                                  f"decreasing, got {self.monotonicity!r}")
         # the infimum of a bounded gamble is finite; its supremum may be +inf
         object.__setattr__(self, "inf_value", _finite_number(self.inf_value))
         if math.isnan(self.sup_value) or self.inf_value > self.sup_value:
             raise ValidationError("inf_value exceeds sup_value")
-        if self.knots is not None and math.isinf(self.sup_value):
-            raise ValidationError("a knot oscillation is bounded by its knots")
         object.__setattr__(self, "f", vectorized(self.f))
-        zs = np.linspace(0.0, 1.0, _VALIDATION_POINTS)
-        vals = self.f(zs)
+        vals = self.f(np.linspace(0.0, 1.0, _VALIDATION_POINTS))
         if np.any(vals < self.inf_value - 1e-9):
             raise ValidationError("oscillation drops below its declared infimum")
         if not math.isinf(self.sup_value) and np.any(vals > self.sup_value + 1e-9):
             raise ValidationError("oscillation exceeds its declared supremum")
-        if self.monotonicity == INCREASING and np.any(np.diff(vals) < -1e-9):
-            raise ValidationError("oscillation is not increasing on the validation grid")
-        if self.monotonicity == DECREASING and np.any(np.diff(vals) > 1e-9):
-            raise ValidationError("oscillation is not decreasing on the validation grid")
-        if self.knots is not None:
-            knot_zs, knot_vs = np.asarray(self.knots, dtype=float).T
-            head, tail = np.interp((0.0, 1.0), knot_zs, knot_vs)
-            inside = (knot_zs > 0.0) & (knot_zs < 1.0)
-            knot_zs = np.concatenate([[0.0], knot_zs[inside], [1.0]])
-            knot_vs = np.concatenate([[head], knot_vs[inside], [tail]])
-            object.__setattr__(self, "knots", tuple(zip(knot_zs.tolist(), knot_vs.tolist())))
-            if not np.allclose(vals, np.interp(zs, knot_zs, knot_vs), rtol=0.0, atol=1e-9):
-                raise ValidationError("oscillation disagrees with its knots")
+        rises = np.diff(vals) if self.monotonicity == INCREASING else -np.diff(vals)
+        if np.any(rises < -1e-9):
+            raise ValidationError(f"oscillation is not {self.monotonicity} on the validation grid")
+
+
+@dataclass(frozen=True)
+class KnotOscillation:
+    """An oscillation defined by its knots alone, with nothing checked on a
+    grid: ``f`` interpolates the sorted ``(z, value)`` knots linearly, flat
+    beyond the end knots (as ``np.interp``), its bounds are the least and
+    greatest knot values, and its monotonicity is ``GENERAL`` unless the
+    values never fall or never rise.  The knots, two at least, pass every
+    knot model's check (:func:`pboxes.pbox._knot_list`) and are stored
+    spanning [0, 1]: the interpolation at 0 and at 1, kept within the
+    bounds against rounding, and the knots between."""
+
+    knots: tuple
+    f: Callable = field(init=False, repr=False, compare=False)
+    inf_value: float = field(init=False)
+    sup_value: float = field(init=False)
+    monotonicity: str = field(init=False)
+
+    def __post_init__(self):
+        zs, vs = map(np.array, _knot_list(self.knots))
+        if len(zs) < 2:
+            raise ValidationError("an oscillation needs at least two knots")
+        zs.flags.writeable = vs.flags.writeable = False
+        least, most = float(vs.min()), float(vs.max())
+        head, tail = (min(max(v, least), most) for v in np.interp((0.0, 1.0), zs, vs).tolist())
+        inside = (zs > 0.0) & (zs < 1.0)
+        knots = ((0.0, head), *zip(zs[inside].tolist(), vs[inside].tolist()), (1.0, tail))
+        falls, rises = np.any(np.diff(vs) < 0.0), np.any(np.diff(vs) > 0.0)
+        mono = GENERAL if falls and rises else DECREASING if falls else INCREASING
+        for name, value in (("knots", knots), ("f", partial(np.interp, xp=zs, fp=vs)),
+                            ("inf_value", least), ("sup_value", most), ("monotonicity", mono)):
+            object.__setattr__(self, name, value)
+
+
+AnyOscillation = Oscillation | KnotOscillation
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances for the bracketed cut-level quadrature.
 
-    ``max_refinements`` caps the rounds of adaptive refinement; a round
-    cuts every cell into parts by its share of the bracket width.
+    ``max_refinements``, a positive int, caps the rounds of refinement; a
+    round cuts every cell into parts by its share of the bracket width.
     ``bisect_tol`` is the width to which the cut-set scan bisects the one
     end of a monotone black box's cut (knot oscillations need none), and
     the tolerance of :func:`threshold_solve`.
@@ -169,8 +182,8 @@ class QuadratureConfig:
             raise ValidationError("abs_tol below 1e-12 is not honoured")
         if min(self.abs_tol, self.bisect_tol, self.tail_tol) <= 0:
             raise ValidationError("tolerances must be positive")
-        if self.max_refinements <= 0:
-            raise ValidationError("max_refinements must be positive")
+        object.__setattr__(self, "max_refinements", _class_index(
+            self.max_refinements, math.inf, lowest=1, what="max_refinements values"))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -224,57 +237,68 @@ def _runs(inside: np.ndarray):
     return row, first, stop
 
 
-def _cut_components(osc: Oscillation, ts: np.ndarray, cfg: QuadratureConfig,
+def _crossings(zs: np.ndarray, vs: np.ndarray, inside: np.ndarray, levels: np.ndarray):
+    """Each run of knots marked in a row of ``inside`` (one row per level in
+    the last axis of ``levels``): its row, whether it starts and whether it
+    stops between knots, and the segment crossings there at its row's
+    levels, starts first, each measured from the higher knot of its cell
+    so that a level equal to a knot value lands on that knot."""
+    row, first, stop = _runs(inside)
+    starts, stops = first > 0, stop < len(zs)
+    cell = np.concatenate([first[starts] - 1, stop[stops] - 1])
+    hi = np.where(vs[cell + 1] > vs[cell], cell + 1, cell)
+    lo = 2 * cell + 1 - hi
+    at = levels[..., np.concatenate([row[starts], row[stops]])]
+    return row, starts, stops, zs[hi] + (vs[hi] - at) / (vs[hi] - vs[lo]) * (zs[lo] - zs[hi])
+
+
+def _cut_components(osc: AnyOscillation, ts: np.ndarray, cfg: QuadratureConfig,
                     complement: bool = False):
     """Components of ``{osc >= t}``, or with ``complement`` of ``{osc < t}``,
     for every level in ``ts``: flat arrays ``level, a, b, a_open, b_open``.
 
     ``osc`` is sampled on its knots, or at 0 and 1 if it is a black box
     (declared monotone, so its set is one interval that holds 0 or 1), and
-    each run of samples inside the set is a component.  A run that reaches
-    the first or last sample ends at 0 or 1.  Any other end lies in the cell
-    between the run and its neighbour: at the crossing of the knot segment,
-    measured from the cell's end at or above the level so that a level
-    equal to a knot value lands on that knot exactly, or for a black box
-    bisected in the cell [0, 1] to ``cfg.bisect_tol``, all levels in one
-    pass.  Cut components are closed; complement ends between samples are
-    open.  The components are sorted by level and then by coordinate, and
-    a level with an empty set has no entry.
+    each run of samples inside the set is a component, ending at 0 or 1
+    where it reaches the first or last sample.  Any other end is the
+    crossing of its knot segment (:func:`_crossings`), or for a black box
+    bisected in [0, 1] to ``cfg.bisect_tol``, all levels in one pass.  Cut
+    components are closed; complement ends between samples are open.  The
+    components are sorted by level and then by coordinate, and a level with
+    an empty set has no entry.
     """
-    if osc.knots is not None:
-        zs, vs = np.asarray(osc.knots, dtype=float).T
-    else:
+    if osc.knots is None:
         zs = np.array([0.0, 1.0])
         vs = osc.f(zs)
-    level, first, stop = _runs(vs < ts[:, None] if complement else vs >= ts[:, None])
-    a, b = zs[first], zs[stop - 1]
-    a_open, b_open = first > 0, stop < len(zs)
-    # the left sample of the cell holding each end between samples
-    cell = np.concatenate([first[a_open] - 1, stop[b_open] - 1])
-    t = ts[level[np.concatenate([np.flatnonzero(a_open), np.flatnonzero(b_open)])]]
-    rising = vs[cell + 1] >= t
-    if osc.knots is not None:
-        k, o = np.where(rising, cell + 1, cell), np.where(rising, cell, cell + 1)
-        ends = zs[k] + (vs[k] - t) / (vs[k] - vs[o]) * (zs[o] - zs[k])
     else:
-        ends = _bisect(osc.f, t, zs[cell], zs[cell + 1], rising, cfg.bisect_tol)
+        zs, vs = np.asarray(osc.knots, dtype=float).T
+    inside = vs < ts[:, None] if complement else vs >= ts[:, None]
+    if osc.knots is None:
+        level, first, stop = _runs(inside)
+        a_open, b_open = first > 0, stop < 2
+        t = ts[np.concatenate([level[a_open], level[b_open]])]
+        ends = _bisect(osc.f, t, np.zeros(len(t)), np.ones(len(t)), vs[1] >= t,
+                       cfg.bisect_tol)
+    else:
+        level, a_open, b_open, ends = _crossings(zs, vs, inside, ts)
+    a, b = np.zeros(len(level)), np.ones(len(level))
     split = np.count_nonzero(a_open)
     a[a_open], b[b_open] = ends[:split], ends[split:]
     return level, a, b, a_open & complement, b_open & complement
 
 
-def cut_event(osc: Oscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ZEventSet:
-    """Normalized coordinate set ``{z : osc(z) >= t}``.
-
-    The components of :func:`_cut_components` for one level: exact for a
-    knot oscillation, and for a monotone black box the one interval that
-    holds 0 or 1, its other end bisected to ``cfg.bisect_tol``.
-    """
-    _, lo, hi, _, _ = _cut_components(osc, np.array([float(t)]), cfg)
+def cut_event(osc: AnyOscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ZEventSet:
+    """Normalized coordinate set ``{z : osc(z) >= t}``: the components of
+    :func:`_cut_components` for one level, exact for a knot oscillation and
+    for a monotone black box one interval holding 0 or 1, its other end
+    bisected to ``cfg.bisect_tol``.  ``t`` is a finite number, or ``-inf``
+    (the whole space) or ``inf`` (nothing); NaN is refused."""
+    level = float(t) if t in (-math.inf, math.inf) else _finite_number(t)
+    _, lo, hi, _, _ = _cut_components(osc, np.array([level]), cfg)
     return normalize([ZInterval.closed(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
 
 
-def _batch_cut_probs(pbox: PBox, osc: Oscillation, ts: np.ndarray, upper: bool,
+def _batch_cut_probs(pbox: PBox, osc: AnyOscillation, ts: np.ndarray, upper: bool,
                      cfg: QuadratureConfig) -> np.ndarray:
     """Lower (upper) cut probabilities at every level in ``ts``.
 
@@ -448,7 +472,7 @@ def _require_continuum(pbox: PBox) -> None:
         raise ValidationError("use lower_expectation_finite on finite spaces")
 
 
-def _require_bounded(osc: Oscillation) -> None:
+def _require_bounded(osc: AnyOscillation) -> None:
     """Refuse an unbounded lower oscillation: a bounded gamble has a bounded one."""
     if math.isinf(osc.sup_value):
         raise ValidationError("a lower oscillation of a bounded gamble is bounded")
@@ -460,7 +484,7 @@ def _require_target(target: float) -> None:
         raise ValidationError("threshold target must lie in (0, 1]")
 
 
-def _integrand(pbox: PBox, osc: Oscillation, upper: bool, cfg: QuadratureConfig):
+def _integrand(pbox: PBox, osc: AnyOscillation, upper: bool, cfg: QuadratureConfig):
     """The lower (upper) cut probability of ``osc`` as a batch function of
     the level, the levels ``[a, b]`` to integrate over, and the width charged
     for the tail beyond ``b``: an unbounded oscillation stops at the level
@@ -476,7 +500,7 @@ def _integrand(pbox: PBox, osc: Oscillation, upper: bool, cfg: QuadratureConfig)
     return batch, a, b, cfg.tail_tol * max(b - last_above, 0.0)
 
 
-def _expectation(pbox: PBox, osc: Oscillation, upper: bool,
+def _expectation(pbox: PBox, osc: AnyOscillation, upper: bool,
                  cfg: QuadratureConfig) -> QuadratureResult:
     """``inf + integral of the cut probability``, exact for a knot oscillation
     on a piecewise-polynomial p-box (:func:`_exact_expectation`), else
@@ -488,9 +512,7 @@ def _expectation(pbox: PBox, osc: Oscillation, upper: bool,
     space)``.  The tail's charge comes off the tolerance, so ``converged``
     means the reported bound meets ``abs_tol``.
     """
-    # a level range wider than the largest float has no float width to split
-    if (osc.knots is not None and pbox.is_polynomial
-            and math.isfinite(osc.sup_value - osc.inf_value)):
+    if osc.knots is not None and pbox.is_polynomial:
         return _exact_expectation(pbox, osc, upper, cfg)
     batch, a, b, tail = _integrand(pbox, osc, upper, cfg)
     if b <= a:
@@ -506,7 +528,7 @@ def _expectation(pbox: PBox, osc: Oscillation, upper: bool,
                             rounds)
 
 
-def _exact_expectation(pbox: PBox, osc: Oscillation, upper: bool,
+def _exact_expectation(pbox: PBox, osc: KnotOscillation, upper: bool,
                        cfg: QuadratureConfig) -> QuadratureResult:
     """The expectation of a knot oscillation on a p-box of two
     piecewise-polynomial CDFs, piece by piece in the level, with a proven
@@ -545,6 +567,10 @@ def _exact_expectation(pbox: PBox, osc: Oscillation, upper: bool,
       agree at the break, so over the misplaced levels they differ by at
       most ``2 (L + K)`` times the distance.
     * ``2 u`` of the sum and of the result, which take one rounding each.
+    * For rounding into the subnormal range, absolute and at most
+      ``2**-1075``: ``w 2**-1068`` per gain, whose integral takes 64 such
+      roundings at most, and ``2**-1018 (1 + L + K)`` per gain and level
+      bound, over a piece narrower than ``2**-1021`` or a misplaced break.
 
     ``converged`` means the bracket ``value -+ error_bound`` is narrower
     than ``cfg.abs_tol``; no round of refinement is made.
@@ -566,14 +592,9 @@ def _exact_expectation(pbox: PBox, osc: Oscillation, upper: bool,
     # each piece's ends and middle, one column per piece
     levels = np.stack([t0, t0 + half, ts[1:][live]])
     middle = levels[1, :, None]
-    piece, first, stop = _runs(vs < middle if upper else vs >= middle)
-    bottom, top = first > 0, stop < len(zs)
-    cell = np.concatenate([first[bottom] - 1, stop[top] - 1])
-    # each end between knots, measured from the higher knot of its cell
-    hi = np.where(vs[cell + 1] > vs[cell], cell + 1, cell)
-    lo = 2 * cell + 1 - hi
-    at = levels[:, np.concatenate([piece[bottom], piece[top]])]
-    ends = zs[hi] + (vs[hi] - at) / (vs[hi] - vs[lo]) * (zs[lo] - zs[hi])
+    # the middle's runs, and each end between knots at the piece's three levels
+    piece, bottom, top, ends = _crossings(zs, vs, vs < middle if upper else vs >= middle,
+                                          levels)
     split = np.count_nonzero(bottom)
     bottoms, tops = ends[:, :split], ends[:, split:]
     # a run from the first knot is closed at 0 and one to the last reaches 1
@@ -603,12 +624,15 @@ def _exact_expectation(pbox: PBox, osc: Oscillation, upper: bool,
     residual = np.zeros(len(piece))
     residual[kink] = np.abs(c0[kink] + root * (c1[kink] + root * c2[kink]))
     size = np.abs(c0) + np.abs(c1) + np.abs(c2)
-    rows = half[piece] * ((70.0 * steep + 105.0) * u + 2.0 * residual + 32.0 * u * size)
+    rows = half[piece] * ((70.0 * steep + 105.0) * u + 2.0 * residual + 32.0 * u * size
+                          + 2.0 ** -1068)
     miss = np.minimum(11.0 * u * np.maximum(np.abs(v0), np.abs(v1)), np.abs(rise))
-    slivers = np.divide(run * miss * miss, np.abs(rise), out=np.zeros(len(miss)),
-                        where=rise != 0.0)
+    # miss is at most |rise|, so the ratio first keeps the product finite
+    slivers = np.divide(miss, np.abs(rise), out=np.zeros(len(miss)), where=rise != 0.0)
+    slivers *= run * miss
     bound = (math.fsum(rows.tolist()) + 3.0 * steep * u * max(abs(a), abs(b))
-             + (steep + bend) * float(np.sum(slivers)) + 2.0 * u * (abs(total) + abs(value)))
+             + (steep + bend) * float(np.sum(slivers)) + 2.0 * u * (abs(total) + abs(value))
+             + 2.0 ** -1018 * (1.0 + steep + bend) * (len(piece) + len(ts)))
     return QuadratureResult(value, bound, bound < 0.5 * cfg.abs_tol)
 
 
@@ -624,7 +648,7 @@ def _sign_change(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.fmin(np.fmax(x, -1.0), 1.0)
 
 
-def lower_expectation(pbox: PBox, losc: Oscillation,
+def lower_expectation(pbox: PBox, losc: AnyOscillation,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Lower expectation of a gamble given its lower oscillation, the
     per-class infimum of the gamble (the caller guarantees it): ``inf +
@@ -633,7 +657,7 @@ def lower_expectation(pbox: PBox, losc: Oscillation,
     return _expectation(pbox, losc, False, cfg)
 
 
-def upper_expectation(pbox: PBox, uosc: Oscillation,
+def upper_expectation(pbox: PBox, uosc: AnyOscillation,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Upper expectation of a gamble given its upper oscillation, the mirror
     of :func:`lower_expectation` through conjugacy.  The tail of an unbounded
@@ -725,7 +749,7 @@ def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
     return total
 
 
-def threshold_solve(pbox: PBox, uosc: Oscillation, target: float,
+def threshold_solve(pbox: PBox, uosc: AnyOscillation, target: float,
                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Smallest level t with upper cut probability at most ``target``.
 

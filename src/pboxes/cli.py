@@ -31,7 +31,7 @@ import numpy as np
 
 from . import choquet as _choquet
 from . import pbox as _pbox
-from .choquet import DEFAULT_CONFIG, QuadratureConfig
+from .choquet import DEFAULT_CONFIG, KnotOscillation, QuadratureConfig
 from .errors import ParseError, ToleranceError, ValidationError, _checked
 from .multivariate import FRECHET, RealLinePBox, combine
 from .pbox import PBox, PiecewisePolynomialCdf, StepCdf
@@ -52,7 +52,6 @@ from .scenarios import (
     builtin_scenario,
     named_cdf,
     named_oscillation,
-    piecewise_linear_oscillation,
     result_rows,
     run_query,
 )
@@ -189,7 +188,7 @@ def _oscillation(node: _Node):
     spec = node.get(variant)
     if variant == "builtin":
         return spec.build(named_oscillation, spec.of("a string"))
-    return spec.build(piecewise_linear_oscillation, _knots(spec))
+    return spec.build(KnotOscillation, _knots(spec))
 
 
 def _operand(node: _Node, operands: dict) -> RealLinePBox:

@@ -32,6 +32,7 @@ from .pbox import (
     PiecewiseLinearCdf,
     PiecewisePolynomialCdf,
     StepCdf,
+    _check_order,
     lower_prob_field,
 )
 from .preorder import _class_index, _coordinate, _finite_number, _finite_numbers
@@ -131,7 +132,9 @@ class RealLinePBox:
     The CDFs are piecewise-linear functions of the real coordinate, 0 below
     and 1 above their knots.  The support is the hull of both CDFs' knot
     domains, so every change of either CDF lies inside it; a single knot
-    gives a point support (a degenerate variable).
+    gives a point support (a degenerate variable).  Curvature is refused,
+    and the CDFs are ordered by :class:`pboxes.pbox.PBox`'s exact order
+    check (:func:`pboxes.pbox._check_order`), with a slack of ``1e-12``.
     """
 
     lower: PiecewisePolynomialCdf
@@ -140,14 +143,7 @@ class RealLinePBox:
     def __post_init__(self):
         if self.lower.curvature or self.upper.curvature:
             raise ValidationError("real-line p-boxes take piecewise-linear CDFs")
-        # both CDFs are linear between consecutive knots of either one, so
-        # values and left limits at those knots decide the ordering exactly;
-        # a knot of both is checked twice rather than deduplicated, because
-        # np.unique imports numpy.ma on its first call (numpy 2.4)
-        xs = np.sort(np.concatenate([self.lower.knot_xs, self.upper.knot_xs]))
-        if (np.any(self.lower(xs) > self.upper(xs) + 1e-12)
-                or np.any(self.lower.left_limit(xs) > self.upper.left_limit(xs) + 1e-12)):
-            raise ValidationError("lower CDF exceeds upper CDF on the support")
+        _check_order(self.lower, self.upper, 1e-12)
 
     @property
     def support(self) -> tuple:

@@ -36,6 +36,7 @@ intervals inside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -105,6 +106,22 @@ class StepCdf:
         return 0.0 if index <= 0 else self.values[index - 1]
 
 
+def _knot_list(knots) -> tuple:
+    """The ``(x, value)`` pairs of every knot model as two lists of floats:
+    finite numbers, strictly increasing ``x``, and no spread wider than the
+    largest float, over which ``np.interp`` would read every slope as 0."""
+    pairs = [(_finite_number(x), _finite_number(v)) for x, v in knots]
+    xs, vs = [x for x, _ in pairs], [v for _, v in pairs]
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValidationError("knot coordinates must be strictly increasing")
+    # a Python float overflows to inf without the warning numpy's difference would print
+    if xs and xs[-1] - xs[0] == math.inf:
+        raise ValidationError("knot coordinates differ by more than the largest float")
+    if vs and max(vs) - min(vs) == math.inf:
+        raise ValidationError("knot values differ by more than the largest float")
+    return xs, vs
+
+
 @dataclass(frozen=True)
 class PiecewisePolynomialCdf:
     """Continuous CDF of degree at most 2 between sorted knots ``(x, F(x))``.
@@ -124,16 +141,10 @@ class PiecewisePolynomialCdf:
     curvature: tuple = ()
 
     def __post_init__(self):
-        knots = tuple((_finite_number(x), _finite_number(fx)) for x, fx in self.knots)
-        object.__setattr__(self, "knots", knots)
-        if not knots:
+        xs, fs = _knot_list(self.knots)
+        object.__setattr__(self, "knots", tuple(zip(xs, fs)))
+        if not xs:
             raise ValidationError("a piecewise-linear CDF needs at least one knot")
-        xs = [x for x, _ in knots]
-        fs = [fx for _, fx in knots]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValidationError("knot coordinates must be strictly increasing")
-        if xs[-1] - xs[0] == np.inf:  # np.interp would read every slope as 0
-            raise ValidationError("knot coordinates differ by more than the largest float")
         if any(b < a for a, b in zip(fs, fs[1:])):
             raise ValidationError("knot values must be non-decreasing")
         if any(v < 0.0 or v > 1.0 for v in fs):
@@ -141,7 +152,7 @@ class PiecewisePolynomialCdf:
         if fs[-1] != 1.0:
             raise ValidationError("the CDF must reach 1 at the top of its domain")
         bends = tuple(_finite_number(c) for c in self.curvature)
-        if bends and len(bends) != len(knots) - 1:
+        if bends and len(bends) != len(xs) - 1:
             raise ValidationError("a piecewise-polynomial CDF takes one curvature per piece")
         # a bend that matches its rise to within rounding keeps its piece monotone
         if any(abs(c) * (b - a) * (b - a) > (fb - fa) * (1.0 + 2.0 ** -50)
@@ -266,11 +277,12 @@ class PBox:
     """A pair of CDFs ``lower <= upper`` over a common quotient space.
 
     Without a space, a step pair lives on its class indices and any other
-    pair on [0, 1].  A pair of piecewise-polynomial CDFs is validated
-    exactly from its pieces.  Any other pair on the unit continuum has its
-    ordering and monotonicity verified on ``validation_grid`` uniform
-    points; exact global verification of black-box functions is not
-    attempted.
+    pair on [0, 1].  A pair of piecewise-polynomial CDFs is ordered exactly
+    by :func:`_check_order`, the one order check that
+    :class:`pboxes.multivariate.RealLinePBox` shares, with a slack of
+    ``1e-10``.  Any other pair on the unit continuum has its ordering and
+    monotonicity verified on ``validation_grid`` uniform points; exact
+    global verification of black-box functions is not attempted.
     """
 
     lower: Cdf
@@ -305,7 +317,7 @@ class PBox:
             if isinstance(cdf, PiecewisePolynomialCdf) and cdf.domain != (0.0, 1.0):
                 raise ValidationError("continuum CDFs live on [0, 1]")
         if self.is_polynomial:
-            self._validate_polynomial()
+            _check_order(self.lower, self.upper, _MONOTONE_SLACK)
             return
         zs = np.linspace(0.0, 1.0, max(self.validation_grid, 2))
         flo = self.lower(zs)
@@ -319,35 +331,6 @@ class PBox:
                 raise ValidationError(f"{name} CDF must equal 1 at z = 1")
         if np.any(flo > fhi + _MONOTONE_SLACK):
             raise ValidationError("lower CDF exceeds upper CDF on the grid")
-
-    def _validate_polynomial(self):
-        """``lower <= upper`` at every break of either CDF and, where one bends,
-        at the least value of their difference between breaks.
-
-        Each CDF checked its own range and monotonicity when it was built.
-        Both are continuous on (0, 1], and 0, where one may jump, is a
-        break.  Between breaks the difference is one quadratic, so its least
-        value is at an end or at its vertex, read off its values at the ends
-        and the middle.
-        """
-        lower, upper = self.lower, self.upper
-        # not np.union1d, which imports numpy.ma on its first call (numpy 2.4):
-        # a break of both CDFs is only checked twice
-        zs = np.sort(np.concatenate([lower._xs, upper._xs]))
-        if lower.curvature or upper.curvature:
-            zs = np.concatenate([zs, 0.5 * (zs[:-1] + zs[1:])])
-        gap = upper(zs) - lower(zs)
-        breaks = len(lower._xs) + len(upper._xs)
-        if len(gap) > breaks:
-            d0, d1, middle = gap[:breaks - 1], gap[1:breaks], gap[breaks:]
-            # twice the bend over the piece; where it holds a least value,
-            # the vertex lies strictly inside
-            bent, slope = d0 - 2.0 * middle + d1, d1 - d0
-            inner = (bent > 0.0) & (np.abs(slope) < 2.0 * bent)
-            least = middle[inner] - slope[inner] ** 2 / (8.0 * bent[inner])
-            gap = np.concatenate([gap, least])
-        if np.any(gap < -_MONOTONE_SLACK):
-            raise ValidationError("lower CDF exceeds upper CDF")
 
     @property
     def is_finite(self) -> bool:
@@ -370,6 +353,32 @@ class PBox:
     def lower_at_one(self) -> float:
         """``F_lower(1)`` on the unit continuum, evaluated once."""
         return float(self.lower(np.ones(1))[0])
+
+
+def _check_order(lower: PiecewisePolynomialCdf, upper: PiecewisePolynomialCdf,
+                 slack: float) -> None:
+    """Refuse ``lower`` above ``upper`` by more than ``slack`` anywhere, exactly.
+
+    Between consecutive breaks of either CDF their difference is one
+    quadratic, continuous from the right at the piece's start and from the
+    left at its end.  So it is read at every break, as values and as left
+    limits, and where either CDF bends, at each piece's middle and at a
+    least value strictly inside, the vertex of the quadratic through all three."""
+    # deduplicated by a mask, as np.unique imports numpy.ma on its first call
+    zs = np.sort(np.concatenate([lower._xs, upper._xs]))
+    zs = zs[np.concatenate([[True], zs[1:] > zs[:-1]])]
+    gap = upper(zs) - lower(zs)
+    left = upper.left_limit(zs) - lower.left_limit(zs)
+    reads = [gap, left]
+    if lower.curvature or upper.curvature:
+        mid = 0.5 * (zs[:-1] + zs[1:])
+        middle = upper(mid) - lower(mid)
+        # twice the bend; where it holds a least value, the vertex is inside
+        bent, slope = gap[:-1] - 2.0 * middle + left[1:], left[1:] - gap[:-1]
+        inner = (bent > 0.0) & (np.abs(slope) < 2.0 * bent)
+        reads += [middle, middle[inner] - slope[inner] ** 2 / (8.0 * bent[inner])]
+    if any(np.any(read < -slack) for read in reads):
+        raise ValidationError("lower CDF exceeds upper CDF")
 
 
 def _piece_gains(pbox: PBox, lo: np.ndarray, hi: np.ndarray, lo_open: np.ndarray,

@@ -11,10 +11,11 @@ Every input number of every module passes one of three checks here:
 :func:`_finite_number` (:func:`_finite_numbers` for a sequence of them, in
 one array pass), :func:`_coordinate` (a point of [0, 1]) and
 :func:`_class_index` (-1 may stand for the artificial predecessor of the
-smallest class).  Python and numpy numbers and fractions come out as
-``float`` or ``int``; a non-number (string, boolean, ``None``, container) is
-a ``TypeError``, and a number that is not finite, out of range, or a float
-where an index belongs is a :class:`ValidationError`.
+smallest class; other integers, such as a count of rounds, pass it too).
+Python and numpy numbers and fractions come out as ``float`` or ``int``; a
+non-number (string, boolean, ``None``, container) is a ``TypeError``, and a
+number that is not finite, out of range, or a float where an integer
+belongs is a :class:`ValidationError`.
 
 All values are immutable and all operations are pure functions, so they are
 safe to use concurrently without coordination.  Endpoint comparisons are
@@ -87,13 +88,13 @@ def _coordinate(z) -> float:
     return value
 
 
-def _class_index(i, size, lowest: int = 0) -> int:
-    """``i`` as an int with ``lowest <= i < size``; a float is never an index."""
+def _class_index(i, size, lowest: int = 0, what: str = "class indices") -> int:
+    """``i`` as an int with ``lowest <= i < size``, never a float; errors name it ``what``."""
     if type(i) is not int and (isinstance(i, bool) or not isinstance(i, numbers.Integral)):
         _finite_number(i)  # a TypeError for what is not a number at all
     elif lowest <= i < size:
         return int(i)
-    raise ValidationError(f"class indices are integers in [{lowest}, {size}), got {i!r}")
+    raise ValidationError(f"{what} are integers in [{lowest}, {size}), got {i!r}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ models with :func:`combine`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -20,9 +19,9 @@ import numpy as np
 
 from .choquet import (
     DECREASING,
-    GENERAL,
     INCREASING,
     DEFAULT_CONFIG,
+    KnotOscillation,
     Oscillation,
     QuadratureConfig,
     QuadratureResult,
@@ -97,7 +96,7 @@ class Query:
     kind: str
     pbox: PBox | None = None
     event: object = None
-    oscillation: Oscillation | None = None
+    oscillation: Oscillation | KnotOscillation | None = None
     target: float | None = None
     x1: RealLinePBox | None = None
     x2: RealLinePBox | None = None
@@ -498,34 +497,3 @@ _NAMED_OSCILLATIONS = {
 
 def named_oscillation(name: str) -> Oscillation:
     return _build(_NAMED_OSCILLATIONS, name, "oscillation")
-
-
-def piecewise_linear_oscillation(knots) -> Oscillation:
-    """Oscillation from sorted (z, value) knots, with monotonicity detected.
-
-    The knots are kept on the oscillation, so its cut sets are computed
-    exactly from the segment crossings.
-    """
-    knots = [(_finite_number(z), _finite_number(v)) for z, v in knots]
-    if len(knots) < 2:
-        raise ValidationError("an oscillation needs at least two knots")
-    zs = np.array([z for z, _ in knots])
-    vs = np.array([v for _, v in knots])
-    # a Python float overflows to inf without the warning numpy's difference would print
-    if math.inf in (float(zs.max()) - float(zs.min()), float(vs.max()) - float(vs.min())):
-        raise ValidationError("knot coordinates or values differ by more than the largest float")
-    if np.any(np.diff(zs) <= 0):
-        raise ValidationError("oscillation knots must be strictly increasing in z")
-    diffs = np.diff(vs)
-    if np.all(diffs >= 0):
-        mono = INCREASING
-    elif np.all(diffs <= 0):
-        mono = DECREASING
-    else:
-        mono = GENERAL
-
-    def f(z):
-        return np.interp(z, zs, vs)
-
-    return Oscillation(f, inf_value=float(vs.min()), sup_value=float(vs.max()),
-                       monotonicity=mono, knots=tuple(knots))

@@ -15,6 +15,7 @@ from pboxes.choquet import (
     DECREASING,
     GENERAL,
     INCREASING,
+    KnotOscillation,
     Oscillation,
     QuadratureConfig,
     cut_event,
@@ -48,7 +49,6 @@ from pboxes.scenarios import (
     builtin_scenario,
     named_cdf,
     named_oscillation,
-    piecewise_linear_oscillation,
 )
 
 UNIFORM_BOX = PBox(AnalyticCdf(lambda z: np.asarray(z, dtype=float)),
@@ -80,7 +80,7 @@ class TestCutEvent:
         assert cut_event(osc, 0.41) == EMPTY_EVENT
 
     def test_tent_cut_is_exact_superlevel_set(self):
-        tent = piecewise_linear_oscillation([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
+        tent = KnotOscillation([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
         assert tent.monotonicity == GENERAL
         cut = cut_event(tent, 0.5)
         assert len(cut.intervals) == 1
@@ -91,8 +91,17 @@ class TestCutEvent:
             z = (2 * k + 1) / (2 * 10**5)
             assert (z in cut) == (float(tent.f(z)) >= 0.5)
 
+    def test_nan_level_refused_and_infinities_kept(self):
+        for osc in (KnotOscillation(KNOT_CASES["tent"]), constant_oscillation(0.4)):
+            with pytest.raises(ValidationError, match="got nan"):
+                cut_event(osc, math.nan)
+            assert cut_event(osc, -math.inf) == FULL_EVENT
+            assert cut_event(osc, math.inf) == EMPTY_EVENT
+        with pytest.raises(TypeError):
+            cut_event(constant_oscillation(0.4), "0.5")
+
     def test_double_hump_gives_two_intervals(self):
-        hump = piecewise_linear_oscillation(
+        hump = KnotOscillation(
             [(0.0, 1.0), (0.25, 0.0), (0.5, 1.0), (0.75, 0.0), (1.0, 1.0)])
         cut = cut_event(hump, 0.9)
         assert len(cut.intervals) == 3
@@ -157,7 +166,7 @@ def monotone_knots(name):
 def monotone_black_box(knots):
     """The oscillation of monotone ``knots``, and its ``f`` as a black box
     declared with the same monotonicity."""
-    exact = piecewise_linear_oscillation(knots)
+    exact = KnotOscillation(knots)
     return exact, Oscillation(exact.f, exact.inf_value, exact.sup_value, exact.monotonicity)
 
 
@@ -172,7 +181,7 @@ class TestKnotCutSets:
     @pytest.mark.parametrize("name", sorted(KNOT_CASES))
     def test_batch_path_matches_event_path(self, name):
         knots = KNOT_CASES[name]
-        osc = piecewise_linear_oscillation(knots)
+        osc = KnotOscillation(knots)
         assert osc.knots is not None
         assert_batch_matches_event(osc, knot_levels(knots, osc), name)
 
@@ -203,7 +212,7 @@ class TestKnotCutSets:
         box = _knot_test_boxes()[1]
         _, black_box = monotone_black_box(monotone_knots("double_hump"))
         # a black box scans its 2 ends per level, a knot oscillation its knots
-        cases = (black_box, piecewise_linear_oscillation(KNOT_CASES["double_hump"]))
+        cases = (black_box, KnotOscillation(KNOT_CASES["double_hump"]))
         ts = np.linspace(-0.1, 1.1, 200)
         for osc in cases:
             for upper in (False, True):
@@ -236,7 +245,7 @@ class TestKnotCutSets:
 
     @pytest.mark.parametrize("name", sorted(KNOT_CASES))
     def test_cut_event_is_the_exact_superlevel_set(self, name):
-        osc = piecewise_linear_oscillation(KNOT_CASES[name])
+        osc = KnotOscillation(KNOT_CASES[name])
         zs = (np.arange(20_000) + 0.5) / 20_000
         fz = osc.f(zs)
         for t in np.linspace(osc.inf_value, osc.sup_value, 13):
@@ -245,9 +254,9 @@ class TestKnotCutSets:
             np.testing.assert_array_equal(members, fz >= t)
 
     def test_knot_level_lands_on_the_knot(self):
-        osc = piecewise_linear_oscillation(KNOT_CASES["plateau"])
+        osc = KnotOscillation(KNOT_CASES["plateau"])
         assert cut_event(osc, 0.8).intervals == (ZInterval.closed(0.3, 0.6),)
-        tent = piecewise_linear_oscillation(KNOT_CASES["tent"])
+        tent = KnotOscillation(KNOT_CASES["tent"])
         assert cut_event(tent, 1.0).intervals == (ZInterval.point(0.5),)
 
     def test_black_box_scan_matches_knots(self):
@@ -268,7 +277,7 @@ class TestKnotCutSets:
         assert (iv.lo, iv.hi) == pytest.approx((0.3, 1.0), abs=1e-15)
 
     def test_narrow_spike_between_grid_points(self):
-        spike = piecewise_linear_oscillation(
+        spike = KnotOscillation(
             [(0.0, 0.0), (0.50001, 0.0), (0.500015, 1.0), (0.50002, 0.0), (1.0, 0.0)])
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0), UNIT_INTERVAL)
@@ -288,11 +297,11 @@ class TestKnotCutSets:
                                            / SPIKE_W)
 
         with pytest.raises(ValidationError, match="increasing or decreasing"):
-            Oscillation(spike, 1.0, 11.0)
+            Oscillation(spike, 1.0, 11.0, GENERAL)
 
     def test_spike_knots_bracket_the_exact_value(self):
         z0, w = SPIKE_Z0, SPIKE_W
-        spike = piecewise_linear_oscillation(
+        spike = KnotOscillation(
             [(0.0, 1.0), (z0 - w, 1.0), (z0, 11.0), (z0 + w, 1.0), (1.0, 1.0)])
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float)), UNIT_INTERVAL)
@@ -304,10 +313,16 @@ class TestKnotCutSets:
         assert res.converged
         assert lo <= exact <= hi
 
-    def test_knots_must_match_the_function(self):
-        with pytest.raises(ValidationError):
+    def test_a_black_box_takes_no_knots(self):
+        # a knot oscillation's function is the interpolation of its knots, so
+        # the two cannot disagree, and a black box has no knots to disagree with
+        with pytest.raises(TypeError):
             Oscillation(lambda z: np.asarray(z, float), 0.0, 1.0, INCREASING,
                         knots=((0.0, 0.0), (1.0, 0.5)))
+        osc = KnotOscillation(((0.0, 0.0), (1.0, 0.5)))
+        zs = np.linspace(0.0, 1.0, 1001)
+        np.testing.assert_array_equal(osc.f(zs), np.interp(zs, (0.0, 1.0), (0.0, 0.5)))
+        assert (osc.inf_value, osc.sup_value, osc.monotonicity) == (0.0, 0.5, INCREASING)
 
 
 # cut sets of knots that do not span [0, 1] exactly, as the clipped segment
@@ -338,7 +353,7 @@ OFF_UNIT_CUTS = {
 class TestKnotNormalisation:
     @pytest.mark.parametrize("name", sorted(OFF_UNIT_CUTS))
     def test_knots_span_the_unit_interval(self, name):
-        osc = piecewise_linear_oscillation(KNOT_CASES[name])
+        osc = KnotOscillation(KNOT_CASES[name])
         f = lambda z: float(np.interp(z, *zip(*KNOT_CASES[name])))
         assert osc.knots[0] == (0.0, f(0.0))
         assert osc.knots[-1] == (1.0, f(1.0))
@@ -347,7 +362,7 @@ class TestKnotNormalisation:
 
     @pytest.mark.parametrize("name", sorted(OFF_UNIT_CUTS))
     def test_cut_sets_are_kept(self, name):
-        osc = piecewise_linear_oscillation(KNOT_CASES[name])
+        osc = KnotOscillation(KNOT_CASES[name])
         for t, want in OFF_UNIT_CUTS[name].items():
             cut = cut_event(osc, t).intervals
             assert not any(iv.lo_open or iv.hi_open for iv in cut)
@@ -360,7 +375,7 @@ class TestKnotNormalisation:
     def test_knots_on_the_unit_interval_are_unchanged(self):
         for name in ("tent", "double_hump", "plateau", "increasing", "decreasing"):
             knots = tuple(KNOT_CASES[name])
-            assert piecewise_linear_oscillation(knots).knots == knots
+            assert KnotOscillation(knots).knots == knots
 
 
 class TestOscillationValidation:
@@ -377,9 +392,57 @@ class TestOscillationValidation:
             Oscillation(lambda z: z, 0.0, 1.0, "sideways")
 
     def test_knot_oscillation_refuses_an_infinite_supremum(self):
-        with pytest.raises(ValidationError, match="^a knot oscillation is bounded by its knots$"):
+        # its supremum is its greatest knot value, which must be finite
+        with pytest.raises(ValidationError, match="^expected a finite number, got inf$"):
+            KnotOscillation(((0.0, 0.0), (1.0, math.inf)))
+        with pytest.raises(TypeError):
             Oscillation(lambda z: np.asarray(z, float), 0.0, math.inf, INCREASING,
                         knots=((0.0, 0.0), (1.0, 1.0)))
+
+
+class TestKnotOscillation:
+    # a spike of height 5 and width 2e-4, far narrower than the 129-point grid
+    # on which a black box's declared bounds are checked
+    SPIKE = ((0.0, 0.0), (0.5001, 0.0), (0.5002, 5.0), (0.5003, 0.0), (1.0, 0.0))
+
+    def test_narrow_spike_brackets_its_exact_expectation(self):
+        # under the uniform distribution the expectation is the spike's area,
+        # 0.5 * 2e-4 * 5; bounds declared by a caller once gave -3.9995 here
+        uniform = PiecewiseLinearCdf(((0.0, 0.0), (1.0, 1.0)))
+        osc = KnotOscillation(self.SPIKE)
+        assert (osc.inf_value, osc.sup_value, osc.monotonicity) == (0.0, 5.0, GENERAL)
+        for side in (lower_expectation, upper_expectation):
+            res = side(PBox(uniform, uniform), osc)
+            lo, hi = res.bracket
+            assert res.converged and lo <= 0.0005 <= hi, side.__name__
+
+    @given(st.lists(st.tuples(st.floats(-2.0, 3.0), st.floats(-1e6, 1e6)),
+                    min_size=2, max_size=8, unique_by=lambda knot: knot[0]))
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_hold_every_stored_knot(self, knots):
+        # the stored knots span [0, 1], and those at 0 and 1 are interpolated
+        osc = KnotOscillation(sorted(knots))
+        values = [v for _, v in osc.knots]
+        assert osc.inf_value <= min(values) and max(values) <= osc.sup_value
+
+    def test_cdf_shares_the_knot_list_check(self):
+        for knots, message in (
+                ([(0.0, 0.0), (0.0, 1.0)], "knot coordinates must be strictly increasing"),
+                ([(-1e308, 0.0), (1e308, 1.0)],
+                 "knot coordinates differ by more than the largest float")):
+            for model in (KnotOscillation, PiecewiseLinearCdf):
+                with pytest.raises(ValidationError, match=f"^{message}$"):
+                    model(knots)
+
+    def test_equal_knot_oscillations_have_equal_bounds(self):
+        assert KnotOscillation(self.SPIKE) == KnotOscillation(list(map(list, self.SPIKE)))
+        assert "f=" not in repr(KnotOscillation(self.SPIKE))
+        # the same stored knots, but bounds from knots beyond [0, 1]
+        beyond = KnotOscillation(KNOT_CASES["beyond_unit"])
+        inside = KnotOscillation(beyond.knots)
+        assert inside.knots == beyond.knots
+        assert (inside.inf_value, inside.sup_value) != (beyond.inf_value, beyond.sup_value)
+        assert inside != beyond
 
 
 class TestLowerExpectation:
@@ -514,7 +577,7 @@ class TestUpperExpectation:
         # the shares of the refinement overflow: each such cell is cut into
         # the most parts, with no numpy warning (an error under the test
         # configuration), and the value and bound stay as pinned
-        osc = piecewise_linear_oscillation([[0, -8e307], [1, 8e307]])
+        osc = KnotOscillation([[0, -8e307], [1, 8e307]])
         res = upper_expectation(UNIFORM_BOX, osc)
         assert not res.converged
         assert res.value == pytest.approx(-9.9792015476736e+291, rel=1e-9)
@@ -1049,6 +1112,17 @@ class TestQuadratureConfig:
         with pytest.raises(ValidationError):
             QuadratureConfig(max_refinements=0)
 
+    def test_max_refinements_is_a_positive_int(self):
+        # a NaN cap would never stop the rounds, as rounds >= nan is never true
+        for bad in (math.nan, math.inf, 2.5, 3.0, -1):
+            with pytest.raises(ValidationError):
+                QuadratureConfig(max_refinements=bad)
+        for bad in (True, "3", None):
+            with pytest.raises(TypeError):
+                QuadratureConfig(max_refinements=bad)
+        cfg = QuadratureConfig(max_refinements=np.int64(3))
+        assert type(cfg.max_refinements) is int and cfg.max_refinements == 3
+
     def test_non_finite_tolerance_rejected(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError):
@@ -1100,6 +1174,6 @@ class TestThresholdSearch:
     def test_tolerance_below_float_spacing_raises(self):
         # a knot oscillation is searched over levels
         box = builtin_scenario("oscillator").pbox
-        osc = piecewise_linear_oscillation([(0.0, 1.0), (1.0, 2.0)])
+        osc = KnotOscillation([(0.0, 1.0), (1.0, 2.0)])
         with pytest.raises(ToleranceError):
             threshold_solve(box, osc, 0.3, QuadratureConfig(bisect_tol=1e-20))

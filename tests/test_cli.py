@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pboxes.choquet import cut_event, upper_expectation
+from pboxes.choquet import KnotOscillation, cut_event, upper_expectation
 from pboxes.cli import CSV_HEADER, load_scenario, main, run_verify
 from pboxes.multivariate import (
     FRECHET,
@@ -25,7 +25,6 @@ from pboxes.scenarios import (
     builtin_scenario,
     diagonal_rectangle_interior,
     named_cdf,
-    piecewise_linear_oscillation,
     result_rows,
     run_query,
 )
@@ -585,8 +584,8 @@ class TestInfer:
          3, "validation error: pbox.marginals[0].lower.linear: knot coordinates must be"),
         ({"queries": [{"kind": "expectation_lower",
                        "oscillation": {"knots": [[0.5, 0.0], [0.2, 1.0], [1.0, 0.0]]}}]},
-         3, "validation error: queries[0].oscillation.knots: oscillation knots must be "
-            "strictly increasing in z"),
+         3, "validation error: queries[0].oscillation.knots: knot coordinates must be "
+            "strictly increasing"),
         ({"queries": [{"kind": "expectation_lower",
                        "oscillation": {"knots": [[0.0, 0.0, 1], [1.0, 0.0]]}}]},
          2, "parse error: queries[0].oscillation.knots[0]: expected a [z, value] pair"),
@@ -640,8 +639,8 @@ class TestInfer:
         # the knot values' difference overflows, which numpy would report with a warning
         ({"queries": [{"kind": "expectation_upper",
                        "oscillation": {"knots": [[0, -1.7e308], [1, 1.7e308]]}}]},
-         3, "validation error: queries[0].oscillation.knots: knot coordinates or values "
-            "differ by more than the largest float"),
+         3, "validation error: queries[0].oscillation.knots: knot values differ by more "
+            "than the largest float"),
         # a span of inf would make every slope of the CDF 0
         ({"queries": [{"kind": "arith_op", "y": 0.5, "x2": UNIFORM_KNOTS,
                        "x1": {"lower": [[-1.7e308, 0.0], [1.7e308, 1.0]]}}]},
@@ -798,7 +797,7 @@ class TestInferModels:
 
     def assert_model_rows(self, rows, box):
         event = normalize([ZInterval.closed(0.0, 0.6), ZInterval.left_open(0.7, 1.0)])
-        expected = upper_expectation(box, piecewise_linear_oscillation(
+        expected = upper_expectation(box, KnotOscillation(
             MODEL_QUERIES[1]["oscillation"]["knots"]))
         assert rows["event"][1] == pytest.approx(lower_prob_event(box, event), abs=1e-12)
         assert rows["upper"][1] == pytest.approx(expected.value, abs=1e-12)

@@ -31,9 +31,9 @@ from pboxes import (
     lower_expectation,
     upper_expectation,
 )
-from pboxes.choquet import _batch_cut_probs
+from pboxes.choquet import KnotOscillation, _batch_cut_probs
 from pboxes.cli import main
-from pboxes.scenarios import named_cdf, piecewise_linear_oscillation
+from pboxes.scenarios import named_cdf
 
 TOLERANCES = (1e-3, 1e-7, 1e-12)
 
@@ -123,7 +123,7 @@ def oscillation_knots(draw, breaks):
 def test_degree_one_brackets_hold_the_exact_value(data):
     lower, upper = data.draw(linear_pboxes())
     breaks = sorted({x for x, _ in lower[1:-1] + upper[1:-1]})
-    osc = piecewise_linear_oscillation(data.draw(oscillation_knots(breaks)))
+    osc = KnotOscillation(data.draw(oscillation_knots(breaks)))
     box = PBox(PiecewiseLinearCdf(lower), PiecewiseLinearCdf(upper))
     for upper_side, compute in ((False, lower_expectation), (True, upper_expectation)):
         exact = exact_expectation(osc.knots, lower, upper, osc.inf_value, osc.sup_value,
@@ -136,7 +136,7 @@ def test_degree_one_brackets_hold_the_exact_value(data):
 
 def test_item3_knot_case_converges_on_its_reference(no_darboux):
     box = PBox(PiecewiseLinearCdf(ITEM3_LOWER), PiecewiseLinearCdf(ITEM3_UPPER))
-    osc = piecewise_linear_oscillation(ITEM3_OSCILLATION)
+    osc = KnotOscillation(ITEM3_OSCILLATION)
     intervals = {False: (0.42932682, 0.42932732), True: (2.39470182, 2.39470211)}
     for upper_side, compute in ((False, lower_expectation), (True, upper_expectation)):
         exact = exact_expectation(osc.knots, ITEM3_LOWER, ITEM3_UPPER, osc.inf_value,
@@ -155,7 +155,7 @@ def test_the_bound_covers_rounding_at_large_levels():
     shift = 1e6
     knots = [(z, v + shift) for z, v in ITEM3_OSCILLATION]
     box = PBox(PiecewiseLinearCdf(ITEM3_LOWER), PiecewiseLinearCdf(ITEM3_UPPER))
-    osc = piecewise_linear_oscillation(knots)
+    osc = KnotOscillation(knots)
     for upper_side, compute in ((False, lower_expectation), (True, upper_expectation)):
         exact = exact_expectation(osc.knots, ITEM3_LOWER, ITEM3_UPPER, osc.inf_value,
                                   osc.sup_value, upper_side)
@@ -164,11 +164,40 @@ def test_the_bound_covers_rounding_at_large_levels():
         assert not result.converged
 
 
+@pytest.mark.parametrize("scale", [5e-324, 8e-323, 1e-315])
+def test_the_bound_covers_rounding_into_subnormal_levels(no_darboux, scale):
+    # rounding below 2**-1022 is absolute, where a bound relative to the
+    # levels rounds to 0: a piece 5e-324 wide has a half-width of 0
+    uniform = ((0.0, 0.0), (1.0, 1.0))
+    for lower, upper in ((uniform, uniform), (ITEM3_LOWER, ITEM3_UPPER)):
+        box = PBox(PiecewiseLinearCdf(lower), PiecewiseLinearCdf(upper))
+        for knots in ([(0.0, 0.0), (1.0, scale)],
+                      [(z, v * scale) for z, v in ITEM3_OSCILLATION]):
+            osc = KnotOscillation(knots)
+            for upper_side, compute in ((False, lower_expectation), (True, upper_expectation)):
+                exact = exact_expectation(osc.knots, lower, upper, osc.inf_value,
+                                          osc.sup_value, upper_side)
+                result = compute(box, osc)
+                assert result.converged and contains(result, exact), (knots, upper_side)
+
+
+def test_levels_near_the_float_range_keep_a_finite_bound(no_darboux):
+    # the bound for misplaced CDF breaks once squared a level miss near 1e285
+    # first, which overflowed to inf with a numpy warning
+    box = PBox(PiecewiseLinearCdf(ITEM3_LOWER), PiecewiseLinearCdf(ITEM3_UPPER))
+    osc = KnotOscillation([(z, v * 1e300) for z, v in ITEM3_OSCILLATION])
+    for upper_side, compute in ((False, lower_expectation), (True, upper_expectation)):
+        exact = exact_expectation(osc.knots, ITEM3_LOWER, ITEM3_UPPER, osc.inf_value,
+                                  osc.sup_value, upper_side)
+        result = compute(box, osc)
+        assert math.isfinite(result.error_bound) and contains(result, exact)
+
+
 def test_levels_near_the_float_range_warn_not(no_darboux):
     # the mean of the line under a precise uniform law is 0; numpy warnings are errors here
     box = PBox(PiecewiseLinearCdf(((0.0, 0.0), (1.0, 1.0))),
                PiecewiseLinearCdf(((0.0, 0.0), (1.0, 1.0))))
-    osc = piecewise_linear_oscillation([[0, -8e307], [1, 8e307]])
+    osc = KnotOscillation([[0, -8e307], [1, 8e307]])
     for compute in (lower_expectation, upper_expectation):
         result = compute(box, osc)
         assert not result.converged
@@ -177,7 +206,7 @@ def test_levels_near_the_float_range_warn_not(no_darboux):
 
 def test_constant_oscillation_is_its_value(no_darboux):
     box = PBox(PiecewiseLinearCdf(ITEM3_LOWER), PiecewiseLinearCdf(ITEM3_UPPER))
-    osc = piecewise_linear_oscillation([(0.0, 0.7), (1.0, 0.7)])
+    osc = KnotOscillation([(0.0, 0.7), (1.0, 0.7)])
     for compute in (lower_expectation, upper_expectation):
         result = compute(box, osc)
         assert result.value == 0.7 and result.converged and result.error_bound < 1e-15
@@ -231,7 +260,7 @@ def test_degree_two_inside_a_fine_darboux_bracket(pair, knots):
     lower_name, upper_name, lower_fn, upper_fn = NAMED_PAIRS[pair]
     exact_box = PBox(named_cdf(lower_name), named_cdf(upper_name))
     black_box = PBox(AnalyticCdf(lower_fn), AnalyticCdf(upper_fn))
-    osc = piecewise_linear_oscillation(knots)
+    osc = KnotOscillation(knots)
     for upper_side, compute in ((False, lower_expectation), (True, upper_expectation)):
         result = compute(exact_box, osc, QuadratureConfig(abs_tol=1e-12))
         lo, hi = darboux_bracket(black_box, osc, upper_side)

@@ -23,8 +23,8 @@ from pboxes.multivariate import (
     combine,
     sublevel_box_lower,
 )
-from pboxes.pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf
-from pboxes.preorder import FiniteQuotientSpace
+from pboxes.pbox import AnalyticCdf, PBox, PiecewiseLinearCdf, StepCdf, lower_prob_event
+from pboxes.preorder import FiniteQuotientSpace, ZEventSet, ZInterval
 from pboxes.scenarios import Query, named_cdf, result_rows, run_query
 
 UNIFORM01 = RealLinePBox.from_knots([(0.0, 0.0), (1.0, 1.0)])
@@ -71,6 +71,25 @@ class TestCombine:
         lower = np.asarray(joint.lower(zs))
         assert np.all(lower[:-1] == 0.0)
         assert lower[-1] == 1.0
+
+    @pytest.mark.parametrize("rule", [FRECHET, INDEPENDENT])
+    def test_joint_left_limit_combines_the_marginals_left_limits(self, rule):
+        # the vacuous lower CDF jumps from 0 to 1 at 1, the other rises to
+        # 0.8 and jumps to 1 there too: the joint's left limit at 1 combines
+        # the marginals' left limits, not their values
+        def jumping(z):
+            z = np.asarray(z, dtype=float)
+            return np.where(z >= 1.0, 1.0, 0.8 * z)
+
+        second = AnalyticCdf(jumping, lambda z: 0.8 * np.asarray(z, dtype=float))
+        one = named_cdf("one")
+        joint = combine([PBox(second, one), PBox(second, one)], rule)
+        combined = {FRECHET: lambda a, b: max(0.0, a + b - 1.0), INDEPENDENT: operator.mul}[rule]
+        assert joint.lower(1.0) == 1.0
+        assert joint.lower.left_limit(1.0) == pytest.approx(combined(0.8, 0.8), abs=1e-15)
+        assert joint.lower.left_limit(0.5) == pytest.approx(combined(0.4, 0.4), abs=1e-15)
+        event = ZEventSet((ZInterval.right_open(0.0, 1.0),))
+        assert lower_prob_event(joint, event) == joint.lower.left_limit(1.0)
 
     def test_needs_two_marginals(self):
         with pytest.raises(ValidationError):
@@ -292,10 +311,23 @@ class TestRealLinePBoxValidation:
                                     [(0.5, 0.6), (1.0, 1.0)])
 
     def test_crossing_at_shared_knot_refused(self):
-        # the knot 1.0 of both CDFs is checked, once for each CDF
+        # the knot 1.0 of both CDFs is checked
         with pytest.raises(ValidationError, match="lower CDF exceeds upper CDF"):
             RealLinePBox.from_knots([(0.0, 0.0), (1.0, 0.6), (2.0, 1.0)],
                                     [(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)])
+
+    def test_one_order_check_with_the_slack_of_each_type(self):
+        # lower above upper at 0.5 by 1e-11 passes the slack 1e-10 of a PBox
+        # but not the 1e-12 of a RealLinePBox; by 1e-9 it passes neither
+        upper = PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)))
+        lower = PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.5 + 1e-11), (1.0, 1.0)))
+        assert PBox(lower, upper).is_polynomial
+        with pytest.raises(ValidationError, match="^lower CDF exceeds upper CDF$"):
+            RealLinePBox(lower, upper)
+        lower = PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.5 + 1e-9), (1.0, 1.0)))
+        for model in (PBox, RealLinePBox):
+            with pytest.raises(ValidationError, match="^lower CDF exceeds upper CDF$"):
+                model(lower, upper)
 
     def test_touching_at_shared_knot_accepted(self):
         box = RealLinePBox.from_knots([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)],

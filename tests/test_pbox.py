@@ -83,6 +83,19 @@ class TestCdfLeftLimit:
         ident = AnalyticCdf(lambda z: z)
         assert ident.left_limit(0.4) == 0.4
 
+    def test_registered_left_limit_is_what_an_open_top_reads(self):
+        # a scalar-only left limit is looped over arrays like the CDF itself
+        jump = AnalyticCdf(fn=_jump_at_half,
+                           left_limit_fn=lambda z: 0.6 if float(z) > 0.5 else 0.0)
+        np.testing.assert_array_equal(jump.left_limit(np.array([0.25, 0.5, 0.75])),
+                                      [0.0, 0.0, 0.6])
+        assert (jump(0.5), jump.left_limit(0.5), jump.left_limit(0.0)) == (0.6, 0.0, 0.0)
+        box = PBox(jump, AnalyticCdf(lambda z: np.ones_like(np.asarray(z, float))))
+        for hi in (0.25, 0.5, 0.75, 1.0):
+            assert lower_prob_event(box, one_interval(ZInterval.right_open(0.0, hi))) == \
+                jump.left_limit(hi)
+            assert lower_prob_event(box, one_interval(ZInterval.closed(0.0, hi))) == jump(hi)
+
 
 class TestStepCdfValidation:
     def test_monotone_required(self):

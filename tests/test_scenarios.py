@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from case_study_reference import REFERENCE_CURVES, dike_overflow_curve
 
-from pboxes.choquet import QuadratureConfig, threshold_solve
+from pboxes.choquet import KnotOscillation, QuadratureConfig, threshold_solve
 from pboxes.errors import ValidationError
 from pboxes.multivariate import INDEPENDENT, RealLinePBox, combine
 from pboxes.pbox import AnalyticCdf, PBox
@@ -15,7 +15,6 @@ from pboxes.scenarios import (
     builtin_scenario,
     named_cdf,
     named_oscillation,
-    piecewise_linear_oscillation,
     run_query,
 )
 
@@ -185,14 +184,14 @@ class TestRegistries:
 
     def test_piecewise_oscillation_needs_two_knots(self):
         with pytest.raises(ValidationError):
-            piecewise_linear_oscillation([(0.0, 1.0)])
+            KnotOscillation([(0.0, 1.0)])
 
     def test_piecewise_oscillation_rejects_non_finite_knots(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError):
-                piecewise_linear_oscillation([(0.0, 0.0), (0.5, bad), (1.0, 0.0)])
+                KnotOscillation([(0.0, 0.0), (0.5, bad), (1.0, 0.0)])
             with pytest.raises(ValidationError):
-                piecewise_linear_oscillation([(0.0, 0.0), (bad, 1.0), (1.0, 0.0)])
+                KnotOscillation([(0.0, 0.0), (bad, 1.0), (1.0, 0.0)])
 
 
 class TestArithmeticQuery:
