@@ -15,10 +15,11 @@ many as its share of the bracket width calls for (equidistribution).  The
 model's types choose the path.
 
 Every cut set is exact.  An oscillation is a :class:`KnotOscillation`,
-defined by its knots alone, or a black-box :class:`Oscillation` declared
-increasing or decreasing, whose bracket rests on its declared bounds and
-monotonicity; a non-monotone oscillation needs knots.  A declared-monotone
-oscillation without knots is integrated over its own coordinate: its cut
+defined by its knots alone, or a black-box :class:`Oscillation`, defined
+by its monotone function alone: its direction and bounds are its values at
+0 and 1, and its bracket rests on its monotonicity on 129 points; a
+non-monotone oscillation needs knots.  A monotone oscillation without
+knots is integrated over its own coordinate: its cut
 sets are the nested intervals ``[z, 1]`` or ``[0, z]``, so a cell of a
 z-grid weighs the cut probabilities at its ends by the step of ``f``
 across it, with no inverse and for any monotone ``f``.  Such a cut, or its
@@ -50,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .pbox import PBox, _knot_list, _piece_gains, vectorized
+from .pbox import _MAX_GRID, PBox, _knot_list, _piece_gains, vectorized
 from .preorder import ZEventSet, ZInterval, _class_index, _finite_number, normalize
 
 __all__ = [
@@ -71,8 +72,6 @@ DECREASING = "decreasing"
 GENERAL = "general"
 
 _VALIDATION_POINTS = 129
-# hard cap on grid size so a hopeless tolerance flags instead of exhausting memory
-_MAX_GRID = 1 << 21
 # levels x cells per level handled in one vectorized pass, to bound its memory
 _CUT_BATCH_CELLS = 1 << 22
 # grid points per pass of a coordinate grid, to bound the memory of its temporaries
@@ -88,39 +87,43 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 @dataclass(frozen=True)
 class Oscillation:
-    """A black-box oscillation: a bounded function ``f`` of the quotient
-    coordinate, declared increasing or decreasing, so that each cut set is
-    one interval with one end to find; it needs no inverse and may jump.
+    """A black-box oscillation, defined by a monotone function ``f`` of the
+    quotient coordinate alone, so that each cut set is one interval with one
+    end to find; it needs no inverse and may jump.
 
-    ``sup_value`` may be ``math.inf`` for an upper oscillation that blows up
-    at the top of the coordinate range; expectations then require a tail
-    tolerance (see :class:`QuadratureConfig`).  The declared bounds and
-    monotonicity are checked on 129 points only, and a bracket rests on
-    them.  ``f`` may be scalar-only (see :func:`vectorized`)."""
+    ``f`` is read on 129 points, and a bracket rests on them: it is
+    increasing if ``f(1) >= f(0)`` and decreasing otherwise, which those
+    points must not contradict, and its bounds are ``f(0)`` and ``f(1)``.
+    The infimum must be finite, and no point may read NaN; the supremum may
+    be ``math.inf`` for an upper oscillation that blows up at an end of the
+    coordinate range, and expectations then require a tail tolerance (see
+    :class:`QuadratureConfig`).  ``f`` may be scalar-only (see
+    :func:`vectorized`)."""
 
     f: Callable
-    inf_value: float
-    sup_value: float
-    monotonicity: str
+    inf_value: float = field(init=False)
+    sup_value: float = field(init=False)
+    monotonicity: str = field(init=False)
     knots = None  # the engine's test for a KnotOscillation
 
     def __post_init__(self):
-        if self.monotonicity not in (INCREASING, DECREASING):
-            raise ValidationError("a black-box oscillation must be declared increasing or "
-                                  f"decreasing, got {self.monotonicity!r}")
-        # the infimum of a bounded gamble is finite; its supremum may be +inf
-        object.__setattr__(self, "inf_value", _finite_number(self.inf_value))
-        if math.isnan(self.sup_value) or self.inf_value > self.sup_value:
-            raise ValidationError("inf_value exceeds sup_value")
         object.__setattr__(self, "f", vectorized(self.f))
-        vals = self.f(np.linspace(0.0, 1.0, _VALIDATION_POINTS))
-        if np.any(vals < self.inf_value - 1e-9):
-            raise ValidationError("oscillation drops below its declared infimum")
-        if not math.isinf(self.sup_value) and np.any(vals > self.sup_value + 1e-9):
-            raise ValidationError("oscillation exceeds its declared supremum")
-        rises = np.diff(vals) if self.monotonicity == INCREASING else -np.diff(vals)
+        vals = np.asarray(self.f(np.linspace(0.0, 1.0, _VALIDATION_POINTS)), dtype=float)
+        if np.isnan(vals).any():
+            raise ValidationError("oscillation is NaN on the validation grid")
+        head, tail = float(vals[0]), float(vals[-1])
+        mono = INCREASING if tail >= head else DECREASING
+        least, most = (head, tail) if mono == INCREASING else (tail, head)
+        # the infimum of a bounded gamble is finite; its supremum may be +inf
+        if not math.isfinite(least):
+            raise ValidationError(f"oscillation has an infinite infimum, {least}")
+        # a run of +inf at the supremum's end steps by NaN, which is no fall
+        with np.errstate(invalid="ignore"):
+            rises = np.diff(vals) if mono == INCREASING else -np.diff(vals)
         if np.any(rises < -1e-9):
-            raise ValidationError(f"oscillation is not {self.monotonicity} on the validation grid")
+            raise ValidationError(f"oscillation is not {mono} on the validation grid")
+        for name, value in (("inf_value", least), ("sup_value", most), ("monotonicity", mono)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,7 @@ def _cut_components(osc: AnyOscillation, ts: np.ndarray, cfg: QuadratureConfig,
     for every level in ``ts``: flat arrays ``level, a, b, a_open, b_open``.
 
     ``osc`` is sampled on its knots, or at 0 and 1 if it is a black box
-    (declared monotone, so its set is one interval that holds 0 or 1), and
+    (monotone, so its set is one interval that holds 0 or 1), and
     each run of samples inside the set is a component, ending at 0 or 1
     where it reaches the first or last sample.  Any other end is the
     crossing of its knot segment (:func:`_crossings`), or for a black box
@@ -329,7 +332,7 @@ def _in_chunks(fn, s: np.ndarray, size: int = _CHUNK) -> np.ndarray:
 
 def _coordinate_grid(pbox: PBox, osc: Oscillation, upper: bool, a: float, b: float):
     """Level and lower (upper) cut probability, in chunks, at points ``s`` of
-    a grid over the coordinate of a declared-monotone ``osc``.
+    a grid over the coordinate of a monotone black box ``osc``.
 
     Point ``s`` is ``z = s``, or ``1 - s`` if ``osc`` decreases, so that its
     anchored cut ``[z, 1]`` or ``[0, z]`` shrinks as ``s`` grows.  Its level
@@ -506,11 +509,10 @@ def _expectation(pbox: PBox, osc: AnyOscillation, upper: bool,
     on a piecewise-polynomial p-box (:func:`_exact_expectation`), else
     bracketed by :func:`_darboux`.
 
-    A declared-monotone oscillation without knots is integrated over its
-    coordinate (:func:`_coordinate_grid`); the levels up to ``level(0)`` cut
-    the whole space and add the exact head ``(level(0) - a) * P(whole
-    space)``.  The tail's charge comes off the tolerance, so ``converged``
-    means the reported bound meets ``abs_tol``.
+    A monotone oscillation without knots is integrated over its coordinate
+    (:func:`_coordinate_grid`), whose first point has the level ``a``.  The
+    tail's charge comes off the tolerance, so ``converged`` means the
+    reported bound meets ``abs_tol``.
     """
     if osc.knots is not None and pbox.is_polynomial:
         return _exact_expectation(pbox, osc, upper, cfg)
@@ -518,14 +520,13 @@ def _expectation(pbox: PBox, osc: AnyOscillation, upper: bool,
     if b <= a:
         return QuadratureResult(a, 0.0, True)
     tol = cfg.abs_tol - tail
-    level, lo, hi, head = np.asarray, a, b, 0.0
+    level, lo, hi = np.asarray, a, b
     if osc.knots is None:
         level, batch = _coordinate_grid(pbox, osc, upper, a, b)
-        lo, hi, head = 0.0, 1.0, float((level(np.zeros(1))[0] - a) * batch(np.zeros(1))[0])
+        lo, hi = 0.0, 1.0
     # a tail charge beyond abs_tol cannot converge: refine to abs_tol instead
     mid, hw, ok, rounds = _darboux(batch, lo, hi, cfg, level, tol if tol > 0 else cfg.abs_tol)
-    return QuadratureResult(a + (mid + head) + 0.5 * tail, hw + 0.5 * tail, ok and tol > 0,
-                            rounds)
+    return QuadratureResult(a + mid + 0.5 * tail, hw + 0.5 * tail, ok and tol > 0, rounds)
 
 
 def _exact_expectation(pbox: PBox, osc: KnotOscillation, upper: bool,
@@ -759,7 +760,9 @@ def threshold_solve(pbox: PBox, uosc: AnyOscillation, target: float,
     :func:`_expectation`; its answer is ``level(hi)`` for a bracket with
     ``prob(hi) <= target < prob(lo)`` and ``level(hi) - level(lo) <=
     cfg.bisect_tol``, each round evaluating ``_SECTIONS - 1`` interior points
-    in one batch and keeping the section where the target is first met.
+    in one batch and keeping the section where the target is first met.  A
+    target that the top of the range, the supremum's cut, still misses is a
+    :class:`ToleranceError`.
     """
     _require_continuum(pbox)
     _require_target(target)
@@ -771,9 +774,7 @@ def threshold_solve(pbox: PBox, uosc: AnyOscillation, target: float,
     if prob(np.array([lo]))[0] <= target:
         return uosc.inf_value
     if prob(np.array([hi]))[0] > target:
-        if level(np.array([hi]))[0] >= uosc.sup_value:
-            raise ToleranceError("threshold target unreachable on the search range")
-        lo = hi  # over the coordinate, the levels above f(1) < sup_value cut nothing
+        raise ToleranceError("threshold target unreachable on the search range")
     while True:
         t_lo, t_hi = level(np.array([lo, hi]))
         if t_hi - t_lo <= cfg.bisect_tol:

@@ -76,9 +76,7 @@ def _joint_cdf(cdfs: list, combiner):
     """``combiner`` of the marginal CDFs, class by class or point by point."""
     if isinstance(cdfs[0], StepCdf):
         return StepCdf(tuple(combiner([np.array(cdf.values) for cdf in cdfs])))
-    continuous = all(getattr(cdf, "left_limit_fn", None) is None for cdf in cdfs)
-    left = None if continuous else (lambda z: combiner([cdf.left_limit(z) for cdf in cdfs]))
-    return AnalyticCdf(lambda z: combiner([cdf(z) for cdf in cdfs]), left)
+    return AnalyticCdf(lambda z: combiner([cdf(z) for cdf in cdfs]))
 
 
 def combine(marginals: Sequence[PBox], rule: str) -> PBox:

@@ -3,8 +3,8 @@
 A CDF is one of three types: a :class:`StepCdf` on the classes of a finite
 space; a :class:`PiecewisePolynomialCdf` of degree at most 2 between knots,
 the type of every CDF a scenario file can write or name; or an
-:class:`AnalyticCdf`, a black-box callable.  A p-box of two piecewise-
-polynomial CDFs is validated exactly from its pieces, and
+:class:`AnalyticCdf`, a black-box function, continuous above 0.  A p-box of
+two piecewise-polynomial CDFs is validated exactly from its pieces, and
 :mod:`pboxes.choquet` integrates knot oscillations on it exactly; a p-box
 with a black box is validated on a grid, on which its brackets then rest.
 
@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 _MONOTONE_SLACK = 1e-10
+# the most points of any grid (validation, quadrature, a y_grid), so that a
+# hopeless tolerance flags instead of exhausting memory
+_MAX_GRID = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -221,28 +224,24 @@ def PiecewiseLinearCdf(knots) -> PiecewisePolynomialCdf:
 
 @dataclass(frozen=True)
 class AnalyticCdf:
-    """CDF given as a function of the quotient coordinate z in [0, 1].
-
-    A discontinuous form registers its left limit as ``left_limit_fn``;
-    without one the CDF is continuous and its left limit is ``fn`` itself.
-    Either function may be scalar-only (see :func:`vectorized`).
+    """CDF given by one function ``fn`` of the quotient coordinate z in [0, 1],
+    taken to be continuous above 0: its left limit is ``fn`` above 0 and 0 at
+    or below 0.  So a jump at 0 is exact, and a bracket on a p-box with a
+    jump above 0 rests on that assumption, as it rests on the validation
+    grid.  ``fn`` may be scalar-only (see :func:`vectorized`).
     """
 
     fn: Callable
-    left_limit_fn: Callable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "fn", vectorized(self.fn))
-        if self.left_limit_fn is not None:
-            object.__setattr__(self, "left_limit_fn", vectorized(self.left_limit_fn))
 
     def __call__(self, z):
         return self.fn(z)
 
     def left_limit(self, z):
         # 0 is the bottom of [0, 1]: its artificial predecessor carries no mass
-        value = self.fn(z) if self.left_limit_fn is None else self.left_limit_fn(z)
-        out = np.where(np.asarray(z) <= 0.0, 0.0, value)
+        out = np.where(np.asarray(z) <= 0.0, 0.0, self.fn(z))
         return float(out) if out.ndim == 0 else out
 
 
@@ -281,8 +280,9 @@ class PBox:
     by :func:`_check_order`, the one order check that
     :class:`pboxes.multivariate.RealLinePBox` shares, with a slack of
     ``1e-10``.  Any other pair on the unit continuum has its ordering and
-    monotonicity verified on ``validation_grid`` uniform points; exact
-    global verification of black-box functions is not attempted.
+    monotonicity verified on ``validation_grid`` uniform points, an int
+    from 2 to 2**21; exact global verification of black-box functions is
+    not attempted.
     """
 
     lower: Cdf
@@ -291,6 +291,8 @@ class PBox:
     validation_grid: int = 10_000
 
     def __post_init__(self):
+        object.__setattr__(self, "validation_grid", _class_index(
+            self.validation_grid, _MAX_GRID + 1, lowest=2, what="validation_grid values"))
         if self.space is None:
             space = (FiniteQuotientSpace(tuple(range(self.lower.size)))
                      if isinstance(self.lower, StepCdf) else UNIT_INTERVAL)
@@ -319,7 +321,7 @@ class PBox:
         if self.is_polynomial:
             _check_order(self.lower, self.upper, _MONOTONE_SLACK)
             return
-        zs = np.linspace(0.0, 1.0, max(self.validation_grid, 2))
+        zs = np.linspace(0.0, 1.0, self.validation_grid)
         flo = self.lower(zs)
         fhi = self.upper(zs)
         for name, f in (("lower", flo), ("upper", fhi)):

@@ -18,8 +18,6 @@ from functools import cache
 import numpy as np
 
 from .choquet import (
-    DECREASING,
-    INCREASING,
     DEFAULT_CONFIG,
     KnotOscillation,
     Oscillation,
@@ -257,13 +255,15 @@ def named_cdf(name: str) -> PiecewisePolynomialCdf:
 
 
 def _corner_oscillations(gamble, centres, half_widths, signs) -> tuple:
-    """Decreasing lower and increasing upper oscillation of ``gamble``.
+    """Lower and upper oscillation of ``gamble``, black boxes of z alone.
 
     ``gamble`` takes one argument per variable and is monotone in each,
     increasing where ``signs`` has +1 and decreasing where it has -1, so
     over the class at z its least and greatest values are at the corners
-    ``c_i - s_i h_i z`` and ``c_i + s_i h_i z``.  Each side's bounds are
-    its values at the centres and at the corner of radius 1.
+    ``c_i - s_i h_i z`` and ``c_i + s_i h_i z``.  So the lower oscillation
+    decreases and the upper one increases, and each side's bounds, read by
+    :class:`Oscillation` at z = 0 and 1, are its values at the centres and
+    at the corner of radius 1.
     """
 
     def corner(direction: float):
@@ -275,12 +275,7 @@ def _corner_oscillations(gamble, centres, half_widths, signs) -> tuple:
 
         return f
 
-    lower, upper = corner(-1.0), corner(1.0)
-    mid = float(gamble(*centres))
-    return (Oscillation(lower, inf_value=float(lower(1.0)), sup_value=mid,
-                        monotonicity=DECREASING),
-            Oscillation(upper, inf_value=mid, sup_value=float(upper(1.0)),
-                        monotonicity=INCREASING))
+    return Oscillation(corner(-1.0)), Oscillation(corner(1.0))
 
 
 def _damping_ratio(c, k):

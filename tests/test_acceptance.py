@@ -16,8 +16,6 @@ from monotonicity_reference import from_sets, monotonicity_reference
 from test_oracle import coupling_lower_probability
 
 from pboxes.choquet import (
-    DECREASING,
-    INCREASING,
     Oscillation,
     QuadratureConfig,
     lower_expectation,
@@ -231,16 +229,12 @@ def test_criterion_11_bracket_contains_refined_value():
             if trial % 2 == 0:
                 osc = Oscillation(
                     lambda z, a=base_level, s=scale, r=shape:
-                        a + s * (1.0 - np.asarray(z, float) ** r),
-                    inf_value=base_level, sup_value=base_level + scale,
-                    monotonicity=DECREASING)
+                        a + s * (1.0 - np.asarray(z, float) ** r))
                 compute = lower_expectation
             else:
                 osc = Oscillation(
                     lambda z, a=base_level, s=scale, r=shape:
-                        a + s * np.asarray(z, float) ** r,
-                    inf_value=base_level, sup_value=base_level + scale,
-                    monotonicity=INCREASING)
+                        a + s * np.asarray(z, float) ** r)
                 compute = upper_expectation
             base = compute(box, osc, QuadratureConfig(abs_tol=1e-3))
             assert base.converged

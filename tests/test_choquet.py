@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from coordinate_grid_reference import anchored_probs
 from finite_sum_reference import event_reference, finite_sum_reference, run_scan_reference
+from jump_cdf import JumpCdf
 from lp_reference import chain_vertex_min
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -57,8 +58,7 @@ TIGHT = QuadratureConfig(abs_tol=1e-6)
 
 
 def constant_oscillation(c):
-    return Oscillation(lambda z: np.asarray(z, float) * 0.0 + c,
-                       inf_value=c, sup_value=c, monotonicity=DECREASING)
+    return Oscillation(lambda z: np.asarray(z, float) * 0.0 + c)
 
 
 class TestCutEvent:
@@ -136,7 +136,7 @@ def _knot_test_boxes():
              AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0), UNIT_INTERVAL),
         PBox(PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.2), (1.0, 1.0))),
              PiecewiseLinearCdf(((0.0, 0.1), (0.4, 0.7), (1.0, 1.0))), UNIT_INTERVAL),
-        PBox(AnalyticCdf(jump_lower, jump_lower_left),
+        PBox(JumpCdf(jump_lower, jump_lower_left),
              AnalyticCdf(lambda z: np.minimum(1.0, 2.0 * np.asarray(z, float))),
              UNIT_INTERVAL),
     )
@@ -164,10 +164,10 @@ def monotone_knots(name):
 
 
 def monotone_black_box(knots):
-    """The oscillation of monotone ``knots``, and its ``f`` as a black box
-    declared with the same monotonicity."""
+    """The oscillation of monotone ``knots``, and its ``f`` as a black box,
+    which reads its direction and bounds at 0 and 1."""
     exact = KnotOscillation(knots)
-    return exact, Oscillation(exact.f, exact.inf_value, exact.sup_value, exact.monotonicity)
+    return exact, Oscillation(exact.f)
 
 
 def knot_levels(knots, osc):
@@ -192,14 +192,14 @@ class TestKnotCutSets:
         assert_batch_matches_event(black_box, knot_levels(knots, exact), name)
 
     def test_monotone_bisection_batch_path_matches_event_path(self):
-        osc = Oscillation(lambda z: np.sqrt(np.asarray(z, float)), 0.0, 1.0, INCREASING)
+        osc = Oscillation(lambda z: np.sqrt(np.asarray(z, float)))
         assert osc.knots is None
         ts = np.linspace(-0.1, 1.1, 49)
         assert_batch_matches_event(osc, ts, "sqrt")
 
     def test_black_box_scan_is_batched(self):
         counting = CountingBatch(lambda z: np.interp(z, *zip(*KNOT_CASES["increasing"])))
-        osc = Oscillation(counting, 0.0, 1.0, INCREASING)
+        osc = Oscillation(counting)
         counting.calls = 0
         ts = np.linspace(0.0, 1.0, 64)
         _batch_cut_probs(UNIFORM_BOX, osc, ts, False, DEFAULT_CONFIG)
@@ -238,7 +238,7 @@ class TestKnotCutSets:
 
         box = PBox(AnalyticCdf(lower), AnalyticCdf(lambda z: np.asarray(z, dtype=float)),
                    UNIT_INTERVAL)
-        osc = Oscillation(f, 0.0, 1.0, INCREASING)
+        osc = Oscillation(f)
         for upper in (False, True, True):
             _batch_cut_probs(box, osc, np.linspace(0.0, 1.0, 17), upper, DEFAULT_CONFIG)
         assert (len(scalars), len(ones)) == (0, 1)
@@ -290,14 +290,15 @@ class TestKnotCutSets:
         assert lo <= exact <= hi
 
     def test_black_box_spike_is_refused(self):
-        # a spike between the validation points: no finite sample of a
-        # black box proves its cut sets, so it must be declared monotone
+        # a black box must be monotone, so a spike, which needs knots, is
+        # refused where a validation point sees it; one between the points
+        # is not seen, and a black box's bracket rests on those points
         def spike(z):
-            return 1.0 + 10.0 * np.maximum(0.0, 1.0 - np.abs(np.asarray(z, float) - SPIKE_Z0)
+            return 1.0 + 10.0 * np.maximum(0.0, 1.0 - np.abs(np.asarray(z, float) - 0.5)
                                            / SPIKE_W)
 
-        with pytest.raises(ValidationError, match="increasing or decreasing"):
-            Oscillation(spike, 1.0, 11.0, GENERAL)
+        with pytest.raises(ValidationError, match="^oscillation is not increasing on the"):
+            Oscillation(spike)
 
     def test_spike_knots_bracket_the_exact_value(self):
         z0, w = SPIKE_Z0, SPIKE_W
@@ -317,8 +318,7 @@ class TestKnotCutSets:
         # a knot oscillation's function is the interpolation of its knots, so
         # the two cannot disagree, and a black box has no knots to disagree with
         with pytest.raises(TypeError):
-            Oscillation(lambda z: np.asarray(z, float), 0.0, 1.0, INCREASING,
-                        knots=((0.0, 0.0), (1.0, 0.5)))
+            Oscillation(lambda z: np.asarray(z, float), knots=((0.0, 0.0), (1.0, 0.5)))
         osc = KnotOscillation(((0.0, 0.0), (1.0, 0.5)))
         zs = np.linspace(0.0, 1.0, 1001)
         np.testing.assert_array_equal(osc.f(zs), np.interp(zs, (0.0, 1.0), (0.0, 0.5)))
@@ -378,26 +378,67 @@ class TestKnotNormalisation:
             assert KnotOscillation(knots).knots == knots
 
 
+def _inf_at_one(z):
+    """``z``, and ``inf`` at 1."""
+    z = np.asarray(z, dtype=float)
+    return np.where(z < 1.0, z, math.inf)
+
+
 class TestOscillationValidation:
     def test_monotonicity_checked(self):
-        with pytest.raises(ValidationError):
-            Oscillation(lambda z: np.asarray(z, float), 0.0, 1.0, DECREASING)
+        # the direction is read at 0 and 1, and the grid must not contradict it
+        for f, direction in ((lambda z: np.minimum(z, 1.0 - np.asarray(z)), "increasing"),
+                             (lambda z: np.abs(np.asarray(z) - 0.6), "decreasing")):
+            with pytest.raises(ValidationError,
+                               match=f"^oscillation is not {direction} on the validation grid$"):
+                Oscillation(f)
 
     def test_bounds_checked(self):
-        with pytest.raises(ValidationError):
-            Oscillation(lambda z: np.asarray(z, float), 0.5, 1.0, INCREASING)
+        # the infimum of a bounded gamble is finite, at whichever end it is
+        for f in (lambda z: np.log(np.asarray(z, dtype=float)),
+                  lambda z: np.log(1.0 - np.asarray(z, dtype=float))):
+            with np.errstate(divide="ignore"), pytest.raises(
+                    ValidationError, match="^oscillation has an infinite infimum, -inf$"):
+                Oscillation(f)
+        with pytest.raises(ValidationError, match="^oscillation has an infinite infimum, inf$"):
+            Oscillation(lambda z: np.asarray(z, dtype=float) * 0.0 + math.inf)
 
-    def test_unknown_monotonicity(self):
-        with pytest.raises(ValidationError):
-            Oscillation(lambda z: z, 0.0, 1.0, "sideways")
+    def test_nan_is_refused(self):
+        # a NaN level would reach the refinement of a bracket, where numpy
+        # fails with "repeats may not contain negative values"
+        def half_nan(z):
+            z = np.asarray(z, dtype=float)
+            return np.where(z > 0.5, np.nan, z)
+
+        with pytest.raises(ValidationError, match="^oscillation is NaN on the validation grid$"):
+            Oscillation(half_nan)
+
+    def test_only_its_function_is_taken(self):
+        for name, value in (("inf_value", 0.0), ("sup_value", 1.0),
+                            ("monotonicity", INCREASING)):
+            with pytest.raises(TypeError):
+                Oscillation(lambda z: np.asarray(z, float), **{name: value})
+
+    @pytest.mark.parametrize("f, bounds, direction", [
+        (lambda z: np.asarray(z, dtype=float) * 0.0 + 2.5, (2.5, 2.5), INCREASING),
+        (lambda z: np.asarray(z, dtype=float) ** 2 - 1.0, (-1.0, 0.0), INCREASING),
+        (lambda z: 3.0 - 2.0 * np.asarray(z, dtype=float), (1.0, 3.0), DECREASING),
+        (_inf_at_one, (0.0, math.inf), INCREASING),
+        (lambda z: _inf_at_one(1.0 - np.asarray(z, dtype=float)), (0.0, math.inf), DECREASING),
+        (lambda z: np.where(np.asarray(z) > 0.98, math.inf, z), (0.0, math.inf), INCREASING),
+    ], ids=["constant", "increasing", "decreasing", "increasing_to_inf", "decreasing_from_inf",
+            "inf_on_several_points"])
+    def test_direction_and_bounds_are_read_at_the_ends(self, f, bounds, direction):
+        osc = Oscillation(f)
+        assert (osc.inf_value, osc.sup_value, osc.monotonicity) == (*bounds, direction)
+        assert type(osc.inf_value) is float and type(osc.sup_value) is float
 
     def test_knot_oscillation_refuses_an_infinite_supremum(self):
         # its supremum is its greatest knot value, which must be finite
         with pytest.raises(ValidationError, match="^expected a finite number, got inf$"):
             KnotOscillation(((0.0, 0.0), (1.0, math.inf)))
         with pytest.raises(TypeError):
-            Oscillation(lambda z: np.asarray(z, float), 0.0, math.inf, INCREASING,
-                        knots=((0.0, 0.0), (1.0, 1.0)))
+            Oscillation(_inf_at_one, knots=((0.0, 0.0), (1.0, 1.0)))
 
 
 class TestKnotOscillation:
@@ -453,15 +494,14 @@ class TestLowerExpectation:
         assert res.converged
 
     def test_identity_gamble_under_precise_uniform(self):
-        osc = Oscillation(lambda z: np.asarray(z, dtype=float), 0.0, 1.0, INCREASING)
+        osc = Oscillation(lambda z: np.asarray(z, dtype=float))
         res = lower_expectation(UNIFORM_BOX, osc, TIGHT)
         assert res.value == pytest.approx(0.5, abs=2e-6)
         assert res.converged
 
     def test_unbounded_lower_oscillation_rejected(self):
-        osc = Oscillation(lambda z: np.asarray(z, float), 0.0, math.inf, INCREASING)
-        with pytest.raises(ValidationError):
-            lower_expectation(UNIFORM_BOX, osc)
+        with pytest.raises(ValidationError, match="is bounded$"):
+            lower_expectation(UNIFORM_BOX, Oscillation(_inf_at_one))
 
     def test_finite_space_redirected(self):
         space = FiniteQuotientSpace(("a", "b"))
@@ -471,8 +511,9 @@ class TestLowerExpectation:
 
     def test_constant_shift(self):
         base = named_oscillation("oscillator_lower")
-        shifted = Oscillation(lambda z: base.f(z) + 3.0, base.inf_value + 3.0,
-                              base.sup_value + 3.0, DECREASING)
+        shifted = Oscillation(lambda z: base.f(z) + 3.0)
+        assert (shifted.inf_value, shifted.sup_value) == (base.inf_value + 3.0,
+                                                          base.sup_value + 3.0)
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
@@ -507,7 +548,7 @@ class TestLowerExpectation:
 
 class TestUpperExpectation:
     def test_identity_gamble_under_precise_uniform(self):
-        osc = Oscillation(lambda z: np.asarray(z, dtype=float), 0.0, 1.0, INCREASING)
+        osc = Oscillation(lambda z: np.asarray(z, dtype=float))
         res = upper_expectation(UNIFORM_BOX, osc, TIGHT)
         # integral of 1 - t over [0, 1] on top of inf = 0
         assert res.value == pytest.approx(0.5, abs=2e-6)
@@ -545,7 +586,8 @@ class TestUpperExpectation:
             with np.errstate(divide="ignore"):
                 return (1.0 - np.asarray(z, dtype=float)) ** (-2.0 / 3.0) - 1.0
 
-        osc = Oscillation(f, 0.0, math.inf, INCREASING)
+        osc = Oscillation(f)
+        assert osc.sup_value == math.inf
         cfg = QuadratureConfig(abs_tol=1e-3, tail_tol=1e-4)
         res = upper_expectation(UNIFORM_BOX, osc, cfg)
         assert not res.converged
@@ -562,9 +604,9 @@ class TestUpperExpectation:
         def jump_left(z):
             return np.where(np.asarray(z, dtype=float) > 0.5, 0.6, 0.0)
 
-        box = PBox(AnalyticCdf(jump, jump_left),
+        box = PBox(JumpCdf(jump, jump_left),
                    AnalyticCdf(lambda z: np.ones_like(np.asarray(z, float))), UNIT_INTERVAL)
-        osc = Oscillation(lambda z: np.asarray(z, dtype=float), 0.0, 1.0, INCREASING)
+        osc = Oscillation(lambda z: np.asarray(z, dtype=float))
         ts = np.array([0.25, 0.5, 0.75, 1.0])
         assert np.array_equal(_batch_cut_probs(box, osc, ts, True, DEFAULT_CONFIG),
                               1.0 - np.array([0.0, 0.0, 0.6, 0.6]))
@@ -593,7 +635,8 @@ class TestScalarOnlyCallables:
     @staticmethod
     def expectations(lower, upper, f):
         box = PBox(AnalyticCdf(lower), AnalyticCdf(upper), UNIT_INTERVAL)
-        osc = Oscillation(f, inf_value=0.0, sup_value=3.0, monotonicity=INCREASING)
+        osc = Oscillation(f)
+        assert (osc.inf_value, osc.sup_value) == (0.0, 3.0)
         return lower_expectation(box, osc), upper_expectation(box, osc)
 
     def test_equal_to_the_vectorised_callables(self):
@@ -737,11 +780,8 @@ def staircase(values):
         return values[class_of(z)]
 
     # every class is closed on the right, so the left limit is the value
-    # itself except at the bottom of the continuum
-    def left(z):
-        return np.where(np.asarray(z) <= 0.0, 0.0, fn(z))
-
-    return AnalyticCdf(fn, left), class_of
+    # itself except at the bottom of the continuum, as for any AnalyticCdf
+    return AnalyticCdf(fn), class_of
 
 
 def staircase_case(rng, n):
@@ -783,9 +823,7 @@ class TestStaircaseAgreement:
                 vs = np.concatenate([[gamble[0]],
                                      np.column_stack([gamble[:-1], gamble[1:]]).ravel(),
                                      [gamble[-1]]])
-                osc = Oscillation(lambda z: np.interp(z, zs, vs),
-                                  inf_value=gamble[0], sup_value=gamble[-1],
-                                  monotonicity=INCREASING)
+                osc = Oscillation(lambda z: np.interp(z, zs, vs))
                 for side, exact in zip((lower_expectation, upper_expectation),
                                        finite_values(finite_box, gamble)):
                     approx = side(cont_box, osc, cfg)
@@ -803,9 +841,7 @@ class TestStaircaseAgreement:
         for n in (4, 12, 25):
             for _ in range(10):
                 finite_box, cont_box, gamble, class_of = staircase_case(rng, n)
-                osc = Oscillation(lambda z: gamble[class_of(z)],
-                                  inf_value=gamble[0], sup_value=gamble[-1],
-                                  monotonicity=INCREASING)
+                osc = Oscillation(lambda z: gamble[class_of(z)])
                 for side, exact in zip((lower_expectation, upper_expectation),
                                        finite_values(finite_box, gamble)):
                     lo, hi = side(cont_box, osc, cfg).bracket
@@ -876,14 +912,14 @@ class TestAdaptiveDarboux:
         assert batch.levels <= doubling_levels / 4
 
     def test_level_dip_within_validation_dust_is_tolerated(self):
-        # declared increasing, but f drops by 9e-10 at 0.5, which the 1e-9
-        # slack of the validation grid lets through: the cells across the
-        # drop have negative level steps
+        # increasing from f(0) to f(1), but f drops by 9e-10 at 0.5, which
+        # the 1e-9 slack of the validation grid lets through: the cells
+        # across the drop have negative level steps
         def f(z):
             z = np.asarray(z, dtype=float)
             return 1e-6 * z - 9e-10 * (z > 0.5)
 
-        osc = Oscillation(f, 0.0, float(f(1.0)), INCREASING)
+        osc = Oscillation(f)
         res = upper_expectation(UNIFORM_BOX, osc, QuadratureConfig(abs_tol=1e-11))
         assert res.converged
         assert res.bracket[0] <= 0.5e-6 - 0.5 * 9e-10 <= res.bracket[1]
@@ -920,10 +956,10 @@ class TestAdaptiveDarboux:
 
 
 def _jumping_cdf_box():
-    """A lower CDF that jumps by 0.3 at 0.5, with its registered left limit,
-    and an upper CDF of float32 values, which are read as floats."""
-    return PBox(AnalyticCdf(lambda z: 0.7 * np.asarray(z) + 0.3 * (np.asarray(z) >= 0.5),
-                            lambda z: 0.7 * np.asarray(z) + 0.3 * (np.asarray(z) > 0.5)),
+    """A lower CDF that jumps by 0.3 at 0.5, with its own left limit, and an
+    upper CDF of float32 values, which are read as floats."""
+    return PBox(JumpCdf(lambda z: 0.7 * np.asarray(z) + 0.3 * (np.asarray(z) >= 0.5),
+                        lambda z: 0.7 * np.asarray(z) + 0.3 * (np.asarray(z) > 0.5)),
                 AnalyticCdf(lambda z: np.minimum(1.0, 0.8 * np.asarray(z) + 0.3).astype(
                     np.float32)),
                 UNIT_INTERVAL)
@@ -954,9 +990,9 @@ class TestAnchoredReads:
     @pytest.mark.parametrize("name", sorted(ANCHORED_BOXES))
     def test_reads_match_the_piece_formula_bit_for_bit(self, name, rising, upper):
         box = ANCHORED_BOXES[name]()
-        osc = (Oscillation(lambda z: np.asarray(z, dtype=float), 0.0, 1.0, INCREASING) if rising
-               else Oscillation(lambda z: 1.0 - np.asarray(z, dtype=float), 0.0, 1.0,
-                                DECREASING))
+        osc = Oscillation(lambda z: np.asarray(z, dtype=float) if rising
+                          else 1.0 - np.asarray(z, dtype=float))
+        assert (osc.inf_value, osc.sup_value) == (0.0, 1.0)
         assert len(self.GRID) > 2 * choquet._CHUNK
         _, probs = choquet._coordinate_grid(box, osc, upper, 0.0, 1.0)
         # the grid, and the one- and two-point calls at its ends
@@ -1083,19 +1119,16 @@ class TestThresholdSolve:
         boundary = math.sqrt(1.0 - target)
         assert float(osc.f(boundary)) == pytest.approx(t_star, abs=1e-6)
 
-    def test_levels_above_the_top_value_cut_nothing(self):
-        # f(1) = 0.5 < sup_value: the point {1} keeps upper probability 0.5,
-        # above the target, while every level above 0.5 cuts nothing
-        def lower(z):
-            z = np.asarray(z, dtype=float)
-            return np.where(z >= 1.0, 1.0, 0.5 * z)
-
-        box = PBox(AnalyticCdf(lower, lambda z: 0.5 * np.asarray(z, dtype=float)),
-                   AnalyticCdf(lambda z: np.minimum(1.0, 2.0 * np.asarray(z, dtype=float))),
-                   UNIT_INTERVAL)
-        osc = Oscillation(lambda z: 0.5 * np.asarray(z, dtype=float), 0.0, 1.0, INCREASING)
-        t_star = threshold_solve(box, osc, 0.3)
-        assert 0.5 <= t_star <= 0.5 + DEFAULT_CONFIG.bisect_tol
+    def test_unreachable_target_raises(self):
+        # the upper CDF jumps to 0.5 at 0, so the cut of the supremum, the
+        # point {0}, keeps upper probability 0.5, above the target
+        box = PBox(named_cdf("uniform"), PiecewiseLinearCdf(((0.0, 0.5), (1.0, 1.0))))
+        for osc in (KnotOscillation(((0.0, 1.0), (1.0, 0.0))),
+                    Oscillation(lambda z: 1.0 - np.asarray(z, dtype=float))):
+            assert upper_prob_event(box, complement_z(cut_event(osc, osc.sup_value))) == 0.5
+            with pytest.raises(ToleranceError, match="^threshold target unreachable"):
+                threshold_solve(box, osc, 0.3)
+            assert threshold_solve(box, osc, 0.5) == osc.sup_value
 
     def test_invalid_target(self):
         osc = named_oscillation("oscillator_upper")

@@ -11,6 +11,7 @@ import pytest
 from arith_oracle import ORACLES, random_real_line_pbox
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jump_cdf import JumpCdf
 from stationary_minima_reference import stationary_minima
 
 from pboxes import multivariate
@@ -42,7 +43,7 @@ def vacuous_lower_cdf():
     def left(z):
         return np.where(np.asarray(z, dtype=float) > 1.0, 1.0, 0.0)
 
-    return AnalyticCdf(fn, left)
+    return JumpCdf(fn, left)
 
 
 class TestCombine:
@@ -74,22 +75,23 @@ class TestCombine:
 
     @pytest.mark.parametrize("rule", [FRECHET, INDEPENDENT])
     def test_joint_left_limit_combines_the_marginals_left_limits(self, rule):
-        # the vacuous lower CDF jumps from 0 to 1 at 1, the other rises to
-        # 0.8 and jumps to 1 there too: the joint's left limit at 1 combines
-        # the marginals' left limits, not their values
-        def jumping(z):
-            z = np.asarray(z, dtype=float)
-            return np.where(z >= 1.0, 1.0, 0.8 * z)
-
-        second = AnalyticCdf(jumping, lambda z: 0.8 * np.asarray(z, dtype=float))
+        # the marginal lower CDFs jump at 0, to 0.6 and 0.8, where a CDF on
+        # the continuum models a jump exactly: the joint's left limit
+        # combines theirs, 0 at 0 and their values above it, and the point
+        # {0} keeps the joint's jump
+        first = PiecewiseLinearCdf(((0.0, 0.6), (1.0, 1.0)))
+        second = PiecewiseLinearCdf(((0.0, 0.8), (1.0, 1.0)))
         one = named_cdf("one")
-        joint = combine([PBox(second, one), PBox(second, one)], rule)
+        joint = combine([PBox(first, one), PBox(second, one)], rule)
         combined = {FRECHET: lambda a, b: max(0.0, a + b - 1.0), INDEPENDENT: operator.mul}[rule]
-        assert joint.lower(1.0) == 1.0
-        assert joint.lower.left_limit(1.0) == pytest.approx(combined(0.8, 0.8), abs=1e-15)
-        assert joint.lower.left_limit(0.5) == pytest.approx(combined(0.4, 0.4), abs=1e-15)
-        event = ZEventSet((ZInterval.right_open(0.0, 1.0),))
-        assert lower_prob_event(joint, event) == joint.lower.left_limit(1.0)
+        for z in (0.0, 0.5, 1.0):
+            assert joint.lower.left_limit(z) == pytest.approx(
+                combined(first.left_limit(z), second.left_limit(z)), abs=1e-15), z
+        assert joint.lower.left_limit(0.0) == 0.0
+        assert joint.lower(0.0) == pytest.approx(combined(0.6, 0.8), abs=1e-15)
+        assert lower_prob_event(joint, ZEventSet((ZInterval.point(0.0),))) == joint.lower(0.0)
+        event = ZEventSet((ZInterval.right_open(0.0, 0.5),))
+        assert lower_prob_event(joint, event) == joint.lower.left_limit(0.5)
 
     def test_needs_two_marginals(self):
         with pytest.raises(ValidationError):

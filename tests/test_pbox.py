@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from jump_cdf import JumpCdf
 
 from pboxes.errors import ValidationError
 from pboxes.oracle import lp_lower_expectation, random_credal_instance
@@ -83,10 +84,18 @@ class TestCdfLeftLimit:
         ident = AnalyticCdf(lambda z: z)
         assert ident.left_limit(0.4) == 0.4
 
+    def test_analytic_cdf_takes_one_function(self):
+        # continuous above 0: its left limit is its value there, and 0 at 0
+        with pytest.raises(TypeError):
+            AnalyticCdf(_jump_at_half, left_limit_fn=_jump_at_half_left)
+        ramp = AnalyticCdf(lambda z: 0.5 + 0.5 * np.asarray(z, dtype=float))
+        np.testing.assert_array_equal(ramp.left_limit(np.array([-1.0, 0.0, 0.5, 1.0])),
+                                      [0.0, 0.0, 0.75, 1.0])
+        assert (ramp(0.0), ramp.left_limit(0.0), ramp.left_limit(0.5)) == (0.5, 0.0, 0.75)
+
     def test_registered_left_limit_is_what_an_open_top_reads(self):
-        # a scalar-only left limit is looped over arrays like the CDF itself
-        jump = AnalyticCdf(fn=_jump_at_half,
-                           left_limit_fn=lambda z: 0.6 if float(z) > 0.5 else 0.0)
+        # a p-box reads its CDFs by duck typing: an open top reads left_limit
+        jump = JUMP_AT_HALF
         np.testing.assert_array_equal(jump.left_limit(np.array([0.25, 0.5, 0.75])),
                                       [0.0, 0.0, 0.6])
         assert (jump(0.5), jump.left_limit(0.5), jump.left_limit(0.0)) == (0.6, 0.0, 0.0)
@@ -124,6 +133,34 @@ class TestPBoxSpace:
         assert continuous.space is UNIT_INTERVAL
         knots = PiecewiseLinearCdf(((0.0, 0.0), (1.0, 1.0)))
         assert PBox(knots, knots).space is UNIT_INTERVAL
+
+
+class TestValidationGrid:
+    SQUARE = AnalyticCdf(lambda z: np.asarray(z, dtype=float) ** 2)
+    ONE = AnalyticCdf(lambda z: np.asarray(z, dtype=float) * 0.0 + 1.0)
+
+    def test_an_int_from_2_to_2_pow_21(self):
+        # combine's 2048, the tests' 256 and 512, and the smallest grid, 2
+        for points in (2, 256, 512, 2048, 1 << 21, np.int64(300)):
+            box = PBox(self.SQUARE, self.ONE, validation_grid=points)
+            assert type(box.validation_grid) is int and box.validation_grid == points
+        assert PBox(self.SQUARE, self.ONE).validation_grid == 10_000
+
+    def test_out_of_range_or_not_an_int_is_refused(self):
+        # neither -5 nor True is 2 points, and a huge size is refused before
+        # its grid is allocated
+        for bad in (-5, 0, 1, 2.5, 256.0, (1 << 21) + 1, 10 ** 30, math.nan):
+            with pytest.raises(ValidationError, match="^validation_grid values are integers "
+                                                      r"in \[2, 2097153\)|^expected a finite"):
+                PBox(self.SQUARE, self.ONE, validation_grid=bad)
+        for bad in (True, None, "10"):
+            with pytest.raises(TypeError, match="^expected a number"):
+                PBox(self.SQUARE, self.ONE, validation_grid=bad)
+
+    def test_checked_on_every_space(self):
+        for lower, upper in ((StepCdf((0.4, 1.0)), StepCdf((0.6, 1.0))), (UNIFORM, UNIFORM)):
+            with pytest.raises(ValidationError, match="^validation_grid values"):
+                PBox(lower, upper, validation_grid=-5)
 
 
 class TestSharedKnotCrossing:
@@ -235,7 +272,7 @@ def _jump_at_half_left(z):
 
 
 # 0 below 0.5, 0.6 from 0.5 on, 1 at 1: the left limit at 0.5 is 0
-JUMP_AT_HALF = AnalyticCdf(_jump_at_half, _jump_at_half_left)
+JUMP_AT_HALF = JumpCdf(_jump_at_half, _jump_at_half_left)
 
 ORDERING_FINE = finite_pbox([0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0, 1.0])
 ORDERING_COARSE = finite_pbox([0.0, 1.0], [0.0, 1.0])
@@ -415,8 +452,8 @@ class TestBestPBoxApproximation:
     those bounds: step CDFs on a finite space, analytic ones on [0, 1]."""
 
     def test_vacuous_input(self):
-        box = PBox(AnalyticCdf(lambda z: np.where(np.asarray(z) >= 1.0, 1.0, 0.0),
-                               lambda z: 0.0),
+        box = PBox(JumpCdf(lambda z: np.where(np.asarray(z) >= 1.0, 1.0, 0.0),
+                           lambda z: np.asarray(z) * 0.0),
                    AnalyticCdf(lambda z: np.asarray(z) * 0.0 + 1.0))
         assert float(box.lower(0.999)) == 0.0
         assert float(box.upper(0.0)) == 1.0
