@@ -32,7 +32,10 @@ and an end between two samples is the exact segment crossing
 (:func:`_crossings`, which the exact path reads too), or for a black box
 its one end, bisected.  By conjugacy the upper probability of a
 cut is 1 minus the lower probability of its complement, and
-``pbox._piece_gains`` gives the lower probability of either.
+``pbox._piece_gains`` gives the lower probability of either.  An
+unbounded upper oscillation is clipped at a finite level that a tail
+certificate, passed with the expectation call, chose and bounds the
+integral beyond; without one its expectation does not converge.
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
 expectation is an exact finite sum over the p-box's random set, each strip
@@ -43,6 +46,7 @@ interval of classes.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -83,6 +87,8 @@ _SECTIONS = 32
 _THETA = 0.8
 _MAX_PARTS = 64
 _UNIT_ROUNDOFF = 2.0 ** -53
+# the share of abs_tol kept for the tail of an unbounded oscillation
+_TAIL_SHARE = 2.0 ** -9
 
 
 @dataclass(frozen=True)
@@ -96,9 +102,10 @@ class Oscillation:
     points must not contradict, and its bounds are ``f(0)`` and ``f(1)``.
     The infimum must be finite, and no point may read NaN; the supremum may
     be ``math.inf`` for an upper oscillation that blows up at an end of the
-    coordinate range, and expectations then require a tail tolerance (see
-    :class:`QuadratureConfig`).  ``f`` may be scalar-only (see
-    :func:`vectorized`)."""
+    coordinate range.  Its upper expectation then converges only with a
+    tail certificate, which depends on the p-box as well and so is passed
+    to :func:`upper_expectation`, not held here (see :func:`_integrand`).
+    ``f`` may be scalar-only (see :func:`vectorized`)."""
 
     f: Callable
     inf_value: float = field(init=False)
@@ -166,6 +173,8 @@ AnyOscillation = Oscillation | KnotOscillation
 class QuadratureConfig:
     """Tolerances for the bracketed cut-level quadrature.
 
+    ``abs_tol`` is the width a converged bracket stays below, the tail
+    beyond an unbounded oscillation's truncation level included.
     ``max_refinements``, a positive int, caps the rounds of refinement; a
     round cuts every cell into parts by its share of the bracket width.
     ``bisect_tol`` is the width to which the cut-set scan bisects the one
@@ -176,14 +185,13 @@ class QuadratureConfig:
     abs_tol: float = 1e-4
     max_refinements: int = 24
     bisect_tol: float = 1e-12
-    tail_tol: float = 1e-8
 
     def __post_init__(self):
-        for key in ("abs_tol", "bisect_tol", "tail_tol"):
+        for key in ("abs_tol", "bisect_tol"):
             object.__setattr__(self, key, _finite_number(getattr(self, key)))
         if self.abs_tol < 1e-12:
             raise ValidationError("abs_tol below 1e-12 is not honoured")
-        if min(self.abs_tol, self.bisect_tol, self.tail_tol) <= 0:
+        if min(self.abs_tol, self.bisect_tol) <= 0:
             raise ValidationError("tolerances must be positive")
         object.__setattr__(self, "max_refinements", _class_index(
             self.max_refinements, math.inf, lowest=1, what="max_refinements values"))
@@ -487,46 +495,89 @@ def _require_target(target: float) -> None:
         raise ValidationError("threshold target must lie in (0, 1]")
 
 
-def _integrand(pbox: PBox, osc: AnyOscillation, upper: bool, cfg: QuadratureConfig):
+def _integrand(pbox: PBox, osc: AnyOscillation, upper: bool, cfg: QuadratureConfig,
+               tail: Callable | None = None):
     """The lower (upper) cut probability of ``osc`` as a batch function of
-    the level, the levels ``[a, b]`` to integrate over, and the width charged
-    for the tail beyond ``b``: an unbounded oscillation stops at the level
-    where the integrand falls below ``cfg.tail_tol``, and its tail is charged
-    ``tail_tol * (b - last level above tail_tol)``.
+    the level, the levels ``[a, b]`` to integrate over, and the charge for
+    the tail beyond ``b``: 0 for a bounded oscillation.
+
+    An unbounded one is truncated at a finite level ``b``, read from the
+    tail certificate ``tail`` alone, never from ``osc``:
+    ``tail(T)`` is a proven upper bound on the integral of the upper cut
+    probability beyond ``T``.  ``b`` is the first ``a + 2**k``, k = 0 ..
+    63, where the certificate is at most ``_TAIL_SHARE * cfg.abs_tol``, or
+    the last if none is, and the charge is the certificate there.  Without
+    a certificate nothing bounds the tail: the charge is ``inf``, and ``b``
+    is the greatest finite level of ``osc`` at the points ``1 - 2**-k`` of
+    its coordinate grid, the top of what that grid reaches.
     """
     _require_continuum(pbox)
     batch = partial(_batch_cut_probs, pbox, osc, upper=upper, cfg=cfg)
     a, b = osc.inf_value, osc.sup_value
     if not math.isinf(b):
         return batch, a, b, 0.0
-    b, last_above = _span_doubling(batch, a, cfg.tail_tol)
-    return batch, a, b, cfg.tail_tol * max(b - last_above, 0.0)
+    if tail is None:
+        return batch, a, _grid_top(osc), math.inf
+    for k in range(64):
+        b = a + 2.0 ** k
+        charge = _certified(tail, b)
+        if charge <= _TAIL_SHARE * cfg.abs_tol:
+            break
+    return batch, a, b, charge
+
+
+def _certified(tail: Callable, level: float) -> float:
+    """``tail(level)`` as a float, refused unless it is a number >= 0 (``inf``
+    is allowed: it bounds nothing)."""
+    bound = tail(level)
+    if isinstance(bound, bool) or not isinstance(bound, numbers.Real) or not bound >= 0.0:
+        raise ValidationError(f"a tail certificate gave {bound!r} at level {level!r}; "
+                              "expected a number >= 0")
+    return float(bound)
+
+
+def _grid_top(osc: Oscillation) -> float:
+    """The greatest finite level of a monotone black box at the points ``s =
+    1 - 2**-k``, k = 1 .. 53, of its coordinate grid (see
+    :func:`_coordinate_grid`), or its infimum if none is finite."""
+    s = 1.0 - np.ldexp(1.0, -np.arange(1, 54))
+    levels = osc.f(s if osc.monotonicity == INCREASING else 1.0 - s)
+    finite = levels[np.isfinite(levels)]
+    return float(finite.max()) if finite.size else osc.inf_value
 
 
 def _expectation(pbox: PBox, osc: AnyOscillation, upper: bool,
-                 cfg: QuadratureConfig) -> QuadratureResult:
+                 cfg: QuadratureConfig, tail: Callable | None = None) -> QuadratureResult:
     """``inf + integral of the cut probability``, exact for a knot oscillation
     on a piecewise-polynomial p-box (:func:`_exact_expectation`), else
     bracketed by :func:`_darboux`.
 
     A monotone oscillation without knots is integrated over its coordinate
-    (:func:`_coordinate_grid`), whose first point has the level ``a``.  The
-    tail's charge comes off the tolerance, so ``converged`` means the
-    reported bound meets ``abs_tol``.
+    (:func:`_coordinate_grid`), whose first point has the level ``a``, with
+    its levels clipped at the truncation level ``b`` of :func:`_integrand`.
+    A finite tail charge widens the bracket's top by the charge.  A charge
+    within its share, ``_TAIL_SHARE * abs_tol``, leaves the rest of the
+    tolerance to the quadrature, so ``converged`` means the reported bound
+    meets ``abs_tol``; a charge beyond it never converges.  An infinite
+    one, without a certificate, is left out: the bracket is then that of
+    the integral up to ``b``, and is not converged.
     """
     if osc.knots is not None and pbox.is_polynomial:
         return _exact_expectation(pbox, osc, upper, cfg)
-    batch, a, b, tail = _integrand(pbox, osc, upper, cfg)
-    if b <= a:
+    batch, a, b, charge = _integrand(pbox, osc, upper, cfg, tail)
+    unbounded = math.isinf(osc.sup_value)
+    if b <= a and not unbounded:
         return QuadratureResult(a, 0.0, True)
-    tol = cfg.abs_tol - tail
+    certified = charge <= _TAIL_SHARE * cfg.abs_tol
     level, lo, hi = np.asarray, a, b
     if osc.knots is None:
         level, batch = _coordinate_grid(pbox, osc, upper, a, b)
         lo, hi = 0.0, 1.0
-    # a tail charge beyond abs_tol cannot converge: refine to abs_tol instead
-    mid, hw, ok, rounds = _darboux(batch, lo, hi, cfg, level, tol if tol > 0 else cfg.abs_tol)
-    return QuadratureResult(a + mid + 0.5 * tail, hw + 0.5 * tail, ok and tol > 0, rounds)
+    # a charge beyond its share cannot converge: refine to abs_tol instead
+    tol = cfg.abs_tol * (1.0 - _TAIL_SHARE) if unbounded and certified else cfg.abs_tol
+    mid, hw, ok, rounds = _darboux(batch, lo, hi, cfg, level, tol)
+    known = charge if math.isfinite(charge) else 0.0
+    return QuadratureResult(a + mid + 0.5 * known, hw + 0.5 * known, ok and certified, rounds)
 
 
 def _exact_expectation(pbox: PBox, osc: KnotOscillation, upper: bool,
@@ -659,29 +710,15 @@ def lower_expectation(pbox: PBox, losc: AnyOscillation,
 
 
 def upper_expectation(pbox: PBox, uosc: AnyOscillation,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+                      cfg: QuadratureConfig = DEFAULT_CONFIG,
+                      tail: Callable | None = None) -> QuadratureResult:
     """Upper expectation of a gamble given its upper oscillation, the mirror
-    of :func:`lower_expectation` through conjugacy.  The tail of an unbounded
-    oscillation is charged to the reported error (see :func:`_integrand`)."""
-    return _expectation(pbox, uosc, True, cfg)
-
-
-def _span_doubling(batch, a: float, value: float):
-    """First level ``a + 2**k`` (k = 0 .. 63) where the integrand is below
-    ``value``, and the last probed level where it is not (``a`` if none).
-
-    The levels are probed in blocks of eight per ``batch`` call; the answer
-    is that of probing them one at a time.
-    """
-    t_above = a
-    for k in range(0, 64, 8):
-        ts = a + np.ldexp(1.0, np.arange(k, k + 8))
-        below = np.flatnonzero(batch(ts) < value)
-        if below.size:
-            i = int(below[0])
-            return float(ts[i]), (float(ts[i - 1]) if i else t_above)
-        t_above = float(ts[-1])
-    raise ToleranceError(f"integrand never fell below {value:g}")
+    of :func:`lower_expectation` through conjugacy.  An unbounded oscillation
+    converges only with ``tail``, a certificate proven for this p-box: a
+    function of a level ``T`` that bounds the integral of the upper cut
+    probability beyond ``T``, whose bound is charged to the reported error
+    (see :func:`_integrand`).  A bounded oscillation ignores it."""
+    return _expectation(pbox, uosc, True, cfg, tail)
 
 
 def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:

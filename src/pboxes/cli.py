@@ -52,6 +52,7 @@ from .scenarios import (
     builtin_scenario,
     named_cdf,
     named_oscillation,
+    named_tail,
     result_rows,
     run_query,
 )
@@ -72,7 +73,7 @@ _TYPES = {"an object": (dict,), "an array": (list,), "a string": (str,), "a bool
 # the most entries of an array; a y_grid takes up to choquet._MAX_GRID points
 _MAX_ITEMS = 1 << 16
 _CONFIG_FIELDS = {"abs_tol": "a number", "max_refinements": "an integer",
-                  "bisect_tol": "a number", "tail_tol": "a number"}
+                  "bisect_tol": "a number"}
 
 
 class _Node:
@@ -164,8 +165,13 @@ def _box(node: _Node, space) -> PBox:
             raise spec.fail(f"builtin scenario {spec.value!r} carries no p-box", ValidationError)
         return pbox
     if variant == "marginals":
-        marginals = [m.build(PBox, _cdf(m.get("lower")), _cdf(m.get("upper")))
-                     for m in spec.items()]
+        # every joint CDF point reads every marginal, so their knots in all are capped
+        marginals, knots = [], 0
+        for m in spec.items():
+            marginals.append(m.build(PBox, _cdf(m.get("lower")), _cdf(m.get("upper"))))
+            knots += len(marginals[-1].lower.knots) + len(marginals[-1].upper.knots)
+            if knots > _MAX_ITEMS:
+                raise spec.fail(f"more than {_MAX_ITEMS} knots in all", ValidationError)
         return node.build(combine, marginals, node.get("rule", FRECHET).of("a string"))
     if variant == "step" and not isinstance(space, FiniteQuotientSpace):
         raise spec.fail("step p-boxes need a finite space", ValidationError)
@@ -184,11 +190,12 @@ def _space(node: _Node):
 
 
 def _oscillation(node: _Node):
+    """The oscillation, and its builtin name (None for knots)."""
     variant = node.one_of("builtin", "knots")
     spec = node.get(variant)
     if variant == "builtin":
-        return spec.build(named_oscillation, spec.of("a string"))
-    return spec.build(KnotOscillation, _knots(spec))
+        return spec.build(named_oscillation, spec.of("a string")), spec.value
+    return spec.build(KnotOscillation, _knots(spec)), None
 
 
 def _operand(node: _Node, operands: dict) -> RealLinePBox:
@@ -257,12 +264,14 @@ def _query(node: _Node, index: int, pbox, operands: dict) -> Query:
     if kind in ("event_lower", "event_upper"):
         fields["event"] = _event(node)
     elif kind in INTEGRAL_KINDS:
-        fields["oscillation"] = _oscillation(node.get("oscillation"))
+        fields["oscillation"], name = _oscillation(node.get("oscillation"))
         if kind == "threshold":
             fields["target"] = node.get("target").of("a number")
     # each of these kinds asks about the document's p-box
     if fields and pbox is None:
         raise ParseError("missing", "pbox")
+    if kind == "expectation_upper" and name is not None:
+        fields["tail"] = named_tail(name, pbox)
     return node.build(Query, qid.value, kind, pbox, **fields)
 
 
@@ -300,8 +309,7 @@ def load_scenario(path: str):
 
 
 def _merge_config(cfg: QuadratureConfig, args) -> QuadratureConfig:
-    flags = {"abs_tol": args.tol, "tail_tol": args.tail_tol,
-             "max_refinements": args.max_refine}
+    flags = {"abs_tol": args.tol, "max_refinements": args.max_refine}
     overrides = {key: value for key, value in flags.items() if value is not None}
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -363,7 +371,7 @@ def _cmd_table(args) -> int:
             else f"no expectation query with id {args.query!r} in {scenario.name!r}")
     # the levels the quadrature integrates over, truncated where it truncates
     integrand, lo, hi, _ = _choquet._integrand(
-        query.pbox, query.oscillation, query.kind != "expectation_lower", cfg)
+        query.pbox, query.oscillation, query.kind != "expectation_lower", cfg, query.tail)
     ts = np.linspace(lo, hi, grid)
     print("t,integrand")
     for t, g in zip(ts.tolist(), integrand(ts).tolist()):
@@ -496,8 +504,6 @@ def _serialize(instance) -> str:
 def _add_quadrature_flags(sub) -> None:
     sub.add_argument("--tol", type=float, default=None,
                      help="absolute quadrature tolerance (default 1e-4)")
-    sub.add_argument("--tail-tol", type=float, default=None,
-                     help="tail truncation tolerance (default 1e-8)")
     sub.add_argument("--max-refine", type=int, default=None,
                      help="maximum rounds of adaptive refinement (default 24)")
 

@@ -47,36 +47,47 @@ __all__ = [
 ]
 
 
-def _frechet_lower(values):
-    return np.maximum(0.0, 1.0 - len(values) + sum(values))
-
-
-def _frechet_upper(values):
-    out = values[0]
-    for v in values[1:]:
-        out = np.minimum(out, v)
-    return out
-
-
-def _product(values):
-    out = values[0]
-    for v in values[1:]:
-        out = out * v
-    return out
-
-
 FRECHET = "frechet"
 INDEPENDENT = "independence"
 
-# rule -> (lower combiner, upper combiner), each taking one value per marginal
-_COMBINERS = {FRECHET: (_frechet_lower, _frechet_upper), INDEPENDENT: (_product, _product)}
+
+
+def _frechet_floor(total: np.ndarray, n: int) -> np.ndarray:
+    """``max(0, 1 - n + total)`` for the sum ``total`` of n values, in place."""
+    np.add(total, 1.0 - n, out=total)
+    return np.maximum(0.0, total, out=total)
+
+
+# rule -> (lower, upper) combiner, each a fold over the marginals' values: the
+# ufunc that takes in one marginal, and what finishes the fold of n (if anything)
+_COMBINERS = {
+    FRECHET: ((np.add, _frechet_floor), (np.minimum, None)),
+    INDEPENDENT: ((np.multiply, None), (np.multiply, None)),
+}
+
+
+def _fold(combiner, values) -> np.ndarray:
+    """``combiner`` folded over ``values``, an iterable of arrays (or numbers)
+    of one shape, in their order: a running sum, minimum or product, so
+    that the fold holds two arrays at a time whatever their number."""
+    step, finish = combiner
+    values = iter(values)
+    out = np.array(next(values), dtype=float)
+    n = 1
+    for v in values:
+        step(out, v, out=out)
+        n += 1
+    if finish is not None:
+        out = finish(out, n)
+    return out if out.ndim else out[()]
 
 
 def _joint_cdf(cdfs: list, combiner):
-    """``combiner`` of the marginal CDFs, class by class or point by point."""
+    """``combiner`` of the marginal CDFs, class by class or point by point,
+    each marginal read as the fold reaches it."""
     if isinstance(cdfs[0], StepCdf):
-        return StepCdf(tuple(combiner([np.array(cdf.values) for cdf in cdfs])))
-    return AnalyticCdf(lambda z: combiner([cdf(z) for cdf in cdfs]))
+        return StepCdf(tuple(_fold(combiner, (cdf.values for cdf in cdfs)).tolist()))
+    return AnalyticCdf(lambda z: _fold(combiner, (cdf(z) for cdf in cdfs)))
 
 
 def combine(marginals: Sequence[PBox], rule: str) -> PBox:

@@ -12,8 +12,10 @@ models with :func:`combine`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -72,6 +74,7 @@ __all__ = [
     "result_rows",
     "named_cdf",
     "named_oscillation",
+    "named_tail",
     "diagonal_rectangle_interior",
 ]
 
@@ -88,7 +91,10 @@ class Query:
     continuum for expectations, thresholds and z-events, a finite space for
     class subsets), the class indices of a finite event against its p-box,
     and the payload values the engine would refuse, through the engine's
-    own checks; an error starts with the field."""
+    own checks; an error starts with the field.  ``tail``, a callable, is
+    the tail certificate of an ``expectation_upper`` query (see
+    :func:`pboxes.choquet.upper_expectation`); it is proven for the query's
+    p-box and oscillation together, so it belongs to the query."""
 
     id: str
     kind: str
@@ -101,10 +107,15 @@ class Query:
     op: str = "add"
     y: float | tuple | None = None
     side: str = "lower"
+    tail: Callable | None = None
 
     def __post_init__(self):
         if self.kind not in _RUNNERS:
             raise ValidationError(f"unknown query kind {self.kind!r}", "kind")
+        if self.tail is not None and (self.kind != "expectation_upper"
+                                      or not callable(self.tail)):
+            raise ValidationError("a tail certificate is a callable, and only an "
+                                  "expectation_upper query takes one", "tail")
         _checked("op", _operation, self.op)
         if self.kind == "arith_add" and self.op != "add":
             raise ValidationError(f"expected 'add' in an arith_add query, got {self.op!r}", "op")
@@ -181,7 +192,8 @@ _RUNNERS = {
     "event_lower": lambda q, cfg: (lower_prob_event(q.pbox, q.event), 0.0),
     "event_upper": lambda q, cfg: (upper_prob_event(q.pbox, q.event), 0.0),
     "expectation_lower": lambda q, cfg: _bracket(lower_expectation(q.pbox, q.oscillation, cfg)),
-    "expectation_upper": lambda q, cfg: _bracket(upper_expectation(q.pbox, q.oscillation, cfg)),
+    "expectation_upper": lambda q, cfg: _bracket(upper_expectation(q.pbox, q.oscillation, cfg,
+                                                                   q.tail)),
     "threshold": lambda q, cfg: (threshold_solve(q.pbox, q.oscillation, q.target, cfg),
                                  cfg.bisect_tol),
     "arith_add": lambda q, cfg: (arith_bound(q.op, q.side, q.x1, q.x2, q.y), 0.0),
@@ -307,6 +319,42 @@ _CASE_STUDY_GAMBLES = {
 }
 
 
+def _dike_tail(t: float) -> float:
+    """An upper bound on the integral, over levels beyond ``t``, of the upper
+    probability that the dike's upper oscillation reaches the level, under
+    the dike's joint p-box: ``inf`` for ``t <= 0``.
+
+    Proof.  Write ``r = (1 + z) / 2`` and ``Q(r) = 1335 - 716 ln(-ln r)``.
+    On the upper corner ``k = 30 - 15 z >= 15`` and ``u - d = 5 - 2 z >= 3``
+    on [0, 1], so ``f(z) >= t > 0`` forces ``Q(r) >= D t**(5/3)`` with ``D =
+    15 sqrt(3 / 6400) 300``.  Hence ``1 - r <= -ln r <= e(t) = exp(-(D
+    t**(5/3) - 1335) / 716)``: the cut ``{f >= t}`` lies in ``[z_t, 1]``
+    with ``1 - z_t = 2 e(t)``, and its upper probability is at most ``1 -
+    F_lower(z_t-)``.  The joint lower CDF, the Fréchet bound of ``z`` and
+    three ``1 - (1 - z)**2``, is ``max(0, 7 z - 3 z**2 - 3)``, so ``1 -
+    F_lower(z) <= (1 - z)(4 - 3 z) <= 4 (1 - z)`` where it is positive and
+    ``1 <= 4 (1 - z)`` where it is 0; it is continuous, so the cut's upper
+    probability is at most ``8 e(t)``.  ``t**(5/3)`` is convex, so ``t**(5/3)
+    >= T**(5/3) + (5/3) T**(2/3) (t - T)``, and the integral beyond ``T`` is
+    at most ``8 e(T) 716 / (D (5/3) T**(2/3))``.
+
+    The bound is non-increasing in ``T``, so a level beyond ``1e100``, whose
+    power would overflow, reads the bound at ``1e100``.  It is evaluated as
+    one ``exp`` of its logarithm.  Where that does not underflow, the
+    logarithm is at most about 750 in size and off by a few unit roundoffs
+    of it, under 1e-12 in all; the factor ``1 + 2**-36`` and one step up to
+    the next float cover that, and an underflow to 0 becomes the least
+    positive float, which exceeds the exact bound.
+    """
+    if not t > 0.0:
+        return math.inf
+    t = min(t, 1e100)
+    d = 15.0 * math.sqrt(3.0 / DIKE_RIVER_LENGTH) * DIKE_RIVER_WIDTH
+    log_bound = ((DIKE_GUMBEL_LOCATION - d * t ** (5.0 / 3.0)) / DIKE_GUMBEL_SCALE
+                 + math.log(8.0 * DIKE_GUMBEL_SCALE / (d * (5.0 / 3.0) * t ** (2.0 / 3.0))))
+    return math.nextafter(math.exp(log_bound) * (1.0 + 2.0 ** -36), math.inf)
+
+
 def _case_study_oscillations(name: str) -> tuple:
     return _corner_oscillations(*_CASE_STUDY_GAMBLES[name])
 
@@ -329,7 +377,8 @@ def _dike_scenario() -> Scenario:
     lower_osc, upper_osc = _case_study_oscillations("dike")
     queries = (
         Query("overflow_lower", "expectation_lower", joint, oscillation=lower_osc),
-        Query("overflow_upper", "expectation_upper", joint, oscillation=upper_osc),
+        Query("overflow_upper", "expectation_upper", joint, oscillation=upper_osc,
+              tail=_dike_tail),
         Query("design_height_p01", "threshold", joint, oscillation=upper_osc,
               target=0.01),
     )
@@ -492,3 +541,12 @@ _NAMED_OSCILLATIONS = {
 
 def named_oscillation(name: str) -> Oscillation:
     return _build(_NAMED_OSCILLATIONS, name, "oscillation")
+
+
+def named_tail(name: str, pbox: PBox) -> Callable | None:
+    """The tail certificate of the named oscillation's upper expectation on
+    ``pbox``: the dike's for ``dike_upper`` on the dike's own p-box, the one
+    it is proven for, else None (no certificate)."""
+    if name == "dike_upper" and pbox is builtin_scenario("dike").pbox:
+        return _dike_tail
+    return None

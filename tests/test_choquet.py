@@ -26,7 +26,7 @@ from pboxes.choquet import (
     upper_expectation,
 )
 from pboxes import choquet
-from pboxes.choquet import _batch_cut_probs, _darboux, _monotone_integrand, _span_doubling
+from pboxes.choquet import _batch_cut_probs, _darboux, _monotone_integrand
 from pboxes.errors import ToleranceError, ValidationError
 from pboxes.oracle import FiniteCredalInstance, lp_lower_expectation, random_credal_instance
 from pboxes.pbox import (
@@ -50,6 +50,7 @@ from pboxes.scenarios import (
     builtin_scenario,
     named_cdf,
     named_oscillation,
+    named_tail,
 )
 
 UNIFORM_BOX = PBox(AnalyticCdf(lambda z: np.asarray(z, dtype=float)),
@@ -579,20 +580,6 @@ class TestUpperExpectation:
                     slow = lower_prob_event(box, cut)
                 assert val == pytest.approx(slow, abs=1e-9)
 
-    def test_tail_charge_counts_against_the_tolerance(self):
-        # f = (1 - z)^(-2/3) - 1 under a uniform CDF: the tail charged for
-        # tail_tol 1e-4 alone exceeds abs_tol, so the run cannot converge
-        def f(z):
-            with np.errstate(divide="ignore"):
-                return (1.0 - np.asarray(z, dtype=float)) ** (-2.0 / 3.0) - 1.0
-
-        osc = Oscillation(f)
-        assert osc.sup_value == math.inf
-        cfg = QuadratureConfig(abs_tol=1e-3, tail_tol=1e-4)
-        res = upper_expectation(UNIFORM_BOX, osc, cfg)
-        assert not res.converged
-        assert res.error_bound > 0.5 * cfg.abs_tol
-
     def test_gap_below_a_cut_reads_the_left_limit(self):
         # lower CDF 0 below 0.5, 0.6 from 0.5 on, 1 at 1; upper CDF 1: the
         # cut [t, 1] of the identity has complement [0, t), whose lower
@@ -934,8 +921,9 @@ class TestAdaptiveDarboux:
             return _darboux(batches[-1], *args, **kwargs)
 
         monkeypatch.setattr(choquet, "_darboux", counted)
-        res = upper_expectation(builtin_scenario("dike").pbox, named_oscillation("dike_upper"),
-                                QuadratureConfig(abs_tol=1e-4))
+        box = builtin_scenario("dike").pbox
+        res = upper_expectation(box, named_oscillation("dike_upper"),
+                                QuadratureConfig(abs_tol=1e-4), named_tail("dike_upper", box))
         assert res.converged
         assert len(batches) == 1
         assert batches[0].levels < 130_805
@@ -946,7 +934,11 @@ class TestAdaptiveDarboux:
         box, osc = builtin_scenario(case.split("_")[0]).pbox, named_oscillation(case)
         # at 1e-6 the dike's upper level grid reaches its cap of 2**21 before converging
         fine_tol = 1e-5 if case == "dike_upper" else 1e-6
-        compute = upper_expectation if case.endswith("upper") else lower_expectation
+        if case.endswith("upper"):
+            def compute(box, osc, cfg):
+                return upper_expectation(box, osc, cfg, named_tail(case, box))
+        else:
+            compute = lower_expectation
         coarse = compute(box, osc, QuadratureConfig(abs_tol=1e-3))
         fine = compute(box, osc, QuadratureConfig(abs_tol=fine_tol))
         assert coarse.converged and fine.converged
@@ -1073,31 +1065,128 @@ class TestMemory:
         assert peak <= self.LEVEL_GRID_PEAK
 
 
-class TestSpanDoubling:
-    @staticmethod
-    def one_at_a_time(batch, a, value):
-        span, t_above = 1.0, a
-        for _ in range(64):
-            t = a + span
-            if float(batch(np.array([t]))[0]) < value:
-                return t, t_above
-            t_above = t
-            span *= 2.0
-        raise ToleranceError("never below")
+def _blow_up(z):
+    """``(1 - z)**(-2/3) - 1``: under a lower CDF ``z`` and an upper CDF 1 the
+    upper cut probability at level t is ``(1 + t)**(-3/2)``, so the upper
+    expectation is exactly 2 and the integral beyond ``T`` is ``2 / sqrt(1 +
+    T)``."""
+    with np.errstate(divide="ignore"):
+        return (1.0 - np.asarray(z, dtype=float)) ** (-2.0 / 3.0) - 1.0
 
-    @pytest.mark.parametrize("value", [1.0, 0.5, 1e-3, 1e-8, 1e-30])
-    def test_matches_sequential_probing(self, value):
-        box, osc = builtin_scenario("dike").pbox, named_oscillation("dike_upper")
 
-        def batch(ts):
-            return _batch_cut_probs(box, osc, ts, True, DEFAULT_CONFIG)
+def _blow_up_tail(t):
+    """``2 / sqrt(1 + t)``, rounded up."""
+    return math.nextafter(2.0 / math.sqrt(1.0 + t) * (1.0 + 2.0 ** -40), math.inf)
 
-        assert (_span_doubling(batch, osc.inf_value, value)
-                == self.one_at_a_time(batch, osc.inf_value, value))
 
-    def test_never_below_raises(self):
-        with pytest.raises(ToleranceError):
-            _span_doubling(lambda ts: np.ones_like(ts), 0.0, 0.5)
+BLOW_UP_BOX = PBox(named_cdf("uniform"), named_cdf("one"))
+
+
+class TestCertifiedTails:
+    # abs_tol of the three reproducer rows, which the level search this
+    # replaced reported converged without containing the exact 2
+    ROWS = (1e-3, 0.05, 0.01)
+
+    @pytest.mark.parametrize("abs_tol", ROWS)
+    def test_no_converged_bracket_misses_the_exact_value(self, abs_tol):
+        osc = Oscillation(_blow_up)
+        assert osc.sup_value == math.inf
+        cfg = QuadratureConfig(abs_tol=abs_tol)
+        for tail in (None, _blow_up_tail):
+            res = upper_expectation(BLOW_UP_BOX, osc, cfg, tail)
+            assert math.isfinite(res.value) and math.isfinite(res.error_bound)
+            # the lower end is a lower bound, certificate or not
+            assert res.bracket[0] <= 2.0
+            if res.converged:
+                assert res.bracket[0] <= 2.0 <= res.bracket[1]
+                assert res.error_bound < 0.5 * abs_tol
+            if tail is None:  # nothing bounds the tail
+                assert not res.converged
+
+    @pytest.mark.parametrize("abs_tol", [0.05, 0.01])
+    def test_a_certificate_lets_the_reproducer_converge(self, abs_tol):
+        res = upper_expectation(BLOW_UP_BOX, Oscillation(_blow_up),
+                                QuadratureConfig(abs_tol=abs_tol), _blow_up_tail)
+        assert res.converged and res.bracket[0] <= 2.0 <= res.bracket[1]
+
+    def test_truncation_reads_the_certificate_alone(self, monkeypatch):
+        osc = Oscillation(_blow_up)
+        levels = []
+
+        def tail(t):
+            levels.append(t)
+            return _blow_up_tail(t)
+
+        seen = []
+        original = choquet._coordinate_grid
+
+        def grid(pbox, osc_, upper, a, b):
+            seen.append(b)
+            return original(pbox, osc_, upper, a, b)
+
+        monkeypatch.setattr(choquet, "_coordinate_grid", grid)
+        cfg = QuadratureConfig(abs_tol=1e-3)
+        upper_expectation(BLOW_UP_BOX, osc, cfg, tail)
+        # the first a + 2**k whose certificate is within its share of abs_tol
+        k = len(levels) - 1
+        assert levels == [osc.inf_value + 2.0 ** j for j in range(k + 1)]
+        assert _blow_up_tail(levels[-1]) <= choquet._TAIL_SHARE * cfg.abs_tol
+        assert _blow_up_tail(levels[-2]) > choquet._TAIL_SHARE * cfg.abs_tol
+        assert seen == [levels[-1]]
+
+    @pytest.mark.parametrize("bound", [math.nan, -1e-300, "0.1", None, True,
+                                       np.array([0.1])])
+    def test_a_certificate_must_give_a_number_at_least_0(self, bound):
+        with pytest.raises(ValidationError, match="^a tail certificate gave"):
+            upper_expectation(BLOW_UP_BOX, Oscillation(_blow_up), DEFAULT_CONFIG,
+                              lambda t: bound)
+
+    @pytest.mark.parametrize("bound", [1.0, math.inf, 0.5 * DEFAULT_CONFIG.abs_tol])
+    def test_a_certificate_above_its_share_never_converges(self, bound):
+        # 64 doublings and no level within the share: no ToleranceError,
+        # and a finite charge still widens the bracket
+        levels = []
+
+        def tail(t):
+            levels.append(t)
+            return bound
+
+        res = upper_expectation(BLOW_UP_BOX, Oscillation(_blow_up), DEFAULT_CONFIG, tail)
+        assert len(levels) == 64 and not res.converged
+        assert math.isfinite(res.value) and math.isfinite(res.error_bound)
+        if math.isfinite(bound):
+            assert res.error_bound >= 0.5 * bound
+
+    def test_no_infinite_level_reaches_the_quadrature(self, monkeypatch):
+        seen = []
+        original = choquet._darboux
+
+        def darboux(batch, lo, hi, cfg, level, tol):
+            seen.append(level(np.linspace(lo, hi, 5)))
+            return original(batch, lo, hi, cfg, level, tol)
+
+        monkeypatch.setattr(choquet, "_darboux", darboux)
+        for f in (_blow_up, _inf_at_one, lambda z: _inf_at_one(1.0 - np.asarray(z, float)),
+                  lambda z: np.where(np.asarray(z) > 0.98, math.inf, z)):
+            for tail in (None, lambda t: 0.0):
+                res = upper_expectation(BLOW_UP_BOX, Oscillation(f), DEFAULT_CONFIG, tail)
+                assert math.isfinite(res.value) and math.isfinite(res.error_bound)
+                assert res.converged == (tail is not None)
+        assert seen and all(np.isfinite(levels).all() for levels in seen)
+
+    def test_without_a_certificate_the_grid_top_truncates(self):
+        # the top finite level of the dike's upper oscillation on its grid
+        osc = named_oscillation("dike_upper")
+        top = float(osc.f(1.0 - 2.0 ** -52))
+        assert math.isinf(float(osc.f(1.0 - 2.0 ** -53)))
+        assert choquet._grid_top(osc) == top == pytest.approx(29.63, abs=0.01)
+        _, a, b, charge = choquet._integrand(BLOW_UP_BOX, osc, True, DEFAULT_CONFIG)
+        assert (a, b, charge) == (osc.inf_value, top, math.inf)
+
+    def test_a_bounded_oscillation_ignores_a_certificate(self):
+        osc = Oscillation(lambda z: np.asarray(z, dtype=float))
+        plain = upper_expectation(UNIFORM_BOX, osc, TIGHT)
+        assert upper_expectation(UNIFORM_BOX, osc, TIGHT, lambda t: math.nan) == plain
 
 
 class TestThresholdSolve:

@@ -322,10 +322,11 @@ class TestInfer:
         assert code == 3
         assert "validation error" in err and out == ""
 
-    @pytest.mark.parametrize("key, value", [("cut_grid", 4096), ("abs_tl", 1e-9)],
-                             ids=["cut_grid", "abs_tl"])
+    @pytest.mark.parametrize("key, value", [("cut_grid", 4096), ("tail_tol", 1e-8),
+                                            ("abs_tl", 1e-9)],
+                             ids=["cut_grid", "tail_tol", "abs_tl"])
     def test_unknown_config_setting_exit_2(self, tmp_path, capsys, key, value):
-        # a retired setting and a misspelt one are refused, not ignored
+        # retired settings and a misspelt one are refused, not ignored
         doc = dict(SCENARIO_DOC, config={key: value})
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
@@ -1238,6 +1239,90 @@ class TestVerify:
         assert "monotonicity violation" in out
         assert "mass=Fraction(-1, 1)" in out
         assert "event mismatch" not in out
+
+
+class TestTails:
+    """An unbounded oscillation's tail: certified on the dike's own p-box,
+    and otherwise not, with finite rows either way."""
+
+    DIKE_UPPER = {"id": "up", "kind": "expectation_upper",
+                  "oscillation": {"builtin": "dike_upper"}}
+
+    def write(self, tmp_path, pbox):
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps({"pbox": pbox, "queries": [self.DIKE_UPPER]}))
+        return str(path)
+
+    def test_tail_tol_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["paper", "dike", "--tail-tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "--tail-tol" in capsys.readouterr().err
+
+    def test_uncertified_dike_upper_has_finite_rows(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"analytic": {"lower": "uniform", "upper": "one"}})
+        code, out, err = run_cli(capsys, ["infer", path])
+        assert code == 0
+        _, value, bound = csv_rows(out)["up"]
+        assert math.isfinite(value) and math.isfinite(bound)
+        assert err.startswith("not converged: up ")
+        code, out, err = run_cli(capsys, ["table", path, "--what", "integrand", "--grid", "9"])
+        assert code == 0 and err == ""
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 9 and np.isfinite(rows).all()
+        # without a certificate the t-range stops at the grid's top finite level
+        top = float(builtin_scenario("dike").queries[1].oscillation.f(1.0 - 2.0 ** -52))
+        assert rows[-1][0] == float(f"{top:.12g}")
+
+    def test_certified_dike_upper_matches_paper(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"builtin": "dike"})
+        code, out, err = run_cli(capsys, ["infer", path])
+        assert code == 0 and err == ""
+        _, paper, _ = run_cli(capsys, ["paper", "dike"])
+        assert csv_rows(out)["up"][1:] == csv_rows(paper)["overflow_upper"][1:]
+
+    @pytest.mark.parametrize("tol, top", [(None, 32.0), ("1e-5", 32.0), ("1", 16.0)])
+    def test_table_stops_at_the_certified_level(self, capsys, tol, top):
+        # the first inf + 2**k whose certificate is within its share of abs_tol
+        argv = ["table", "dike", "--what", "integrand", "--query", "overflow_upper",
+                "--grid", "9"] + (["--tol", tol] if tol else [])
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        last = float(out.strip().splitlines()[-1].split(",")[0])
+        inf = builtin_scenario("dike").queries[1].oscillation.inf_value
+        assert last == float(f"{inf + top:.12g}")
+
+    def test_paper_dike_bisects_nothing(self, capsys, monkeypatch):
+        import pboxes.choquet as choquet
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("paper dike bisected a level")
+
+        monkeypatch.setattr(choquet, "_bisect", refuse)
+        code, out, err = run_cli(capsys, ["paper", "dike"])
+        assert code == 0 and err == ""
+
+
+class TestMarginalsCap:
+    @staticmethod
+    def doc(marginals):
+        marginal = {"lower": {"linear": [[0.0, 0.0], [1.0, 1.0]]}, "upper": {"analytic": "one"}}
+        return {"pbox": {"marginals": [marginal] * marginals, "rule": "independence"},
+                "queries": [{"id": "e", "kind": "event_lower",
+                             "intervals": [[0.0, 0.5, False, False]]}]}
+
+    def test_knots_in_all_are_capped(self, tmp_path, capsys, monkeypatch):
+        import pboxes.cli as cli
+
+        monkeypatch.setattr(cli, "_MAX_ITEMS", 16)
+        path = tmp_path / "marginals.json"
+        # two knots on each side: four marginals hold 16 knots, five hold 20
+        for marginals, code_wanted in ((4, 0), (5, 3)):
+            path.write_text(json.dumps(self.doc(marginals)))
+            code, out, err = run_cli(capsys, ["infer", str(path)])
+            assert code == code_wanted, err
+        assert out == ""
+        assert err.startswith("validation error: pbox.marginals: more than 16 knots in all")
 
 
 class TestScenarioConfig:

@@ -25,8 +25,7 @@ DOCUMENTS = {
         "pbox": {"step": {"lower": [0.2, 0.5, 1.0], "upper": [0.4, 0.9, 1.0]}},
         "queries": [{"id": "bottom", "kind": "event_lower", "classes": [0, 1]},
                     {"id": "top", "kind": "event_upper", "classes": [2]}],
-        "config": {"abs_tol": 1e-3, "max_refinements": 12, "bisect_tol": 1e-6,
-                   "tail_tol": 1e-8},
+        "config": {"abs_tol": 1e-3, "max_refinements": 12, "bisect_tol": 1e-6},
     },
     # marginals of knots and names, knots and builtin oscillations, a
     # threshold and an event on intervals

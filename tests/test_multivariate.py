@@ -151,6 +151,75 @@ class TestCombine:
             combine(marginals, rule)
 
 
+def list_combiners(rule):
+    """The joint's (lower, upper) combiners as they were before the fold: each
+    takes the list of all marginal values at once."""
+    def frechet_lower(values):
+        return np.maximum(0.0, 1.0 - len(values) + sum(values))
+
+    def running(op):
+        def combiner(values):
+            out = values[0]
+            for v in values[1:]:
+                out = op(out, v)
+            return out
+        return combiner
+
+    if rule == FRECHET:
+        return frechet_lower, running(np.minimum)
+    return running(operator.mul), running(operator.mul)
+
+
+class TestCombinerFold:
+    """The joint CDF folds its combiner over the marginals, one at a time."""
+
+    @pytest.mark.parametrize("name, rule", [("dike", FRECHET), ("oscillator", INDEPENDENT)])
+    def test_builtins_equal_the_list_combiners_bit_for_bit(self, name, rule):
+        from pboxes.scenarios import _constant_one, _humped, _uniform, builtin_scenario
+
+        firsts = {"dike": [_uniform, _humped, _humped, _humped], "oscillator": [_uniform] * 2}
+        joint = builtin_scenario(name).pbox
+        zs = np.linspace(0.0, 1.0, 300_001)
+        lower, upper = list_combiners(rule)
+        for z in (zs, 0.3, 1.0):
+            want_lower = lower([cdf(z) for cdf in firsts[name]])
+            want_upper = upper([_constant_one(z) for _ in firsts[name]])
+            for got, want in ((joint.lower(z), want_lower), (joint.upper(z), want_upper)):
+                assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("rule", [FRECHET, INDEPENDENT])
+    def test_finite_marginals_equal_the_list_combiners(self, rule):
+        rng = random.Random(5)
+        marginals = []
+        for _ in range(6):
+            lower = sorted(rng.random() for _ in range(4)) + [1.0]
+            upper = [min(1.0, v + 0.2) for v in lower]
+            marginals.append(PBox(StepCdf(tuple(lower)), StepCdf(tuple(upper)),
+                                  FiniteQuotientSpace(tuple("abcde"))))
+        joint = combine(marginals, rule)
+        for side, combiner in zip(("lower", "upper"), list_combiners(rule)):
+            want = combiner([np.array(getattr(m, side).values) for m in marginals])
+            assert getattr(joint, side).values == tuple(want.tolist())
+
+    @pytest.mark.parametrize("rule", [FRECHET, INDEPENDENT])
+    def test_memory_does_not_grow_with_the_marginals(self, rule):
+        # 1,024 marginals on 8,192 points: a list of their values would hold
+        # 64 MB, the fold two arrays of 64 kB and the CDFs' temporaries
+        marginal = PBox(PiecewiseLinearCdf(((0.0, 0.0), (1.0, 1.0))),
+                        PiecewiseLinearCdf(((0.0, 1.0), (1.0, 1.0))))
+        joint = combine([marginal] * 1024, rule)
+        zs = np.linspace(0.0, 1.0, 8192)
+        tracemalloc.start()
+        try:
+            joint.lower(zs)
+            joint.upper(zs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * zs.nbytes
+
+
 class TestSublevelBox:
     def test_all_ones(self):
         marginals = [PBox(named_cdf("uniform"), named_cdf("one"))

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from case_study_reference import REFERENCE_CURVES, dike_overflow_curve
 
-from pboxes.choquet import KnotOscillation, QuadratureConfig, threshold_solve
+from pboxes import choquet
+from pboxes.choquet import (
+    KnotOscillation,
+    QuadratureConfig,
+    threshold_solve,
+    upper_expectation,
+)
 from pboxes.errors import ValidationError
 from pboxes.multivariate import INDEPENDENT, RealLinePBox, combine
 from pboxes.pbox import AnalyticCdf, PBox
@@ -15,8 +21,10 @@ from pboxes.scenarios import (
     builtin_scenario,
     named_cdf,
     named_oscillation,
+    named_tail,
     run_query,
 )
+from pboxes.scenarios import _dike_tail
 
 
 # the case-study rows (value, error bound) at the default configuration; a
@@ -25,7 +33,7 @@ PINNED_ROWS = {
     "damping_ratio_lower": (0.583877959891, 3.70047708194e-05),
     "damping_ratio_upper": (1.66375182442, 3.85557807826e-05),
     "overflow_lower": (1.51507930027, 4.13674808643e-05),
-    "overflow_upper": (6.42349341933, 3.70055794402e-05),
+    "overflow_upper": (6.42349333933, 3.69017225974e-05),
     "design_height_p01": (10.7246505658, 1e-12),
 }
 
@@ -124,7 +132,7 @@ class TestDikeFixture:
                   for r in map(run_query, builtin_scenario("dike").queries)]
         assert first == second
 
-    def test_tail_tolerance_controls_reported_error(self):
+    def test_abs_tol_controls_reported_error(self):
         scenario = builtin_scenario("dike")
         uosc = named_oscillation("dike_lower")
         # a tighter quadrature tolerance narrows the bracket
@@ -133,6 +141,66 @@ class TestDikeFixture:
         tight = lower_expectation(scenario.pbox, uosc, QuadratureConfig(abs_tol=1e-4))
         assert tight.error_bound < loose.error_bound
         assert abs(loose.value - tight.value) <= loose.error_bound + tight.error_bound
+
+
+class TestDikeTail:
+    """The dike's tail certificate, which its overflow_upper query carries."""
+
+    @pytest.mark.parametrize("level", [11.03, 19.03])
+    def test_bounds_the_upper_darboux_sum_to_the_grid_top(self, level):
+        # the upper sum over the coordinate grid, 1 - z geometric from 1 to
+        # 2**-52, of the upper cut probability between level and the top
+        # finite level of that grid
+        box, osc = builtin_scenario("dike").pbox, named_oscillation("dike_upper")
+        top = float(osc.f(1.0 - 2.0 ** -52))
+        assert top == pytest.approx(29.63, abs=0.01)
+        levels, probs = choquet._coordinate_grid(box, osc, True, level, top)
+        s = np.concatenate([[0.0], 1.0 - np.geomspace(1.0, 2.0 ** -52, 1 << 16)])
+        upper_sum = float(np.diff(levels(s)) @ probs(s)[:-1])
+        assert 0.0 < upper_sum <= _dike_tail(level)
+
+    def test_falls_as_the_level_grows(self):
+        levels = [0.5, 1.0, 3.03, 4.03, 11.03, 19.03, 35.03, 67.03, 1e6, 2.0 ** 63, 1e300]
+        bounds = [_dike_tail(t) for t in levels]
+        assert all(b > c for b, c in zip(bounds, bounds[1:-2]))
+        assert bounds[-3] >= bounds[-2] >= bounds[-1] > 0.0
+        assert _dike_tail(19.03) == pytest.approx(3.1e-7, rel=0.02)
+        assert _dike_tail(35.03) == pytest.approx(1.5e-21, rel=0.05)
+        assert _dike_tail(0.0) == _dike_tail(-1.0) == math.inf
+
+    def test_only_the_dike_pbox_gets_it(self):
+        dike = builtin_scenario("dike")
+        query = next(q for q in dike.queries if q.id == "overflow_upper")
+        assert query.tail is _dike_tail
+        assert all(q.tail is None for q in dike.queries if q.id != "overflow_upper")
+        assert named_tail("dike_upper", dike.pbox) is _dike_tail
+        uniform = PBox(named_cdf("uniform"), named_cdf("one"))
+        assert named_tail("dike_upper", uniform) is None
+        assert named_tail("oscillator_upper", builtin_scenario("oscillator").pbox) is None
+
+    def test_without_it_the_dike_upper_expectation_is_not_converged(self):
+        # on any other p-box the dike's bound is unsound, so none is taken
+        uniform = PBox(named_cdf("uniform"), named_cdf("one"))
+        res = upper_expectation(uniform, named_oscillation("dike_upper"))
+        assert not res.converged
+        assert math.isfinite(res.value) and math.isfinite(res.error_bound)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("expectation_lower", {"oscillation": "dike_lower"}),
+        ("threshold", {"oscillation": "dike_upper", "target": 0.1}),
+        ("event_lower", {"event": ClassSubset()}),
+    ])
+    def test_only_an_upper_expectation_takes_a_tail(self, kind, fields):
+        box = builtin_scenario("dike").pbox
+        if "oscillation" in fields:
+            fields = dict(fields, oscillation=named_oscillation(fields["oscillation"]))
+        with pytest.raises(ValidationError, match="^tail: "):
+            Query("q", kind, box, tail=_dike_tail, **fields)
+
+    def test_a_tail_is_callable(self):
+        with pytest.raises(ValidationError, match="^tail: "):
+            Query("q", "expectation_upper", builtin_scenario("dike").pbox,
+                  oscillation=named_oscillation("dike_upper"), tail=1e-9)
 
 
 class TestIndependentJointBound:
