@@ -20,7 +20,7 @@ from .choquet import (
     threshold_solve,
     upper_expectation,
 )
-from .errors import ParseError, ToleranceError, ValidationError
+from .errors import ParseError, ValidationError
 from .multivariate import (
     FRECHET,
     INDEPENDENT,
@@ -89,7 +89,6 @@ __all__ = [
     "threshold_solve",
     "upper_expectation",
     "ParseError",
-    "ToleranceError",
     "ValidationError",
     "FRECHET",
     "INDEPENDENT",

@@ -30,12 +30,18 @@ side, of every complement: the oscillation is sampled on its knots (a
 black box at 0 and 1), each run of samples inside the set is a component,
 and an end between two samples is the exact segment crossing
 (:func:`_crossings`, which the exact path reads too), or for a black box
-its one end, bisected.  By conjugacy the upper probability of a
+its one end, bisected to the float.  By conjugacy the upper probability of a
 cut is 1 minus the lower probability of its complement, and
 ``pbox._piece_gains`` gives the lower probability of either.  An
 unbounded upper oscillation is clipped at a finite level that a tail
 certificate, passed with the expectation call, chose and bounds the
 integral beyond; without one its expectation does not converge.
+
+A threshold, the infimum of the levels whose upper cut probability is at
+most a target, is searched over the same grid as the expectation until
+its bracket can shrink no further, and is reported like an expectation:
+a bracket whose half-width converges against ``abs_tol``, the one
+tolerance.
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
 expectation is an exact finite sum over the p-box's random set, each strip
@@ -54,7 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ToleranceError, ValidationError
+from .errors import ValidationError
 from .pbox import _MAX_GRID, PBox, _knot_list, _piece_gains, vectorized
 from .preorder import ZEventSet, ZInterval, _class_index, _finite_number, normalize
 
@@ -80,8 +86,8 @@ _VALIDATION_POINTS = 129
 _CUT_BATCH_CELLS = 1 << 22
 # grid points per pass of a coordinate grid, to bound the memory of its temporaries
 _CHUNK = 1 << 13
-# sections per round of the threshold search: 31 interior points per batch
-_SECTIONS = 32
+# sections per round of the threshold search: 63 interior points per batch
+_SECTIONS = 64
 # Darboux refinement: the bracket width a round aims for, as a share of the
 # tolerance, and the most parts it cuts one cell into
 _THETA = 0.8
@@ -171,28 +177,23 @@ AnyOscillation = Oscillation | KnotOscillation
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the bracketed cut-level quadrature.
+    """The one tolerance of every bracketed result, and the cap on refinement.
 
-    ``abs_tol`` is the width a converged bracket stays below, the tail
-    beyond an unbounded oscillation's truncation level included.
-    ``max_refinements``, a positive int, caps the rounds of refinement; a
-    round cuts every cell into parts by its share of the bracket width.
-    ``bisect_tol`` is the width to which the cut-set scan bisects the one
-    end of a monotone black box's cut (knot oscillations need none), and
-    the tolerance of :func:`threshold_solve`.
+    ``abs_tol`` is the width a converged bracket stays below: an
+    expectation's, the tail beyond an unbounded oscillation's truncation
+    level included, and a threshold's.  ``max_refinements``, a positive
+    int, caps the rounds of refinement; a round cuts every cell into parts
+    by its share of the bracket width.  Cut sets and threshold searches
+    take no tolerance: they run to float resolution.
     """
 
     abs_tol: float = 1e-4
     max_refinements: int = 24
-    bisect_tol: float = 1e-12
 
     def __post_init__(self):
-        for key in ("abs_tol", "bisect_tol"):
-            object.__setattr__(self, key, _finite_number(getattr(self, key)))
+        object.__setattr__(self, "abs_tol", _finite_number(self.abs_tol))
         if self.abs_tol < 1e-12:
             raise ValidationError("abs_tol below 1e-12 is not honoured")
-        if min(self.abs_tol, self.bisect_tol) <= 0:
-            raise ValidationError("tolerances must be positive")
         object.__setattr__(self, "max_refinements", _class_index(
             self.max_refinements, math.inf, lowest=1, what="max_refinements values"))
 
@@ -203,8 +204,9 @@ DEFAULT_CONFIG = QuadratureConfig()
 @dataclass(frozen=True)
 class QuadratureResult:
     """Bracket midpoint plus the half-width of the enclosing bracket (a
-    Darboux bracket, or the rounding bound of an exact integral), and the
-    rounds of adaptive refinement that cut some cells of the grid."""
+    Darboux bracket, the rounding bound of an exact integral, or the level
+    bracket of a threshold search), and the rounds of adaptive refinement
+    that cut some cells of the grid, or of the search."""
 
     value: float
     error_bound: float
@@ -219,18 +221,18 @@ class QuadratureResult:
         return self.value
 
 
-def _bisect(f, ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, rising,
-            tol: float) -> np.ndarray:
+def _bisect(f, ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, rising) -> np.ndarray:
     """Boundaries of ``{f >= t}``, one per level, each in its bracket ``[lo, hi]``.
 
     A rising boundary has ``f(lo) < t <= f(hi)``, a falling one (``rising``
     false, per level or for all) ``f(lo) >= t > f(hi)``.  Every bracket is
-    halved while it is wider than ``tol`` and its midpoint still splits it,
-    and its inside end is returned: ``hi`` if rising, else ``lo``.
+    halved while its midpoint still splits it, so until its ends are
+    adjacent floats, and its inside end is returned: ``hi`` if rising, else
+    ``lo``, the boundary exact to the float.
     """
     while True:
         mid = 0.5 * (lo + hi)
-        live = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        live = (lo < mid) & (mid < hi)
         if not live.any():
             return np.where(rising, hi, lo)
         to_hi = (f(mid) >= ts) == rising
@@ -263,8 +265,7 @@ def _crossings(zs: np.ndarray, vs: np.ndarray, inside: np.ndarray, levels: np.nd
     return row, starts, stops, zs[hi] + (vs[hi] - at) / (vs[hi] - vs[lo]) * (zs[lo] - zs[hi])
 
 
-def _cut_components(osc: AnyOscillation, ts: np.ndarray, cfg: QuadratureConfig,
-                    complement: bool = False):
+def _cut_components(osc: AnyOscillation, ts: np.ndarray, complement: bool = False):
     """Components of ``{osc >= t}``, or with ``complement`` of ``{osc < t}``,
     for every level in ``ts``: flat arrays ``level, a, b, a_open, b_open``.
 
@@ -273,10 +274,10 @@ def _cut_components(osc: AnyOscillation, ts: np.ndarray, cfg: QuadratureConfig,
     each run of samples inside the set is a component, ending at 0 or 1
     where it reaches the first or last sample.  Any other end is the
     crossing of its knot segment (:func:`_crossings`), or for a black box
-    bisected in [0, 1] to ``cfg.bisect_tol``, all levels in one pass.  Cut
-    components are closed; complement ends between samples are open.  The
-    components are sorted by level and then by coordinate, and a level with
-    an empty set has no entry.
+    bisected in [0, 1] to the float (:func:`_bisect`), all levels in one
+    pass.  Cut components are closed; complement ends between samples are
+    open.  The components are sorted by level and then by coordinate, and a
+    level with an empty set has no entry.
     """
     if osc.knots is None:
         zs = np.array([0.0, 1.0])
@@ -288,8 +289,7 @@ def _cut_components(osc: AnyOscillation, ts: np.ndarray, cfg: QuadratureConfig,
         level, first, stop = _runs(inside)
         a_open, b_open = first > 0, stop < 2
         t = ts[np.concatenate([level[a_open], level[b_open]])]
-        ends = _bisect(osc.f, t, np.zeros(len(t)), np.ones(len(t)), vs[1] >= t,
-                       cfg.bisect_tol)
+        ends = _bisect(osc.f, t, np.zeros(len(t)), np.ones(len(t)), vs[1] >= t)
     else:
         level, a_open, b_open, ends = _crossings(zs, vs, inside, ts)
     a, b = np.zeros(len(level)), np.ones(len(level))
@@ -298,19 +298,19 @@ def _cut_components(osc: AnyOscillation, ts: np.ndarray, cfg: QuadratureConfig,
     return level, a, b, a_open & complement, b_open & complement
 
 
-def cut_event(osc: AnyOscillation, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ZEventSet:
+def cut_event(osc: AnyOscillation, t: float) -> ZEventSet:
     """Normalized coordinate set ``{z : osc(z) >= t}``: the components of
     :func:`_cut_components` for one level, exact for a knot oscillation and
     for a monotone black box one interval holding 0 or 1, its other end
-    bisected to ``cfg.bisect_tol``.  ``t`` is a finite number, or ``-inf``
-    (the whole space) or ``inf`` (nothing); NaN is refused."""
+    bisected to the float.  ``t`` is a finite number, or ``-inf`` (the
+    whole space) or ``inf`` (nothing); NaN is refused."""
     level = float(t) if t in (-math.inf, math.inf) else _finite_number(t)
-    _, lo, hi, _, _ = _cut_components(osc, np.array([level]), cfg)
+    _, lo, hi, _, _ = _cut_components(osc, np.array([level]))
     return normalize([ZInterval.closed(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
 
 
-def _batch_cut_probs(pbox: PBox, osc: AnyOscillation, ts: np.ndarray, upper: bool,
-                     cfg: QuadratureConfig) -> np.ndarray:
+def _batch_cut_probs(pbox: PBox, osc: AnyOscillation, ts: np.ndarray,
+                     upper: bool) -> np.ndarray:
     """Lower (upper) cut probabilities at every level in ``ts``.
 
     The lower probability of a cut set is the sum of the gains of its
@@ -321,7 +321,7 @@ def _batch_cut_probs(pbox: PBox, osc: AnyOscillation, ts: np.ndarray, upper: boo
     fixed memory bound.
     """
     def probs(chunk):
-        level, *pieces = _cut_components(osc, chunk, cfg, complement=upper)
+        level, *pieces = _cut_components(osc, chunk, complement=upper)
         gains = np.bincount(level, weights=_piece_gains(pbox, *pieces), minlength=len(chunk))
         total = np.clip(gains, 0.0, 1.0)
         return 1.0 - total if upper else total
@@ -467,8 +467,8 @@ def _monotone_integrand(g: np.ndarray) -> np.ndarray:
     rises = np.diff(g)
     if np.any(rises > 1e-7):
         raise ValidationError(
-            "cut probability increased with the level; "
-            "oscillation metadata or p-box inputs are inconsistent")
+            "cut probability increased with the level; a black-box CDF or "
+            "oscillation is not monotone between its validation points")
     # the running minimum of a non-increasing g is g itself, and the test
     # costs a sixth of it; a NaN fails the test, so the running minimum
     # still spreads it forward
@@ -489,10 +489,17 @@ def _require_bounded(osc: AnyOscillation) -> None:
         raise ValidationError("a lower oscillation of a bounded gamble is bounded")
 
 
-def _require_target(target: float) -> None:
-    """Refuse a threshold target outside (0, 1] (NaN included)."""
-    if not 0.0 < target <= 1.0:
+def _require_target(target: float) -> float:
+    """``target`` as a float in (0, 1]: a TypeError unless it is a number (as
+    :func:`pboxes.preorder._finite_number`), and a ValidationError outside
+    (0, 1], NaN and numbers beyond the float range included."""
+    try:
+        value = _finite_number(target)
+    except ValidationError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:
         raise ValidationError("threshold target must lie in (0, 1]")
+    return value
 
 
 def _integrand(pbox: PBox, osc: AnyOscillation, upper: bool, cfg: QuadratureConfig,
@@ -512,7 +519,7 @@ def _integrand(pbox: PBox, osc: AnyOscillation, upper: bool, cfg: QuadratureConf
     its coordinate grid, the top of what that grid reaches.
     """
     _require_continuum(pbox)
-    batch = partial(_batch_cut_probs, pbox, osc, upper=upper, cfg=cfg)
+    batch = partial(_batch_cut_probs, pbox, osc, upper=upper)
     a, b = osc.inf_value, osc.sup_value
     if not math.isinf(b):
         return batch, a, b, 0.0
@@ -788,37 +795,56 @@ def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
 
 
 def threshold_solve(pbox: PBox, uosc: AnyOscillation, target: float,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Smallest level t with upper cut probability at most ``target``.
+                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+    """The threshold of ``uosc`` at ``target``: the infimum of the levels whose
+    upper cut probability is at most ``target``, bracketed.
 
-    Requires the upper cut probability to be non-increasing and continuous
-    over the search range, as for continuous lower CDFs and strictly
-    monotone oscillations.  The search runs over the grid of
-    :func:`_expectation`; its answer is ``level(hi)`` for a bracket with
-    ``prob(hi) <= target < prob(lo)`` and ``level(hi) - level(lo) <=
-    cfg.bisect_tol``, each round evaluating ``_SECTIONS - 1`` interior points
-    in one batch and keeping the section where the target is first met.  A
-    target that the top of the range, the supremum's cut, still misses is a
-    :class:`ToleranceError`.
+    The upper cut probability does not increase with the level, so the
+    search keeps a bracket with ``prob(hi) <= target < prob(lo)`` over the
+    grid of :func:`_expectation`: the levels of a knot oscillation, or the
+    coordinate of a black box, whose point ``s`` bounds the threshold below
+    by its level if ``prob(s) > target`` and above by it otherwise (see
+    :func:`_coordinate_grid`).  Each round evaluates ``_SECTIONS - 1``
+    interior points in one batch and keeps the section where the target is
+    first met, until no section is narrower than the bracket, whose ends
+    are then adjacent floats.  The result is the midpoint and half-width of
+    ``[level(lo), level(hi)]``, its levels read once at the end, with the
+    half-width rounded up until the bracket holds both; it converges if the
+    half-width is below ``abs_tol / 2``, and ``refinements`` counts the
+    rounds.  Every level above the supremum cuts nothing, so a target that
+    the supremum's cut still misses has the supremum as its threshold; a
+    target the infimum's cut meets, the infimum.  Both are exact.  An
+    unbounded black box whose search ends at the supremum ``inf`` has only
+    a lower bound, and an infinite half-width.
     """
     _require_continuum(pbox)
-    _require_target(target)
-    prob = partial(_batch_cut_probs, pbox, uosc, upper=True, cfg=cfg)
+    target = _require_target(target)
+    prob = partial(_batch_cut_probs, pbox, uosc, upper=True)
     level, lo, hi = np.asarray, uosc.inf_value, uosc.sup_value
     if uosc.knots is None:
         level, prob = _coordinate_grid(pbox, uosc, True, lo, hi)
         lo, hi = 0.0, 1.0
-    if prob(np.array([lo]))[0] <= target:
-        return uosc.inf_value
-    if prob(np.array([hi]))[0] > target:
-        raise ToleranceError("threshold target unreachable on the search range")
+    at_lo, at_hi = prob(np.array([lo, hi]))
+    if at_lo <= target:
+        return QuadratureResult(uosc.inf_value, 0.0, True)
+    if at_hi > target:
+        return QuadratureResult(uosc.sup_value, 0.0, True)
+    rounds = 0
     while True:
-        t_lo, t_hi = level(np.array([lo, hi]))
-        if t_hi - t_lo <= cfg.bisect_tol:
-            return float(t_hi)
         s = np.linspace(lo, hi, _SECTIONS + 1)
-        met = np.flatnonzero(prob(s[1:-1]) <= target)
+        inner = s[1:-1]
+        # no point strictly inside: no section is narrower than the bracket
+        if not ((lo < inner) & (inner < hi)).any():
+            break
+        met = np.flatnonzero(prob(inner) <= target)
         k = int(met[0]) + 1 if met.size else _SECTIONS
-        if s[k - 1] == lo and s[k] == hi:
-            raise ToleranceError("bisect_tol is below the float spacing of the threshold")
         lo, hi = float(s[k - 1]), float(s[k])
+        rounds += 1
+    t_lo, t_hi = level(np.array([lo, hi])).tolist()
+    if math.isinf(t_hi):
+        return QuadratureResult(t_lo, math.inf, False, rounds)
+    mid = t_lo + 0.5 * (t_hi - t_lo)
+    half = max(t_hi - mid, mid - t_lo)
+    while mid - half > t_lo or mid + half < t_hi:
+        half = math.nextafter(half, math.inf)
+    return QuadratureResult(mid, half, half < 0.5 * cfg.abs_tol, rounds)

@@ -32,7 +32,7 @@ import numpy as np
 from . import choquet as _choquet
 from . import pbox as _pbox
 from .choquet import DEFAULT_CONFIG, KnotOscillation, QuadratureConfig
-from .errors import ParseError, ToleranceError, ValidationError, _checked
+from .errors import ParseError, ValidationError, _checked
 from .multivariate import FRECHET, RealLinePBox, combine
 from .pbox import PBox, PiecewisePolynomialCdf, StepCdf
 from .preorder import (
@@ -72,8 +72,7 @@ _TYPES = {"an object": (dict,), "an array": (list,), "a string": (str,), "a bool
           "a number": (int, float), "an integer": (int,)}
 # the most entries of an array; a y_grid takes up to choquet._MAX_GRID points
 _MAX_ITEMS = 1 << 16
-_CONFIG_FIELDS = {"abs_tol": "a number", "max_refinements": "an integer",
-                  "bisect_tol": "a number"}
+_CONFIG_FIELDS = {"abs_tol": "a number", "max_refinements": "an integer"}
 
 
 class _Node:
@@ -558,7 +557,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, ToleranceError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
 

@@ -17,10 +17,6 @@ class ValidationError(_InputError):
     """Raised when an input violates a documented invariant."""
 
 
-class ToleranceError(RuntimeError):
-    """Raised when an iterative routine cannot meet its requested tolerance."""
-
-
 def _checked(field: str, check, *args, **kwargs):
     """``check(*args, **kwargs)``, its validation error prefixed by the field it
     concerns; paths compose, so a query's ``x2`` becomes ``queries[1].x2``."""

@@ -194,8 +194,8 @@ _RUNNERS = {
     "expectation_lower": lambda q, cfg: _bracket(lower_expectation(q.pbox, q.oscillation, cfg)),
     "expectation_upper": lambda q, cfg: _bracket(upper_expectation(q.pbox, q.oscillation, cfg,
                                                                    q.tail)),
-    "threshold": lambda q, cfg: (threshold_solve(q.pbox, q.oscillation, q.target, cfg),
-                                 cfg.bisect_tol),
+    "threshold": lambda q, cfg: _bracket(threshold_solve(q.pbox, q.oscillation, q.target,
+                                                         cfg)),
     "arith_add": lambda q, cfg: (arith_bound(q.op, q.side, q.x1, q.x2, q.y), 0.0),
     "arith_op": lambda q, cfg: (arith_bound(q.op, q.side, q.x1, q.x2, q.y), 0.0),
 }

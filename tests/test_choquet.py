@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +20,7 @@ from pboxes.choquet import (
     KnotOscillation,
     Oscillation,
     QuadratureConfig,
+    QuadratureResult,
     cut_event,
     lower_expectation,
     lower_expectation_finite,
@@ -27,7 +29,7 @@ from pboxes.choquet import (
 )
 from pboxes import choquet
 from pboxes.choquet import _batch_cut_probs, _darboux, _monotone_integrand
-from pboxes.errors import ToleranceError, ValidationError
+from pboxes.errors import ValidationError
 from pboxes.oracle import FiniteCredalInstance, lp_lower_expectation, random_credal_instance
 from pboxes.pbox import (
     AnalyticCdf,
@@ -147,7 +149,7 @@ def assert_batch_matches_event(osc, ts, label):
     """The batched cut probabilities equal the event path's at 1e-12."""
     for box in _knot_test_boxes():
         for upper in (False, True):
-            fast = _batch_cut_probs(box, osc, ts, upper, DEFAULT_CONFIG)
+            fast = _batch_cut_probs(box, osc, ts, upper)
             for t, val in zip(ts, fast):
                 cut = cut_event(osc, float(t))
                 if upper:
@@ -162,6 +164,20 @@ def monotone_knots(name):
     rising, or falling for the decreasing case."""
     zs, vs = zip(*KNOT_CASES[name])
     return list(zip(zs, sorted(vs, reverse=name == "decreasing")))
+
+
+def halvings_to_adjacent_floats(f, t):
+    """Halvings of [0, 1] that bring the end of ``{f >= t}`` of an increasing
+    ``f`` between adjacent floats, one level at a time; 0 if no end lies
+    inside."""
+    lo, hi, count = 0.0, 1.0, 0
+    if f(lo) >= t or f(hi) < t:
+        return 0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if f(mid) >= t else (mid, hi)
+        count += 1
+    return count
 
 
 def monotone_black_box(knots):
@@ -203,9 +219,10 @@ class TestKnotCutSets:
         osc = Oscillation(counting)
         counting.calls = 0
         ts = np.linspace(0.0, 1.0, 64)
-        _batch_cut_probs(UNIFORM_BOX, osc, ts, False, DEFAULT_CONFIG)
-        # one call at the ends 0 and 1, then one per halving of the cell [0, 1]
-        assert counting.calls <= 1 + math.ceil(math.log2(1.0 / DEFAULT_CONFIG.bisect_tol))
+        _batch_cut_probs(UNIFORM_BOX, osc, ts, False)
+        # one call at the ends 0 and 1, then one per halving of the cells [0, 1],
+        # all levels at once, each halved until its ends are adjacent floats
+        assert counting.calls <= 1 + max(halvings_to_adjacent_floats(counting.g, t) for t in ts)
 
     def test_chunked_batches_match_one_pass(self, monkeypatch):
         import pboxes.choquet as choquet_mod
@@ -217,9 +234,9 @@ class TestKnotCutSets:
         ts = np.linspace(-0.1, 1.1, 200)
         for osc in cases:
             for upper in (False, True):
-                whole = _batch_cut_probs(box, osc, ts, upper, DEFAULT_CONFIG)
+                whole = _batch_cut_probs(box, osc, ts, upper)
                 monkeypatch.setattr(choquet_mod, "_CUT_BATCH_CELLS", 64)
-                chunked = _batch_cut_probs(box, osc, ts, upper, DEFAULT_CONFIG)
+                chunked = _batch_cut_probs(box, osc, ts, upper)
                 monkeypatch.undo()
                 assert np.array_equal(chunked, whole), (osc.knots is not None, upper)
 
@@ -241,7 +258,7 @@ class TestKnotCutSets:
                    UNIT_INTERVAL)
         osc = Oscillation(f)
         for upper in (False, True, True):
-            _batch_cut_probs(box, osc, np.linspace(0.0, 1.0, 17), upper, DEFAULT_CONFIG)
+            _batch_cut_probs(box, osc, np.linspace(0.0, 1.0, 17), upper)
         assert (len(scalars), len(ones)) == (0, 1)
 
     @pytest.mark.parametrize("name", sorted(KNOT_CASES))
@@ -272,10 +289,12 @@ class TestKnotCutSets:
 
     def test_bisection_stops_at_float_resolution(self):
         _, ramp = monotone_black_box([(0.0, 0.0), (1.0, 1.0)])
-        # a tolerance below the float spacing ends the halving, not the loop
-        cut = cut_event(ramp, 0.3, QuadratureConfig(bisect_tol=1e-20))
+        # the halving ends at adjacent floats: the cut starts at the least
+        # float where the ramp reaches the level
+        cut = cut_event(ramp, 0.3)
         (iv,) = cut.intervals
         assert (iv.lo, iv.hi) == pytest.approx((0.3, 1.0), abs=1e-15)
+        assert ramp.f(iv.lo) >= 0.3 > ramp.f(math.nextafter(iv.lo, 0.0))
 
     def test_narrow_spike_between_grid_points(self):
         spike = KnotOscillation(
@@ -571,9 +590,9 @@ class TestUpperExpectation:
         for osc, upper in ((named_oscillation("oscillator_lower"), False),
                            (named_oscillation("oscillator_upper"), True)):
             ts = np.linspace(osc.inf_value, osc.sup_value, 23)
-            fast = _batch_cut_probs(box, osc, ts, upper, TIGHT)
+            fast = _batch_cut_probs(box, osc, ts, upper)
             for t, val in zip(ts, fast):
-                cut = cut_event(osc, float(t), TIGHT)
+                cut = cut_event(osc, float(t))
                 if upper:
                     slow = upper_prob_event(box, complement_z(cut))
                 else:
@@ -595,9 +614,9 @@ class TestUpperExpectation:
                    AnalyticCdf(lambda z: np.ones_like(np.asarray(z, float))), UNIT_INTERVAL)
         osc = Oscillation(lambda z: np.asarray(z, dtype=float))
         ts = np.array([0.25, 0.5, 0.75, 1.0])
-        assert np.array_equal(_batch_cut_probs(box, osc, ts, True, DEFAULT_CONFIG),
+        assert np.array_equal(_batch_cut_probs(box, osc, ts, True),
                               1.0 - np.array([0.0, 0.0, 0.6, 0.6]))
-        assert np.array_equal(_batch_cut_probs(box, osc, ts, False, DEFAULT_CONFIG),
+        assert np.array_equal(_batch_cut_probs(box, osc, ts, False),
                               np.zeros(4))
         res = upper_expectation(box, osc, TIGHT)
         assert res.bracket[0] <= 0.5 + 0.5 * 0.4 <= res.bracket[1]
@@ -1143,7 +1162,7 @@ class TestCertifiedTails:
 
     @pytest.mark.parametrize("bound", [1.0, math.inf, 0.5 * DEFAULT_CONFIG.abs_tol])
     def test_a_certificate_above_its_share_never_converges(self, bound):
-        # 64 doublings and no level within the share: no ToleranceError,
+        # 64 doublings and no level within the share: no error is raised,
         # and a finite charge still widens the bracket
         levels = []
 
@@ -1195,7 +1214,7 @@ class TestThresholdSolve:
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
-        assert threshold_solve(box, osc, 1.0) == osc.inf_value
+        assert threshold_solve(box, osc, 1.0) == QuadratureResult(osc.inf_value, 0.0, True)
 
     def test_matches_direct_inversion(self):
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
@@ -1203,29 +1222,70 @@ class TestThresholdSolve:
                    UNIT_INTERVAL)
         osc = named_oscillation("oscillator_upper")
         target = 0.3
-        t_star = threshold_solve(box, osc, target)
+        res = threshold_solve(box, osc, target)
         # direct inversion: upper cut probability is 1 - (boundary)^2
         boundary = math.sqrt(1.0 - target)
-        assert float(osc.f(boundary)) == pytest.approx(t_star, abs=1e-6)
+        assert float(osc.f(boundary)) == pytest.approx(res.value, abs=1e-6)
+        assert res.converged and res.refinements > 0
 
-    def test_unreachable_target_raises(self):
-        # the upper CDF jumps to 0.5 at 0, so the cut of the supremum, the
-        # point {0}, keeps upper probability 0.5, above the target
+    @pytest.mark.parametrize("upper_cdf, knots, target", [
+        # the upper CDF jumps to 0.5 at 0, so the cut of the supremum of 1 - z,
+        # the point {0}, keeps upper probability 0.5
+        (PiecewiseLinearCdf(((0.0, 0.5), (1.0, 1.0))), ((0.0, 1.0), (1.0, 0.0)), 0.3),
+        # a flat top: the cut of the supremum is [0.5, 1], of upper probability 0.5
+        (named_cdf("one"), ((0.0, 0.0), (0.5, 1.0), (1.0, 1.0)), 0.1),
+    ], ids=["decreasing", "flat_top"])
+    def test_a_missed_supremum_cut_gives_the_supremum_on_both_paths(self, upper_cdf, knots,
+                                                                     target):
+        # every level above the supremum cuts nothing, so the threshold, the
+        # infimum of the levels whose cut meets the target, is the supremum
+        box = PBox(named_cdf("uniform"), upper_cdf)
+        exact, black_box = monotone_black_box(knots)
+        for osc in (exact, black_box):
+            res = threshold_solve(box, osc, target)
+            assert (res.bracket, res.converged) == ((1.0, 1.0), True), osc
+
+    def test_a_met_supremum_cut_is_searched_up_to_it(self):
+        # the cut of 1 - z at a level t below 1 is [0, 1 - t], of upper
+        # probability 1 - t / 2 above the target 0.5, which the supremum's meets
         box = PBox(named_cdf("uniform"), PiecewiseLinearCdf(((0.0, 0.5), (1.0, 1.0))))
-        for osc in (KnotOscillation(((0.0, 1.0), (1.0, 0.0))),
-                    Oscillation(lambda z: 1.0 - np.asarray(z, dtype=float))):
-            assert upper_prob_event(box, complement_z(cut_event(osc, osc.sup_value))) == 0.5
-            with pytest.raises(ToleranceError, match="^threshold target unreachable"):
-                threshold_solve(box, osc, 0.3)
-            assert threshold_solve(box, osc, 0.5) == osc.sup_value
+        exact, black_box = monotone_black_box(((0.0, 1.0), (1.0, 0.0)))
+        for osc in (exact, black_box):
+            res = threshold_solve(box, osc, 0.5)
+            lo, hi = res.bracket
+            # 1 - t / 2 rounds to 0.5 within a few float steps of 1
+            assert lo < hi and 1.0 - 2.0 ** -51 <= hi <= 1.0 and res.converged, osc
 
     def test_invalid_target(self):
         osc = named_oscillation("oscillator_upper")
-        with pytest.raises(ValidationError):
-            threshold_solve(UNIFORM_BOX, osc, 0.0)
+        for bad in (0.0, -0.5, 1.5, math.nan, math.inf, 10**400):
+            with pytest.raises(ValidationError, match=r"^threshold target must lie in \(0, 1\]"):
+                threshold_solve(UNIFORM_BOX, osc, bad)
+
+    @pytest.mark.parametrize("bad, name", [(True, "bool"), ("0.5", "str"), (None, "NoneType")])
+    def test_a_target_that_is_no_number_is_refused(self, bad, name):
+        # a boolean is no number, though Python takes True for 1
+        for osc in (KnotOscillation(((0.0, 0.0), (1.0, 1.0))),
+                    named_oscillation("oscillator_upper")):
+            with pytest.raises(TypeError, match=f"^expected a number, got {name}$"):
+                threshold_solve(UNIFORM_BOX, osc, bad)
+
+    def test_numeric_targets_of_other_types(self):
+        osc = named_oscillation("oscillator_upper")
+        want = threshold_solve(UNIFORM_BOX, osc, 0.5)
+        for target in (Fraction(1, 2), np.float64(0.5), np.float32(0.5)):
+            assert threshold_solve(UNIFORM_BOX, osc, target) == want
+        assert threshold_solve(UNIFORM_BOX, osc, 1) == threshold_solve(UNIFORM_BOX, osc, 1.0)
 
 
 class TestQuadratureConfig:
+    def test_one_tolerance(self):
+        # cut ends and thresholds run to the float; abs_tol is the only tolerance
+        assert [f.name for f in dataclasses.fields(QuadratureConfig)] == [
+            "abs_tol", "max_refinements"]
+        with pytest.raises(TypeError):
+            QuadratureConfig(bisect_tol=1e-12)
+
     def test_tolerance_floor(self):
         with pytest.raises(ValidationError):
             QuadratureConfig(abs_tol=1e-15)
@@ -1262,7 +1322,9 @@ class TestThresholdSearch:
     }
 
     @staticmethod
-    def scalar_bisection(prob, osc, target, tol):
+    def scalar_bisection(prob, osc, target):
+        """Adjacent float levels around the least level whose cut probability
+        ``prob`` meets ``target``, by one level at a time."""
         lo = osc.inf_value
         if math.isinf(osc.sup_value):
             span = 1.0
@@ -1271,31 +1333,73 @@ class TestThresholdSearch:
             hi = lo + span
         else:
             hi = osc.sup_value
-        while hi - lo > tol:
+        while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
             if prob(mid) <= target:
                 hi = mid
             else:
                 lo = mid
-        return hi
+        return lo, hi
+
+    @staticmethod
+    def level_prob(box, osc):
+        """The upper cut probability at one level, with the level-space cut
+        sets, whose black-box ends are bisected to the float."""
+        return lambda t: float(_batch_cut_probs(box, osc, np.array([t]), True)[0])
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_answer_brackets_the_target(self, name):
         make_box, make_osc, target = self.CASES[name]
-        box, osc, tol = make_box(), make_osc(), DEFAULT_CONFIG.bisect_tol
-        # level-space cut sets with their boundaries bisected to float resolution
-        exact_cuts = QuadratureConfig(bisect_tol=1e-300)
+        box, osc = make_box(), make_osc()
+        prob = self.level_prob(box, osc)
+        res = threshold_solve(box, osc, target)
+        lo, hi = res.bracket
+        # the threshold is an infimum, which the levels above the bracket
+        # meet and its bottom does not; the oscillator's is not attained:
+        # its bracket is a single float, whose cut misses
+        assert prob(math.nextafter(hi, math.inf)) <= target < prob(lo)
+        # the two searches bracket the same infimum
+        scalar_lo, scalar_hi = self.scalar_bisection(prob, osc, target)
+        assert max(lo, scalar_lo) <= min(hi, scalar_hi)
+        assert res.converged and res.error_bound < 1e-13
 
-        def prob(t):
-            return float(_batch_cut_probs(box, osc, np.array([t]), True, exact_cuts)[0])
+    def test_a_jump_at_the_threshold(self):
+        # every level in (0.9, 1.4] cuts [0.9, 1], of upper probability 0.1,
+        # and so does 0.9; a level below 0.9 cuts more
+        box = PBox(named_cdf("uniform"), named_cdf("one"))
+        osc = Oscillation(lambda z: np.asarray(z, float) + 0.5 * (np.asarray(z, float) >= 0.9))
+        res = threshold_solve(box, osc, 0.1)
+        lo, hi = res.bracket
+        assert lo <= 0.9 <= hi
+        assert not res.converged
 
-        t_star = threshold_solve(box, osc, target)
-        assert prob(t_star) <= target < prob(t_star - tol)
-        assert abs(t_star - self.scalar_bisection(prob, osc, target, tol)) <= tol
+    @pytest.mark.parametrize("target", [1e-12, 1e-15])
+    def test_the_dike_far_in_its_tail(self, target):
+        box, osc = builtin_scenario("dike").pbox, named_oscillation("dike_upper")
+        prob = self.level_prob(box, osc)
+        res = threshold_solve(box, osc, target)
+        lo, hi = res.bracket
+        assert math.isfinite(hi)
+        assert prob(hi) <= target < prob(lo)
+        # converged is measured against abs_tol, as for an expectation
+        assert res.converged == (res.error_bound < 0.5 * DEFAULT_CONFIG.abs_tol)
+        loose = QuadratureConfig(abs_tol=4.0 * res.error_bound)
+        assert threshold_solve(box, osc, target, loose) == dataclasses.replace(res, converged=True)
+        if target == 1e-15:
+            assert not res.converged
 
-    def test_tolerance_below_float_spacing_raises(self):
-        # a knot oscillation is searched over levels
-        box = builtin_scenario("oscillator").pbox
-        osc = KnotOscillation([(0.0, 1.0), (1.0, 2.0)])
-        with pytest.raises(ToleranceError):
-            threshold_solve(box, osc, 0.3, QuadratureConfig(bisect_tol=1e-20))
+    def test_an_unbounded_search_that_ends_at_the_supremum(self):
+        # F_lower(z-) = 0.9 z: every finite level cuts [z, 1] with z < 1, of
+        # upper probability above 0.1, so the threshold at 0.1 is inf
+        lower = JumpCdf(lambda z: np.where(np.asarray(z, float) >= 1.0, 1.0,
+                                           0.9 * np.asarray(z, float)),
+                        lambda z: 0.9 * np.asarray(z, float))
+        box = PBox(lower, named_cdf("one"), UNIT_INTERVAL)
+        res = threshold_solve(box, Oscillation(_blow_up), 0.1)
+        assert math.isfinite(res.value) and res.error_bound == math.inf
+        assert not res.converged
+        # an atom at 1 above the target: the supremum, exactly
+        atom = JumpCdf(lower.fn, lambda z: 0.5 * np.asarray(z, float))
+        res = threshold_solve(PBox(atom, named_cdf("one"), UNIT_INTERVAL),
+                              Oscillation(_blow_up), 0.1)
+        assert res == QuadratureResult(math.inf, 0.0, True)

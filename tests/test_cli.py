@@ -323,8 +323,8 @@ class TestInfer:
         assert "validation error" in err and out == ""
 
     @pytest.mark.parametrize("key, value", [("cut_grid", 4096), ("tail_tol", 1e-8),
-                                            ("abs_tl", 1e-9)],
-                             ids=["cut_grid", "tail_tol", "abs_tl"])
+                                            ("bisect_tol", 1e-12), ("abs_tl", 1e-9)],
+                             ids=["cut_grid", "tail_tol", "bisect_tol", "abs_tl"])
     def test_unknown_config_setting_exit_2(self, tmp_path, capsys, key, value):
         # retired settings and a misspelt one are refused, not ignored
         doc = dict(SCENARIO_DOC, config={key: value})
@@ -532,6 +532,23 @@ class TestInfer:
         assert err == f"not converged: black_box error bound {bound:.12g} above abs_tol 0.0001\n"
         code, _, err = run_cli(capsys, ["infer", str(path)])
         assert code == 0 and err == ""
+
+    def test_unconverged_threshold_on_stderr(self, tmp_path, capsys):
+        # far in the dike's tail the search ends at adjacent coordinates whose
+        # levels still lie 0.085 apart: a row, its half-width and one stderr
+        # line, as for an expectation
+        doc = {"pbox": {"builtin": "dike"},
+               "queries": [{"id": "far", "kind": "threshold", "target": 1e-15,
+                            "oscillation": {"builtin": "dike_upper"}}]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 0
+        _, value, bound = csv_rows(out)["far"]
+        assert math.isfinite(value) and 1e-4 < bound < 0.1
+        assert err == f"not converged: far error bound {bound:.12g} above abs_tol 0.0001\n"
+        code, out, err = run_cli(capsys, ["infer", str(path), "--tol", "0.1"])
+        assert code == 0 and err == "" and csv_rows(out)["far"][1:] == (value, bound)
 
     def test_knot_query_on_a_polynomial_pbox_takes_no_rounds(self, tmp_path, capsys):
         # its exact pieces need no refinement, so --max-refine 1 leaves it converged

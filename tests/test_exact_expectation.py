@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import pboxes.choquet as choquet
 from exact_expectation_reference import exact_expectation
 from pboxes import (
-    DEFAULT_CONFIG,
     AnalyticCdf,
     PBox,
     PiecewiseLinearCdf,
@@ -229,7 +228,7 @@ def darboux_bracket(box, osc, upper_side, levels=1 << 20):
     """The lower and upper Darboux sums of the expectation on ``levels``
     uniform cells, each cell's cut probabilities read at its two ends."""
     ts = np.linspace(osc.inf_value, osc.sup_value, levels + 1)
-    g = np.concatenate([_batch_cut_probs(box, osc, chunk, upper_side, DEFAULT_CONFIG)
+    g = np.concatenate([_batch_cut_probs(box, osc, chunk, upper_side)
                         for chunk in np.array_split(ts, 32)])
     step = (osc.sup_value - osc.inf_value) / levels
     return (osc.inf_value + step * math.fsum(g[1:].tolist()),

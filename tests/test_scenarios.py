@@ -34,7 +34,7 @@ PINNED_ROWS = {
     "damping_ratio_upper": (1.66375182442, 3.85557807826e-05),
     "overflow_lower": (1.51507930027, 4.13674808643e-05),
     "overflow_upper": (6.42349333933, 3.69017225974e-05),
-    "design_height_p01": (10.7246505658, 1e-12),
+    "design_height_p01": (10.7246505658, 1.06581410364e-14),
 }
 
 
@@ -107,7 +107,7 @@ class TestDikeFixture:
         scenario = builtin_scenario("dike")
         uosc = named_oscillation("dike_upper")
         target = 0.5
-        t_star = threshold_solve(scenario.pbox, uosc, target)
+        t_star = threshold_solve(scenario.pbox, uosc, target).value
 
         def direct(t):
             # bisect the increasing overflow curve down to a bracket of 1e-13 around t
@@ -337,6 +337,14 @@ class TestQueryValidation:
             Query("q", "arith_op", x1=uniform, x2=uniform, y=(0.5, "1"))
         with pytest.raises(ValidationError, match="^x1: multiplication and division need"):
             Query("q", "arith_op", x1=uniform, x2=uniform, y=0.5, op="divide")
+
+    @pytest.mark.parametrize("target, name", [(True, "bool"), ("0.5", "str")])
+    def test_a_threshold_target_is_a_number(self, target, name):
+        # True would pass for 1, the trivial target, and "0.5" fail to compare
+        box = builtin_scenario("dike").pbox
+        with pytest.raises(TypeError, match=f"^expected a number, got {name}$"):
+            Query("q", "threshold", box, oscillation=named_oscillation("dike_upper"),
+                  target=target)
 
     def test_query_must_suit_the_space_of_its_pbox(self):
         finite = builtin_scenario("example_independent_63").pbox
