@@ -39,9 +39,10 @@ integral beyond; without one its expectation does not converge.
 
 A threshold, the infimum of the levels whose upper cut probability is at
 most a target, is searched over the same grid as the expectation until
-its bracket can shrink no further, and is reported like an expectation:
-a bracket whose half-width converges against ``abs_tol``, the one
-tolerance.
+its bracket can shrink no further, trusting a computed cut probability
+only beyond a proven bound on its rounding, and is reported like an
+expectation: a bracket whose half-width converges against ``abs_tol``,
+the one tolerance.
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
 expectation is an exact finite sum over the p-box's random set, each strip
@@ -61,7 +62,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .pbox import _MAX_GRID, PBox, _knot_list, _piece_gains, vectorized
+from .pbox import (_MAX_GRID, PBox, PiecewisePolynomialCdf, _knot_list, _piece_gains,
+                   vectorized)
 from .preorder import ZEventSet, ZInterval, _class_index, _finite_number, normalize
 
 __all__ = [
@@ -86,8 +88,8 @@ _VALIDATION_POINTS = 129
 _CUT_BATCH_CELLS = 1 << 22
 # grid points per pass of a coordinate grid, to bound the memory of its temporaries
 _CHUNK = 1 << 13
-# sections per round of the threshold search: 63 interior points per batch
-_SECTIONS = 64
+# sections per round of the threshold search: 31 interior points per batch
+_SECTIONS = 32
 # Darboux refinement: the bracket width a round aims for, as a share of the
 # tolerance, and the most parts it cuts one cell into
 _THETA = 0.8
@@ -794,53 +796,99 @@ def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
     return total
 
 
+def _cut_rounding(pbox: PBox, osc: AnyOscillation) -> tuple:
+    """Bounds on the rounding of a computed upper cut probability of ``osc``,
+    and on the level drift of its cut ends: ``(slack, drift)``.
+
+    A read of a piecewise-polynomial CDF is within ``r = 10 u`` of its value,
+    ``u`` the unit roundoff (see :func:`_exact_expectation`); any other CDF
+    is its function, so ``r = 0``.  The probability is 1 less the sum of one
+    gain per component of the complement, each of two reads at most and one
+    subtraction, and every term lies in [0, 1]: so it is within ``m (2 r +
+    2 u)`` for ``m`` components, and the slack doubles that against the
+    rounding of the rounding.  A black box has one component, the anchored
+    cut's complement (see :func:`_coordinate_grid`), at its own grid point,
+    so its level does not drift.  A knot oscillation has at most half its
+    knots, rounded up, and an end between knots within ``7 u`` of the
+    segment's crossing (see :func:`_exact_expectation`), so the exact end
+    of a level within ``7 u`` times the steepest segment's slope: the
+    computed cut at ``t`` holds the exact cut at ``t + drift`` and lies in
+    the exact cut at ``t - drift``.
+    """
+    u = _UNIT_ROUNDOFF
+    polynomial = any(isinstance(cdf, PiecewisePolynomialCdf) for cdf in (pbox.lower, pbox.upper))
+    per_component = 4.0 * ((10.0 * u if polynomial else 0.0) + u)
+    if osc.knots is None:
+        return per_component, 0.0
+    zs, vs = np.asarray(osc.knots, dtype=float).T
+    with np.errstate(over="ignore"):
+        steepest = float(np.max(np.abs(np.diff(vs)) / np.diff(zs)))
+    return per_component * ((len(zs) + 1) // 2), 7.0 * u * steepest
+
+
 def threshold_solve(pbox: PBox, uosc: AnyOscillation, target: float,
                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """The threshold of ``uosc`` at ``target``: the infimum of the levels whose
     upper cut probability is at most ``target``, bracketed.
 
     The upper cut probability does not increase with the level, so the
-    search keeps a bracket with ``prob(hi) <= target < prob(lo)`` over the
-    grid of :func:`_expectation`: the levels of a knot oscillation, or the
-    coordinate of a black box, whose point ``s`` bounds the threshold below
-    by its level if ``prob(s) > target`` and above by it otherwise (see
-    :func:`_coordinate_grid`).  Each round evaluates ``_SECTIONS - 1``
-    interior points in one batch and keeps the section where the target is
-    first met, until no section is narrower than the bracket, whose ends
-    are then adjacent floats.  The result is the midpoint and half-width of
-    ``[level(lo), level(hi)]``, its levels read once at the end, with the
-    half-width rounded up until the bracket holds both; it converges if the
-    half-width is below ``abs_tol / 2``, and ``refinements`` counts the
-    rounds.  Every level above the supremum cuts nothing, so a target that
-    the supremum's cut still misses has the supremum as its threshold; a
-    target the infimum's cut meets, the infimum.  Both are exact.  An
-    unbounded black box whose search ends at the supremum ``inf`` has only
-    a lower bound, and an infinite half-width.
+    search runs over the grid of :func:`_expectation`: the levels of a knot
+    oscillation, or the coordinate of a black box, whose point ``s`` bounds
+    the threshold below by its level if ``prob(s) > target`` and above by it
+    otherwise (see :func:`_coordinate_grid`).  A computed probability is
+    trusted only beyond its rounding, ``slack`` of :func:`_cut_rounding`:
+    ``lo`` is a point where it exceeds ``target + slack``, ``hi`` one where
+    it is at most ``target - slack``, and a point between is neither.  Each
+    round evaluates ``_SECTIONS - 1`` interior points in one batch and moves
+    ``hi`` to the first that meets the target surely and ``lo`` to the last
+    before it that surely misses, until neither moves: the ends are then
+    adjacent floats, or only points too near the target lie between.  The
+    result is the midpoint and half-width of ``[level(lo), level(hi)]``,
+    its levels read once at the end and widened by the level drift of a
+    knot cut's ends, with the half-width rounded up until the bracket holds
+    both; it converges if the half-width is below ``abs_tol / 2``, and
+    ``refinements`` counts the rounds.
+
+    The infimum cuts the whole space, so only the target 1 has the infimum
+    as its threshold.  Every level above the supremum cuts nothing, so the
+    threshold is at most the supremum, and exactly it when the supremum's
+    cut surely misses the target; a knot cut at a knot value has exact
+    ends.  An unbounded black box whose search ends at the supremum ``inf``
+    has only a lower bound, and an infinite half-width.
     """
     _require_continuum(pbox)
     target = _require_target(target)
+    a, b = uosc.inf_value, uosc.sup_value
+    if target == 1.0:
+        return QuadratureResult(a, 0.0, True)
     prob = partial(_batch_cut_probs, pbox, uosc, upper=True)
-    level, lo, hi = np.asarray, uosc.inf_value, uosc.sup_value
+    level, lo, hi = np.asarray, a, b
     if uosc.knots is None:
-        level, prob = _coordinate_grid(pbox, uosc, True, lo, hi)
+        level, prob = _coordinate_grid(pbox, uosc, True, a, b)
         lo, hi = 0.0, 1.0
-    at_lo, at_hi = prob(np.array([lo, hi]))
-    if at_lo <= target:
-        return QuadratureResult(uosc.inf_value, 0.0, True)
-    if at_hi > target:
-        return QuadratureResult(uosc.sup_value, 0.0, True)
+    slack, drift = _cut_rounding(pbox, uosc)
+    if prob(np.array([hi]))[0] > target + slack:
+        return QuadratureResult(b, 0.0, True)
     rounds = 0
     while True:
         s = np.linspace(lo, hi, _SECTIONS + 1)
         inner = s[1:-1]
-        # no point strictly inside: no section is narrower than the bracket
+        # no point strictly inside: the ends are adjacent floats
         if not ((lo < inner) & (inner < hi)).any():
             break
-        met = np.flatnonzero(prob(inner) <= target)
+        p = prob(inner)
+        met = np.flatnonzero(p <= target - slack)
         k = int(met[0]) + 1 if met.size else _SECTIONS
-        lo, hi = float(s[k - 1]), float(s[k])
+        missed = np.flatnonzero(p[:k - 1] > target + slack)
+        j = int(missed[-1]) + 1 if missed.size else 0
+        if s[j] == lo and s[k] == hi:
+            break
+        lo, hi = float(s[j]), float(s[k])
         rounds += 1
     t_lo, t_hi = level(np.array([lo, hi])).tolist()
+    if drift:
+        t_lo = max(a, math.nextafter(t_lo - drift, -math.inf))
+        t_hi = min(b, math.nextafter(t_hi + drift, math.inf))
     if math.isinf(t_hi):
         return QuadratureResult(t_lo, math.inf, False, rounds)
     mid = t_lo + 0.5 * (t_hi - t_lo)

@@ -8,6 +8,8 @@ tests compare the two.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 
 from pboxes.scenarios import (
@@ -45,6 +47,27 @@ def dike_overflow_curve(z):
                  * np.sqrt((5.0 - 2.0 * z) / DIKE_RIVER_LENGTH) * DIKE_RIVER_WIDTH)
         out = (flow / denom) ** 0.6
     return float(out) if out.ndim == 0 else out
+
+
+def dike_design_height(target: float) -> Decimal:
+    """The dike's threshold at ``target``, to 40 digits: the overflow height
+    whose upper cut probability is ``target``.
+
+    The joint lower CDF under the Frechet floor of the uniform marginal and
+    three triangular ones is ``z - 3 (1 - z)**2`` near 1, so the cut ``[z,
+    1]`` has upper probability ``w + 3 w**2`` with ``w = 1 - z``, which is
+    ``target`` at the root ``w = 2 t / (1 + sqrt(1 + 12 t))``.  The height
+    is :func:`dike_overflow_curve` there, in decimal arithmetic.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        t = Decimal(target)
+        z = 1 - 2 * t / (1 + (1 + 12 * t).sqrt())
+        inner = -((1 + z) / 2).ln()
+        flow = max(Decimal(DIKE_GUMBEL_LOCATION) - Decimal(DIKE_GUMBEL_SCALE) * inner.ln(), 0)
+        denom = ((30 - 15 * z) * ((5 - 2 * z) / Decimal(DIKE_RIVER_LENGTH)).sqrt()
+                 * Decimal(DIKE_RIVER_WIDTH))
+        return (Decimal(0.6) * (flow / denom).ln()).exp()
 
 
 # named oscillation -> its reference curve of z

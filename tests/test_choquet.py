@@ -1253,8 +1253,32 @@ class TestThresholdSolve:
         for osc in (exact, black_box):
             res = threshold_solve(box, osc, 0.5)
             lo, hi = res.bracket
-            # 1 - t / 2 rounds to 0.5 within a few float steps of 1
-            assert lo < hi and 1.0 - 2.0 ** -51 <= hi <= 1.0 and res.converged, osc
+            # 1 - t / 2 rounds to 0.5 within a few float steps of 1, so those
+            # levels stay in the bracket, which holds the threshold 1
+            assert lo < hi == 1.0 and res.converged, osc
+
+    @pytest.mark.parametrize("box", [
+        UNIFORM_BOX, PBox(named_cdf("uniform"), named_cdf("uniform"))], ids=["analytic", "linear"])
+    def test_a_threshold_that_rounding_blurs_stays_in_the_bracket(self, box):
+        # 2 z - 1 on a precise uniform box has the upper cut probability
+        # (1 - t) / 2, which rounds to the target 0.5 at levels a few float
+        # steps from the threshold 0, on either side
+        exact, black_box = monotone_black_box(((0.0, -1.0), (1.0, 1.0)))
+        for osc in (exact, black_box):
+            res = threshold_solve(box, osc, 0.5)
+            lo, hi = res.bracket
+            assert lo < 0.0 < hi and res.converged, osc
+
+    def test_cut_rounding(self):
+        # per component 4 (r + u), r = 10 u for a read of a piecewise-polynomial
+        # CDF and 0 for an analytic one; a knot cut drifts by 7 u times the
+        # steepest segment's slope, here 3 / 0.5
+        u = 2.0 ** -53
+        tent = KnotOscillation(((0.0, 0.0), (0.5, 3.0), (1.0, 0.0)))
+        black_box = Oscillation(lambda z: np.asarray(z, dtype=float))
+        assert choquet._cut_rounding(UNIFORM_BOX, black_box) == (4.0 * u, 0.0)
+        assert choquet._cut_rounding(BLOW_UP_BOX, black_box) == (44.0 * u, 0.0)
+        assert choquet._cut_rounding(UNIFORM_BOX, tent) == (8.0 * u, 42.0 * u)
 
     def test_invalid_target(self):
         osc = named_oscillation("oscillator_upper")
@@ -1354,14 +1378,13 @@ class TestThresholdSearch:
         prob = self.level_prob(box, osc)
         res = threshold_solve(box, osc, target)
         lo, hi = res.bracket
-        # the threshold is an infimum, which the levels above the bracket
-        # meet and its bottom does not; the oscillator's is not attained:
-        # its bracket is a single float, whose cut misses
-        assert prob(math.nextafter(hi, math.inf)) <= target < prob(lo)
-        # the two searches bracket the same infimum
+        # the threshold is the least level whose cut meets the target: the
+        # bracket's top meets it and its bottom does not
+        assert prob(hi) <= target < prob(lo)
+        # the two searches bracket the same threshold
         scalar_lo, scalar_hi = self.scalar_bisection(prob, osc, target)
         assert max(lo, scalar_lo) <= min(hi, scalar_hi)
-        assert res.converged and res.error_bound < 1e-13
+        assert res.converged and res.error_bound < 1e-12
 
     def test_a_jump_at_the_threshold(self):
         # every level in (0.9, 1.4] cuts [0.9, 1], of upper probability 0.1,

@@ -534,9 +534,9 @@ class TestInfer:
         assert code == 0 and err == ""
 
     def test_unconverged_threshold_on_stderr(self, tmp_path, capsys):
-        # far in the dike's tail the search ends at adjacent coordinates whose
-        # levels still lie 0.085 apart: a row, its half-width and one stderr
-        # line, as for an expectation
+        # far in the dike's tail the levels whose cut probability lies within
+        # its rounding of the target span 0.58: a row, its half-width and one
+        # stderr line, as for an expectation
         doc = {"pbox": {"builtin": "dike"},
                "queries": [{"id": "far", "kind": "threshold", "target": 1e-15,
                             "oscillation": {"builtin": "dike_upper"}}]}
@@ -545,9 +545,9 @@ class TestInfer:
         code, out, err = run_cli(capsys, ["infer", str(path)])
         assert code == 0
         _, value, bound = csv_rows(out)["far"]
-        assert math.isfinite(value) and 1e-4 < bound < 0.1
+        assert math.isfinite(value) and 1e-4 < bound < 0.5
         assert err == f"not converged: far error bound {bound:.12g} above abs_tol 0.0001\n"
-        code, out, err = run_cli(capsys, ["infer", str(path), "--tol", "0.1"])
+        code, out, err = run_cli(capsys, ["infer", str(path), "--tol", "1"])
         assert code == 0 and err == "" and csv_rows(out)["far"][1:] == (value, bound)
 
     def test_knot_query_on_a_polynomial_pbox_takes_no_rounds(self, tmp_path, capsys):

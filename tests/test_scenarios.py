@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from case_study_reference import REFERENCE_CURVES, dike_overflow_curve
+from case_study_reference import REFERENCE_CURVES, dike_design_height, dike_overflow_curve
 
 from pboxes import choquet
 from pboxes.choquet import (
@@ -34,7 +35,7 @@ PINNED_ROWS = {
     "damping_ratio_upper": (1.66375182442, 3.85557807826e-05),
     "overflow_lower": (1.51507930027, 4.13674808643e-05),
     "overflow_upper": (6.42349333933, 3.69017225974e-05),
-    "design_height_p01": (10.7246505658, 1.06581410364e-14),
+    "design_height_p01": (10.7246505658, 5.50670620214e-14),
 }
 
 
@@ -118,6 +119,14 @@ class TestDikeFixture:
             return 1.0 - float(scenario.pbox.lower(hi)) - target
 
         assert direct(t_star) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("target", [0.01, 1e-12, 1e-15])
+    def test_threshold_brackets_the_exact_design_height(self, target):
+        # against the model's own formulas in 40-digit arithmetic
+        res = threshold_solve(builtin_scenario("dike").pbox, named_oscillation("dike_upper"),
+                              target)
+        lo, hi = map(Decimal, res.bracket)
+        assert lo <= dike_design_height(target) <= hi
 
     def test_lower_below_upper_expectation(self):
         rows = [run_query(q) for q in builtin_scenario("dike").queries]
