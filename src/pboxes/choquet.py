@@ -739,49 +739,37 @@ def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
     the strip ``(a_{k-1}, a_k]`` puts mass ``a_k - a_{k-1}`` on the classes
     from the first one with ``F_upper >= a_k`` to the first one with
     ``F_lower >= a_k``, and the lower expectation is the sum over strips of
-    the mass times the least gamble value on the interval.  Both ends only
-    move right as ``k`` grows, so a monotone deque gives every interval's
-    least value in one pass after the one sort; no quadrature is involved.
+    the mass times the least gamble value on the interval.  The strips
+    belong to the p-box and are found once per p-box, in
+    :attr:`PBox.random_set`; both ends of an interval only move right as
+    ``k`` grows, so a monotone deque gives every interval's least value in
+    one pass per gamble; no quadrature is involved.
     The sum is taken as the first least value plus each change of it times
     the mass above the strip, ``1 - a_{k-1}``, so a constant gamble has its
     own value.  A change too large for a float, where the gamble spans more
     than the float range, is added as its two terms instead: the sum of the
     strips below, the running total less the mass above times the old value,
     stays finite.
-
-    The CDFs may leave their bounds by a tolerance: a bound outside (0, 1)
-    adds no level, an interval starts at the first class where either CDF
-    reaches the level, and an end that no class reaches is the top class.
     """
     if not pbox.is_finite:
         raise ValidationError("lower_expectation_finite needs a finite-space p-box")
     values = [_finite_number(v) for v in gamble]
-    n = len(values)
-    if n != pbox.space.size:
+    if len(values) != pbox.space.size:
         raise ValidationError("gamble length must match the number of classes")
-    lower, upper = pbox.lower.values, pbox.upper.values
-    levels = sorted({v for v in lower + upper if 0.0 < v < 1.0})
-    levels.append(1.0)
     # minima: the classes pushed so far whose value is below that of every
     # later class pushed, in ascending order of class and of value
     minima = deque()
-    left = right = pushed = 0
+    pushed = 0
     total = previous = None
     below = 0.0
-    for level in levels:
-        while left < n - 1 and upper[left] < level:
-            left += 1
-        while right < n - 1 and lower[right] < level:
-            right += 1
-        while pushed <= right:
+    for level, first, last in pbox.random_set:
+        while pushed <= last:
             value = values[pushed]
             while minima and values[minima[-1]] >= value:
                 minima.pop()
             minima.append(pushed)
             pushed += 1
-        # a lower CDF above the upper one, by the tolerance, starts the
-        # interval where it reaches the level
-        while minima[0] < min(left, right):
+        while minima[0] < first:
             minima.popleft()
         least = values[minima[0]]
         if total is None:

@@ -40,7 +40,6 @@ import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
@@ -157,21 +156,25 @@ def _chain_sweep(instance: FiniteCredalInstance, g: Sequence[int]) -> int:
     """
     scale, grid, windows = instance._integer_chain
     # prefix[j - a]: least partial cost with the current s at or below grid[j],
-    # a <= j <= b, for the last step of nonzero cost; none yet costs 0 everywhere
-    prefix = None
+    # a <= j <= b, for the last step of nonzero cost; before the first, the
+    # window (0, 0) of cost 0 is every vertex's predecessor
+    prefix, a, b = [0], 0, 0
     for i in range(len(g) - 1):
         cost = g[i] - g[i + 1]
         if not cost:
             continue
         na, nb = windows[i]
-        if prefix is None:
-            best = [cost * v for v in grid[na:nb + 1]]
-        else:
+        # the running minimum of the step's costs, kept as each vertex is read
+        row = []
+        low = None
+        for j in range(na, nb + 1):
             # windows only move right, so every j >= na has a predecessor k <= min(j, b)
-            best = [prefix[min(j, b) - a] + cost * grid[j] for j in range(na, nb + 1)]
-        prefix = list(accumulate(best, min))
-        a, b = na, nb
-    return g[-1] * scale + (0 if prefix is None else prefix[-1])
+            here = prefix[(j if j < b else b) - a] + cost * grid[j]
+            if low is None or here < low:
+                low = here
+            row.append(low)
+        prefix, a, b = row, na, nb
+    return g[-1] * scale + prefix[-1]
 
 
 def lp_lower_expectation(instance: FiniteCredalInstance, gamble: Sequence) -> float:

@@ -29,9 +29,10 @@ underlying space.
 A finite p-box is also a random set: each strip ``(a, b]`` between
 consecutive distinct cumulative bounds puts its mass on the interval of
 classes from the first where ``F_upper`` reaches ``b`` to the first where
-``F_lower`` does.  :func:`pboxes.choquet.lower_expectation_finite` sums
-that random set, and the lower probability of an event is the mass of the
-intervals inside it.
+``F_lower`` does.  :attr:`PBox.random_set` finds those strips once per
+p-box, :func:`pboxes.choquet.lower_expectation_finite` sums them for each
+gamble, and the lower probability of an event is the mass of the intervals
+inside it.
 """
 
 from __future__ import annotations
@@ -355,6 +356,36 @@ class PBox:
     def lower_at_one(self) -> float:
         """``F_lower(1)`` on the unit continuum, evaluated once."""
         return float(self.lower(np.ones(1))[0])
+
+    @cached_property
+    def random_set(self) -> tuple:
+        """The random set of a p-box on a finite space, found once.
+
+        Sort the distinct cumulative bounds in (0, 1) and append 1: each
+        level ``b`` closes the strip ``(a, b]`` from the level below, whose
+        mass lies on the classes ``first..last``, from the first class where
+        ``F_upper`` reaches ``b`` to the first where ``F_lower`` does.  One
+        ``(b, first, last)`` per level, in ascending order; both ends only
+        move right.  The CDFs may leave their bounds by a tolerance: a bound
+        outside (0, 1) adds no level, an interval starts at the first class
+        where either CDF reaches the level, and an end that no class reaches
+        is the top class.
+        """
+        lower, upper = self.lower.values, self.upper.values
+        top = len(lower) - 1
+        levels = sorted({v for v in lower + upper if 0.0 < v < 1.0})
+        levels.append(1.0)
+        strips = []
+        left = right = 0
+        for level in levels:
+            while left < top and upper[left] < level:
+                left += 1
+            while right < top and lower[right] < level:
+                right += 1
+            # a lower CDF above the upper one, by the tolerance, starts the
+            # interval where it reaches the level
+            strips.append((level, min(left, right), right))
+        return tuple(strips)
 
 
 def _check_order(lower: PiecewisePolynomialCdf, upper: PiecewisePolynomialCdf,

@@ -1081,19 +1081,24 @@ def windows_cut_by_one(monkeypatch, oracle):
     monkeypatch.setattr(oracle, "_chain_sweep", cut)
 
 
+def _rewritten_sweep(monkeypatch, oracle, old, new):
+    # the oracle's sweep with the one occurrence of ``old`` in its source replaced
+    source = textwrap.dedent(inspect.getsource(oracle._chain_sweep))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(oracle), namespace)
+    monkeypatch.setattr(oracle, "_chain_sweep", namespace["_chain_sweep"])
+
+
 def prefix_minimum_dropped(monkeypatch, oracle):
     # each step reads the cost at its predecessor's own value, not the least below it
-    monkeypatch.setattr(oracle, "accumulate", lambda best, func: best)
+    _rewritten_sweep(monkeypatch, oracle, "row.append(low)", "row.append(here)")
 
 
 def first_predecessor_only(monkeypatch, oracle):
     # each step reads the least cost at the window's first vertex alone
-    source = textwrap.dedent(inspect.getsource(oracle._chain_sweep))
-    old = "prefix[min(j, b) - a] + cost"
-    assert source.count(old) == 1
-    namespace = {}
-    exec(source.replace(old, "prefix[0] + cost"), vars(oracle), namespace)
-    monkeypatch.setattr(oracle, "_chain_sweep", namespace["_chain_sweep"])
+    _rewritten_sweep(monkeypatch, oracle, "prefix[(j if j < b else b) - a] + cost",
+                     "prefix[0] + cost")
 
 
 LP_DEFECTS = (lp_plus_1e3, windows_at_lower_bound, windows_cut_by_one,

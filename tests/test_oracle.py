@@ -417,10 +417,11 @@ class TestMobiusCheck:
 
     def test_lowered_additive_pair_is_caught(self, rng):
         # {0, 2} splits into two runs, so its mass is 0; one unit of 1/D less
-        # is a negative mass (one unit more can leave a belief function)
-        for _ in range(20):
+        # is a negative mass (one unit more can leave a belief function), also
+        # among the 4,096 subsets of 12 classes
+        for n in [rng.randint(3, 6) for _ in range(20)] + [12] * 3:
             numerators, scale = natural_extension_numerators(
-                random_credal_instance(rng, rng.randint(3, 6), rng.choice([24, 100])))
+                random_credal_instance(rng, n, rng.choice([24, 100])))
             assert mobius_check(numerators, scale).masses[0b101] == 0
             numerators[0b101] -= 1
             report = mobius_check(numerators, scale)
