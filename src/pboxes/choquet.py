@@ -64,7 +64,7 @@ import numpy as np
 from .errors import ValidationError
 from .pbox import (_MAX_GRID, PBox, PiecewisePolynomialCdf, _knot_list, _piece_gains,
                    vectorized)
-from .preorder import ZEventSet, ZInterval, _class_index, _finite_number, normalize
+from .preorder import ZEventSet, ZInterval, _finite_number, normalize
 
 __all__ = [
     "Oscillation",
@@ -91,9 +91,10 @@ _CHUNK = 1 << 13
 # sections per round of the threshold search: 31 interior points per batch
 _SECTIONS = 32
 # Darboux refinement: the bracket width a round aims for, as a share of the
-# tolerance, and the most parts it cuts one cell into
+# tolerance, the most parts it cuts one cell into, and the most rounds
 _THETA = 0.8
 _MAX_PARTS = 64
+_MAX_ROUNDS = 24
 _UNIT_ROUNDOFF = 2.0 ** -53
 # the share of abs_tol kept for the tail of an unbounded oscillation
 _TAIL_SHARE = 2.0 ** -9
@@ -179,25 +180,21 @@ AnyOscillation = Oscillation | KnotOscillation
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """The one tolerance of every bracketed result, and the cap on refinement.
+    """The one tolerance of every bracketed result.
 
     ``abs_tol`` is the width a converged bracket stays below: an
     expectation's, the tail beyond an unbounded oscillation's truncation
-    level included, and a threshold's.  ``max_refinements``, a positive
-    int, caps the rounds of refinement; a round cuts every cell into parts
-    by its share of the bracket width.  Cut sets and threshold searches
-    take no tolerance: they run to float resolution.
+    level included, and a threshold's.  Cut sets and threshold searches
+    take no tolerance: they run to float resolution.  Refinement has no
+    setting of its own: it stops as :func:`_darboux` says.
     """
 
     abs_tol: float = 1e-4
-    max_refinements: int = 24
 
     def __post_init__(self):
         object.__setattr__(self, "abs_tol", _finite_number(self.abs_tol))
         if self.abs_tol < 1e-12:
             raise ValidationError("abs_tol below 1e-12 is not honoured")
-        object.__setattr__(self, "max_refinements", _class_index(
-            self.max_refinements, math.inf, lowest=1, what="max_refinements values"))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -388,10 +385,10 @@ def _read(cdf, z: np.ndarray, where: np.ndarray, fixed: float) -> np.ndarray:
     return out
 
 
-def _darboux(batch, a: float, b: float, cfg: QuadratureConfig, level=np.asarray,
-             tol: float | None = None):
-    """Bracket the integral over levels of a non-increasing integrand: its
-    midpoint, half-width, convergence flag and rounds of refinement.
+def _darboux(batch, a: float, b: float, tol: float, level=np.asarray):
+    """Bracket the integral over levels of a non-increasing integrand to the
+    width ``tol``: its midpoint, half-width, convergence flag and rounds of
+    refinement.
 
     The grid runs over ``s`` in [a, b]; ``batch(s)`` is the integrand and
     ``level(s)`` the non-decreasing level (``np.asarray``, the identity, in
@@ -401,15 +398,15 @@ def _darboux(batch, a: float, b: float, cfg: QuadratureConfig, level=np.asarray,
     bounds the rounding of the steps and of both sums.  Each round cuts
     every cell into ``k`` equal parts by equidistribution: if a cell's
     contribution ``c = step * (g_left - g_right)`` fell to ``c / k``, the
-    fewest parts in all that bring the width to ``_THETA * tol`` (``tol``
-    defaults to ``cfg.abs_tol``) are ``k = sqrt(c) * S / (_THETA * tol)``
-    with ``S = sum(sqrt(c))``.  ``k`` is rounded up and clipped to [1,
-    ``_MAX_PARTS``] and to the parts the float spacing of the cell allows.
-    A round that would pass ``_MAX_GRID`` cells, or that would cut no cell,
-    is not taken.  The old points stay, so each grid refines the last and
-    its Darboux sums lie within the last one's.
+    fewest parts in all that bring the width to ``_THETA * tol`` are ``k =
+    sqrt(c) * S / (_THETA * tol)`` with ``S = sum(sqrt(c))``.  ``k`` is
+    rounded up and clipped to [1, ``_MAX_PARTS``] and to the parts the float
+    spacing of the cell allows.  The old points stay, so each grid refines
+    the last and its Darboux sums lie within the last one's.  Refinement
+    stops when the bracket converges, when the next round would pass
+    ``_MAX_GRID`` cells or could cut no cell, or after ``_MAX_ROUNDS``
+    rounds.
     """
-    tol = cfg.abs_tol if tol is None else tol
     # parts per unit of s that keep the points of a cut cell distinct floats
     resolution = 0.5 / np.spacing(max(abs(a), abs(b)))
     s = np.linspace(a, b, 17)
@@ -427,7 +424,7 @@ def _darboux(batch, a: float, b: float, cfg: QuadratureConfig, level=np.asarray,
         # bound covers the rounding of the midpoint and half-width as well
         half = 0.5 * width + 2.0 * (len(gaps) + 4) * _UNIT_ROUNDOFF * (lower + width)
         converged = half < 0.5 * tol
-        if converged or rounds >= cfg.max_refinements:
+        if converged or rounds >= _MAX_ROUNDS:
             return lower + 0.5 * width, half, converged, rounds
         # a level that dips by float dust makes a step, and so a share, negative
         root = np.sqrt(np.maximum(gaps, 0.0, out=gaps), out=gaps)
@@ -504,35 +501,34 @@ def _require_target(target: float) -> float:
     return value
 
 
-def _integrand(pbox: PBox, osc: AnyOscillation, upper: bool, cfg: QuadratureConfig,
+def _integrand(pbox: PBox, osc: AnyOscillation, abs_tol: float,
                tail: Callable | None = None):
-    """The lower (upper) cut probability of ``osc`` as a batch function of
-    the level, the levels ``[a, b]`` to integrate over, and the charge for
-    the tail beyond ``b``: 0 for a bounded oscillation.
+    """The levels ``[a, b]`` to integrate the cut probability of ``osc``
+    over, and the charge for the tail beyond ``b``: 0 for a bounded
+    oscillation.
 
     An unbounded one is truncated at a finite level ``b``, read from the
     tail certificate ``tail`` alone, never from ``osc``:
     ``tail(T)`` is a proven upper bound on the integral of the upper cut
     probability beyond ``T``.  ``b`` is the first ``a + 2**k``, k = 0 ..
-    63, where the certificate is at most ``_TAIL_SHARE * cfg.abs_tol``, or
+    63, where the certificate is at most ``_TAIL_SHARE * abs_tol``, or
     the last if none is, and the charge is the certificate there.  Without
     a certificate nothing bounds the tail: the charge is ``inf``, and ``b``
     is the greatest finite level of ``osc`` at the points ``1 - 2**-k`` of
     its coordinate grid, the top of what that grid reaches.
     """
     _require_continuum(pbox)
-    batch = partial(_batch_cut_probs, pbox, osc, upper=upper)
     a, b = osc.inf_value, osc.sup_value
     if not math.isinf(b):
-        return batch, a, b, 0.0
+        return a, b, 0.0
     if tail is None:
-        return batch, a, _grid_top(osc), math.inf
+        return a, _grid_top(osc), math.inf
     for k in range(64):
         b = a + 2.0 ** k
         charge = _certified(tail, b)
-        if charge <= _TAIL_SHARE * cfg.abs_tol:
+        if charge <= _TAIL_SHARE * abs_tol:
             break
-    return batch, a, b, charge
+    return a, b, charge
 
 
 def _certified(tail: Callable, level: float) -> float:
@@ -543,6 +539,17 @@ def _certified(tail: Callable, level: float) -> float:
         raise ValidationError(f"a tail certificate gave {bound!r} at level {level!r}; "
                               "expected a number >= 0")
     return float(bound)
+
+
+def _grid(pbox: PBox, osc: AnyOscillation, upper: bool, a: float, b: float):
+    """The grid an expectation or a threshold runs over, as ``(level, prob,
+    lo, hi)``: the level and the lower (upper) cut probability as batch
+    functions of a point ``s`` in ``[lo, hi]``.  A knot oscillation's grid
+    is its levels ``[a, b]``; a black box's is its coordinate (see
+    :func:`_coordinate_grid`), with its levels clipped to ``[a, b]``."""
+    if osc.knots is None:
+        return (*_coordinate_grid(pbox, osc, upper, a, b), 0.0, 1.0)
+    return np.asarray, partial(_batch_cut_probs, pbox, osc, upper=upper), a, b
 
 
 def _grid_top(osc: Oscillation) -> float:
@@ -572,25 +579,22 @@ def _expectation(pbox: PBox, osc: AnyOscillation, upper: bool,
     the integral up to ``b``, and is not converged.
     """
     if osc.knots is not None and pbox.is_polynomial:
-        return _exact_expectation(pbox, osc, upper, cfg)
-    batch, a, b, charge = _integrand(pbox, osc, upper, cfg, tail)
+        return _exact_expectation(pbox, osc, upper, cfg.abs_tol)
+    a, b, charge = _integrand(pbox, osc, cfg.abs_tol, tail)
     unbounded = math.isinf(osc.sup_value)
     if b <= a and not unbounded:
         return QuadratureResult(a, 0.0, True)
     certified = charge <= _TAIL_SHARE * cfg.abs_tol
-    level, lo, hi = np.asarray, a, b
-    if osc.knots is None:
-        level, batch = _coordinate_grid(pbox, osc, upper, a, b)
-        lo, hi = 0.0, 1.0
+    level, batch, lo, hi = _grid(pbox, osc, upper, a, b)
     # a charge beyond its share cannot converge: refine to abs_tol instead
     tol = cfg.abs_tol * (1.0 - _TAIL_SHARE) if unbounded and certified else cfg.abs_tol
-    mid, hw, ok, rounds = _darboux(batch, lo, hi, cfg, level, tol)
+    mid, hw, ok, rounds = _darboux(batch, lo, hi, tol, level)
     known = charge if math.isfinite(charge) else 0.0
     return QuadratureResult(a + mid + 0.5 * known, hw + 0.5 * known, ok and certified, rounds)
 
 
 def _exact_expectation(pbox: PBox, osc: KnotOscillation, upper: bool,
-                       cfg: QuadratureConfig) -> QuadratureResult:
+                       abs_tol: float) -> QuadratureResult:
     """The expectation of a knot oscillation on a p-box of two
     piecewise-polynomial CDFs, piece by piece in the level, with a proven
     bound on its rounding.
@@ -634,7 +638,7 @@ def _exact_expectation(pbox: PBox, osc: KnotOscillation, upper: bool,
       bound, over a piece narrower than ``2**-1021`` or a misplaced break.
 
     ``converged`` means the bracket ``value -+ error_bound`` is narrower
-    than ``cfg.abs_tol``; no round of refinement is made.
+    than ``abs_tol``; no round of refinement is made.
     """
     zs, vs = np.asarray(osc.knots, dtype=float).T
     a, b = osc.inf_value, osc.sup_value
@@ -694,7 +698,7 @@ def _exact_expectation(pbox: PBox, osc: KnotOscillation, upper: bool,
     bound = (math.fsum(rows.tolist()) + 3.0 * steep * u * max(abs(a), abs(b))
              + (steep + bend) * float(np.sum(slivers)) + 2.0 * u * (abs(total) + abs(value))
              + 2.0 ** -1018 * (1.0 + steep + bend) * (len(piece) + len(ts)))
-    return QuadratureResult(value, bound, bound < 0.5 * cfg.abs_tol)
+    return QuadratureResult(value, bound, bound < 0.5 * abs_tol)
 
 
 def _sign_change(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -820,7 +824,7 @@ def threshold_solve(pbox: PBox, uosc: AnyOscillation, target: float,
     upper cut probability is at most ``target``, bracketed.
 
     The upper cut probability does not increase with the level, so the
-    search runs over the grid of :func:`_expectation`: the levels of a knot
+    search runs over the grid of :func:`_grid`: the levels of a knot
     oscillation, or the coordinate of a black box, whose point ``s`` bounds
     the threshold below by its level if ``prob(s) > target`` and above by it
     otherwise (see :func:`_coordinate_grid`).  A computed probability is
@@ -849,11 +853,7 @@ def threshold_solve(pbox: PBox, uosc: AnyOscillation, target: float,
     a, b = uosc.inf_value, uosc.sup_value
     if target == 1.0:
         return QuadratureResult(a, 0.0, True)
-    prob = partial(_batch_cut_probs, pbox, uosc, upper=True)
-    level, lo, hi = np.asarray, a, b
-    if uosc.knots is None:
-        level, prob = _coordinate_grid(pbox, uosc, True, a, b)
-        lo, hi = 0.0, 1.0
+    level, prob, lo, hi = _grid(pbox, uosc, True, a, b)
     slack, drift = _cut_rounding(pbox, uosc)
     if prob(np.array([hi]))[0] > target + slack:
         return QuadratureResult(b, 0.0, True)

@@ -69,10 +69,10 @@ def _fmt(x: float) -> str:
 
 # each JSON type by the exact Python types json.load gives it: a boolean is no number
 _TYPES = {"an object": (dict,), "an array": (list,), "a string": (str,), "a boolean": (bool,),
-          "a number": (int, float), "an integer": (int,)}
+          "a number": (int, float)}
 # the most entries of an array; a y_grid takes up to choquet._MAX_GRID points
 _MAX_ITEMS = 1 << 16
-_CONFIG_FIELDS = {"abs_tol": "a number", "max_refinements": "an integer"}
+_CONFIG_FIELDS = {"abs_tol": "a number"}
 
 
 class _Node:
@@ -308,9 +308,7 @@ def load_scenario(path: str):
 
 
 def _merge_config(cfg: QuadratureConfig, args) -> QuadratureConfig:
-    flags = {"abs_tol": args.tol, "max_refinements": args.max_refine}
-    overrides = {key: value for key, value in flags.items() if value is not None}
-    return replace(cfg, **overrides) if overrides else cfg
+    return cfg if args.tol is None else replace(cfg, abs_tol=args.tol)
 
 
 def _emit_scenario(scenario: Scenario, cfg: QuadratureConfig, args) -> int:
@@ -369,11 +367,12 @@ def _cmd_table(args) -> int:
             "no expectation query to take an integrand from" if args.query is None
             else f"no expectation query with id {args.query!r} in {scenario.name!r}")
     # the levels the quadrature integrates over, truncated where it truncates
-    integrand, lo, hi, _ = _choquet._integrand(
-        query.pbox, query.oscillation, query.kind != "expectation_lower", cfg, query.tail)
+    lo, hi, _ = _choquet._integrand(query.pbox, query.oscillation, cfg.abs_tol, query.tail)
     ts = np.linspace(lo, hi, grid)
+    probs = _choquet._batch_cut_probs(query.pbox, query.oscillation, ts,
+                                      query.kind != "expectation_lower")
     print("t,integrand")
-    for t, g in zip(ts.tolist(), integrand(ts).tolist()):
+    for t, g in zip(ts.tolist(), probs.tolist()):
         print(f"{_fmt(t)},{_fmt(g)}")
     return 0
 
@@ -503,8 +502,6 @@ def _serialize(instance) -> str:
 def _add_quadrature_flags(sub) -> None:
     sub.add_argument("--tol", type=float, default=None,
                      help="absolute quadrature tolerance (default 1e-4)")
-    sub.add_argument("--max-refine", type=int, default=None,
-                     help="maximum rounds of adaptive refinement (default 24)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -548,8 +548,8 @@ class TestLowerExpectation:
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
-        res = lower_expectation(box, osc, QuadratureConfig(abs_tol=1e-9,
-                                                           max_refinements=2))
+        # the oscillator stops on the grid cap, far from abs_tol
+        res = lower_expectation(box, osc, QuadratureConfig(abs_tol=1e-9))
         assert not res.converged
         assert res.error_bound > 1e-9
         # the wider bracket is still correct
@@ -937,7 +937,7 @@ class TestAdaptiveDarboux:
     ])
     def test_bracket_contains_closed_form(self, g, exact):
         cfg = QuadratureConfig(abs_tol=1e-4)
-        mid, half, converged, _ = _darboux(g, 0.0, 40.0, cfg)
+        mid, half, converged, _ = _darboux(g, 0.0, 40.0, cfg.abs_tol)
         assert converged
         assert half < 0.5 * cfg.abs_tol
         assert mid - half <= exact <= mid + half
@@ -945,7 +945,7 @@ class TestAdaptiveDarboux:
     def test_linear_integrand_costs_at_most_doubling(self):
         cfg = QuadratureConfig(abs_tol=1e-4)
         batch = CountingBatch(lambda ts: 1.0 - ts)
-        _, _, converged, rounds = _darboux(batch, 0.0, 1.0, cfg)
+        _, _, converged, rounds = _darboux(batch, 0.0, 1.0, cfg.abs_tol)
         assert converged
         assert batch.levels <= doubling_cost(1.0, 1.0, cfg.abs_tol)[1]
         # one batch per round
@@ -954,7 +954,7 @@ class TestAdaptiveDarboux:
     def test_long_tail_needs_a_quarter_of_doubling(self):
         cfg = QuadratureConfig(abs_tol=1e-4)
         batch = CountingBatch(long_tail)
-        _, _, converged, rounds = _darboux(batch, 0.0, 40.0, cfg)
+        _, _, converged, rounds = _darboux(batch, 0.0, 40.0, cfg.abs_tol)
         doubling_rounds, doubling_levels = doubling_cost(40.0, 1.0 - math.exp(-40.0),
                                                          cfg.abs_tol)
         assert converged
@@ -1008,6 +1008,18 @@ class TestAdaptiveDarboux:
         assert fine.error_bound < 0.5 * fine_tol
         assert coarse.bracket[0] - 1e-12 <= fine.bracket[0]
         assert fine.bracket[1] <= coarse.bracket[1] + 1e-12
+
+    @pytest.mark.parametrize("case", ["oscillator_lower", "oscillator_upper", "dike_lower",
+                                      "dike_upper"])
+    def test_case_studies_stop_before_the_round_bound(self, case):
+        # converged or not, each stops on its bracket or its grid, never on
+        # the count of rounds, from the coarsest tolerance to the finest
+        box, osc = builtin_scenario(case.split("_")[0]).pbox, named_oscillation(case)
+        for tol in (1e-3, 1e-4, 1e-6, 1e-8, 1e-12):
+            cfg = QuadratureConfig(abs_tol=tol)
+            res = (upper_expectation(box, osc, cfg, named_tail(case, box))
+                   if case.endswith("upper") else lower_expectation(box, osc, cfg))
+            assert res.refinements < choquet._MAX_ROUNDS, tol
 
 
 def _jumping_cdf_box():
@@ -1224,9 +1236,9 @@ class TestCertifiedTails:
         seen = []
         original = choquet._darboux
 
-        def darboux(batch, lo, hi, cfg, level, tol):
+        def darboux(batch, lo, hi, tol, level):
             seen.append(level(np.linspace(lo, hi, 5)))
-            return original(batch, lo, hi, cfg, level, tol)
+            return original(batch, lo, hi, tol, level)
 
         monkeypatch.setattr(choquet, "_darboux", darboux)
         for f in (_blow_up, _inf_at_one, lambda z: _inf_at_one(1.0 - np.asarray(z, float)),
@@ -1243,7 +1255,7 @@ class TestCertifiedTails:
         top = float(osc.f(1.0 - 2.0 ** -52))
         assert math.isinf(float(osc.f(1.0 - 2.0 ** -53)))
         assert choquet._grid_top(osc) == top == pytest.approx(29.63, abs=0.01)
-        _, a, b, charge = choquet._integrand(BLOW_UP_BOX, osc, True, DEFAULT_CONFIG)
+        a, b, charge = choquet._integrand(BLOW_UP_BOX, osc, DEFAULT_CONFIG.abs_tol)
         assert (a, b, charge) == (osc.inf_value, top, math.inf)
 
     def test_a_bounded_oscillation_ignores_a_certificate(self):
@@ -1349,29 +1361,15 @@ class TestThresholdSolve:
 class TestQuadratureConfig:
     def test_one_tolerance(self):
         # cut ends and thresholds run to the float; abs_tol is the only tolerance
-        assert [f.name for f in dataclasses.fields(QuadratureConfig)] == [
-            "abs_tol", "max_refinements"]
+        assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["abs_tol"]
         with pytest.raises(TypeError):
             QuadratureConfig(bisect_tol=1e-12)
+        with pytest.raises(TypeError):
+            QuadratureConfig(max_refinements=3)
 
     def test_tolerance_floor(self):
         with pytest.raises(ValidationError):
             QuadratureConfig(abs_tol=1e-15)
-
-    def test_positive_counts(self):
-        with pytest.raises(ValidationError):
-            QuadratureConfig(max_refinements=0)
-
-    def test_max_refinements_is_a_positive_int(self):
-        # a NaN cap would never stop the rounds, as rounds >= nan is never true
-        for bad in (math.nan, math.inf, 2.5, 3.0, -1):
-            with pytest.raises(ValidationError):
-                QuadratureConfig(max_refinements=bad)
-        for bad in (True, "3", None):
-            with pytest.raises(TypeError):
-                QuadratureConfig(max_refinements=bad)
-        cfg = QuadratureConfig(max_refinements=np.int64(3))
-        assert type(cfg.max_refinements) is int and cfg.max_refinements == 3
 
     def test_non_finite_tolerance_rejected(self):
         for bad in (math.nan, math.inf):

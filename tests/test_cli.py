@@ -323,8 +323,10 @@ class TestInfer:
         assert "validation error" in err and out == ""
 
     @pytest.mark.parametrize("key, value", [("cut_grid", 4096), ("tail_tol", 1e-8),
-                                            ("bisect_tol", 1e-12), ("abs_tl", 1e-9)],
-                             ids=["cut_grid", "tail_tol", "bisect_tol", "abs_tl"])
+                                            ("bisect_tol", 1e-12), ("max_refinements", 12),
+                                            ("abs_tl", 1e-9)],
+                             ids=["cut_grid", "tail_tol", "bisect_tol", "max_refinements",
+                                  "abs_tl"])
     def test_unknown_config_setting_exit_2(self, tmp_path, capsys, key, value):
         # retired settings and a misspelt one are refused, not ignored
         doc = dict(SCENARIO_DOC, config={key: value})
@@ -518,18 +520,19 @@ class TestInfer:
 
     def test_unconverged_query_on_stderr(self, tmp_path, capsys):
         # one stderr line per unconverged query; the CSV and exit code are as
-        # before.  A black box takes Darboux rounds, which --max-refine caps
+        # before.  A black box takes Darboux rounds, and on the oscillator they
+        # stop on the grid cap far above an abs_tol of 1e-9
         doc = dict(CONTINUUM_DOC, queries=[
             {"id": "black_box", "kind": "expectation_lower",
              "oscillation": {"builtin": "oscillator_lower"}},
             {"id": "edge", "kind": "event_lower", "intervals": [[0.0, 0.5, False, False]]}])
         path = tmp_path / "unconverged.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, ["infer", str(path), "--max-refine", "1"])
+        code, out, err = run_cli(capsys, ["infer", str(path), "--tol", "1e-9"])
         assert code == 0
         bound = csv_rows(out)["black_box"][2]
-        assert bound > 1e-4
-        assert err == f"not converged: black_box error bound {bound:.12g} above abs_tol 0.0001\n"
+        assert bound > 1e-9
+        assert err == f"not converged: black_box error bound {bound:.12g} above abs_tol 1e-09\n"
         code, _, err = run_cli(capsys, ["infer", str(path)])
         assert code == 0 and err == ""
 
@@ -551,14 +554,13 @@ class TestInfer:
         assert code == 0 and err == "" and csv_rows(out)["far"][1:] == (value, bound)
 
     def test_knot_query_on_a_polynomial_pbox_takes_no_rounds(self, tmp_path, capsys):
-        # its exact pieces need no refinement, so --max-refine 1 leaves it converged
+        # its exact pieces need no refinement, and converge at the tightest tolerance
         doc = dict(CONTINUUM_DOC, queries=[
             {"id": "tent", "kind": "expectation_lower",
              "oscillation": {"knots": [[0.0, 0.0], [0.3, 1.0], [0.6, 0.2], [1.0, 0.8]]}}])
         path = tmp_path / "exact.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, ["infer", str(path), "--max-refine", "1",
-                                          "--tol", "1e-12"])
+        code, out, err = run_cli(capsys, ["infer", str(path), "--tol", "1e-12"])
         assert code == 0 and err == ""
         assert csv_rows(out)["tent"][2] < 0.5e-12
 
@@ -1276,10 +1278,12 @@ class TestTails:
         return str(path)
 
     def test_tail_tol_flag_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["paper", "dike", "--tail-tol", "1e-8"])
-        assert exc.value.code == 2
-        assert "--tail-tol" in capsys.readouterr().err
+        # so is --max-refine: refinement has no setting but abs_tol
+        for flag, value in (("--tail-tol", "1e-8"), ("--max-refine", "3")):
+            with pytest.raises(SystemExit) as exc:
+                main(["paper", "dike", flag, value])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_uncertified_dike_upper_has_finite_rows(self, tmp_path, capsys):
         path = self.write(tmp_path, {"analytic": {"lower": "uniform", "upper": "one"}})
