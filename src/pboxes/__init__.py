@@ -9,10 +9,8 @@ cross-checked by a brute-force credal-polytope oracle at small scale.
 """
 
 from .choquet import (
-    DEFAULT_CONFIG,
     KnotOscillation,
     Oscillation,
-    QuadratureConfig,
     QuadratureResult,
     cut_event,
     lower_expectation,
@@ -78,10 +76,8 @@ _ORACLE_NAMES = frozenset({
 
 # a star import binds the oracle's names too, loading it, and no submodule
 __all__ = [
-    "DEFAULT_CONFIG",
     "KnotOscillation",
     "Oscillation",
-    "QuadratureConfig",
     "QuadratureResult",
     "cut_event",
     "lower_expectation",

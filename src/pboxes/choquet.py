@@ -42,7 +42,8 @@ most a target, is searched over the same grid as the expectation until
 its bracket can shrink no further, trusting a computed cut probability
 only beyond a proven bound on its rounding, and is reported like an
 expectation: a bracket whose half-width converges against ``abs_tol``,
-the one tolerance.
+the one tolerance, which every bracketed call takes as a number (default
+1e-4, at least 1e-12; see :func:`_tolerance`).
 
 Gambles over finite quotient spaces bypass quadrature entirely: the
 expectation is an exact finite sum over the p-box's random set, each strip
@@ -69,9 +70,7 @@ from .preorder import ZEventSet, ZInterval, _finite_number, normalize
 __all__ = [
     "Oscillation",
     "KnotOscillation",
-    "QuadratureConfig",
     "QuadratureResult",
-    "DEFAULT_CONFIG",
     "cut_event",
     "lower_expectation",
     "upper_expectation",
@@ -96,6 +95,8 @@ _THETA = 0.8
 _MAX_PARTS = 64
 _MAX_ROUNDS = 24
 _UNIT_ROUNDOFF = 2.0 ** -53
+# the default of abs_tol, the one tolerance (see _tolerance)
+_ABS_TOL = 1e-4
 # the share of abs_tol kept for the tail of an unbounded oscillation
 _TAIL_SHARE = 2.0 ** -9
 
@@ -178,26 +179,20 @@ class KnotOscillation:
 AnyOscillation = Oscillation | KnotOscillation
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """The one tolerance of every bracketed result.
+def _tolerance(abs_tol) -> float:
+    """``abs_tol``, the one tolerance of every bracketed result, as a float.
 
-    ``abs_tol`` is the width a converged bracket stays below: an
-    expectation's, the tail beyond an unbounded oscillation's truncation
-    level included, and a threshold's.  Cut sets and threshold searches
-    take no tolerance: they run to float resolution.  Refinement has no
-    setting of its own: it stops as :func:`_darboux` says.
+    It is the width a converged bracket stays below: an expectation's, the
+    tail beyond an unbounded oscillation's truncation level included, and
+    a threshold's.  Cut sets and threshold searches take no tolerance: they
+    run to float resolution.  Refinement has no setting of its own: it
+    stops as :func:`_darboux` says.  A TypeError unless ``abs_tol`` is a
+    number, and a ValidationError unless it is finite and at least 1e-12.
     """
-
-    abs_tol: float = 1e-4
-
-    def __post_init__(self):
-        object.__setattr__(self, "abs_tol", _finite_number(self.abs_tol))
-        if self.abs_tol < 1e-12:
-            raise ValidationError("abs_tol below 1e-12 is not honoured")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+    value = _finite_number(abs_tol)
+    if value < 1e-12:
+        raise ValidationError("abs_tol below 1e-12 is not honoured")
+    return value
 
 
 @dataclass(frozen=True)
@@ -205,7 +200,10 @@ class QuadratureResult:
     """Bracket midpoint plus the half-width of the enclosing bracket (a
     Darboux bracket, the rounding bound of an exact integral, or the level
     bracket of a threshold search), and the rounds of adaptive refinement
-    that cut some cells of the grid, or of the search."""
+    that cut some cells of the grid, or of the search.  ``converged`` is
+    false when the half-width did not get below ``abs_tol / 2``.  An exact
+    result has half-width 0, and an arithmetic query on a grid of ``y`` has
+    an array ``value`` (see :func:`pboxes.scenarios.run_query`)."""
 
     value: float
     error_bound: float
@@ -215,9 +213,6 @@ class QuadratureResult:
     @property
     def bracket(self) -> tuple:
         return (self.value - self.error_bound, self.value + self.error_bound)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _bisect(f, ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, rising) -> np.ndarray:
@@ -563,7 +558,7 @@ def _grid_top(osc: Oscillation) -> float:
 
 
 def _expectation(pbox: PBox, osc: AnyOscillation, upper: bool,
-                 cfg: QuadratureConfig, tail: Callable | None = None) -> QuadratureResult:
+                 abs_tol: float, tail: Callable | None = None) -> QuadratureResult:
     """``inf + integral of the cut probability``, exact for a knot oscillation
     on a piecewise-polynomial p-box (:func:`_exact_expectation`), else
     bracketed by :func:`_darboux`.
@@ -576,18 +571,20 @@ def _expectation(pbox: PBox, osc: AnyOscillation, upper: bool,
     tolerance to the quadrature, so ``converged`` means the reported bound
     meets ``abs_tol``; a charge beyond it never converges.  An infinite
     one, without a certificate, is left out: the bracket is then that of
-    the integral up to ``b``, and is not converged.
+    the integral up to ``b``, and is not converged.  ``abs_tol`` is checked
+    first (:func:`_tolerance`).
     """
+    abs_tol = _tolerance(abs_tol)
     if osc.knots is not None and pbox.is_polynomial:
-        return _exact_expectation(pbox, osc, upper, cfg.abs_tol)
-    a, b, charge = _integrand(pbox, osc, cfg.abs_tol, tail)
+        return _exact_expectation(pbox, osc, upper, abs_tol)
+    a, b, charge = _integrand(pbox, osc, abs_tol, tail)
     unbounded = math.isinf(osc.sup_value)
     if b <= a and not unbounded:
         return QuadratureResult(a, 0.0, True)
-    certified = charge <= _TAIL_SHARE * cfg.abs_tol
+    certified = charge <= _TAIL_SHARE * abs_tol
     level, batch, lo, hi = _grid(pbox, osc, upper, a, b)
     # a charge beyond its share cannot converge: refine to abs_tol instead
-    tol = cfg.abs_tol * (1.0 - _TAIL_SHARE) if unbounded and certified else cfg.abs_tol
+    tol = abs_tol * (1.0 - _TAIL_SHARE) if unbounded and certified else abs_tol
     mid, hw, ok, rounds = _darboux(batch, lo, hi, tol, level)
     known = charge if math.isfinite(charge) else 0.0
     return QuadratureResult(a + mid + 0.5 * known, hw + 0.5 * known, ok and certified, rounds)
@@ -714,16 +711,17 @@ def _sign_change(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 
 
 def lower_expectation(pbox: PBox, losc: AnyOscillation,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+                      abs_tol: float = _ABS_TOL) -> QuadratureResult:
     """Lower expectation of a gamble given its lower oscillation, the
     per-class infimum of the gamble (the caller guarantees it): ``inf +
-    integral of the lower cut probability``, bracketed by Darboux sums."""
+    integral of the lower cut probability``, bracketed by Darboux sums or
+    exact with a bound on its rounding, to the tolerance ``abs_tol`` (see
+    :func:`_tolerance`)."""
     _require_bounded(losc)
-    return _expectation(pbox, losc, False, cfg)
+    return _expectation(pbox, losc, False, abs_tol)
 
 
-def upper_expectation(pbox: PBox, uosc: AnyOscillation,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG,
+def upper_expectation(pbox: PBox, uosc: AnyOscillation, abs_tol: float = _ABS_TOL,
                       tail: Callable | None = None) -> QuadratureResult:
     """Upper expectation of a gamble given its upper oscillation, the mirror
     of :func:`lower_expectation` through conjugacy.  An unbounded oscillation
@@ -731,7 +729,7 @@ def upper_expectation(pbox: PBox, uosc: AnyOscillation,
     function of a level ``T`` that bounds the integral of the upper cut
     probability beyond ``T``, whose bound is charged to the reported error
     (see :func:`_integrand`).  A bounded oscillation ignores it."""
-    return _expectation(pbox, uosc, True, cfg, tail)
+    return _expectation(pbox, uosc, True, abs_tol, tail)
 
 
 def lower_expectation_finite(pbox: PBox, gamble: Sequence) -> float:
@@ -819,7 +817,7 @@ def _cut_rounding(pbox: PBox, osc: AnyOscillation) -> tuple:
 
 
 def threshold_solve(pbox: PBox, uosc: AnyOscillation, target: float,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+                    abs_tol: float = _ABS_TOL) -> QuadratureResult:
     """The threshold of ``uosc`` at ``target``: the infimum of the levels whose
     upper cut probability is at most ``target``, bracketed.
 
@@ -850,6 +848,7 @@ def threshold_solve(pbox: PBox, uosc: AnyOscillation, target: float,
     """
     _require_continuum(pbox)
     target = _require_target(target)
+    abs_tol = _tolerance(abs_tol)
     a, b = uosc.inf_value, uosc.sup_value
     if target == 1.0:
         return QuadratureResult(a, 0.0, True)
@@ -883,4 +882,4 @@ def threshold_solve(pbox: PBox, uosc: AnyOscillation, target: float,
     half = max(t_hi - mid, mid - t_lo)
     while mid - half > t_lo or mid + half < t_hi:
         half = math.nextafter(half, math.inf)
-    return QuadratureResult(mid, half, half < 0.5 * cfg.abs_tol, rounds)
+    return QuadratureResult(mid, half, half < 0.5 * abs_tol, rounds)

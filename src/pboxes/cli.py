@@ -23,7 +23,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import replace
 from functools import cache
 from itertools import chain
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import choquet as _choquet
 from . import pbox as _pbox
-from .choquet import DEFAULT_CONFIG, KnotOscillation, QuadratureConfig
+from .choquet import KnotOscillation
 from .errors import ParseError, ValidationError, _checked
 from .multivariate import FRECHET, RealLinePBox, combine
 from .pbox import PBox, PiecewisePolynomialCdf, StepCdf
@@ -72,7 +71,6 @@ _TYPES = {"an object": (dict,), "an array": (list,), "a string": (str,), "a bool
           "a number": (int, float)}
 # the most entries of an array; a y_grid takes up to choquet._MAX_GRID points
 _MAX_ITEMS = 1 << 16
-_CONFIG_FIELDS = {"abs_tol": "a number"}
 
 
 class _Node:
@@ -183,7 +181,7 @@ def _space(node: _Node):
     if kind.of("a string") == "finite":
         classes = node.get("classes")
         return classes.build(FiniteQuotientSpace, tuple(classes.values("a string")))
-    if kind.value not in ("continuum", "z_induced"):
+    if kind.value != "continuum":
         raise kind.fail(f"unknown space type {kind.value!r}", ValidationError)
     return UNIT_INTERVAL
 
@@ -284,8 +282,8 @@ def _integer(literal: str) -> int:
         raise ParseError(f"an integer literal of {digits} digits is too long", "document") from None
 
 
-def load_scenario(path: str):
-    """Parse a scenario file into a runnable scenario and its config; a
+def load_scenario(path: str) -> Scenario:
+    """Parse a scenario file into a runnable scenario, its tolerance included; a
     :class:`ParseError` (a document of the wrong shape) or a :class:`ValidationError`
     (a value the model refuses) names the field, such as ``queries[2].target``."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -300,33 +298,34 @@ def load_scenario(path: str):
                     for index, node in enumerate(doc.get("queries", []).items()))
     config = doc.get("config", {})
     for key in config.of("an object"):
-        if key not in _CONFIG_FIELDS:
+        if key != "abs_tol":
             raise config.get(key).fail("unknown setting")
-    cfg = config.build(replace, DEFAULT_CONFIG, **{
-        key: config.get(key).of(_CONFIG_FIELDS[key]) for key in config.value})
-    return Scenario(doc.get("name", path).of("a string"), pbox, queries), cfg
+    tol = config.get("abs_tol", _choquet._ABS_TOL)
+    abs_tol = tol.build(_choquet._tolerance, tol.of("a number"))
+    return Scenario(doc.get("name", path).of("a string"), pbox, queries, abs_tol)
 
 
-def _merge_config(cfg: QuadratureConfig, args) -> QuadratureConfig:
-    return cfg if args.tol is None else replace(cfg, abs_tol=args.tol)
+def _abs_tol(scenario: Scenario, args) -> float:
+    """The tolerance to run ``scenario`` to: ``--tol`` if given, else its own; checked."""
+    return _choquet._tolerance(scenario.abs_tol if args.tol is None else args.tol)
 
 
-def _emit_scenario(scenario: Scenario, cfg: QuadratureConfig, args) -> int:
-    """Run every query under ``cfg`` and the command-line overrides, CSV out;
-    a query whose quadrature did not converge also gets a line on stderr."""
-    cfg = _merge_config(cfg, args)
+def _emit_scenario(scenario: Scenario, args) -> int:
+    """Run every query to the tolerance of :func:`_abs_tol`, CSV out; a query
+    whose quadrature did not converge also gets a line on stderr."""
+    abs_tol = _abs_tol(scenario, args)
     print(CSV_HEADER)
     for query in scenario.queries:
         start = time.perf_counter()
-        result = run_query(query, cfg)
+        result = run_query(query, abs_tol)
         rows = result_rows(query, result)
         # the rows of a grid share its wall time evenly
         elapsed_ms = int(round((time.perf_counter() - start) * 1000.0 / len(rows)))
         for rid, value in rows:
-            print(f"{rid},{result.kind},{_fmt(value)},{_fmt(result.error_bound)},{elapsed_ms}")
+            print(f"{rid},{query.kind},{_fmt(value)},{_fmt(result.error_bound)},{elapsed_ms}")
         if not result.converged:
-            print(f"not converged: {result.id} error bound {_fmt(result.error_bound)} "
-                  f"above abs_tol {_fmt(cfg.abs_tol)}", file=sys.stderr)
+            print(f"not converged: {query.id} error bound {_fmt(result.error_bound)} "
+                  f"above abs_tol {_fmt(abs_tol)}", file=sys.stderr)
     return 0
 
 
@@ -340,11 +339,9 @@ def _cmd_table(args) -> int:
         raise ValidationError("table grids need at least two points")
     if grid > _choquet._MAX_GRID:
         raise ValidationError(f"table grids above {_choquet._MAX_GRID} points are not supported")
-    if args.source in BUILTIN_NAMES:
-        scenario, cfg = builtin_scenario(args.source), DEFAULT_CONFIG
-    else:
-        scenario, cfg = load_scenario(args.source)
-    cfg = _merge_config(cfg, args)
+    scenario = (builtin_scenario(args.source) if args.source in BUILTIN_NAMES
+                else load_scenario(args.source))
+    abs_tol = _abs_tol(scenario, args)
     pbox = scenario.pbox
     if pbox is None:
         raise ValidationError(f"scenario {scenario.name!r} carries no p-box to tabulate")
@@ -367,7 +364,7 @@ def _cmd_table(args) -> int:
             "no expectation query to take an integrand from" if args.query is None
             else f"no expectation query with id {args.query!r} in {scenario.name!r}")
     # the levels the quadrature integrates over, truncated where it truncates
-    lo, hi, _ = _choquet._integrand(query.pbox, query.oscillation, cfg.abs_tol, query.tail)
+    lo, hi, _ = _choquet._integrand(query.pbox, query.oscillation, abs_tol, query.tail)
     ts = np.linspace(lo, hi, grid)
     probs = _choquet._batch_cut_probs(query.pbox, query.oscillation, ts,
                                       query.kind != "expectation_lower")
@@ -513,13 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     infer = commands.add_parser("infer", help="run a JSON scenario file")
     infer.add_argument("file")
     _add_quadrature_flags(infer)
-    infer.set_defaults(func=lambda args: _emit_scenario(*load_scenario(args.file), args))
+    infer.set_defaults(func=lambda args: _emit_scenario(load_scenario(args.file), args))
 
     paper = commands.add_parser("paper", help="run a builtin scenario by name")
     paper.add_argument("name", choices=BUILTIN_NAMES)
     _add_quadrature_flags(paper)
-    paper.set_defaults(
-        func=lambda args: _emit_scenario(builtin_scenario(args.name), DEFAULT_CONFIG, args))
+    paper.set_defaults(func=lambda args: _emit_scenario(builtin_scenario(args.name), args))
 
     table = commands.add_parser("table", help="tabulate CDFs or an integrand")
     table.add_argument("source", help="scenario file or builtin name")

@@ -1,7 +1,10 @@
 """Built-in scenario fixtures and the query executor behind the CLI.
 
 Every query carries the model it asks about, and :func:`run_query` sends it
-to the engine through one table from query kind to runner.  Each builtin is
+to the engine through one table from query kind to runner, under the one
+tolerance ``abs_tol``, and returns the engine's :class:`QuadratureResult`:
+an event's or an arithmetic bound's is exact, with error bound 0.  Each
+scenario holds its queries and that tolerance.  Each builtin is
 a fixed query list, so the two engineering case studies (a damped
 oscillator's damping ratio, a river dike's overflow height) and the finite
 worked examples can be reproduced by name.  A case study's oscillations
@@ -20,13 +23,13 @@ from typing import Callable
 import numpy as np
 
 from .choquet import (
-    DEFAULT_CONFIG,
     KnotOscillation,
     Oscillation,
-    QuadratureConfig,
     QuadratureResult,
+    _ABS_TOL,
     _require_bounded,
     _require_target,
+    _tolerance,
     lower_expectation,
     threshold_solve,
     upper_expectation,
@@ -67,7 +70,6 @@ from .preorder import (
 __all__ = [
     "Query",
     "Scenario",
-    "QueryResult",
     "BUILTIN_NAMES",
     "builtin_scenario",
     "run_query",
@@ -158,61 +160,56 @@ class Query:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Queries run together, and the model ``table`` tabulates (if any)."""
+    """Queries run together under the tolerance ``abs_tol``, and the model
+    ``table`` tabulates (if any)."""
 
     name: str
     pbox: PBox | None
     queries: tuple
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    """A query's value and error bound; ``converged`` is false when a
-    quadrature stopped before its bound met ``abs_tol``."""
-
-    id: str
-    kind: str
-    value: float
-    error_bound: float
-    converged: bool = True
+    abs_tol: float = _ABS_TOL
 
 
 ARITH_KINDS = ("arith_add", "arith_op")
 INTEGRAL_KINDS = ("expectation_lower", "expectation_upper", "threshold")
 
 
-def _bracket(res: QuadratureResult) -> tuple:
-    return res.value, res.error_bound, res.converged
+def _exact(value) -> QuadratureResult:
+    return QuadratureResult(value, 0.0, True)
 
 
-# kind -> runner(query, cfg) -> (value, error bound[, converged]).  The runners call the
+def _arith(q: Query, abs_tol: float) -> QuadratureResult:
+    return _exact(arith_bound(q.op, q.side, q.x1, q.x2, q.y))
+
+
+# kind -> runner(query, abs_tol) -> QuadratureResult.  The runners call the
 # engine through this module's names at call time, so rebinding one of them
 # (as a tracer does) reaches every query.
 _RUNNERS = {
-    "event_lower": lambda q, cfg: (lower_prob_event(q.pbox, q.event), 0.0),
-    "event_upper": lambda q, cfg: (upper_prob_event(q.pbox, q.event), 0.0),
-    "expectation_lower": lambda q, cfg: _bracket(lower_expectation(q.pbox, q.oscillation, cfg)),
-    "expectation_upper": lambda q, cfg: _bracket(upper_expectation(q.pbox, q.oscillation, cfg,
-                                                                   q.tail)),
-    "threshold": lambda q, cfg: _bracket(threshold_solve(q.pbox, q.oscillation, q.target,
-                                                         cfg)),
-    "arith_add": lambda q, cfg: (arith_bound(q.op, q.side, q.x1, q.x2, q.y), 0.0),
-    "arith_op": lambda q, cfg: (arith_bound(q.op, q.side, q.x1, q.x2, q.y), 0.0),
+    "event_lower": lambda q, abs_tol: _exact(lower_prob_event(q.pbox, q.event)),
+    "event_upper": lambda q, abs_tol: _exact(upper_prob_event(q.pbox, q.event)),
+    "expectation_lower": lambda q, abs_tol: lower_expectation(q.pbox, q.oscillation, abs_tol),
+    "expectation_upper": lambda q, abs_tol: upper_expectation(q.pbox, q.oscillation, abs_tol,
+                                                              q.tail),
+    "threshold": lambda q, abs_tol: threshold_solve(q.pbox, q.oscillation, q.target, abs_tol),
+    "arith_add": _arith,
+    "arith_op": _arith,
 }
 
 
-def run_query(query: Query, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QueryResult:
-    """Evaluate a single query; the error bound is 0 for exact computations.
-    The value of a query on a grid of ``y`` is an array, one value per point."""
-    return QueryResult(query.id, query.kind, *_RUNNERS[query.kind](query, cfg))
+def run_query(query: Query, abs_tol: float = _ABS_TOL) -> QuadratureResult:
+    """Evaluate a single query to the tolerance ``abs_tol``, which is checked
+    whatever the kind (see :func:`pboxes.choquet._tolerance`).  An event or
+    an arithmetic bound is exact: its error bound is 0.  The value of a query
+    on a grid of ``y`` is an array, one value per point."""
+    return _RUNNERS[query.kind](query, _tolerance(abs_tol))
 
 
-def result_rows(query: Query, result: QueryResult) -> list:
+def result_rows(query: Query, result: QuadratureResult) -> list:
     """The ``(id, value)`` rows of a query's result: one, or one per point of a
     grid of ``y``, with ids suffixed ``_0``, ``_1``, ..."""
     if not isinstance(query.y, tuple):
-        return [(result.id, result.value)]
-    return [(f"{result.id}_{k}", value) for k, value in enumerate(result.value.tolist())]
+        return [(query.id, result.value)]
+    return [(f"{query.id}_{k}", value) for k, value in enumerate(result.value.tolist())]
 
 
 # ---------------------------------------------------------------------------

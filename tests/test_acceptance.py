@@ -17,7 +17,6 @@ from test_oracle import coupling_lower_probability
 
 from pboxes.choquet import (
     Oscillation,
-    QuadratureConfig,
     lower_expectation,
     lower_expectation_finite,
     upper_expectation,
@@ -235,7 +234,7 @@ def test_criterion_11_bracket_contains_refined_value():
                     lambda z, a=base_level, s=scale, r=shape:
                         a + s * np.asarray(z, float) ** r)
                 compute = upper_expectation
-            base = compute(box, osc, QuadratureConfig(abs_tol=1e-3))
+            base = compute(box, osc, 1e-3)
             assert base.converged
-            refined = compute(box, osc, QuadratureConfig(abs_tol=1e-12))
+            refined = compute(box, osc, 1e-12)
             assert abs(refined.value - base.value) <= base.error_bound, trial

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,13 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pboxes.choquet import (
-    DEFAULT_CONFIG,
     DECREASING,
     GENERAL,
     INCREASING,
     KnotOscillation,
     Oscillation,
-    QuadratureConfig,
     QuadratureResult,
     cut_event,
     lower_expectation,
@@ -28,6 +27,7 @@ from pboxes.choquet import (
     threshold_solve,
     upper_expectation,
 )
+import pboxes
 from pboxes import choquet
 from pboxes.choquet import _batch_cut_probs, _darboux, _monotone_integrand
 from pboxes.errors import ValidationError
@@ -50,15 +50,17 @@ from pboxes.preorder import (
     complement_z,
 )
 from pboxes.scenarios import (
+    Query,
     builtin_scenario,
     named_cdf,
     named_oscillation,
     named_tail,
+    run_query,
 )
 
 UNIFORM_BOX = PBox(AnalyticCdf(lambda z: np.asarray(z, dtype=float)),
                    AnalyticCdf(lambda z: np.asarray(z, dtype=float)), UNIT_INTERVAL)
-TIGHT = QuadratureConfig(abs_tol=1e-6)
+TIGHT = 1e-6
 
 
 def constant_oscillation(c):
@@ -538,10 +540,10 @@ class TestLowerExpectation:
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
-        cfg = QuadratureConfig(abs_tol=1e-5)
-        a = lower_expectation(box, base, cfg)
-        b = lower_expectation(box, shifted, cfg)
-        assert b.value == pytest.approx(a.value + 3.0, abs=2 * cfg.abs_tol)
+        abs_tol = 1e-5
+        a = lower_expectation(box, base, abs_tol)
+        b = lower_expectation(box, shifted, abs_tol)
+        assert b.value == pytest.approx(a.value + 3.0, abs=2 * abs_tol)
 
     def test_budget_exhaustion_is_flagged_not_raised(self):
         osc = named_oscillation("oscillator_lower")
@@ -549,11 +551,11 @@ class TestLowerExpectation:
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
         # the oscillator stops on the grid cap, far from abs_tol
-        res = lower_expectation(box, osc, QuadratureConfig(abs_tol=1e-9))
+        res = lower_expectation(box, osc, 1e-9)
         assert not res.converged
         assert res.error_bound > 1e-9
         # the wider bracket is still correct
-        exact = lower_expectation(box, osc, QuadratureConfig(abs_tol=1e-6))
+        exact = lower_expectation(box, osc, 1e-6)
         assert abs(res.value - exact.value) <= res.error_bound
 
     def test_bracket_width_halves_with_refinement(self):
@@ -561,8 +563,8 @@ class TestLowerExpectation:
         box = PBox(AnalyticCdf(lambda z: np.asarray(z, float) ** 2),
                    AnalyticCdf(lambda z: np.asarray(z, float) * 0 + 1.0),
                    UNIT_INTERVAL)
-        coarse = lower_expectation(box, osc, QuadratureConfig(abs_tol=1e-3))
-        fine = lower_expectation(box, osc, QuadratureConfig(abs_tol=1e-5))
+        coarse = lower_expectation(box, osc, 1e-3)
+        fine = lower_expectation(box, osc, 1e-5)
         assert fine.error_bound < coarse.error_bound
         assert abs(fine.value - coarse.value) <= coarse.error_bound + fine.error_bound
 
@@ -859,7 +861,7 @@ class TestStaircaseAgreement:
         """Quadrature on a staircase embedding of a finite p-box brackets the
         finite run-loop value on both sides, and the two share no code
         below the expectation."""
-        cfg = QuadratureConfig(abs_tol=1e-5)
+        abs_tol = 1e-5
         for n in (4, 12, 25, 50, 100):
             for _ in range(10):
                 finite_box, cont_box, gamble, _ = staircase_case(rng, n)
@@ -876,7 +878,7 @@ class TestStaircaseAgreement:
                 osc = Oscillation(lambda z: np.interp(z, zs, vs))
                 for side, exact in zip((lower_expectation, upper_expectation),
                                        finite_values(finite_box, gamble)):
-                    approx = side(cont_box, osc, cfg)
+                    approx = side(cont_box, osc, abs_tol)
                     assert approx.converged
                     assert approx.value == pytest.approx(exact, abs=1e-5 + 1e-12)
                     lo, hi = approx.bracket
@@ -887,14 +889,14 @@ class TestStaircaseAgreement:
         inverse, still brackets the exact value on both sides: the jumps of
         the gamble and of the staircases meet at the class edges, so the
         bracket need not converge, but it holds for discontinuous gambles."""
-        cfg = QuadratureConfig(abs_tol=1e-5)
+        abs_tol = 1e-5
         for n in (4, 12, 25):
             for _ in range(10):
                 finite_box, cont_box, gamble, class_of = staircase_case(rng, n)
                 osc = Oscillation(lambda z: gamble[class_of(z)])
                 for side, exact in zip((lower_expectation, upper_expectation),
                                        finite_values(finite_box, gamble)):
-                    lo, hi = side(cont_box, osc, cfg).bracket
+                    lo, hi = side(cont_box, osc, abs_tol).bracket
                     assert lo - 1e-12 <= exact <= hi + 1e-12, (n, side.__name__)
 
 
@@ -936,27 +938,27 @@ class TestAdaptiveDarboux:
         (step_with_flat_tail, 0.2 * 40.0 + 0.5 * 1.0 + 0.3 * 2.5),
     ])
     def test_bracket_contains_closed_form(self, g, exact):
-        cfg = QuadratureConfig(abs_tol=1e-4)
-        mid, half, converged, _ = _darboux(g, 0.0, 40.0, cfg.abs_tol)
+        abs_tol = 1e-4
+        mid, half, converged, _ = _darboux(g, 0.0, 40.0, abs_tol)
         assert converged
-        assert half < 0.5 * cfg.abs_tol
+        assert half < 0.5 * abs_tol
         assert mid - half <= exact <= mid + half
 
     def test_linear_integrand_costs_at_most_doubling(self):
-        cfg = QuadratureConfig(abs_tol=1e-4)
+        abs_tol = 1e-4
         batch = CountingBatch(lambda ts: 1.0 - ts)
-        _, _, converged, rounds = _darboux(batch, 0.0, 1.0, cfg.abs_tol)
+        _, _, converged, rounds = _darboux(batch, 0.0, 1.0, abs_tol)
         assert converged
-        assert batch.levels <= doubling_cost(1.0, 1.0, cfg.abs_tol)[1]
+        assert batch.levels <= doubling_cost(1.0, 1.0, abs_tol)[1]
         # one batch per round
         assert batch.calls == rounds + 1
 
     def test_long_tail_needs_a_quarter_of_doubling(self):
-        cfg = QuadratureConfig(abs_tol=1e-4)
+        abs_tol = 1e-4
         batch = CountingBatch(long_tail)
-        _, _, converged, rounds = _darboux(batch, 0.0, 40.0, cfg.abs_tol)
+        _, _, converged, rounds = _darboux(batch, 0.0, 40.0, abs_tol)
         doubling_rounds, doubling_levels = doubling_cost(40.0, 1.0 - math.exp(-40.0),
-                                                         cfg.abs_tol)
+                                                         abs_tol)
         assert converged
         assert rounds <= doubling_rounds
         assert batch.levels <= doubling_levels / 4
@@ -970,7 +972,7 @@ class TestAdaptiveDarboux:
             return 1e-6 * z - 9e-10 * (z > 0.5)
 
         osc = Oscillation(f)
-        res = upper_expectation(UNIFORM_BOX, osc, QuadratureConfig(abs_tol=1e-11))
+        res = upper_expectation(UNIFORM_BOX, osc, 1e-11)
         assert res.converged
         assert res.bracket[0] <= 0.5e-6 - 0.5 * 9e-10 <= res.bracket[1]
 
@@ -986,7 +988,7 @@ class TestAdaptiveDarboux:
         monkeypatch.setattr(choquet, "_darboux", counted)
         box = builtin_scenario("dike").pbox
         res = upper_expectation(box, named_oscillation("dike_upper"),
-                                QuadratureConfig(abs_tol=1e-4), named_tail("dike_upper", box))
+                                1e-4, named_tail("dike_upper", box))
         assert res.converged
         assert len(batches) == 1
         assert batches[0].levels < 130_805
@@ -998,12 +1000,12 @@ class TestAdaptiveDarboux:
         # at 1e-6 the dike's upper level grid reaches its cap of 2**21 before converging
         fine_tol = 1e-5 if case == "dike_upper" else 1e-6
         if case.endswith("upper"):
-            def compute(box, osc, cfg):
-                return upper_expectation(box, osc, cfg, named_tail(case, box))
+            def compute(box, osc, abs_tol):
+                return upper_expectation(box, osc, abs_tol, named_tail(case, box))
         else:
             compute = lower_expectation
-        coarse = compute(box, osc, QuadratureConfig(abs_tol=1e-3))
-        fine = compute(box, osc, QuadratureConfig(abs_tol=fine_tol))
+        coarse = compute(box, osc, 1e-3)
+        fine = compute(box, osc, fine_tol)
         assert coarse.converged and fine.converged
         assert fine.error_bound < 0.5 * fine_tol
         assert coarse.bracket[0] - 1e-12 <= fine.bracket[0]
@@ -1016,9 +1018,8 @@ class TestAdaptiveDarboux:
         # the count of rounds, from the coarsest tolerance to the finest
         box, osc = builtin_scenario(case.split("_")[0]).pbox, named_oscillation(case)
         for tol in (1e-3, 1e-4, 1e-6, 1e-8, 1e-12):
-            cfg = QuadratureConfig(abs_tol=tol)
-            res = (upper_expectation(box, osc, cfg, named_tail(case, box))
-                   if case.endswith("upper") else lower_expectation(box, osc, cfg))
+            res = (upper_expectation(box, osc, tol, named_tail(case, box))
+                   if case.endswith("upper") else lower_expectation(box, osc, tol))
             assert res.refinements < choquet._MAX_ROUNDS, tol
 
 
@@ -1166,9 +1167,8 @@ class TestCertifiedTails:
     def test_no_converged_bracket_misses_the_exact_value(self, abs_tol):
         osc = Oscillation(_blow_up)
         assert osc.sup_value == math.inf
-        cfg = QuadratureConfig(abs_tol=abs_tol)
         for tail in (None, _blow_up_tail):
-            res = upper_expectation(BLOW_UP_BOX, osc, cfg, tail)
+            res = upper_expectation(BLOW_UP_BOX, osc, abs_tol, tail)
             assert math.isfinite(res.value) and math.isfinite(res.error_bound)
             # the lower end is a lower bound, certificate or not
             assert res.bracket[0] <= 2.0
@@ -1181,7 +1181,7 @@ class TestCertifiedTails:
     @pytest.mark.parametrize("abs_tol", [0.05, 0.01])
     def test_a_certificate_lets_the_reproducer_converge(self, abs_tol):
         res = upper_expectation(BLOW_UP_BOX, Oscillation(_blow_up),
-                                QuadratureConfig(abs_tol=abs_tol), _blow_up_tail)
+                                abs_tol, _blow_up_tail)
         assert res.converged and res.bracket[0] <= 2.0 <= res.bracket[1]
 
     def test_truncation_reads_the_certificate_alone(self, monkeypatch):
@@ -1200,23 +1200,23 @@ class TestCertifiedTails:
             return original(pbox, osc_, upper, a, b)
 
         monkeypatch.setattr(choquet, "_coordinate_grid", grid)
-        cfg = QuadratureConfig(abs_tol=1e-3)
-        upper_expectation(BLOW_UP_BOX, osc, cfg, tail)
+        abs_tol = 1e-3
+        upper_expectation(BLOW_UP_BOX, osc, abs_tol, tail)
         # the first a + 2**k whose certificate is within its share of abs_tol
         k = len(levels) - 1
         assert levels == [osc.inf_value + 2.0 ** j for j in range(k + 1)]
-        assert _blow_up_tail(levels[-1]) <= choquet._TAIL_SHARE * cfg.abs_tol
-        assert _blow_up_tail(levels[-2]) > choquet._TAIL_SHARE * cfg.abs_tol
+        assert _blow_up_tail(levels[-1]) <= choquet._TAIL_SHARE * abs_tol
+        assert _blow_up_tail(levels[-2]) > choquet._TAIL_SHARE * abs_tol
         assert seen == [levels[-1]]
 
     @pytest.mark.parametrize("bound", [math.nan, -1e-300, "0.1", None, True,
                                        np.array([0.1])])
     def test_a_certificate_must_give_a_number_at_least_0(self, bound):
         with pytest.raises(ValidationError, match="^a tail certificate gave"):
-            upper_expectation(BLOW_UP_BOX, Oscillation(_blow_up), DEFAULT_CONFIG,
+            upper_expectation(BLOW_UP_BOX, Oscillation(_blow_up), choquet._ABS_TOL,
                               lambda t: bound)
 
-    @pytest.mark.parametrize("bound", [1.0, math.inf, 0.5 * DEFAULT_CONFIG.abs_tol])
+    @pytest.mark.parametrize("bound", [1.0, math.inf, 0.5 * choquet._ABS_TOL])
     def test_a_certificate_above_its_share_never_converges(self, bound):
         # 64 doublings and no level within the share: no error is raised,
         # and a finite charge still widens the bracket
@@ -1226,7 +1226,7 @@ class TestCertifiedTails:
             levels.append(t)
             return bound
 
-        res = upper_expectation(BLOW_UP_BOX, Oscillation(_blow_up), DEFAULT_CONFIG, tail)
+        res = upper_expectation(BLOW_UP_BOX, Oscillation(_blow_up), choquet._ABS_TOL, tail)
         assert len(levels) == 64 and not res.converged
         assert math.isfinite(res.value) and math.isfinite(res.error_bound)
         if math.isfinite(bound):
@@ -1244,7 +1244,7 @@ class TestCertifiedTails:
         for f in (_blow_up, _inf_at_one, lambda z: _inf_at_one(1.0 - np.asarray(z, float)),
                   lambda z: np.where(np.asarray(z) > 0.98, math.inf, z)):
             for tail in (None, lambda t: 0.0):
-                res = upper_expectation(BLOW_UP_BOX, Oscillation(f), DEFAULT_CONFIG, tail)
+                res = upper_expectation(BLOW_UP_BOX, Oscillation(f), choquet._ABS_TOL, tail)
                 assert math.isfinite(res.value) and math.isfinite(res.error_bound)
                 assert res.converged == (tail is not None)
         assert seen and all(np.isfinite(levels).all() for levels in seen)
@@ -1255,7 +1255,7 @@ class TestCertifiedTails:
         top = float(osc.f(1.0 - 2.0 ** -52))
         assert math.isinf(float(osc.f(1.0 - 2.0 ** -53)))
         assert choquet._grid_top(osc) == top == pytest.approx(29.63, abs=0.01)
-        a, b, charge = choquet._integrand(BLOW_UP_BOX, osc, DEFAULT_CONFIG.abs_tol)
+        a, b, charge = choquet._integrand(BLOW_UP_BOX, osc, choquet._ABS_TOL)
         assert (a, b, charge) == (osc.inf_value, top, math.inf)
 
     def test_a_bounded_oscillation_ignores_a_certificate(self):
@@ -1358,23 +1358,55 @@ class TestThresholdSolve:
         assert threshold_solve(UNIFORM_BOX, osc, 1) == threshold_solve(UNIFORM_BOX, osc, 1.0)
 
 
-class TestQuadratureConfig:
+def _bracketed_calls():
+    """Each bracketed call of the library, as a function of its tolerance: the
+    engine's three, the exact path of a knot oscillation, and ``run_query``
+    on an event, whose result takes no tolerance but whose call checks it."""
+    osc = named_oscillation("oscillator_lower")
+    knots = KnotOscillation(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
+    polynomial = PBox(named_cdf("uniform"), named_cdf("one"))
+    event = Query("e", "event_lower", UNIFORM_BOX, event=FULL_EVENT)
+    return {
+        "lower_expectation": lambda tol: lower_expectation(UNIFORM_BOX, osc, tol),
+        "exact lower_expectation": lambda tol: lower_expectation(polynomial, knots, tol),
+        "upper_expectation": lambda tol: upper_expectation(UNIFORM_BOX, osc, tol),
+        "threshold_solve": lambda tol: threshold_solve(UNIFORM_BOX, osc, 0.5, tol),
+        "threshold_solve at 1": lambda tol: threshold_solve(UNIFORM_BOX, osc, 1.0, tol),
+        "run_query": lambda tol: run_query(event, tol),
+    }
+
+
+class TestTolerance:
     def test_one_tolerance(self):
-        # cut ends and thresholds run to the float; abs_tol is the only tolerance
-        assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["abs_tol"]
-        with pytest.raises(TypeError):
-            QuadratureConfig(bisect_tol=1e-12)
-        with pytest.raises(TypeError):
-            QuadratureConfig(max_refinements=3)
+        # cut ends and thresholds run to the float; abs_tol is the only tolerance,
+        # a number with one default
+        for fn, params in ((lower_expectation, ["pbox", "losc", "abs_tol"]),
+                           (upper_expectation, ["pbox", "uosc", "abs_tol", "tail"]),
+                           (threshold_solve, ["pbox", "uosc", "target", "abs_tol"]),
+                           (run_query, ["query", "abs_tol"])):
+            signature = inspect.signature(fn).parameters
+            assert list(signature) == params, fn.__name__
+            assert signature["abs_tol"].default == choquet._ABS_TOL == 1e-4
+        for name in ("QuadratureConfig", "DEFAULT_CONFIG"):
+            assert name not in pboxes.__all__
+            assert not hasattr(pboxes, name) and not hasattr(choquet, name)
 
-    def test_tolerance_floor(self):
-        with pytest.raises(ValidationError):
-            QuadratureConfig(abs_tol=1e-15)
+    @pytest.mark.parametrize("call", sorted(_bracketed_calls()))
+    def test_tolerance_floor(self, call):
+        run = _bracketed_calls()[call]
+        # the floor itself is honoured
+        assert run(1e-12).value is not None
+        with pytest.raises(ValidationError, match="^abs_tol below 1e-12 is not honoured$"):
+            run(1e-15)
 
-    def test_non_finite_tolerance_rejected(self):
+    @pytest.mark.parametrize("call", sorted(_bracketed_calls()))
+    def test_non_finite_tolerance_rejected(self, call):
+        run = _bracketed_calls()[call]
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValidationError):
-                QuadratureConfig(abs_tol=bad)
+            with pytest.raises(ValidationError, match=f"^expected a finite number, got {bad}$"):
+                run(bad)
+        with pytest.raises(TypeError):
+            run("1e-4")
 
 
 class TestThresholdSearch:
@@ -1447,8 +1479,8 @@ class TestThresholdSearch:
         assert math.isfinite(hi)
         assert prob(hi) <= target < prob(lo)
         # converged is measured against abs_tol, as for an expectation
-        assert res.converged == (res.error_bound < 0.5 * DEFAULT_CONFIG.abs_tol)
-        loose = QuadratureConfig(abs_tol=4.0 * res.error_bound)
+        assert res.converged == (res.error_bound < 0.5 * choquet._ABS_TOL)
+        loose = 4.0 * res.error_bound
         assert threshold_solve(box, osc, target, loose) == dataclasses.replace(res, converged=True)
         if target == 1e-15:
             assert not res.converged

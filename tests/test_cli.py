@@ -302,6 +302,21 @@ class TestInfer:
         assert code == 2
         assert "config.abs_tol" in err
 
+    @pytest.mark.parametrize("command", ["infer", "paper", "table"])
+    @pytest.mark.parametrize("tol, message", [
+        ("1e-13", "abs_tol below 1e-12 is not honoured"),
+        ("nan", "expected a finite number, got nan"),
+        ("inf", "expected a finite number, got inf"),
+    ])
+    def test_bad_tol_flag_exit_3_before_any_row(self, tmp_path, capsys, command, tol,
+                                                message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(SCENARIO_DOC))
+        source = {"infer": str(path), "paper": "example_ordering", "table": "dike"}[command]
+        code, out, err = run_cli(capsys, [command, source, "--tol", tol])
+        assert (code, out) == (3, "")
+        assert err == f"validation error: {message}\n"
+
     def test_top_level_array_exit_2(self, tmp_path, capsys):
         path = tmp_path / "array.json"
         path.write_text(json.dumps([SCENARIO_DOC]))
@@ -666,8 +681,19 @@ class TestInfer:
                        "x1": {"lower": [[-1.7e308, 0.0], [1.7e308, 1.0]]}}]},
          3, "validation error: queries[0].x1.lower: knot coordinates differ by more than "
             "the largest float"),
+        ({"config": {"abs_tol": 1e-13}},
+         3, "validation error: config.abs_tol: abs_tol below 1e-12 is not honoured"),
+        ({"config": {"abs_tol": 0}},
+         3, "validation error: config.abs_tol: abs_tol below 1e-12 is not honoured"),
+        # 1e400 is inf, written as Infinity, which json reads as the literal 1e400
+        ({"config": {"abs_tol": 1e400}},
+         3, "validation error: config.abs_tol: expected a finite number, got inf"),
+        # the continuum's one name is "continuum"
+        ({"space": {"type": "z_induced"}},
+         3, "validation error: space.type: unknown space type 'z_induced'"),
     ], ids=["operand_empty_upper", "operand_null_upper", "null_pbox", "crossing_linear_pbox",
-            "two_pbox_variants", "overflowing_oscillation_knots", "overflowing_operand_knots"])
+            "two_pbox_variants", "overflowing_oscillation_knots", "overflowing_operand_knots",
+            "abs_tol_floor", "abs_tol_zero", "abs_tol_overflow", "z_induced_space"])
     def test_refused_document_names_field(self, tmp_path, capsys, doc, code, message):
         doc = dict({"pbox": {"analytic": {"lower": "square", "upper": "uniform"}},
                     "queries": []}, **doc)
@@ -1355,9 +1381,30 @@ class TestScenarioConfig:
     def test_file_config_respected(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(SCENARIO_DOC))
-        scenario, cfg = load_scenario(str(path))
-        assert cfg.abs_tol == 1e-5
+        scenario = load_scenario(str(path))
+        assert scenario.abs_tol == 1e-5
         assert scenario.name == "fixture"
+
+    def test_file_without_config_takes_the_default(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(CONTINUUM_DOC))
+        assert load_scenario(str(path)).abs_tol == 1e-4
+
+    def test_tol_flag_overrides_the_file(self, tmp_path, capsys):
+        # far in the dike's tail the threshold's bracket is about 0.1 wide: it
+        # converges at the file's abs_tol of 1, and not at --tol 1e-4
+        doc = {"pbox": {"builtin": "dike"},
+               "queries": [{"id": "far", "kind": "threshold", "target": 1e-15,
+                            "oscillation": {"builtin": "dike_upper"}}],
+               "config": {"abs_tol": 1}}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["infer", str(path)])
+        assert code == 0 and err == ""
+        code, again, err = run_cli(capsys, ["infer", str(path), "--tol", "1e-4"])
+        assert code == 0 and csv_rows(again)["far"][1:] == csv_rows(out)["far"][1:]
+        assert err.startswith("not converged: far error bound ")
+        assert err.endswith(" above abs_tol 0.0001\n")
 
     def test_builtin_pbox_reference(self, tmp_path):
         doc = {"space": {"type": "continuum"},
@@ -1366,7 +1413,7 @@ class TestScenarioConfig:
                             "intervals": [[0.0, 0.5, False, False]]}]}
         path = tmp_path / "ref.json"
         path.write_text(json.dumps(doc))
-        scenario, _ = load_scenario(str(path))
+        scenario = load_scenario(str(path))
         assert run_query(scenario.queries[0]).value == pytest.approx(0.25)
 
     def test_builtin_pbox_reference_to_finite_joint(self, tmp_path):
@@ -1374,7 +1421,7 @@ class TestScenarioConfig:
                "queries": [{"id": "bottom", "kind": "event_lower", "classes": [0]}]}
         path = tmp_path / "joint.json"
         path.write_text(json.dumps(doc))
-        scenario, _ = load_scenario(str(path))
+        scenario = load_scenario(str(path))
         assert run_query(scenario.queries[0]).value == pytest.approx(0.4 * 0.3)
 
     def test_builtin_without_pbox_exit_3(self, tmp_path, capsys):

@@ -24,7 +24,6 @@ from pboxes import (
     PBox,
     PiecewiseLinearCdf,
     PiecewisePolynomialCdf,
-    QuadratureConfig,
     RealLinePBox,
     ValidationError,
     lower_expectation,
@@ -128,7 +127,7 @@ def test_degree_one_brackets_hold_the_exact_value(data):
         exact = exact_expectation(osc.knots, lower, upper, osc.inf_value, osc.sup_value,
                                   upper_side)
         for tol in TOLERANCES:
-            result = compute(box, osc, QuadratureConfig(abs_tol=tol))
+            result = compute(box, osc, tol)
             assert result.refinements == 0
             assert contains(result, exact), (upper_side, tol, result, float(exact))
 
@@ -141,7 +140,7 @@ def test_item3_knot_case_converges_on_its_reference(no_darboux):
         exact = exact_expectation(osc.knots, ITEM3_LOWER, ITEM3_UPPER, osc.inf_value,
                                   osc.sup_value, upper_side)
         for tol in (1e-7, 1e-12):
-            result = compute(box, osc, QuadratureConfig(abs_tol=tol))
+            result = compute(box, osc, tol)
             assert result.converged and result.refinements == 0
             assert result.error_bound < 0.5 * tol
             assert contains(result, exact)
@@ -158,7 +157,7 @@ def test_the_bound_covers_rounding_at_large_levels():
     for upper_side, compute in ((False, lower_expectation), (True, upper_expectation)):
         exact = exact_expectation(osc.knots, ITEM3_LOWER, ITEM3_UPPER, osc.inf_value,
                                   osc.sup_value, upper_side)
-        result = compute(box, osc, QuadratureConfig(abs_tol=1e-12))
+        result = compute(box, osc, 1e-12)
         assert contains(result, exact)
         assert not result.converged
 
@@ -261,7 +260,7 @@ def test_degree_two_inside_a_fine_darboux_bracket(pair, knots):
     black_box = PBox(AnalyticCdf(lower_fn), AnalyticCdf(upper_fn))
     osc = KnotOscillation(knots)
     for upper_side, compute in ((False, lower_expectation), (True, upper_expectation)):
-        result = compute(exact_box, osc, QuadratureConfig(abs_tol=1e-12))
+        result = compute(exact_box, osc, 1e-12)
         lo, hi = darboux_bracket(black_box, osc, upper_side)
         assert lo <= result.bracket[0] and result.bracket[1] <= hi, (upper_side, result, lo, hi)
 

@@ -8,7 +8,8 @@ from case_study_reference import REFERENCE_CURVES, dike_design_height, dike_over
 from pboxes import choquet
 from pboxes.choquet import (
     KnotOscillation,
-    QuadratureConfig,
+    QuadratureResult,
+    lower_expectation,
     threshold_solve,
     upper_expectation,
 )
@@ -40,11 +41,17 @@ PINNED_ROWS = {
 
 
 def assert_pinned_rows(results):
-    """Every row of ``results`` matches its pinned value and bound to 1e-9 relative."""
-    for r in results:
-        value, error_bound = PINNED_ROWS[r.id]
-        assert r.value == pytest.approx(value, rel=1e-9, abs=0.0), r.id
-        assert r.error_bound == pytest.approx(error_bound, rel=1e-9, abs=0.0), r.id
+    """Every result in ``results``, keyed by query id, matches its pinned value
+    and bound to 1e-9 relative."""
+    for qid, r in results.items():
+        value, error_bound = PINNED_ROWS[qid]
+        assert r.value == pytest.approx(value, rel=1e-9, abs=0.0), qid
+        assert r.error_bound == pytest.approx(error_bound, rel=1e-9, abs=0.0), qid
+
+
+def run_builtin(name):
+    """The results of the builtin ``name``'s queries, keyed by query id."""
+    return {q.id: run_query(q) for q in builtin_scenario(name).queries}
 
 
 class TestCornerOscillations:
@@ -92,10 +99,9 @@ class TestOscillatorFixture:
         assert np.allclose(scenario.pbox.lower(zs), zs ** 2, atol=1e-15)
 
     def test_lower_below_upper_expectation(self):
-        rows = [run_query(q) for q in builtin_scenario("oscillator").queries]
-        assert_pinned_rows(rows)
-        results = {r.id: r.value for r in rows}
-        assert results["damping_ratio_lower"] <= results["damping_ratio_upper"]
+        results = run_builtin("oscillator")
+        assert_pinned_rows(results)
+        assert results["damping_ratio_lower"].value <= results["damping_ratio_upper"].value
 
 
 class TestDikeFixture:
@@ -129,25 +135,19 @@ class TestDikeFixture:
         assert lo <= dike_design_height(target) <= hi
 
     def test_lower_below_upper_expectation(self):
-        rows = [run_query(q) for q in builtin_scenario("dike").queries]
-        assert_pinned_rows(rows)
-        results = {r.id: r.value for r in rows}
-        assert results["overflow_lower"] <= results["overflow_upper"]
+        results = run_builtin("dike")
+        assert_pinned_rows(results)
+        assert results["overflow_lower"].value <= results["overflow_upper"].value
 
     def test_deterministic_rerun(self):
-        first = [(r.id, r.value, r.error_bound)
-                 for r in map(run_query, builtin_scenario("dike").queries)]
-        second = [(r.id, r.value, r.error_bound)
-                  for r in map(run_query, builtin_scenario("dike").queries)]
-        assert first == second
+        assert run_builtin("dike") == run_builtin("dike")
 
     def test_abs_tol_controls_reported_error(self):
         scenario = builtin_scenario("dike")
         uosc = named_oscillation("dike_lower")
         # a tighter quadrature tolerance narrows the bracket
-        from pboxes.choquet import lower_expectation
-        loose = lower_expectation(scenario.pbox, uosc, QuadratureConfig(abs_tol=1e-3))
-        tight = lower_expectation(scenario.pbox, uosc, QuadratureConfig(abs_tol=1e-4))
+        loose = lower_expectation(scenario.pbox, uosc, 1e-3)
+        tight = lower_expectation(scenario.pbox, uosc, 1e-4)
         assert tight.error_bound < loose.error_bound
         assert abs(loose.value - tight.value) <= loose.error_bound + tight.error_bound
 
@@ -269,6 +269,32 @@ class TestRegistries:
                 KnotOscillation([(0.0, 0.0), (0.5, bad), (1.0, 0.0)])
             with pytest.raises(ValidationError):
                 KnotOscillation([(0.0, 0.0), (bad, 1.0), (1.0, 0.0)])
+
+
+class TestRunQuery:
+    UNIFORM = RealLinePBox.from_knots(((0.0, 0.0), (1.0, 1.0)))
+
+    def test_exact_kinds_give_a_result_with_no_error(self):
+        box = builtin_scenario("example_diagonal_46").pbox
+        for query in (Query("e", "event_lower", box, event=FULL_EVENT),
+                      Query("e", "event_upper", box, event=FULL_EVENT),
+                      Query("a", "arith_op", x1=self.UNIFORM, x2=self.UNIFORM, y=0.5),
+                      Query("a", "arith_add", x1=self.UNIFORM, x2=self.UNIFORM,
+                            y=(0.5, 1.0))):
+            res = run_query(query)
+            assert type(res) is QuadratureResult
+            assert (res.error_bound, res.converged, res.refinements) == (0.0, True, 0)
+        # the value of a grid of y is an array, one value per point
+        assert res.value.shape == (2,)
+
+    def test_integral_kinds_give_the_engines_result(self):
+        lower, upper = builtin_scenario("oscillator").queries
+        assert run_query(lower, 1e-3) == lower_expectation(lower.pbox, lower.oscillation, 1e-3)
+        assert run_query(upper, 1e-3) == upper_expectation(upper.pbox, upper.oscillation, 1e-3)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_run_to_the_default_tolerance(self, name):
+        assert builtin_scenario(name).abs_tol == choquet._ABS_TOL == 1e-4
 
 
 class TestArithmeticQuery:
